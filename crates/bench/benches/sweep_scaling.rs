@@ -1,5 +1,5 @@
-//! Timing harness for the parallel sweep engine: run one tiny
-//! (configuration × benchmark) grid serially and again on 4 workers, verify
+//! Timing harness for the job engine: run one tiny
+//! (configuration × benchmark) plan serially and again on 4 workers, verify
 //! the results are bit-identical, and record both wall-clock numbers in
 //! `BENCH_sweep.json` at the repository root so the perf trajectory is
 //! tracked PR over PR.
@@ -15,10 +15,8 @@
 
 use std::time::Instant;
 
-use rcmc_core::Topology;
-use rcmc_sim::config::make;
 use rcmc_sim::runner::{cached_trace, trace_cache_stats, Budget};
-use rcmc_sim::Session;
+use rcmc_sim::{Plan, Session};
 
 const PAR_JOBS: usize = 4;
 
@@ -27,13 +25,14 @@ fn main() {
         warmup: 2_000,
         measure: 10_000,
     };
-    let cfgs = vec![
-        make(Topology::Ring, 4, 2, 1),
-        make(Topology::Conv, 4, 2, 1),
-        make(Topology::Ring, 8, 2, 1),
-        make(Topology::Conv, 8, 2, 1),
-    ];
     let benches = ["swim", "gzip", "mcf", "galgel", "ammp", "gcc"];
+    let plan = Plan::new("sweep-scaling")
+        .config_named("Ring_4clus_1bus_2IW")
+        .config_named("Conv_4clus_1bus_2IW")
+        .config_named("Ring_8clus_1bus_2IW")
+        .config_named("Conv_8clus_1bus_2IW")
+        .benches(benches)
+        .budget(budget);
     let t0 = Instant::now();
     for b in benches {
         cached_trace(b, budget.trace_len());
@@ -42,15 +41,11 @@ fn main() {
     let ts = trace_cache_stats();
 
     let t0 = Instant::now();
-    let serial = Session::ephemeral()
-        .with_jobs(1)
-        .sweep(&cfgs, &benches, &budget);
+    let serial = Session::ephemeral().with_jobs(1).run(&plan).unwrap();
     let serial_s = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();
-    let parallel = Session::ephemeral()
-        .with_jobs(PAR_JOBS)
-        .sweep(&cfgs, &benches, &budget);
+    let parallel = Session::ephemeral().with_jobs(PAR_JOBS).run(&plan).unwrap();
     let parallel_s = t0.elapsed().as_secs_f64();
 
     assert_eq!(

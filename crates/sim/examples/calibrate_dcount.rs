@@ -2,8 +2,8 @@
 //! threshold (difference in dispatched-but-unissued counts) and report
 //! geometric-mean IPC over a representative subset, so every
 //! conventional-style fabric is as strong as the paper's tuned steering.
-//! All (threshold × benchmark) runs fan out through one parallel sweep; the
-//! per-threshold report order stays fixed.
+//! The (threshold × benchmark) grid is one plan, the threshold an override
+//! on each config entry; the per-threshold report order stays fixed.
 //!
 //! ```text
 //! cargo run --release -p rcmc-sim --example calibrate_dcount [topology]
@@ -11,7 +11,13 @@
 //!
 //! `topology` is any `--topology` spelling (default: `conv`). The winning
 //! values are recorded as `CoreConfig::default_dcount_threshold`.
-use rcmc_sim::{config, runner, Session};
+use rcmc_sim::{config, runner, ConfigSpec, Plan, Session};
+use serde::json::Value;
+
+fn die<T>(e: String) -> T {
+    eprintln!("calibrate_dcount: {e}");
+    std::process::exit(1);
+}
 
 fn main() {
     let topo_arg = std::env::args().nth(1).unwrap_or_else(|| "conv".into());
@@ -27,18 +33,24 @@ fn main() {
         "swim", "galgel", "ammp", "lucas", "mcf", "gcc", "gzip", "twolf",
     ];
     let thresholds = [2.0f64, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0];
-    let cfgs: Vec<_> = thresholds
-        .iter()
-        .map(|&thr| {
-            let mut cfg = config::make_pair(topology, rcmc_core::Steering::ConvDcount, 8, 2, 1);
-            cfg.core.dcount_threshold = thr;
-            cfg.name = format!("cal_{}_t{thr}", config::topology_name(topology));
-            cfg
-        })
-        .collect();
-    // Thresholds are mutated per config, so this grid goes through the
-    // session's explicit-sweep escape hatch (a Plan cannot express it).
-    let results = Session::ephemeral().sweep(&cfgs, &benches, &budget);
+    // One config entry per threshold: the topology at 8 clusters, 1 bus,
+    // 2-wide issue with DCOUNT steering and the threshold as an override.
+    let mut plan = Plan::new("calibrate-dcount")
+        .benches(benches)
+        .budget(budget);
+    for thr in thresholds {
+        let spec = ConfigSpec {
+            topology: Some(config::topology_name(topology).to_ascii_lowercase()),
+            steering: Some("dcount".into()),
+            clusters: Some(8),
+            iw: Some(2),
+            buses: Some(1),
+            ..ConfigSpec::default()
+        };
+        plan = plan.config(spec.with_override("dcount_threshold", Value::Num(thr)));
+    }
+    let cfgs = plan.resolve_configs().unwrap_or_else(die);
+    let results = Session::ephemeral().run(&plan).unwrap_or_else(die);
     println!(
         "DCOUNT calibration on {} (8 clusters, 1 bus, 2IW):",
         config::topology_name(topology)

@@ -1,9 +1,9 @@
 //! Quick directional check: Ring vs Conv on a few benchmarks.
 //!
-//! The (config × bench) grid goes through the parallel sweep engine
-//! (`RCMC_JOBS` caps the workers), then prints in fixed benchmark order —
-//! the output is identical at any worker count.
-use rcmc_sim::{config, runner, Session};
+//! The (config × bench) grid runs as one plan (`RCMC_JOBS` caps the
+//! workers), then prints in fixed benchmark order — the output is
+//! identical at any worker count.
+use rcmc_sim::{config, runner, Plan, Session};
 use std::time::Instant;
 
 fn main() {
@@ -19,8 +19,13 @@ fn main() {
         config::make(rcmc_core::Topology::Ring, 8, 2, 1),
         config::make(rcmc_core::Topology::Conv, 8, 2, 1),
     ];
+    let plan = Plan::new("shape-check")
+        .config_named(&cfgs[0].name)
+        .config_named(&cfgs[1].name)
+        .benches(benches)
+        .budget(budget);
     let t0 = Instant::now();
-    let results = session.sweep(&cfgs, &benches, &budget);
+    let results = session.run(&plan).expect("preset plan resolves");
     let mut total_insns = 0u64;
     for b in benches {
         let mut line = format!("{b:8}");

@@ -8,18 +8,20 @@
 //!   the builder methods or parsed from a JSON spec file;
 //! * [`session::Session`] — the execution environment: the disk-backed
 //!   result store (`target/rcmc-results/`), the worker thread pool, the
-//!   (process-wide, warm) oracle-trace cache, and the progress sink;
+//!   (process-wide, warm) oracle-trace cache, and the progress sink. Runs
+//!   go through the same scheduler as `rcmc serve`;
 //! * [`resultset::ResultSet`] — typed sweep results with the
 //!   query/group/geomean/speedup combinators every figure draws from.
 //!
 //! Supporting modules: [`config`] (Table 2/3 presets and the ablation
 //! grids), [`machines`] (the registry of named machine families plan specs
-//! select with `"machine"`), [`runner`] (the memoizing two-stage sweep engine and the raw
-//! per-run metrics), [`report`] (text rendering), [`experiments`] (every
-//! paper figure as a plan value + renderer), [`serve`] (the JSON-lines
-//! request/response loop behind `rcmc serve`), [`scheduler`] (the
-//! concurrent request scheduler serve runs on: cross-request job
-//! coalescing, cancellation, admission control).
+//! select with `"machine"`), [`runner`] (one memoized job — trace load,
+//! simulate, reduce, persist — and the raw per-run metrics), [`report`]
+//! (text rendering), [`experiments`] (every paper figure as a plan value +
+//! renderer), [`scheduler`] (the one job engine: every session run and
+//! serve request fans its jobs out there, with cross-request coalescing,
+//! cancellation and admission control), [`serve`] (the JSON-lines
+//! request/response loop behind `rcmc serve`).
 //!
 //! ```no_run
 //! use rcmc_sim::experiments::plans;
@@ -29,7 +31,7 @@
 //! println!("{}", rs.to_csv());
 //! ```
 //!
-//! Sweeps fan out over the session's pool (`--jobs`/`RCMC_JOBS`) with
+//! Runs fan out over the session's pool (`--jobs`/`RCMC_JOBS`) with
 //! results bit-identical at any worker count, and every finished
 //! (configuration × benchmark) pair is memoized on disk, so regenerating
 //! every figure simulates each pair exactly once.
@@ -52,9 +54,7 @@ pub use config::{
 pub use machines::Machine;
 pub use plan::{ConfigSpec, Plan, RenderedReport, ReportSpec};
 pub use resultset::{GroupValues, Metric, ResultSet};
-pub use runner::{
-    default_jobs, run_pair, Budget, JobKey, ResultStore, Results, RunResult, SweepProgress,
-};
+pub use runner::{default_jobs, run_pair, Budget, JobKey, ResultStore, RunResult, SweepProgress};
 pub use scheduler::{Scheduler, SchedulerStats};
 pub use serve::{ServeOpts, ServeSummary, DEFAULT_QUEUE_LIMIT};
 pub use session::{Progress, Session};

@@ -696,12 +696,7 @@ impl Plan {
         let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
         for b in &self.benches {
-            if !crate::runner::workload_exists(b, db) {
-                return Err(format!(
-                    "unknown benchmark '{b}' (see `rcmc list`; imported \
-                     traces: `rcmc trace list`)"
-                ));
-            }
+            crate::runner::check_workload(b, db)?;
             if seen.insert(b.as_str()) {
                 out.push(b.clone());
             }

@@ -12,7 +12,7 @@
 
 use std::fmt::Write as _;
 
-use crate::runner::{Results, RunResult};
+use crate::runner::RunResult;
 
 /// One figure bar-group: AVERAGE (whole suite) / INT / FP.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -190,11 +190,6 @@ impl ResultSet {
         rows.dedup_by(|a, b| a.config == b.config && a.bench == b.bench);
         rows.reverse();
         ResultSet { rows }
-    }
-
-    /// Build from the runner's raw `(config, bench)` map.
-    pub fn from_map(map: Results) -> ResultSet {
-        ResultSet::from_rows(map.into_values().collect())
     }
 
     /// Number of rows.

@@ -1,31 +1,19 @@
 //! Run (configuration × benchmark) pairs with trace caching and disk-backed
 //! result memoization.
 //!
-//! Sweeps execute as a two-stage job graph on a fixed-size thread pool:
-//!
-//! * **Stage A** materializes each *missing* benchmark's oracle trace exactly
-//!   once (the [`rcmc_emu::TraceCache`] guarantees no duplicate emulation
-//!   even under races, and no lock is held across emulation);
-//! * **Stage B** fans the remaining (configuration, benchmark) jobs across
-//!   the pool, collecting in deterministic input order. Each job is
-//!   simulate → [`reduce_metrics`] → persist, so the post-run metric
-//!   reductions (dispatch shares, NREADY/communication aggregation) run
-//!   across the pool too — overlapping other jobs' simulations, never
-//!   behind a barrier — and every finished pair is durably memoized the
-//!   moment it completes (an interrupted sweep resumes where it stopped).
-//!
-//! Every simulation is independent and traces are shared read-only, so a
-//! sweep on a multi-worker pool returns results bit-identical to the serial
-//! one-worker path. Sweeps are driven through [`crate::session::Session`],
-//! which owns the pool, the [`ResultStore`] and the progress sink.
+//! [`run_pair`] is one job: load the oracle trace (memory → on-disk
+//! [`TraceDb`] → emulator), simulate, [`reduce_metrics`], persist. Grids of
+//! jobs run on the scheduler ([`crate::scheduler`]), which both
+//! [`crate::session::Session::run`] and `rcmc serve` drive; every
+//! simulation is independent and traces are shared read-only, so results
+//! are bit-identical at any worker count, and every finished pair is
+//! durably memoized the moment it completes (an interrupted run resumes
+//! where it stopped).
 //!
 //! The [`ResultStore`] is sharded per configuration
 //! (`target/rcmc-results/<config>/<key>.json`), so huge sweeps never pile
-//! thousands of files into one directory; results written by older versions
-//! into the flat layout are still found and migrated into their shard on
-//! first read.
+//! thousands of files into one directory.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -166,10 +154,18 @@ pub fn trace_cache_bytes() -> usize {
     TRACES.bytes()
 }
 
-/// Whether `name` resolves to a runnable workload against `db`: a suite
-/// benchmark, or an imported trace stored under that name.
-pub fn workload_exists(name: &str, db: Option<&TraceDb>) -> bool {
-    benchmark(name).is_some() || db.is_some_and(|d| !d.lens_of(name).is_empty())
+/// Check that `name` resolves to a runnable workload against `db`: a suite
+/// benchmark, or an imported trace stored under that name. Plans and
+/// `rcmc run` reject an unknown workload with this message before anything
+/// simulates.
+pub fn check_workload(name: &str, db: Option<&TraceDb>) -> Result<(), String> {
+    if benchmark(name).is_some() || db.is_some_and(|d| !d.lens_of(name).is_empty()) {
+        Ok(())
+    } else {
+        Err(format!(
+            "unknown benchmark '{name}' (see `rcmc list`; imported traces: `rcmc trace list`)"
+        ))
+    }
 }
 
 /// Fetch (or build) the oracle trace for `bench` with `len` instructions,
@@ -186,8 +182,7 @@ pub fn cached_trace(bench: &str, len: u64) -> Arc<Vec<DynInsn>> {
 /// simply ends the run early, exactly like a program that halts).
 ///
 /// Panics if `bench` is neither a suite benchmark nor a stored trace;
-/// plan resolution ([`crate::plan::Plan::resolve`]) rejects such names
-/// before anything simulates.
+/// callers reject such names first with [`check_workload`].
 pub fn cached_trace_via(bench: &str, len: u64, db: Option<&TraceDb>) -> Arc<Vec<DynInsn>> {
     if let Some(b) = benchmark(bench) {
         return TRACES.get_or_build_via(bench, len, db, || {
@@ -264,30 +259,12 @@ impl ResultStore {
             .map(|d| d.join(config).join(format!("{key}.json")))
     }
 
-    /// Pre-sharding flat location (read-compatibility with old stores).
-    fn legacy_path(&self, key: &str) -> Option<PathBuf> {
-        self.dir.as_ref().map(|d| d.join(format!("{key}.json")))
-    }
-
-    /// Load a memoized result, if present and readable. Results persisted by
-    /// older versions into the flat layout are found too and migrated into
-    /// their configuration shard (best-effort; a failed rename just means
-    /// the next load reads the flat file again).
+    /// Load a memoized result from its configuration shard, if present
+    /// and readable.
     pub fn load(&self, config: &str, bench: &str, budget: &Budget) -> Option<RunResult> {
         let key = Self::key(config, bench, budget);
-        let sharded = self.shard_path(config, &key)?;
-        if let Ok(bytes) = std::fs::read(&sharded) {
-            return serde_json::from_slice(&bytes).ok();
-        }
-        let legacy = self.legacy_path(&key)?;
-        let bytes = std::fs::read(&legacy).ok()?;
-        let r: RunResult = serde_json::from_slice(&bytes).ok()?;
-        if let Some(parent) = sharded.parent() {
-            if std::fs::create_dir_all(parent).is_ok() {
-                let _ = std::fs::rename(&legacy, &sharded);
-            }
-        }
-        Some(r)
+        let bytes = std::fs::read(self.shard_path(config, &key)?).ok()?;
+        serde_json::from_slice(&bytes).ok()
     }
 
     /// Persist `r` into its configuration shard via temp-file + atomic
@@ -333,17 +310,17 @@ impl ResultStore {
     }
 }
 
-/// Progress of one sweep, reported after each executed (non-memoized) job.
+/// Progress of one run, reported after each executed (non-memoized) job.
 /// Callbacks are serialized: `finished` is strictly increasing, so the
-/// `finished == total` event is always the last one delivered. A sweep
+/// `finished == total` event is always the last one delivered. A run
 /// satisfied entirely from the store delivers exactly one event with
 /// `total == 0` (and empty `config`/`bench`) so consumers still observe
 /// completion.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepProgress<'a> {
-    /// Stable label of the sweep this event belongs to (the plan name, or a
-    /// `plan#request-id` tag under `rcmc serve`). Empty for anonymous
-    /// sweeps; [`SweepProgress::eprint_status`] renders it when present so
+    /// Stable label of the run this event belongs to (the plan name, or a
+    /// `plan#request-id` tag under `rcmc serve`).
+    /// [`SweepProgress::eprint_status`] renders it when non-empty so
     /// interleaved progress from concurrent requests stays attributable.
     pub label: &'a str,
     /// Jobs finished so far (including this one).
@@ -354,8 +331,8 @@ pub struct SweepProgress<'a> {
     /// folded into the displayed completion so `rcmc figures` progress
     /// reflects the whole sweep, not just the jobs that happened to miss.
     pub memoized: usize,
-    /// Wall-clock seconds since the sweep's execution phase started
-    /// (drives the ETA estimate).
+    /// Wall-clock seconds since the run was submitted (drives the ETA
+    /// estimate).
     pub elapsed_s: f64,
     /// Configuration of the job that just finished.
     pub config: &'a str,
@@ -489,8 +466,8 @@ fn simulate_stats(
 
 /// The post-run metric reduction: fold raw [`rcmc_core::Stats`] (including
 /// the per-cluster dispatch and NREADY aggregates) into the figure metrics.
-/// Pure and deterministic — the sweep engine runs one per job across the
-/// pool, overlapped with other jobs' simulations.
+/// Pure and deterministic — each job runs its own on whichever worker
+/// simulated it, overlapped with other jobs' simulations.
 pub fn reduce_metrics(cfg: &SimConfig, bench: &str, stats: &rcmc_core::Stats) -> RunResult {
     // Imported traces are not suite members; they count as INT workloads.
     let fp = benchmark(bench).is_some_and(|b| b.is_fp());
@@ -528,126 +505,6 @@ pub fn run_pair(
     let result = reduce_metrics(cfg, bench, &stats);
     store.save(&key_name, bench, budget, &result);
     result
-}
-
-/// Result map of a sweep, keyed by `(config, bench)`.
-pub type Results = HashMap<(String, String), RunResult>;
-
-/// The persistence environment a sweep runs against: the memoized result
-/// store plus the optional on-disk trace store jobs fall through to.
-#[derive(Clone, Copy)]
-pub(crate) struct SweepEnv<'a> {
-    pub store: &'a ResultStore,
-    pub db: Option<&'a TraceDb>,
-}
-
-/// The sweep engine: run every (config × benchmark) pair on `pool`'s
-/// workers, returning results keyed by `(config, bench)`. The result is
-/// bit-identical at every worker count. Crate-internal — the public entry
-/// point is [`crate::session::Session`], which owns the pool, the stores
-/// and the progress sink.
-pub(crate) fn sweep_on(
-    cfgs: &[SimConfig],
-    benches: &[&str],
-    budget: &Budget,
-    env: SweepEnv<'_>,
-    pool: &rayon::ThreadPool,
-    label: &str,
-    on_progress: Option<ProgressFn<'_>>,
-) -> Results {
-    let SweepEnv { store, db } = env;
-    // Split memoized hits from jobs that actually need simulation.
-    let mut out = Results::new();
-    let mut todo: Vec<(&SimConfig, &str)> = Vec::new();
-    for cfg in cfgs {
-        for &bench in benches {
-            match store.load(&store_name(cfg), bench, budget) {
-                Some(hit) => {
-                    out.insert((cfg.name.clone(), bench.to_string()), hit);
-                }
-                None => todo.push((cfg, bench)),
-            }
-        }
-    }
-    if todo.is_empty() {
-        // Every pair was memoized: deliver one terminal event anyway so
-        // status consumers render completion instead of staying silent.
-        // `total == 0` is the marker that nothing was executed.
-        if let Some(cb) = on_progress {
-            cb(&SweepProgress {
-                label,
-                finished: 0,
-                total: 0,
-                memoized: out.len(),
-                elapsed_s: 0.0,
-                config: "",
-                bench: "",
-            });
-        }
-        return out;
-    }
-    let memoized = out.len();
-
-    // Stage A: materialize each missing benchmark's oracle trace exactly
-    // once, in parallel across benchmarks (traces are config-independent).
-    let mut stage_a: Vec<&str> = todo.iter().map(|&(_, b)| b).collect();
-    stage_a.sort_unstable();
-    stage_a.dedup();
-    let len = budget.trace_len();
-    pool.scope(|s| {
-        for &b in &stage_a {
-            s.spawn(move || {
-                cached_trace_via(b, len, db);
-            });
-        }
-    });
-
-    // Stage B: fan the run jobs across the pool; `map` returns outputs in
-    // input order, so collection is deterministic regardless of scheduling.
-    // Each job is simulate → reduce → persist → report: the per-run metric
-    // reduction (dispatch shares, NREADY/communication aggregation) runs on
-    // whichever worker simulated the pair, overlapping other jobs'
-    // simulations — no barrier between the phases — and every finished pair
-    // is durably on disk immediately, so an interrupted sweep resumes from
-    // what it completed and concurrent sweeps see each other's results as
-    // they land.
-    let total = todo.len();
-    let started = std::time::Instant::now();
-    // Counter increment and callback happen under one lock so callbacks are
-    // delivered in strictly increasing `finished` order (two workers racing
-    // on an atomic alone could report 12/12 before 11/12).
-    let finished = std::sync::Mutex::new(0usize);
-    let computed = pool.map(&todo, |_, &(cfg, bench)| {
-        // Re-check the store: another process may have raced this pair in.
-        let key_name = store_name(cfg);
-        let r = match store.load(&key_name, bench, budget) {
-            Some(hit) => hit,
-            None => {
-                let stats = simulate_stats(cfg, bench, budget, db);
-                let r = reduce_metrics(cfg, bench, &stats);
-                store.save(&key_name, bench, budget, &r);
-                r
-            }
-        };
-        if let Some(cb) = on_progress {
-            let mut done = finished.lock().unwrap_or_else(|e| e.into_inner());
-            *done += 1;
-            cb(&SweepProgress {
-                label,
-                finished: *done,
-                total,
-                memoized,
-                elapsed_s: started.elapsed().as_secs_f64(),
-                config: &cfg.name,
-                bench,
-            });
-        }
-        r
-    });
-    for ((cfg, bench), r) in todo.into_iter().zip(computed) {
-        out.insert((cfg.name.clone(), bench.to_string()), r);
-    }
-    out
 }
 
 /// All 26 suite names.
@@ -756,29 +613,20 @@ mod tests {
     }
 
     #[test]
-    fn store_reads_and_migrates_legacy_flat_files() {
-        let dir = std::env::temp_dir().join(format!("rcmc-legacy-{}", std::process::id()));
+    fn flat_file_at_store_root_is_a_miss() {
+        // Only the configuration shard is consulted: a row sitting where
+        // the pre-sharding layout put it is never read.
+        let dir = std::env::temp_dir().join(format!("rcmc-flat-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let store = ResultStore::at(dir.clone());
         let budget = tiny_budget();
         let cfg = make(Topology::Ring, 4, 2, 1);
         let r = run_pair(&cfg, "mcf", &budget, &ResultStore::ephemeral(), None);
-        // Plant the result where a pre-sharding store would have put it.
         let key = ResultStore::key(&cfg.name, "mcf", &budget);
         let flat = dir.join(format!("{key}.json"));
         std::fs::write(&flat, serde_json::to_vec_pretty(&r).unwrap()).unwrap();
-        // Transparent read + migration into the shard.
-        assert_eq!(store.load(&cfg.name, "mcf", &budget).as_ref(), Some(&r));
-        assert!(
-            dir.join(&cfg.name).join(format!("{key}.json")).is_file(),
-            "legacy file must move into its shard"
-        );
-        assert!(
-            !flat.exists(),
-            "legacy flat file must be gone after reading"
-        );
-        // And the migrated copy keeps loading.
-        assert_eq!(store.load(&cfg.name, "mcf", &budget).as_ref(), Some(&r));
+        assert_eq!(store.load(&cfg.name, "mcf", &budget), None);
+        assert!(flat.is_file(), "a miss must not touch the flat file");
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -851,34 +699,35 @@ mod tests {
     #[test]
     fn all_memoized_sweep_still_reports_completion() {
         let dir = std::env::temp_dir().join(format!("rcmc-memo-{}", std::process::id()));
-        let store = ResultStore::at(dir.clone());
-        let pool = rayon::ThreadPool::new(2);
-        let budget = tiny_budget();
-        let cfgs = [make(Topology::Ring, 4, 2, 1)];
+        let session = crate::session::Session::with_store(ResultStore::at(dir.clone()))
+            .without_trace_store()
+            .with_jobs(2);
+        let cfg = make(Topology::Ring, 4, 2, 1);
+        let plan = crate::plan::Plan::new("memo")
+            .config_named(&cfg.name)
+            .bench("gzip")
+            .budget(tiny_budget());
         let events = std::sync::Mutex::new(Vec::<(usize, usize, usize)>::new());
         let cb = |p: &SweepProgress<'_>| {
             assert!(p.eta_s().is_finite(), "ETA must never be NaN/inf");
+            assert_eq!(p.label, "memo");
             events
                 .lock()
                 .unwrap()
                 .push((p.finished, p.total, p.memoized));
         };
-        let env = SweepEnv {
-            store: &store,
-            db: None,
-        };
-        sweep_on(&cfgs, &["gzip"], &budget, env, &pool, "", Some(&cb));
+        session.run_streaming(&plan, &cb).unwrap();
         let cold = std::mem::take(&mut *events.lock().unwrap());
         assert_eq!(
             cold.last(),
             Some(&(1, 1, 0)),
-            "cold sweep must execute the pair: {cold:?}"
+            "cold run must execute the pair: {cold:?}"
         );
         // Warm rerun: every pair memoized. Exactly one terminal event with
         // `total == 0` so consumers still observe completion.
-        sweep_on(&cfgs, &["gzip"], &budget, env, &pool, "", Some(&cb));
+        session.run_streaming(&plan, &cb).unwrap();
         let warm = events.lock().unwrap().clone();
-        assert_eq!(warm, vec![(0, 0, 1)], "warm sweep events");
+        assert_eq!(warm, vec![(0, 0, 1)], "warm run events");
         let _ = std::fs::remove_dir_all(dir);
     }
 

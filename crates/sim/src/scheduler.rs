@@ -1,8 +1,10 @@
-//! The concurrent request scheduler behind `rcmc serve`.
+//! The job engine: every (configuration × benchmark) grid runs here.
 //!
-//! Many in-flight JSON-lines requests fan their plan jobs onto one shared
-//! worker pool, with three service-grade behaviors layered on top of the
-//! plain sweep engine:
+//! [`crate::session::Session::run`] submits one request and closes; `rcmc
+//! serve` keeps many in flight at once. Either way, requests fan their jobs
+//! onto one shared worker pool, and each job is load trace → simulate →
+//! reduce → persist ([`runner::run_pair`]). Three service-grade behaviors
+//! sit on top:
 //!
 //! * **Coalescing** — jobs are keyed by [`JobKey`] `(store config name,
 //!   bench, budget)`, exactly the memoization identity of the
@@ -15,16 +17,21 @@
 //!   requests also subscribe to keep running for those requests.
 //! * **Admission control** — the queue of not-yet-started jobs is bounded.
 //!   A request whose new jobs would push it past the limit is rejected
-//!   atomically (nothing partially enqueued) with a structured `busy`
-//!   error, so one over-deep client cannot balloon the process.
+//!   atomically (nothing partially enqueued) with [`Submission::Busy`],
+//!   so one over-deep client cannot balloon the process. A session run
+//!   uses no bound.
 //!
-//! The scheduler owns no threads: `serve` spawns [`Scheduler::worker`]
-//! loops on the session's pool (so `--jobs` governs service concurrency)
-//! and runs the read loop beside them. All scheduler methods are safe to
-//! call from any thread.
+//! Each request carries a typed [`Sink`]: it receives a [`SweepProgress`]
+//! per delivered job, then the finished [`ResultSet`] with its [`Tally`]
+//! (or a cancellation). The scheduler knows no wire format; `serve` turns
+//! sink calls into JSON events, `Session::run` into its return value.
+//!
+//! The scheduler owns no threads: callers spawn [`Scheduler::worker`]
+//! loops on a pool (so `--jobs` governs concurrency) and submit beside
+//! them. All scheduler methods are safe to call from any thread.
 //!
 //! Lock order (strict, deadlock-free): scheduler state → request state →
-//! output writer. Progress/result emission never holds the scheduler lock.
+//! sink. Sink calls never hold the scheduler lock.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,14 +41,53 @@ use std::time::Instant;
 use serde::json::Value;
 
 use crate::config::SimConfig;
-use crate::plan::Plan;
 use crate::resultset::ResultSet;
-use crate::runner::{self, JobKey, ResultStore, RunResult, SweepProgress};
-use crate::serve::{event, obj, result_event};
+use crate::runner::{self, Budget, JobKey, ResultStore, RunResult, SweepProgress};
 
-/// Sink for serve events. Returns `false` when the client is gone (write
-/// failed), which the scheduler treats as a disconnect.
-pub type EmitFn<'a> = &'a (dyn Fn(&Value) -> bool + Sync);
+/// Where one request's deliveries go. Every method returns `false` when
+/// the consumer is gone (a failed client write), which the scheduler
+/// treats as a disconnect.
+pub trait Sink: Send + Sync {
+    /// One delivered job — or, for a request the store satisfied entirely,
+    /// the single terminal event with `total == 0`. Called under the
+    /// request's lock, so `finished` is strictly increasing.
+    fn progress(&self, p: &SweepProgress<'_>) -> bool;
+    /// Every row is in: the assembled result set and its tallies. Called
+    /// at most once, after the last `progress`.
+    fn done(&self, rs: ResultSet, tally: Tally) -> bool;
+    /// The request was cancelled before completing; nothing follows.
+    fn cancelled(&self) -> bool;
+}
+
+/// Per-request job accounting, delivered with the finished [`ResultSet`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// (config × bench) pairs the request covers.
+    pub jobs: usize,
+    /// Pairs simulated for this request.
+    pub executed: usize,
+    /// Pairs satisfied by joining another request's in-flight job.
+    pub coalesced: usize,
+    /// Pairs satisfied from the result store at submission.
+    pub memoized: usize,
+}
+
+/// One `run` request for [`Scheduler::submit`].
+pub struct RunRequest<'s> {
+    /// Identity [`Scheduler::cancel`] matches on (serve echoes the client
+    /// id; a session run uses `Null`).
+    pub id: Value,
+    /// Tag carried on every [`SweepProgress`] of the request.
+    pub label: String,
+    /// Resolved configurations.
+    pub cfgs: Vec<SimConfig>,
+    /// Resolved benchmarks.
+    pub benches: Vec<String>,
+    /// Instruction window of every job.
+    pub budget: Budget,
+    /// Receives the request's deliveries.
+    pub sink: Box<dyn Sink + 's>,
+}
 
 /// Lifetime counters of one scheduler (reported by the `stats` op and in
 /// [`crate::serve::ServeSummary`]).
@@ -71,34 +117,18 @@ impl SchedulerStats {
             (self.coalesced + self.memoized) as f64 / self.submitted as f64
         }
     }
-
-    /// JSON rendering used by the `stats` event.
-    pub fn to_value(&self) -> Value {
-        obj(vec![
-            ("submitted", Value::Num(self.submitted as f64)),
-            ("executed", Value::Num(self.executed as f64)),
-            ("coalesced", Value::Num(self.coalesced as f64)),
-            ("memoized", Value::Num(self.memoized as f64)),
-            ("cancelled", Value::Num(self.cancelled as f64)),
-            ("rejected", Value::Num(self.rejected as f64)),
-            ("coalesce_hit_rate", Value::Num(self.coalesce_hit_rate())),
-        ])
-    }
 }
 
-/// One in-flight `run` request: its identity, its plan (for report
-/// rendering at completion), and the mutable delivery state.
-struct Request {
-    /// Client-supplied id, echoed on every event for this request.
+/// One in-flight `run` request: its identity, its sink, and the mutable
+/// delivery state.
+struct Request<'s> {
+    /// What [`Scheduler::cancel`] matches on.
     id: Value,
-    /// Stable `plan#id` tag rendered in stderr progress lines.
+    /// Tag carried on every progress event.
     label: String,
-    /// The plan, kept for rendering reports once all rows are in.
-    plan: Plan,
-    /// Display-name configuration order reports render in.
-    order: Vec<String>,
     /// When the request was accepted (drives the progress ETA).
     started: Instant,
+    sink: Box<dyn Sink + 's>,
     state: Mutex<ReqState>,
 }
 
@@ -119,31 +149,31 @@ struct ReqState {
     coalesced: usize,
     /// Cancelled requests receive no further events and never finalize.
     cancelled: bool,
-    /// Set once the result event has been emitted.
+    /// Set once the result has reached the sink.
     done: bool,
 }
 
 /// A distinct simulation job and the requests subscribed to its result.
-struct Job {
+struct Job<'s> {
     /// The configuration to simulate (any subscriber's copy — equal keys
     /// imply bit-identical results).
     cfg: SimConfig,
     /// Running jobs survive cancellation; queued ones don't.
     running: bool,
-    subscribers: Vec<Arc<Request>>,
+    subscribers: Vec<Arc<Request<'s>>>,
 }
 
-struct SchedState {
+struct SchedState<'s> {
     /// Keys of queued (not yet running) jobs. May contain tombstones for
     /// jobs cancellation already removed; workers skip those.
     queue: VecDeque<JobKey>,
     /// Every live job (queued or running), keyed by coalescing identity.
-    jobs: HashMap<JobKey, Job>,
+    jobs: HashMap<JobKey, Job<'s>>,
     /// Count of queued (not running, not tombstoned) jobs — the quantity
     /// admission control bounds.
     queued: usize,
     /// Requests with at least one undelivered job.
-    requests: Vec<Arc<Request>>,
+    requests: Vec<Arc<Request<'s>>>,
     /// No more submissions; workers drain the queue and exit.
     closed: bool,
     stats: SchedulerStats,
@@ -152,15 +182,8 @@ struct SchedState {
 /// Outcome of [`Scheduler::submit`].
 pub enum Submission {
     /// The request was accepted (and possibly already completed, if every
-    /// pair was memoized).
-    Accepted {
-        /// Jobs enqueued or coalesced (pairs not satisfied by the store).
-        jobs: usize,
-        /// Pairs satisfied from the store.
-        memoized: usize,
-        /// Pairs coalesced onto in-flight jobs.
-        coalesced: usize,
-    },
+    /// pair was memoized); its tallies reach the sink with the result.
+    Accepted,
     /// Admission control rejected the request; nothing was enqueued.
     Busy {
         /// Jobs the request would have needed.
@@ -173,9 +196,10 @@ pub enum Submission {
 }
 
 /// The shared scheduler: a bounded queue of deduplicated jobs plus the
-/// request registry. See the [module docs](self) for semantics.
-pub struct Scheduler {
-    state: Mutex<SchedState>,
+/// request registry. See the [module docs](self) for semantics. `'s`
+/// bounds what the request sinks borrow.
+pub struct Scheduler<'s> {
+    state: Mutex<SchedState<'s>>,
     /// Signals workers when jobs are enqueued, the loop closes, or the
     /// client disconnects.
     work: Condvar,
@@ -184,29 +208,16 @@ pub struct Scheduler {
     /// Set when a write to the client failed; workers purge all queued
     /// work and requests the next time they look at the queue.
     disconnected: AtomicBool,
-    /// Mirror per-job progress to the stderr status line (with the
-    /// request label) — [`crate::session::Progress::Stderr`] sessions.
-    stderr_progress: bool,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// `plan#id` — the stable per-request tag stderr progress lines carry.
-fn request_label(plan_name: &str, id: &Value) -> String {
-    let id_s = match id {
-        Value::Str(s) => s.clone(),
-        other => other.to_compact_string(),
-    };
-    format!("{plan_name}#{id_s}")
-}
-
-impl Scheduler {
-    /// A scheduler admitting at most `queue_limit` queued jobs.
-    /// `stderr_progress` mirrors per-job progress to the stderr status
-    /// line, tagged with each request's label.
-    pub fn new(queue_limit: usize, stderr_progress: bool) -> Scheduler {
+impl<'s> Scheduler<'s> {
+    /// A scheduler admitting at most `queue_limit` queued jobs
+    /// (`usize::MAX` = unbounded).
+    pub fn new(queue_limit: usize) -> Scheduler<'s> {
         Scheduler {
             state: Mutex::new(SchedState {
                 queue: VecDeque::new(),
@@ -219,7 +230,6 @@ impl Scheduler {
             work: Condvar::new(),
             queue_limit: queue_limit.max(1),
             disconnected: AtomicBool::new(false),
-            stderr_progress,
         }
     }
 
@@ -251,26 +261,24 @@ impl Scheduler {
     /// store hits, joins onto identical in-flight jobs, and fresh jobs.
     /// Admission is all-or-nothing — if the fresh jobs would exceed the
     /// queue bound, nothing is enqueued and `Busy` is returned. A request
-    /// satisfied entirely by the store completes inline (one terminal
-    /// `progress` with `total == 0`, then its `result`), preserving the
-    /// sweep engine's all-memoized contract.
-    pub fn submit(
-        &self,
-        id: Value,
-        plan: Plan,
-        cfgs: Vec<SimConfig>,
-        benches: Vec<String>,
-        store: &ResultStore,
-        emit: EmitFn<'_>,
-    ) -> Submission {
-        let budget = plan.budget.unwrap_or_default();
+    /// satisfied entirely by the store completes inline: one terminal
+    /// progress with `total == 0`, then its result.
+    pub fn submit(&self, run: RunRequest<'s>, store: &ResultStore) -> Submission {
+        let RunRequest {
+            id,
+            label,
+            cfgs,
+            benches,
+            budget,
+            sink,
+        } = run;
         // Memo pass first, without the scheduler lock: store reads touch
         // the disk and must not serialize the whole service.
         let mut rows: Vec<RunResult> = Vec::new();
         let mut pending: Vec<(JobKey, SimConfig)> = Vec::new();
-        for cfg in &cfgs {
+        for cfg in cfgs {
             for bench in &benches {
-                let key = JobKey::of(cfg, bench, &budget);
+                let key = JobKey::of(&cfg, bench, &budget);
                 match store.load(&key.config, bench, &budget) {
                     Some(hit) => rows.push(hit),
                     None => pending.push((key, cfg.clone())),
@@ -279,14 +287,11 @@ impl Scheduler {
         }
         let memoized = rows.len();
         let total = pending.len();
-        let order: Vec<String> = cfgs.into_iter().map(|c| c.name).collect();
-        let label = request_label(&plan.name, &id);
         let req = Arc::new(Request {
             id,
             label,
-            plan,
-            order,
             started: Instant::now(),
+            sink,
             state: Mutex::new(ReqState {
                 rows,
                 total,
@@ -343,23 +348,28 @@ impl Scheduler {
         }
         self.work.notify_all();
         if total == 0 {
-            // Entirely memoized: terminal progress (total == 0), then the
-            // result, inline on the reader thread.
-            self.emit_progress(&req, 0, "", "", emit);
-            self.finalize(&req, emit);
+            // Entirely memoized: terminal progress, then the result,
+            // inline on the submitting thread.
+            let progress = SweepProgress {
+                label: &req.label,
+                finished: 0,
+                total: 0,
+                memoized,
+                elapsed_s: req.started.elapsed().as_secs_f64(),
+                config: "",
+                bench: "",
+            };
+            self.check(req.sink.progress(&progress));
+            self.finalize(&req);
         }
-        Submission::Accepted {
-            jobs: total,
-            memoized,
-            coalesced,
-        }
+        Submission::Accepted
     }
 
     /// One worker loop: pop jobs, simulate (memoized via the store, traces
     /// via the shared `db` handle), and deliver the row to every
     /// subscriber. Returns when the scheduler is closed and the queue is
     /// drained.
-    pub fn worker(&self, store: &ResultStore, db: Option<&rcmc_emu::TraceDb>, emit: EmitFn<'_>) {
+    pub fn worker(&self, store: &ResultStore, db: Option<&rcmc_emu::TraceDb>) {
         while let Some((key, cfg)) = self.next_job() {
             let r = runner::run_pair(&cfg, &key.bench, &key.budget, store, db);
             let job = {
@@ -370,7 +380,7 @@ impl Scheduler {
                 st.jobs.remove(&key).expect("running job stays registered")
             };
             for sub in &job.subscribers {
-                self.deliver(sub, &key.bench, &r, emit);
+                self.deliver(sub, &key.bench, &r);
             }
         }
     }
@@ -378,10 +388,10 @@ impl Scheduler {
     /// Cancel every live request whose id equals `target`. Returns
     /// `(found, dropped)`: whether any live request matched, and how many
     /// queued jobs were dropped (jobs other requests still subscribe to —
-    /// and running jobs — are kept). Each cancelled request receives one
-    /// terminal `error` event with `"reason": "cancelled"`.
-    pub fn cancel(&self, target: &Value, emit: EmitFn<'_>) -> (bool, usize) {
-        let victims: Vec<Arc<Request>> = {
+    /// and running jobs — are kept). Each cancelled request's sink hears
+    /// [`Sink::cancelled`] once.
+    pub fn cancel(&self, target: &Value) -> (bool, usize) {
+        let victims: Vec<Arc<Request<'s>>> = {
             let st = lock(&self.state);
             st.requests
                 .iter()
@@ -389,21 +399,21 @@ impl Scheduler {
                 .cloned()
                 .collect()
         };
-        self.cancel_requests(victims, emit)
+        self.cancel_requests(victims)
     }
 
     /// Cancel every live request (client EOF and stream-desync path).
     /// Returns the number of queued jobs dropped.
-    pub fn cancel_all(&self, emit: EmitFn<'_>) -> usize {
-        let victims: Vec<Arc<Request>> = lock(&self.state).requests.clone();
-        self.cancel_requests(victims, emit).1
+    pub fn cancel_all(&self) -> usize {
+        let victims: Vec<Arc<Request<'s>>> = lock(&self.state).requests.clone();
+        self.cancel_requests(victims).1
     }
 
-    fn cancel_requests(&self, victims: Vec<Arc<Request>>, emit: EmitFn<'_>) -> (bool, usize) {
+    fn cancel_requests(&self, victims: Vec<Arc<Request<'s>>>) -> (bool, usize) {
         if victims.is_empty() {
             return (false, 0);
         }
-        let mut cancelled: Vec<Arc<Request>> = Vec::new();
+        let mut cancelled: Vec<Arc<Request<'s>>> = Vec::new();
         let mut dropped = 0usize;
         {
             let mut st = lock(&self.state);
@@ -441,15 +451,7 @@ impl Scheduler {
             }
         }
         for req in &cancelled {
-            emit(&event(
-                &req.id,
-                "error",
-                vec![
-                    ("error", Value::Str("request cancelled".into())),
-                    ("reason", Value::Str("cancelled".into())),
-                    ("plan", Value::Str(req.plan.name.clone())),
-                ],
-            ));
+            self.check(req.sink.cancelled());
         }
         (!cancelled.is_empty(), dropped)
     }
@@ -484,8 +486,9 @@ impl Scheduler {
     }
 
     /// Disconnect cleanup: cancel every live request and drop every
-    /// queued job, without emitting (the client is gone). Idempotent.
-    fn purge(st: &mut MutexGuard<'_, SchedState>) {
+    /// queued job, without notifying sinks (the client is gone).
+    /// Idempotent.
+    fn purge(st: &mut MutexGuard<'_, SchedState<'s>>) {
         for req in &st.requests {
             lock(&req.state).cancelled = true;
         }
@@ -498,10 +501,16 @@ impl Scheduler {
         st.stats.cancelled += dropped as u64;
     }
 
-    /// Hand one finished row to a subscriber: append it, emit the
-    /// request's `progress` event (and the stderr status line when
-    /// enabled), and finalize once the last job lands.
-    fn deliver(&self, req: &Arc<Request>, bench: &str, r: &RunResult, emit: EmitFn<'_>) {
+    /// A sink reported its consumer gone: treat it as a disconnect.
+    fn check(&self, delivered: bool) {
+        if !delivered {
+            self.note_disconnect();
+        }
+    }
+
+    /// Hand one finished row to a subscriber: append it, report progress
+    /// to its sink, and finalize once the last job lands.
+    fn deliver(&self, req: &Arc<Request<'s>>, bench: &str, r: &RunResult) {
         let complete = {
             let mut rs = lock(&req.state);
             if rs.cancelled || rs.done {
@@ -509,111 +518,44 @@ impl Scheduler {
             }
             rs.rows.push(r.clone());
             rs.finished += 1;
-            let finished = rs.finished;
-            let memoized = rs.memoized;
-            let total = rs.total;
-            // Emitted under the request lock so `finished` is strictly
-            // increasing on the wire (the serve contract).
-            emit(&event(
-                &req.id,
-                "progress",
-                vec![
-                    ("finished", Value::Num(finished as f64)),
-                    ("total", Value::Num(total as f64)),
-                    ("memoized", Value::Num(memoized as f64)),
-                    ("config", Value::Str(r.config.clone())),
-                    ("bench", Value::Str(bench.to_string())),
-                    ("label", Value::Str(req.label.clone())),
-                ],
-            ));
-            if self.stderr_progress {
-                SweepProgress {
-                    label: &req.label,
-                    finished,
-                    total,
-                    memoized,
-                    elapsed_s: req.started.elapsed().as_secs_f64(),
-                    config: &r.config,
-                    bench,
-                }
-                .eprint_status();
-            }
-            finished == total
+            // Reported under the request lock so `finished` is strictly
+            // increasing at the sink.
+            let progress = SweepProgress {
+                label: &req.label,
+                finished: rs.finished,
+                total: rs.total,
+                memoized: rs.memoized,
+                elapsed_s: req.started.elapsed().as_secs_f64(),
+                config: &r.config,
+                bench,
+            };
+            self.check(req.sink.progress(&progress));
+            rs.finished == rs.total
         };
         if complete {
-            self.finalize(req, emit);
-        }
-    }
-
-    /// Emit one `progress` event for `req` outside the delivery path (the
-    /// all-memoized terminal event).
-    fn emit_progress(
-        &self,
-        req: &Arc<Request>,
-        finished: usize,
-        config: &str,
-        bench: &str,
-        emit: EmitFn<'_>,
-    ) {
-        let (total, memoized) = {
-            let rs = lock(&req.state);
-            (rs.total, rs.memoized)
-        };
-        emit(&event(
-            &req.id,
-            "progress",
-            vec![
-                ("finished", Value::Num(finished as f64)),
-                ("total", Value::Num(total as f64)),
-                ("memoized", Value::Num(memoized as f64)),
-                ("config", Value::Str(config.to_string())),
-                ("bench", Value::Str(bench.to_string())),
-                ("label", Value::Str(req.label.clone())),
-            ],
-        ));
-        if self.stderr_progress {
-            SweepProgress {
-                label: &req.label,
-                finished,
-                total,
-                memoized,
-                elapsed_s: req.started.elapsed().as_secs_f64(),
-                config,
-                bench,
-            }
-            .eprint_status();
+            self.finalize(req);
         }
     }
 
     /// All rows in: assemble the deterministic [`ResultSet`] (same
-    /// canonical ordering as a solo run — coalesced results are
-    /// bit-identical), render the plan's reports, and emit the `result`.
-    fn finalize(&self, req: &Arc<Request>, emit: EmitFn<'_>) {
-        let (rows, total, memoized, coalesced) = {
+    /// canonical ordering however the rows arrived — coalesced results are
+    /// bit-identical) and hand it to the sink with the request's tallies.
+    fn finalize(&self, req: &Arc<Request<'s>>) {
+        let (rows, tally) = {
             let mut rs = lock(&req.state);
             if rs.cancelled || rs.done {
                 return;
             }
             rs.done = true;
-            (
-                std::mem::take(&mut rs.rows),
-                rs.total,
-                rs.memoized,
-                rs.coalesced,
-            )
+            let tally = Tally {
+                jobs: rs.total + rs.memoized,
+                executed: rs.total - rs.coalesced,
+                coalesced: rs.coalesced,
+                memoized: rs.memoized,
+            };
+            (std::mem::take(&mut rs.rows), tally)
         };
         lock(&self.state).requests.retain(|r| !Arc::ptr_eq(r, req));
-        let mut map = runner::Results::new();
-        for r in rows {
-            map.insert((r.config.clone(), r.bench.clone()), r);
-        }
-        let rs = ResultSet::from_map(map);
-        let stats = obj(vec![
-            ("jobs", Value::Num((total + memoized) as f64)),
-            ("executed", Value::Num((total - coalesced) as f64)),
-            ("coalesced", Value::Num(coalesced as f64)),
-            ("memoized", Value::Num(memoized as f64)),
-        ]);
-        emit(&result_event(&req.id, &req.plan, &req.order, &rs, stats));
+        self.check(req.sink.done(ResultSet::from_rows(rows), tally));
     }
 }

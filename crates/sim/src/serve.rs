@@ -3,12 +3,14 @@
 //! One request per input line, one or more response lines per request, all
 //! JSON objects. A single warm [`Session`] is shared across requests, so
 //! every plan after the first benefits from the memoized result store and
-//! the process-wide oracle-trace cache — and since PR 7 requests execute
+//! the process-wide oracle-trace cache — and requests execute
 //! *concurrently*: the reader thread only parses and submits, a
 //! [`Scheduler`] fans each plan's jobs onto the session's worker pool, and
 //! identical `(config, bench, budget)` jobs from different requests are
 //! coalesced into one simulation (see the [`crate::scheduler`] docs for
-//! coalescing, cancellation and admission-control semantics).
+//! coalescing, cancellation and admission-control semantics). The wire
+//! format lives here: each request's scheduler [`Sink`] turns progress,
+//! results and cancellation into the JSON events below.
 //!
 //! Requests (`id` is echoed back verbatim on every response for that
 //! request; requests without an `id` get an auto-assigned `"auto-N"`):
@@ -48,10 +50,14 @@ use serde::Serialize as _;
 use crate::experiments::plans;
 use crate::plan::Plan;
 use crate::resultset::ResultSet;
-use crate::runner::MODEL_VERSION;
-use crate::scheduler::{EmitFn, Scheduler, SchedulerStats, Submission};
+use crate::runner::{SweepProgress, MODEL_VERSION};
+use crate::scheduler::{RunRequest, Scheduler, SchedulerStats, Sink, Submission, Tally};
 use crate::session::{Progress, Session};
 use crate::{config, runner};
+
+/// Writes one event line. Returns `false` when the client is gone (write
+/// failed).
+type EmitFn<'a> = &'a (dyn Fn(&Value) -> bool + Sync);
 
 /// Counters of one serve loop's lifetime (returned at EOF/shutdown).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -83,7 +89,7 @@ impl Default for ServeOpts {
     }
 }
 
-pub(crate) fn obj(fields: Vec<(&str, Value)>) -> Value {
+fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Obj(
         fields
             .into_iter()
@@ -92,7 +98,7 @@ pub(crate) fn obj(fields: Vec<(&str, Value)>) -> Value {
     )
 }
 
-pub(crate) fn event(id: &Value, kind: &str, mut fields: Vec<(&str, Value)>) -> Value {
+fn event(id: &Value, kind: &str, mut fields: Vec<(&str, Value)>) -> Value {
     let mut all = vec![("id", id.clone()), ("event", Value::Str(kind.to_string()))];
     all.append(&mut fields);
     obj(all)
@@ -121,14 +127,88 @@ fn plan_of(req: &Value) -> Result<Plan, String> {
     }
 }
 
-/// Parse, resolve and submit one `run` request. Returns whether the
+/// JSON rendering of the scheduler counters (the `stats` event).
+fn stats_value(s: &SchedulerStats) -> Value {
+    obj(vec![
+        ("submitted", Value::Num(s.submitted as f64)),
+        ("executed", Value::Num(s.executed as f64)),
+        ("coalesced", Value::Num(s.coalesced as f64)),
+        ("memoized", Value::Num(s.memoized as f64)),
+        ("cancelled", Value::Num(s.cancelled as f64)),
+        ("rejected", Value::Num(s.rejected as f64)),
+        ("coalesce_hit_rate", Value::Num(s.coalesce_hit_rate())),
+    ])
+}
+
+/// One `run` request's view of the wire: the scheduler's deliveries become
+/// `progress`, `result` and cancelled-`error` events tagged with the
+/// request id (progress optionally mirrored to the stderr status line).
+struct ServeSink<'a> {
+    id: Value,
+    /// The plan, kept for rendering reports once all rows are in.
+    plan: Plan,
+    /// Display-name configuration order reports render in.
+    order: Vec<String>,
+    write: EmitFn<'a>,
+    stderr: bool,
+}
+
+impl Sink for ServeSink<'_> {
+    fn progress(&self, p: &SweepProgress<'_>) -> bool {
+        let sent = (self.write)(&event(
+            &self.id,
+            "progress",
+            vec![
+                ("finished", Value::Num(p.finished as f64)),
+                ("total", Value::Num(p.total as f64)),
+                ("memoized", Value::Num(p.memoized as f64)),
+                ("config", Value::Str(p.config.to_string())),
+                ("bench", Value::Str(p.bench.to_string())),
+                ("label", Value::Str(p.label.to_string())),
+            ],
+        ));
+        if self.stderr {
+            p.eprint_status();
+        }
+        sent
+    }
+
+    fn done(&self, rs: ResultSet, tally: Tally) -> bool {
+        (self.write)(&result_event(&self.id, &self.plan, &self.order, &rs, tally))
+    }
+
+    fn cancelled(&self) -> bool {
+        (self.write)(&event(
+            &self.id,
+            "error",
+            vec![
+                ("error", Value::Str("request cancelled".into())),
+                ("reason", Value::Str("cancelled".into())),
+                ("plan", Value::Str(self.plan.name.clone())),
+            ],
+        ))
+    }
+}
+
+/// `plan#id` — the stable per-request tag progress events carry.
+fn request_label(plan_name: &str, id: &Value) -> String {
+    let id_s = match id {
+        Value::Str(s) => s.clone(),
+        other => other.to_compact_string(),
+    };
+    format!("{plan_name}#{id_s}")
+}
+
+/// Parse, resolve and submit one `run` request. Errors go out through
+/// `emit`; the request's own events through `write`. Returns whether the
 /// scheduler accepted it.
-fn run_request(
+fn run_request<'a>(
     session: &Session,
-    sched: &Scheduler,
+    sched: &Scheduler<'a>,
     id: &Value,
     req: &Value,
     emit: EmitFn<'_>,
+    write: EmitFn<'a>,
 ) -> bool {
     let plan = match plan_of(req) {
         Ok(p) => p,
@@ -147,8 +227,22 @@ fn run_request(
             return false;
         }
     };
-    match sched.submit(id.clone(), plan, cfgs, benches, session.store(), emit) {
-        Submission::Accepted { .. } => true,
+    let run = RunRequest {
+        id: id.clone(),
+        label: request_label(&plan.name, id),
+        benches,
+        budget: plan.budget.unwrap_or_default(),
+        sink: Box::new(ServeSink {
+            id: id.clone(),
+            order: cfgs.iter().map(|c| c.name.clone()).collect(),
+            plan,
+            write,
+            stderr: matches!(session.progress(), Progress::Stderr),
+        }),
+        cfgs,
+    };
+    match sched.submit(run, session.store()) {
+        Submission::Accepted => true,
         Submission::Busy {
             jobs,
             queued,
@@ -177,13 +271,7 @@ fn run_request(
 
 /// The `result` event: rows + rendered reports + per-request scheduler
 /// stats (`jobs`/`executed`/`coalesced`/`memoized`).
-pub(crate) fn result_event(
-    id: &Value,
-    plan: &Plan,
-    order: &[String],
-    rs: &ResultSet,
-    stats: Value,
-) -> Value {
+fn result_event(id: &Value, plan: &Plan, order: &[String], rs: &ResultSet, tally: Tally) -> Value {
     let rows = Value::Arr(rs.rows().iter().map(|r| r.to_value()).collect());
     // "reports" stays an array in every outcome so clients can rely on the
     // shape; a render failure (impossible for specs that passed resolve(),
@@ -206,6 +294,12 @@ pub(crate) fn result_event(
             Value::Arr(Vec::new())
         }
     };
+    let stats = obj(vec![
+        ("jobs", Value::Num(tally.jobs as f64)),
+        ("executed", Value::Num(tally.executed as f64)),
+        ("coalesced", Value::Num(tally.coalesced as f64)),
+        ("memoized", Value::Num(tally.memoized as f64)),
+    ]);
     let mut fields = vec![
         ("plan", Value::Str(plan.name.clone())),
         ("rows", rows),
@@ -328,12 +422,13 @@ pub fn serve_with<R: BufRead, W: Write + Send>(
     opts: &ServeOpts,
 ) -> std::io::Result<ServeSummary> {
     let out = Mutex::new(output);
-    let sched = Scheduler::new(
-        opts.queue_limit,
-        matches!(session.progress(), Progress::Stderr),
-    );
+    // Request sinks write directly (the scheduler notes their failures);
+    // the reader's own events note a failed write here.
+    let write_impl = |v: &Value| write_line(&out, v);
+    let write: EmitFn<'_> = &write_impl;
+    let sched = Scheduler::new(opts.queue_limit);
     let emit_impl = |v: &Value| -> bool {
-        if write_line(&out, v) {
+        if write(v) {
             true
         } else {
             sched.note_disconnect();
@@ -346,9 +441,9 @@ pub fn serve_with<R: BufRead, W: Write + Send>(
         let sched = &sched;
         session.pool().scope(|s| {
             for _ in 0..session.jobs() {
-                s.spawn(move || sched.worker(session.store(), session.trace_db(), emit));
+                s.spawn(move || sched.worker(session.store(), session.trace_db()));
             }
-            let r = read_requests(session, sched, &mut input, emit, &mut summary);
+            let r = read_requests(session, sched, &mut input, emit, write, &mut summary);
             // Whatever ended the read loop, stop the workers: they drain
             // the (possibly purged) queue and exit, and `scope` joins
             // them before returning.
@@ -367,11 +462,12 @@ pub fn serve_with<R: BufRead, W: Write + Send>(
 
 /// The reader: parse one request per line and dispatch. Returns the
 /// `shutdown` request's id, or `None` when the input ended first.
-fn read_requests<R: BufRead>(
+fn read_requests<'a, R: BufRead>(
     session: &Session,
-    sched: &Scheduler,
+    sched: &Scheduler<'a>,
     input: &mut R,
     emit: EmitFn<'_>,
+    write: EmitFn<'a>,
     summary: &mut ServeSummary,
 ) -> std::io::Result<Option<Value>> {
     let mut auto = 0usize;
@@ -388,7 +484,7 @@ fn read_requests<R: BufRead>(
             Line::Eof => {
                 // Client went away without `shutdown`: drop its queued
                 // jobs rather than leak them into the scheduler.
-                sched.cancel_all(emit);
+                sched.cancel_all();
                 return Ok(None);
             }
             Line::TooLong => {
@@ -403,7 +499,7 @@ fn read_requests<R: BufRead>(
                 ));
                 // A mangled frame may have swallowed request boundaries;
                 // don't keep burning workers for half-understood input.
-                sched.cancel_all(emit);
+                sched.cancel_all();
                 continue;
             }
             Line::Full(bytes) => match String::from_utf8(bytes) {
@@ -418,7 +514,7 @@ fn read_requests<R: BufRead>(
                             Value::Str("request line is not valid UTF-8".into()),
                         )],
                     ));
-                    sched.cancel_all(emit);
+                    sched.cancel_all();
                     continue;
                 }
             },
@@ -471,17 +567,17 @@ fn read_requests<R: BufRead>(
                 emit(&event(
                     &id,
                     "stats",
-                    vec![("scheduler", sched.stats().to_value())],
+                    vec![("scheduler", stats_value(&sched.stats()))],
                 ));
             }
             "run" => {
-                if run_request(session, sched, &id, &req, emit) {
+                if run_request(session, sched, &id, &req, emit, write) {
                     summary.runs += 1;
                 }
             }
             "cancel" => match req.get("target") {
                 Some(target) => {
-                    let (found, dropped) = sched.cancel(target, emit);
+                    let (found, dropped) = sched.cancel(target);
                     emit(&event(
                         &id,
                         "cancelled",

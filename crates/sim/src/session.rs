@@ -1,11 +1,15 @@
 //! The execution environment experiment plans run in.
 //!
-//! A [`Session`] owns everything a sweep needs besides the plan itself: the
+//! A [`Session`] owns everything a run needs besides the plan itself: the
 //! disk-backed [`ResultStore`] memoization, the worker [`rayon::ThreadPool`]
 //! fan-out, the (process-wide, warm) oracle-trace cache, and the progress
 //! sink. One `Session` can execute any number of [`Plan`]s — `rcmc serve`
 //! keeps a single warm session alive across requests, so every plan after
 //! the first reuses memoized runs and already-emulated traces.
+//!
+//! [`Session::run`] executes on the same job engine as `rcmc serve`: it
+//! submits the plan as one request to a fresh [`Scheduler`] whose workers
+//! run on the session's pool, then returns the finished [`ResultSet`].
 //!
 //! ```no_run
 //! use rcmc_sim::plan::Plan;
@@ -16,34 +20,25 @@
 //! println!("{}", rs.to_csv());
 //! ```
 
+use std::sync::Mutex;
+
 use rcmc_emu::TraceDb;
+use serde::json::Value;
 
 use crate::config::SimConfig;
 use crate::plan::Plan;
 use crate::resultset::ResultSet;
 use crate::runner::{self, Budget, ProgressFn, ResultStore, RunResult, SweepProgress};
+use crate::scheduler::{RunRequest, Scheduler, Sink, Tally};
 
-/// Where a session reports per-job sweep progress.
-#[derive(Default)]
+/// Where a session reports per-job progress.
+#[derive(Clone, Copy, Debug, Default)]
 pub enum Progress {
     /// No progress output (benches, tests).
     #[default]
     Silent,
     /// The shared stderr status line (`[12/390] cfg × bench (ETA ..s)`).
     Stderr,
-    /// An owned callback, invoked from worker threads after every executed
-    /// job with strictly increasing `finished` counts.
-    Callback(Box<dyn Fn(&SweepProgress<'_>) + Send + Sync>),
-}
-
-impl std::fmt::Debug for Progress {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Progress::Silent => "Silent",
-            Progress::Stderr => "Stderr",
-            Progress::Callback(_) => "Callback(..)",
-        })
-    }
 }
 
 /// An experiment-execution environment: result store + thread pool +
@@ -60,14 +55,39 @@ pub struct Session {
     pool: rayon::ThreadPool,
     jobs: usize,
     progress: Progress,
-    // On-disk oracle-trace fallthrough; one handle shared by every sweep
-    // worker (and the serve scheduler's workers) of this session.
+    // On-disk oracle-trace fallthrough; one handle shared by every
+    // scheduler worker of this session.
     trace_db: Option<TraceDb>,
 }
 
 impl Default for Session {
     fn default() -> Self {
         Session::new()
+    }
+}
+
+/// The sink of a [`Session::run`] request: progress to the caller's
+/// callback (if any), the finished set into `result`.
+struct RunSink<'a> {
+    progress: Option<ProgressFn<'a>>,
+    result: &'a Mutex<Option<ResultSet>>,
+}
+
+impl Sink for RunSink<'_> {
+    fn progress(&self, p: &SweepProgress<'_>) -> bool {
+        if let Some(f) = self.progress {
+            f(p);
+        }
+        true
+    }
+
+    fn done(&self, rs: ResultSet, _: Tally) -> bool {
+        *self.result.lock().unwrap_or_else(|e| e.into_inner()) = Some(rs);
+        true
+    }
+
+    fn cancelled(&self) -> bool {
+        true
     }
 }
 
@@ -100,7 +120,8 @@ impl Session {
     }
 
     /// Replace the worker pool with one of `jobs` threads (1 = true serial
-    /// execution; results are bit-identical at any count).
+    /// execution on the calling thread; results are bit-identical at any
+    /// count).
     pub fn with_jobs(mut self, jobs: usize) -> Session {
         self.jobs = jobs.max(1);
         self.pool = rayon::ThreadPool::new(self.jobs);
@@ -113,7 +134,7 @@ impl Session {
         self
     }
 
-    /// Use an explicit on-disk trace store for this session's sweeps.
+    /// Use an explicit on-disk trace store for this session's runs.
     pub fn with_trace_store(mut self, db: TraceDb) -> Session {
         self.trace_db = Some(db);
         self
@@ -152,84 +173,67 @@ impl Session {
         &self.progress
     }
 
-    /// Execute `plan`: resolve its configurations and benchmarks, sweep the
+    /// Execute `plan`: resolve its configurations and benchmarks, run the
     /// grid (on the plan's `jobs`/`budget` overrides if set, else the
     /// session's pool and the env-derived [`Budget::default`]), and return
     /// the typed results. Fails without simulating anything if the plan
     /// names an unknown group/config/bench/metric.
     pub fn run(&self, plan: &Plan) -> Result<ResultSet, String> {
-        self.run_streaming_opt(plan, None)
+        let stderr_line = |p: &SweepProgress<'_>| p.eprint_status();
+        let progress: Option<ProgressFn<'_>> = match self.progress {
+            Progress::Silent => None,
+            Progress::Stderr => Some(&stderr_line),
+        };
+        self.execute(plan, progress)
     }
 
     /// [`Session::run`] with an explicit per-job progress callback that
-    /// overrides the session sink for this run (what `rcmc serve` uses to
-    /// stream progress lines per request).
+    /// overrides the session sink for this run. Callbacks arrive with
+    /// strictly increasing `finished`; a plan the store satisfies entirely
+    /// gets exactly one callback, with `total == 0`.
     pub fn run_streaming(
         &self,
         plan: &Plan,
         progress: ProgressFn<'_>,
     ) -> Result<ResultSet, String> {
-        self.run_streaming_opt(plan, Some(progress))
+        self.execute(plan, Some(progress))
     }
 
-    fn run_streaming_opt(
-        &self,
-        plan: &Plan,
-        progress: Option<ProgressFn<'_>>,
-    ) -> Result<ResultSet, String> {
+    /// Submit `plan` as the only request of a fresh, unbounded scheduler
+    /// and drain it on the pool, the calling thread working as one of its
+    /// workers (so one worker is a true serial run on the caller). A
+    /// worker panic propagates to the caller when the scope joins.
+    fn execute(&self, plan: &Plan, progress: Option<ProgressFn<'_>>) -> Result<ResultSet, String> {
         // One resolution pass covers validation too (report references,
         // jobs bounds) — see `Plan::resolve`. Resolution happens against
         // this session's trace store so its imported traces are runnable.
         let (cfgs, benches) = plan.resolve_in(self.trace_db.as_ref())?;
-        let bench_refs: Vec<&str> = benches.iter().map(|b| b.as_str()).collect();
-        let budget = plan.budget.unwrap_or_default();
-        Ok(self.sweep_opt(&cfgs, &bench_refs, &budget, &plan.name, plan.jobs, progress))
-    }
-
-    /// Sweep an explicit `(configs × benches)` grid — the escape hatch for
-    /// experiments whose configurations a [`Plan`] cannot express (mutated
-    /// thresholds, custom names). Everything else should go through plans.
-    pub fn sweep(&self, cfgs: &[SimConfig], benches: &[&str], budget: &Budget) -> ResultSet {
-        self.sweep_opt(cfgs, benches, budget, "", None, None)
-    }
-
-    /// [`Session::sweep`] with an explicit per-job progress callback.
-    pub fn sweep_streaming(
-        &self,
-        cfgs: &[SimConfig],
-        benches: &[&str],
-        budget: &Budget,
-        progress: ProgressFn<'_>,
-    ) -> ResultSet {
-        self.sweep_opt(cfgs, benches, budget, "", None, Some(progress))
-    }
-
-    fn sweep_opt(
-        &self,
-        cfgs: &[SimConfig],
-        benches: &[&str],
-        budget: &Budget,
-        label: &str,
-        jobs_override: Option<usize>,
-        progress: Option<ProgressFn<'_>>,
-    ) -> ResultSet {
-        let stderr_line = |p: &SweepProgress<'_>| p.eprint_status();
-        let cb: Option<ProgressFn<'_>> = match (&progress, &self.progress) {
-            (Some(f), _) => Some(*f),
-            (None, Progress::Silent) => None,
-            (None, Progress::Stderr) => Some(&stderr_line),
-            (None, Progress::Callback(f)) => {
-                Some(f.as_ref() as &(dyn Fn(&SweepProgress<'_>) + Sync))
-            }
+        let result = Mutex::new(None);
+        let run = RunRequest {
+            id: Value::Null,
+            label: plan.name.clone(),
+            cfgs,
+            benches,
+            budget: plan.budget.unwrap_or_default(),
+            sink: Box::new(RunSink {
+                progress,
+                result: &result,
+            }),
         };
-        let override_pool = jobs_override.map(|j| rayon::ThreadPool::new(j.max(1)));
+        let sched = Scheduler::new(usize::MAX);
+        let override_pool = plan.jobs.map(rayon::ThreadPool::new);
         let pool = override_pool.as_ref().unwrap_or(&self.pool);
-        let env = runner::SweepEnv {
-            store: &self.store,
-            db: self.trace_db.as_ref(),
-        };
-        let map = runner::sweep_on(cfgs, benches, budget, env, pool, label, cb);
-        ResultSet::from_map(map)
+        let (store, db) = (&self.store, self.trace_db.as_ref());
+        pool.scope(|s| {
+            for _ in 1..pool.num_threads() {
+                s.spawn(|| sched.worker(store, db));
+            }
+            sched.submit(run, store);
+            sched.close();
+            sched.worker(store, db);
+        });
+        let rs = result.lock().unwrap_or_else(|e| e.into_inner()).take();
+        Ok(rs.expect("an unbounded, uncancelled request always completes"))
     }
 
     /// Run (or load) a single `(configuration, benchmark)` pair through the
@@ -256,7 +260,11 @@ mod tests {
     fn session_sweep_matches_run_one() {
         let s = Session::ephemeral().with_jobs(2);
         let cfg = make(Topology::Ring, 4, 2, 1);
-        let rs = s.sweep(std::slice::from_ref(&cfg), &["swim"], &tiny());
+        let plan = Plan::new("t")
+            .config_named(&cfg.name)
+            .bench("swim")
+            .budget(tiny());
+        let rs = s.run(&plan).unwrap();
         assert_eq!(rs.len(), 1);
         let direct = s.run_one(&cfg, "swim", &tiny());
         assert_eq!(rs.get(&cfg.name, "swim"), Some(&direct));

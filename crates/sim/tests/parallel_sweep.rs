@@ -1,14 +1,13 @@
-//! Parallel-sweep engine guarantees, exercised through the public
-//! `Session` API: bit-identical results at any worker count, exactly-once
-//! trace emulation under thread races, deterministic progress accounting,
-//! and concurrent-safe result persistence.
+//! Job-engine guarantees, exercised through plans on the public `Session`
+//! API: bit-identical results at any worker count, exactly-once trace
+//! emulation under thread races, deterministic progress accounting, and
+//! concurrent-safe result persistence.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use rcmc_core::Topology;
+use rcmc_core::{Steering, Topology};
 use rcmc_emu::{trace_program, TraceCache};
-use rcmc_sim::config::make;
 use rcmc_sim::runner::{cached_trace, Budget, ResultStore};
 use rcmc_sim::{Plan, Session};
 use rcmc_workloads::benchmark;
@@ -20,28 +19,36 @@ fn tiny() -> Budget {
     }
 }
 
-fn small_grid() -> (Vec<rcmc_sim::SimConfig>, Vec<&'static str>) {
-    let cfgs = vec![
-        make(Topology::Ring, 4, 2, 1),
-        make(Topology::Conv, 4, 2, 1),
-        make(Topology::Ring, 8, 1, 1),
-    ];
-    (cfgs, vec!["swim", "gzip", "mcf", "equake"])
+/// A plan over `(topology, steering, clusters, iw, buses)` axes entries.
+fn grid(axes: &[(Topology, Option<Steering>, usize, usize, usize)], benches: &[&str]) -> Plan {
+    let mut plan = Plan::new("grid")
+        .benches(benches.iter().copied())
+        .budget(tiny());
+    for &(t, s, clusters, iw, buses) in axes {
+        plan = plan.config_axes(Some(t), s, Some(clusters), Some(iw), Some(buses), None);
+    }
+    plan
+}
+
+fn small_grid() -> Plan {
+    grid(
+        &[
+            (Topology::Ring, None, 4, 2, 1),
+            (Topology::Conv, None, 4, 2, 1),
+            (Topology::Ring, None, 8, 1, 1),
+        ],
+        &["swim", "gzip", "mcf", "equake"],
+    )
 }
 
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial() {
-    let (cfgs, benches) = small_grid();
-    let budget = tiny();
-    // Ephemeral sessions: every pair is simulated in both sweeps, so this
+    let plan = small_grid();
+    // Ephemeral sessions: every pair is simulated in both runs, so this
     // compares actual parallel execution, not memoized loads.
-    let serial = Session::ephemeral()
-        .with_jobs(1)
-        .sweep(&cfgs, &benches, &budget);
-    let parallel = Session::ephemeral()
-        .with_jobs(8)
-        .sweep(&cfgs, &benches, &budget);
-    assert_eq!(serial.len(), cfgs.len() * benches.len());
+    let serial = Session::ephemeral().with_jobs(1).run(&plan).unwrap();
+    let parallel = Session::ephemeral().with_jobs(8).run(&plan).unwrap();
+    assert_eq!(serial.len(), 3 * 4);
     // ResultSet equality compares every (config, bench) key and every
     // RunResult field, f64s included — bit-identical or it fails.
     assert_eq!(serial, parallel);
@@ -52,56 +59,51 @@ fn mesh_and_hier_sweeps_are_bit_identical_at_any_worker_count() {
     // The new fabrics must satisfy the same determinism contract as the
     // paper topologies: jobs=8 reproduces jobs=1 bit-for-bit, including
     // the non-default steering pairings the cross ablation runs.
-    let cfgs = vec![
-        make(Topology::Mesh, 8, 2, 1),
-        make(Topology::Hier, 8, 2, 1),
-        rcmc_sim::config::make_pair(Topology::Mesh, rcmc_core::Steering::RingDep, 8, 2, 1),
-        rcmc_sim::config::make_pair(Topology::Hier, rcmc_core::Steering::Ssa, 8, 2, 1),
-    ];
-    let benches = ["swim", "gzip", "mcf"];
-    let budget = tiny();
-    let serial = Session::ephemeral()
-        .with_jobs(1)
-        .sweep(&cfgs, &benches, &budget);
-    let parallel = Session::ephemeral()
-        .with_jobs(8)
-        .sweep(&cfgs, &benches, &budget);
-    assert_eq!(serial.len(), cfgs.len() * benches.len());
+    let plan = grid(
+        &[
+            (Topology::Mesh, None, 8, 2, 1),
+            (Topology::Hier, None, 8, 2, 1),
+            (Topology::Mesh, Some(Steering::RingDep), 8, 2, 1),
+            (Topology::Hier, Some(Steering::Ssa), 8, 2, 1),
+        ],
+        &["swim", "gzip", "mcf"],
+    );
+    let serial = Session::ephemeral().with_jobs(1).run(&plan).unwrap();
+    let parallel = Session::ephemeral().with_jobs(8).run(&plan).unwrap();
+    assert_eq!(serial.len(), 4 * 3);
     assert_eq!(serial, parallel);
 }
 
 #[test]
 fn oversubscribed_and_odd_worker_counts_agree() {
-    let cfgs = vec![make(Topology::Ring, 8, 2, 2)];
-    let benches = ["gcc", "ammp"];
-    let budget = tiny();
-    let baseline = Session::ephemeral()
-        .with_jobs(1)
-        .sweep(&cfgs, &benches, &budget);
+    let plan = grid(&[(Topology::Ring, None, 8, 2, 2)], &["gcc", "ammp"]);
+    let baseline = Session::ephemeral().with_jobs(1).run(&plan).unwrap();
     for jobs in [2, 3, 16] {
-        let r = Session::ephemeral()
-            .with_jobs(jobs)
-            .sweep(&cfgs, &benches, &budget);
+        let r = Session::ephemeral().with_jobs(jobs).run(&plan).unwrap();
         assert_eq!(baseline, r, "jobs={jobs} diverged from serial");
     }
 }
 
 #[test]
 fn plan_driven_runs_match_explicit_sweeps() {
-    // The Plan path (what the CLI/serve use) and the explicit-grid path
-    // must produce the same rows for the same grid.
-    let budget = tiny();
-    let plan = Plan::new("grid")
+    // Presets named in a plan and the same design points spelled out as an
+    // explicit axes grid resolve to the same configurations, and run to
+    // the same rows at different worker counts.
+    let named = Plan::new("grid")
         .config_named("Ring_4clus_1bus_2IW")
         .config_named("Conv_4clus_1bus_2IW")
         .benches(["swim", "gzip"])
-        .budget(budget);
-    let via_plan = Session::ephemeral().with_jobs(4).run(&plan).unwrap();
-    let cfgs = [make(Topology::Ring, 4, 2, 1), make(Topology::Conv, 4, 2, 1)];
-    let via_sweep = Session::ephemeral()
-        .with_jobs(1)
-        .sweep(&cfgs, &["swim", "gzip"], &budget);
-    assert_eq!(via_plan, via_sweep);
+        .budget(tiny());
+    let via_named = Session::ephemeral().with_jobs(4).run(&named).unwrap();
+    let axes = grid(
+        &[
+            (Topology::Ring, None, 4, 2, 1),
+            (Topology::Conv, None, 4, 2, 1),
+        ],
+        &["swim", "gzip"],
+    );
+    let via_axes = Session::ephemeral().with_jobs(1).run(&axes).unwrap();
+    assert_eq!(via_named, via_axes);
 }
 
 #[test]
@@ -144,15 +146,13 @@ fn process_wide_trace_cache_shares_across_threads() {
 
 #[test]
 fn progress_callback_counts_every_executed_job() {
-    let (cfgs, benches) = small_grid();
-    let budget = tiny();
     let seen = std::sync::Mutex::new(Vec::new());
     let on_progress = |p: &rcmc_sim::SweepProgress<'_>| {
         assert_eq!(p.total, 12);
         seen.lock().unwrap().push(p.finished);
     };
     let session = Session::ephemeral().with_jobs(4);
-    let results = session.sweep_streaming(&cfgs, &benches, &budget, &on_progress);
+    let results = session.run_streaming(&small_grid(), &on_progress).unwrap();
     assert_eq!(results.len(), 12);
     // One callback per executed job, delivered in strictly increasing
     // `finished` order even with 4 workers racing.
@@ -163,12 +163,10 @@ fn progress_callback_counts_every_executed_job() {
 #[test]
 fn memoized_pairs_are_not_re_executed_and_not_reported() {
     let dir = std::env::temp_dir().join(format!("rcmc-par-{}", std::process::id()));
-    let cfgs = vec![make(Topology::Conv, 8, 1, 1)];
-    let benches = ["twolf", "vpr"];
-    let budget = tiny();
+    let plan = grid(&[(Topology::Conv, None, 8, 1, 1)], &["twolf", "vpr"]);
     let session = Session::with_store(ResultStore::at(dir.clone())).with_jobs(2);
-    let first = session.sweep(&cfgs, &benches, &budget);
-    // Second sweep: everything is on disk, so nothing executes — the only
+    let first = session.run(&plan).unwrap();
+    // Second run: everything is on disk, so nothing executes — the only
     // callback is the all-memoized terminal event (`total == 0`) and the
     // loaded results match the computed ones exactly.
     let calls = AtomicUsize::new(0);
@@ -176,7 +174,7 @@ fn memoized_pairs_are_not_re_executed_and_not_reported() {
         assert_eq!((p.finished, p.total, p.memoized), (0, 0, 2), "job re-ran");
         calls.fetch_add(1, Ordering::SeqCst);
     };
-    let second = session.sweep_streaming(&cfgs, &benches, &budget, &on_progress);
+    let second = session.run_streaming(&plan, &on_progress).unwrap();
     assert_eq!(
         calls.load(Ordering::SeqCst),
         1,
@@ -193,12 +191,11 @@ fn concurrent_sessions_share_one_store_safely() {
     let dir = std::env::temp_dir().join(format!("rcmc-race-{}", std::process::id()));
     let session_a = Session::with_store(ResultStore::at(dir.clone())).with_jobs(2);
     let session_b = Session::with_store(ResultStore::at(dir.clone())).with_jobs(2);
-    let cfgs = vec![make(Topology::Ring, 4, 2, 1)];
-    let benches = ["crafty", "apsi"];
+    let plan = grid(&[(Topology::Ring, None, 4, 2, 1)], &["crafty", "apsi"]);
     let budget = tiny();
     let (a, b) = std::thread::scope(|s| {
-        let ha = s.spawn(|| session_a.sweep(&cfgs, &benches, &budget));
-        let hb = s.spawn(|| session_b.sweep(&cfgs, &benches, &budget));
+        let ha = s.spawn(|| session_a.run(&plan).unwrap());
+        let hb = s.spawn(|| session_b.run(&plan).unwrap());
         (ha.join().unwrap(), hb.join().unwrap())
     });
     assert_eq!(a, b);

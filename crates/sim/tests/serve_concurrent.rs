@@ -137,3 +137,110 @@ fn cancelled_requests_unstarted_jobs_never_run() {
     assert_eq!(summary.stats.executed, 4, "{:?}", summary.stats);
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// Serve `input` on one worker over `store`, returning the raw response
+/// lines (byte-exact, as a client reads them).
+fn serve_raw(store: ResultStore, input: &str) -> Vec<String> {
+    let session = Session::with_store(store).with_jobs(1);
+    let mut out = Vec::new();
+    serve_with(&session, input.as_bytes(), &mut out, &ServeOpts::default()).unwrap();
+    String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
+fn keys(v: &Value) -> Vec<&str> {
+    let Value::Obj(members) = v else {
+        panic!("expected an object, got {v:?}")
+    };
+    members.iter().map(|(k, _)| k.as_str()).collect()
+}
+
+#[test]
+fn serve_wire_format_is_pinned() {
+    // One worker: "keep" occupies it while "drop"'s jobs sit queued, so
+    // the event sequence is fixed and the cancel always lands.
+    let (dir, _) = temp_store("wire");
+    let keep = "{\"name\": \"pin\", \"configs\": [{\"name\": \"Ring_4clus_1bus_2IW\"}], \
+                \"benches\": [\"swim\", \"gzip\"], \
+                \"budget\": {\"warmup\": 1000, \"measure\": 4000}}";
+    let drop_plan = PLAN
+        .replace("\"co\"", "\"dr\"")
+        .replace("[\"swim\", \"gzip\"]", "[\"mcf\", \"twolf\"]");
+    let input = format!(
+        "{{\"id\": \"keep\", \"op\": \"run\", \"plan\": {keep}}}\n\
+         {{\"id\": \"drop\", \"op\": \"run\", \"plan\": {drop_plan}}}\n\
+         {{\"id\": \"c\", \"op\": \"cancel\", \"target\": \"drop\"}}\n\
+         {{\"op\": \"shutdown\"}}\n"
+    );
+    let lines = serve_raw(ResultStore::at(dir.clone()), &input);
+    let of = |id: &str| -> Vec<&String> {
+        let tag = format!("{{\"id\":\"{id}\",");
+        lines.iter().filter(|l| l.starts_with(&tag)).collect()
+    };
+    assert_eq!(
+        of("drop"),
+        [
+            "{\"id\":\"drop\",\"event\":\"error\",\"error\":\"request cancelled\",\
+             \"reason\":\"cancelled\",\"plan\":\"dr\"}"
+        ]
+    );
+    assert_eq!(
+        of("c"),
+        ["{\"id\":\"c\",\"event\":\"cancelled\",\"target\":\"drop\",\"found\":true,\"dropped\":4}"]
+    );
+    let kept = of("keep");
+    assert_eq!(kept.len(), 3, "{lines:?}");
+    assert_eq!(
+        kept[0],
+        "{\"id\":\"keep\",\"event\":\"progress\",\"finished\":1,\"total\":2,\"memoized\":0,\
+         \"config\":\"Ring_4clus_1bus_2IW\",\"bench\":\"swim\",\"label\":\"pin#keep\"}"
+    );
+    assert_eq!(
+        kept[1],
+        "{\"id\":\"keep\",\"event\":\"progress\",\"finished\":2,\"total\":2,\"memoized\":0,\
+         \"config\":\"Ring_4clus_1bus_2IW\",\"bench\":\"gzip\",\"label\":\"pin#keep\"}"
+    );
+    let result = serde::json::parse(kept[2]).unwrap();
+    assert_eq!(
+        keys(&result),
+        ["id", "event", "plan", "rows", "reports", "stats"]
+    );
+    assert_eq!(field(&result, "event"), &Value::Str("result".into()));
+    assert_eq!(field(&result, "reports"), &Value::Arr(Vec::new()));
+    assert_eq!(
+        field(&result, "stats").to_compact_string(),
+        "{\"jobs\":2,\"executed\":2,\"coalesced\":0,\"memoized\":0}"
+    );
+    assert_eq!(
+        lines.last().unwrap(),
+        "{\"id\":\"auto-1\",\"event\":\"bye\"}"
+    );
+
+    // The same plan again on the warm store: one terminal progress event
+    // with `total == 0`, then a result tallying every pair as memoized.
+    let warm = serve_raw(
+        ResultStore::at(dir.clone()),
+        &format!(
+            "{{\"id\": \"w\", \"op\": \"run\", \"plan\": {keep}}}\n{{\"op\": \"shutdown\"}}\n"
+        ),
+    );
+    assert_eq!(warm.len(), 3, "{warm:?}");
+    assert_eq!(
+        warm[0],
+        "{\"id\":\"w\",\"event\":\"progress\",\"finished\":0,\"total\":0,\"memoized\":2,\
+         \"config\":\"\",\"bench\":\"\",\"label\":\"pin#w\"}"
+    );
+    let result = serde::json::parse(&warm[1]).unwrap();
+    assert_eq!(
+        keys(&result),
+        ["id", "event", "plan", "rows", "reports", "stats"]
+    );
+    assert_eq!(
+        field(&result, "stats").to_compact_string(),
+        "{\"jobs\":2,\"executed\":0,\"coalesced\":0,\"memoized\":2}"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}

@@ -10,7 +10,6 @@
 use std::path::PathBuf;
 
 use rcmc_emu::{trace_program, TraceCache, TraceDb};
-use rcmc_sim::config::make;
 use rcmc_sim::plan::Plan;
 use rcmc_sim::runner::{all_bench_names, cached_trace_via, Budget, ResultStore};
 use rcmc_sim::Session;
@@ -131,20 +130,31 @@ fn warm_started_sweep_matches_cold() {
         warmup: 500,
         measure: 3_000,
     };
-    let cfgs = vec![make(rcmc_core::Topology::Ring, 4, 2, 1)];
-    let benches = ["gzip", "swim"];
+    let plan = Plan::new("warm")
+        .config_axes(
+            Some(rcmc_core::Topology::Ring),
+            None,
+            Some(4),
+            Some(2),
+            Some(1),
+            None,
+        )
+        .benches(["gzip", "swim"])
+        .budget(budget);
 
     let cold = Session::with_store(ResultStore::ephemeral())
         .with_trace_store(db.clone())
         .with_jobs(1)
-        .sweep(&cfgs, &benches, &budget);
+        .run(&plan)
+        .unwrap();
     // Store now holds both traces; a second session decodes instead of
     // emulating (asserted by the cache fallthrough test above — here we
     // assert the *results* cannot tell the difference).
     let warm = Session::with_store(ResultStore::ephemeral())
         .with_trace_store(db.clone())
         .with_jobs(1)
-        .sweep(&cfgs, &benches, &budget);
+        .run(&plan)
+        .unwrap();
     assert_eq!(cold, warm, "warm-start changed simulation results");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -33,7 +33,8 @@ use ring_clustered::emu::{trace_program, TraceDb};
 use ring_clustered::sim::experiments::{self, plans};
 use ring_clustered::sim::plan::ConfigSpec;
 use ring_clustered::sim::runner::{
-    cached_trace, default_jobs, default_trace_db, trace_cache_stats, Budget, SweepProgress,
+    cached_trace, check_workload, default_jobs, default_trace_db, trace_cache_stats, Budget,
+    SweepProgress,
 };
 use ring_clustered::sim::{config, machines, serve, Plan, Progress, ResultStore, Session};
 use ring_clustered::workloads::{benchmark, suite};
@@ -381,6 +382,7 @@ fn run(args: &[String], flags: &HashMap<String, String>) {
     let budget = budget_from(flags);
     let _ = jobs_from(flags); // validated; a single run always uses one worker
     let session = with_trace_db(Session::new(), flags);
+    check_workload(&bench, session.trace_db()).unwrap_or_else(die);
     let r = session.run_one(&cfg, &bench, &budget);
     println!(
         "{bench} on {} ({} measured instructions):",

@@ -201,3 +201,26 @@ fn no_trace_store_leaves_no_files() {
         let _ = std::fs::remove_dir_all(d);
     }
 }
+
+#[test]
+fn run_of_unknown_workload_exits_1_with_a_message() {
+    // A name that is neither a suite benchmark nor a stored trace is a
+    // user error (exit 1 and a message), checked before anything runs.
+    let dir = temp_store("unknown");
+    let out = rcmc()
+        .args([
+            "run",
+            "nope",
+            "--instrs",
+            "2000",
+            "--trace-store",
+            dir.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown benchmark 'nope'"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
