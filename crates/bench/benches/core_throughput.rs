@@ -6,8 +6,9 @@
 //!
 //! Every row is measured twice — event-driven (the default wheel that
 //! fast-forwards dead cycles) and forced cycle-stepped — so each row
-//! carries the wheel's skip rate and its speedup over stepping every
-//! cycle. The stall-heavy long-hop row is where skipping pays most: long
+//! carries the wheel's skip rate, its exact skipped-cycle count (so a
+//! change to a wake bound shows up exactly in the diff) and its speedup
+//! over stepping every cycle. The stall-heavy long-hop row is where skipping pays most: long
 //! bus reservations leave the pipeline with nothing to do for whole
 //! windows at a time.
 //!
@@ -130,6 +131,7 @@ fn main() {
                 "skip_rate".into(),
                 Value::Num((skip_rate * 1e4).round() / 1e4),
             ),
+            ("skipped_cycles".into(), Value::Num(skipped as f64)),
             (
                 "mcycles_per_s_stepped".into(),
                 Value::Num((mcps_stepped * 1e3).round() / 1e3),

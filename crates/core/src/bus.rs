@@ -106,27 +106,6 @@ impl Bus {
         self.segments[self.segment_leaving(from)].resv & 1 == 0
     }
 
-    /// Cycles until a `try_reserve(from, dist)` would first succeed, with no
-    /// new reservations in between. Exact: after `d` trafficless ticks every
-    /// window has shifted by `d`, so hop `j`'s entry slot is the current bit
-    /// `d + j·L` (free when it lies beyond the window).
-    pub fn earliest_free(&self, from: usize, dist: u32) -> u64 {
-        'offset: for d in 0..WINDOW {
-            let mut c = from;
-            for j in 0..dist {
-                let slot = d + (j * self.hop_latency) as u64;
-                if slot < WINDOW
-                    && self.segments[self.segment_leaving(c)].resv & (1u128 << slot) != 0
-                {
-                    continue 'offset;
-                }
-                c = self.next_cluster(c);
-            }
-            return d;
-        }
-        WINDOW // every live reservation expires within the window
-    }
-
     /// Replay `cycles` trafficless ticks in O(segments).
     pub fn advance(&mut self, cycles: u64) {
         for s in &mut self.segments {
@@ -209,17 +188,6 @@ impl Interconnect for BusFabric {
             }
         }
         None
-    }
-
-    /// Exact: the earliest offset at which *any* bus could reserve the pair's
-    /// path (bus preference order doesn't matter for "would some bus grant").
-    fn earliest_retry(&self, from: usize, to: usize) -> u64 {
-        let mut best = u64::MAX;
-        for (b, bus) in self.buses.iter().enumerate() {
-            let dist = self.cfg.bus_distance(b, from, to);
-            best = best.min(bus.earliest_free(from, dist));
-        }
-        best
     }
 
     fn advance(&mut self, cycles: u64) {
@@ -314,32 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn earliest_free_matches_stepped_probe() {
-        // Occupy a few offsets, then compare the O(64) scan against brute
-        // force ticking on a twin bus for several (from, dist) pairs.
-        let build = || {
-            let mut f = BusFabric::new(&cfg(Topology::Ring, 1, 2));
-            assert!(f.buses[0].try_reserve(0, 3).is_some()); // segs 0@0 1@2 2@4
-            assert!(f.buses[0].try_reserve(5, 1).is_some()); // seg 5@0
-            f
-        };
-        let f = build();
-        for (from, dist) in [(0usize, 1u32), (0, 3), (7, 2), (4, 2), (5, 1)] {
-            let predicted = f.buses[0].earliest_free(from, dist);
-            let mut twin = build();
-            let mut actual = None;
-            for d in 0..=64u64 {
-                if twin.buses[0].try_reserve(from, dist).is_some() {
-                    actual = Some(d);
-                    break;
-                }
-                twin.tick();
-            }
-            assert_eq!(Some(predicted), actual, "earliest_free({from},{dist})");
-        }
-    }
-
-    #[test]
     fn advance_equals_repeated_ticks() {
         for k in [1u64, 5, 63, 64, 1000] {
             let mut a = BusFabric::new(&cfg(Topology::Conv, 2, 2));
@@ -358,24 +300,13 @@ mod tests {
                         continue;
                     }
                     assert_eq!(
-                        a.earliest_retry(from, to),
-                        b.earliest_retry(from, to),
+                        Interconnect::try_send(&mut a, from, to),
+                        Interconnect::try_send(&mut b, from, to),
                         "advance({k}) diverged on ({from},{to})"
                     );
                 }
             }
         }
-    }
-
-    #[test]
-    fn fabric_earliest_retry_considers_every_bus() {
-        // Conv with 2 buses: saturate the forward bus path 0->1; the
-        // backward bus still reaches 1 in 7 hops, so the answer is 0.
-        let mut f = BusFabric::new(&cfg(Topology::Conv, 2, 1));
-        assert!(f.buses[0].try_reserve(0, 1).is_some());
-        assert_eq!(f.earliest_retry(0, 1), 0, "backward bus is free");
-        assert!(f.buses[1].try_reserve(0, 7).is_some());
-        assert_eq!(f.earliest_retry(0, 1), 1, "both buses busy at offset 0");
     }
 
     #[test]

@@ -46,13 +46,10 @@ pub struct Grant {
 /// per cycle; `tick` is called exactly once per simulated cycle after all
 /// `try_send` attempts. A `None` answer must leave no arbitration residue
 /// (the caller will retry the identical request next cycle).
-/// The event-driven run loop adds two *optional* operations: when every
-/// pending communication is being denied, the loop asks each one's fabric
-/// [`earliest_retry`](Interconnect::earliest_retry) how many cycles until a
-/// retry could succeed, skips straight there, and replays the elapsed ticks
-/// with [`advance`](Interconnect::advance). The defaults (retry immediately;
-/// advance = repeated ticks) are always correct — a fabric that never
-/// overrides them simply disables idle-skipping while it has traffic queued.
+/// The fabric's one obligation to the event-driven run loop is
+/// [`advance`](Interconnect::advance): the loop only skips cycles in which
+/// no communication waits to be sent, and replays them with one `advance`
+/// call.
 pub trait Interconnect: Send {
     /// Advance the arbitration state one cycle.
     fn tick(&mut self);
@@ -60,24 +57,10 @@ pub trait Interconnect: Send {
     /// Try to start a communication from `from` to `to` this cycle.
     fn try_send(&mut self, from: usize, to: usize) -> Option<Grant>;
 
-    /// Cycles until a `try_send(from, to)` could first succeed, assuming no
-    /// grants happen in between (the caller guarantees a dead region).
-    /// `0` means the very next attempt may succeed. Implementations may
-    /// under- but must never over-estimate: skipping past the first
-    /// grantable cycle would lose a grant a cycle-stepped run performs.
-    fn earliest_retry(&self, from: usize, to: usize) -> u64 {
-        let _ = (from, to);
-        0
-    }
-
     /// Replay `cycles` consecutive ticks with no intervening `try_send`
     /// traffic. Must be observationally identical to calling [`tick`]
-    /// (`Interconnect::tick`) `cycles` times; override for an O(1) jump.
-    fn advance(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.tick();
-        }
-    }
+    /// (`Interconnect::tick`) `cycles` times, ideally as an O(1) jump.
+    fn advance(&mut self, cycles: u64);
 }
 
 /// Build the interconnect the configuration asks for.
@@ -140,9 +123,6 @@ impl Interconnect for Crossbar {
             None
         }
     }
-
-    // `earliest_retry` keeps the default 0, which is exact here: ports reset
-    // every tick, so the first attempt of any cycle always succeeds.
 
     fn advance(&mut self, _cycles: u64) {
         self.tick(); // one reset == any number of trafficless ticks
@@ -271,28 +251,6 @@ impl Interconnect for Mesh2D {
         })
     }
 
-    /// Exact: with no grants in between, the occupancy windows only shift
-    /// by one slot per tick, so checking the XY path at offset `d + j·L`
-    /// answers whether a send would succeed `d` cycles from now.
-    fn earliest_retry(&self, from: usize, to: usize) -> u64 {
-        for d in 0..MESH_WINDOW as u64 {
-            let mut free = true;
-            let mut hop = 0u64;
-            self.xy_route(from, to, |link| {
-                let off = d + hop * self.hop_latency as u64;
-                // Offsets beyond the window lie past every live reservation.
-                if off < MESH_WINDOW as u64 {
-                    free &= self.links[link][(self.head + off as usize) % MESH_WINDOW] < self.ports;
-                }
-                hop += 1;
-            });
-            if free {
-                return d;
-            }
-        }
-        MESH_WINDOW as u64 // whole window busy: everything expires by then
-    }
-
     fn advance(&mut self, cycles: u64) {
         let k = cycles.min(MESH_WINDOW as u64) as usize;
         for i in 0..k {
@@ -386,8 +344,6 @@ impl Interconnect for Hier {
             None
         }
     }
-
-    // `earliest_retry` keeps the default 0 (exact: slots reset every tick).
 
     fn advance(&mut self, _cycles: u64) {
         self.tick(); // one reset == any number of trafficless ticks
@@ -668,36 +624,6 @@ mod tests {
         assert!(h.try_send(7, 2).is_some());
     }
 
-    /// Check `earliest_retry` against ground truth: clone-free replay by
-    /// ticking a twin fabric forward until the send first succeeds.
-    fn stepped_earliest<F: Interconnect>(fab: &mut F, from: usize, to: usize, limit: u64) -> u64 {
-        for d in 0..=limit {
-            if fab.try_send(from, to).is_some() {
-                return d;
-            }
-            fab.tick();
-        }
-        panic!("no grant within {limit} cycles");
-    }
-
-    #[test]
-    fn mesh_earliest_retry_matches_stepped_probe() {
-        // Saturate the eastward link out of cluster 0 at several offsets,
-        // then verify the O(window) scan agrees with brute-force stepping.
-        let mut m = mesh(8, 1, 2);
-        assert!(m.try_send(0, 3).is_some()); // east hops at offsets 0, 2, 4
-        assert!(m.try_send(1, 5).is_some()); // south out of 1 at offset 0
-        let cases = [(0usize, 1usize), (0, 2), (1, 5), (4, 6)];
-        for (from, to) in cases {
-            let predicted = m.earliest_retry(from, to);
-            let mut twin = mesh(8, 1, 2);
-            assert!(twin.try_send(0, 3).is_some());
-            assert!(twin.try_send(1, 5).is_some());
-            let actual = stepped_earliest(&mut twin, from, to, MESH_WINDOW as u64);
-            assert_eq!(predicted, actual, "mesh earliest_retry({from},{to})");
-        }
-    }
-
     #[test]
     fn mesh_advance_equals_repeated_ticks() {
         for k in [1u64, 3, 17, MESH_WINDOW as u64 - 1, MESH_WINDOW as u64 + 5] {
@@ -719,8 +645,8 @@ mod tests {
                         continue;
                     }
                     assert_eq!(
-                        a.earliest_retry(from, to),
-                        b.earliest_retry(from, to),
+                        a.try_send(from, to),
+                        b.try_send(from, to),
                         "advance({k}) diverged on ({from},{to})"
                     );
                 }
@@ -734,13 +660,11 @@ mod tests {
         assert!(x.try_send(0, 1).is_some());
         x.advance(100);
         assert!(x.try_send(0, 2).is_some(), "ports reset by advance");
-        assert_eq!(x.earliest_retry(0, 3), 0);
 
         let mut h = hier(8, 1, 1);
         assert!(h.try_send(0, 5).is_some());
         h.advance(100);
         assert!(h.try_send(7, 2).is_some(), "global link reset by advance");
-        assert_eq!(h.earliest_retry(1, 2), 0);
     }
 
     #[test]

@@ -257,24 +257,22 @@ impl Lsq {
     }
 
     /// Would [`Lsq::start_loads_into`]`(now, ports, ..)` start at least one
-    /// load? Read-only mirror of its eligibility rules, used by the
-    /// event-driven loop to decide whether the upcoming cycle is dead.
+    /// load now or, with no other event in between, when the load arrives?
+    /// Read-only mirror of its eligibility rules minus the arrival filter,
+    /// used by the event-driven loop to decide whether the upcoming cycle is
+    /// dead: an in-transit load counts as live, so the loop never needs its
+    /// arrival time.
     ///
     /// Port-order detail: forwards are port-free, and if any cache-eligible
     /// unblocked load exists the oldest one gets a port whenever `ports > 0`
     /// — so existence doesn't depend on the seq-ordered port hand-out.
-    pub fn would_start_any(&self, now: u64, ports: u32) -> bool {
+    pub fn would_start_any(&self, ports: u32) -> bool {
         if self.waiting == 0 {
             return false;
         }
         let barrier = self.unknown_barrier();
         for e in &self.slab {
-            if !(e.live
-                && !e.is_store
-                && e.phase == LoadPhase::Waiting
-                && e.arrival <= now
-                && e.seq < barrier)
-            {
+            if !(e.live && !e.is_store && e.phase == LoadPhase::Waiting && e.seq < barrier) {
                 continue;
             }
             let mut forward_from: Option<&Entry> = None;
@@ -301,30 +299,6 @@ impl Lsq {
             }
         }
         false
-    }
-
-    /// Earliest in-transit arrival strictly after `now` among loads not
-    /// blocked by the disambiguation barrier, or `None`. Barrier-blocked
-    /// loads are deliberately excluded: the barrier only lifts when the
-    /// blocking store issues, which is a `StoreReady` event the event-driven
-    /// loop already wakes on.
-    pub fn next_arrival_after(&self, now: u64) -> Option<u64> {
-        if self.waiting == 0 {
-            return None;
-        }
-        let barrier = self.unknown_barrier();
-        let mut best: Option<u64> = None;
-        for e in &self.slab {
-            if e.live
-                && !e.is_store
-                && e.phase == LoadPhase::Waiting
-                && e.arrival > now
-                && e.seq < barrier
-            {
-                best = Some(best.map_or(e.arrival, |b| b.min(e.arrival)));
-            }
-        }
-        best
     }
 }
 
@@ -433,48 +407,31 @@ mod tests {
     fn would_start_any_mirrors_start_loads() {
         // Every eligibility rule, probed read-only before the mutating call.
         let mut l = Lsq::new(8, 1);
-        assert!(!l.would_start_any(0, 4), "empty queue");
+        assert!(!l.would_start_any(4), "empty queue");
         let st = l.alloc(true, 0, 10);
         let ld = l.alloc(false, 1, 11);
         l.load_addr_known(ld, 0x100, 0); // arrives at 1
-        assert!(!l.would_start_any(0, 4), "still in transit");
-        assert!(!l.would_start_any(5, 4), "blocked by unknown store address");
+        assert!(!l.would_start_any(4), "blocked by unknown store address");
         l.store_ready(st, 0x200);
-        assert!(l.would_start_any(5, 4), "barrier lifted, cache access");
-        assert!(!l.would_start_any(5, 0), "no ports, no cache access");
+        assert!(l.would_start_any(4), "barrier lifted, cache access");
+        assert!(!l.would_start_any(0), "no ports, no cache access");
+        // An unblocked load still in transit starts on arrival.
+        let mut transit = Lsq::new(8, 5);
+        let ld_t = transit.alloc(false, 0, 1);
+        transit.load_addr_known(ld_t, 0x80, 0); // arrives at 5
+        assert!(transit.would_start_any(4), "in transit, starts on arrival");
+        assert!(transit.start_loads(0, 4).is_empty(), "not yet arrived");
         // A matching store makes it a port-free forward.
         let mut l2 = Lsq::new(8, 0);
         let st2 = l2.alloc(true, 0, 1);
         let ld2 = l2.alloc(false, 1, 2);
         l2.store_ready(st2, 0x40);
         l2.load_addr_known(ld2, 0x40, 0);
-        assert!(l2.would_start_any(0, 0), "forwards need no port");
+        assert!(l2.would_start_any(0), "forwards need no port");
         let mut out = Vec::new();
         l2.start_loads_into(0, 0, &mut out);
         assert_eq!(out.len(), 1);
-        assert!(!l2.would_start_any(1, 4), "started load must not re-report");
-    }
-
-    #[test]
-    fn next_arrival_skips_barrier_blocked_loads() {
-        let mut l = Lsq::new(8, 5);
-        assert_eq!(l.next_arrival_after(0), None);
-        let _st = l.alloc(true, 0, 10); // address unknown: barrier at seq 10
-        let ld_blocked = l.alloc(false, 1, 11);
-        l.load_addr_known(ld_blocked, 0x8, 0); // arrives at 5, but blocked
-        assert_eq!(
-            l.next_arrival_after(0),
-            None,
-            "barrier-blocked arrivals must not wake the core"
-        );
-        let mut l2 = Lsq::new(8, 5);
-        let a = l2.alloc(false, 0, 1);
-        let b = l2.alloc(false, 1, 2);
-        l2.load_addr_known(a, 0x8, 10); // arrives 15
-        l2.load_addr_known(b, 0x10, 3); // arrives 8
-        assert_eq!(l2.next_arrival_after(4), Some(8), "earliest future arrival");
-        assert_eq!(l2.next_arrival_after(8), Some(15), "strictly-after filter");
-        assert_eq!(l2.next_arrival_after(20), None);
+        assert!(!l2.would_start_any(4), "started load must not re-report");
     }
 
     #[test]

@@ -31,11 +31,11 @@
 //!
 //! The run loop is event-driven: after each simulated cycle, if no stage
 //! can make progress, [`Core::run`] fast-forwards straight to the next
-//! scheduled event (or fabric-slot expiry, load arrival, decode timer, or
-//! dispatch-retry success) instead of ticking dead cycles one by one. The
-//! skip replicates each dead cycle's counter effects, so all statistics are
-//! bit-identical to a cycle-stepped run — `set_event_driven(false)` is the
-//! escape hatch that forces the stepped loop for differential testing.
+//! scheduled event (or fetch/decode timer, or dispatch-retry success)
+//! instead of ticking dead cycles one by one. The skip replicates each dead
+//! cycle's counter effects, so all statistics are bit-identical to a
+//! cycle-stepped run — `set_event_driven(false)` forces the stepped loop,
+//! the oracle `tests/cycle_stepped.rs` compares against.
 //!
 //! Within a simulated cycle, per-cluster work is sparse: `u64` bitmasks
 //! track which clusters hold ready instructions/communications, so issue,
@@ -109,8 +109,6 @@ enum DispatchIdle {
     RobFull,
     /// The front instruction would dispatch — the next cycle is live.
     Dispatches,
-    /// The policy's retry behaviour is unknown; skipping is disabled.
-    Unknown,
     /// Stalled: skipped cycle `now + j` replays `outcomes[j % period]`
     /// (`None` entries mean dispatch succeeds on that phase).
     Stalled {
@@ -969,11 +967,14 @@ impl<'t> Core<'t> {
     /// Skipping is purely an optimization: every cycle actually simulated is
     /// ticked exactly as before, so any bail-out here is safe, and every
     /// wake bound may be conservative (early) but never late. A cycle with
-    /// no fired events, no committable head, no startable load, no ready
-    /// instruction or grantable comm, no fetch progress, and a dispatch
-    /// stage that only re-charges the same stall is dead: the only state
-    /// that moves is a rotating steering tie-break, which `retry_advance`
-    /// replays in O(1).
+    /// no fired events, no committable head, no startable or in-transit
+    /// load, no ready instruction or communication, no fetch progress, and
+    /// a dispatch stage that only re-charges the same stall is dead: the
+    /// only state that moves is the fabric's reservations, which `advance`
+    /// replays, and a rotating steering tie-break, which `retry_advance`
+    /// replays in O(1). The wake bound is the earliest of the next wheel
+    /// event, the fetch-resume or decode timer, the first dispatch-retry
+    /// success, and the watchdog.
     fn fast_forward_idle(&mut self) {
         // Anything able to act on the upcoming cycle disqualifies the skip.
         if self.rob.head().is_some_and(|h| h.done) {
@@ -982,11 +983,12 @@ impl<'t> Core<'t> {
         if !self.store_buf.is_empty() {
             return;
         }
-        if self.ready_mask != 0 {
+        // A waiting communication retries the fabric every cycle; skipping
+        // over its denials pays too rarely to model.
+        if self.ready_mask | self.comm_mask != 0 {
             return;
         }
-        let ports = self.mem.cfg.dcache_ports;
-        if self.lsq.would_start_any(self.now, ports) {
+        if self.lsq.would_start_any(self.mem.cfg.dcache_ports) {
             return;
         }
         let can_fetch = self.fetch_stalled_on.is_none()
@@ -996,44 +998,16 @@ impl<'t> Core<'t> {
             return;
         }
 
-        // Quiescent. Every future state change is a wheel event, a fabric
-        // slot freeing, a load arriving at the LSQ, a decode/fetch timer
-        // expiring, or a dispatch retry replayable against frozen state.
-        // The watchdog caps the skip so it still fires on the exact cycle a
-        // stepped run would panic on.
+        // Quiescent. Every future state change is a wheel event, a
+        // decode/fetch timer expiring, or a dispatch retry replayable against
+        // frozen state. The watchdog caps the skip so it still fires on the
+        // exact cycle a stepped run would panic on.
         let mut wake = self.last_commit + self.cfg.watchdog_cycles - 1;
 
         match self.wheel.next_due_offset(self.now) {
             Some(0) => return, // events fire on the upcoming cycle
             Some(d) => wake = wake.min(self.now + d),
             None => {}
-        }
-
-        // Ready communications retry the fabric every cycle; ask it when
-        // the first attempt could succeed (0 = immediately, or unknown).
-        let mut comm_clusters = self.comm_mask;
-        while comm_clusters != 0 {
-            let c = comm_clusters.trailing_zeros() as usize;
-            comm_clusters &= comm_clusters - 1;
-            let q = &self.iq_comm[c];
-            if q.ready_count() == 0 {
-                continue;
-            }
-            for i in 0..q.len() {
-                let op = q.get(i);
-                if !op.ready {
-                    continue;
-                }
-                let d = self.fabric.earliest_retry(op.from as usize, op.to as usize);
-                if d == 0 {
-                    return;
-                }
-                wake = wake.min(self.now + d);
-            }
-        }
-
-        if let Some(t) = self.lsq.next_arrival_after(self.now) {
-            wake = wake.min(t);
         }
 
         if can_fetch {
@@ -1051,7 +1025,7 @@ impl<'t> Core<'t> {
             } else {
                 probe = self.probe_dispatch(f.trace_idx);
                 match &probe {
-                    DispatchIdle::Dispatches | DispatchIdle::Unknown => return,
+                    DispatchIdle::Dispatches => return,
                     DispatchIdle::Stalled { outcomes, period } => {
                         if let Some(j) = outcomes[..*period].iter().position(|o| o.is_none()) {
                             if j == 0 {
@@ -1118,9 +1092,10 @@ impl<'t> Core<'t> {
             }
         }
         let period = self.policy.retry_period(n_srcs, self.cfg.n_clusters);
-        if period == 0 || period > MAX_CLUSTERS {
-            return DispatchIdle::Unknown;
-        }
+        debug_assert!(
+            (1..=MAX_CLUSTERS).contains(&period),
+            "retry_period {period} outside 1..=MAX_CLUSTERS"
+        );
         let dest = insn.dest();
         let mut outcomes: [Option<StallKind>; MAX_CLUSTERS] = [None; MAX_CLUSTERS];
         for slot in outcomes.iter_mut().take(period) {

@@ -89,16 +89,12 @@ pub trait SteeringPolicy: Send {
     /// after how many `steer` calls does the sequence of placements repeat
     /// (and the policy's internal retry state return to its start)?
     ///
-    /// Return 1 for policies whose `steer` is pure under frozen context,
-    /// `n_clusters` for a rotating tie-break that advances once per call, or
-    /// 0 for "unknown" — always safe, it just disables skipping over
-    /// dispatch-stalled cycles. `n_srcs` is the stalled instruction's live
-    /// source-operand count (rotation often only applies to the 0-source
-    /// case).
-    fn retry_period(&self, n_srcs: usize, n_clusters: usize) -> usize {
-        let _ = (n_srcs, n_clusters);
-        0
-    }
+    /// Return 1 for policies whose `steer` is pure under frozen context, or
+    /// `n_clusters` for a rotating tie-break that advances once per call;
+    /// the period must lie in `1..=MAX_CLUSTERS`. `n_srcs` is the stalled
+    /// instruction's live source-operand count (rotation often only applies
+    /// to the 0-source case).
+    fn retry_period(&self, n_srcs: usize, n_clusters: usize) -> usize;
 
     /// Replay `k` same-state `steer` calls in O(1): advance rotating retry
     /// state exactly as `k` consecutive (stalled) steers would have. Only

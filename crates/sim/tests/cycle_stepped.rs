@@ -124,3 +124,74 @@ fn event_driven_actually_skips_cycles_at_scale() {
         assert_eq!(stepped.skipped_cycles(), 0, "stepped run must not skip");
     }
 }
+
+/// Loads spend `mem.dcache_transfer` cycles in transit to the LSQ; every
+/// preset uses 1, so a load has always arrived by the time the idle probe
+/// runs. Longer transfers keep loads in transit across the probe, which
+/// must then treat them as live work, never skip past their arrival.
+#[test]
+fn event_driven_matches_cycle_stepped_with_in_transit_loads() {
+    let budget = Budget {
+        warmup: 200,
+        measure: 800,
+    };
+    let machines = [
+        (Topology::Ring, Steering::RingDep),
+        (Topology::Conv, Steering::ConvDcount),
+        (Topology::Mesh, Steering::Ssa),
+    ];
+    for (topology, steering) in machines {
+        for transfer in [2u32, 3, 5] {
+            for bench in ["mcf", "swim", "gzip"] {
+                let mut cfg = make_pair(topology, steering, 8, 2, 1);
+                cfg.mem.dcache_transfer = transfer;
+                cfg.mem.mem_latency = 400;
+                let tag = format!("{}~xfer{transfer} × {bench}", cfg.name);
+
+                let trace = cached_trace(bench, budget.trace_len());
+                let mut fast = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
+                let fast_stats = fast.run_with_warmup(budget.warmup, budget.measure);
+
+                let mut stepped = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
+                stepped.set_event_driven(false);
+                let stepped_stats = stepped.run_with_warmup(budget.warmup, budget.measure);
+
+                assert!(fast_stats.committed > 0, "{tag}: nothing committed");
+                assert_eq!(
+                    fast_stats, stepped_stats,
+                    "{tag}: event-driven run diverged from cycle-stepped run"
+                );
+                assert!(
+                    fast.skipped_cycles() > 0,
+                    "{tag}: the wheel skipped nothing"
+                );
+            }
+        }
+    }
+}
+
+/// On a memory-bound row almost every skip starts while the dispatch
+/// stage is stalled on a full resource, so only the dispatch probe (which
+/// replays the stall against frozen state) lets the wheel skip at all.
+/// Measured: 718,086 of 726,917 cycles skipped (0.988); with the probe
+/// bailing on every decoded instruction only 823 (0.001). The floor sits
+/// just under the measured rate, so a change that drops the probe, or makes
+/// it bail early, fails here.
+#[test]
+fn dispatch_probe_carries_the_memory_bound_skips() {
+    let budget = Budget {
+        warmup: 1_000,
+        measure: 10_000,
+    };
+    let mut cfg = make_pair(Topology::Conv, Steering::ConvDcount, 8, 2, 1);
+    cfg.mem.mem_latency = 400;
+    let trace = cached_trace("mcf", budget.trace_len());
+    let mut core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
+    core.run_with_warmup(budget.warmup, budget.measure);
+    let (skipped, cycles) = (core.skipped_cycles(), core.stats().cycles);
+    let rate = skipped as f64 / cycles as f64;
+    assert!(
+        rate >= 0.98,
+        "skip rate {rate:.4} ({skipped} of {cycles} cycles) fell below the 0.98 floor"
+    );
+}
