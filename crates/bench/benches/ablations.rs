@@ -1,5 +1,5 @@
-//! Beyond-paper ablation studies (DESIGN.md §7), expressed as declarative
-//! plans: each grid is a list of [`ConfigSpec`] axes/override entries —
+//! Beyond-paper ablation studies, expressed as declarative plans: each
+//! grid is a list of [`ConfigSpec`] axes/override entries —
 //! exactly what a JSON plan file could state — instead of hand-mutated
 //! `SimConfig`s pushed through the session's explicit-sweep escape hatch.
 //! The specs resolve to the same tagged names the plan layer memoizes
@@ -22,7 +22,7 @@ use rcmc_sim::experiments::plans;
 use rcmc_sim::plan::{ConfigSpec, Plan};
 use rcmc_sim::report::render_speedups;
 use rcmc_sim::runner::Budget;
-use rcmc_sim::{experiments, Session};
+use rcmc_sim::Session;
 use serde_json::Value;
 
 /// The display/store name a spec resolves to — the key its rows live
@@ -58,7 +58,9 @@ fn run(
 }
 
 fn main() {
-    let session = rcmc_bench::session();
+    // The workspace's shared result store and the env-derived pool
+    // (`RCMC_JOBS`), so pairs the CLI already ran are memoized.
+    let session = Session::new();
     // A representative subset keeps the ablations fast; the main figures use
     // the full suite.
     let benches: Vec<&str> = vec![
@@ -180,8 +182,12 @@ fn main() {
         spread(&main.config("Conv_8clus_1bus_2IW"))
     );
     // Keep the steering-cross decomposition visible in bench output too.
+    let decomposition = plans::builtin("steering-decomposition").expect("a builtin plan");
     let cross = session
-        .run(&plans::steering_cross())
-        .expect("cross plan failed");
-    println!("\n{}", experiments::steering_cross_analysis(&cross).text);
+        .run(&decomposition)
+        .expect("decomposition plan failed");
+    println!(
+        "\n{}",
+        decomposition.render_text(&cross).expect("reports render")
+    );
 }

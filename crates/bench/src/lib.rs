@@ -1,48 +1,33 @@
 //! # rcmc-bench — benchmark harness support
 //!
-//! The `benches/` directory of this crate regenerates **every table and
-//! figure** of the paper (see DESIGN.md §5 for the index):
+//! The paper's simulated figures (6–14) and the topology/steering
+//! ablations are builtin plans: `rcmc figures` prints them all, and `rcmc
+//! report <name>` (`fig06` … `fig14`, `topology`, `steering-cross`,
+//! `steering-decomposition`) prints one. Table 1 and Figures 4–5 are part
+//! of `rcmc figures` and `rcmc layout`. The `benches/` directory of this
+//! crate holds what those commands never print, plus the perf trackers:
 //!
-//! | target | reproduces |
-//! |--------|------------|
-//! | `table1_area` | Table 1 block areas |
+//! | target | prints |
+//! |--------|--------|
 //! | `table2_config` | Table 2 processor configuration |
 //! | `table3_configs` | Table 3 evaluated configurations |
 //! | `fig03_placement` | Figure 3 die placement |
-//! | `fig04_05_floorplan` | Figures 4–5 wire lengths |
-//! | `fig06_speedup` … `fig11_distribution` | Figures 6–11 main sweep |
-//! | `fig12_buslat` | Figure 12 bus-latency study |
-//! | `fig13_ssa_speedup`, `fig14_ssa_nready` | Figures 13–14 SSA study |
-//! | `ablations` | beyond-paper studies (release policy, steering×topology) |
+//! | `workload_mix` | the suite characterization table |
+//! | `ablations` | beyond-paper studies (steering × topology, release policy, cluster/hop scaling) |
 //! | `micro` | Criterion microbenchmarks of the simulator's hot components |
+//! | `core_throughput`, `steering_cross` | hot-loop throughput into `BENCH_core.json` |
+//! | `sweep_scaling` | serial-vs-parallel plan timing into `BENCH_sweep.json` |
 //!
-//! All sweep-based targets share one disk-backed result store
-//! (`target/rcmc-results/`), so repeated `cargo bench` invocations simulate
-//! each (configuration × benchmark) pair exactly once. Set `RCMC_INSTRS` /
-//! `RCMC_WARMUP` to change the window (results are keyed by the window) and
-//! `RCMC_JOBS` to cap the sweep worker count (default: all cores).
-//! `sweep_scaling` is the odd one out: it ignores the shared store and times
-//! a serial-vs-parallel tiny sweep, emitting `BENCH_sweep.json`.
+//! `ablations` shares the workspace's disk-backed result store
+//! (`target/rcmc-results/`) with the CLI, so each (configuration ×
+//! benchmark) pair simulates once. Set `RCMC_INSTRS` / `RCMC_WARMUP` to
+//! change the window (results are keyed by the window) and `RCMC_JOBS` to
+//! cap the sweep worker count (default: all cores). The perf trackers
+//! ignore the shared store and time fixed windows.
 
 use std::path::PathBuf;
 
-use rcmc_sim::Session;
 use serde_json::Value;
-
-/// The execution environment every figure target shares: the workspace's
-/// common result store with the env-derived worker pool (`RCMC_JOBS`), no
-/// progress output. Plans run with the env-derived default budget
-/// (`RCMC_INSTRS` / `RCMC_WARMUP`) unless they carry their own.
-pub fn session() -> Session {
-    Session::new()
-}
-
-/// Print a figure header + body with a little framing so `cargo bench`
-/// output stays readable.
-pub fn emit(ex: &rcmc_sim::experiments::Experiment) {
-    println!("\n================================================================");
-    println!("{}", ex.text);
-}
 
 /// The repository-root `BENCH_core.json` tracking hot-loop throughput.
 pub fn bench_core_path() -> PathBuf {

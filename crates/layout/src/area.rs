@@ -184,6 +184,31 @@ impl AreaModel {
     }
 }
 
+/// Render Table 1 (the default model's block areas) as text.
+pub fn table1_text() -> String {
+    use std::fmt::Write as _;
+    let mut text = String::from(
+        "Table 1. Area of the main cluster's blocks\n\
+         -------------------------------------------\n",
+    );
+    let _ = writeln!(
+        text,
+        "{:22} {:>16} {:>12} {:>12}",
+        "component", "total area (λ²)", "height (λ)", "width (λ)"
+    );
+    for b in AreaModel::default().table1() {
+        let _ = writeln!(
+            text,
+            "{:22} {:>16.0} {:>12.0} {:>12.0}",
+            b.component.name(),
+            b.area,
+            b.height,
+            b.width
+        );
+    }
+    text
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,6 +268,10 @@ mod tests {
         for r in &rows {
             assert!(r.area > 0.0 && r.height > 0.0 && r.width > 0.0);
         }
+        let text = table1_text();
+        // Title, rule, header, then one line per row.
+        assert_eq!(text.lines().count(), 3 + rows.len());
+        assert!(text.contains("Register file"), "{text}");
     }
 
     #[test]

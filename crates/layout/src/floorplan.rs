@@ -264,6 +264,48 @@ fn max_wire(outs: &[f64], ins: &[f64], to: &Floorplan, through_corner: bool) -> 
     worst
 }
 
+/// The four wire paths Figures 4–5 report for the default cluster
+/// placement: `(path, model λ, paper λ)`.
+pub fn figure4_5_wires(model: &AreaModel) -> [(&'static str, f64, f64); 4] {
+    let s = module_floorplan(model, ModuleKind::Straight);
+    let c = module_floorplan(model, ModuleKind::Corner);
+    let si = split_ring_floorplan(model, ModuleKind::Straight, false);
+    let sf = split_ring_floorplan(model, ModuleKind::Straight, true);
+    [
+        (
+            "unified int, straight→straight",
+            max_wire_int(&s, &s),
+            17_400.0,
+        ),
+        ("unified fp, straight→corner", max_wire_fp(&s, &c), 23_300.0),
+        (
+            "split int ring, straight→straight",
+            max_wire_int(&si, &si),
+            11_200.0,
+        ),
+        (
+            "split fp ring, straight→straight",
+            max_wire_fp(&sf, &sf),
+            11_200.0,
+        ),
+    ]
+}
+
+/// Render Figures 4–5 (the default model's maximum inter-cluster wire
+/// lengths next to the paper's) as text.
+pub fn figure4_5_text() -> String {
+    use std::fmt::Write as _;
+    let mut text = String::from(
+        "Figures 4-5. Maximum inter-cluster wire lengths (λ)\n\
+         ----------------------------------------------------\n",
+    );
+    let _ = writeln!(text, "{:36} {:>10} {:>10}", "path", "model", "paper");
+    for (name, model_v, paper_v) in figure4_5_wires(&AreaModel::default()) {
+        let _ = writeln!(text, "{name:36} {model_v:>10.0} {paper_v:>10.0}");
+    }
+    text
+}
+
 /// Blocks must not overlap — a floorplan sanity invariant.
 pub fn overlaps(fp: &Floorplan) -> bool {
     for (i, a) in fp.blocks.iter().enumerate() {

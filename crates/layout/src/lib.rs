@@ -15,11 +15,17 @@
 //!   ([`floorplan`]);
 //! * **Figure 5** — the split integer/FP dual-ring modules and their
 //!   11,200 λ maximum wire length ([`floorplan`]).
+//!
+//! [`table1_text`] and [`figure4_5_text`] render Table 1 and Figures 4–5
+//! as `rcmc layout` and `rcmc figures` print them.
 
 pub mod area;
 pub mod floorplan;
 pub mod placement;
 
-pub use area::{AreaModel, BlockArea, Component};
-pub use floorplan::{module_floorplan, split_ring_floorplan, Floorplan, ModuleKind, PlacedBlock};
+pub use area::{table1_text, AreaModel, BlockArea, Component};
+pub use floorplan::{
+    figure4_5_text, figure4_5_wires, module_floorplan, split_ring_floorplan, Floorplan, ModuleKind,
+    PlacedBlock,
+};
 pub use placement::{ring_placement, ClusterSite, RingPlacement};

@@ -243,27 +243,6 @@ pub fn evaluated_configs() -> Vec<SimConfig> {
     ]
 }
 
-/// The five (Ring, Conv) pairs compared in Figures 6–10, as
-/// `(ring_name, conv_name)` tuples in the paper's legend order.
-pub fn figure6_pairs() -> Vec<(String, String)> {
-    use Topology::*;
-    [
-        (4usize, 2usize, 1usize),
-        (8, 1, 2),
-        (8, 1, 1),
-        (8, 2, 2),
-        (8, 2, 1),
-    ]
-    .iter()
-    .map(|&(n, iw, b)| {
-        (
-            config_name(Ring, default_steering(Ring), n, iw, b),
-            config_name(Conv, default_steering(Conv), n, iw, b),
-        )
-    })
-    .collect()
-}
-
 /// §4.6: the 8-cluster 2IW configurations with 2-cycle-per-hop buses.
 pub fn fig12_configs() -> Vec<SimConfig> {
     let mut v = Vec::new();
@@ -294,7 +273,7 @@ pub fn ssa_configs() -> Vec<SimConfig> {
 pub type GridFn = fn() -> Vec<SimConfig>;
 
 /// The configuration grids, by canonical group name (plan-spec `"group"`
-/// entries, `known_configs`, and `experiments::plans::everything` all
+/// entries, `known_configs`, and the `everything` builtin plan all
 /// derive from this one table, so adding a grid here wires it up
 /// everywhere at once).
 pub const GROUPS: [(&str, GridFn); 5] = [
@@ -428,17 +407,6 @@ mod tests {
             assert_eq!(ssa.core.topology, base.core.topology);
             assert_eq!(ssa.core.n_buses, base.core.n_buses);
             assert!(ssa.name.ends_with("+SSA"));
-        }
-    }
-
-    #[test]
-    fn figure6_pairs_align() {
-        let pairs = figure6_pairs();
-        assert_eq!(pairs.len(), 5);
-        for (r, c) in &pairs {
-            assert!(r.starts_with("Ring_"));
-            assert!(c.starts_with("Conv_"));
-            assert_eq!(r[5..], c[5..]);
         }
     }
 

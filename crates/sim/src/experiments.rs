@@ -1,602 +1,259 @@
-//! The paper's evaluation (§4) as plan values.
+//! The paper's evaluation (§4) as builtin plans.
 //!
-//! Every table/figure is a [`Figure`]: the [`Plan`] describing the sweep it
-//! needs plus a render function over the resulting
-//! [`ResultSet`](crate::resultset::ResultSet). The sweeps themselves are
-//! data ([`plans`]); a [`Session`] executes them, so regenerating the whole
-//! evaluation is one plan run over the memoized store.
+//! Each figure is one [`Plan`]: the configuration grid it needs plus the
+//! [`ReportSpec`](crate::plan::ReportSpec)s that render it, titled as the
+//! paper words them. A figure's text is its plan's reports joined by a
+//! blank line ([`Plan::render_text`]), which is what `rcmc report <name>`
+//! prints. [`render_figures`] runs the union grid once and renders every
+//! figure from it.
+//!
+//! [`Plan`]: crate::plan::Plan
+//! [`Plan::render_text`]: crate::plan::Plan::render_text
 
-use crate::config;
-use crate::plan::Plan;
-use crate::report::{self, GroupValues};
-use crate::resultset::ResultSet;
-use crate::runner::{Budget, RunResult};
+use crate::runner::Budget;
 use crate::session::Session;
-
-/// A rendered experiment: human-readable text plus named series.
-pub struct Experiment {
-    /// e.g. "Figure 6".
-    pub id: &'static str,
-    /// Rendered text table.
-    pub text: String,
-    /// Named AVERAGE/INT/FP rows backing the rendering.
-    pub rows: Vec<(String, GroupValues)>,
-}
 
 /// The sweeps behind the paper's figures (and the beyond-paper ablations),
 /// as reusable [`Plan`] values. All of them run the full 26-benchmark suite
 /// with the env-derived default budget; callers scope them down with
 /// [`Plan::benches`] / [`Plan::budget`].
+///
+/// [`Plan`]: crate::plan::Plan
+/// [`Plan::benches`]: crate::plan::Plan::benches
+/// [`Plan::budget`]: crate::plan::Plan::budget
 pub mod plans {
-    use super::*;
-    use crate::plan::ReportSpec;
-    use crate::resultset::Metric;
+    use rcmc_core::{Steering, Steering::*, Topology, Topology::*};
 
-    /// The main Table 3 sweep: 10 configurations × 26 benchmarks
-    /// (Figures 6–11).
-    pub fn main() -> Plan {
-        Plan::new("main")
-            .group("table3")
-            .report(ReportSpec::grouped(Metric::Ipc))
-            .report(
-                ReportSpec::speedup(config::figure6_pairs())
-                    .titled("Speedup of Ring over Conv (Figure 6 pairs)"),
-            )
-    }
+    use crate::config::{self, make, steering_name, topology_name, ALL_STEERINGS, ALL_TOPOLOGIES};
+    use crate::plan::{Plan, ReportSpec, SpeedupPair};
+    use crate::resultset::Metric::*;
 
-    /// §4.6: the 2-cycle-per-hop configurations, plus the 1-cycle rows they
-    /// are compared against (Figure 12).
-    pub fn fig12() -> Plan {
-        Plan::new("fig12")
-            .group("table3")
-            .group("fig12")
-            .report(ReportSpec::grouped(Metric::Ipc))
-    }
-
-    /// §4.7: every Table 3 configuration under the simple steering
-    /// algorithm (Figures 13–14).
-    pub fn ssa() -> Plan {
-        Plan::new("ssa")
-            .group("ssa")
-            .report(ReportSpec::grouped(Metric::Nready).titled("Workload imbalance under SSA"))
-    }
-
-    /// Beyond-paper: every interconnect at the 8-cluster 2IW design point.
-    pub fn topology() -> Plan {
-        Plan::new("topology")
-            .group("topology")
-            .report(ReportSpec::grouped(Metric::Ipc).titled("IPC by interconnect"))
-    }
-
-    /// Beyond-paper: the full (steering policy × topology) cross.
-    pub fn steering_cross() -> Plan {
-        Plan::new("steering-cross")
-            .group("steering-cross")
-            .report(ReportSpec::grouped(Metric::Ipc).titled("IPC by (policy x topology)"))
-    }
-
-    /// The union of every configuration grid — what `run_all` executes
-    /// once. Derived from [`config::GROUPS`], so a newly added grid is
-    /// covered automatically.
-    pub fn everything() -> Plan {
-        config::GROUPS
-            .iter()
-            .fold(Plan::new("everything"), |p, (group, _)| p.group(*group))
-    }
-
-    /// Builtin plan names accepted by [`builtin`] (CLI `plan show`, serve
-    /// `"plan": "<name>"`).
-    pub const BUILTIN: [&str; 6] = [
-        "main",
+    /// Every builtin plan name: the simulated figures of `rcmc figures` in
+    /// paper order ([`FIGURES`]), then the plans folded from or beside them.
+    pub const BUILTIN: [&str; 15] = [
+        "fig06",
+        "fig07",
+        "fig08",
+        "fig09",
+        "fig10",
+        "fig11",
         "fig12",
-        "ssa",
+        "fig13",
+        "fig14",
         "topology",
         "steering-cross",
+        "main",
+        "ssa",
+        "steering-decomposition",
         "everything",
     ];
 
-    /// Look a builtin plan up by name.
+    /// The simulated figures of `rcmc figures`, in paper order.
+    pub const FIGURES: &[&str] = BUILTIN.split_at(11).0;
+
+    /// Look a builtin plan up by name (CLI `plan show`/`report`, serve
+    /// `"plan": "<name>"`). Each figure's plan runs the grid it needs and
+    /// carries its reports, titled as the paper words them.
     pub fn builtin(name: &str) -> Option<Plan> {
-        match name {
-            "main" => Some(main()),
-            "fig12" => Some(fig12()),
-            "ssa" => Some(ssa()),
-            "topology" => Some(topology()),
-            "steering-cross" => Some(steering_cross()),
-            "everything" => Some(everything()),
-            _ => None,
-        }
-    }
-}
-
-fn speedup_rows(rs: &ResultSet, pairs: &[(String, String)]) -> Vec<(String, GroupValues)> {
-    pairs
-        .iter()
-        .map(|(ring, conv)| (ring.clone(), rs.speedup(ring, conv)))
-        .collect()
-}
-
-fn metric_rows(
-    rs: &ResultSet,
-    configs: &[config::SimConfig],
-    metric: impl Fn(&RunResult) -> f64 + Copy,
-) -> Vec<(String, GroupValues)> {
-    configs
-        .iter()
-        .map(|c| (c.name.clone(), rs.group_mean(&c.name, metric)))
-        .collect()
-}
-
-/// Figure 6: speedup of Ring over Conv for the five configuration pairs.
-pub fn figure6(rs: &ResultSet) -> Experiment {
-    let rows = speedup_rows(rs, &config::figure6_pairs());
-    let text = report::render_speedups("Figure 6. Speedup of Ring over Conv", &rows);
-    Experiment {
-        id: "Figure 6",
-        text,
-        rows,
-    }
-}
-
-/// Figure 7: communications per instruction for all ten configurations.
-pub fn figure7(rs: &ResultSet) -> Experiment {
-    let rows = metric_rows(rs, &config::evaluated_configs(), |r| r.comms_per_insn);
-    let text = report::render_grouped(
-        "Figure 7. Communications per instruction",
-        "comms/insn",
-        &rows,
-    );
-    Experiment {
-        id: "Figure 7",
-        text,
-        rows,
-    }
-}
-
-/// Figure 8: average distance per communication.
-pub fn figure8(rs: &ResultSet) -> Experiment {
-    let rows = metric_rows(rs, &config::evaluated_configs(), |r| r.dist_per_comm);
-    let text = report::render_grouped("Figure 8. Distance per communication", "hops", &rows);
-    Experiment {
-        id: "Figure 8",
-        text,
-        rows,
-    }
-}
-
-/// Figure 9: average bus-contention delay per communication.
-pub fn figure9(rs: &ResultSet) -> Experiment {
-    let rows = metric_rows(rs, &config::evaluated_configs(), |r| r.wait_per_comm);
-    let text = report::render_grouped(
-        "Figure 9. Bus contention per communication",
-        "wait cycles",
-        &rows,
-    );
-    Experiment {
-        id: "Figure 9",
-        text,
-        rows,
-    }
-}
-
-/// Figure 10: workload imbalance (NREADY).
-pub fn figure10(rs: &ResultSet) -> Experiment {
-    let rows = metric_rows(rs, &config::evaluated_configs(), |r| r.nready);
-    let text = report::render_grouped(
-        "Figure 10. Workload imbalance (NREADY)",
-        "insns/cycle",
-        &rows,
-    );
-    Experiment {
-        id: "Figure 10",
-        text,
-        rows,
-    }
-}
-
-/// Figure 11: per-benchmark dispatch distribution for `Ring_8clus_1bus_2IW`.
-pub fn figure11(rs: &ResultSet) -> Experiment {
-    let cfg = "Ring_8clus_1bus_2IW";
-    let runs = rs.config(cfg);
-    let text = report::render_distribution(cfg, &runs);
-    // rows: per-benchmark max share (a flatness summary usable by tests).
-    let rows = runs
-        .iter()
-        .map(|r| {
-            let mx = r.dispatch_shares.iter().copied().fold(0.0, f64::max);
-            (
-                r.bench.clone(),
-                GroupValues {
-                    avg: mx,
-                    int: 0.0,
-                    fp: 0.0,
-                },
-            )
+        let on = |group: &str, title: &str, report: ReportSpec| {
+            Plan::new(name).group(group).report(report.titled(title))
+        };
+        let t3 = |title: &str, report: ReportSpec| on("table3", title, report);
+        Some(match name {
+            "main" => main(),
+            "fig06" => t3(
+                "Figure 6. Speedup of Ring over Conv",
+                ReportSpec::speedup_labelled(ring_over_conv("")),
+            ),
+            "fig07" => t3(
+                "Figure 7. Communications per instruction",
+                ReportSpec::grouped(CommsPerInsn),
+            ),
+            "fig08" => t3(
+                "Figure 8. Distance per communication",
+                ReportSpec::grouped(DistPerComm),
+            ),
+            "fig09" => t3(
+                "Figure 9. Bus contention per communication",
+                ReportSpec::grouped(WaitPerComm),
+            ),
+            "fig10" => t3(
+                "Figure 10. Workload imbalance (NREADY)",
+                ReportSpec::grouped(Nready),
+            ),
+            "fig11" => t3(
+                "Figure 11. Instruction distribution across clusters",
+                ReportSpec::distribution(vec![make(Ring, 8, 2, 1).name]),
+            ),
+            "fig12" => fig12(),
+            "ssa" => union(name, &["fig13", "fig14"]),
+            "fig13" => on(
+                "ssa",
+                "Figure 13. Speedup of Ring+SSA over Conv+SSA",
+                ReportSpec::speedup_labelled(ring_over_conv("+SSA")),
+            ),
+            "fig14" => on(
+                "ssa",
+                "Figure 14. Workload imbalance (NREADY) with SSA",
+                ReportSpec::grouped(Nready),
+            ),
+            "topology" => topology(),
+            "steering-cross" => on(
+                "steering-cross",
+                "Steering cross. Average IPC by (policy x topology), 8 clusters, 1 bus, 2IW",
+                ReportSpec::matrix(
+                    Ipc,
+                    ALL_STEERINGS.map(|s| steering_name(s).into()).to_vec(),
+                    ALL_TOPOLOGIES.map(|t| topology_name(t).into()).to_vec(),
+                    ALL_STEERINGS
+                        .iter()
+                        .flat_map(|&s| ALL_TOPOLOGIES.map(|t| cross((t, s))))
+                        .collect(),
+                ),
+            ),
+            "steering-decomposition" => steering_decomposition(),
+            // The union of every configuration grid, derived from
+            // `config::GROUPS` so a newly added grid is covered.
+            "everything" => config::GROUPS
+                .iter()
+                .fold(Plan::new(name), |p, (group, _)| p.group(*group)),
+            _ => return None,
         })
-        .collect();
-    Experiment {
-        id: "Figure 11",
-        text,
-        rows,
     }
-}
 
-/// Figure 12: speedups with 1- and 2-cycle hop buses (8 clusters, 2IW).
-/// Needs both the Table 3 rows and the §4.6 `_2cyclehop` rows in `rs`.
-pub fn figure12(rs: &ResultSet) -> Experiment {
-    use rcmc_core::Topology::*;
-    let mut rows = Vec::new();
-    for n_buses in [2usize, 1] {
-        let ring1 = config::config_name(Ring, config::default_steering(Ring), 8, 2, n_buses);
-        let conv1 = config::config_name(Conv, config::default_steering(Conv), 8, 2, n_buses);
-        rows.push((
-            format!("{n_buses}bus_1cyclehop"),
-            rs.speedup(&ring1, &conv1),
-        ));
-        rows.push((
-            format!("{n_buses}bus_2cyclehop"),
-            rs.speedup(&format!("{ring1}_2cyclehop"), &format!("{conv1}_2cyclehop")),
-        ));
+    /// The main Table 3 sweep with the reports of Figures 6–11.
+    pub fn main() -> Plan {
+        union("main", &FIGURES[..6])
     }
-    let text = report::render_speedups(
-        "Figure 12. Speedup of Ring over Conv for different bus latencies",
-        &rows,
-    );
-    Experiment {
-        id: "Figure 12",
-        text,
-        rows,
-    }
-}
 
-/// Figure 13: speedup of Ring+SSA over Conv+SSA.
-pub fn figure13(rs: &ResultSet) -> Experiment {
-    let pairs: Vec<(String, String)> = config::figure6_pairs()
-        .into_iter()
-        .map(|(r, c)| (format!("{r}+SSA"), format!("{c}+SSA")))
-        .collect();
-    let rows = speedup_rows(rs, &pairs);
-    let text = report::render_speedups("Figure 13. Speedup of Ring+SSA over Conv+SSA", &rows);
-    Experiment {
-        id: "Figure 13",
-        text,
-        rows,
+    /// The union of the builtin `figures`: their configuration entries
+    /// (first occurrence kept) and all their reports, in order.
+    fn union(plan: &str, figures: &[&str]) -> Plan {
+        figures.iter().fold(Plan::new(plan), |mut acc, figure| {
+            let figure = builtin(figure).expect("a builtin figure");
+            for spec in figure.configs {
+                if !acc.configs.contains(&spec) {
+                    acc.configs.push(spec);
+                }
+            }
+            acc.reports.extend(figure.reports);
+            acc
+        })
     }
-}
 
-/// Figure 14: NREADY with the simple steering algorithm.
-pub fn figure14(rs: &ResultSet) -> Experiment {
-    let rows = metric_rows(rs, &config::ssa_configs(), |r| r.nready);
-    let text = report::render_grouped(
-        "Figure 14. Workload imbalance (NREADY) with SSA",
-        "insns/cycle",
-        &rows,
-    );
-    Experiment {
-        id: "Figure 14",
-        text,
-        rows,
+    /// The 8-cluster 1-bus 2IW name of a (topology, steering) pair.
+    fn cross((topology, steering): (Topology, Steering)) -> String {
+        config::config_name(topology, steering, 8, 2, 1)
     }
-}
 
-/// Topology ablation (beyond the paper): IPC of every interconnect at the
-/// 8-cluster 2IW design point, plus each topology's speedup over the
-/// conventional bus with the same bus/port count.
-pub fn topology_ablation(rs: &ResultSet) -> Experiment {
-    use rcmc_core::Topology::*;
-    let mut rows = metric_rows(rs, &config::topology_ablation_configs(), |r| r.ipc);
-    let mut text = report::render_grouped(
-        "Topology ablation. IPC by interconnect (8 clusters, 2IW)",
-        "IPC",
-        &rows,
-    );
-    // Speedup of each topology over Conv at matched bandwidth.
-    let mut speedups = Vec::new();
-    for n_buses in [1usize, 2] {
-        let conv = config::config_name(Conv, config::default_steering(Conv), 8, 2, n_buses);
-        for topo in [Ring, Crossbar, Mesh, Hier] {
-            let name = config::config_name(topo, config::default_steering(topo), 8, 2, n_buses);
-            let sp = rs.speedup(&name, &conv);
-            speedups.push((name, sp));
+    /// The five Ring-over-Conv pairs of Figures 6 and 13 in the paper's
+    /// legend order, each labelled by its Ring configuration.
+    fn ring_over_conv(suffix: &str) -> Vec<SpeedupPair> {
+        [(4, 2, 1), (8, 1, 2), (8, 1, 1), (8, 2, 2), (8, 2, 1)]
+            .iter()
+            .map(|&(clusters, iw, buses)| {
+                let ring = format!("{}{suffix}", make(Ring, clusters, iw, buses).name);
+                let conv = format!("{}{suffix}", make(Conv, clusters, iw, buses).name);
+                SpeedupPair::labelled(&ring, &ring, conv)
+            })
+            .collect()
+    }
+
+    /// Figure 12 (§4.6): Ring-over-Conv speedups with 1- and 2-cycle hop
+    /// buses at 8 clusters, 2IW.
+    fn fig12() -> Plan {
+        let mut plan = Plan::new("fig12").group("fig12");
+        let mut pairs = Vec::new();
+        for buses in [2, 1] {
+            let (ring, conv) = (make(Ring, 8, 2, buses).name, make(Conv, 8, 2, buses).name);
+            for (hop, suffix) in [(1, ""), (2, "_2cyclehop")] {
+                pairs.push(SpeedupPair::labelled(
+                    format!("{buses}bus_{hop}cyclehop"),
+                    format!("{ring}{suffix}"),
+                    format!("{conv}{suffix}"),
+                ));
+            }
+            plan = plan.config_named(ring).config_named(conv);
         }
+        plan.report(
+            ReportSpec::speedup_labelled(pairs)
+                .titled("Figure 12. Speedup of Ring over Conv for different bus latencies"),
+        )
     }
-    text.push('\n');
-    text.push_str(&report::render_speedups(
-        "Speedup over Conv at matched bus/port count",
-        &speedups,
-    ));
-    rows.extend(speedups);
-    Experiment {
-        id: "Topology ablation",
-        text,
-        rows,
+
+    /// Beyond-paper: IPC of every interconnect at the 8-cluster 2IW design
+    /// point, plus each topology's speedup over the conventional bus with
+    /// the same bus/port count.
+    fn topology() -> Plan {
+        let pairs = [1, 2]
+            .iter()
+            .flat_map(|&buses| {
+                [Ring, Crossbar, Mesh, Hier].map(|t| {
+                    let name = make(t, 8, 2, buses).name;
+                    SpeedupPair::labelled(&name, &name, make(Conv, 8, 2, buses).name)
+                })
+            })
+            .collect();
+        Plan::new("topology")
+            .group("topology")
+            .report(
+                ReportSpec::grouped(Ipc)
+                    .titled("Topology ablation. IPC by interconnect (8 clusters, 2IW)"),
+            )
+            .report(
+                ReportSpec::speedup_labelled(pairs)
+                    .titled("Speedup over Conv at matched bus/port count"),
+            )
+    }
+
+    /// Beyond-paper: how much of the ring's win over the conventional
+    /// baseline is the *fabric* (Ring+DCOUNT) vs the *policy* (Conv+DEP,
+    /// Xbar+DEP), plus how the Hier shared inter-group link behaves under
+    /// SSA's unbalanced placement, read through the contention counter.
+    fn steering_decomposition() -> Plan {
+        let short = |(t, s)| format!("{}+{}", topology_name(t), steering_name(s));
+        let pairs = [
+            ("total", (Ring, RingDep), (Conv, ConvDcount)),
+            ("fabric alone", (Ring, ConvDcount), (Conv, ConvDcount)),
+            ("policy alone", (Conv, RingDep), (Conv, ConvDcount)),
+            ("policy on ring", (Ring, RingDep), (Ring, ConvDcount)),
+            (
+                "policy on 1-hop fabric",
+                (Crossbar, RingDep),
+                (Crossbar, ConvDcount),
+            ),
+            ("balance-free", (Ring, Ssa), (Conv, Ssa)),
+            ("hier under SSA", (Hier, Ssa), (Hier, ConvDcount)),
+        ]
+        .map(|(what, num, den)| {
+            let label = format!("{what}: {} / {}", short(num), short(den));
+            SpeedupPair::labelled(label, cross(num), cross(den))
+        });
+        let contention = [(Hier, ConvDcount), (Hier, Ssa), (Ring, Ssa)].map(cross);
+        Plan::new("steering-decomposition")
+            .group("steering-cross")
+            .report(ReportSpec::speedup_labelled(pairs.to_vec()).titled(
+                "Steering-cross decomposition (geomean IPC ratios, 8 clusters, 1 bus, 2IW)",
+            ))
+            .report(
+                ReportSpec::grouped(WaitPerComm)
+                    .over(contention.to_vec())
+                    .titled("Inter-cluster contention (mean bus-wait cycles per communication)"),
+            )
     }
 }
 
-/// Steering-cross matrix (beyond the paper): average IPC for every
-/// (steering policy × topology) pair at the 8-cluster 1-bus 2IW design
-/// point. The paper's inherent-balance claim predicts the Ring column
-/// degrades gracefully under SSA while the conventional columns lean on
-/// DCOUNT; the matrix makes that visible in one table.
-pub fn steering_cross(rs: &ResultSet) -> Experiment {
-    use std::fmt::Write as _;
-    let mut rows = Vec::new();
-    let mut text = String::from(
-        "Steering cross. Average IPC by (policy x topology), 8 clusters, 1 bus, 2IW\n\
-         --------------------------------------------------------------------------\n",
-    );
-    let _ = write!(text, "{:8}", "");
-    for topology in config::ALL_TOPOLOGIES {
-        let _ = write!(text, " {:>10}", config::topology_name(topology));
-    }
-    text.push('\n');
-    for steering in config::ALL_STEERINGS {
-        let _ = write!(text, "{:8}", config::steering_name(steering));
-        for topology in config::ALL_TOPOLOGIES {
-            let name = config::config_name(topology, steering, 8, 2, 1);
-            let v = rs.group_mean(&name, |r| r.ipc);
-            let _ = write!(text, " {:>10.3}", v.avg);
-            rows.push((name, v));
-        }
-        text.push('\n');
-    }
-    Experiment {
-        id: "Steering cross",
-        text,
-        rows,
-    }
-}
-
-/// Steering-cross decomposition (the ROADMAP write-up): how much of the
-/// ring's win over the conventional baseline is the *fabric* (Ring+DCOUNT
-/// column) vs the *policy* (Conv+DEP / Xbar+DEP rows), plus how the Hier
-/// shared inter-group link behaves under SSA's unbalanced placement.
-/// Speedups are geometric means over the benchmarks present in `rs`.
-pub fn steering_cross_analysis(rs: &ResultSet) -> Experiment {
-    use std::fmt::Write as _;
-    let name = |t, s| config::config_name(t, s, 8, 2, 1);
-    use rcmc_core::{Steering::*, Topology::*};
-    let conv = name(Conv, ConvDcount);
-    let rows = vec![
-        (
-            "total: Ring+DEP / Conv+DCOUNT".to_string(),
-            rs.speedup(&name(Ring, RingDep), &conv),
-        ),
-        (
-            "fabric alone: Ring+DCOUNT / Conv+DCOUNT".to_string(),
-            rs.speedup(&name(Ring, ConvDcount), &conv),
-        ),
-        (
-            "policy alone: Conv+DEP / Conv+DCOUNT".to_string(),
-            rs.speedup(&name(Conv, RingDep), &conv),
-        ),
-        (
-            "policy on ring: Ring+DEP / Ring+DCOUNT".to_string(),
-            rs.speedup(&name(Ring, RingDep), &name(Ring, ConvDcount)),
-        ),
-        (
-            "policy on 1-hop fabric: Xbar+DEP / Xbar".to_string(),
-            rs.speedup(&name(Crossbar, RingDep), &name(Crossbar, ConvDcount)),
-        ),
-        (
-            "balance-free: Ring+SSA / Conv+SSA".to_string(),
-            rs.speedup(&name(Ring, Ssa), &name(Conv, Ssa)),
-        ),
-        (
-            "hier under SSA: Hier+SSA / Hier".to_string(),
-            rs.speedup(&name(Hier, Ssa), &name(Hier, ConvDcount)),
-        ),
-    ];
-    let mut text = report::render_speedups(
-        "Steering-cross decomposition (geomean IPC ratios, 8 clusters, 1 bus, 2IW)",
-        &rows,
-    );
-    // The Hier saturation check: SSA's unbalanced placement vs DCOUNT on
-    // the shared inter-group link, read through the contention counter.
-    let hier_wait = rs.group_mean(&name(Hier, ConvDcount), |r| r.wait_per_comm);
-    let hier_ssa_wait = rs.group_mean(&name(Hier, Ssa), |r| r.wait_per_comm);
-    let ring_ssa_wait = rs.group_mean(&name(Ring, Ssa), |r| r.wait_per_comm);
-    let _ = write!(
-        text,
-        "\nInter-cluster contention (mean bus-wait cycles per communication):\n\
-         \x20 Hier+DCOUNT {:>6.2}   Hier+SSA {:>6.2}   Ring+SSA {:>6.2}\n",
-        hier_wait.avg, hier_ssa_wait.avg, ring_ssa_wait.avg
-    );
-    Experiment {
-        id: "Steering-cross decomposition",
-        text,
-        rows,
-    }
-}
-
-/// Table 1: the area model (from `rcmc-layout`).
-pub fn table1() -> Experiment {
-    use std::fmt::Write as _;
-    let model = rcmc_layout::AreaModel::default();
-    let mut text = String::from(
-        "Table 1. Area of the main cluster's blocks\n\
-         -------------------------------------------\n",
-    );
-    let _ = writeln!(
-        text,
-        "{:22} {:>16} {:>12} {:>12}",
-        "component", "total area (λ²)", "height (λ)", "width (λ)"
-    );
-    let mut rows = Vec::new();
-    for b in model.table1() {
-        let _ = writeln!(
-            text,
-            "{:22} {:>16.0} {:>12.0} {:>12.0}",
-            b.component.name(),
-            b.area,
-            b.height,
-            b.width
-        );
-        rows.push((
-            b.component.name().to_string(),
-            GroupValues {
-                avg: b.area,
-                int: b.height,
-                fp: b.width,
-            },
-        ));
-    }
-    Experiment {
-        id: "Table 1",
-        text,
-        rows,
-    }
-}
-
-/// Figures 4–5: inter-module wire lengths vs the paper's reference values.
-pub fn figure4_5() -> Experiment {
-    use rcmc_layout::floorplan::{
-        max_wire_fp, max_wire_int, module_floorplan, split_ring_floorplan, ModuleKind,
-    };
-    use std::fmt::Write as _;
-    let m = rcmc_layout::AreaModel::default();
-    let s = module_floorplan(&m, ModuleKind::Straight);
-    let c = module_floorplan(&m, ModuleKind::Corner);
-    let si = split_ring_floorplan(&m, ModuleKind::Straight, false);
-    let sf = split_ring_floorplan(&m, ModuleKind::Straight, true);
-    let entries = [
-        (
-            "unified int, straight→straight",
-            max_wire_int(&s, &s),
-            17_400.0,
-        ),
-        ("unified fp, straight→corner", max_wire_fp(&s, &c), 23_300.0),
-        (
-            "split int ring, straight→straight",
-            max_wire_int(&si, &si),
-            11_200.0,
-        ),
-        (
-            "split fp ring, straight→straight",
-            max_wire_fp(&sf, &sf),
-            11_200.0,
-        ),
-    ];
-    let mut text = String::from(
-        "Figures 4-5. Maximum inter-cluster wire lengths (λ)\n\
-         ----------------------------------------------------\n",
-    );
-    let _ = writeln!(text, "{:36} {:>10} {:>10}", "path", "model", "paper");
-    let mut rows = Vec::new();
-    for (name, model_v, paper_v) in entries {
-        let _ = writeln!(text, "{name:36} {model_v:>10.0} {paper_v:>10.0}");
-        rows.push((
-            name.to_string(),
-            GroupValues {
-                avg: model_v,
-                int: paper_v,
-                fp: 0.0,
-            },
-        ));
-    }
-    Experiment {
-        id: "Figures 4-5",
-        text,
-        rows,
-    }
-}
-
-/// One paper figure/table: the plan behind it plus the renderer over the
-/// plan's results. `plan` is `None` for the two analytic (layout-model)
-/// entries that simulate nothing.
-pub struct Figure {
-    /// e.g. "Figure 6".
-    pub id: &'static str,
-    /// The sweep this figure needs.
-    pub plan: Option<fn() -> Plan>,
-    /// Renderer over the (superset) result set.
-    pub render: fn(&ResultSet) -> Experiment,
-}
-
-/// Every table/figure of the evaluation, in paper order, as data.
-pub fn figures() -> Vec<Figure> {
-    vec![
-        Figure {
-            id: "Table 1",
-            plan: None,
-            render: |_| table1(),
-        },
-        Figure {
-            id: "Figures 4-5",
-            plan: None,
-            render: |_| figure4_5(),
-        },
-        Figure {
-            id: "Figure 6",
-            plan: Some(plans::main),
-            render: figure6,
-        },
-        Figure {
-            id: "Figure 7",
-            plan: Some(plans::main),
-            render: figure7,
-        },
-        Figure {
-            id: "Figure 8",
-            plan: Some(plans::main),
-            render: figure8,
-        },
-        Figure {
-            id: "Figure 9",
-            plan: Some(plans::main),
-            render: figure9,
-        },
-        Figure {
-            id: "Figure 10",
-            plan: Some(plans::main),
-            render: figure10,
-        },
-        Figure {
-            id: "Figure 11",
-            plan: Some(plans::main),
-            render: figure11,
-        },
-        Figure {
-            id: "Figure 12",
-            plan: Some(plans::fig12),
-            render: figure12,
-        },
-        Figure {
-            id: "Figure 13",
-            plan: Some(plans::ssa),
-            render: figure13,
-        },
-        Figure {
-            id: "Figure 14",
-            plan: Some(plans::ssa),
-            render: figure14,
-        },
-        Figure {
-            id: "Topology ablation",
-            plan: Some(plans::topology),
-            render: topology_ablation,
-        },
-        Figure {
-            id: "Steering cross",
-            plan: Some(plans::steering_cross),
-            render: steering_cross,
-        },
-    ]
-}
-
-/// Everything, in paper order: execute the union plan once on `session`
-/// and render every figure from it.
-pub fn run_all(session: &Session) -> Result<Vec<Experiment>, String> {
-    run_all_scoped(session, None, None)
-}
-
-/// [`run_all`] with budget/benchmark overrides (tests, quick looks).
-pub fn run_all_scoped(
+/// The whole evaluation exactly as `rcmc figures` prints it: Table 1 and
+/// Figures 4–5 from the layout model, then each of [`plans::FIGURES`]
+/// rendered from one run of the `everything` plan, every block opening
+/// with a `====` rule. `budget`/`benches` scope the sweep (tests, quick
+/// looks).
+pub fn render_figures(
     session: &Session,
     budget: Option<Budget>,
     benches: Option<&[&str]>,
-) -> Result<Vec<Experiment>, String> {
-    let mut plan = plans::everything();
+) -> Result<String, String> {
+    let mut plan = plans::builtin("everything").expect("a builtin plan");
     if let Some(b) = budget {
         plan = plan.budget(b);
     }
@@ -604,12 +261,21 @@ pub fn run_all_scoped(
         plan = plan.benches(bs.iter().copied());
     }
     let rs = session.run(&plan)?;
-    Ok(figures().iter().map(|f| (f.render)(&rs)).collect())
+    let mut blocks = vec![rcmc_layout::table1_text(), rcmc_layout::figure4_5_text()];
+    for figure in plans::FIGURES {
+        let plan = plans::builtin(figure).expect("a builtin figure");
+        blocks.push(plan.render_text(&rs)?);
+    }
+    Ok(blocks
+        .iter()
+        .map(|b| format!("{}\n{b}", "=".repeat(64)))
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::Plan;
 
     fn tiny() -> Budget {
         Budget {
@@ -621,63 +287,71 @@ mod tests {
     #[test]
     fn figure6_has_five_pairs() {
         let session = Session::ephemeral().with_jobs(2);
+        let plan = plans::builtin("fig06").unwrap();
         // Restrict to a subset of benches for test speed.
-        let plan = plans::main().benches(["swim", "gzip"]).budget(tiny());
-        let rs = session.run(&plan).unwrap();
-        let f6 = figure6(&rs);
-        assert_eq!(f6.rows.len(), 5);
-        assert!(f6.text.contains("Ring_8clus_1bus_2IW"));
-        for (_, v) in &f6.rows {
-            assert!(
-                v.avg > 0.2 && v.avg < 5.0,
-                "speedup ratio out of range: {}",
-                v.avg
-            );
+        let rs = session
+            .run(&plan.clone().benches(["swim", "gzip"]).budget(tiny()))
+            .unwrap();
+        assert_eq!(plan.reports[0].pairs.len(), 5);
+        assert!(plan
+            .render_text(&rs)
+            .unwrap()
+            .contains("Ring_8clus_1bus_2IW"));
+        for p in &plan.reports[0].pairs {
+            let v = rs.speedup(&p.num, &p.den).avg;
+            assert!(v > 0.2 && v < 5.0, "speedup ratio out of range: {v}");
         }
     }
 
     #[test]
     fn table1_and_layout_render() {
-        let t1 = table1();
-        assert!(t1.text.contains("Register file"));
-        assert_eq!(t1.rows.len(), 6);
-        let f45 = figure4_5();
-        assert_eq!(f45.rows.len(), 4);
-        for (_, v) in &f45.rows {
-            assert!(v.avg > 5_000.0 && v.avg < 60_000.0, "wire length {}", v.avg);
+        assert!(rcmc_layout::table1_text().contains("Register file"));
+        assert_eq!(rcmc_layout::AreaModel::default().table1().len(), 6);
+        for (path, model, _) in rcmc_layout::figure4_5_wires(&Default::default()) {
+            assert!(model > 5_000.0 && model < 60_000.0, "{path}: {model}");
+            assert!(rcmc_layout::figure4_5_text().contains(path));
         }
     }
 
     #[test]
     fn figure11_shares_are_flat_for_ring() {
         let session = Session::ephemeral().with_jobs(1);
+        let ring = &plans::builtin("fig11").unwrap().reports[0].configs[0];
         let plan = Plan::new("f11")
-            .config_named("Ring_8clus_1bus_2IW")
+            .config_named(ring)
             .benches(["ammp", "crafty"])
             .budget(tiny());
-        let rs = session.run(&plan).unwrap();
-        let f11 = figure11(&rs);
-        for (bench, v) in &f11.rows {
-            assert!(
-                v.avg < 0.40,
-                "{bench}: ring max dispatch share {:.2} should be far below 1",
-                v.avg
-            );
+        for r in session.run(&plan).unwrap().config(ring) {
+            let max = r.dispatch_shares.iter().copied().fold(0.0, f64::max);
+            assert!(max < 0.40, "{}: ring max dispatch share {max:.2}", r.bench);
         }
     }
 
     #[test]
     fn builtin_plans_all_validate() {
+        let mut kinds = Vec::new();
         for name in plans::BUILTIN {
             let p = plans::builtin(name).unwrap();
+            assert_eq!(p.name, name);
             p.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
+            let back = Plan::from_json(&p.to_json()).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(back, p, "{name} must round-trip through JSON");
+            kinds.extend(p.reports.into_iter().map(|r| r.kind));
         }
         assert!(plans::builtin("nope").is_none());
-        // Every figure's plan is a builtin value.
-        for f in figures() {
-            if let Some(p) = f.plan {
-                p().validate().unwrap();
-            }
+        for kind in ["grouped", "speedup", "distribution", "matrix"] {
+            assert!(kinds.iter().any(|k| k == kind), "no builtin uses {kind}");
+        }
+        // `main` and `ssa` fold their figures' grids and reports.
+        for (union, figures) in [
+            ("main", &plans::FIGURES[..6]),
+            ("ssa", &plans::FIGURES[7..9]),
+        ] {
+            let figures: Vec<Plan> = figures.iter().map(|f| plans::builtin(f).unwrap()).collect();
+            let union = plans::builtin(union).unwrap();
+            assert_eq!(union.configs, figures[0].configs);
+            let reports: Vec<_> = figures.into_iter().flat_map(|f| f.reports).collect();
+            assert_eq!(union.reports, reports);
         }
     }
 }

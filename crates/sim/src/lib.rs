@@ -17,8 +17,8 @@
 //! grids), [`machines`] (the registry of named machine families plan specs
 //! select with `"machine"`), [`runner`] (one memoized job — trace load,
 //! simulate, reduce, persist — and the raw per-run metrics), [`report`]
-//! (text rendering), [`experiments`] (every paper figure as a plan value +
-//! renderer), [`scheduler`] (the one job engine: every session run and
+//! (text rendering), [`experiments`] (every paper figure as a builtin plan
+//! carrying its reports), [`scheduler`] (the one job engine: every session run and
 //! serve request fans its jobs out there, with cross-request coalescing,
 //! cancellation and admission control), [`serve`] (the JSON-lines
 //! request/response loop behind `rcmc serve`).
@@ -47,12 +47,9 @@ pub mod scheduler;
 pub mod serve;
 pub mod session;
 
-pub use config::{
-    evaluated_configs, fig12_configs, find_config, known_configs, parse_topology, ssa_configs,
-    topology_ablation_configs, with_topology, SimConfig,
-};
+pub use config::SimConfig;
 pub use machines::Machine;
-pub use plan::{ConfigSpec, Plan, RenderedReport, ReportSpec};
+pub use plan::{ConfigSpec, Plan, RenderedReport, ReportSpec, SpeedupPair};
 pub use resultset::{GroupValues, Metric, ResultSet};
 pub use runner::{default_jobs, run_pair, Budget, JobKey, ResultStore, RunResult, SweepProgress};
 pub use scheduler::{Scheduler, SchedulerStats};

@@ -25,14 +25,15 @@
 //!   "reports": [
 //!     {"kind": "grouped", "metric": "ipc"},
 //!     {"kind": "speedup",
-//!      "pairs": [{"num": "Ring_8clus_1bus_2IW", "den": "Conv_8clus_1bus_2IW"}]}
+//!      "pairs": [{"num": "Ring_8clus_1bus_2IW", "den": "Conv_8clus_1bus_2IW",
+//!                 "label": "8 clusters, 1 bus"}]}
 //!   ]
 //! }
 //! ```
 //!
 //! A config entry may instead name a whole grid: `{"group": "table3"}`
 //! (also `fig12`, `ssa`, `topology`, `steering-cross`) — that is how every
-//! paper figure's sweep is expressed as a plan value (see
+//! paper figure is expressed as a plan value, reports included (see
 //! [`crate::experiments::plans`]).
 //!
 //! Axes-form entries additionally compose with the machine registry
@@ -331,24 +332,93 @@ fn expand_group(group: &str) -> Result<Vec<SimConfig>, String> {
         })
 }
 
+/// One row of a `speedup` report: the geometric-mean IPC ratio of `num`
+/// over `den`, shown as `label` (default `"num / den"`).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct SpeedupPair {
+    /// Numerator configuration.
+    pub num: String,
+    /// Denominator configuration.
+    pub den: String,
+    /// Row name; `None` renders `"num / den"`.
+    pub label: Option<String>,
+}
+
+impl SpeedupPair {
+    /// A pair rendered under its own row name.
+    pub fn labelled(
+        label: impl Into<String>,
+        num: impl Into<String>,
+        den: impl Into<String>,
+    ) -> SpeedupPair {
+        SpeedupPair {
+            num: num.into(),
+            den: den.into(),
+            label: Some(label.into()),
+        }
+    }
+
+    fn to_value(&self) -> Value {
+        let mut m = vec![
+            ("num".to_string(), Value::Str(self.num.clone())),
+            ("den".to_string(), Value::Str(self.den.clone())),
+        ];
+        if let Some(label) = &self.label {
+            m.push(("label".to_string(), Value::Str(label.clone())));
+        }
+        Value::Obj(m)
+    }
+
+    /// Parse one `{"num", "den", "label"?}` pair, as strictly as every
+    /// other spec object: a typo'd `"lable"` must not quietly render an
+    /// unlabelled row.
+    fn from_value(v: &Value) -> Result<SpeedupPair, String> {
+        let Value::Obj(members) = v else {
+            return Err("speedup pair must be a JSON object".to_string());
+        };
+        reject_duplicate_keys(members, "pair")?;
+        let (mut num, mut den, mut label) = (None, None, None);
+        for (k, v) in members {
+            match k.as_str() {
+                "num" => num = Some(str_field(v, k)?),
+                "den" => den = Some(str_field(v, k)?),
+                "label" => label = Some(str_field(v, k)?),
+                other => return Err(format!("unknown pair key '{other}'")),
+            }
+        }
+        Ok(SpeedupPair {
+            num: num.ok_or("pair missing 'num'")?,
+            den: den.ok_or("pair missing 'den'")?,
+            label,
+        })
+    }
+}
+
 /// A derived-metric report to render from a plan's results.
 ///
 /// Kinds: `grouped` (arithmetic AVERAGE/INT/FP means of `metric`),
 /// `geomean` (geometric means), `speedup` (geometric-mean IPC ratios of
-/// the `pairs`), `per-bench` (long-form per-benchmark tables), `csv` (the
-/// full result set as CSV).
+/// the `pairs`), `distribution` (per-benchmark dispatch shares across
+/// clusters, one table per configuration), `matrix` (the AVERAGE of
+/// `metric` for `configs` laid out row-major under `rows` × `cols`
+/// labels), `per-bench` (long-form per-benchmark tables), `csv` (the full
+/// result set as CSV).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ReportSpec {
     /// Report kind (see type docs).
     pub kind: String,
     /// Table title; a kind-specific default if omitted.
     pub title: Option<String>,
-    /// Metric for `grouped`/`geomean` (default `ipc`).
+    /// Metric for `grouped`/`geomean`/`matrix` (default `ipc`).
     pub metric: Option<String>,
     /// Configuration subset, in order; empty = every plan configuration.
     pub configs: Vec<String>,
-    /// `(numerator, denominator)` configuration pairs for `speedup`.
-    pub pairs: Vec<(String, String)>,
+    /// Configuration pairs for `speedup`.
+    pub pairs: Vec<SpeedupPair>,
+    /// Row labels for `matrix`.
+    pub rows: Vec<String>,
+    /// Column labels for `matrix`.
+    pub cols: Vec<String>,
 }
 
 impl ReportSpec {
@@ -363,9 +433,46 @@ impl ReportSpec {
 
     /// A speedup report over `(num, den)` configuration pairs.
     pub fn speedup(pairs: Vec<(String, String)>) -> ReportSpec {
+        let pairs = pairs.into_iter().map(|(num, den)| SpeedupPair {
+            num,
+            den,
+            label: None,
+        });
+        ReportSpec::speedup_labelled(pairs.collect())
+    }
+
+    /// A speedup report over pairs that may carry their own row names.
+    pub fn speedup_labelled(pairs: Vec<SpeedupPair>) -> ReportSpec {
         ReportSpec {
             kind: "speedup".into(),
             pairs,
+            ..ReportSpec::default()
+        }
+    }
+
+    /// Per-benchmark dispatch distribution tables for `configs`.
+    pub fn distribution(configs: Vec<String>) -> ReportSpec {
+        ReportSpec {
+            kind: "distribution".into(),
+            configs,
+            ..ReportSpec::default()
+        }
+    }
+
+    /// The AVERAGE of `metric` for `configs`, laid out row-major under
+    /// `rows` × `cols` labels.
+    pub fn matrix(
+        metric: Metric,
+        rows: Vec<String>,
+        cols: Vec<String>,
+        configs: Vec<String>,
+    ) -> ReportSpec {
+        ReportSpec {
+            kind: "matrix".into(),
+            metric: Some(metric.name().into()),
+            configs,
+            rows,
+            cols,
             ..ReportSpec::default()
         }
     }
@@ -384,20 +491,38 @@ impl ReportSpec {
         self
     }
 
+    /// Restrict the report to `configs`, in order.
+    pub fn over(mut self, configs: Vec<String>) -> ReportSpec {
+        self.configs = configs;
+        self
+    }
+
     /// Check the spec is renderable (known kind, parsable metric, pairs
-    /// present where required).
+    /// present where required, a full matrix).
     pub fn validate(&self) -> Result<(), String> {
         match self.kind.as_str() {
-            "grouped" | "geomean" | "per-bench" | "csv" => {}
+            "grouped" | "geomean" | "distribution" | "per-bench" | "csv" => {}
             "speedup" => {
                 if self.pairs.is_empty() {
                     return Err("'speedup' report needs at least one {num, den} pair".into());
                 }
             }
+            "matrix" => {
+                let cells = self.rows.len() * self.cols.len();
+                if cells == 0 || self.configs.len() != cells {
+                    return Err(format!(
+                        "'matrix' report needs one config per cell: {} rows x {} cols \
+                         but {} configs",
+                        self.rows.len(),
+                        self.cols.len(),
+                        self.configs.len()
+                    ));
+                }
+            }
             other => {
                 return Err(format!(
                     "unknown report kind '{other}' \
-                     (grouped | geomean | speedup | per-bench | csv)"
+                     (grouped | geomean | speedup | distribution | matrix | per-bench | csv)"
                 ))
             }
         }
@@ -411,6 +536,10 @@ impl ReportSpec {
             }
         }
         Ok(())
+    }
+
+    fn title_or(&self, default: &str) -> String {
+        self.title.as_deref().unwrap_or(default).to_string()
     }
 
     fn metric(&self) -> Metric {
@@ -449,20 +578,42 @@ impl ReportSpec {
                     if geometric { "Geomean" } else { "Mean" },
                     m.name()
                 );
-                let title = self.title.clone().unwrap_or(default_title);
+                let title = self.title_or(&default_title);
                 Ok(report::render_grouped(&title, m.unit(), &rows))
             }
             "speedup" => {
                 let rows: Vec<(String, report::GroupValues)> = self
                     .pairs
                     .iter()
-                    .map(|(num, den)| (format!("{num} / {den}"), rs.speedup(num, den)))
+                    .map(|p| {
+                        let label = p
+                            .label
+                            .clone()
+                            .unwrap_or_else(|| format!("{} / {}", p.num, p.den));
+                        (label, rs.speedup(&p.num, &p.den))
+                    })
                     .collect();
-                let title = self
-                    .title
-                    .clone()
-                    .unwrap_or_else(|| "Geometric-mean IPC speedup".to_string());
+                let title = self.title_or("Geometric-mean IPC speedup");
                 Ok(report::render_speedups(&title, &rows))
+            }
+            "distribution" => {
+                let title = self.title_or("Instruction distribution across clusters");
+                let tables: Vec<String> = configs
+                    .iter()
+                    .map(|c| report::render_distribution(&format!("{title} ({c})"), &rs.config(c)))
+                    .collect();
+                Ok(tables.join("\n"))
+            }
+            "matrix" => {
+                let m = self.metric();
+                let values: Vec<f64> = configs
+                    .iter()
+                    .map(|c| rs.group_mean(c, |r| m.of(r)).avg)
+                    .collect();
+                let title = self.title_or(&format!("Mean {} by row x column", m.name()));
+                Ok(report::render_matrix(
+                    &title, &self.rows, &self.cols, &values,
+                ))
             }
             "per-bench" => {
                 let mut out = String::new();
@@ -485,27 +636,19 @@ impl ReportSpec {
         if let Some(metric) = &self.metric {
             m.push(("metric".to_string(), Value::Str(metric.clone())));
         }
-        if !self.configs.is_empty() {
-            m.push((
-                "configs".to_string(),
-                Value::Arr(self.configs.iter().map(|c| Value::Str(c.clone())).collect()),
-            ));
+        for (key, names) in [
+            ("configs", &self.configs),
+            ("rows", &self.rows),
+            ("cols", &self.cols),
+        ] {
+            if !names.is_empty() {
+                let names = names.iter().map(|n| Value::Str(n.clone())).collect();
+                m.push((key.to_string(), Value::Arr(names)));
+            }
         }
         if !self.pairs.is_empty() {
-            m.push((
-                "pairs".to_string(),
-                Value::Arr(
-                    self.pairs
-                        .iter()
-                        .map(|(num, den)| {
-                            Value::Obj(vec![
-                                ("num".to_string(), Value::Str(num.clone())),
-                                ("den".to_string(), Value::Str(den.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
+            let pairs = self.pairs.iter().map(SpeedupPair::to_value).collect();
+            m.push(("pairs".to_string(), Value::Arr(pairs)));
         }
         Value::Obj(m)
     }
@@ -527,12 +670,11 @@ impl ReportSpec {
                         return Err("'pairs' must be an array".to_string());
                     };
                     for item in items {
-                        let num = item.get("num").ok_or("pair missing 'num'")?;
-                        let den = item.get("den").ok_or("pair missing 'den'")?;
-                        spec.pairs
-                            .push((str_field(num, "num")?, str_field(den, "den")?));
+                        spec.pairs.push(SpeedupPair::from_value(item)?);
                     }
                 }
+                "rows" => spec.rows = str_array(v, k)?,
+                "cols" => spec.cols = str_array(v, k)?,
                 other => return Err(format!("unknown report key '{other}'")),
             }
         }
@@ -733,7 +875,7 @@ impl Plan {
             for c in r
                 .configs
                 .iter()
-                .chain(r.pairs.iter().flat_map(|(n, d)| [n, d]))
+                .chain(r.pairs.iter().flat_map(|p| [&p.num, &p.den]))
             {
                 if !names.contains(c.as_str()) {
                     return Err(format!(
@@ -782,6 +924,17 @@ impl Plan {
                 })
             })
             .collect()
+    }
+
+    /// Every report of the plan over `rs`, joined by a blank line: what
+    /// `rcmc report` prints, and one figure's block of `rcmc figures`.
+    pub fn render_text(&self, rs: &ResultSet) -> Result<String, String> {
+        let texts: Vec<String> = self
+            .render_reports(rs)?
+            .into_iter()
+            .map(|r| r.text)
+            .collect();
+        Ok(texts.join("\n"))
     }
 
     /// Pretty-printed JSON spec of this plan.
@@ -1276,6 +1429,85 @@ mod tests {
                 "Conv_8clus_1bus_2IW".into(),
             )]));
         ok.validate().unwrap();
+    }
+
+    #[test]
+    fn speedup_pairs_reject_unknown_and_duplicate_keys() {
+        let with_pair = |pair: &str| {
+            format!(
+                r#"{{"name": "x", "configs": [{{"group": "table3"}}],
+                    "reports": [{{"kind": "speedup", "pairs": [{pair}]}}]}}"#
+            )
+        };
+        let typo = r#"{"num": "Ring_8clus_1bus_2IW", "den": "Conv_8clus_1bus_2IW", "lable": "x"}"#;
+        let err = Plan::from_json(&with_pair(typo)).unwrap_err();
+        assert!(err.contains("unknown pair key 'lable'"), "{err}");
+        let dup = r#"{"num": "A", "num": "Ring_8clus_1bus_2IW", "den": "Conv_8clus_1bus_2IW"}"#;
+        let err = Plan::from_json(&with_pair(dup)).unwrap_err();
+        assert!(err.contains("duplicate pair key 'num'"), "{err}");
+        assert!(Plan::from_json(&with_pair(r#"{"num": "A"}"#))
+            .unwrap_err()
+            .contains("den"));
+        assert!(Plan::from_json(&with_pair(r#"["A", "B"]"#)).is_err());
+        let ok = r#"{"num": "Ring_8clus_1bus_2IW", "den": "Conv_8clus_1bus_2IW", "label": "x"}"#;
+        let plan = Plan::from_json(&with_pair(ok)).unwrap();
+        assert_eq!(plan.reports[0].pairs[0].label.as_deref(), Some("x"));
+        plan.validate().unwrap();
+    }
+
+    #[test]
+    fn labelled_distribution_and_matrix_reports_round_trip() {
+        let ring = "Ring_8clus_1bus_2IW".to_string();
+        let conv = "Conv_8clus_1bus_2IW".to_string();
+        let plan = Plan::new("kinds")
+            .group("table3")
+            .report(ReportSpec::speedup_labelled(vec![SpeedupPair::labelled(
+                "1 bus", &ring, &conv,
+            )]))
+            .report(ReportSpec::distribution(vec![ring.clone()]).titled("Shares"))
+            .report(ReportSpec::matrix(
+                Metric::Nready,
+                vec!["r".into()],
+                vec!["Ring".into(), "Conv".into()],
+                vec![ring.clone(), conv.clone()],
+            ));
+        let json = plan.to_json();
+        for key in ["\"label\"", "\"distribution\"", "\"rows\"", "\"cols\""] {
+            assert!(json.contains(key), "{key} missing:\n{json}");
+        }
+        let back = Plan::from_json(&json).unwrap();
+        assert_eq!(back, plan);
+        back.validate().unwrap();
+        // Matrix cells must reference configurations the plan runs.
+        let mut stray = plan.clone();
+        stray.reports[2].configs[1] = "NoSuch".into();
+        assert!(stray.validate().unwrap_err().contains("NoSuch"));
+    }
+
+    #[test]
+    fn matrix_needs_one_config_per_cell() {
+        let matrix = |configs: usize| {
+            ReportSpec::matrix(
+                Metric::Ipc,
+                vec!["a".into(), "b".into()],
+                vec!["x".into(), "y".into(), "z".into()],
+                vec!["Ring_8clus_1bus_2IW".to_string(); configs],
+            )
+        };
+        matrix(6).validate().unwrap();
+        for wrong in [5, 7, 0] {
+            let err = matrix(wrong).validate().unwrap_err();
+            assert!(err.contains("2 rows x 3 cols"), "{err}");
+        }
+        assert!(ReportSpec::matrix(Metric::Ipc, vec![], vec![], vec![])
+            .validate()
+            .is_err());
+        // The same check applies to a spec parsed from JSON.
+        let spec = r#"{"name": "x", "configs": [{"group": "table3"}],
+            "reports": [{"kind": "matrix", "rows": ["a"], "cols": ["x", "y"],
+                         "configs": ["Ring_8clus_1bus_2IW"]}]}"#;
+        let plan = Plan::from_json(spec).unwrap();
+        assert!(plan.validate().unwrap_err().contains("1 rows x 2 cols"));
     }
 
     #[test]

@@ -12,71 +12,62 @@ use crate::runner::RunResult;
 
 pub use crate::resultset::GroupValues;
 
-/// Render a figure as an aligned text table of AVERAGE/INT/FP columns.
-pub fn render_grouped(title: &str, unit: &str, rows: &[(String, GroupValues)]) -> String {
+/// Write `title` and a rule of the same width (in characters, so a `λ`
+/// counts once).
+fn underlined(out: &mut String, title: &str) {
+    let _ = writeln!(out, "{title}");
+    let _ = writeln!(out, "{}", "-".repeat(title.chars().count()));
+}
+
+/// An aligned AVERAGE/INT/FP table under an underlined `title`: value
+/// columns `width` wide, each cell written by `cell`.
+fn render_table(
+    title: &str,
+    header_suffix: &str,
+    width: usize,
+    rows: &[(String, GroupValues)],
+    cell: impl Fn(f64) -> String,
+) -> String {
     let name_w = rows
         .iter()
-        .map(|(n, _)| n.len())
-        .max()
-        .unwrap_or(10)
-        .max(14);
+        .map(|(n, _)| n.chars().count())
+        .fold(14, usize::max);
     let mut out = String::new();
-    let _ = writeln!(out, "{title}");
-    let _ = writeln!(out, "{}", "-".repeat(title.len()));
+    underlined(&mut out, title);
     let _ = writeln!(
         out,
-        "{:name_w$}  {:>10} {:>10} {:>10}   [{unit}]",
+        "{:name_w$}  {:>width$} {:>width$} {:>width$}{header_suffix}",
         "configuration", "AVERAGE", "INT", "FP"
     );
     for (name, v) in rows {
-        let _ = writeln!(
-            out,
-            "{name:name_w$}  {:>10.3} {:>10.3} {:>10.3}",
-            v.avg, v.int, v.fp
-        );
+        let (avg, int, fp) = (cell(v.avg), cell(v.int), cell(v.fp));
+        let _ = writeln!(out, "{name:name_w$}  {avg} {int} {fp}");
     }
     out
+}
+
+/// Render a figure as an aligned text table of AVERAGE/INT/FP columns.
+pub fn render_grouped(title: &str, unit: &str, rows: &[(String, GroupValues)]) -> String {
+    let suffix = format!("   [{unit}]");
+    render_table(title, &suffix, 10, rows, |v| format!("{v:>10.3}"))
 }
 
 /// Render speedup rows as percentages (Figures 6, 12, 13).
 pub fn render_speedups(title: &str, rows: &[(String, GroupValues)]) -> String {
-    let name_w = rows
-        .iter()
-        .map(|(n, _)| n.len())
-        .max()
-        .unwrap_or(10)
-        .max(14);
-    let mut out = String::new();
-    let _ = writeln!(out, "{title}");
-    let _ = writeln!(out, "{}", "-".repeat(title.len()));
-    let _ = writeln!(
-        out,
-        "{:name_w$}  {:>9} {:>9} {:>9}",
-        "configuration", "AVERAGE", "INT", "FP"
-    );
-    for (name, v) in rows {
-        let _ = writeln!(
-            out,
-            "{name:name_w$}  {:>+8.1}% {:>+8.1}% {:>+8.1}%",
-            (v.avg - 1.0) * 100.0,
-            (v.int - 1.0) * 100.0,
-            (v.fp - 1.0) * 100.0
-        );
-    }
-    out
+    render_table(title, "", 9, rows, |v| {
+        format!("{:>+8.1}%", (v - 1.0) * 100.0)
+    })
 }
 
-/// Render Figure 11: per-benchmark dispatch distribution across clusters.
-pub fn render_distribution(config: &str, results: &[&RunResult]) -> String {
+/// Render one configuration's per-benchmark dispatch distribution across
+/// clusters (Figure 11) under `title`.
+pub fn render_distribution(title: &str, results: &[&RunResult]) -> String {
     let mut out = String::new();
     let n = results
         .first()
         .map(|r| r.dispatch_shares.len())
         .unwrap_or(0);
-    let _ = writeln!(
-        out,
-        "Figure 11. Instruction distribution across clusters ({config})"
-    );
+    let _ = writeln!(out, "{title}");
     let _ = write!(out, "{:10}", "program");
     for c in 0..n {
         let _ = write!(out, " {:>6}", format!("clu{c}"));
@@ -86,6 +77,26 @@ pub fn render_distribution(config: &str, results: &[&RunResult]) -> String {
         let _ = write!(out, "{:10}", r.bench);
         for s in &r.dispatch_shares {
             let _ = write!(out, " {:>5.1}%", s * 100.0);
+        }
+        let _ = writeln!(out);
+    }
+    out
+}
+
+/// Render `values` row-major under `rows` × `cols` labels (the
+/// steering-cross matrix).
+pub fn render_matrix(title: &str, rows: &[String], cols: &[String], values: &[f64]) -> String {
+    let mut out = String::new();
+    underlined(&mut out, title);
+    let _ = write!(out, "{:8}", "");
+    for c in cols {
+        let _ = write!(out, " {c:>10}");
+    }
+    let _ = writeln!(out);
+    for (r, row) in rows.iter().zip(values.chunks(cols.len())) {
+        let _ = write!(out, "{r:8}");
+        for v in row {
+            let _ = write!(out, " {v:>10.3}");
         }
         let _ = writeln!(out);
     }
@@ -172,10 +183,45 @@ mod tests {
     fn distribution_renders_all_programs() {
         let a = rr("Ring", "ammp", true, 1.0);
         let b = rr("Ring", "swim", true, 1.0);
-        let out = render_distribution("Ring_8clus_1bus_2IW", &[&a, &b]);
+        let out = render_distribution("Shares (Ring_8clus_1bus_2IW)", &[&a, &b]);
+        assert!(out.starts_with("Shares (Ring_8clus_1bus_2IW)\n"));
         assert!(out.contains("ammp"));
         assert!(out.contains("swim"));
         assert!(out.contains("25.0%"));
+    }
+
+    #[test]
+    fn underlines_count_characters_not_bytes() {
+        let title = "Wire length (λ)";
+        let row = |avg| GroupValues {
+            avg,
+            int: avg,
+            fp: avg,
+        };
+        for out in [
+            render_grouped(title, "λ", &[("X".into(), row(1.0))]),
+            render_speedups(title, &[("X".into(), row(1.0))]),
+            render_matrix(title, &["r".into()], &["c".into()], &[1.0]),
+        ] {
+            let rule = out.lines().nth(1).unwrap();
+            assert_eq!(rule, "-".repeat(15), "{out}");
+        }
+    }
+
+    #[test]
+    fn matrix_lays_values_out_row_major() {
+        let out = render_matrix(
+            "M",
+            &["DEP".into(), "SSA".into()],
+            &["Ring".into(), "Conv".into()],
+            &[1.0, 2.0, 3.0, 4.0],
+        );
+        assert_eq!(
+            out,
+            "M\n-\n               Ring       Conv\n\
+             DEP           1.000      2.000\n\
+             SSA           3.000      4.000\n"
+        );
     }
 
     #[test]

@@ -1,36 +1,30 @@
-//! Golden rendering equivalence for the Plan/Session/ResultSet redesign.
+//! Golden rendering of the whole evaluation.
 //!
-//! `golden_run_all.txt` was captured from the pre-redesign `run_all` (the
-//! free-function sweeps over `HashMap` results, MODEL_VERSION 5) on a
-//! restricted grid: benches {gzip, mcf, swim}, budget 1k warm-up + 4k
-//! measured, formatted exactly as `rcmc figures` prints. The plan-driven
-//! `run_all` must reproduce it byte for byte — the API redesign moved every
-//! figure onto `Plan` values and `ResultSet` combinators, and none of the
-//! renderings may shift by even a space. If a deliberate model change moves
-//! the numbers, bump `MODEL_VERSION` and re-capture (see the file header in
-//! git history for the capture recipe).
+//! `golden_run_all.txt` is the text of every table and figure on a
+//! restricted grid (benches {gzip, mcf, swim}, budget 1k warm-up + 4k
+//! measured), exactly as `rcmc figures` prints it: `rcmc figures` prints
+//! [`experiments::render_figures`] and nothing else. Each figure is a
+//! builtin plan rendered through its report specs, and none of the
+//! renderings may shift by even a space. If a deliberate model change
+//! moves the numbers, bump `MODEL_VERSION` and re-capture the file from
+//! this function's output.
 
 use rcmc_sim::experiments;
 use rcmc_sim::runner::Budget;
 use rcmc_sim::Session;
 
 #[test]
-fn plan_driven_run_all_matches_pre_redesign_renderings() {
+fn rcmc_figures_text_matches_golden_renderings() {
     let golden = include_str!("golden_run_all.txt");
     let session = Session::ephemeral().with_jobs(2);
     let budget = Budget {
         warmup: 1_000,
         measure: 4_000,
     };
-    let exs = experiments::run_all_scoped(&session, Some(budget), Some(&["gzip", "mcf", "swim"]))
+    let text = experiments::render_figures(&session, Some(budget), Some(&["gzip", "mcf", "swim"]))
         .expect("paper plans must validate");
-    let mut out = String::new();
-    for ex in &exs {
-        out.push_str("================================================================\n");
-        out.push_str(&ex.text);
-    }
     assert_eq!(
-        out, golden,
-        "plan-driven run_all diverged from the pre-redesign renderings"
+        text, golden,
+        "the figure renderings diverged from the golden text"
     );
 }

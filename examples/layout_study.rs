@@ -6,25 +6,14 @@
 //! cargo run --release --example layout_study
 //! ```
 
-use ring_clustered::layout::floorplan::{
-    max_wire_fp, max_wire_int, module_floorplan, split_ring_floorplan, ModuleKind,
-};
-use ring_clustered::layout::{ring_placement, AreaModel, Component};
+use ring_clustered::layout::floorplan::{max_wire_int, module_floorplan, ModuleKind};
+use ring_clustered::layout::{figure4_5_text, ring_placement, table1_text, AreaModel, Component};
 
 fn main() {
     let model = AreaModel::default();
 
-    println!("Table 1 — block areas (λ², 8-cluster configuration)");
-    for b in model.table1() {
-        println!(
-            "  {:22} {:>13.0} λ²   {:>8.0} x {:>8.0} λ",
-            b.component.name(),
-            b.area,
-            b.height,
-            b.width
-        );
-    }
-    println!("  cluster total       {:>13.0} λ²\n", model.cluster_area());
+    print!("{}", table1_text());
+    println!("cluster total: {:.0} λ²\n", model.cluster_area());
 
     println!("Figure 3 — ring placements");
     for n in [4usize, 8] {
@@ -37,28 +26,7 @@ fn main() {
     }
     println!();
 
-    println!("Figures 4-5 — maximum inter-cluster wire lengths (model vs paper)");
-    let s = module_floorplan(&model, ModuleKind::Straight);
-    let c = module_floorplan(&model, ModuleKind::Corner);
-    let si = split_ring_floorplan(&model, ModuleKind::Straight, false);
-    let sf = split_ring_floorplan(&model, ModuleKind::Straight, true);
-    println!(
-        "  unified, int  straight->straight : {:>7.0} λ (paper ≈ 17,400)",
-        max_wire_int(&s, &s)
-    );
-    println!(
-        "  unified, fp   straight->corner   : {:>7.0} λ (paper ≈ 23,300)",
-        max_wire_fp(&s, &c)
-    );
-    println!(
-        "  split rings,  int                 : {:>7.0} λ (paper ≈ 11,200)",
-        max_wire_int(&si, &si)
-    );
-    println!(
-        "  split rings,  fp                  : {:>7.0} λ (paper ≈ 11,200)",
-        max_wire_fp(&sf, &sf)
-    );
-    println!();
+    println!("{}", figure4_5_text());
 
     println!("Sensitivity — wire length vs register file size (unified int path)");
     for regs in [32usize, 48, 64, 96, 128] {

@@ -16,7 +16,7 @@
 //! rcmc machines show wide           # one family's full delta
 //! rcmc plan run spec.json           # execute a user-authored plan file
 //! rcmc plan show main               # print a builtin plan as JSON
-//! rcmc report steering-cross       # policy × topology matrix + analysis
+//! rcmc report fig06                 # run a builtin plan, print its reports
 //! rcmc serve                        # JSON-lines request loop on stdin/stdout
 //! ```
 //!
@@ -145,8 +145,9 @@ fn usage() {
          \x20                               the family on every axes-form entry)\n\
          \x20 plan show <name>              print a builtin plan as JSON\n\
          \x20 plan list                     builtin plans + the machine registry\n\
-         \x20 report steering-cross [--jobs N]\n\
-         \x20                               policy × topology matrix + decomposition\n\
+         \x20 report <name> [--jobs N]      run a builtin plan and print its reports\n\
+         \x20                               (fig06 … fig14, topology, steering-cross,\n\
+         \x20                               steering-decomposition)\n\
          \x20 serve [--jobs N] [--store DIR] [--queue-limit N] [--progress stderr|none]\n\
          \x20                               concurrent JSON-lines request loop on\n\
          \x20                               stdin/stdout (see README 'Serve concurrency')\n\
@@ -171,7 +172,7 @@ fn usage() {
          --machine builds on a registry family's sizing instead of a preset\n\
          (`rcmc machines list`); it cannot be combined with --config.\n\
          Plan spec files and the serve protocol are documented in the README\n\
-         ('Experiment plans')."
+         ('Plans and reports')."
     );
 }
 
@@ -593,11 +594,8 @@ fn die<T>(e: String) -> T {
 }
 
 fn figures(flags: &HashMap<String, String>) {
-    let session = session_from(flags);
-    for ex in experiments::run_all(&session).unwrap_or_else(die) {
-        println!("================================================================");
-        println!("{}", ex.text);
-    }
+    let text = experiments::render_figures(&session_from(flags), None, None);
+    print!("{}", text.unwrap_or_else(die));
 }
 
 fn csv(flags: &HashMap<String, String>) {
@@ -614,11 +612,8 @@ fn csv(flags: &HashMap<String, String>) {
 }
 
 fn layout() {
-    // Reuse the layout example's content through the library API.
-    let ex = experiments::table1();
-    println!("{}", ex.text);
-    let ex = experiments::figure4_5();
-    println!("{}", ex.text);
+    println!("{}", ring_clustered::layout::table1_text());
+    println!("{}", ring_clustered::layout::figure4_5_text());
     for n in [4usize, 8] {
         let p = ring_clustered::layout::ring_placement(n);
         let (s, c) = p.module_counts();
@@ -663,17 +658,7 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
             println!("\nmachine families (\"machine\" on axes-form config entries):");
             print!("{}", machines::render_table());
         }
-        "show" => {
-            let name = positional(args, 2, "builtin plan name");
-            let Some(plan) = plans::builtin(&name) else {
-                eprintln!(
-                    "unknown builtin plan '{name}' (one of: {})",
-                    plans::BUILTIN.join(" | ")
-                );
-                std::process::exit(1);
-            };
-            print!("{}", plan.to_json());
-        }
+        "show" => print!("{}", builtin_plan(args, 2).to_json()),
         "run" => {
             let path = positional(args, 2, "plan spec file");
             let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -749,16 +734,11 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
                 "traces: {} emulated, {} loaded from trace store",
                 ts.built, ts.db_hits
             );
-            let mut out = String::new();
-            if plan.reports.is_empty() {
-                out.push_str(&rs.to_csv());
+            let out = if plan.reports.is_empty() {
+                rs.to_csv()
             } else {
-                let order: Vec<String> = cfgs.into_iter().map(|c| c.name).collect();
-                for r in plan.render_reports_for(&rs, &order).unwrap_or_else(die) {
-                    out.push_str(&r.text);
-                    out.push('\n');
-                }
-            }
+                plan.render_text(&rs).unwrap_or_else(die) + "\n"
+            };
             match flags.get("out") {
                 Some(path) if !path.is_empty() => {
                     std::fs::write(path, &out).expect("failed to write output");
@@ -774,22 +754,26 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
     }
 }
 
+/// The builtin plan named by positional `idx`; unknown names exit 1.
+fn builtin_plan(args: &[String], idx: usize) -> Plan {
+    let name = positional(args, idx, "builtin plan name");
+    plans::builtin(&name).unwrap_or_else(|| {
+        die(format!(
+            "unknown builtin plan '{name}' (one of: {})",
+            plans::BUILTIN.join(" | ")
+        ))
+    })
+}
+
+/// `rcmc report <builtin>` — run a builtin plan and print its reports,
+/// exactly as the matching block of `rcmc figures`.
 fn report_cmd(args: &[String], flags: &HashMap<String, String>) {
-    let which = positional(args, 1, "report name (steering-cross)");
-    match which.as_str() {
-        "steering-cross" => {
-            let session = session_from(flags);
-            let rs = session.run(&plans::steering_cross()).unwrap_or_else(die);
-            let matrix = experiments::steering_cross(&rs);
-            let analysis = experiments::steering_cross_analysis(&rs);
-            println!("{}", matrix.text);
-            println!("{}", analysis.text);
-        }
-        other => {
-            eprintln!("unknown report '{other}' (steering-cross)");
-            std::process::exit(1);
-        }
+    let plan = builtin_plan(args, 1);
+    if plan.reports.is_empty() {
+        die::<()>(format!("builtin plan '{}' has no reports", plan.name));
     }
+    let rs = session_from(flags).run(&plan).unwrap_or_else(die);
+    print!("{}", plan.render_text(&rs).unwrap_or_else(die));
 }
 
 fn serve_cmd(flags: &HashMap<String, String>) {
