@@ -18,9 +18,10 @@
 //! 30000), `RCMC_TRACE_BENCH_REPS`.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
-use ring_clustered::emu::{trace_program, TraceCache, TraceDb};
+use ring_clustered::emu::{trace_program, DynInsn, TraceCache, TraceDb};
 use ring_clustered::sim::runner::{all_bench_names, Budget};
 use ring_clustered::workloads::benchmark;
 use serde::json::Value;
@@ -35,17 +36,27 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
 }
 
 /// Materialize every suite trace through `cache` (disk fallthrough via
-/// `db`), returning elapsed seconds.
-fn materialize(cache: &TraceCache, db: &TraceDb, names: &[&str], len: u64) -> f64 {
+/// `db`), returning elapsed seconds and the traces (the cache keeps a
+/// trace only while someone holds it; dropping them is left untimed).
+fn materialize(
+    cache: &TraceCache,
+    db: &TraceDb,
+    names: &[&str],
+    len: u64,
+) -> (f64, Vec<Arc<Vec<DynInsn>>>) {
     let t0 = Instant::now();
-    for name in names {
-        let b = benchmark(name).expect("suite benchmark");
-        let trace = cache.get_or_build_via(name, len, Some(db), || {
-            trace_program(&b.build(), len as usize).expect("suite benchmarks emulate cleanly")
-        });
-        assert!(!trace.is_empty(), "{name}: empty trace");
-    }
-    t0.elapsed().as_secs_f64()
+    let traces = names
+        .iter()
+        .map(|name| {
+            let b = benchmark(name).expect("suite benchmark");
+            let trace = cache.get_or_build_via(name, len, Some(db), || {
+                trace_program(&b.build(), len as usize).expect("suite benchmarks emulate cleanly")
+            });
+            assert!(!trace.is_empty(), "{name}: empty trace");
+            trace
+        })
+        .collect();
+    (t0.elapsed().as_secs_f64(), traces)
 }
 
 fn main() {
@@ -85,7 +96,7 @@ fn main() {
     // iteration pre-pays the next one's kernel-side costs).
     let _ = std::fs::remove_dir_all(&dir);
     let cold_cache = TraceCache::new();
-    let cold_s = materialize(&cold_cache, &db, &names, len);
+    let (cold_s, cold_traces) = materialize(&cold_cache, &db, &names, len);
     let cs = cold_cache.stats();
     assert_eq!(
         (cs.built, cs.db_hits),
@@ -93,8 +104,8 @@ fn main() {
         "cold pass must emulate everything"
     );
     // A real warm start is a new process, not one already holding every
-    // trace in memory — drop the cold cache before timing warm.
-    drop(cold_cache);
+    // trace in memory — drop the cold traces before timing warm.
+    drop((cold_cache, cold_traces));
 
     // Warm, by contrast, is the many-shot path (every run after the
     // first), so it is timed `reps` times through a fresh cache each time
@@ -108,16 +119,17 @@ fn main() {
     let mut last_warm = None;
     for _ in 0..reps {
         let warm_cache = TraceCache::new();
-        warm_times.push(materialize(&warm_cache, &db, &names, len));
+        let (warm_s, warm_traces) = materialize(&warm_cache, &db, &names, len);
+        warm_times.push(warm_s);
         let ws = warm_cache.stats();
         assert_eq!(
             (ws.built, ws.db_hits),
             (0, names.len() as u64),
             "warm pass must load everything from the trace store"
         );
-        last_warm = Some(warm_cache);
+        last_warm = Some((warm_cache, warm_traces));
     }
-    let warm_cache = last_warm.expect("at least one rep");
+    let (warm_cache, _warm_traces) = last_warm.expect("at least one rep");
     let fmt = |xs: &[f64]| {
         xs.iter()
             .map(|t| format!("{t:.3}"))

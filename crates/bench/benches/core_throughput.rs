@@ -25,10 +25,12 @@
 //! bus — regressions in a family's sizing (a 512-entry ROB, a 2-cluster
 //! embedded core) show up in the perf trajectory like any topology row.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use rcmc_bench::update_bench_core;
 use rcmc_core::Topology;
+use rcmc_emu::DynInsn;
 use rcmc_sim::config::{make, topology_name, SimConfig, ALL_TOPOLOGIES};
 use rcmc_sim::plan::ConfigSpec;
 use rcmc_sim::runner::{cached_trace, Budget};
@@ -36,14 +38,18 @@ use serde_json::Value;
 
 const BENCHES: [&str; 2] = ["gzip", "swim"];
 
-/// One measurement pass over both benchmarks: total (cycles, committed,
-/// skipped, whole-run cycles, wall seconds).
-fn run_mode(cfg: &SimConfig, budget: &Budget, event_driven: bool) -> (u64, u64, u64, u64, f64) {
+/// One measurement pass over both benchmarks' traces: total (cycles,
+/// committed, skipped, whole-run cycles, wall seconds).
+fn run_mode(
+    traces: &[Arc<Vec<DynInsn>>],
+    cfg: &SimConfig,
+    budget: &Budget,
+    event_driven: bool,
+) -> (u64, u64, u64, u64, f64) {
     let (mut cycles, mut committed, mut skipped, mut total) = (0u64, 0u64, 0u64, 0u64);
     let t0 = Instant::now();
-    for b in BENCHES {
-        let trace = cached_trace(b, budget.trace_len());
-        let mut core = rcmc_core::Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
+    for trace in traces {
+        let mut core = rcmc_core::Core::new(cfg.core.clone(), cfg.mem, cfg.pred, trace);
         core.set_event_driven(event_driven);
         let s = core.run_with_warmup(budget.warmup, budget.measure);
         cycles += s.cycles;
@@ -65,9 +71,8 @@ fn main() {
         warmup: 5_000,
         measure: 60_000,
     };
-    for b in BENCHES {
-        cached_trace(b, budget.trace_len());
-    }
+    // Held for the whole bench, so no timed pass emulates.
+    let traces = BENCHES.map(|b| cached_trace(b, budget.trace_len()));
 
     let mut rows: Vec<(String, SimConfig)> = ALL_TOPOLOGIES
         .iter()
@@ -100,8 +105,8 @@ fn main() {
     println!("---------------------------------------------------");
     let mut runs = Vec::new();
     for (name, cfg) in &rows {
-        let (cycles, committed, skipped, total, dt) = run_mode(cfg, &budget, true);
-        let (_, _, _, _, dt_stepped) = run_mode(cfg, &budget, false);
+        let (cycles, committed, skipped, total, dt) = run_mode(&traces, cfg, &budget, true);
+        let (_, _, _, _, dt_stepped) = run_mode(&traces, cfg, &budget, false);
         let mcps = cycles as f64 / dt / 1e6;
         let mips = committed as f64 / dt / 1e6;
         let mcps_stepped = cycles as f64 / dt_stepped / 1e6;
@@ -153,7 +158,7 @@ fn main() {
     let mut scaling = Vec::new();
     for n in [4usize, 16, 32, 64] {
         let cfg = make(Topology::Hier, n, 2, 1);
-        let (cycles, committed, _, _, dt) = run_mode(&cfg, &budget, true);
+        let (cycles, committed, _, _, dt) = run_mode(&traces, &cfg, &budget, true);
         let mcps = cycles as f64 / dt / 1e6;
         println!(
             "Hier{n:<3}    {cycles:>9} cycles {committed:>7} insns  \
@@ -188,7 +193,7 @@ fn main() {
             .resolve()
             .expect("registry family resolves")
             .remove(0);
-            let (cycles, committed, _, _, dt) = run_mode(&cfg, &budget, true);
+            let (cycles, committed, _, _, dt) = run_mode(&traces, &cfg, &budget, true);
             let mcps = cycles as f64 / dt / 1e6;
             let ipc = committed as f64 / cycles as f64;
             println!(

@@ -23,9 +23,8 @@ fn main() {
         warmup: 5_000,
         measure: 60_000,
     };
-    for b in BENCHES {
-        cached_trace(b, budget.trace_len());
-    }
+    // Held for the whole bench, so no timed pass emulates.
+    let traces = BENCHES.map(|b| cached_trace(b, budget.trace_len()));
 
     println!("\nSteering-cross throughput (serial, one core, 8clus_1bus_2IW)");
     println!("-------------------------------------------------------------");
@@ -36,9 +35,8 @@ fn main() {
             let mut cycles = 0u64;
             let mut committed = 0u64;
             let t0 = Instant::now();
-            for b in BENCHES {
-                let trace = cached_trace(b, budget.trace_len());
-                let mut core = rcmc_core::Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
+            for trace in &traces {
+                let mut core = rcmc_core::Core::new(cfg.core.clone(), cfg.mem, cfg.pred, trace);
                 let s = core.run_with_warmup(budget.warmup, budget.measure);
                 cycles += s.cycles;
                 committed += s.committed;

@@ -120,6 +120,15 @@ pub const RESERVATION_WINDOW: usize = 128;
 /// distance at 8 clusters with 2 buses — steering should avoid it.
 pub const HIER_INTER_HOPS: u32 = 4;
 
+/// Trace entries a run may read past its instruction budget. Fetch never
+/// follows a wrong path, so it stays within the ROB, the fetch queue and
+/// one fetch group of the last commit, and commit overshoots the budget by
+/// less than one commit group. [`CoreConfig::validate`] rejects
+/// configurations whose `rob + fetch_queue + fetch_width + commit_width`
+/// exceeds it, so a trace of `budget + RUN_AHEAD` instructions is never
+/// read to its end before the budget commits.
+pub const RUN_AHEAD: u64 = 16_384;
+
 /// Grid dimensions `(width, height)` for [`Topology::Mesh`]: the most
 /// square factorization of `n` with `width >= height`. Prime cluster
 /// counts degenerate to a 1×N line (a bidirectional chain).
@@ -413,6 +422,20 @@ impl CoreConfig {
         }
         if self.rob == 0 || self.lsq == 0 || self.fetch_queue == 0 {
             return Err("rob/lsq/fetch_queue must be nonzero".into());
+        }
+        self.check_run_ahead()
+    }
+
+    /// The [`RUN_AHEAD`] part of [`CoreConfig::validate`]: how far past
+    /// its last commit this machine can read its trace must fit the
+    /// run-ahead every trace carries.
+    pub fn check_run_ahead(&self) -> Result<(), String> {
+        let ahead = self.rob + self.fetch_queue + self.fetch_width + self.commit_width;
+        if ahead as u64 > RUN_AHEAD {
+            return Err(format!(
+                "rob + fetch_queue + fetch_width + commit_width = {ahead} exceeds \
+                 RUN_AHEAD ({RUN_AHEAD}), the trace read-ahead past the budget"
+            ));
         }
         Ok(())
     }
@@ -733,6 +756,19 @@ mod tests {
             ..CoreConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn run_ahead_bound_rejected() {
+        let d = CoreConfig::default();
+        let room = RUN_AHEAD as usize - (d.fetch_queue + d.fetch_width + d.commit_width);
+        let at_bound = CoreConfig { rob: room, ..d };
+        assert!(at_bound.validate().is_ok());
+        let over = CoreConfig {
+            rob: room + 1,
+            ..CoreConfig::default()
+        };
+        assert!(over.validate().unwrap_err().contains("RUN_AHEAD"));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod steering;
 pub mod timeq;
 pub mod value;
 
-pub use config::{CopyRelease, CoreConfig, Steering, Topology, MAX_CLUSTERS};
+pub use config::{CopyRelease, CoreConfig, Steering, Topology, MAX_CLUSTERS, RUN_AHEAD};
 pub use interconnect::{Crossbar, Grant, Hier, Interconnect, Mesh2D};
 pub use pipeline::Core;
 pub use pipeview::PipeTracer;

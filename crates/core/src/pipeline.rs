@@ -265,6 +265,11 @@ impl<'t> Core<'t> {
         &self.stats
     }
 
+    /// Whether the trace's `halt` has committed.
+    pub fn halted(&self) -> bool {
+        self.halted
+    }
+
     /// Current cycle.
     pub fn cycle(&self) -> u64 {
         self.now

@@ -21,5 +21,5 @@ pub mod trace_db;
 pub use cache::{TraceCache, TraceCacheStats};
 pub use cpu::{Cpu, EmuError, StepOut};
 pub use mem::Memory;
-pub use trace::{trace_program, DynInsn, Trace, TraceError};
+pub use trace::{trace_built, trace_program, DynInsn, Trace, TraceError};
 pub use trace_db::{StoredTrace, TraceDb, TraceDbError, TraceMeta, TRACE_VERSION};

@@ -76,8 +76,29 @@ impl From<EmuError> for TraceError {
 /// and return the trace. The trace ends either at `halt` (inclusive) or at
 /// the budget.
 pub fn trace_program(program: &Program, max_insns: usize) -> Result<Trace, TraceError> {
+    trace_into(
+        program,
+        max_insns,
+        Vec::with_capacity(max_insns.min(1 << 22)),
+    )
+}
+
+/// [`trace_program`] over the program `build` returns, with the trace's
+/// buffer reserved before the program is built. A process that drops one
+/// trace and emulates the next then reuses the freed buffer whole: built
+/// first, the program's allocations would split it, and the heap would
+/// grow by another trace.
+pub fn trace_built(build: impl FnOnce() -> Program, max_insns: usize) -> Result<Trace, TraceError> {
+    let insns = Vec::with_capacity(max_insns.min(1 << 22));
+    trace_into(&build(), max_insns, insns)
+}
+
+fn trace_into(
+    program: &Program,
+    max_insns: usize,
+    mut insns: Vec<DynInsn>,
+) -> Result<Trace, TraceError> {
     let mut cpu = Cpu::new(program);
-    let mut insns = Vec::with_capacity(max_insns.min(1 << 22));
     while insns.len() < max_insns {
         match cpu.step(program)? {
             Some(step) => {
@@ -137,6 +158,16 @@ mod tests {
         let t = trace_program(&p, 100).unwrap();
         assert_eq!(t.insns.len(), 100);
         assert!(!t.halted);
+    }
+
+    #[test]
+    fn trace_built_matches_trace_program() {
+        for n in [5, 1_000_000] {
+            let want = trace_program(&counted_loop(n), 100).unwrap();
+            let got = trace_built(|| counted_loop(n), 100).unwrap();
+            assert_eq!(got.insns, want.insns);
+            assert_eq!(got.halted, want.halted);
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@ fn main() {
     };
     let session = Session::ephemeral();
     let cfg = config::make(rcmc_core::Topology::Ring, 8, 2, 1);
-    // warm the trace cache first
-    let _ = runner::cached_trace(&bench, budget.trace_len());
+    // Hold the trace across the timed run, so it does not emulate.
+    let _trace = runner::cached_trace(&bench, budget.trace_len());
     let t0 = Instant::now();
     let r = session.run_one(&cfg, &bench, &budget);
     let dt = t0.elapsed().as_secs_f64();

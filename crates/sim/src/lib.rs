@@ -8,8 +8,9 @@
 //!   the builder methods or parsed from a JSON spec file;
 //! * [`session::Session`] — the execution environment: the disk-backed
 //!   result store (`target/rcmc-results/`), the worker thread pool, the
-//!   (process-wide, warm) oracle-trace cache, and the progress sink. Runs
-//!   go through the same scheduler as `rcmc serve`;
+//!   on-disk trace store, and the progress sink. Runs go through the same
+//!   scheduler as `rcmc serve`, whose workers hold each oracle trace only
+//!   while its jobs run;
 //! * [`resultset::ResultSet`] — typed sweep results with the
 //!   query/group/geomean/speedup combinators every figure draws from.
 //!

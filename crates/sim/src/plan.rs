@@ -292,14 +292,17 @@ impl ConfigSpec {
                         return Err("'overrides' must be a JSON object".to_string());
                     };
                     reject_duplicate_keys(entries, "override")?;
-                    // Unknown keys and malformed values are parse errors,
-                    // not deferred to resolve(): a typo'd knob must never
-                    // silently run the un-overridden configuration. The
-                    // dry-run applies onto a scratch config, so range
-                    // interactions still get checked (once) at resolve.
+                    // Unknown keys, malformed values and a single knob past
+                    // the trace run-ahead are parse errors, not deferred to
+                    // resolve(): a typo'd knob must never silently run the
+                    // un-overridden configuration. The dry-run applies onto
+                    // a scratch config, so range interactions still get
+                    // checked (once) at resolve.
                     for (ok, ov) in entries {
-                        rcmc_core::CoreConfig::default()
+                        let mut scratch = rcmc_core::CoreConfig::default();
+                        scratch
                             .apply_override(ok, ov)
+                            .and_then(|_| scratch.check_run_ahead())
                             .map_err(|e| format!("bad config-entry override: {e}"))?;
                         spec.overrides.push((ok.clone(), ov.clone()));
                     }
@@ -1264,6 +1267,10 @@ mod tests {
         assert!(Plan::from_json(&base(r#"{"rob": 0}"#)).is_err());
         assert!(Plan::from_json(&base(r#"{"rob": -8}"#)).is_err());
         assert!(Plan::from_json(&base(r#"{"rob": 2.5}"#)).is_err());
+        // A ROB deeper than the trace run-ahead would read past the end of
+        // every trace: rejected before anything resolves.
+        let deep = Plan::from_json(&base(r#"{"rob": 20000}"#)).unwrap_err();
+        assert!(deep.contains("RUN_AHEAD"), "{deep}");
         assert!(Plan::from_json(&base(r#"{"copy_release": "never"}"#)).is_err());
         assert!(Plan::from_json(&base(r#"{"dcount_threshold": 0}"#)).is_err());
         // Duplicate keys inside the overrides map are rejected.

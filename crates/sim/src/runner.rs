@@ -1,14 +1,16 @@
-//! Run (configuration × benchmark) pairs with trace caching and disk-backed
+//! Run (configuration × benchmark) pairs with trace sharing and disk-backed
 //! result memoization.
 //!
-//! [`run_pair`] is one job: load the oracle trace (memory → on-disk
-//! [`TraceDb`] → emulator), simulate, [`reduce_metrics`], persist. Grids of
-//! jobs run on the scheduler ([`crate::scheduler`]), which both
-//! [`crate::session::Session::run`] and `rcmc serve` drive; every
-//! simulation is independent and traces are shared read-only, so results
-//! are bit-identical at any worker count, and every finished pair is
-//! durably memoized the moment it completes (an interrupted run resumes
-//! where it stopped).
+//! [`run_pair`] is one job: probe the store, load the oracle trace (live
+//! in memory → on-disk [`TraceDb`] → emulator, [`cached_trace_via`]),
+//! simulate, [`reduce_metrics`], persist. Grids of jobs run on the
+//! scheduler ([`crate::scheduler`]), which both
+//! [`crate::session::Session::run`] and `rcmc serve` drive; there the
+//! workers hold the traces and hand them to each job, and a trace lives
+//! only while some worker holds it. Every simulation is independent and
+//! traces are shared read-only, so results are bit-identical at any
+//! worker count, and every finished pair is durably memoized the moment it
+//! completes (an interrupted run resumes where it stopped).
 //!
 //! The [`ResultStore`] is sharded per configuration
 //! (`target/rcmc-results/<config>/<key>.json`), so huge sweeps never pile
@@ -19,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use rcmc_core::Core;
-use rcmc_emu::{trace_program, DynInsn, TraceCache, TraceCacheStats, TraceDb};
+use rcmc_emu::{trace_built, DynInsn, TraceCache, TraceCacheStats, TraceDb};
 use rcmc_workloads::benchmark;
 use serde::{Deserialize, Serialize};
 
@@ -61,11 +63,13 @@ impl Default for Budget {
 }
 
 impl Budget {
-    /// Dynamic instructions a run with this budget needs in its trace.
-    /// Head-room beyond warmup+measure: mispredict-free fetch can run
-    /// slightly ahead of commit, and the halt itself is not committed.
+    /// Dynamic instructions a run with this budget needs in its trace:
+    /// warmup + measure, plus [`rcmc_core::RUN_AHEAD`] for what fetch
+    /// reads ahead of commit and commit overshoots the budget (every
+    /// configuration that validates fits it). The length is part of the
+    /// trace-store key.
     pub fn trace_len(&self) -> u64 {
-        (self.warmup + self.measure) * 2 + 4096
+        self.warmup + self.measure + rcmc_core::RUN_AHEAD
     }
 }
 
@@ -111,9 +115,11 @@ pub struct RunResult {
     pub cycles: u64,
 }
 
-/// In-memory oracle-trace cache (traces are identical across
-/// configurations, so each benchmark is emulated once per process, no
-/// matter how many sweep workers ask for it concurrently).
+/// The process-wide oracle-trace registry. It owns no trace memory: the
+/// jobs holding a trace keep it alive, and every concurrent requester of
+/// a held trace shares it (traces are identical across configurations),
+/// within a run and across serve requests. Its counters are the
+/// process-wide build and decode tallies.
 static TRACES: TraceCache = TraceCache::new();
 
 /// The process-default on-disk trace store ([`TraceDb`]): the workspace's
@@ -144,14 +150,21 @@ pub fn default_trace_db() -> Option<&'static TraceDb> {
 
 /// Materialization counters of the process-wide trace cache: how many
 /// traces were freshly emulated vs decoded from an on-disk store (what
-/// `rcmc plan run` reports and the CI warm-start check greps).
+/// `rcmc plan run` reports and the CI warm-start check greps), and the
+/// traces jobs hold right now.
 pub fn trace_cache_stats() -> TraceCacheStats {
     TRACES.stats()
 }
 
-/// In-memory bytes currently held by the process-wide trace cache.
+/// In-memory bytes of the traces jobs hold right now.
 pub fn trace_cache_bytes() -> usize {
     TRACES.bytes()
+}
+
+/// The trace of `bench` at `len` instructions if a job holds it; never
+/// loads anything.
+pub(crate) fn live_trace(bench: &str, len: u64) -> Option<Arc<Vec<DynInsn>>> {
+    TRACES.get(bench, len)
 }
 
 /// Check that `name` resolves to a runnable workload against `db`: a suite
@@ -169,13 +182,15 @@ pub fn check_workload(name: &str, db: Option<&TraceDb>) -> Result<(), String> {
 }
 
 /// Fetch (or build) the oracle trace for `bench` with `len` instructions,
-/// using the process-default trace store as the disk fallthrough.
+/// using the process-default trace store as the disk fallthrough. The
+/// trace stays in memory only while the caller (or another holder) keeps
+/// the returned `Arc`.
 pub fn cached_trace(bench: &str, len: u64) -> Arc<Vec<DynInsn>> {
     cached_trace_via(bench, len, default_trace_db())
 }
 
 /// [`cached_trace`] against an explicit trace store (`None` = fully
-/// in-memory). Suite benchmarks fall through memory → `db` → emulator;
+/// in-memory). Suite benchmarks fall through live → `db` → emulator;
 /// names that are not in the suite resolve to **imported traces**: the
 /// longest trace stored under that name is used regardless of `len`
 /// (externally captured workloads have a fixed length — a shorter trace
@@ -186,7 +201,7 @@ pub fn cached_trace(bench: &str, len: u64) -> Arc<Vec<DynInsn>> {
 pub fn cached_trace_via(bench: &str, len: u64, db: Option<&TraceDb>) -> Arc<Vec<DynInsn>> {
     if let Some(b) = benchmark(bench) {
         return TRACES.get_or_build_via(bench, len, db, || {
-            trace_program(&b.build(), len as usize)
+            trace_built(|| b.build(), len as usize)
                 .unwrap_or_else(|e| panic!("{bench} failed to emulate: {e}"))
         });
     }
@@ -451,17 +466,24 @@ impl JobKey {
     }
 }
 
-/// Simulate one (configuration × benchmark) pair, returning the raw
-/// counters (no memoization, no reduction).
-fn simulate_stats(
-    cfg: &SimConfig,
-    bench: &str,
-    budget: &Budget,
-    db: Option<&TraceDb>,
-) -> rcmc_core::Stats {
-    let trace = cached_trace_via(bench, budget.trace_len(), db);
-    let mut core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
-    core.run_with_warmup(budget.warmup, budget.measure)
+/// Simulate one (configuration × benchmark) pair over `trace`, returning
+/// the raw counters (no memoization, no reduction).
+fn simulate_stats(cfg: &SimConfig, budget: &Budget, trace: &[DynInsn]) -> rcmc_core::Stats {
+    let mut core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, trace);
+    let stats = core.run_with_warmup(budget.warmup, budget.measure);
+    // The trace is cut to what a run can read (`Budget::trace_len`), so a
+    // run that stops short of its window must have ended on the program's
+    // halt or on a trace that was shorter than the cut to begin with.
+    debug_assert!(
+        core.stats().committed >= budget.warmup + budget.measure
+            || core.halted()
+            || (trace.len() as u64) < budget.trace_len(),
+        "{}: run stopped at the trimmed trace end ({} of {} insns committed)",
+        cfg.name,
+        core.stats().committed,
+        budget.warmup + budget.measure
+    );
+    stats
 }
 
 /// The post-run metric reduction: fold raw [`rcmc_core::Stats`] (including
@@ -497,11 +519,26 @@ pub fn run_pair(
     store: &ResultStore,
     db: Option<&TraceDb>,
 ) -> RunResult {
+    run_pair_with(cfg, bench, budget, store, || {
+        cached_trace_via(bench, budget.trace_len(), db)
+    })
+}
+
+/// [`run_pair`] over a trace its caller supplies: `trace` is called only
+/// when the store misses, so a memoized pair loads no trace. The scheduler
+/// workers pass the trace they hold.
+pub(crate) fn run_pair_with(
+    cfg: &SimConfig,
+    bench: &str,
+    budget: &Budget,
+    store: &ResultStore,
+    trace: impl FnOnce() -> Arc<Vec<DynInsn>>,
+) -> RunResult {
     let key_name = store_name(cfg);
     if let Some(hit) = store.load(&key_name, bench, budget) {
         return hit;
     }
-    let stats = simulate_stats(cfg, bench, budget, db);
+    let stats = simulate_stats(cfg, budget, &trace());
     let result = reduce_metrics(cfg, bench, &stats);
     store.save(&key_name, bench, budget, &result);
     result

@@ -21,6 +21,13 @@
 //!   so one over-deep client cannot balloon the process. A session run
 //!   uses no bound.
 //!
+//! The scheduler also owns trace lifetime. A request's fresh jobs queue
+//! bench-major, so the jobs that read one oracle trace run back to back,
+//! and each worker keeps the trace of the job it just ran until it takes a
+//! job on a different trace. A trace therefore lives while some worker
+//! runs (or last ran) one of its jobs: live traces are bounded by the
+//! worker count, and a plan loads each trace once.
+//!
 //! Each request carries a typed [`Sink`]: it receives a [`SweepProgress`]
 //! per delivered job, then the finished [`ResultSet`] with its [`Tally`]
 //! (or a cancellation). The scheduler knows no wire format; `serve` turns
@@ -38,6 +45,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
+use rcmc_emu::{DynInsn, TraceDb};
 use serde::json::Value;
 
 use crate::config::SimConfig;
@@ -195,6 +203,10 @@ pub enum Submission {
     },
 }
 
+/// The trace a worker holds between jobs, with the `(bench, trace_len)`
+/// it was requested at.
+type Held = Option<((String, u64), Arc<Vec<DynInsn>>)>;
+
 /// The shared scheduler: a bounded queue of deduplicated jobs plus the
 /// request registry. See the [module docs](self) for semantics. `'s`
 /// bounds what the request sinks borrow.
@@ -273,12 +285,14 @@ impl<'s> Scheduler<'s> {
             sink,
         } = run;
         // Memo pass first, without the scheduler lock: store reads touch
-        // the disk and must not serialize the whole service.
+        // the disk and must not serialize the whole service. Fresh jobs
+        // are collected bench-major, so the jobs sharing a trace queue
+        // back to back.
         let mut rows: Vec<RunResult> = Vec::new();
         let mut pending: Vec<(JobKey, SimConfig)> = Vec::new();
-        for cfg in cfgs {
-            for bench in &benches {
-                let key = JobKey::of(&cfg, bench, &budget);
+        for bench in &benches {
+            for cfg in &cfgs {
+                let key = JobKey::of(cfg, bench, &budget);
                 match store.load(&key.config, bench, &budget) {
                     Some(hit) => rows.push(hit),
                     None => pending.push((key, cfg.clone())),
@@ -369,9 +383,21 @@ impl<'s> Scheduler<'s> {
     /// via the shared `db` handle), and deliver the row to every
     /// subscriber. Returns when the scheduler is closed and the queue is
     /// drained.
-    pub fn worker(&self, store: &ResultStore, db: Option<&rcmc_emu::TraceDb>) {
-        while let Some((key, cfg)) = self.next_job() {
-            let r = runner::run_pair(&cfg, &key.bench, &key.budget, store, db);
+    ///
+    /// The worker keeps the trace of its last job until it takes a job on
+    /// a different trace; then it drops the old trace before loading the
+    /// new one, and loads only if the store misses.
+    pub fn worker(&self, store: &ResultStore, db: Option<&TraceDb>) {
+        let mut held: Held = None;
+        while let Some((key, cfg)) = self.next_job(&mut held) {
+            let r = runner::run_pair_with(&cfg, &key.bench, &key.budget, store, || {
+                let len = key.budget.trace_len();
+                let (_, trace) = held.get_or_insert_with(|| {
+                    let trace = runner::cached_trace_via(&key.bench, len, db);
+                    ((key.bench.clone(), len), trace)
+                });
+                Arc::clone(trace)
+            });
             let job = {
                 let mut st = lock(&self.state);
                 st.stats.executed += 1;
@@ -459,9 +485,16 @@ impl<'s> Scheduler<'s> {
     /// Pop the next runnable job, waiting while the queue is empty, until
     /// the scheduler is closed and drained. Purges all queued work first
     /// whenever the client has disconnected.
-    fn next_job(&self) -> Option<(JobKey, SimConfig)> {
+    ///
+    /// When the job reads another trace than `held`, the old trace is
+    /// dropped (after the lock is released) and `held` takes the new trace
+    /// if another worker holds it. Taking it under the lock means no
+    /// holder drops it in between: a holder only drops a trace when it
+    /// takes a job on another trace, and bench-major order pops such jobs
+    /// after this one.
+    fn next_job(&self, held: &mut Held) -> Option<(JobKey, SimConfig)> {
         let mut st = lock(&self.state);
-        loop {
+        let (key, cfg) = 'pop: loop {
             if self.disconnected.load(Ordering::Relaxed) {
                 Self::purge(&mut st);
             }
@@ -476,13 +509,23 @@ impl<'s> Scheduler<'s> {
                 job.running = true;
                 let cfg = job.cfg.clone();
                 st.queued -= 1;
-                return Some((key, cfg));
+                break 'pop (key, cfg);
             }
             if st.closed {
                 return None;
             }
             st = self.work.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
+        };
+        let want = (key.bench.clone(), key.budget.trace_len());
+        let stale = if held.as_ref().is_some_and(|(k, _)| *k == want) {
+            None
+        } else {
+            let live = runner::live_trace(&want.0, want.1).map(|t| (want, t));
+            std::mem::replace(held, live)
+        };
+        drop(st);
+        drop(stale);
+        Some((key, cfg))
     }
 
     /// Disconnect cleanup: cancel every live request and drop every

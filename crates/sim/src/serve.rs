@@ -2,8 +2,9 @@
 //!
 //! One request per input line, one or more response lines per request, all
 //! JSON objects. A single warm [`Session`] is shared across requests, so
-//! every plan after the first benefits from the memoized result store and
-//! the process-wide oracle-trace cache — and requests execute
+//! every plan after the first benefits from the memoized result store,
+//! and requests share the oracle traces the workers hold (each idle
+//! worker keeps at most the trace of its last job) — and requests execute
 //! *concurrently*: the reader thread only parses and submits, a
 //! [`Scheduler`] fans each plan's jobs onto the session's worker pool, and
 //! identical `(config, bench, budget)` jobs from different requests are
@@ -28,8 +29,10 @@
 //! Responses carry an `"event"` discriminator: `pong`, `listing`,
 //! `progress` (streamed per executed job, interleaved across in-flight
 //! requests — demux on `id`), `result` (rows + rendered reports),
-//! `cancelled`, `stats`, `error`, `bye`. Every event carries the
-//! originating request `id`.
+//! `cancelled`, `stats` (`scheduler` counters, and `trace_cache`: `bytes`
+//! and `live` traces held now, `built`/`db_hits` over the process
+//! lifetime), `error`, `bye`. Every event carries the originating request
+//! `id`.
 //!
 //! Malformed JSON gets an `error` event and the loop keeps reading. A
 //! broken *frame* — non-UTF-8 bytes or an over-long line (see
@@ -125,6 +128,18 @@ fn plan_of(req: &Value) -> Result<Plan, String> {
         Some(_) => Err("'plan' must be a builtin name or a spec object".to_string()),
         None => Err("'run' request needs a 'plan'".to_string()),
     }
+}
+
+/// JSON rendering of the process-wide trace cache: the traces workers hold
+/// right now and the lifetime build/decode counters (the `stats` event).
+fn trace_cache_value() -> Value {
+    let t = runner::trace_cache_stats();
+    obj(vec![
+        ("bytes", Value::Num(t.bytes as f64)),
+        ("live", Value::Num(t.live as f64)),
+        ("built", Value::Num(t.built as f64)),
+        ("db_hits", Value::Num(t.db_hits as f64)),
+    ])
 }
 
 /// JSON rendering of the scheduler counters (the `stats` event).
@@ -567,7 +582,10 @@ fn read_requests<'a, R: BufRead>(
                 emit(&event(
                     &id,
                     "stats",
-                    vec![("scheduler", stats_value(&sched.stats()))],
+                    vec![
+                        ("scheduler", stats_value(&sched.stats())),
+                        ("trace_cache", trace_cache_value()),
+                    ],
                 ));
             }
             "run" => {
@@ -827,6 +845,15 @@ mod tests {
         let sched = field(&lines[2], "scheduler");
         assert_eq!(field(sched, "submitted"), &Value::Num(0.0));
         assert_eq!(field(sched, "coalesce_hit_rate"), &Value::Num(0.0));
+        // And the trace cache: what workers hold, and the lifetime
+        // build/decode counters.
+        let traces = field(&lines[2], "trace_cache");
+        for key in ["bytes", "live", "built", "db_hits"] {
+            assert!(
+                matches!(field(traces, key), Value::Num(n) if *n >= 0.0),
+                "trace_cache.{key}"
+            );
+        }
         assert_eq!(field(&lines[3], "event"), &Value::Str("bye".into()));
     }
 

@@ -2,14 +2,16 @@
 //!
 //! A [`Session`] owns everything a run needs besides the plan itself: the
 //! disk-backed [`ResultStore`] memoization, the worker [`rayon::ThreadPool`]
-//! fan-out, the (process-wide, warm) oracle-trace cache, and the progress
-//! sink. One `Session` can execute any number of [`Plan`]s — `rcmc serve`
-//! keeps a single warm session alive across requests, so every plan after
-//! the first reuses memoized runs and already-emulated traces.
+//! fan-out, the on-disk trace store, and the progress sink. One `Session`
+//! can execute any number of [`Plan`]s — `rcmc serve` keeps a single warm
+//! session alive across requests, so every plan after the first reuses
+//! memoized runs.
 //!
 //! [`Session::run`] executes on the same job engine as `rcmc serve`: it
 //! submits the plan as one request to a fresh [`Scheduler`] whose workers
 //! run on the session's pool, then returns the finished [`ResultSet`].
+//! The workers hold the oracle traces, each loaded once per plan; when
+//! the run returns, only traces a caller still holds stay in memory.
 //!
 //! ```no_run
 //! use rcmc_sim::plan::Plan;
@@ -42,8 +44,7 @@ pub enum Progress {
 }
 
 /// An experiment-execution environment: result store + thread pool +
-/// progress sink (the oracle-trace cache is process-wide and shared by all
-/// sessions, so it stays warm across session rebuilds too).
+/// trace store + progress sink.
 #[derive(Debug)]
 pub struct Session {
     store: ResultStore,
@@ -100,8 +101,8 @@ impl Session {
     }
 
     /// A session that memoizes nothing and touches no on-disk trace store
-    /// (tests, throwaway experiments). The process-wide in-memory trace
-    /// cache is still shared.
+    /// (tests, throwaway experiments): every trace a run needs is
+    /// emulated.
     pub fn ephemeral() -> Session {
         Session::with_store(ResultStore::ephemeral()).without_trace_store()
     }

@@ -117,10 +117,10 @@ fn trace_cache_emulates_exactly_once_under_contention() {
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 s.spawn(|| {
-                    cache.get_or_build("applu", 3_000, || {
+                    cache.get_or_build_via("applu", 3_000, None, || {
                         builds.fetch_add(1, Ordering::SeqCst);
                         let program = benchmark("applu").unwrap().build();
-                        Arc::new(trace_program(&program, 3_000).unwrap().insns)
+                        trace_program(&program, 3_000).unwrap()
                     })
                 })
             })

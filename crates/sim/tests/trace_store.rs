@@ -45,7 +45,7 @@ fn all_suite_traces_round_trip_bit_identical() {
 /// The cache fallthrough contract: miss → emulate + persist; a second
 /// (fresh) cache over the same store decodes instead of emulating, and
 /// hands back the identical stream. `bytes()` tracks what's held either
-/// way, and `clear()` drops memory but not the store.
+/// way, and dropping the last holder frees memory but not the store.
 #[test]
 fn cache_falls_through_to_store_and_back() {
     let (db, dir) = temp_db("fallthrough");
@@ -69,11 +69,11 @@ fn cache_falls_through_to_store_and_back() {
     assert_eq!(from_db, from_emu, "decoded and emulated traces differ");
     assert_eq!(warm.bytes(), cold.bytes());
 
-    warm.clear();
+    drop(from_db);
     assert_eq!(warm.bytes(), 0);
     assert!(
         db.contains("swim", len),
-        "clear() evicts memory, not the on-disk store"
+        "dropping a trace frees memory, not the on-disk store"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

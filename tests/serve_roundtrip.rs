@@ -82,12 +82,17 @@ fn ping_run_shutdown_round_trip() {
 
 #[test]
 fn warm_session_memoizes_across_requests() {
-    // The same plan twice in one serve session: the second run must be
-    // satisfied from the warm session (memoized store → zero progress
-    // events when the store is writable; at minimum, identical results).
+    // The same plan twice in one serve session, against a fresh store so
+    // the cold path is what runs: the second request must be satisfied
+    // from the warm session (memoized or coalesced), with identical rows.
+    let dir = std::env::temp_dir().join(format!("rcmc-serve-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let plan = r#"{"id": "a", "op": "run", "plan": {"name": "warm", "configs": [{"topology": "ring", "clusters": 4}], "benches": ["gzip"], "budget": {"warmup": 500, "measure": 2000}}}"#;
     let plan2 = plan.replace("\"id\": \"a\"", "\"id\": \"b\"");
-    let lines = serve_session(&[plan, &plan2, r#"{"op": "shutdown"}"#]);
+    let input = format!("{plan}\n{plan2}\n{{\"op\": \"shutdown\"}}\n");
+    let store = dir.to_str().unwrap();
+    let lines = serve_session_args(&["--store", store], input.as_bytes());
+    let _ = std::fs::remove_dir_all(&dir);
     let results: Vec<&String> = lines
         .iter()
         .filter(|l| has_field(l, "event", "result"))
@@ -97,12 +102,17 @@ fn warm_session_memoizes_across_requests() {
         2,
         "both runs must produce a result: {lines:?}"
     );
-    // Rows (and reports) must be identical; compare everything after the
-    // echoed id by slicing from the "rows" key.
-    let tail = |s: &str| s[s.find("\"rows\":").expect("result has rows")..].to_string();
+    // Rows and reports must be identical; compare from the "rows" key up
+    // to the per-request "stats", which differ (executed vs coalesced or
+    // memoized).
+    let rows = |s: &str| {
+        let from = s.find("\"rows\":").expect("result has rows");
+        let to = s.find("\"stats\":").expect("result has stats");
+        s[from..to].to_string()
+    };
     assert_eq!(
-        tail(results[0]),
-        tail(results[1]),
+        rows(results[0]),
+        rows(results[1]),
         "warm rerun changed the rows"
     );
     // And the second request enqueued no fresh jobs: whether it was
