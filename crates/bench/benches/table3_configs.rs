@@ -6,7 +6,8 @@ fn main() {
         "{:12} {:>6} {:>12} {:>6}  name",
         "architect.", "clus", "issue width", "buses"
     );
-    for c in rcmc_sim::config::evaluated_configs() {
+    let table3 = rcmc_sim::plan::ConfigSpec::group("table3").resolve();
+    for c in table3.expect("the table3 group resolves") {
         let t = rcmc_sim::config::topology_name(c.core.topology);
         println!(
             "{:12} {:>6} {:>12} {:>6}  {}",

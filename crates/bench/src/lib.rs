@@ -16,7 +16,6 @@
 //! | `ablations` | beyond-paper studies (steering × topology, release policy, cluster/hop scaling) |
 //! | `micro` | Criterion microbenchmarks of the simulator's hot components |
 //! | `core_throughput`, `steering_cross` | hot-loop throughput into `BENCH_core.json` |
-//! | `sweep_scaling` | serial-vs-parallel plan timing into `BENCH_sweep.json` |
 //!
 //! `ablations` shares the workspace's disk-backed result store
 //! (`target/rcmc-results/`) with the CLI, so each (configuration ×

@@ -20,11 +20,7 @@ fn die<T>(e: String) -> T {
 }
 
 fn main() {
-    let topo_arg = std::env::args().nth(1).unwrap_or_else(|| "conv".into());
-    let Some(topology) = config::parse_topology(&topo_arg) else {
-        eprintln!("unknown topology '{topo_arg}' (ring | conv | crossbar | mesh | hier)");
-        std::process::exit(2);
-    };
+    let topology = std::env::args().nth(1).unwrap_or_else(|| "conv".into());
     let budget = runner::Budget {
         warmup: 5_000,
         measure: 60_000,
@@ -40,7 +36,7 @@ fn main() {
         .budget(budget);
     for thr in thresholds {
         let spec = ConfigSpec {
-            topology: Some(config::topology_name(topology).to_ascii_lowercase()),
+            topology: Some(topology.clone()),
             steering: Some("dcount".into()),
             clusters: Some(8),
             iw: Some(2),
@@ -53,7 +49,7 @@ fn main() {
     let results = Session::ephemeral().run(&plan).unwrap_or_else(die);
     println!(
         "DCOUNT calibration on {} (8 clusters, 1 bus, 2IW):",
-        config::topology_name(topology)
+        config::topology_name(cfgs[0].core.topology)
     );
     let mut best = (f64::MIN, 0.0);
     for (thr, cfg) in thresholds.iter().zip(&cfgs) {

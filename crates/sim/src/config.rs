@@ -1,8 +1,19 @@
-//! Configuration presets: Table 2 (fixed processor parameters) and Table 3
-//! (the ten evaluated cluster/bus/width combinations).
+//! Configuration presets: Table 2 (fixed processor parameters) and the
+//! named configuration grids — Table 3's ten evaluated cluster/bus/width
+//! combinations, §4.6's 2-cycle-hop rows, §4.7's `+SSA` rows and the
+//! topology and steering-cross ablations.
+//!
+//! A grid is data: a list of axes-form [`ConfigSpec`] entries in
+//! [`groups`], resolved by [`ConfigSpec::resolve`] like any plan entry.
+//! [`make_pair`] builds the Table 2 sizing for one shape; the resolver
+//! adds the hop-latency, machine-family and override name tags.
+
+use std::sync::OnceLock;
 
 use rcmc_core::{CoreConfig, Steering, Topology};
 use rcmc_uarch::{MemConfig, PredictorConfig};
+
+use crate::plan::ConfigSpec;
 
 /// A named, complete simulator configuration.
 #[derive(Clone, Debug)]
@@ -169,133 +180,71 @@ pub fn parse_steering(s: &str) -> Option<Steering> {
     }
 }
 
-/// Rebuild `base` with a different interconnect topology: same cluster
-/// count, issue width, bus/port count and hop latency, but the topology's
-/// own steering algorithm and naming.
-pub fn with_topology(base: &SimConfig, topology: Topology) -> SimConfig {
-    with_pair(base, topology, default_steering(topology))
-}
-
-/// Rebuild `base` with a different steering policy on its own topology.
-pub fn with_steering(base: &SimConfig, steering: Steering) -> SimConfig {
-    with_pair(base, base.core.topology, steering)
-}
-
-/// Rebuild `base` onto an arbitrary (topology, steering) pair, keeping its
-/// cluster count, issue width, bus/port count and hop latency.
-pub fn with_pair(base: &SimConfig, topology: Topology, steering: Steering) -> SimConfig {
-    let mut c = make_pair(
-        topology,
-        steering,
-        base.core.n_clusters,
-        base.core.iw_int,
-        base.core.n_buses,
-    );
-    if base.core.hop_latency != 1 {
-        c.core.hop_latency = base.core.hop_latency;
-        c.name = format!("{}_{}cyclehop", c.name, base.core.hop_latency);
-    }
-    c
-}
-
-/// The topology-ablation grid: every interconnect at the paper's 8-cluster
-/// 2IW design point, with 1 and 2 buses/ports, each on its default
-/// steering. The Ring/Conv rows coincide with Table 3 configurations, so a
-/// prior main sweep memoizes them for free.
-pub fn topology_ablation_configs() -> Vec<SimConfig> {
+/// Every (topology × shape × steering) axes entry, in that nesting order,
+/// where a shape is `(clusters, iw, buses)` and a `None` steering is the
+/// topology's default.
+fn product(
+    topologies: &[Topology],
+    shapes: &[(usize, usize, usize)],
+    steerings: &[Option<Steering>],
+    hop: Option<u32>,
+) -> Vec<ConfigSpec> {
     let mut v = Vec::new();
-    for topology in ALL_TOPOLOGIES {
-        for n_buses in [1usize, 2] {
-            v.push(make(topology, 8, 2, n_buses));
+    for &t in topologies {
+        for &(c, w, b) in shapes {
+            for &s in steerings {
+                v.push(ConfigSpec::axes(Some(t), s, Some(c), Some(w), Some(b), hop));
+            }
         }
     }
     v
 }
 
-/// The steering-cross grid: the full (topology × steering) product at the
-/// 8-cluster 1-bus 2IW design point. Default pairings reuse their Table 3 /
-/// ablation names (and memoized results); the ten non-default pairings get
-/// suffixed names.
-pub fn steering_cross_configs() -> Vec<SimConfig> {
-    let mut v = Vec::new();
-    for topology in ALL_TOPOLOGIES {
-        for steering in ALL_STEERINGS {
-            v.push(make_pair(topology, steering, 8, 2, 1));
-        }
-    }
-    v
+/// The configuration grids: each canonical group name (plan-spec
+/// `"group"` entries) with its axes-form [`ConfigSpec`] entries, in row
+/// order — Table 3, its 8-cluster 2IW rows with 2-cycle hops (§4.6), its
+/// rows with the simple steering algorithm (§4.7), every interconnect at
+/// 8 clusters 2IW, and every (topology × steering) pair at 8 clusters,
+/// 1 bus, 2IW. The grids overlap on purpose, so shared rows memoize once.
+/// Group expansion, [`known_configs`] and the `everything` builtin plan
+/// all read this one table.
+pub fn groups() -> &'static [(&'static str, Vec<ConfigSpec>)] {
+    use {Steering::Ssa, Topology::*};
+    static TABLE: OnceLock<Vec<(&str, Vec<ConfigSpec>)>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        // Shapes are (clusters, iw, buses); `own` is each topology's
+        // default steering, `every` all three policies.
+        let table3 = [(4, 2, 1), (8, 1, 1), (8, 1, 2), (8, 2, 1), (8, 2, 2)];
+        let two_wide = [(8, 2, 1), (8, 2, 2)];
+        let (all, own, every) = (ALL_TOPOLOGIES, [None], ALL_STEERINGS.map(Some));
+        vec![
+            ("table3", product(&[Conv, Ring], &table3, &own, None)),
+            ("fig12", product(&[Ring, Conv], &two_wide, &own, Some(2))),
+            ("ssa", product(&[Conv, Ring], &table3, &[Some(Ssa)], None)),
+            ("topology", product(&all, &two_wide, &own, None)),
+            ("steering-cross", product(&all, &[(8, 2, 1)], &every, None)),
+        ]
+    })
 }
 
-/// The ten evaluated configurations of Table 3, in its row order.
-pub fn evaluated_configs() -> Vec<SimConfig> {
-    use Topology::*;
-    vec![
-        make(Conv, 4, 2, 1),
-        make(Conv, 8, 1, 1),
-        make(Conv, 8, 1, 2),
-        make(Conv, 8, 2, 1),
-        make(Conv, 8, 2, 2),
-        make(Ring, 4, 2, 1),
-        make(Ring, 8, 1, 1),
-        make(Ring, 8, 1, 2),
-        make(Ring, 8, 2, 1),
-        make(Ring, 8, 2, 2),
-    ]
+/// The canonical group names, in table order.
+pub fn group_names() -> Vec<&'static str> {
+    groups().iter().map(|(g, _)| *g).collect()
 }
 
-/// §4.6: the 8-cluster 2IW configurations with 2-cycle-per-hop buses.
-pub fn fig12_configs() -> Vec<SimConfig> {
-    let mut v = Vec::new();
-    for topology in [Topology::Ring, Topology::Conv] {
-        for n_buses in [1usize, 2] {
-            let mut c = make(topology, 8, 2, n_buses);
-            c.core.hop_latency = 2;
-            c.name = format!("{}_2cyclehop", c.name);
-            v.push(c);
-        }
-    }
-    v
-}
-
-/// §4.7: every Table 3 configuration with the simple steering algorithm.
-pub fn ssa_configs() -> Vec<SimConfig> {
-    evaluated_configs()
-        .into_iter()
-        .map(|mut c| {
-            c.core.steering = Steering::Ssa;
-            c.name = format!("{}+SSA", c.name);
-            c
-        })
-        .collect()
-}
-
-/// Builder of one configuration grid.
-pub type GridFn = fn() -> Vec<SimConfig>;
-
-/// The configuration grids, by canonical group name (plan-spec `"group"`
-/// entries, `known_configs`, and the `everything` builtin plan all
-/// derive from this one table, so adding a grid here wires it up
-/// everywhere at once).
-pub const GROUPS: [(&str, GridFn); 5] = [
-    ("table3", evaluated_configs),
-    ("fig12", fig12_configs),
-    ("ssa", ssa_configs),
-    ("topology", topology_ablation_configs),
-    ("steering-cross", steering_cross_configs),
-];
-
-/// Every known (preset) configuration: the union of every [`GROUPS`] grid,
-/// first occurrence of each name kept (the grids deliberately reuse
-/// Table 3 rows). Memoized and borrowed — name resolution hits this once
-/// per plan entry, so callers clone only what they keep.
+/// Every known (preset) configuration: every [`groups`] entry resolved,
+/// first occurrence of each name kept. Memoized and borrowed — name
+/// resolution hits this once per plan entry, so callers clone only what
+/// they keep.
 pub fn known_configs() -> &'static [SimConfig] {
-    static KNOWN: std::sync::OnceLock<Vec<SimConfig>> = std::sync::OnceLock::new();
+    static KNOWN: OnceLock<Vec<SimConfig>> = OnceLock::new();
     KNOWN.get_or_init(|| {
         let mut seen = std::collections::HashSet::new();
-        GROUPS
+        groups()
             .iter()
-            .flat_map(|(_, build)| build())
-            .filter(move |c| seen.insert(c.name.clone()))
+            .flat_map(|(_, specs)| specs)
+            .map(|spec| spec.resolve().expect("preset specs resolve").remove(0))
+            .filter(|c| seen.insert(c.name.clone()))
             .collect()
     })
 }
@@ -303,6 +252,16 @@ pub fn known_configs() -> &'static [SimConfig] {
 /// Look a known configuration up by display name.
 pub fn find_config(name: &str) -> Option<SimConfig> {
     known_configs().iter().find(|c| c.name == name).cloned()
+}
+
+/// The axes-form spec a known configuration resolves from, to compose
+/// further axes onto (`rcmc run --config NAME --topology T`).
+pub fn preset_spec(name: &str) -> Option<ConfigSpec> {
+    groups()
+        .iter()
+        .flat_map(|(_, specs)| specs)
+        .find(|spec| spec.resolve().is_ok_and(|c| c[0].name == name))
+        .cloned()
 }
 
 /// Render Table 2 (the fixed processor configuration) as text.
@@ -362,9 +321,14 @@ pub fn table2_text() -> String {
 mod tests {
     use super::*;
 
+    /// One group's grid, resolved.
+    fn grid(group: &str) -> Vec<SimConfig> {
+        ConfigSpec::group(group).resolve().unwrap()
+    }
+
     #[test]
     fn table3_has_ten_rows() {
-        let cfgs = evaluated_configs();
+        let cfgs = grid("table3");
         assert_eq!(cfgs.len(), 10);
         for c in &cfgs {
             assert!(c.core.validate().is_ok(), "{} invalid", c.name);
@@ -373,7 +337,7 @@ mod tests {
 
     #[test]
     fn names_follow_the_paper() {
-        let cfgs = evaluated_configs();
+        let cfgs = grid("table3");
         let names: Vec<&str> = cfgs.iter().map(|c| c.name.as_str()).collect();
         assert!(names.contains(&"Conv_4clus_1bus_2IW"));
         assert!(names.contains(&"Ring_8clus_2bus_1IW"));
@@ -392,7 +356,7 @@ mod tests {
 
     #[test]
     fn fig12_doubles_hop_latency() {
-        let v = fig12_configs();
+        let v = grid("fig12");
         assert_eq!(v.len(), 4);
         for c in &v {
             assert_eq!(c.core.hop_latency, 2);
@@ -402,7 +366,7 @@ mod tests {
 
     #[test]
     fn ssa_variants_change_only_steering() {
-        for (base, ssa) in evaluated_configs().iter().zip(ssa_configs()) {
+        for (base, ssa) in grid("table3").iter().zip(grid("ssa")) {
             assert_eq!(ssa.core.steering, Steering::Ssa);
             assert_eq!(ssa.core.topology, base.core.topology);
             assert_eq!(ssa.core.n_buses, base.core.n_buses);
@@ -460,40 +424,8 @@ mod tests {
     }
 
     #[test]
-    fn with_topology_preserves_shape() {
-        let base = make(Topology::Ring, 8, 2, 2);
-        let x = with_topology(&base, Topology::Crossbar);
-        assert_eq!(x.name, "Xbar_8clus_2bus_2IW");
-        assert_eq!(x.core.n_clusters, 8);
-        assert_eq!(x.core.n_buses, 2);
-        assert_eq!(x.core.steering, Steering::ConvDcount);
-        // Non-default hop latency carries over, with the §4.6 name suffix.
-        let mut slow = make(Topology::Conv, 8, 2, 1);
-        slow.core.hop_latency = 2;
-        let xs = with_topology(&slow, Topology::Crossbar);
-        assert_eq!(xs.core.hop_latency, 2);
-        assert_eq!(xs.name, "Xbar_8clus_1bus_2IW_2cyclehop");
-    }
-
-    #[test]
-    fn with_steering_crosses_the_axes() {
-        // Any policy on any fabric: a DCOUNT-steered mesh and a
-        // RingDep-paired crossbar both build, validate and name themselves.
-        let mesh = with_steering(&make(Topology::Mesh, 8, 2, 1), Steering::RingDep);
-        assert_eq!(mesh.name, "Mesh_8clus_1bus_2IW+DEP");
-        assert_eq!(mesh.core.steering, Steering::RingDep);
-        assert_eq!(mesh.core.topology, Topology::Mesh);
-        assert!(mesh.core.validate().is_ok());
-        let xbar = with_steering(&make(Topology::Crossbar, 8, 2, 1), Steering::RingDep);
-        assert_eq!(xbar.name, "Xbar_8clus_1bus_2IW+DEP");
-        // Re-crossing back to the default drops the suffix.
-        let back = with_steering(&xbar, Steering::ConvDcount);
-        assert_eq!(back.name, "Xbar_8clus_1bus_2IW");
-    }
-
-    #[test]
     fn topology_ablation_grid_covers_all_five() {
-        let v = topology_ablation_configs();
+        let v = grid("topology");
         assert_eq!(v.len(), 10);
         let names: Vec<&str> = v.iter().map(|c| c.name.as_str()).collect();
         assert!(names.contains(&"Ring_8clus_1bus_2IW"));
@@ -508,7 +440,7 @@ mod tests {
 
     #[test]
     fn steering_cross_grid_is_the_full_product() {
-        let v = steering_cross_configs();
+        let v = grid("steering-cross");
         assert_eq!(v.len(), ALL_TOPOLOGIES.len() * ALL_STEERINGS.len());
         // Names are unique and every (topology, steering) pair appears.
         let mut names: Vec<&str> = v.iter().map(|c| c.name.as_str()).collect();

@@ -113,10 +113,10 @@ pub mod plans {
             ),
             "steering-decomposition" => steering_decomposition(),
             // The union of every configuration grid, derived from
-            // `config::GROUPS` so a newly added grid is covered.
-            "everything" => config::GROUPS
-                .iter()
-                .fold(Plan::new(name), |p, (group, _)| p.group(*group)),
+            // `config::groups` so a newly added grid is covered.
+            "everything" => config::group_names()
+                .into_iter()
+                .fold(Plan::new(name), Plan::group),
             _ => return None,
         })
     }

@@ -2,10 +2,14 @@
 //!
 //! The paper evaluates one fixed 2005-era design point; this module models
 //! whole *families* of machines as one declarative table, uiCA-style: each
-//! [`Machine`] row is a named [`CoreConfig`]/[`MemConfig`] delta applied on
-//! top of the paper's Table 2 sizing after topology/steering pairing.
-//! Plan `ConfigSpec`s select a family with `"machine": "wide"`, the CLI
-//! with `--machine wide`, and `rcmc machines list|show` renders the table.
+//! [`Machine`] row is a plain value — default plan axes
+//! (`clusters`/`iw`/`buses`), a list of [`rcmc_core::config::OVERRIDE_KEYS`]
+//! entries and an optional main-memory latency — that
+//! `plan::ConfigSpec::resolve` applies on top of the paper's Table 2
+//! sizing after topology/steering pairing, through the same
+//! `CoreConfig::apply_override` a plan's `"overrides"` map uses. Plan
+//! `ConfigSpec`s select a family with `"machine": "wide"`, the CLI with
+//! `--machine wide`, and `rcmc machines list|show` renders the table.
 //!
 //! Contracts:
 //!
@@ -17,17 +21,17 @@
 //!   preset rows in the memoized result store.
 //! * **Families must validate everywhere.** Each row is checked against
 //!   every topology at both 8 and 64 clusters by the registry tests;
-//!   a delta that breaks `CoreConfig::validate` is a bug in the table.
+//!   an entry that breaks `CoreConfig::validate` is a bug in the table.
 //!
 //! Fine-grained knobs (one queue depth, a policy flag) don't need a family:
 //! plan specs compose any registry row with an `"overrides": {...}` map of
-//! whitelisted `CoreConfig` fields (`rcmc_core::OVERRIDE_KEYS`).
+//! the same whitelisted keys, which (unlike a family's entries) tag the
+//! name one by one.
 
-use crate::config::SimConfig;
-
-/// One named machine family: default plan axes plus the `CoreConfig` /
-/// `MemConfig` fields it resizes. `None` means "inherit the paper sizing"
-/// (rendered `-` in the arch table).
+/// One named machine family: default plan axes plus the `CoreConfig`
+/// fields it resizes and the memory latency it sets. A key it leaves out
+/// (or `mem_latency: None`) inherits the paper sizing (rendered `-` in the
+/// arch table).
 #[derive(Clone, Copy, Debug)]
 pub struct Machine {
     /// Registry key (`--machine <name>`, `"machine": "<name>"`).
@@ -40,33 +44,29 @@ pub struct Machine {
     pub iw: usize,
     /// Default bus/port count when the spec doesn't pin `buses`.
     pub buses: usize,
-    /// Reorder-buffer entries.
-    pub rob: Option<usize>,
-    /// Load/store queue entries.
-    pub lsq: Option<usize>,
-    /// Per-cluster INT issue-queue entries.
-    pub iq_int: Option<usize>,
-    /// Per-cluster FP issue-queue entries.
-    pub iq_fp: Option<usize>,
-    /// Per-cluster communication-queue entries.
-    pub iq_comm: Option<usize>,
-    /// Per-cluster INT physical registers.
-    pub regs_int: Option<usize>,
-    /// Per-cluster FP physical registers.
-    pub regs_fp: Option<usize>,
-    /// Fetch width (instructions/cycle).
-    pub fetch_width: Option<usize>,
-    /// Commit width (instructions/cycle).
-    pub commit_width: Option<usize>,
-    /// Fetch-queue entries.
-    pub fetch_queue: Option<usize>,
-    /// Front-end depth in cycles (fetch→rename).
-    pub frontend_depth: Option<u32>,
-    /// Per-cluster store-buffer entries.
-    pub store_buffer: Option<usize>,
-    /// Main-memory latency in cycles (the `slowmem` knob).
+    /// `CoreConfig` fields by [`rcmc_core::config::OVERRIDE_KEYS`] key, applied in
+    /// order through `CoreConfig::apply_override`.
+    pub overrides: &'static [(&'static str, f64)],
+    /// Main-memory latency in cycles (a `MemConfig` field; the `slowmem`
+    /// knob).
     pub mem_latency: Option<u32>,
 }
+
+/// The core fields `rcmc machines show` lists, in display order.
+const SHOWN: [&str; 12] = [
+    "rob",
+    "lsq",
+    "iq_int",
+    "iq_fp",
+    "iq_comm",
+    "regs_int",
+    "regs_fp",
+    "fetch_width",
+    "commit_width",
+    "fetch_queue",
+    "frontend_depth",
+    "store_buffer",
+];
 
 /// The identity row every family starts from.
 const BASELINE: Machine = Machine {
@@ -75,18 +75,7 @@ const BASELINE: Machine = Machine {
     clusters: 8,
     iw: 2,
     buses: 1,
-    rob: None,
-    lsq: None,
-    iq_int: None,
-    iq_fp: None,
-    iq_comm: None,
-    regs_int: None,
-    regs_fp: None,
-    fetch_width: None,
-    commit_width: None,
-    fetch_queue: None,
-    frontend_depth: None,
-    store_buffer: None,
+    overrides: &[],
     mem_latency: None,
 };
 
@@ -100,18 +89,20 @@ pub const REGISTRY: [Machine; 4] = [
         clusters: 8,
         iw: 6,
         buses: 2,
-        rob: Some(512),
-        lsq: Some(256),
-        iq_int: Some(64),
-        iq_fp: Some(64),
-        iq_comm: Some(32),
-        regs_int: Some(192),
-        regs_fp: Some(192),
-        fetch_width: Some(16),
-        commit_width: Some(16),
-        fetch_queue: Some(128),
-        frontend_depth: Some(6),
-        store_buffer: Some(32),
+        overrides: &[
+            ("rob", 512.0),
+            ("lsq", 256.0),
+            ("iq_int", 64.0),
+            ("iq_fp", 64.0),
+            ("iq_comm", 32.0),
+            ("regs_int", 192.0),
+            ("regs_fp", 192.0),
+            ("fetch_width", 16.0),
+            ("commit_width", 16.0),
+            ("fetch_queue", 128.0),
+            ("frontend_depth", 6.0),
+            ("store_buffer", 32.0),
+        ],
         ..BASELINE
     },
     Machine {
@@ -120,18 +111,20 @@ pub const REGISTRY: [Machine; 4] = [
         clusters: 2,
         iw: 1,
         buses: 1,
-        rob: Some(32),
-        lsq: Some(16),
-        iq_int: Some(8),
-        iq_fp: Some(8),
-        iq_comm: Some(8),
-        regs_int: Some(40),
-        regs_fp: Some(40),
-        fetch_width: Some(2),
-        commit_width: Some(2),
-        fetch_queue: Some(8),
-        frontend_depth: Some(2),
-        store_buffer: Some(4),
+        overrides: &[
+            ("rob", 32.0),
+            ("lsq", 16.0),
+            ("iq_int", 8.0),
+            ("iq_fp", 8.0),
+            ("iq_comm", 8.0),
+            ("regs_int", 40.0),
+            ("regs_fp", 40.0),
+            ("fetch_width", 2.0),
+            ("commit_width", 2.0),
+            ("fetch_queue", 8.0),
+            ("frontend_depth", 2.0),
+            ("store_buffer", 4.0),
+        ],
         ..BASELINE
     },
     Machine {
@@ -159,32 +152,12 @@ impl Machine {
         self.name == BASELINE.name
     }
 
-    /// Apply this family's delta to a built configuration. Axes defaults
-    /// (`clusters`/`iw`/`buses`) are *not* applied here — they only seed
-    /// plan-spec resolution when the spec leaves those axes unset.
-    pub fn apply(&self, cfg: &mut SimConfig) {
-        macro_rules! set {
-            ($field:ident, core) => {
-                if let Some(v) = self.$field {
-                    cfg.core.$field = v;
-                }
-            };
-        }
-        set!(rob, core);
-        set!(lsq, core);
-        set!(iq_int, core);
-        set!(iq_fp, core);
-        set!(iq_comm, core);
-        set!(regs_int, core);
-        set!(regs_fp, core);
-        set!(fetch_width, core);
-        set!(commit_width, core);
-        set!(fetch_queue, core);
-        set!(frontend_depth, core);
-        set!(store_buffer, core);
-        if let Some(v) = self.mem_latency {
-            cfg.mem.mem_latency = v;
-        }
+    /// The value this family sets for one override key, if any.
+    fn entry(&self, key: &str) -> Option<f64> {
+        self.overrides
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|&(_, v)| v)
     }
 
     /// Multi-line detail view for `rcmc machines show <family>`.
@@ -199,18 +172,9 @@ impl Machine {
             "{} — {}\n  default axes:    {} clusters x {}IW x {} bus\n",
             self.name, self.description, self.clusters, self.iw, self.buses
         );
-        s.push_str(&row("rob", self.rob));
-        s.push_str(&row("lsq", self.lsq));
-        s.push_str(&row("iq_int", self.iq_int));
-        s.push_str(&row("iq_fp", self.iq_fp));
-        s.push_str(&row("iq_comm", self.iq_comm));
-        s.push_str(&row("regs_int", self.regs_int));
-        s.push_str(&row("regs_fp", self.regs_fp));
-        s.push_str(&row("fetch_width", self.fetch_width));
-        s.push_str(&row("commit_width", self.commit_width));
-        s.push_str(&row("fetch_queue", self.fetch_queue));
-        s.push_str(&row("frontend_depth", self.frontend_depth));
-        s.push_str(&row("store_buffer", self.store_buffer));
+        for key in SHOWN {
+            s.push_str(&row(key, self.entry(key)));
+        }
         s.push_str(&row("mem_latency", self.mem_latency));
         s
     }
@@ -227,19 +191,23 @@ pub fn render_table() -> String {
          ---------  -----------  ---  ---  ---  ----  -----  ---  -----  ------  -----------\n",
     );
     for m in &REGISTRY {
+        let [rob, lsq, iq, regs, fetch, fq, depth] = [
+            "rob",
+            "lsq",
+            "iq_int",
+            "regs_int",
+            "fetch_width",
+            "fetch_queue",
+            "frontend_depth",
+        ]
+        .map(|key| cell(m.entry(key)));
         s.push_str(&format!(
-            "{:<9}  {:>4}x{}x{}     {:>4} {:>4} {:>4} {:>5} {:>6} {:>4} {:>6} {:>7}  {}\n",
+            "{:<9}  {:>4}x{}x{}     {rob:>4} {lsq:>4} {iq:>4} {regs:>5} {fetch:>6} {fq:>4} \
+             {depth:>6} {:>7}  {}\n",
             m.name,
             m.clusters,
             m.iw,
             m.buses,
-            cell(m.rob),
-            cell(m.lsq),
-            cell(m.iq_int),
-            cell(m.regs_int),
-            cell(m.fetch_width),
-            cell(m.fetch_queue),
-            cell(m.frontend_depth),
             cell(m.mem_latency),
             m.description,
         ));
@@ -251,6 +219,7 @@ pub fn render_table() -> String {
 mod tests {
     use super::*;
     use crate::config::make;
+    use crate::plan::ConfigSpec;
     use rcmc_core::Topology;
 
     #[test]
@@ -267,10 +236,14 @@ mod tests {
     #[test]
     fn baseline_apply_is_the_identity() {
         let base = make(Topology::Ring, 8, 2, 1);
-        let mut applied = base.clone();
-        find("paper2005").unwrap().apply(&mut applied);
-        assert_eq!(format!("{:?}", applied.core), format!("{:?}", base.core));
-        assert_eq!(applied.mem.mem_latency, base.mem.mem_latency);
+        let paper = find("paper2005").unwrap();
+        assert!(paper.overrides.is_empty());
+        assert_eq!(paper.mem_latency, None);
+        let applied = ConfigSpec::for_machine("paper2005").resolve().unwrap();
+        assert_eq!(applied.len(), 1);
+        assert_eq!(applied[0].name, base.name);
+        assert_eq!(format!("{:?}", applied[0].core), format!("{:?}", base.core));
+        assert_eq!(applied[0].mem.mem_latency, base.mem.mem_latency);
     }
 
     #[test]
@@ -280,6 +253,9 @@ mod tests {
             assert!(t.contains(m.name), "{} missing from table", m.name);
             let s = m.show();
             assert!(s.contains(m.description));
+            for (key, _) in m.overrides {
+                assert!(SHOWN.contains(key), "{}: {key} not shown", m.name);
+            }
         }
         // The identity row renders all-dashes for its delta columns.
         assert!(find("paper2005")

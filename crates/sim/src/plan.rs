@@ -34,7 +34,10 @@
 //! A config entry may instead name a whole grid: `{"group": "table3"}`
 //! (also `fig12`, `ssa`, `topology`, `steering-cross`) — that is how every
 //! paper figure is expressed as a plan value, reports included (see
-//! [`crate::experiments::plans`]).
+//! [`crate::experiments::plans`]). The grids are themselves lists of
+//! axes-form entries ([`config::groups`]), and a `{"name": ...}` entry is
+//! one of their rows, so every configuration — preset, grid row, family or
+//! overridden variant — is built by one function, [`ConfigSpec::resolve`].
 //!
 //! Axes-form entries additionally compose with the machine registry
 //! ([`crate::machines`]) and per-field overrides:
@@ -44,10 +47,11 @@
 //!  "overrides": {"rob": 256, "copy_release": "on_read"}}
 //! ```
 //!
-//! `"machine"` selects a named family whose `CoreConfig` delta is applied
-//! after topology/steering pairing (and whose default cluster/width/bus
-//! axes fill in any the entry leaves unset); `"overrides"` then sets
-//! individual whitelisted fields ([`rcmc_core::OVERRIDE_KEYS`]) by key.
+//! `"machine"` selects a named family whose override entries (and
+//! memory latency) are applied after topology/steering pairing, and whose
+//! default cluster/width/bus axes fill in any the entry leaves unset;
+//! `"overrides"` then sets individual whitelisted fields
+//! ([`rcmc_core::OVERRIDE_KEYS`]) by key.
 //! Both tag the configuration name deterministically (`~m:wide`, `~rob256`
 //! in sorted key order), so overridden configurations never collide with
 //! preset rows in the memoized result store; `"machine": "paper2005"` with
@@ -66,8 +70,8 @@ use crate::runner::{all_bench_names, Budget};
 /// or an ad-hoc axes combination. Exactly one of the three forms may be
 /// used per entry:
 ///
-/// * `group` — a whole paper grid (`table3`/`main`, `fig12`, `ssa`,
-///   `topology`, `steering-cross`);
+/// * `group` — a whole paper grid (`table3`, `fig12`, `ssa`, `topology`,
+///   `steering-cross`; see [`config::groups`]);
 /// * `name` — one known configuration by its display name;
 /// * axes — any subset of `topology`/`steering`/`clusters`/`iw`/`buses`/
 ///   `hop_latency`, the rest defaulting to the paper's
@@ -117,6 +121,28 @@ impl ConfigSpec {
     pub fn group(group: impl Into<String>) -> ConfigSpec {
         ConfigSpec {
             group: Some(group.into()),
+            ..ConfigSpec::default()
+        }
+    }
+
+    /// An axes-form spec from typed axes (each `None` takes the
+    /// `Ring_8clus_1bus_2IW` default for that axis, or the topology's
+    /// default steering): the one `Topology`/`Steering` → spelling map.
+    pub fn axes(
+        topology: Option<Topology>,
+        steering: Option<Steering>,
+        clusters: Option<usize>,
+        iw: Option<usize>,
+        buses: Option<usize>,
+        hop_latency: Option<u32>,
+    ) -> ConfigSpec {
+        ConfigSpec {
+            topology: topology.map(|t| config::topology_name(t).to_ascii_lowercase()),
+            steering: steering.map(|s| config::steering_name(s).to_ascii_lowercase()),
+            clusters,
+            iw,
+            buses,
+            hop_latency,
             ..ConfigSpec::default()
         }
     }
@@ -213,14 +239,21 @@ impl ConfigSpec {
                         c.name = format!("{}_{hop}cyclehop", c.name);
                     }
                 }
-                // Non-baseline families rewrite the core/memory sizing and
-                // tag the name; `paper2005` is the guarded identity path
-                // (byte-identical configuration, untagged name/store key).
-                if let Some(m) = machine {
-                    if !m.is_baseline() {
-                        m.apply(&mut c);
-                        c.name = format!("{}~m:{}", c.name, m.name);
+                // Non-baseline families resize the core through their
+                // override entries (untagged: the family tag names them
+                // all) and the memory latency, then tag the name;
+                // `paper2005` is the guarded identity path (byte-identical
+                // configuration, untagged name/store key).
+                if let Some(m) = machine.filter(|m| !m.is_baseline()) {
+                    for &(key, value) in m.overrides {
+                        c.core
+                            .apply_override(key, &Value::Num(value))
+                            .map_err(|e| format!("machine '{}': {e}", m.name))?;
                     }
+                    if let Some(latency) = m.mem_latency {
+                        c.mem.mem_latency = latency;
+                    }
+                    c.name = format!("{}~m:{}", c.name, m.name);
                 }
                 // Overrides apply (and tag) in sorted key order, so two
                 // specs listing the same map in different order resolve to
@@ -314,25 +347,17 @@ impl ConfigSpec {
     }
 }
 
-/// Expand a group spelling into its configuration grid (the grids
-/// themselves live in one table, [`config::GROUPS`]).
+/// Expand a group name into its configuration grid by resolving each of
+/// its axes entries ([`config::groups`]).
 fn expand_group(group: &str) -> Result<Vec<SimConfig>, String> {
-    let lower = group.to_ascii_lowercase();
-    let canonical = match lower.as_str() {
-        "table3" | "main" | "evaluated" => "table3",
-        "fig12" | "2cyclehop" => "fig12",
-        "topology" | "topology-ablation" => "topology",
-        "steering-cross" | "cross" => "steering-cross",
-        other => other,
-    };
-    config::GROUPS
+    let (_, specs) = config::groups()
         .iter()
-        .find(|(name, _)| *name == canonical)
-        .map(|(_, build)| build())
+        .find(|(g, _)| g.eq_ignore_ascii_case(group))
         .ok_or_else(|| {
-            let names: Vec<&str> = config::GROUPS.iter().map(|(n, _)| *n).collect();
-            format!("unknown config group '{group}' ({})", names.join(" | "))
-        })
+            let names = config::group_names().join(" | ");
+            format!("unknown config group '{group}' ({names})")
+        })?;
+    specs.iter().map(|s| Ok(s.resolve()?.remove(0))).collect()
 }
 
 /// One row of a `speedup` report: the geometric-mean IPC ratio of `num`
@@ -740,7 +765,7 @@ impl Plan {
     /// Append an ad-hoc axes configuration (each `None` takes the
     /// `Ring_8clus_1bus_2IW` default for that axis).
     pub fn config_axes(
-        mut self,
+        self,
         topology: Option<Topology>,
         steering: Option<Steering>,
         clusters: Option<usize>,
@@ -748,16 +773,14 @@ impl Plan {
         buses: Option<usize>,
         hop_latency: Option<u32>,
     ) -> Plan {
-        self.configs.push(ConfigSpec {
-            topology: topology.map(|t| config::topology_name(t).to_ascii_lowercase()),
-            steering: steering.map(|s| config::steering_name(s).to_ascii_lowercase()),
+        self.config(ConfigSpec::axes(
+            topology,
+            steering,
             clusters,
             iw,
             buses,
             hop_latency,
-            ..ConfigSpec::default()
-        });
-        self
+        ))
     }
 
     /// Append a raw [`ConfigSpec`].
@@ -1410,6 +1433,22 @@ mod tests {
     }
 
     #[test]
+    fn only_canonical_group_names_resolve() {
+        // `main` is a builtin plan, not a grid: as a group it is unknown,
+        // and the error lists the five canonical names.
+        let p = Plan::from_json(r#"{"name": "x", "configs": [{"group": "main"}]}"#).unwrap();
+        let err = p.resolve_configs().unwrap_err();
+        assert_eq!(
+            err,
+            "unknown config group 'main' (table3 | fig12 | ssa | topology | steering-cross)"
+        );
+        for group in ["evaluated", "2cyclehop", "topology-ablation", "cross"] {
+            assert!(ConfigSpec::group(group).resolve().is_err(), "{group}");
+        }
+        assert_eq!(ConfigSpec::group("Fig12").resolve().unwrap().len(), 4);
+    }
+
+    #[test]
     fn reports_may_only_reference_configs_the_plan_runs() {
         // A typo'd pair must fail validation up front, not render a silent
         // neutral speedup after the whole sweep ran.
@@ -1440,24 +1479,24 @@ mod tests {
 
     #[test]
     fn speedup_pairs_reject_unknown_and_duplicate_keys() {
-        let with_pair = |pair: &str| {
+        let pair_spec = |pair: &str| {
             format!(
                 r#"{{"name": "x", "configs": [{{"group": "table3"}}],
                     "reports": [{{"kind": "speedup", "pairs": [{pair}]}}]}}"#
             )
         };
         let typo = r#"{"num": "Ring_8clus_1bus_2IW", "den": "Conv_8clus_1bus_2IW", "lable": "x"}"#;
-        let err = Plan::from_json(&with_pair(typo)).unwrap_err();
+        let err = Plan::from_json(&pair_spec(typo)).unwrap_err();
         assert!(err.contains("unknown pair key 'lable'"), "{err}");
         let dup = r#"{"num": "A", "num": "Ring_8clus_1bus_2IW", "den": "Conv_8clus_1bus_2IW"}"#;
-        let err = Plan::from_json(&with_pair(dup)).unwrap_err();
+        let err = Plan::from_json(&pair_spec(dup)).unwrap_err();
         assert!(err.contains("duplicate pair key 'num'"), "{err}");
-        assert!(Plan::from_json(&with_pair(r#"{"num": "A"}"#))
+        assert!(Plan::from_json(&pair_spec(r#"{"num": "A"}"#))
             .unwrap_err()
             .contains("den"));
-        assert!(Plan::from_json(&with_pair(r#"["A", "B"]"#)).is_err());
+        assert!(Plan::from_json(&pair_spec(r#"["A", "B"]"#)).is_err());
         let ok = r#"{"num": "Ring_8clus_1bus_2IW", "den": "Conv_8clus_1bus_2IW", "label": "x"}"#;
-        let plan = Plan::from_json(&with_pair(ok)).unwrap();
+        let plan = Plan::from_json(&pair_spec(ok)).unwrap();
         assert_eq!(plan.reports[0].pairs[0].label.as_deref(), Some("x"));
         plan.validate().unwrap();
     }

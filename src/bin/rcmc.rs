@@ -165,10 +165,10 @@ fn usage() {
          \n\
          --jobs parallelizes sweeps; `run` accepts it for symmetry but a single\n\
          run always uses one worker.\n\
-         --topology rebuilds the chosen configuration on another interconnect\n\
-         (ring | conv/bus | crossbar/xbar | mesh | hier) with that topology's\n\
-         default steering; --steering then overrides the policy (ringdep/dep |\n\
-         dcount | ssa) — any policy drives any fabric.\n\
+         run's flags compose like one plan config entry's fields: --topology\n\
+         moves the configuration to another interconnect (ring | conv/bus |\n\
+         crossbar/xbar | mesh | hier) with that topology's default steering;\n\
+         --steering then sets the policy (ringdep/dep | dcount | ssa).\n\
          --machine builds on a registry family's sizing instead of a preset\n\
          (`rcmc machines list`); it cannot be combined with --config.\n\
          Plan spec files and the serve protocol are documented in the README\n\
@@ -303,8 +303,9 @@ fn trace_db_required(flags: &HashMap<String, String>) -> TraceDb {
     })
 }
 
-fn find_config(name: &str) -> config::SimConfig {
-    config::find_config(name).unwrap_or_else(|| {
+/// The axes spec of a known configuration (`--config NAME`).
+fn preset_spec(name: &str) -> ConfigSpec {
+    config::preset_spec(name).unwrap_or_else(|| {
         eprintln!("unknown configuration '{name}' (see `rcmc list`)");
         std::process::exit(1);
     })
@@ -316,7 +317,8 @@ fn list() {
         let class = if b.is_fp() { "FP " } else { "INT" };
         println!("  {:10} {class}  {:?}", b.name, b.kernel);
     }
-    println!("\nconfigurations (Table 3 + §4.6 + §4.7 + topology-ablation + steering-cross):");
+    let groups = config::group_names().join(" + ");
+    println!("\nconfigurations (groups {groups}):");
     for c in config::known_configs() {
         println!("  {}", c.name);
     }
@@ -343,43 +345,34 @@ fn print_result(r: &ring_clustered::sim::RunResult) {
 
 fn run(args: &[String], flags: &HashMap<String, String>) {
     let bench = positional(args, 1, "benchmark name");
-    let cfg = if let Some(family) = flags.get("machine") {
-        // A family is a different way of choosing the base sizing, so it
-        // conflicts with a preset name; topology/steering still compose.
-        if flags.contains_key("config") {
+    // The flags compose into one spec: a preset's (or a family's) axes,
+    // then `--topology` with that topology's default steering, then
+    // `--steering`.
+    let mut spec = match (flags.get("config"), flags.get("machine")) {
+        (Some(_), Some(_)) => {
+            // A family is a different way of choosing the base sizing, so
+            // it conflicts with a preset name.
             eprintln!("--machine cannot be combined with --config\n");
             usage();
             std::process::exit(2);
         }
-        let spec = ConfigSpec {
-            machine: Some(family.clone()),
-            topology: flags.get("topology").cloned(),
-            steering: flags.get("steering").cloned(),
-            ..ConfigSpec::default()
-        };
-        spec.resolve().unwrap_or_else(die).remove(0)
-    } else {
-        let cfg_name = flags
-            .get("config")
-            .cloned()
-            .unwrap_or_else(|| "Ring_8clus_1bus_2IW".to_string());
-        let mut cfg = find_config(&cfg_name);
-        if let Some(t) = flags.get("topology") {
-            let Some(topology) = config::parse_topology(t) else {
-                eprintln!("unknown topology '{t}' (ring | conv | crossbar | mesh | hier)");
-                std::process::exit(2);
-            };
-            cfg = config::with_topology(&cfg, topology);
-        }
-        if let Some(s) = flags.get("steering") {
-            let Some(steering) = config::parse_steering(s) else {
-                eprintln!("unknown steering '{s}' (ringdep | dcount | ssa)");
-                std::process::exit(2);
-            };
-            cfg = config::with_steering(&cfg, steering);
-        }
-        cfg
+        (None, Some(family)) => ConfigSpec::for_machine(family.clone()),
+        (name, None) => preset_spec(name.map_or("Ring_8clus_1bus_2IW", String::as_str)),
     };
+    if let Some(t) = flags.get("topology") {
+        spec.topology = Some(t.clone());
+        spec.steering = None;
+    }
+    if let Some(s) = flags.get("steering") {
+        spec.steering = Some(s.clone());
+    }
+    let cfg = spec
+        .resolve()
+        .unwrap_or_else(|e| {
+            eprintln!("rcmc run: {e}");
+            std::process::exit(2);
+        })
+        .remove(0);
     let budget = budget_from(flags);
     let _ = jobs_from(flags); // validated; a single run always uses one worker
     let session = with_trace_db(Session::new(), flags);
@@ -467,7 +460,10 @@ fn trace_view(args: &[String], flags: &HashMap<String, String>) {
         .get("config")
         .cloned()
         .unwrap_or_else(|| "Ring_8clus_1bus_2IW".to_string());
-    let cfg = find_config(&cfg_name);
+    let cfg = preset_spec(&cfg_name)
+        .resolve()
+        .unwrap_or_else(die)
+        .remove(0);
     let trace = cached_trace(&bench, (from + len) as u64 + 50_000);
     let mut core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
     core.attach_tracer(PipeTracer::new(from, from + len));
@@ -668,13 +664,8 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
             let mut plan = Plan::from_json(&text)
                 .unwrap_or_else(|e| die(format!("invalid plan spec '{path}': {e}")));
             if let Some(family) = flags.get("machine") {
-                if machines::find(family).is_none() {
-                    die::<()>(format!(
-                        "unknown machine '{family}' (one of: {})",
-                        machines::names().join(" | ")
-                    ));
-                }
-                // The flag re-bases every axes-form entry onto the family;
+                // The flag re-bases every axes-form entry onto the family
+                // (an unknown family fails when the plan resolves);
                 // group/name entries cannot take a machine, so a plan with
                 // no axes entries has nothing for the flag to act on.
                 let mut rebased = 0;

@@ -5,6 +5,7 @@
 use ring_clustered::core::{Core, CoreConfig, Steering, Topology};
 use ring_clustered::emu::trace_program;
 use ring_clustered::sim::config;
+use ring_clustered::sim::plan::ConfigSpec;
 use ring_clustered::uarch::{MemConfig, PredictorConfig};
 use ring_clustered::workloads::{benchmark, suite};
 
@@ -19,7 +20,7 @@ fn run(cfg: CoreConfig, trace: &[ring_clustered::emu::DynInsn]) -> ring_clustere
 fn every_benchmark_runs_on_every_table3_config() {
     // Smoke the full (config × suite) matrix with short windows: no
     // watchdog panics, every instruction commits, metrics stay sane.
-    for cfg in config::evaluated_configs() {
+    for cfg in ConfigSpec::group("table3").resolve().unwrap() {
         for b in suite().iter().step_by(5) {
             let trace = trace_program(&b.build(), 3_000).unwrap().insns;
             let s = run(cfg.core.clone(), &trace);
