@@ -7,10 +7,31 @@
 //! * loads/stores compute their address on an integer ALU in their cluster,
 //!   then spend 1 cycle in transit to the LSQ/D-cache;
 //! * a load may access memory once every **older** store's address is known;
-//! * if the youngest older store with a matching (8-byte) address has its
-//!   data, the load forwards from it in 1 cycle instead of accessing the
-//!   cache;
+//! * if an older store has a matching (8-byte) address, the load forwards
+//!   from it in 1 cycle instead of accessing the cache (a store's address and
+//!   data become known together, so a matching store always has its data);
 //! * stores write the cache when they drain from the committed-store buffer.
+//!
+//! Entries live in a slab; three program-ordered indexes over it answer the
+//! per-cycle queries without scanning the slab:
+//!
+//! * **live stores**, oldest first: `alloc` pushes to the back and `release`
+//!   pops the front (stores commit in order), both O(1). The forwarding
+//!   check for a load binary-searches its older stores and walks them
+//!   youngest first, stopping at the first address match;
+//! * **unknown-address stores**, oldest first: `alloc` pushes to the back and
+//!   `store_ready` trims known stores off the front (amortized O(1)), so the
+//!   front is the disambiguation barrier, read in O(1);
+//! * **waiting loads** (address known, not started), sorted by `seq`:
+//!   `load_addr_known` inserts by binary search and a load leaves when it
+//!   starts.
+//!
+//! [`Lsq::start_loads_into`] walks the waiting loads oldest first up to the
+//! barrier and [`Lsq::would_start_any`] does the same walk without the
+//! arrival filter (and stops at the first startable load), so both cost
+//! O(waiting loads × older stores) at worst, not O(capacity²).
+
+use std::collections::VecDeque;
 
 /// Slab index of an LSQ entry.
 pub type LsqId = u32;
@@ -36,10 +57,8 @@ struct Entry {
     seq: u64,
     rob: u32,
     addr: u64,
+    /// Stores: address (and data) known.
     addr_known: bool,
-    /// Stores: data operand read (stores issue with both operands ready, so
-    /// this is set together with `addr_known`).
-    data_ready: bool,
     /// Loads only.
     phase: LoadPhase,
     /// Cycle at which the load request is present at the LSQ.
@@ -56,7 +75,7 @@ pub enum LoadKind {
 }
 
 /// A load that started this cycle.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StartedLoad {
     /// LSQ slab id.
     pub id: LsqId,
@@ -75,9 +94,13 @@ pub struct Lsq {
     live: usize,
     capacity: usize,
     transfer: u64,
-    /// Loads in `Waiting` phase (early-out for the per-cycle scan).
-    waiting: usize,
-    scratch: Vec<usize>,
+    /// Live stores, oldest first, as `(seq, id)`.
+    stores: VecDeque<(u64, LsqId)>,
+    /// The oldest unknown-address store and every store allocated after it,
+    /// oldest first (`store_ready` trims known stores off the front).
+    unknown: VecDeque<LsqId>,
+    /// Loads in `Waiting` phase, sorted by `seq`.
+    waiting: Vec<LsqId>,
 }
 
 impl Lsq {
@@ -89,8 +112,9 @@ impl Lsq {
             live: 0,
             capacity,
             transfer,
-            waiting: 0,
-            scratch: Vec::new(),
+            stores: VecDeque::with_capacity(capacity),
+            unknown: VecDeque::with_capacity(capacity),
+            waiting: Vec::with_capacity(capacity),
         }
     }
 
@@ -120,11 +144,10 @@ impl Lsq {
             rob,
             addr: 0,
             addr_known: false,
-            data_ready: false,
             phase: LoadPhase::WaitAddr,
             arrival: 0,
         };
-        match self.free.pop() {
+        let id = match self.free.pop() {
             Some(id) => {
                 self.slab[id as usize] = e;
                 id
@@ -133,19 +156,32 @@ impl Lsq {
                 self.slab.push(e);
                 (self.slab.len() - 1) as LsqId
             }
+        };
+        if is_store {
+            debug_assert!(
+                self.stores.back().is_none_or(|&(s, _)| s < seq),
+                "stores allocate in program order"
+            );
+            self.stores.push_back((seq, id));
+            self.unknown.push_back(id);
         }
+        id
     }
 
     /// Load AGU completed at `now`: address becomes known; the request
     /// reaches the LSQ after the transfer latency.
     pub fn load_addr_known(&mut self, id: LsqId, addr: u64, now: u64) {
         let e = &mut self.slab[id as usize];
-        debug_assert!(e.live && !e.is_store);
+        debug_assert!(e.live && !e.is_store && e.phase == LoadPhase::WaitAddr);
         e.addr = addr;
-        e.addr_known = true;
         e.phase = LoadPhase::Waiting;
         e.arrival = now + self.transfer;
-        self.waiting += 1;
+        let seq = e.seq;
+        let slab = &self.slab;
+        let at = self
+            .waiting
+            .partition_point(|&w| slab[w as usize].seq < seq);
+        self.waiting.insert(at, id);
     }
 
     /// Store issued (address + data read) at `now`.
@@ -154,106 +190,107 @@ impl Lsq {
         debug_assert!(e.live && e.is_store);
         e.addr = addr;
         e.addr_known = true;
-        e.data_ready = true;
+        while let Some(&front) = self.unknown.front() {
+            if !self.slab[front as usize].addr_known {
+                break;
+            }
+            self.unknown.pop_front();
+        }
     }
 
     /// Release an entry (load completion / store commit).
     pub fn release(&mut self, id: LsqId) {
         let e = &mut self.slab[id as usize];
         debug_assert!(e.live);
+        debug_assert!(e.phase != LoadPhase::Waiting, "load released while waiting");
         e.live = false;
+        if e.is_store {
+            // Its `unknown` entry is already trimmed: that queue's front is
+            // a live unknown-address store, hence younger.
+            debug_assert!(e.addr_known, "stores commit once issued");
+            let front = self.stores.pop_front();
+            debug_assert_eq!(front.map(|f| f.1), Some(id), "stores commit in order");
+        }
         self.live -= 1;
         self.free.push(id);
     }
 
-    /// Attempt to start waiting loads at `now`, oldest first, using at most
-    /// `ports` cache ports (forwards are port-free). Returns the loads that
-    /// started; the caller schedules their completions and decrements its
-    /// port budget by the number of `Cache` kinds.
-    pub fn start_loads(&mut self, now: u64, ports: u32) -> Vec<StartedLoad> {
+    /// [`Lsq::start_loads_into`] into a fresh `Vec`.
+    #[cfg(test)]
+    fn start_loads(&mut self, now: u64, ports: u32) -> Vec<StartedLoad> {
         let mut out = Vec::new();
         self.start_loads_into(now, ports, &mut out);
         out
     }
 
-    /// Allocation-free variant of [`Lsq::start_loads`]; appends to `started`.
+    /// Attempt to start waiting loads at `now`, oldest first, using at most
+    /// `ports` cache ports (forwards are port-free), appending them to
+    /// `started`. The caller schedules their completions and decrements its
+    /// port budget by the number of `Cache` kinds.
     ///
-    /// Two passes: the first finds the oldest store with an unknown address
-    /// (which blocks every younger load at once — the conservative rule),
-    /// the second processes only the unblocked waiting loads.
+    /// Loads at or past the oldest unknown-address store are blocked all at
+    /// once (the conservative rule), so the walk stops there.
     pub fn start_loads_into(&mut self, now: u64, ports: u32, started: &mut Vec<StartedLoad>) {
-        if self.waiting == 0 {
+        if self.waiting.is_empty() {
             return;
         }
+        let barrier = self.barrier();
         let mut ports_left = ports;
-        // Pass 1: the oldest unknown-address store bounds eligibility.
-        let unknown_barrier = self.unknown_barrier();
-        // Pass 2: collect eligible waiting loads.
-        let mut cands = std::mem::take(&mut self.scratch);
-        cands.clear();
-        cands.extend((0..self.slab.len()).filter(|&i| {
-            let e = &self.slab[i];
-            e.live
-                && !e.is_store
-                && e.phase == LoadPhase::Waiting
-                && e.arrival <= now
-                && e.seq < unknown_barrier
-        }));
-        cands.sort_unstable_by_key(|&i| self.slab[i].seq);
-        for i in cands.drain(..) {
-            let (seq, addr) = (self.slab[i].seq, self.slab[i].addr);
-            // Youngest older store with a matching address forwards.
-            let mut forward_from: Option<usize> = None;
-            let mut best_seq = 0u64;
-            for (j, s) in self.slab.iter().enumerate() {
-                if s.live && s.is_store && s.seq < seq && s.addr == addr && s.seq >= best_seq {
-                    best_seq = s.seq;
-                    forward_from = Some(j);
-                }
+        let mut kept = 0;
+        let mut k = 0;
+        while k < self.waiting.len() {
+            let id = self.waiting[k];
+            let e = self.slab[id as usize];
+            if e.seq >= barrier {
+                break;
             }
-            match forward_from {
-                Some(j) => {
-                    if self.slab[j].data_ready {
-                        self.slab[i].phase = LoadPhase::Started;
-                        self.waiting -= 1;
-                        started.push(StartedLoad {
-                            id: i as LsqId,
-                            rob: self.slab[i].rob,
-                            addr,
-                            kind: LoadKind::Forward,
-                        });
-                    }
-                    // else: wait for the store's data.
+            k += 1;
+            let kind = if e.arrival > now {
+                None
+            } else if self.forwards(e.seq, e.addr) {
+                Some(LoadKind::Forward)
+            } else if ports_left > 0 {
+                ports_left -= 1;
+                Some(LoadKind::Cache)
+            } else {
+                None
+            };
+            match kind {
+                Some(kind) => {
+                    self.slab[id as usize].phase = LoadPhase::Started;
+                    started.push(StartedLoad {
+                        id,
+                        rob: e.rob,
+                        addr: e.addr,
+                        kind,
+                    });
                 }
                 None => {
-                    if ports_left == 0 {
-                        continue;
-                    }
-                    ports_left -= 1;
-                    self.slab[i].phase = LoadPhase::Started;
-                    self.waiting -= 1;
-                    started.push(StartedLoad {
-                        id: i as LsqId,
-                        rob: self.slab[i].rob,
-                        addr,
-                        kind: LoadKind::Cache,
-                    });
+                    self.waiting[kept] = id;
+                    kept += 1;
                 }
             }
         }
-        self.scratch = cands;
+        self.waiting.drain(kept..k);
     }
 
     /// The oldest unknown-address store's sequence number (the conservative
     /// disambiguation barrier), or `u64::MAX` when none.
-    fn unknown_barrier(&self) -> u64 {
-        let mut barrier = u64::MAX;
-        for s in &self.slab {
-            if s.live && s.is_store && !s.addr_known && s.seq < barrier {
-                barrier = s.seq;
-            }
-        }
-        barrier
+    fn barrier(&self) -> u64 {
+        self.unknown
+            .front()
+            .map_or(u64::MAX, |&id| self.slab[id as usize].seq)
+    }
+
+    /// Does a live store older than `seq` have address `addr`? Walks the
+    /// older stores youngest first; every one has a known address when the
+    /// load is below the barrier.
+    fn forwards(&self, seq: u64, addr: u64) -> bool {
+        let older = self.stores.partition_point(|&(s, _)| s < seq);
+        self.stores
+            .range(..older)
+            .rev()
+            .any(|&(_, id)| self.slab[id as usize].addr == addr)
     }
 
     /// Would [`Lsq::start_loads_into`]`(now, ports, ..)` start at least one
@@ -267,44 +304,228 @@ impl Lsq {
     /// unblocked load exists the oldest one gets a port whenever `ports > 0`
     /// — so existence doesn't depend on the seq-ordered port hand-out.
     pub fn would_start_any(&self, ports: u32) -> bool {
-        if self.waiting == 0 {
-            return false;
-        }
-        let barrier = self.unknown_barrier();
-        for e in &self.slab {
-            if !(e.live && !e.is_store && e.phase == LoadPhase::Waiting && e.seq < barrier) {
-                continue;
-            }
-            let mut forward_from: Option<&Entry> = None;
-            let mut best_seq = 0u64;
-            for s in &self.slab {
-                if s.live && s.is_store && s.seq < e.seq && s.addr == e.addr && s.seq >= best_seq {
-                    best_seq = s.seq;
-                    forward_from = Some(s);
-                }
-            }
-            match forward_from {
-                Some(s) => {
-                    if s.data_ready {
-                        return true;
-                    }
-                    // else: forward-blocked; the store's data arrival is a
-                    // StoreReady event, which wakes the core anyway.
-                }
-                None => {
-                    if ports > 0 {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+        let barrier = self.barrier();
+        self.waiting
+            .iter()
+            .map(|&id| &self.slab[id as usize])
+            .take_while(|e| e.seq < barrier)
+            .any(|e| ports > 0 || self.forwards(e.seq, e.addr))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    #[derive(Clone, Copy)]
+    struct Slot {
+        live: bool,
+        is_store: bool,
+        seq: u64,
+        rob: u32,
+        addr: u64,
+        addr_known: bool,
+        phase: LoadPhase,
+        arrival: u64,
+    }
+
+    /// Brute-force reference: the same slab and free list as [`Lsq`], with
+    /// every query answered by scanning the whole slab.
+    struct SlabScan {
+        slab: Vec<Slot>,
+        free: Vec<LsqId>,
+        transfer: u64,
+    }
+
+    impl SlabScan {
+        fn new(transfer: u64) -> Self {
+            SlabScan {
+                slab: Vec::new(),
+                free: Vec::new(),
+                transfer,
+            }
+        }
+
+        fn alloc(&mut self, is_store: bool, rob: u32, seq: u64) -> LsqId {
+            let e = Slot {
+                live: true,
+                is_store,
+                seq,
+                rob,
+                addr: 0,
+                addr_known: false,
+                phase: LoadPhase::WaitAddr,
+                arrival: 0,
+            };
+            match self.free.pop() {
+                Some(id) => {
+                    self.slab[id as usize] = e;
+                    id
+                }
+                None => {
+                    self.slab.push(e);
+                    (self.slab.len() - 1) as LsqId
+                }
+            }
+        }
+
+        fn load_addr_known(&mut self, id: LsqId, addr: u64, now: u64) {
+            let e = &mut self.slab[id as usize];
+            e.addr = addr;
+            e.addr_known = true;
+            e.phase = LoadPhase::Waiting;
+            e.arrival = now + self.transfer;
+        }
+
+        fn store_ready(&mut self, id: LsqId, addr: u64) {
+            let e = &mut self.slab[id as usize];
+            e.addr = addr;
+            e.addr_known = true;
+        }
+
+        fn release(&mut self, id: LsqId) {
+            self.slab[id as usize].live = false;
+            self.free.push(id);
+        }
+
+        fn barrier(&self) -> u64 {
+            self.slab
+                .iter()
+                .filter(|s| s.live && s.is_store && !s.addr_known)
+                .map(|s| s.seq)
+                .min()
+                .unwrap_or(u64::MAX)
+        }
+
+        /// Whether some live store older than `seq` has address `addr`.
+        fn forwards(&self, seq: u64, addr: u64) -> bool {
+            self.slab
+                .iter()
+                .any(|s| s.live && s.is_store && s.seq < seq && s.addr == addr)
+        }
+
+        fn start_loads(&mut self, now: u64, ports: u32) -> Vec<StartedLoad> {
+            let barrier = self.barrier();
+            let mut cands: Vec<usize> = (0..self.slab.len())
+                .filter(|&i| {
+                    let e = &self.slab[i];
+                    e.live
+                        && !e.is_store
+                        && e.phase == LoadPhase::Waiting
+                        && e.arrival <= now
+                        && e.seq < barrier
+                })
+                .collect();
+            cands.sort_unstable_by_key(|&i| self.slab[i].seq);
+            let mut ports_left = ports;
+            let mut out = Vec::new();
+            for i in cands {
+                let (seq, addr) = (self.slab[i].seq, self.slab[i].addr);
+                let kind = if self.forwards(seq, addr) {
+                    LoadKind::Forward
+                } else if ports_left > 0 {
+                    ports_left -= 1;
+                    LoadKind::Cache
+                } else {
+                    continue;
+                };
+                self.slab[i].phase = LoadPhase::Started;
+                out.push(StartedLoad {
+                    id: i as LsqId,
+                    rob: self.slab[i].rob,
+                    addr,
+                    kind,
+                });
+            }
+            out
+        }
+
+        fn would_start_any(&self, ports: u32) -> bool {
+            let barrier = self.barrier();
+            self.slab.iter().any(|e| {
+                e.live
+                    && !e.is_store
+                    && e.phase == LoadPhase::Waiting
+                    && e.seq < barrier
+                    && (ports > 0 || self.forwards(e.seq, e.addr))
+            })
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+        /// Random program-order sequences as the pipeline issues them:
+        /// allocation in `seq` order, loads released once started, stores
+        /// released oldest first once their address is known.
+        #[test]
+        fn indexed_lsq_matches_full_slab_scan(
+            capacity in 2usize..=256,
+            transfer in 0u64..=5,
+            ops in prop::collection::vec((0u8..11, 0u32..1 << 16, 0u32..=4), 1..1500),
+        ) {
+            let mut lsq = Lsq::new(capacity, transfer);
+            let mut oracle = SlabScan::new(transfer);
+            let (mut seq, mut rob, mut now) = (0u64, 0u32, 0u64);
+            // Loads without an address; stores without an address; started
+            // loads; live stores oldest first (id, address known).
+            let (mut wait_addr, mut unready, mut started) = (Vec::new(), Vec::new(), Vec::new());
+            let mut stores: std::collections::VecDeque<(LsqId, bool)> = Default::default();
+            let mut out = Vec::new();
+            for (op, pick, ports) in ops {
+                let p = pick as usize;
+                let addr = 8 * u64::from(pick % 12);
+                match op {
+                    0..=2 if lsq.has_space() => {
+                        let is_store = pick % 3 == 0;
+                        seq += 1 + u64::from(pick % 2);
+                        rob += 1;
+                        let id = lsq.alloc(is_store, rob, seq);
+                        prop_assert_eq!(id, oracle.alloc(is_store, rob, seq));
+                        if is_store {
+                            unready.push(id);
+                            stores.push_back((id, false));
+                        } else {
+                            wait_addr.push(id);
+                        }
+                    }
+                    3 | 4 if !wait_addr.is_empty() => {
+                        let id = wait_addr.swap_remove(p % wait_addr.len());
+                        lsq.load_addr_known(id, addr, now);
+                        oracle.load_addr_known(id, addr, now);
+                    }
+                    5 | 6 if !unready.is_empty() => {
+                        let id = unready.swap_remove(p % unready.len());
+                        lsq.store_ready(id, addr);
+                        oracle.store_ready(id, addr);
+                        stores.iter_mut().find(|s| s.0 == id).unwrap().1 = true;
+                    }
+                    7 | 8 => {
+                        let id = if pick % 2 == 0 && stores.front().is_some_and(|s| s.1) {
+                            stores.pop_front().unwrap().0
+                        } else if !started.is_empty() {
+                            started.swap_remove(p % started.len())
+                        } else {
+                            continue;
+                        };
+                        lsq.release(id);
+                        oracle.release(id);
+                    }
+                    9 | 10 => {
+                        now += u64::from(pick % 3);
+                        out.clear();
+                        lsq.start_loads_into(now, ports, &mut out);
+                        let want = oracle.start_loads(now, ports);
+                        prop_assert_eq!(&out, &want, "now {}", now);
+                        started.extend(out.iter().map(|s| s.id));
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(lsq.would_start_any(ports), oracle.would_start_any(ports));
+                prop_assert_eq!(lsq.len(), oracle.slab.iter().filter(|e| e.live).count());
+            }
+        }
+    }
 
     #[test]
     fn load_waits_for_older_store_address() {
@@ -436,9 +657,9 @@ mod tests {
 
     #[test]
     fn forward_blocked_until_store_data_ready() {
-        // A store whose address is known via... in our model address+data
-        // become known together, so an addr-matching store always forwards.
-        // Verify the load starts exactly once (no double start).
+        // A store's address and data become known together, so a load is
+        // never blocked on a matching store's data: it forwards at once.
+        // Verify it starts exactly once (no double start).
         let mut l = Lsq::new(8, 0);
         let st = l.alloc(true, 0, 1);
         let ld = l.alloc(false, 1, 2);

@@ -130,14 +130,15 @@ impl IssueQueue {
         self.waiters[v as usize] = list;
     }
 
-    /// Ready entries in age order (oldest first).
-    pub fn ready_ordered(&self) -> Vec<usize> {
+    /// [`IssueQueue::ready_into`] into a fresh `Vec`.
+    #[cfg(test)]
+    fn ready_ordered(&self) -> Vec<usize> {
         let mut idx = Vec::new();
         self.ready_into(&mut idx);
         idx
     }
 
-    /// Allocation-free variant of [`IssueQueue::ready_ordered`].
+    /// Ready entries in age order (oldest first), written into `out`.
     pub fn ready_into(&self, out: &mut Vec<usize>) {
         out.clear();
         if self.n_ready == 0 {
@@ -281,14 +282,15 @@ impl CommQueue {
         }
     }
 
-    /// Ready comms in age order.
-    pub fn ready_ordered(&self) -> Vec<usize> {
+    /// [`CommQueue::ready_into`] into a fresh `Vec`.
+    #[cfg(test)]
+    fn ready_ordered(&self) -> Vec<usize> {
         let mut idx = Vec::new();
         self.ready_into(&mut idx);
         idx
     }
 
-    /// Allocation-free variant of [`CommQueue::ready_ordered`].
+    /// Ready comms in age order, written into `out`.
     pub fn ready_into(&self, out: &mut Vec<usize>) {
         out.clear();
         if self.n_ready == 0 {

@@ -82,7 +82,13 @@ impl<E> TimeQueue<E> {
         }
         let h = self.horizon();
         let base = (now as usize) % h;
-        (0..h as u64).find(|&d| !self.slots[(base + d as usize) % h].is_empty())
+        // Slots `base..h` are offsets `0..h - base`; `0..base` wrap after.
+        let (wrapped, ahead) = self.slots.split_at(base);
+        ahead
+            .iter()
+            .chain(wrapped)
+            .position(|slot| !slot.is_empty())
+            .map(|d| d as u64)
     }
 }
 
