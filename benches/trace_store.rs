@@ -9,13 +9,11 @@
 //! *and* whole-run facts — is bit-identical to a fresh emulation.
 //!
 //! Cold is timed once (it is a once-per-store event by design); warm is
-//! the median of `RCMC_TRACE_BENCH_REPS` passes (default 5). Emits
+//! the median of [`WARM_REPS`] passes. Emits
 //! `BENCH_trace.json` at the repo root (atomic rename, like the other
 //! BENCH files) with `cold_s`, `warm_s`, `warm_speedup`, `decode_MBps`,
 //! and the on-disk `bytes_per_insn` next to the flat v1 figure the format
 //! v2 zero-run codec replaces.
-//! Knobs: `RCMC_TRACE_BENCH_INSTRS` (measure half of the budget; default
-//! 30000), `RCMC_TRACE_BENCH_REPS`.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -25,6 +23,12 @@ use ring_clustered::emu::{trace_program, DynInsn, TraceCache, TraceDb};
 use ring_clustered::sim::runner::{all_bench_names, Budget};
 use ring_clustered::workloads::benchmark;
 use serde::json::Value;
+
+/// Measured instructions per trace (the measure half of the budget).
+const MEASURE_INSTRS: u64 = 30_000;
+
+/// Timed warm passes; the median is reported.
+const WARM_REPS: usize = 5;
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Obj(
@@ -60,14 +64,9 @@ fn materialize(
 }
 
 fn main() {
-    let measure: u64 = std::env::var("RCMC_TRACE_BENCH_INSTRS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(30_000);
     let budget = Budget {
         warmup: 3_000,
-        measure,
+        measure: MEASURE_INSTRS,
     };
     let len = budget.trace_len();
     let names = all_bench_names();
@@ -108,16 +107,11 @@ fn main() {
     drop((cold_cache, cold_traces));
 
     // Warm, by contrast, is the many-shot path (every run after the
-    // first), so it is timed `reps` times through a fresh cache each time
-    // and reported as the median.
-    let reps: usize = std::env::var("RCMC_TRACE_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(5);
+    // first), so it is timed `WARM_REPS` times through a fresh cache each
+    // time and reported as the median.
     let mut warm_times = Vec::new();
     let mut last_warm = None;
-    for _ in 0..reps {
+    for _ in 0..WARM_REPS {
         let warm_cache = TraceCache::new();
         let (warm_s, warm_traces) = materialize(&warm_cache, &db, &names, len);
         warm_times.push(warm_s);

@@ -49,15 +49,6 @@ pub fn update_bench_core(key: &str, section: Value) {
         .filter(|v| matches!(v, Value::Obj(_)))
         .unwrap_or(Value::Obj(Vec::new()));
     if let Value::Obj(members) = &mut root {
-        // Migrate away the pre-sectioned flat layout (core_throughput's old
-        // top-level fields): its rows are frozen duplicates of the live
-        // `core_throughput` section and would never update again.
-        members.retain(|(k, _)| {
-            !matches!(
-                k.as_str(),
-                "bench" | "benches" | "warmup" | "measure" | "runs"
-            )
-        });
         match members.iter_mut().find(|(k, _)| k == key) {
             Some((_, v)) => *v = section,
             None => members.push((key.to_string(), section)),

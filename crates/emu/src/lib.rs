@@ -22,4 +22,4 @@ pub use cache::{TraceCache, TraceCacheStats};
 pub use cpu::{Cpu, EmuError, StepOut};
 pub use mem::Memory;
 pub use trace::{trace_built, trace_program, DynInsn, Trace, TraceError};
-pub use trace_db::{StoredTrace, TraceDb, TraceDbError, TraceMeta, TRACE_VERSION};
+pub use trace_db::{TraceDb, TraceDbError, TraceMeta, TRACE_VERSION};

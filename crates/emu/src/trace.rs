@@ -35,6 +35,7 @@ impl DynInsn {
 }
 
 /// A fully materialized dynamic trace plus a couple of whole-run facts.
+#[derive(Debug)]
 pub struct Trace {
     /// The dynamic instructions in program order.
     pub insns: Vec<DynInsn>,

@@ -40,10 +40,21 @@
 //!   the nonzero words, followed by only those words. A typical non-memory
 //!   instruction costs 17 bytes instead of 32.
 //!
-//! Reads fall through by version: v1 files decode bit-for-bit as before
-//! (no re-emulation after upgrading), v2 files take the compressed path.
 //! The checksum always covers the logical words, so it vouches for the
 //! *decoded* instructions identically under both layouts.
+//!
+//! ## One decoder
+//!
+//! Every read of a whole file — [`TraceDb::load`]/[`TraceDb::load_full`],
+//! [`TraceDb::verify`] and [`TraceDb::import`] (which upgrades v1 files to
+//! v2) — goes through one private streaming decoder, so one file gets one
+//! verdict whichever of them reads it. It checks the magic and both
+//! versions on the fixed 64 bytes before it reads the name region, then
+//! walks the payload through a bounded scratch window one record at a time
+//! (a fixed 32-byte v1 record or a v2 control-byte record), folding the
+//! checksum in the same pass. Its `strict` mode (`verify`, `import`) also
+//! runs the full ISA decoder on every record. [`TraceDb::list`] reads
+//! headers only.
 //!
 //! ## Versioning rules
 //!
@@ -61,6 +72,7 @@
 //! store), so concurrent writers — threads or processes racing on one key —
 //! can only ever leave a complete, valid file behind.
 
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -139,18 +151,6 @@ impl std::fmt::Display for TraceDbError {
 
 impl std::error::Error for TraceDbError {}
 
-/// A decoded stored trace: the dynamic instructions plus the whole-run
-/// facts a [`Trace`] carries.
-#[derive(Debug)]
-pub struct StoredTrace {
-    /// The dynamic instructions, in program order.
-    pub insns: Vec<DynInsn>,
-    /// Whether the traced program ran to `halt`.
-    pub halted: bool,
-    /// Static instruction count of the source program.
-    pub static_insns: usize,
-}
-
 /// Catalog entry for one stored trace ([`TraceDb::list`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceMeta {
@@ -216,24 +216,8 @@ impl TraceDb {
     /// Load and fully validate the trace stored under `(name, len)`.
     /// Every rejection reason is explicit; callers that only care about
     /// hit-or-miss use [`TraceDb::load`].
-    pub fn load_full(&self, name: &str, len: u64) -> Result<StoredTrace, TraceDbError> {
-        if !Self::valid_name(name) {
-            return Err(TraceDbError::KeyMismatch);
-        }
-        // Trace files are several MB — far bigger than any cache level —
-        // so reading one whole file into a buffer and then decoding from
-        // it streams every byte through DRAM twice. Instead the payload is
-        // decoded through a bounded thread-local scratch chunk that stays
-        // cache-resident, which is measurably the difference on the warm
-        // path (the retained instruction vector is then the only big
-        // memory consumer).
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
-        }
-        SCRATCH.with(|buf| {
-            let mut buf = buf.borrow_mut();
-            stream_decode_file(&self.path_of(name, len), (name, len), &mut buf)
-        })
+    pub fn load_full(&self, name: &str, len: u64) -> Result<Trace, TraceDbError> {
+        self.decode_stored(name, len, false)
     }
 
     /// Load the trace stored under `(name, len)`, or `None` if absent,
@@ -248,71 +232,52 @@ impl TraceDb {
     /// Returns whether the trace is now durably on disk (an unwritable
     /// store degrades to re-emulation next process, not an error).
     pub fn save(&self, name: &str, len: u64, trace: &Trace) -> bool {
-        self.save_insns(name, len, &trace.insns, trace.halted, trace.static_insns)
-    }
-
-    /// [`TraceDb::save`] from parts (what the cache fallthrough uses when
-    /// only the instruction vector is at hand).
-    pub fn save_insns(
-        &self,
-        name: &str,
-        len: u64,
-        insns: &[DynInsn],
-        halted: bool,
-        static_insns: usize,
-    ) -> bool {
         if !Self::valid_name(name) {
             return false;
         }
-        let p = self.path_of(name, len);
-        let bytes = encode_file(name, len, insns, halted, static_insns);
-        write_atomic(&p, &bytes).is_ok()
+        let bytes = encode_file(name, len, &trace.insns, trace.halted, trace.static_insns);
+        write_atomic(&self.path_of(name, len), &bytes).is_ok()
     }
 
-    /// Copy an already-encoded trace file into the store after full
-    /// validation, optionally renaming it. Returns the `(name, len)` key
-    /// it landed under.
+    /// Copy an already-encoded trace file into the store after strict
+    /// validation, optionally renaming it; a v1 file is stored as v2.
+    /// Returns the `(name, len)` key it landed under.
     pub fn import(
         &self,
         file_bytes: &[u8],
         rename: Option<&str>,
     ) -> Result<(String, u64), TraceDbError> {
-        // Strict decode first: checksum, every record, the lot.
-        let (header, trace) = decode_file_header_and_body(file_bytes)?;
+        let (header, trace) = decode(file_bytes, file_bytes.len() as u64, None, true)?;
         let name = rename.unwrap_or(&header.name).to_string();
         if !Self::valid_name(&name) {
             return Err(TraceDbError::KeyMismatch);
         }
-        let ok = self.save_insns(
-            &name,
-            header.key_len,
-            &trace.insns,
-            trace.halted,
-            trace.static_insns,
-        );
-        if !ok {
+        if !self.save(&name, header.key_len, &trace) {
             return Err(TraceDbError::Io("store is not writable".to_string()));
         }
         Ok((name, header.key_len))
     }
 
     /// Strict full validation of the trace stored under `(name, len)`:
-    /// header, key cross-check, checksum, **and** a per-record run of the
-    /// full ISA decoder (what `rcmc trace verify` uses — [`TraceDb::load`]
-    /// skips the per-record signature check because the checksum already
-    /// vouches for bytes this build wrote itself). Returns the stored
-    /// instruction count.
+    /// everything [`TraceDb::load_full`] checks **and** a per-record run of
+    /// the full ISA decoder (what `rcmc trace verify` uses — `load` skips
+    /// the per-record signature check because the checksum already vouches
+    /// for bytes this build wrote itself). Returns the stored instruction
+    /// count.
     pub fn verify(&self, name: &str, len: u64) -> Result<u64, TraceDbError> {
+        self.decode_stored(name, len, true)
+            .map(|t| t.insns.len() as u64)
+    }
+
+    /// Decode the file stored under `(name, len)`, cross-checking its
+    /// embedded key (a renamed or misplaced file must miss).
+    fn decode_stored(&self, name: &str, len: u64, strict: bool) -> Result<Trace, TraceDbError> {
         if !Self::valid_name(name) {
             return Err(TraceDbError::KeyMismatch);
         }
-        let bytes =
-            std::fs::read(self.path_of(name, len)).map_err(|e| TraceDbError::Io(e.to_string()))?;
-        let (h, t) = decode_file_header_and_body(&bytes)?;
-        if h.name != name || h.key_len != len {
-            return Err(TraceDbError::KeyMismatch);
-        }
-        Ok(t.insns.len() as u64)
+        let f = std::fs::File::open(self.path_of(name, len)).map_err(io_err)?;
+        let file_len = f.metadata().map_err(io_err)?.len();
+        decode(f, file_len, Some((name, len)), strict).map(|(_, t)| t)
     }
 
     /// Every `(name, len)` entry in the store with readable headers,
@@ -339,10 +304,10 @@ impl TraceDb {
                 else {
                     continue;
                 };
-                let Ok(bytes) = std::fs::read(f.path()) else {
+                let Ok(mut file) = std::fs::File::open(f.path()) else {
                     continue;
                 };
-                let Ok(h) = decode_header(&bytes) else {
+                let (Ok(h), Ok(meta)) = (read_header(&mut file), file.metadata()) else {
                     continue;
                 };
                 if h.name != name || h.key_len != len {
@@ -352,7 +317,7 @@ impl TraceDb {
                     name: name.clone(),
                     len,
                     insns: h.insn_count,
-                    bytes: bytes.len() as u64,
+                    bytes: meta.len(),
                     trace_version: h.trace_version,
                     halted: h.halted,
                 });
@@ -427,13 +392,7 @@ impl Lanes {
         Lanes([FNV_OFFSET; 4])
     }
 
-    /// Fold one 32-byte record into the four lanes.
-    #[inline]
-    fn fold(&mut self, record: &[u8]) {
-        self.fold_words(record_words(record));
-    }
-
-    /// [`Lanes::fold`] on already-loaded words (the streaming decode loop
+    /// Fold one record's logical words into the four lanes (the decoder
     /// loads each record once and feeds both the checksum and the decode).
     #[inline]
     fn fold_words(&mut self, words: [u64; 4]) {
@@ -555,15 +514,26 @@ fn encode_file(
     out
 }
 
-fn decode_header(bytes: &[u8]) -> Result<Header, TraceDbError> {
-    if bytes.len() < HEADER_BASE {
-        return Err(TraceDbError::Truncated);
+fn io_err(e: std::io::Error) -> TraceDbError {
+    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+        TraceDbError::Truncated
+    } else {
+        TraceDbError::Io(e.to_string())
     }
-    if &bytes[0..8] != MAGIC {
+}
+
+/// Read and check the header, leaving `r` at the start of the payload. The
+/// magic and both versions are checked on the fixed 64 bytes before the
+/// name region is read, so a file that is not a trace at all is
+/// [`TraceDbError::BadMagic`] whatever its bytes 48..50 claim.
+fn read_header(r: &mut impl Read) -> Result<Header, TraceDbError> {
+    let mut fixed = [0u8; HEADER_BASE];
+    r.read_exact(&mut fixed).map_err(io_err)?;
+    if &fixed[0..8] != MAGIC {
         return Err(TraceDbError::BadMagic);
     }
-    let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
-    let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
+    let u32_at = |o: usize| u32::from_le_bytes(fixed[o..o + 4].try_into().unwrap());
+    let u64_at = |o: usize| u64::from_le_bytes(fixed[o..o + 8].try_into().unwrap());
     let format_version = u32_at(8);
     if !READABLE_FORMATS.contains(&format_version) {
         return Err(TraceDbError::WrongFormatVersion(format_version));
@@ -572,14 +542,12 @@ fn decode_header(bytes: &[u8]) -> Result<Header, TraceDbError> {
     if trace_version != TRACE_VERSION {
         return Err(TraceDbError::WrongTraceVersion(trace_version));
     }
-    let name_len = u16::from_le_bytes(bytes[48..50].try_into().unwrap()) as usize;
+    let name_len = u16::from_le_bytes(fixed[48..50].try_into().unwrap()) as usize;
     let payload_off = payload_offset(name_len);
-    if bytes.len() < HEADER_BASE + name_len {
-        return Err(TraceDbError::Truncated);
-    }
-    let name = std::str::from_utf8(&bytes[HEADER_BASE..HEADER_BASE + name_len])
-        .map_err(|_| TraceDbError::KeyMismatch)?
-        .to_string();
+    let mut name_region = vec![0u8; payload_off - HEADER_BASE];
+    r.read_exact(&mut name_region).map_err(io_err)?;
+    name_region.truncate(name_len);
+    let name = String::from_utf8(name_region).map_err(|_| TraceDbError::KeyMismatch)?;
     Ok(Header {
         format_version,
         trace_version,
@@ -587,7 +555,7 @@ fn decode_header(bytes: &[u8]) -> Result<Header, TraceDbError> {
         insn_count: u64_at(24),
         checksum: u64_at(32),
         static_insns: u32_at(40),
-        halted: bytes[44] != 0,
+        halted: fixed[44] != 0,
         name,
         payload_off,
     })
@@ -625,25 +593,12 @@ fn decode_luts() -> &'static DecodeLuts {
     })
 }
 
-/// Decode one 32-byte record. The register/opcode fields are range-checked
-/// through the tables (an out-of-range byte can never build an invalid
-/// `Reg`), but the operand signature is *not* re-validated per record on
-/// this path — the checksum already vouches for the bytes, and
-/// [`decode_file`]'s `strict` mode (used by `import`/`verify`) runs the
-/// full ISA decoder instead.
-#[inline]
-fn decode_record(r: &[u8], lut: &DecodeLuts) -> Option<DynInsn> {
-    decode_words(record_words(r), lut)
-}
-
-/// The four little-endian words of one 32-byte record.
-#[inline]
-fn record_words(r: &[u8]) -> [u64; 4] {
-    let w = |o: usize| u64::from_le_bytes(r[o..o + 8].try_into().unwrap());
-    [w(0), w(8), w(16), w(24)]
-}
-
-/// [`decode_record`] on already-loaded words.
+/// Build one instruction from a record's logical words. The
+/// register/opcode fields are range-checked through the tables (an
+/// out-of-range byte can never build an invalid `Reg`), but the operand
+/// signature is *not* re-validated here — the checksum already vouches for
+/// the bytes, and the decoder's `strict` mode runs the full ISA decoder
+/// instead.
 #[inline]
 fn decode_words(words: [u64; 4], lut: &DecodeLuts) -> Option<DynInsn> {
     let word = words[0];
@@ -661,148 +616,71 @@ fn decode_words(words: [u64; 4], lut: &DecodeLuts) -> Option<DynInsn> {
     })
 }
 
-fn decode_body(bytes: &[u8], h: &Header, strict: bool) -> Result<StoredTrace, TraceDbError> {
-    if bytes.len() < h.payload_off {
-        return Err(TraceDbError::Truncated);
+/// Decode one record of either layout from the front of `b`: the logical
+/// words plus the encoded length.
+#[inline]
+fn decode_any_record(b: &[u8], v1: bool, idx: usize) -> Result<([u64; 4], usize), TraceDbError> {
+    if !v1 {
+        return decode_v2_record(b, idx);
     }
-    let payload = &bytes[h.payload_off..];
-    // Checksum and decode in ONE pass: the payload is far bigger than any
-    // cache level, so a separate checksum sweep would stream the whole
-    // file through memory twice. Decoding ahead of verification is safe —
-    // `decode_record` range-checks every field, nothing partially decoded
-    // escapes, and the result is discarded unless the sums match.
-    let mut lanes = Lanes::new();
-    let lut = decode_luts();
-    let mut insns;
-    if h.format_version == 1 {
-        let want = h
-            .insn_count
-            .checked_mul(RECORD_BYTES as u64)
-            .and_then(|n| n.checked_add(h.payload_off as u64))
-            .ok_or(TraceDbError::Truncated)?;
-        if (bytes.len() as u64) != want {
-            return Err(TraceDbError::Truncated);
-        }
-        insns = Vec::with_capacity(h.insn_count as usize);
-        for (i, r) in payload.chunks_exact(RECORD_BYTES).enumerate() {
-            lanes.fold(r);
-            if strict {
-                // Full ISA decode: operand-signature validation included.
-                let word = u64::from_le_bytes(r[0..8].try_into().unwrap());
-                rcmc_isa::decode(word).map_err(|_| TraceDbError::BadRecord(i))?;
-            }
-            insns.push(decode_record(r, lut).ok_or(TraceDbError::BadRecord(i))?);
-        }
-    } else {
-        // v2: variable-width records, at least one byte each — which also
-        // bounds a hostile header's instruction count by the payload size
-        // before any allocation happens.
-        if (payload.len() as u64) < h.insn_count {
-            return Err(TraceDbError::Truncated);
-        }
-        insns = Vec::with_capacity(h.insn_count as usize);
-        let mut off = 0usize;
-        for i in 0..h.insn_count as usize {
-            let (words, used) = decode_v2_record(&payload[off..], i)?;
-            off += used;
-            lanes.fold_words(words);
-            if strict {
-                rcmc_isa::decode(words[0]).map_err(|_| TraceDbError::BadRecord(i))?;
-            }
-            insns.push(decode_words(words, lut).ok_or(TraceDbError::BadRecord(i))?);
-        }
-        if off != payload.len() {
-            return Err(TraceDbError::Truncated);
-        }
-    }
-    if lanes.finish() != h.checksum {
-        return Err(TraceDbError::ChecksumMismatch);
-    }
-    Ok(StoredTrace {
-        insns,
-        halted: h.halted,
-        static_insns: h.static_insns as usize,
-    })
+    let r = b.get(..RECORD_BYTES).ok_or(TraceDbError::Truncated)?;
+    let w = |o: usize| u64::from_le_bytes(r[o..o + 8].try_into().unwrap());
+    Ok(([w(0), w(8), w(16), w(24)], RECORD_BYTES))
 }
 
-/// Whole-buffer decode, restructured for streaming: on the hot load path the
-/// payload flows through `scratch`, capped at [`STREAM_CHUNK`] bytes, so
-/// the only file-sized memory the warm start touches is the instruction
-/// vector it returns. Checksum, key cross-check and per-record validation
-/// are identical to the whole-buffer path; a file that shrinks mid-read
-/// surfaces as [`TraceDbError::Truncated`] like any other short file.
-fn stream_decode_file(
-    path: &std::path::Path,
-    expect: (&str, u64),
-    scratch: &mut Vec<u8>,
-) -> Result<StoredTrace, TraceDbError> {
-    use std::io::Read;
-    let io_err = |e: std::io::Error| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            TraceDbError::Truncated
-        } else {
-            TraceDbError::Io(e.to_string())
-        }
-    };
-    let mut f = std::fs::File::open(path).map_err(io_err)?;
-    let file_len = f.metadata().map_err(io_err)?.len();
+/// Payload window of [`decode`]: small enough to live in mid-level cache.
+const STREAM_CHUNK: usize = 256 * 1024;
 
-    // Header region first: the fixed 64 bytes tell us how long the name
-    // (and so the whole header) is; then re-parse through `decode_header`
-    // so both paths share one set of rejection rules.
-    scratch.clear();
-    scratch.resize(HEADER_BASE, 0);
-    f.read_exact(scratch).map_err(io_err)?;
-    let name_len = u16::from_le_bytes(scratch[48..50].try_into().unwrap()) as usize;
-    let payload_off = payload_offset(name_len);
-    scratch.resize(payload_off, 0);
-    f.read_exact(&mut scratch[HEADER_BASE..]).map_err(io_err)?;
-    let h = decode_header(scratch)?;
-    if h.name != expect.0 || h.key_len != expect.1 {
+/// The trace-file decoder: header, key cross-check against `expect` (when
+/// reading by key), payload size, every record, checksum. `file_len` is the
+/// byte length of the whole image `r` yields.
+///
+/// Trace files are several MB — far bigger than any cache level — so the
+/// payload flows through a bounded thread-local scratch window instead of
+/// a file-sized buffer: the only file-sized memory a load touches is the
+/// instruction vector it returns. Checksum and decode share one pass;
+/// decoding ahead of verification is safe because every field is
+/// range-checked and the result is discarded unless the sums match. A
+/// file that shrinks mid-read surfaces as [`TraceDbError::Truncated`] like
+/// any other short file.
+fn decode(
+    mut r: impl Read,
+    file_len: u64,
+    expect: Option<(&str, u64)>,
+    strict: bool,
+) -> Result<(Header, Trace), TraceDbError> {
+    let h = read_header(&mut r)?;
+    if expect.is_some_and(|(name, len)| h.name != name || h.key_len != len) {
         return Err(TraceDbError::KeyMismatch);
     }
+    // v1 records are exactly 32 bytes; v2 records are at least one byte,
+    // which bounds a hostile header's instruction count by the payload
+    // size before any allocation happens.
+    let v1 = h.format_version == 1;
+    let payload_len = file_len
+        .checked_sub(h.payload_off as u64)
+        .ok_or(TraceDbError::Truncated)?;
+    let sized = if v1 {
+        h.insn_count.checked_mul(RECORD_BYTES as u64) == Some(payload_len)
+    } else {
+        payload_len >= h.insn_count
+    };
+    if !sized {
+        return Err(TraceDbError::Truncated);
+    }
 
+    thread_local! {
+        static SCRATCH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
     let lut = decode_luts();
     let mut lanes = Lanes::new();
-    let mut insns;
-    if h.format_version == 1 {
-        let want = h
-            .insn_count
-            .checked_mul(RECORD_BYTES as u64)
-            .and_then(|n| n.checked_add(payload_off as u64))
-            .ok_or(TraceDbError::Truncated)?;
-        if file_len != want {
-            return Err(TraceDbError::Truncated);
-        }
-        insns = Vec::with_capacity(h.insn_count as usize);
-        let mut remaining = h.insn_count as usize * RECORD_BYTES;
-        scratch.clear();
-        scratch.resize(STREAM_CHUNK.min(remaining), 0);
-        let mut idx = 0usize;
-        while remaining > 0 {
-            let take = STREAM_CHUNK.min(remaining);
-            f.read_exact(&mut scratch[..take]).map_err(io_err)?;
-            for r in scratch[..take].chunks_exact(RECORD_BYTES) {
-                let words = record_words(r);
-                lanes.fold_words(words);
-                insns.push(decode_words(words, lut).ok_or(TraceDbError::BadRecord(idx))?);
-                idx += 1;
-            }
-            remaining -= take;
-        }
-    } else {
-        // v2: variable-width records. Stream through the scratch chunk with
-        // a carry — a record is at most V2_MAX_RECORD bytes, so topping the
-        // window up whenever fewer remain guarantees the next record is
-        // contiguous. One byte per record minimum bounds a hostile count.
-        let payload_len = file_len - payload_off as u64;
-        if payload_len < h.insn_count {
-            return Err(TraceDbError::Truncated);
-        }
-        insns = Vec::with_capacity(h.insn_count as usize);
-        let mut remaining = payload_len as usize;
-        scratch.clear();
+    let mut insns = Vec::with_capacity(h.insn_count as usize);
+    SCRATCH.with(|buf| {
+        let scratch = &mut *buf.borrow_mut();
         scratch.resize(STREAM_CHUNK, 0);
+        // Top the window up whenever fewer than the largest record remain
+        // in it, so the next record is always contiguous.
+        let mut remaining = payload_len as usize;
         let (mut pos, mut valid) = (0usize, 0usize);
         for i in 0..h.insn_count as usize {
             if valid - pos < V2_MAX_RECORD && remaining > 0 {
@@ -810,54 +688,39 @@ fn stream_decode_file(
                 valid -= pos;
                 pos = 0;
                 let take = (STREAM_CHUNK - valid).min(remaining);
-                f.read_exact(&mut scratch[valid..valid + take])
+                r.read_exact(&mut scratch[valid..valid + take])
                     .map_err(io_err)?;
                 valid += take;
                 remaining -= take;
             }
-            let (words, used) = decode_v2_record(&scratch[pos..valid], i)?;
+            let (words, used) = decode_any_record(&scratch[pos..valid], v1, i)?;
             pos += used;
             lanes.fold_words(words);
+            if strict {
+                rcmc_isa::decode(words[0]).map_err(|_| TraceDbError::BadRecord(i))?;
+            }
             insns.push(decode_words(words, lut).ok_or(TraceDbError::BadRecord(i))?);
         }
         if pos != valid || remaining > 0 {
             return Err(TraceDbError::Truncated);
         }
-    }
+        Ok(())
+    })?;
     if lanes.finish() != h.checksum {
         return Err(TraceDbError::ChecksumMismatch);
     }
-    Ok(StoredTrace {
+    let trace = Trace {
         insns,
         halted: h.halted,
         static_insns: h.static_insns as usize,
-    })
+    };
+    Ok((h, trace))
 }
 
-/// Payload chunk size for [`stream_decode_file`]: a multiple of
-/// [`RECORD_BYTES`] small enough to live in mid-level cache.
-const STREAM_CHUNK: usize = 256 * 1024;
-
-/// Decode a complete file image, cross-checking the embedded key against
-/// `expect` when loading by key (a renamed or misplaced file must miss).
-/// The production load path is [`stream_decode_file`]; this whole-buffer
-/// twin stays as the reference implementation the codec tests exercise.
+/// Decode a complete in-memory file image (the codec tests' entry point).
 #[cfg(test)]
-fn decode_file(bytes: &[u8], expect: Option<(&str, u64)>) -> Result<StoredTrace, TraceDbError> {
-    let h = decode_header(bytes)?;
-    if let Some((name, len)) = expect {
-        if h.name != name || h.key_len != len {
-            return Err(TraceDbError::KeyMismatch);
-        }
-    }
-    decode_body(bytes, &h, false)
-}
-
-/// Strict decode for `import`: header plus a fully ISA-validated body.
-fn decode_file_header_and_body(bytes: &[u8]) -> Result<(Header, StoredTrace), TraceDbError> {
-    let h = decode_header(bytes)?;
-    let t = decode_body(bytes, &h, true)?;
-    Ok((h, t))
+fn decode_file(bytes: &[u8], expect: Option<(&str, u64)>) -> Result<Trace, TraceDbError> {
+    decode(bytes, bytes.len() as u64, expect, false).map(|(_, t)| t)
 }
 
 #[cfg(test)]

@@ -194,3 +194,150 @@ fn concurrent_writers_leave_one_valid_file() {
     assert!(leftovers.is_empty(), "stray temp files: {leftovers:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Byte offset of the payload in a trace file whose name is `name`.
+fn payload_off(name: &str) -> usize {
+    (64 + name.len()).div_ceil(32) * 32
+}
+
+/// The format-v1 image of a v2 image: the same header with format version
+/// 1, and every zero-run-compressed record expanded back to its four flat
+/// words. The checksum covers the logical words, so it carries over.
+fn v1_of(v2: &[u8], name: &str) -> Vec<u8> {
+    let off = payload_off(name);
+    let mut out = v2[..off].to_vec();
+    out[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let mut rest = &v2[off..];
+    while let Some((&ctl, tail)) = rest.split_first() {
+        rest = tail;
+        for w in 0..4 {
+            if ctl & (1 << w) != 0 {
+                out.extend_from_slice(&rest[..8]);
+                rest = &rest[8..];
+            } else {
+                out.extend_from_slice(&[0; 8]);
+            }
+        }
+    }
+    out
+}
+
+/// One file, one verdict: whichever reader meets a damaged image —
+/// `load_full`, `verify` or `import` — rejects it for the same reason, and
+/// good v1 and v2 images load, verify and import to the same trace.
+#[test]
+fn every_reader_gives_one_file_the_same_verdict() {
+    let (db, dir) = temp_db("verdict");
+    let (import_db, import_dir) = temp_db("verdict-import");
+    let t = sample(10);
+    assert!(db.save("w", 100, &t));
+    let p = file_of(&dir, "w", 100);
+    let v2 = std::fs::read(&p).unwrap();
+    let v1 = v1_of(&v2, "w");
+    let off = payload_off("w");
+    let edit = |f: &dyn Fn(&mut Vec<u8>)| {
+        let mut b = v2.clone();
+        f(&mut b);
+        b
+    };
+
+    let cases: Vec<(&str, Vec<u8>, TraceDbError)> = vec![
+        (
+            "text file",
+            b"this is a plain text file, not a trace at all\n".repeat(3),
+            TraceDbError::BadMagic,
+        ),
+        ("bad magic", edit(&|b| b[3] ^= 0xff), TraceDbError::BadMagic),
+        (
+            "format version",
+            edit(&|b| b[8] = 99),
+            TraceDbError::WrongFormatVersion(99),
+        ),
+        (
+            "trace version",
+            edit(&|b| b[12] = 99),
+            TraceDbError::WrongTraceVersion(99),
+        ),
+        (
+            "truncated header",
+            v2[..40].to_vec(),
+            TraceDbError::Truncated,
+        ),
+        (
+            "payload cut mid-record",
+            v2[..v2.len() - 7].to_vec(),
+            TraceDbError::Truncated,
+        ),
+        (
+            "trailing byte",
+            edit(&|b| b.push(0)),
+            TraceDbError::Truncated,
+        ),
+        (
+            "reserved control bit",
+            edit(&|b| b[off] |= 0x80),
+            TraceDbError::BadRecord(0),
+        ),
+        (
+            "payload bit flip",
+            edit(&|b| *b.last_mut().unwrap() ^= 0x01),
+            TraceDbError::ChecksumMismatch,
+        ),
+        (
+            "truncated v1 image",
+            v1[..v1.len() - 32].to_vec(),
+            TraceDbError::Truncated,
+        ),
+    ];
+    for (what, image, want) in &cases {
+        std::fs::write(&p, image).unwrap();
+        assert_eq!(
+            db.load_full("w", 100).unwrap_err(),
+            *want,
+            "{what}: load_full"
+        );
+        assert!(db.load("w", 100).is_none(), "{what}: load");
+        assert_eq!(db.verify("w", 100).unwrap_err(), *want, "{what}: verify");
+        assert_eq!(
+            import_db.import(image, None).unwrap_err(),
+            *want,
+            "{what}: import"
+        );
+    }
+    assert!(
+        import_db.list().is_empty(),
+        "a rejected import writes nothing"
+    );
+
+    // A good file under the wrong key: only keyed readers can tell.
+    std::fs::write(&p, &v2).unwrap();
+    std::fs::create_dir_all(dir.join("stolen")).unwrap();
+    std::fs::copy(&p, file_of(&dir, "stolen", 100)).unwrap();
+    std::fs::copy(&p, file_of(&dir, "w", 200)).unwrap();
+    for (name, len) in [("stolen", 100), ("w", 200)] {
+        assert_eq!(
+            db.load_full(name, len).unwrap_err(),
+            TraceDbError::KeyMismatch
+        );
+        assert_eq!(db.verify(name, len).unwrap_err(), TraceDbError::KeyMismatch);
+    }
+
+    // Good images of both layouts: same trace through every reader, and
+    // import stores the v2 image whichever layout it was handed.
+    for (what, image) in [("v1", &v1), ("v2", &v2)] {
+        std::fs::write(&p, image).unwrap();
+        let back = db.load_full("w", 100).unwrap();
+        assert_eq!(back.insns, t.insns, "{what}: load_full");
+        assert_eq!((back.halted, back.static_insns), (t.halted, t.static_insns));
+        assert_eq!(db.verify("w", 100).unwrap(), t.insns.len() as u64, "{what}");
+        assert_eq!(
+            import_db.import(image, None).unwrap(),
+            ("w".to_string(), 100)
+        );
+        let imported = import_db.load_full("w", 100).unwrap();
+        assert_eq!(imported.insns, t.insns, "{what}: import");
+        assert_eq!(std::fs::read(file_of(&import_dir, "w", 100)).unwrap(), v2);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&import_dir);
+}

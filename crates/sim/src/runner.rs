@@ -122,6 +122,19 @@ pub struct RunResult {
 /// process-wide build and decode tallies.
 static TRACES: TraceCache = TraceCache::new();
 
+/// Where the default stores live: `CARGO_TARGET_DIR`, else the workspace's
+/// `target/`.
+fn target_dir() -> PathBuf {
+    std::env::var("CARGO_TARGET_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|_| {
+            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+                .join("..")
+                .join("..")
+                .join("target")
+        })
+}
+
 /// The process-default on-disk trace store ([`TraceDb`]): the workspace's
 /// `target/rcmc-traces`, overridable with `RCMC_TRACE_DIR=<dir>` and
 /// disabled entirely with `RCMC_TRACE_DIR=off` (or `none`/`0`/empty).
@@ -133,15 +146,7 @@ pub fn default_trace_db() -> Option<&'static TraceDb> {
         let dir = match std::env::var("RCMC_TRACE_DIR") {
             Ok(v) if matches!(v.trim(), "" | "off" | "none" | "0") => return None,
             Ok(v) => PathBuf::from(v),
-            Err(_) => std::env::var("CARGO_TARGET_DIR")
-                .map(PathBuf::from)
-                .unwrap_or_else(|_| {
-                    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                        .join("..")
-                        .join("..")
-                        .join("target")
-                })
-                .join("rcmc-traces"),
+            Err(_) => target_dir().join("rcmc-traces"),
         };
         Some(TraceDb::at(dir))
     })
@@ -235,16 +240,9 @@ impl ResultStore {
     /// demand). Anchored to this crate's manifest so every binary in the
     /// workspace shares one store regardless of its working directory.
     pub fn open_default() -> Self {
-        let dir = std::env::var("CARGO_TARGET_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| {
-                PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                    .join("..")
-                    .join("..")
-                    .join("target")
-            })
-            .join("rcmc-results");
-        ResultStore { dir: Some(dir) }
+        ResultStore {
+            dir: Some(target_dir().join("rcmc-results")),
+        }
     }
 
     /// A store rooted at `dir` (tests, alternative layouts).
