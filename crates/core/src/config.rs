@@ -103,7 +103,8 @@ pub fn cluster_mask(n: usize) -> u64 {
 /// Event-wheel length of the pipeline (future cycles a completion can be
 /// scheduled at). Every interconnect grant delay — and every functional
 /// unit / memory latency — must land strictly inside it;
-/// [`CoreConfig::validate`] enforces the interconnect side.
+/// [`CoreConfig::validate`] enforces the interconnect side. A power of two,
+/// so the wheel wraps with a mask.
 pub const EVENT_WHEEL: usize = 512;
 
 /// Reservation-window length in future cycles for the wormhole-reserving
@@ -445,7 +446,14 @@ impl CoreConfig {
     #[inline]
     pub fn dest_cluster(&self, cluster: usize) -> usize {
         match self.topology {
-            Topology::Ring => (cluster + 1) % self.n_clusters,
+            Topology::Ring => {
+                let next = cluster + 1;
+                if next == self.n_clusters {
+                    0
+                } else {
+                    next
+                }
+            }
             Topology::Conv | Topology::Crossbar | Topology::Mesh | Topology::Hier => cluster,
         }
     }

@@ -687,7 +687,6 @@ impl<'t> Core<'t> {
     /// NREADY (§4.5): ready instructions left unissued whose work idle
     /// capacity elsewhere could absorb, summed per functional-unit kind.
     fn sample_nready(&mut self) {
-        let n = self.cfg.n_clusters;
         let kinds = [
             FuKind::IntAlu,
             FuKind::IntMulDiv,
@@ -695,9 +694,7 @@ impl<'t> Core<'t> {
             FuKind::FpMulDiv,
         ];
         let mut leftover = [0usize; 4];
-        // Leftovers can only come from clusters with ready entries; with
-        // none anywhere, NREADY adds zero regardless of idle capacity,
-        // so the all-cluster capacity scan is skipped too.
+        // Leftovers can only come from clusters with ready entries.
         let mut m = self.ready_mask;
         while m != 0 {
             let c = m.trailing_zeros() as usize;
@@ -705,17 +702,17 @@ impl<'t> Core<'t> {
             self.iq_int[c].ready_by_fu(&mut leftover);
             self.iq_fp[c].ready_by_fu(&mut leftover);
         }
-        if leftover == [0; 4] {
-            return;
-        }
-        let mut capacity = [0usize; 4];
-        for c in 0..n {
-            for (k, kind) in kinds.into_iter().enumerate() {
-                capacity[k] += self.fus[c].idle(kind, self.now);
+        // Each kind adds min(leftover, idle units), so its idle-unit scan
+        // stops once the units found cover the leftovers (at once for none).
+        for (k, kind) in kinds.into_iter().enumerate() {
+            let mut idle = 0;
+            for fus in &self.fus {
+                if idle >= leftover[k] {
+                    break;
+                }
+                idle += fus.idle(kind, self.now);
             }
-        }
-        for k in 0..4 {
-            self.stats.nready += leftover[k].min(capacity[k]) as u64;
+            self.stats.nready += leftover[k].min(idle) as u64;
         }
     }
 

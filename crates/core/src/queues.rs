@@ -4,6 +4,14 @@
 //! cluster, every queue entry in that cluster waiting on it clears the
 //! matching source. Selection is oldest-first among ready entries, as in the
 //! paper's baseline.
+//!
+//! An [`IssueQueue`] is a window of slots tracked by bitsets: an entry keeps
+//! its slot from dispatch until it issues, occupancy and readiness are one
+//! bit per slot, and each value owns a bitset of the slots waiting on it.
+//! Wakeup visits only those slots, selection sorts only the ready ones, and
+//! issue clears bits; no operation scans the waiting entries. A
+//! [`CommQueue`] stays a plain `Vec` (see [`CommQueue::ready_into`] for why
+//! its layout is part of the timing model).
 
 use rcmc_isa::InsnClass;
 
@@ -34,100 +42,135 @@ impl IqEntry {
     }
 }
 
-/// A bounded, age-ordered issue queue.
+/// A bounded, age-ordered issue queue on bitsets of `capacity.div_ceil(64)`
+/// words. `push` takes the lowest free slot and the entry keeps it until
+/// `remove_many` frees it, so the indices `ready_into` hands out stay valid
+/// until issue. Ready counts, in total and per functional-unit kind, are
+/// kept up to date on push, wakeup and remove.
 ///
-/// The number of ready entries is maintained incrementally (updated on
-/// push/wakeup/remove), so per-cycle selection can skip queues with nothing
-/// ready without scanning them — the common case in a stalled cluster.
-///
-/// Wakeup is O(waiters), not O(entries): a per-value wait-list (direct
-/// table indexed by [`ValueId`], grown lazily) records which entries wait
-/// on each value, so a tag broadcast touches exactly the entries it wakes.
-/// Registrations are consumed by the wakeup itself (a wait can never
-/// dangle: the waited-on value keeps this entry as a reader until it turns
-/// ready), and `swap_remove` relocations are patched in place.
+/// A slot is in value `v`'s waiter bitset exactly while its entry waits on
+/// `v`: `push` sets the bit and the wakeup of `v` consumes the whole
+/// bitset. Only ready entries are removed, so a freed slot is in no waiter
+/// bitset, and a waiting entry is a registered reader of `v`, so `v`'s id
+/// cannot be recycled before its wakeup.
 pub struct IssueQueue {
-    entries: Vec<IqEntry>,
+    /// Entries by slot, meaningful while the slot's `occupied` bit is set.
+    slots: Vec<IqEntry>,
     capacity: usize,
-    /// Ready entries currently in the queue (maintained, never scanned).
+    /// Slots holding an entry.
+    occupied: Box<[u64]>,
+    /// Occupied slots whose entry waits on nothing.
+    ready: Box<[u64]>,
+    /// Occupied slots.
+    len: usize,
+    /// Set bits of `ready`.
     n_ready: usize,
-    /// Entry indices waiting on each value (indexed by `ValueId`; one
-    /// registration per waiting source slot). Cleared lists are kept to
-    /// reuse their capacity — value ids recycle heavily.
-    waiters: Vec<Vec<u32>>,
+    /// Ready entries per [`fu_index`] kind.
+    ready_fu: [usize; 4],
+    /// Slots waiting on each value: one bitset (as many words as
+    /// `occupied`) per [`ValueId`], grown lazily to the highest id waited on.
+    waiters: Vec<u64>,
 }
 
 impl IssueQueue {
     /// Queue with `capacity` entries.
     pub fn new(capacity: usize) -> Self {
+        let words = capacity.div_ceil(64);
         IssueQueue {
-            entries: Vec::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
             capacity,
+            occupied: vec![0; words].into_boxed_slice(),
+            ready: vec![0; words].into_boxed_slice(),
+            len: 0,
             n_ready: 0,
+            ready_fu: [0; 4],
             waiters: Vec::new(),
         }
     }
 
     /// Occupancy.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Empty?
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Room for one more?
     pub fn has_space(&self) -> bool {
-        self.entries.len() < self.capacity
+        self.len < self.capacity
     }
 
-    /// Register `idx` on `v`'s wait-list.
+    /// Set `slot`'s ready bit and count it.
     #[inline]
-    fn enlist(&mut self, v: ValueId, idx: u32) {
-        let slot = v as usize;
-        if slot >= self.waiters.len() {
-            self.waiters.resize_with(slot + 1, Vec::new);
+    fn mark_ready(&mut self, slot: usize) {
+        self.ready[slot / 64] |= 1 << (slot % 64);
+        self.n_ready += 1;
+        if let Some(kind) = self.slots[slot].class.fu() {
+            self.ready_fu[fu_index(kind)] += 1;
         }
-        self.waiters[slot].push(idx);
     }
 
-    /// Insert at dispatch. Panics if full (caller checks `has_space`).
+    /// Insert at dispatch into the lowest free slot. Panics if full (caller
+    /// checks `has_space`).
+    #[inline]
     pub fn push(&mut self, e: IqEntry) {
         assert!(self.has_space(), "issue queue overflow");
-        self.n_ready += usize::from(e.ready());
-        let idx = self.entries.len() as u32;
-        for v in e.waits.into_iter().flatten() {
-            self.enlist(v, idx);
+        // With a free slot below `capacity`, the lowest clear bit is one.
+        let (w, free) = self
+            .occupied
+            .iter()
+            .enumerate()
+            .find_map(|(w, &word)| (word != u64::MAX).then_some((w, !word)))
+            .expect("a free slot below capacity");
+        let slot = w * 64 + free.trailing_zeros() as usize;
+        if slot == self.slots.len() {
+            self.slots.push(e);
+        } else {
+            self.slots[slot] = e;
         }
-        self.entries.push(e);
+        self.occupied[w] |= 1 << (slot % 64);
+        self.len += 1;
+        let words = self.occupied.len();
+        for v in e.waits.into_iter().flatten() {
+            let base = v as usize * words;
+            if base >= self.waiters.len() {
+                self.waiters.resize(base + words, 0);
+            }
+            self.waiters[base + w] |= 1 << (slot % 64);
+        }
+        if e.ready() {
+            self.mark_ready(slot);
+        }
     }
 
     /// Tag broadcast: value `v` became ready in this cluster. Touches only
-    /// the entries registered as waiting on `v`.
+    /// the slots in `v`'s waiter bitset, and empties it.
     pub fn wakeup(&mut self, v: ValueId) {
-        let Some(list) = self.waiters.get_mut(v as usize) else {
-            return;
-        };
-        if list.is_empty() {
+        let words = self.occupied.len();
+        let base = v as usize * words;
+        if base >= self.waiters.len() {
             return;
         }
-        // Detach the list so entry mutation can't alias it; hand its
-        // capacity back afterwards.
-        let mut list = std::mem::take(list);
-        for &idx in &list {
-            let e = &mut self.entries[idx as usize];
-            let was_ready = e.ready();
-            for w in &mut e.waits {
-                if *w == Some(v) {
-                    *w = None;
+        for w in 0..words {
+            let mut bits = std::mem::take(&mut self.waiters[base + w]);
+            while bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let e = &mut self.slots[slot];
+                debug_assert!(!e.ready(), "a ready entry in a waiter bitset");
+                for wait in &mut e.waits {
+                    if *wait == Some(v) {
+                        *wait = None;
+                    }
+                }
+                if e.ready() {
+                    self.mark_ready(slot);
                 }
             }
-            self.n_ready += usize::from(!was_ready && e.ready());
         }
-        list.clear();
-        self.waiters[v as usize] = list;
     }
 
     /// [`IssueQueue::ready_into`] into a fresh `Vec`.
@@ -139,14 +182,23 @@ impl IssueQueue {
     }
 
     /// Ready entries in age order (oldest first), written into `out`.
+    ///
+    /// `seq` is unique within an issue queue (one entry per dispatched
+    /// instruction), so the order does not depend on slot placement.
     pub fn ready_into(&self, out: &mut Vec<usize>) {
         out.clear();
         if self.n_ready == 0 {
             return;
         }
-        out.extend((0..self.entries.len()).filter(|&i| self.entries[i].ready()));
+        for (w, &word) in self.ready.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
         debug_assert_eq!(out.len(), self.n_ready, "ready count out of sync");
-        out.sort_unstable_by_key(|&i| self.entries[i].seq);
+        out.sort_unstable_by_key(|&i| self.slots[i].seq);
     }
 
     /// Number of ready entries (NREADY accounting / selection fast path).
@@ -155,49 +207,37 @@ impl IssueQueue {
         self.n_ready
     }
 
-    /// Count remaining ready entries per functional-unit kind in one pass
-    /// (NREADY sampling). `out` is indexed by [`rcmc_isa::FuKind`] order:
+    /// Add the ready entries per functional-unit kind to `out` (NREADY
+    /// sampling). `out` is indexed by [`rcmc_isa::FuKind`] order:
     /// IntAlu, IntMulDiv, FpAlu, FpMulDiv.
+    #[inline]
     pub fn ready_by_fu(&self, out: &mut [usize; 4]) {
-        if self.n_ready == 0 {
-            return;
-        }
-        for e in &self.entries {
-            if e.ready() {
-                if let Some(kind) = e.class.fu() {
-                    out[fu_index(kind)] += 1;
-                }
-            }
+        for (o, n) in out.iter_mut().zip(self.ready_fu) {
+            *o += n;
         }
     }
 
-    /// Access an entry.
+    /// Access the entry in slot `i`.
     pub fn get(&self, i: usize) -> &IqEntry {
-        &self.entries[i]
+        debug_assert!(
+            self.occupied[i / 64] & (1 << (i % 64)) != 0,
+            "empty slot {i}"
+        );
+        &self.slots[i]
     }
 
-    /// Remove a set of entries by index (after issue). Indices must be
-    /// distinct and name ready entries (issue selects only ready ones, and
-    /// a ready entry holds no wait-list registrations); the buffer is
-    /// drained in place (descending order).
+    /// Free a set of slots (after issue). Slots must be distinct and hold
+    /// ready entries (issue selects only ready ones); the buffer is drained.
     pub fn remove_many(&mut self, idx: &mut Vec<usize>) {
-        idx.sort_unstable_by(|a, b| b.cmp(a));
         for i in idx.drain(..) {
-            debug_assert!(self.entries[i].ready(), "removing a waiting entry");
-            self.n_ready -= usize::from(self.entries[i].ready());
-            self.entries.swap_remove(i);
-            // The former tail entry (if any) moved to `i`: repoint its
-            // wait-list registrations.
-            if i < self.entries.len() {
-                let old = self.entries.len() as u32;
-                let waits = self.entries[i].waits;
-                for v in waits.into_iter().flatten() {
-                    for slot in &mut self.waiters[v as usize] {
-                        if *slot == old {
-                            *slot = i as u32;
-                        }
-                    }
-                }
+            let (w, bit) = (i / 64, 1u64 << (i % 64));
+            debug_assert!(self.ready[w] & bit != 0, "removing a waiting entry");
+            self.occupied[w] &= !bit;
+            self.ready[w] &= !bit;
+            self.len -= 1;
+            self.n_ready -= 1;
+            if let Some(kind) = self.slots[i].class.fu() {
+                self.ready_fu[fu_index(kind)] -= 1;
             }
         }
     }
@@ -291,6 +331,13 @@ impl CommQueue {
     }
 
     /// Ready comms in age order, written into `out`.
+    ///
+    /// Ties are part of the timing model. The comms an instruction needs
+    /// for its two sources share its `seq`, and the sort leaves equal keys
+    /// in `Vec` position order, which `remove`'s `swap_remove` permutes.
+    /// That order decides which of the two asks the interconnect first, so
+    /// a layout that keeps positions stable (as [`IssueQueue`]'s slots do)
+    /// moves cycle counts.
     pub fn ready_into(&self, out: &mut Vec<usize>) {
         out.clear();
         if self.n_ready == 0 {
@@ -323,6 +370,183 @@ impl CommQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference issue queue: a `Vec` kept dense by `swap_remove`, a scan
+    /// plus sort for selection, and per-value wait-lists of entry indices
+    /// patched when `swap_remove` moves an entry.
+    struct VecQueue {
+        entries: Vec<IqEntry>,
+        capacity: usize,
+        waiters: Vec<Vec<u32>>,
+    }
+
+    impl VecQueue {
+        fn new(capacity: usize) -> Self {
+            VecQueue {
+                entries: Vec::new(),
+                capacity,
+                waiters: Vec::new(),
+            }
+        }
+
+        fn has_space(&self) -> bool {
+            self.entries.len() < self.capacity
+        }
+
+        fn push(&mut self, e: IqEntry) {
+            let idx = self.entries.len() as u32;
+            for v in e.waits.into_iter().flatten() {
+                if v as usize >= self.waiters.len() {
+                    self.waiters.resize_with(v as usize + 1, Vec::new);
+                }
+                self.waiters[v as usize].push(idx);
+            }
+            self.entries.push(e);
+        }
+
+        fn wakeup(&mut self, v: ValueId) {
+            let Some(list) = self.waiters.get_mut(v as usize) else {
+                return;
+            };
+            for idx in std::mem::take(list) {
+                for w in &mut self.entries[idx as usize].waits {
+                    if *w == Some(v) {
+                        *w = None;
+                    }
+                }
+            }
+        }
+
+        fn ready_ordered(&self) -> Vec<usize> {
+            let mut out: Vec<usize> = (0..self.entries.len())
+                .filter(|&i| self.entries[i].ready())
+                .collect();
+            out.sort_unstable_by_key(|&i| self.entries[i].seq);
+            out
+        }
+
+        fn ready_by_fu(&self) -> [usize; 4] {
+            let mut out = [0; 4];
+            for e in self.entries.iter().filter(|e| e.ready()) {
+                if let Some(kind) = e.class.fu() {
+                    out[fu_index(kind)] += 1;
+                }
+            }
+            out
+        }
+
+        fn remove_many(&mut self, mut idx: Vec<usize>) {
+            idx.sort_unstable_by(|a, b| b.cmp(a));
+            for i in idx {
+                self.entries.swap_remove(i);
+                if i < self.entries.len() {
+                    let old = self.entries.len() as u32;
+                    for v in self.entries[i].waits.into_iter().flatten() {
+                        for slot in &mut self.waiters[v as usize] {
+                            if *slot == old {
+                                *slot = i as u32;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    const CLASSES: [InsnClass; 8] = [
+        InsnClass::IntAlu,
+        InsnClass::IntMul,
+        InsnClass::IntDiv,
+        InsnClass::FpAlu,
+        InsnClass::FpDiv,
+        InsnClass::Load,
+        InsnClass::Store,
+        InsnClass::Nop,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+        /// Random push/wakeup/select/remove sequences: the bitset queue and
+        /// the reference select the same entries in the same order and
+        /// agree on every count.
+        #[test]
+        fn bitset_queue_matches_vec_reference(
+            capacity in 1usize..=130,
+            ops in prop::collection::vec((0u8..8, any::<u32>()), 1..800),
+        ) {
+            let mut q = IssueQueue::new(capacity);
+            let mut oracle = VecQueue::new(capacity);
+            let mut seq = 0u64;
+            let mut got = Vec::new();
+            for (op, pick) in ops {
+                // Few values, so waits collide and broadcasts find waiters;
+                // an occasional high id exercises the lazy growth.
+                let value = |shift: u32| {
+                    let v = (pick >> shift) % 24;
+                    (v != 23).then_some(if v == 22 { 300 } else { v })
+                };
+                match op {
+                    0..=3 if q.has_space() => {
+                        seq += 1;
+                        let e = IqEntry {
+                            seq,
+                            rob: seq as u32,
+                            trace_idx: pick,
+                            class: CLASSES[(pick >> 16) as usize % CLASSES.len()],
+                            waits: [value(0), value(8)],
+                            reads: [None, None],
+                        };
+                        q.push(e);
+                        oracle.push(e);
+                    }
+                    4 | 5 => {
+                        let v = value(0).unwrap_or(0);
+                        q.wakeup(v);
+                        oracle.wakeup(v);
+                    }
+                    6 | 7 => {
+                        // Issue some ready entries: bit k of `pick` skips the
+                        // k-th oldest, as a busy functional unit would.
+                        let want = oracle.ready_ordered();
+                        q.ready_into(&mut got);
+                        prop_assert_eq!(got.len(), want.len());
+                        let mut issued = Vec::new();
+                        let mut issued_ref = Vec::new();
+                        for (k, (&i, &j)) in got.iter().zip(&want).enumerate() {
+                            let (a, b) = (q.get(i), &oracle.entries[j]);
+                            prop_assert_eq!((a.seq, a.trace_idx), (b.seq, b.trace_idx));
+                            prop_assert!(a.ready());
+                            if pick >> (k % 32) & 1 == 0 {
+                                issued.push(i);
+                                issued_ref.push(j);
+                            }
+                        }
+                        q.remove_many(&mut issued);
+                        prop_assert!(issued.is_empty());
+                        oracle.remove_many(issued_ref);
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(q.len(), oracle.entries.len());
+                prop_assert_eq!(q.is_empty(), oracle.entries.is_empty());
+                prop_assert_eq!(q.has_space(), oracle.has_space());
+                let want = oracle.ready_ordered();
+                prop_assert_eq!(q.ready_count(), want.len());
+                q.ready_into(&mut got);
+                let seqs = |idx: &[usize], get: &dyn Fn(usize) -> u64| {
+                    idx.iter().map(|&i| get(i)).collect::<Vec<_>>()
+                };
+                prop_assert_eq!(
+                    seqs(&got, &|i| q.get(i).seq),
+                    seqs(&want, &|i| oracle.entries[i].seq)
+                );
+                let mut counts = [0; 4];
+                q.ready_by_fu(&mut counts);
+                prop_assert_eq!(counts, oracle.ready_by_fu());
+            }
+        }
+    }
 
     fn entry(seq: u64, waits: [Option<ValueId>; 2]) -> IqEntry {
         IqEntry {
@@ -390,8 +614,9 @@ mod tests {
 
     #[test]
     fn wakeup_tracks_entries_moved_by_swap_remove() {
-        // Wait-list registrations must follow entries relocated by
-        // remove_many's swap_remove, and a consumed broadcast must be inert.
+        // Removing issued entries must leave the waiter bitsets of the
+        // entries still waiting intact, and a consumed broadcast must be
+        // inert.
         let mut q = IssueQueue::new(8);
         q.push(entry(0, [None, None])); // ready
         q.push(entry(1, [Some(7), None]));
@@ -474,6 +699,54 @@ mod tests {
         assert_eq!(q.ready_count(), 1);
         // The maintained count always matches a fresh scan.
         assert_eq!(q.ready_count(), q.ready_ordered().len());
+    }
+
+    #[test]
+    fn comm_queue_same_seq_order_follows_swap_remove() {
+        let op = |seq, value| CommOp {
+            seq,
+            value,
+            from: 0,
+            to: 1,
+            ready: true,
+            ready_cycle: 0,
+        };
+        let mut q = CommQueue::new(4);
+        q.push(op(1, 9));
+        // Two comms of one instruction: same `seq`, pushed in source order.
+        q.push(op(2, 10));
+        q.push(op(2, 11));
+        let values = |q: &CommQueue| {
+            let mut r = Vec::new();
+            q.ready_into(&mut r);
+            r.iter().map(|&i| q.get(i).value).collect::<Vec<_>>()
+        };
+        assert_eq!(values(&q), [9, 10, 11]);
+        // `swap_remove` moves the tail comm (value 11) into position 0,
+        // ahead of its twin: the tie now resolves the other way.
+        q.remove(0);
+        assert_eq!(values(&q), [11, 10]);
+    }
+
+    #[test]
+    fn ready_slots_cross_the_first_bitset_word() {
+        let mut q = IssueQueue::new(130);
+        for s in 0..130 {
+            q.push(entry(1000 - s, [Some(s as ValueId), None]));
+        }
+        assert!(!q.has_space());
+        for v in [129, 64, 63, 0] {
+            q.wakeup(v);
+        }
+        let r = q.ready_ordered();
+        let seqs: Vec<u64> = r.iter().map(|&i| q.get(i).seq).collect();
+        assert_eq!(seqs, [871, 936, 937, 1000]);
+        let mut idx = vec![r[1], r[3]];
+        q.remove_many(&mut idx);
+        assert_eq!((q.len(), q.ready_count()), (128, 2));
+        // Freed slots are reused lowest first.
+        q.push(entry(5, [None, None]));
+        assert_eq!(q.ready_ordered()[0], 0);
     }
 
     #[test]

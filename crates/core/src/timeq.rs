@@ -17,16 +17,26 @@
 #[derive(Debug)]
 pub struct TimeQueue<E> {
     slots: Vec<Vec<E>>,
+    /// `horizon - 1`: the horizon is a power of two, so a mask wraps.
+    mask: usize,
     pending: usize,
 }
 
 impl<E> TimeQueue<E> {
     /// A queue able to hold events up to `horizon - 1` cycles ahead.
+    /// `horizon` must be a power of two (at least 2).
     pub fn new(horizon: usize) -> Self {
-        assert!(horizon >= 2, "time queue needs a horizon of at least 2");
+        assert!(
+            horizon >= 2 && horizon.is_power_of_two(),
+            "time queue horizon must be a power of two >= 2, got {horizon}"
+        );
         let mut slots = Vec::with_capacity(horizon);
         slots.resize_with(horizon, Vec::new);
-        TimeQueue { slots, pending: 0 }
+        TimeQueue {
+            slots,
+            mask: horizon - 1,
+            pending: 0,
+        }
     }
 
     /// Maximum schedulable delay is `horizon() - 1`.
@@ -56,7 +66,7 @@ impl<E> TimeQueue<E> {
             delay,
             self.horizon()
         );
-        let slot = ((now + delay) as usize) % self.horizon();
+        let slot = (now + delay) as usize & self.mask;
         self.slots[slot].push(ev);
         self.pending += 1;
     }
@@ -68,7 +78,7 @@ impl<E> TimeQueue<E> {
     /// emptied scratch goes back in as the bucket.
     pub fn swap_due(&mut self, now: u64, buf: &mut Vec<E>) {
         debug_assert!(buf.is_empty(), "swap_due target must be empty");
-        let slot = (now as usize) % self.horizon();
+        let slot = now as usize & self.mask;
         std::mem::swap(&mut self.slots[slot], buf);
         self.pending -= buf.len();
     }
@@ -80,9 +90,8 @@ impl<E> TimeQueue<E> {
         if self.pending == 0 {
             return None;
         }
-        let h = self.horizon();
-        let base = (now as usize) % h;
-        // Slots `base..h` are offsets `0..h - base`; `0..base` wrap after.
+        let base = now as usize & self.mask;
+        // Slots `base..` are offsets `0..horizon - base`; `..base` wrap after.
         let (wrapped, ahead) = self.slots.split_at(base);
         ahead
             .iter()
@@ -146,6 +155,12 @@ mod tests {
         let mut buf = Vec::new();
         q.swap_due(5, &mut buf);
         assert_eq!(buf, vec![9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_horizon_is_rejected() {
+        let _q: TimeQueue<u8> = TimeQueue::new(12);
     }
 
     #[test]

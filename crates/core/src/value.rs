@@ -15,10 +15,12 @@
 //! (`present` = a copy exists, `ready` ⊆ `present` = the datum arrived;
 //! Pending = present ∧ ¬ready), so a value with two copies costs two set
 //! bits, not a [`MAX_CLUSTERS`]-wide array — walking copies is
-//! `count_ones()` bit iterations in ascending cluster order. Reader counts
-//! (only consulted by the `OnLastRead` ablation) live in a small sorted
-//! `(cluster, count)` list whose capacity survives slot recycling, so the
-//! steady-state hot loop stays allocation-free.
+//! `count_ones()` bit iterations in ascending cluster order.
+//!
+//! Reader counts (dispatched readers of a copy that have not yet issued)
+//! are one flat `u16` per (value, cluster), `n_clusters` per value slot, so
+//! registering or retiring a reader is one indexed add. Both release
+//! policies keep them; only `OnLastRead` acts on them.
 //!
 //! Release policy follows §3: all copies of a value are freed when the
 //! instruction that *redefines* its architectural register commits.
@@ -57,11 +59,6 @@ struct Value {
     present: u64,
     /// Clusters whose copy is Ready (always a subset of `present`).
     ready: u64,
-    /// Outstanding dispatched-but-not-issued readers, sorted by cluster
-    /// (for the `OnLastRead` release ablation). Entries are removed when
-    /// their count drains to zero, so the list stays as small as the live
-    /// reader set.
-    readers: Vec<(u8, u16)>,
     /// Cluster holding the home (original) copy.
     home: u8,
     /// FP bank?
@@ -75,20 +72,16 @@ impl Value {
         Value {
             present: 0,
             ready: 0,
-            readers: Vec::new(),
             home: 0,
             is_fp: false,
             live: false,
         }
     }
 
-    /// Reset for reuse, keeping the reader list's capacity (value ids
-    /// recycle heavily; this is what keeps `alloc` allocation-free in
-    /// steady state).
+    /// Reset for reuse.
     fn reset(&mut self, home: usize, fp: bool) {
         self.present = 0;
         self.ready = 0;
-        self.readers.clear();
         self.home = home as u8;
         self.is_fp = fp;
         self.live = true;
@@ -115,6 +108,8 @@ impl Iterator for ClusterBits {
 /// The value slab plus per-cluster free-register accounting.
 pub struct ValueTable {
     slab: Vec<Value>,
+    /// Outstanding readers per copy: `readers[id * n_clusters + cluster]`.
+    readers: Vec<u16>,
     free_slots: Vec<ValueId>,
     n_clusters: usize,
     /// Free integer registers per cluster.
@@ -128,6 +123,7 @@ impl ValueTable {
     pub fn new(n_clusters: usize, regs_int: usize, regs_fp: usize) -> Self {
         ValueTable {
             slab: Vec::with_capacity(1024),
+            readers: Vec::with_capacity(1024 * n_clusters),
             free_slots: Vec::new(),
             n_clusters,
             free_int: vec![regs_int as i32; n_clusters].into_boxed_slice(),
@@ -178,9 +174,12 @@ impl ValueTable {
             Some(id) => id,
             None => {
                 self.slab.push(Value::empty());
+                self.readers.resize(self.slab.len() * self.n_clusters, 0);
                 (self.slab.len() - 1) as ValueId
             }
         };
+        let row = id as usize * self.n_clusters;
+        self.readers[row..row + self.n_clusters].fill(0);
         let v = &mut self.slab[id as usize];
         debug_assert!(!v.live);
         v.reset(home, fp);
@@ -271,30 +270,20 @@ impl ValueTable {
         ClusterBits(self.slab[id as usize].present)
     }
 
-    /// Register a dispatched reader of `id` in `cluster` (OnLastRead policy).
+    /// Register a dispatched reader of `id`'s copy in `cluster`.
+    #[inline]
     pub fn add_reader(&mut self, id: ValueId, cluster: usize) {
-        let readers = &mut self.slab[id as usize].readers;
-        let c = cluster as u8;
-        match readers.binary_search_by_key(&c, |&(rc, _)| rc) {
-            Ok(i) => readers[i].1 += 1,
-            Err(i) => readers.insert(i, (c, 1)),
-        }
+        self.readers[id as usize * self.n_clusters + cluster] += 1;
     }
 
     /// A reader issued; under `OnLastRead`, frees a non-home copy whose
     /// reader count hits zero. Returns true if the copy was released.
     pub fn reader_done(&mut self, id: ValueId, cluster: usize, release_on_read: bool) -> bool {
+        let n = &mut self.readers[id as usize * self.n_clusters + cluster];
+        assert!(*n > 0, "reader_done without a registered reader");
+        *n -= 1;
+        let drained = *n == 0;
         let v = &mut self.slab[id as usize];
-        let c = cluster as u8;
-        let i = v
-            .readers
-            .binary_search_by_key(&c, |&(rc, _)| rc)
-            .expect("reader_done without a registered reader");
-        v.readers[i].1 -= 1;
-        let drained = v.readers[i].1 == 0;
-        if drained {
-            v.readers.remove(i);
-        }
         if release_on_read && drained && cluster != v.home as usize && v.ready & bit(cluster) != 0 {
             v.present &= !bit(cluster);
             v.ready &= !bit(cluster);
@@ -477,6 +466,31 @@ mod tests {
         assert!(!t.reader_done(v, 3, false));
         assert!(!t.reader_done(v, 2, false));
         assert!(!t.reader_done(v, 1, false));
+    }
+
+    #[test]
+    #[should_panic(expected = "reader_done without a registered reader")]
+    fn reader_done_past_zero_panics() {
+        let mut t = table();
+        let v = t.alloc(0, false);
+        t.add_reader(v, 2);
+        t.reader_done(v, 2, false);
+        t.reader_done(v, 2, false);
+    }
+
+    #[test]
+    fn recycled_slot_starts_without_readers() {
+        let mut t = table();
+        let a = t.alloc(0, false);
+        t.add_reader(a, 1);
+        t.free(a);
+        let b = t.alloc(0, false);
+        assert_eq!(a, b);
+        t.mark_ready(b, 0);
+        t.add_copy(b, 1);
+        t.mark_ready(b, 1);
+        t.add_reader(b, 1);
+        assert!(t.reader_done(b, 1, true), "the stale reader was dropped");
     }
 
     #[test]

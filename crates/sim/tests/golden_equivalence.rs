@@ -9,12 +9,12 @@
 //! pre-recalibration 16.0 so the deliberate Crossbar recalibration cannot
 //! mask a policy-dispatch regression. Every configuration going through the
 //! `Interconnect` + `SteeringPolicy` trait pair — with DCOUNT state owned
-//! by the `ConvDcount` policy and wakeup running off per-value wait-lists —
-//! must reproduce every counter bit-for-bit: cycles, commit mix,
-//! communication counts/distances/waits, NREADY and the per-cluster
-//! dispatch histogram. If any row moves, the timing model changed and
-//! MODEL_VERSION in `rcmc_sim::runner` must be bumped (and these pins
-//! re-captured).
+//! by the `ConvDcount` policy and wakeup running off per-value waiter
+//! bitsets of slot-stable issue queues — must reproduce every counter
+//! bit-for-bit: cycles, commit mix, communication counts/distances/waits,
+//! NREADY and the per-cluster dispatch histogram. If any row moves, the
+//! timing model changed and MODEL_VERSION in `rcmc_sim::runner` must be
+//! bumped (and these pins re-captured).
 //!
 //! The Mesh/Hier/long-hop rows were captured immediately before the
 //! event-driven run loop landed (same MODEL_VERSION, cycle-stepped `run`),
@@ -22,8 +22,13 @@
 //! cycles must be invisible in every counter. The property test at the
 //! bottom additionally diffs event-driven against forced cycle-stepped runs
 //! (`set_event_driven(false)`) across randomized small configurations.
+//!
+//! The `~on_read` and `~iq100` rows were captured immediately before the
+//! issue queues moved onto bitsets and reader counts became flat (same
+//! MODEL_VERSION): they pin `OnLastRead` copy release, which acts on the
+//! reader counts, and issue queues wider than one 64-slot bitset word.
 
-use rcmc_core::{Core, Steering, Topology};
+use rcmc_core::{CopyRelease, Core, Steering, Topology};
 use rcmc_sim::config::{make, make_pair, SimConfig};
 use rcmc_sim::runner::{cached_trace, Budget};
 
@@ -64,6 +69,20 @@ fn goldens() -> Vec<Golden> {
     let hop4 = |mut c: SimConfig| {
         c.core.hop_latency = 4;
         c.name = format!("{}~hop4", c.name);
+        c
+    };
+    // Early copy release: every operand read counts down a reader count
+    // that decides when a non-home copy is freed.
+    let on_read = |mut c: SimConfig| {
+        c.core.copy_release = CopyRelease::OnLastRead;
+        c.name = format!("{}~on_read", c.name);
+        c
+    };
+    // Issue queues wider than one 64-entry bitset word.
+    let iq100 = |mut c: SimConfig| {
+        c.core.iq_int = 100;
+        c.core.iq_fp = 100;
+        c.name = format!("{}~iq100", c.name);
         c
     };
     vec![
@@ -197,6 +216,112 @@ fn goldens() -> Vec<Golden> {
             nready: 890,
             issued_int: 4056,
             dispatched: &[699, 2898, 249, 212, 0, 0, 0, 0],
+        },
+        // --- pre-bitset-issue-window pins: `OnLastRead` copy release, and
+        // the same with 100-entry issue queues ---
+        Golden {
+            cfg: on_read(make(Topology::Ring, 8, 2, 1)),
+            bench: "swim",
+            cycles: 9158,
+            committed: 4000,
+            comms_created: 286,
+            comms_issued: 285,
+            comm_distance: 609,
+            comm_bus_wait: 170,
+            nready: 308,
+            issued_int: 2775,
+            dispatched: &[464, 609, 497, 504, 507, 488, 467, 464],
+        },
+        Golden {
+            cfg: on_read(make(Topology::Ring, 8, 2, 1)),
+            bench: "mcf",
+            cycles: 82770,
+            committed: 4000,
+            comms_created: 0,
+            comms_issued: 0,
+            comm_distance: 0,
+            comm_bus_wait: 0,
+            nready: 800,
+            issued_int: 4000,
+            dispatched: &[500, 500, 500, 500, 500, 500, 500, 500],
+        },
+        Golden {
+            cfg: on_read(make(Topology::Conv, 8, 2, 1)),
+            bench: "swim",
+            cycles: 10051,
+            committed: 4000,
+            comms_created: 1061,
+            comms_issued: 1035,
+            comm_distance: 3634,
+            comm_bus_wait: 797,
+            nready: 457,
+            issued_int: 2834,
+            dispatched: &[1974, 162, 335, 573, 370, 303, 215, 154],
+        },
+        Golden {
+            cfg: on_read(make(Topology::Conv, 8, 2, 1)),
+            bench: "mcf",
+            cycles: 82770,
+            committed: 4000,
+            comms_created: 0,
+            comms_issued: 0,
+            comm_distance: 0,
+            comm_bus_wait: 0,
+            nready: 800,
+            issued_int: 4000,
+            dispatched: &[2400, 0, 1600, 0, 0, 0, 0, 0],
+        },
+        Golden {
+            cfg: iq100(on_read(make(Topology::Ring, 8, 2, 1))),
+            bench: "swim",
+            cycles: 9158,
+            committed: 4000,
+            comms_created: 286,
+            comms_issued: 285,
+            comm_distance: 609,
+            comm_bus_wait: 170,
+            nready: 308,
+            issued_int: 2775,
+            dispatched: &[464, 609, 497, 504, 507, 488, 467, 464],
+        },
+        Golden {
+            cfg: iq100(on_read(make(Topology::Ring, 8, 2, 1))),
+            bench: "mcf",
+            cycles: 82770,
+            committed: 4000,
+            comms_created: 0,
+            comms_issued: 0,
+            comm_distance: 0,
+            comm_bus_wait: 0,
+            nready: 800,
+            issued_int: 4000,
+            dispatched: &[500, 500, 500, 500, 500, 500, 500, 500],
+        },
+        Golden {
+            cfg: iq100(on_read(make(Topology::Conv, 8, 2, 1))),
+            bench: "swim",
+            cycles: 9531,
+            committed: 4000,
+            comms_created: 803,
+            comms_issued: 790,
+            comm_distance: 2817,
+            comm_bus_wait: 739,
+            nready: 301,
+            issued_int: 2689,
+            dispatched: &[1934, 523, 221, 364, 209, 168, 203, 235],
+        },
+        Golden {
+            cfg: iq100(on_read(make(Topology::Conv, 8, 2, 1))),
+            bench: "mcf",
+            cycles: 83370,
+            committed: 4000,
+            comms_created: 693,
+            comms_issued: 682,
+            comm_distance: 2552,
+            comm_bus_wait: 197,
+            nready: 566,
+            issued_int: 3995,
+            dispatched: &[425, 549, 451, 444, 524, 569, 481, 545],
         },
     ]
 }
