@@ -9,9 +9,11 @@
 //! *and* whole-run facts — is bit-identical to a fresh emulation.
 //!
 //! Cold is timed once (it is a once-per-store event by design); warm is
-//! the median of [`WARM_REPS`] passes. Emits
-//! `BENCH_trace.json` at the repo root (atomic rename, like the other
-//! BENCH files) with `cold_s`, `warm_s`, `warm_speedup`, `decode_MBps`,
+//! the median of [`WARM_REPS`] passes, and so is `emulate_s`, a pass that
+//! only emulates the suite and persists nothing: the cost a warm decode
+//! saves. Emits `BENCH_trace.json` at the repo root (atomic rename, like
+//! the other BENCH files) with `emulate_s`, `emulate_minsns_per_s`,
+//! `cold_s`, `warm_s`, `warm_minsns_per_s`, `warm_speedup`, `decode_MBps`,
 //! and the on-disk `bytes_per_insn` next to the flat v1 figure the format
 //! v2 zero-run codec replaces.
 
@@ -27,8 +29,13 @@ use serde::json::Value;
 /// Measured instructions per trace (the measure half of the budget).
 const MEASURE_INSTRS: u64 = 30_000;
 
-/// Timed warm passes; the median is reported.
+/// Timed warm and emulate-only passes; the medians are reported.
 const WARM_REPS: usize = 5;
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    xs[xs.len() / 2]
+}
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Obj(
@@ -77,13 +84,20 @@ fn main() {
 
     // Warmup pass: emulate everything once and throw it away, so the timed
     // passes measure emulate-vs-decode work, not one-time process costs
-    // (lazy relocation, allocator growth, first-touch page faults).
-    {
-        let warmup: Vec<_> = names
+    // (lazy relocation, allocator growth, first-touch page faults). Then
+    // the emulate-only passes, each dropping its traces before the next.
+    let mut emulate_times = Vec::new();
+    let mut emulated = 0;
+    for rep in 0..=WARM_REPS {
+        let t0 = Instant::now();
+        let traces: Vec<_> = names
             .iter()
             .map(|n| trace_program(&benchmark(n).unwrap().build(), len as usize).unwrap())
             .collect();
-        drop(warmup);
+        if rep > 0 {
+            emulate_times.push(t0.elapsed().as_secs_f64());
+        }
+        emulated = traces.iter().map(|t| t.insns.len()).sum::<usize>();
     }
 
     // Cold is timed ONCE, against an empty store. Cold materialization is
@@ -130,9 +144,13 @@ fn main() {
             .collect::<Vec<_>>()
             .join(" ")
     };
-    println!("  cold {cold_s:.3}  warm reps [{}]", fmt(&warm_times));
-    warm_times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let warm_s = warm_times[warm_times.len() / 2];
+    println!(
+        "  emulate reps [{}]  cold {cold_s:.3}  warm reps [{}]",
+        fmt(&emulate_times),
+        fmt(&warm_times)
+    );
+    let warm_s = median(warm_times);
+    let emulate_s = median(emulate_times);
 
     // Bit-identity: stored == freshly emulated, whole-run facts included.
     let mut bytes_total = 0u64;
@@ -170,7 +188,8 @@ fn main() {
         names.len(),
         bytes_total as f64 / 1e6
     );
-    println!("  cold {cold_s:.3}s  warm {warm_s:.3}s  speedup {warm_speedup:.1}x  decode {decode_mbps:.0} MB/s");
+    let emulate_minsns = emulated as f64 / emulate_s / 1e6;
+    println!("  emulate {emulate_s:.3}s ({emulate_minsns:.0} Minsn/s)  cold {cold_s:.3}s  warm {warm_s:.3}s  speedup {warm_speedup:.1}x  decode {decode_mbps:.0} MB/s");
     println!(
         "  {bytes_per_insn:.2} B/insn on disk (flat v1 encoding: {bytes_per_insn_flat:.0} B/insn)"
     );
@@ -189,8 +208,14 @@ fn main() {
                 ("bytes", Value::Num(bytes_total as f64)),
             ]),
         ),
+        ("emulate_s", Value::Num(emulate_s)),
+        ("emulate_minsns_per_s", Value::Num(emulate_minsns)),
         ("cold_s", Value::Num(cold_s)),
         ("warm_s", Value::Num(warm_s)),
+        (
+            "warm_minsns_per_s",
+            Value::Num(insns_total as f64 / warm_s / 1e6),
+        ),
         ("warm_speedup", Value::Num(warm_speedup)),
         ("decode_MBps", Value::Num(decode_mbps)),
         ("bytes_per_insn_flat", Value::Num(bytes_per_insn_flat)),

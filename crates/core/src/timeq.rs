@@ -83,6 +83,12 @@ impl<E> TimeQueue<E> {
         self.pending -= buf.len();
     }
 
+    /// True when the bucket due at `now` holds events: O(1), where
+    /// [`TimeQueue::next_due_offset`] scans.
+    pub fn due(&self, now: u64) -> bool {
+        !self.slots[now as usize & self.mask].is_empty()
+    }
+
     /// Offset in cycles from `now` to the earliest pending event, or `None`
     /// when the queue is empty. `Some(0)` means the bucket due at `now`
     /// itself has not been drained yet.
@@ -144,6 +150,19 @@ mod tests {
         let mut q: TimeQueue<u8> = TimeQueue::new(4);
         q.schedule(7, 1, 1);
         assert_eq!(q.next_due_offset(8), Some(0));
+    }
+
+    #[test]
+    fn due_agrees_with_offset_zero() {
+        let mut q: TimeQueue<u8> = TimeQueue::new(8);
+        q.schedule(10, 3, 1);
+        q.schedule(10, 7, 2);
+        for now in 10..30 {
+            assert_eq!(q.due(now), q.next_due_offset(now) == Some(0), "now {now}");
+        }
+        let mut buf = Vec::new();
+        q.swap_due(13, &mut buf);
+        assert!(!q.due(13));
     }
 
     #[test]

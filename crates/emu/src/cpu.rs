@@ -1,21 +1,72 @@
-//! Architectural state and single-step semantics.
+//! The interpreter: architectural state and single-step semantics.
+//!
+//! [`Cpu::new`] predecodes the program once. Each instruction becomes a
+//! `Decoded`: the original [`Insn`] (what the trace records), its
+//! operands as indices into one 64-entry register file (integer registers
+//! at `0..32`, FP registers as bit patterns at `32..64`, the unified
+//! numbering of [`Reg::unified`]), the precomputed branch target, and
+//! whether it passed [`Insn::validate`]. [`Cpu::step`] is the only way to
+//! execute: it reads both source operands, computes one result and writes
+//! it to the destination index. An absent destination is index 0 (`r0`),
+//! and `r0` is zeroed after every step, so writes to it are dropped.
+//!
+//! A malformed program is an error, not a panic: execution that reaches an
+//! instruction failing validation returns [`EmuError::InvalidInsn`], and a
+//! misaligned load or store returns [`EmuError::Misaligned`].
 
-use rcmc_isa::{Insn, Opcode, Program, Reg};
+use rcmc_isa::{Insn, Opcode, Program, Reg, NUM_ARCH_REGS, NUM_INT_REGS};
 
 use crate::mem::Memory;
+use crate::trace::DynInsn;
 
-/// Architectural CPU state: pc (instruction index), 32 int + 32 fp registers.
+/// One predecoded instruction.
+#[derive(Clone, Copy)]
+struct Decoded {
+    insn: Insn,
+    /// Unified register indices; 0 for an absent operand.
+    rd: u8,
+    rs1: u8,
+    rs2: u8,
+    /// Passed [`Insn::validate`], with every register number in range.
+    valid: bool,
+    /// Taken target of a conditional branch or `jal`.
+    target: u32,
+}
+
+impl Decoded {
+    fn new(pc: usize, insn: Insn) -> Self {
+        let regs = [insn.rd, insn.rs1, insn.rs2];
+        // Both banks hold `NUM_INT_REGS` registers.
+        let valid = insn.validate().is_ok()
+            && regs
+                .iter()
+                .flatten()
+                .all(|r| (r.number() as usize) < NUM_INT_REGS);
+        let index = |r: Option<Reg>| match r {
+            Some(r) if valid => r.unified() as u8,
+            _ => 0,
+        };
+        Decoded {
+            insn,
+            rd: index(insn.rd),
+            rs1: index(insn.rs1),
+            rs2: index(insn.rs2),
+            valid,
+            target: (pc as i64 + 1 + insn.imm as i64) as u32,
+        }
+    }
+}
+
+/// Architectural CPU state over a predecoded program.
 pub struct Cpu {
+    code: Vec<Decoded>,
     /// Program counter, indexing `Program::insns`.
-    pub pc: u32,
-    /// Integer registers; `int[0]` is forced to zero after every step.
-    pub int: [i64; 32],
-    /// FP registers.
-    pub fp: [f64; 32],
-    /// Memory image.
-    pub mem: Memory,
+    pc: u32,
+    /// Unified register file: `r0..r31` then the bits of `f0..f31`.
+    regs: [u64; NUM_ARCH_REGS],
+    mem: Memory,
     /// Set once a `halt` retires.
-    pub halted: bool,
+    halted: bool,
 }
 
 /// Errors the emulator can raise (all indicate a malformed program).
@@ -23,8 +74,11 @@ pub struct Cpu {
 pub enum EmuError {
     /// pc ran past the end of the program without hitting `halt`.
     PcOutOfRange(u32),
-    /// An instruction failed validation at execution time.
+    /// Execution reached an instruction that fails validation.
     InvalidInsn { pc: u32 },
+    /// Execution reached a load or store to an address that is not a
+    /// multiple of 8.
+    Misaligned { pc: u32, addr: u64 },
 }
 
 impl std::fmt::Display for EmuError {
@@ -32,304 +86,181 @@ impl std::fmt::Display for EmuError {
         match self {
             EmuError::PcOutOfRange(pc) => write!(f, "pc {pc} out of range"),
             EmuError::InvalidInsn { pc } => write!(f, "invalid instruction at pc {pc}"),
+            EmuError::Misaligned { pc, addr } => {
+                write!(f, "misaligned 8-byte access to {addr:#x} at pc {pc}")
+            }
         }
     }
 }
 
 impl std::error::Error for EmuError {}
 
-/// What one step did — everything the timing model needs to know.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StepOut {
-    /// The pc of the executed instruction.
-    pub pc: u32,
-    /// The executed instruction.
-    pub insn: Insn,
-    /// The pc of the next instruction.
-    pub next_pc: u32,
-    /// For conditional branches: was it taken?
-    pub taken: bool,
-    /// For loads/stores: the effective byte address.
-    pub mem_addr: u64,
-}
-
 impl Cpu {
-    /// Fresh CPU with the program's data segments loaded and pc at the entry.
+    /// Fresh CPU with the program predecoded, its data segments loaded and
+    /// pc at the entry.
     pub fn new(program: &Program) -> Self {
         let mut mem = Memory::new();
         for seg in &program.data {
             mem.write_bytes(seg.addr, &seg.bytes);
         }
         Cpu {
+            code: program
+                .insns
+                .iter()
+                .enumerate()
+                .map(|(pc, &insn)| Decoded::new(pc, insn))
+                .collect(),
             pc: program.entry,
-            int: [0; 32],
-            fp: [0.0; 32],
+            regs: [0; NUM_ARCH_REGS],
             mem,
             halted: false,
         }
     }
 
-    #[inline]
-    fn ri(&self, r: Option<Reg>) -> i64 {
-        match r {
-            Some(Reg::Int(n)) => self.int[n as usize],
-            _ => panic!("expected int register"),
-        }
+    /// Program counter.
+    pub fn pc(&self) -> u32 {
+        self.pc
     }
 
-    #[inline]
-    fn rf(&self, r: Option<Reg>) -> f64 {
-        match r {
-            Some(Reg::Fp(n)) => self.fp[n as usize],
-            _ => panic!("expected fp register"),
-        }
+    /// Whether a `halt` has retired.
+    pub fn halted(&self) -> bool {
+        self.halted
     }
 
+    /// Integer register `r{n}`.
+    pub fn int(&self, n: usize) -> i64 {
+        self.regs[..NUM_INT_REGS][n] as i64
+    }
+
+    /// FP register `f{n}`.
+    pub fn fp(&self, n: usize) -> f64 {
+        f64::from_bits(self.regs[NUM_INT_REGS..][n])
+    }
+
+    /// Memory image.
+    pub fn mem(&self) -> &Memory {
+        &self.mem
+    }
+
+    /// Effective address of a load or store, checked for alignment.
     #[inline]
-    fn wi(&mut self, r: Option<Reg>, v: i64) {
-        if let Some(Reg::Int(n)) = r {
-            if n != 0 {
-                self.int[n as usize] = v;
-            }
+    fn addr(pc: u32, base: i64, imm: i64) -> Result<u64, EmuError> {
+        let addr = base.wrapping_add(imm) as u64;
+        if addr.is_multiple_of(8) {
+            Ok(addr)
         } else {
-            panic!("expected int register destination");
+            Err(EmuError::Misaligned { pc, addr })
         }
     }
 
+    /// Execute one instruction and return its trace record, or `Ok(None)`
+    /// if already halted. On an error the state is left as it was.
     #[inline]
-    fn wf(&mut self, r: Option<Reg>, v: f64) {
-        if let Some(Reg::Fp(n)) = r {
-            self.fp[n as usize] = v;
-        } else {
-            panic!("expected fp register destination");
-        }
-    }
-
-    /// Execute one instruction. Returns `Ok(None)` if already halted.
-    pub fn step(&mut self, program: &Program) -> Result<Option<StepOut>, EmuError> {
+    pub fn step(&mut self) -> Result<Option<DynInsn>, EmuError> {
         if self.halted {
             return Ok(None);
         }
         let pc = self.pc;
-        let insn = *program
-            .insns
+        let d = *self
+            .code
             .get(pc as usize)
             .ok_or(EmuError::PcOutOfRange(pc))?;
-        let imm = insn.imm as i64;
+        if !d.valid {
+            return Err(EmuError::InvalidInsn { pc });
+        }
+        // Masking keeps indexing check-free; predecode bounds every index.
+        const MASK: usize = NUM_ARCH_REGS - 1;
+        let a = self.regs[d.rs1 as usize & MASK];
+        let b = self.regs[d.rs2 as usize & MASK];
+        let (ai, bi) = (a as i64, b as i64);
+        let (af, bf) = (f64::from_bits(a), f64::from_bits(b));
+        let imm = d.insn.imm as i64;
         let mut next_pc = pc + 1;
-        let mut taken = false;
         let mut mem_addr = 0u64;
 
         use Opcode::*;
-        match insn.op {
-            Add => {
-                let v = self.ri(insn.rs1).wrapping_add(self.ri(insn.rs2));
-                self.wi(insn.rd, v)
+        let v: u64 = match d.insn.op {
+            Add => ai.wrapping_add(bi) as u64,
+            Sub => ai.wrapping_sub(bi) as u64,
+            And => a & b,
+            Or => a | b,
+            Xor => a ^ b,
+            Sll => (ai << (bi & 63)) as u64,
+            Srl => a >> (bi & 63),
+            Sra => (ai >> (bi & 63)) as u64,
+            Slt => (ai < bi) as u64,
+            Sltu => (a < b) as u64,
+            Addi => ai.wrapping_add(imm) as u64,
+            Andi => (ai & imm) as u64,
+            Ori => (ai | imm) as u64,
+            Xori => (ai ^ imm) as u64,
+            Slli => (ai << (imm & 63)) as u64,
+            Srli => a >> (imm & 63),
+            Srai => (ai >> (imm & 63)) as u64,
+            Slti => (ai < imm) as u64,
+            Movi => imm as u64,
+            Mul => ai.wrapping_mul(bi) as u64,
+            Div if bi == 0 => 0,
+            Div => ai.wrapping_div(bi) as u64,
+            Rem if bi == 0 => 0,
+            Rem => ai.wrapping_rem(bi) as u64,
+            Fadd => (af + bf).to_bits(),
+            Fsub => (af - bf).to_bits(),
+            Fmul => (af * bf).to_bits(),
+            Fdiv => (af / bf).to_bits(),
+            Fmin => af.min(bf).to_bits(),
+            Fmax => af.max(bf).to_bits(),
+            Fneg => (-af).to_bits(),
+            Fabs => af.abs().to_bits(),
+            Fcvtif => (ai as f64).to_bits(),
+            Fcvtfi => af as i64 as u64,
+            Fcmplt => (af < bf) as u64,
+            Fcmple => (af <= bf) as u64,
+            Fcmpeq => (af == bf) as u64,
+            Fmov => a,
+            Ld | Fld => {
+                mem_addr = Self::addr(pc, ai, imm)?;
+                self.mem.read_u64(mem_addr)
             }
-            Sub => {
-                let v = self.ri(insn.rs1).wrapping_sub(self.ri(insn.rs2));
-                self.wi(insn.rd, v)
+            St | Fst => {
+                mem_addr = Self::addr(pc, ai, imm)?;
+                self.mem.write_u64(mem_addr, b);
+                0
             }
-            And => {
-                let v = self.ri(insn.rs1) & self.ri(insn.rs2);
-                self.wi(insn.rd, v)
-            }
-            Or => {
-                let v = self.ri(insn.rs1) | self.ri(insn.rs2);
-                self.wi(insn.rd, v)
-            }
-            Xor => {
-                let v = self.ri(insn.rs1) ^ self.ri(insn.rs2);
-                self.wi(insn.rd, v)
-            }
-            Sll => {
-                let v = self.ri(insn.rs1) << (self.ri(insn.rs2) & 63);
-                self.wi(insn.rd, v)
-            }
-            Srl => {
-                let v = ((self.ri(insn.rs1) as u64) >> (self.ri(insn.rs2) & 63)) as i64;
-                self.wi(insn.rd, v)
-            }
-            Sra => {
-                let v = self.ri(insn.rs1) >> (self.ri(insn.rs2) & 63);
-                self.wi(insn.rd, v)
-            }
-            Slt => {
-                let v = (self.ri(insn.rs1) < self.ri(insn.rs2)) as i64;
-                self.wi(insn.rd, v)
-            }
-            Sltu => {
-                let v = ((self.ri(insn.rs1) as u64) < (self.ri(insn.rs2) as u64)) as i64;
-                self.wi(insn.rd, v)
-            }
-            Addi => {
-                let v = self.ri(insn.rs1).wrapping_add(imm);
-                self.wi(insn.rd, v)
-            }
-            Andi => {
-                let v = self.ri(insn.rs1) & imm;
-                self.wi(insn.rd, v)
-            }
-            Ori => {
-                let v = self.ri(insn.rs1) | imm;
-                self.wi(insn.rd, v)
-            }
-            Xori => {
-                let v = self.ri(insn.rs1) ^ imm;
-                self.wi(insn.rd, v)
-            }
-            Slli => {
-                let v = self.ri(insn.rs1) << (imm & 63);
-                self.wi(insn.rd, v)
-            }
-            Srli => {
-                let v = ((self.ri(insn.rs1) as u64) >> (imm & 63)) as i64;
-                self.wi(insn.rd, v)
-            }
-            Srai => {
-                let v = self.ri(insn.rs1) >> (imm & 63);
-                self.wi(insn.rd, v)
-            }
-            Slti => {
-                let v = (self.ri(insn.rs1) < imm) as i64;
-                self.wi(insn.rd, v)
-            }
-            Movi => self.wi(insn.rd, imm),
-            Mul => {
-                let v = self.ri(insn.rs1).wrapping_mul(self.ri(insn.rs2));
-                self.wi(insn.rd, v)
-            }
-            Div => {
-                let d = self.ri(insn.rs2);
-                let v = if d == 0 {
-                    0
-                } else {
-                    self.ri(insn.rs1).wrapping_div(d)
+            Beq | Bne | Blt | Bge => {
+                let taken = match d.insn.op {
+                    Beq => ai == bi,
+                    Bne => ai != bi,
+                    Blt => ai < bi,
+                    _ => ai >= bi,
                 };
-                self.wi(insn.rd, v)
-            }
-            Rem => {
-                let d = self.ri(insn.rs2);
-                let v = if d == 0 {
-                    0
-                } else {
-                    self.ri(insn.rs1).wrapping_rem(d)
-                };
-                self.wi(insn.rd, v)
-            }
-            Fadd => {
-                let v = self.rf(insn.rs1) + self.rf(insn.rs2);
-                self.wf(insn.rd, v)
-            }
-            Fsub => {
-                let v = self.rf(insn.rs1) - self.rf(insn.rs2);
-                self.wf(insn.rd, v)
-            }
-            Fmul => {
-                let v = self.rf(insn.rs1) * self.rf(insn.rs2);
-                self.wf(insn.rd, v)
-            }
-            Fdiv => {
-                let v = self.rf(insn.rs1) / self.rf(insn.rs2);
-                self.wf(insn.rd, v)
-            }
-            Fmin => {
-                let v = self.rf(insn.rs1).min(self.rf(insn.rs2));
-                self.wf(insn.rd, v)
-            }
-            Fmax => {
-                let v = self.rf(insn.rs1).max(self.rf(insn.rs2));
-                self.wf(insn.rd, v)
-            }
-            Fneg => {
-                let v = -self.rf(insn.rs1);
-                self.wf(insn.rd, v)
-            }
-            Fabs => {
-                let v = self.rf(insn.rs1).abs();
-                self.wf(insn.rd, v)
-            }
-            Fcvtif => {
-                let v = self.ri(insn.rs1) as f64;
-                self.wf(insn.rd, v)
-            }
-            Fcvtfi => {
-                let v = self.rf(insn.rs1) as i64;
-                self.wi(insn.rd, v)
-            }
-            Fcmplt => {
-                let v = (self.rf(insn.rs1) < self.rf(insn.rs2)) as i64;
-                self.wi(insn.rd, v)
-            }
-            Fcmple => {
-                let v = (self.rf(insn.rs1) <= self.rf(insn.rs2)) as i64;
-                self.wi(insn.rd, v)
-            }
-            Fcmpeq => {
-                let v = (self.rf(insn.rs1) == self.rf(insn.rs2)) as i64;
-                self.wi(insn.rd, v)
-            }
-            Fmov => {
-                let v = self.rf(insn.rs1);
-                self.wf(insn.rd, v)
-            }
-            Ld => {
-                mem_addr = (self.ri(insn.rs1).wrapping_add(imm)) as u64;
-                let v = self.mem.read_u64(mem_addr) as i64;
-                self.wi(insn.rd, v);
-            }
-            St => {
-                mem_addr = (self.ri(insn.rs1).wrapping_add(imm)) as u64;
-                let v = self.ri(insn.rs2) as u64;
-                self.mem.write_u64(mem_addr, v);
-            }
-            Fld => {
-                mem_addr = (self.ri(insn.rs1).wrapping_add(imm)) as u64;
-                let v = self.mem.read_f64(mem_addr);
-                self.wf(insn.rd, v);
-            }
-            Fst => {
-                mem_addr = (self.ri(insn.rs1).wrapping_add(imm)) as u64;
-                let v = self.rf(insn.rs2);
-                self.mem.write_f64(mem_addr, v);
-            }
-            Beq => {
-                taken = self.ri(insn.rs1) == self.ri(insn.rs2);
-            }
-            Bne => {
-                taken = self.ri(insn.rs1) != self.ri(insn.rs2);
-            }
-            Blt => {
-                taken = self.ri(insn.rs1) < self.ri(insn.rs2);
-            }
-            Bge => {
-                taken = self.ri(insn.rs1) >= self.ri(insn.rs2);
+                if taken {
+                    next_pc = d.target;
+                }
+                0
             }
             Jal => {
-                self.wi(insn.rd, (pc + 1) as i64);
-                next_pc = insn.branch_target(pc);
+                next_pc = d.target;
+                (pc + 1) as u64
             }
             Jalr => {
-                let base = self.ri(insn.rs1);
-                self.wi(insn.rd, (pc + 1) as i64);
-                next_pc = (base.wrapping_add(imm)) as u32;
+                next_pc = ai.wrapping_add(imm) as u32;
+                (pc + 1) as u64
             }
-            Nop => {}
+            Nop => 0,
             Halt => {
                 self.halted = true;
                 next_pc = pc; // frozen
+                0
             }
-        }
-        if insn.op.is_cond_branch() && taken {
-            next_pc = insn.branch_target(pc);
-        }
+        };
+        self.regs[d.rd as usize & MASK] = v;
+        self.regs[0] = 0;
         self.pc = next_pc;
-        self.int[0] = 0;
-        Ok(Some(StepOut {
+        Ok(Some(DynInsn {
+            insn: d.insn,
             pc,
-            insn,
             next_pc,
-            taken,
             mem_addr,
         }))
     }
@@ -338,7 +269,7 @@ impl Cpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcmc_isa::Reg;
+    use crate::trace::{trace_program, TraceError};
 
     fn run(src_insns: Vec<Insn>) -> Cpu {
         let p = Program {
@@ -348,7 +279,7 @@ mod tests {
         };
         let mut cpu = Cpu::new(&p);
         for _ in 0..10_000 {
-            if cpu.step(&p).unwrap().is_none() {
+            if cpu.step().unwrap().is_none() {
                 break;
             }
         }
@@ -370,16 +301,16 @@ mod tests {
             mk(Opcode::Div, r(5), r(3), r(2), 0),
             Insn::halt(),
         ]);
-        assert_eq!(cpu.int[3], 42);
-        assert_eq!(cpu.int[4], 36);
-        assert_eq!(cpu.int[5], 6);
+        assert_eq!(cpu.int(3), 42);
+        assert_eq!(cpu.int(4), 36);
+        assert_eq!(cpu.int(5), 6);
     }
 
     #[test]
     fn zero_register_is_immutable() {
         let r = |n| Some(Reg::int(n));
         let cpu = run(vec![mk(Opcode::Movi, r(0), None, None, 99), Insn::halt()]);
-        assert_eq!(cpu.int[0], 0);
+        assert_eq!(cpu.int(0), 0);
     }
 
     #[test]
@@ -391,8 +322,8 @@ mod tests {
             mk(Opcode::Rem, r(3), r(1), r(0), 0),
             Insn::halt(),
         ]);
-        assert_eq!(cpu.int[2], 0);
-        assert_eq!(cpu.int[3], 0);
+        assert_eq!(cpu.int(2), 0);
+        assert_eq!(cpu.int(3), 0);
     }
 
     #[test]
@@ -409,7 +340,7 @@ mod tests {
             mk(Opcode::Blt, None, r(1), r(3), -3), // back to pc 3
             Insn::halt(),
         ]);
-        assert_eq!(cpu.int[2], 15);
+        assert_eq!(cpu.int(2), 15);
     }
 
     #[test]
@@ -433,10 +364,10 @@ mod tests {
             entry: 0,
         };
         let mut cpu = Cpu::new(&p);
-        while cpu.step(&p).unwrap().is_some() {}
-        assert_eq!(cpu.int[3], 21);
-        assert_eq!(cpu.int[4], 42);
-        assert_eq!(cpu.mem.read_f64(0x1008), 42.0);
+        while cpu.step().unwrap().is_some() {}
+        assert_eq!(cpu.int(3), 21);
+        assert_eq!(cpu.int(4), 42);
+        assert_eq!(f64::from_bits(cpu.mem().read_u64(0x1008)), 42.0);
     }
 
     #[test]
@@ -449,8 +380,8 @@ mod tests {
             mk(Opcode::Movi, r(5), None, None, 9),
             mk(Opcode::Jalr, r(0), r(31), None, 0),
         ]);
-        assert_eq!(cpu.int[5], 9);
-        assert!(cpu.halted);
+        assert_eq!(cpu.int(5), 9);
+        assert!(cpu.halted());
     }
 
     #[test]
@@ -468,11 +399,11 @@ mod tests {
             entry: 0,
         };
         let mut cpu = Cpu::new(&p);
-        cpu.step(&p).unwrap();
-        let ld = cpu.step(&p).unwrap().unwrap();
+        cpu.step().unwrap();
+        let ld = cpu.step().unwrap().unwrap();
         assert_eq!(ld.mem_addr, 0x2010);
-        let br = cpu.step(&p).unwrap().unwrap();
-        assert!(br.taken);
+        let br = cpu.step().unwrap().unwrap();
+        assert!(br.taken());
         assert_eq!(br.next_pc, 4);
     }
 
@@ -484,8 +415,8 @@ mod tests {
             entry: 0,
         };
         let mut cpu = Cpu::new(&p);
-        cpu.step(&p).unwrap();
-        assert_eq!(cpu.step(&p), Err(EmuError::PcOutOfRange(1)));
+        cpu.step().unwrap();
+        assert_eq!(cpu.step(), Err(EmuError::PcOutOfRange(1)));
     }
 
     #[test]
@@ -496,8 +427,93 @@ mod tests {
             entry: 0,
         };
         let mut cpu = Cpu::new(&p);
-        assert!(cpu.step(&p).unwrap().is_some());
-        assert_eq!(cpu.step(&p).unwrap(), None);
-        assert_eq!(cpu.step(&p).unwrap(), None);
+        assert!(cpu.step().unwrap().is_some());
+        assert_eq!(cpu.step().unwrap(), None);
+        assert_eq!(cpu.step().unwrap(), None);
+    }
+
+    /// Runs `insns` through `trace_program` and returns its error.
+    fn trace_err(insns: Vec<Insn>) -> TraceError {
+        let p = Program {
+            insns,
+            data: vec![],
+            entry: 0,
+        };
+        trace_program(&p, 100).expect_err("malformed program")
+    }
+
+    #[test]
+    fn invalid_insn_is_an_error_not_a_panic() {
+        let r = |n| Some(Reg::int(n));
+        let f = |n| Some(Reg::fp(n));
+        let bad = [
+            // An FP source where `add` takes an integer one.
+            Insn {
+                op: Opcode::Add,
+                rd: r(1),
+                rs1: f(2),
+                rs2: r(3),
+                imm: 0,
+            },
+            // An integer destination for `fadd`.
+            Insn {
+                op: Opcode::Fadd,
+                rd: r(1),
+                rs1: f(1),
+                rs2: f(2),
+                imm: 0,
+            },
+            // A load without its base register.
+            Insn {
+                op: Opcode::Ld,
+                rd: r(1),
+                rs1: None,
+                rs2: None,
+                imm: 0,
+            },
+            // A register number past the bank.
+            Insn {
+                op: Opcode::Movi,
+                rd: Some(Reg::Int(40)),
+                rs1: None,
+                rs2: None,
+                imm: 1,
+            },
+        ];
+        for insn in bad {
+            let got = trace_err(vec![Insn::nop(), insn, Insn::halt()]);
+            assert_eq!(
+                got,
+                TraceError::Emu(EmuError::InvalidInsn { pc: 1 }),
+                "{insn:?}"
+            );
+        }
+        // An invalid instruction that execution never reaches is harmless.
+        let p = Program {
+            insns: vec![Insn::halt(), bad[0]],
+            data: vec![],
+            entry: 0,
+        };
+        assert!(trace_program(&p, 100).unwrap().halted);
+    }
+
+    #[test]
+    fn misaligned_access_is_an_error_not_a_panic() {
+        let r = |n| Some(Reg::int(n));
+        let f = |n| Some(Reg::fp(n));
+        let set = Insn::new(Opcode::Movi, r(1), None, None, 0x1000);
+        for (insn, addr) in [
+            (Insn::new(Opcode::Ld, r(2), r(1), None, 4), 0x1004),
+            (Insn::new(Opcode::St, None, r(1), r(2), 1), 0x1001),
+            (Insn::new(Opcode::Fld, f(2), r(1), None, -2), 0xffe),
+            (Insn::new(Opcode::Fst, None, r(1), f(2), 7), 0x1007),
+        ] {
+            let got = trace_err(vec![set, insn, Insn::halt()]);
+            assert_eq!(
+                got,
+                TraceError::Emu(EmuError::Misaligned { pc: 1, addr }),
+                "{insn:?}"
+            );
+        }
     }
 }

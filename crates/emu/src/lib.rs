@@ -8,9 +8,10 @@
 //! timing model never fabricates wrong-path work but still pays realistic
 //! branch-resolution delays.
 //!
-//! The emulator is deliberately strict: misaligned 8-byte accesses and pc
-//! overruns are hard errors, because the workload generators guarantee
-//! alignment and the timing model's store-to-load forwarding relies on it.
+//! The emulator is deliberately strict: invalid instructions, misaligned
+//! 8-byte accesses and pc overruns are [`EmuError`]s, because the workload
+//! generators guarantee valid aligned code and the timing model's
+//! store-to-load forwarding relies on alignment.
 
 mod cache;
 mod cpu;
@@ -19,7 +20,7 @@ mod trace;
 pub mod trace_db;
 
 pub use cache::{TraceCache, TraceCacheStats};
-pub use cpu::{Cpu, EmuError, StepOut};
+pub use cpu::{Cpu, EmuError};
 pub use mem::Memory;
 pub use trace::{trace_built, trace_program, DynInsn, Trace, TraceError};
 pub use trace_db::{TraceDb, TraceDbError, TraceMeta, TRACE_VERSION};

@@ -112,8 +112,8 @@ proptest! {
         insns.push(Insn::halt());
         let p = Program { insns, data: vec![], entry: 0 };
         let mut cpu = Cpu::new(&p);
-        while cpu.step(&p).unwrap().is_some() {}
-        prop_assert_eq!(cpu.int[5], values.iter().sum::<i64>());
+        while cpu.step().unwrap().is_some() {}
+        prop_assert_eq!(cpu.int(5), values.iter().sum::<i64>());
     }
 
     #[test]
@@ -138,10 +138,10 @@ proptest! {
             entry: 0,
         };
         let mut cpu = Cpu::new(&p);
-        while cpu.step(&p).unwrap().is_some() {}
-        prop_assert_eq!(cpu.fp[3], a + b);
-        prop_assert_eq!(cpu.fp[4], a * b);
-        prop_assert_eq!(cpu.fp[5], a - b);
-        prop_assert_eq!(cpu.fp[6], a.max(b));
+        while cpu.step().unwrap().is_some() {}
+        prop_assert_eq!(cpu.fp(3), a + b);
+        prop_assert_eq!(cpu.fp(4), a * b);
+        prop_assert_eq!(cpu.fp(5), a - b);
+        prop_assert_eq!(cpu.fp(6), a.max(b));
     }
 }
