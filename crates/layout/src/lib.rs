@@ -16,8 +16,8 @@
 //! * **Figure 5** — the split integer/FP dual-ring modules and their
 //!   11,200 λ maximum wire length ([`floorplan`]).
 //!
-//! [`table1_text`] and [`figure4_5_text`] render Table 1 and Figures 4–5
-//! as `rcmc layout` and `rcmc figures` print them.
+//! [`table1_text`], [`figure3_text`] and [`figure4_5_text`] render Table 1
+//! and Figures 3–5 as `rcmc layout` and `rcmc figures` print them.
 
 pub mod area;
 pub mod floorplan;
@@ -28,4 +28,4 @@ pub use floorplan::{
     figure4_5_text, figure4_5_wires, module_floorplan, split_ring_floorplan, Floorplan, ModuleKind,
     PlacedBlock,
 };
-pub use placement::{ring_placement, ClusterSite, RingPlacement};
+pub use placement::{figure3_text, ring_placement, ClusterSite, RingPlacement};

@@ -98,6 +98,44 @@ pub fn ring_placement(n: usize) -> RingPlacement {
     }
 }
 
+/// Render Figure 3 (the 4- and 8-cluster die placements) as text: each
+/// site as `[cluN K]`, `K` being its module shape (`C` corner, `S`
+/// straight).
+pub fn figure3_text() -> String {
+    use std::fmt::Write as _;
+    let mut text = String::from(
+        "Figure 3. Die placement of the cluster ring\n\
+         -------------------------------------------\n",
+    );
+    for n in [4usize, 8] {
+        let p = ring_placement(n);
+        let (straight, corner) = p.module_counts();
+        let _ = writeln!(
+            text,
+            "{n} clusters ({} cols x {} rows): {straight} straight + {corner} corner modules",
+            p.cols, p.rows
+        );
+        for row in 0..p.rows {
+            let mut sites: Vec<&ClusterSite> = p.sites.iter().filter(|s| s.row == row).collect();
+            sites.sort_by_key(|s| s.col);
+            let cells: Vec<String> = sites
+                .iter()
+                .map(|s| {
+                    let k = if s.kind == ModuleKind::Corner {
+                        'C'
+                    } else {
+                        'S'
+                    };
+                    format!("[clu{:<2}{k}]", s.cluster)
+                })
+                .collect();
+            let _ = writeln!(text, "  {}", cells.join(" "));
+        }
+    }
+    text.push_str("all ring neighbours physically adjacent\n");
+    text
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -317,6 +317,34 @@ pub fn table2_text() -> String {
     )
 }
 
+/// Render Table 3 (the ten evaluated configurations, the `table3` group
+/// in resolve order) as text.
+pub fn table3_text() -> String {
+    use std::fmt::Write as _;
+    let mut text = String::from(
+        "Table 3. Evaluated configurations\n\
+         ---------------------------------\n",
+    );
+    let _ = writeln!(
+        text,
+        "{:12} {:>6} {:>12} {:>6}  name",
+        "architect.", "clus", "issue width", "buses"
+    );
+    let table3 = ConfigSpec::group("table3").resolve();
+    for c in table3.expect("the table3 group resolves") {
+        let _ = writeln!(
+            text,
+            "{:12} {:>6} {:>12} {:>6}  {}",
+            topology_name(c.core.topology),
+            c.core.n_clusters,
+            format!("{} INT + {} FP", c.core.iw_int, c.core.iw_fp),
+            c.core.n_buses,
+            c.name
+        );
+    }
+    text
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,7 +5,9 @@
 //! paper words them. A figure's text is its plan's reports joined by a
 //! blank line ([`Plan::render_text`]), which is what `rcmc report <name>`
 //! prints. [`render_figures`] runs the union grid once and renders every
-//! figure from it.
+//! figure from it, after the static tables (Tables 1–3, Figures 3–5 and
+//! the workload characterization). The beyond-paper ablations are the
+//! `ablations` plan, printed by `rcmc report ablations`.
 //!
 //! [`Plan`]: crate::plan::Plan
 //! [`Plan::render_text`]: crate::plan::Plan::render_text
@@ -24,13 +26,15 @@ use crate::session::Session;
 pub mod plans {
     use rcmc_core::{Steering, Steering::*, Topology, Topology::*};
 
+    use serde::json::Value;
+
     use crate::config::{self, make, steering_name, topology_name, ALL_STEERINGS, ALL_TOPOLOGIES};
-    use crate::plan::{Plan, ReportSpec, SpeedupPair};
+    use crate::plan::{ConfigSpec, Plan, ReportSpec, SpeedupPair};
     use crate::resultset::Metric::*;
 
     /// Every builtin plan name: the simulated figures of `rcmc figures` in
     /// paper order ([`FIGURES`]), then the plans folded from or beside them.
-    pub const BUILTIN: [&str; 15] = [
+    pub const BUILTIN: [&str; 16] = [
         "fig06",
         "fig07",
         "fig08",
@@ -45,6 +49,7 @@ pub mod plans {
         "main",
         "ssa",
         "steering-decomposition",
+        "ablations",
         "everything",
     ];
 
@@ -112,6 +117,7 @@ pub mod plans {
                 ),
             ),
             "steering-decomposition" => steering_decomposition(),
+            "ablations" => ablations(),
             // The union of every configuration grid, derived from
             // `config::groups` so a newly added grid is covered.
             "everything" => config::group_names()
@@ -241,10 +247,119 @@ pub mod plans {
                     .titled("Inter-cluster contention (mean bus-wait cycles per communication)"),
             )
     }
+
+    /// Beyond-paper ablations on a 10-benchmark subset, each grid an
+    /// axes/override spec list that resolves to the same tagged names
+    /// (and store rows) as `rcmc plan run`:
+    ///
+    /// 1. steering × topology cross — is the win the ring bypass or the
+    ///    dependence steering?
+    /// 2. copy-release policy — §3's release-on-read alternative (the
+    ///    `copy_release` override) vs release at redefiner commit;
+    /// 3. cluster-count scaling — 2/4/8/16 clusters (the paper's
+    ///    scalability claim);
+    /// 4. bus-latency scaling — 1–4 cycles/hop (generalizes Figure 12);
+    ///
+    /// plus the per-cluster dispatch shares behind §5's activity-spread
+    /// claim.
+    fn ablations() -> Plan {
+        let on = |topology: &str| ConfigSpec {
+            topology: Some(topology.into()),
+            ..ConfigSpec::default()
+        };
+        let name = |spec: &ConfigSpec| {
+            spec.resolve()
+                .expect("ablation specs resolve")
+                .remove(0)
+                .name
+        };
+        let mut plan = Plan::new("ablations").benches([
+            "swim", "galgel", "ammp", "equake", "lucas", "mcf", "gcc", "gzip", "twolf", "vpr",
+        ]);
+        // One speedup report over (label, num, den) rows; each spec joins
+        // the grid once (resolution also dedups overlapping names).
+        let speedups =
+            |mut plan: Plan, title: &str, rows: Vec<(String, ConfigSpec, ConfigSpec)>| {
+                let pairs = rows
+                    .iter()
+                    .map(|(label, num, den)| SpeedupPair::labelled(label, name(num), name(den)))
+                    .collect();
+                for spec in rows.into_iter().flat_map(|(_, num, den)| [num, den]) {
+                    if !plan.configs.contains(&spec) {
+                        plan = plan.config(spec);
+                    }
+                }
+                plan.report(ReportSpec::speedup_labelled(pairs).titled(title))
+            };
+
+        let base = ConfigSpec {
+            steering: Some("dcount".into()),
+            ..on("conv")
+        };
+        let cross = ["ring", "conv"]
+            .into_iter()
+            .flat_map(|t| {
+                ["ringdep", "dcount"].map(|s| ConfigSpec {
+                    steering: Some(s.into()),
+                    ..on(t)
+                })
+            })
+            .map(|spec| (name(&spec), spec, base.clone()))
+            .collect();
+        plan = speedups(
+            plan,
+            "Ablation 1. Steering x topology (vs Conv+DCOUNT)",
+            cross,
+        );
+
+        let on_read = on("ring").with_override("copy_release", Value::Str("on_read".into()));
+        let release = vec![("release_on_read_vs_at_commit".into(), on_read, on("ring"))];
+        plan = speedups(
+            plan,
+            "Ablation 2. Copy release policy (Ring 8c 1bus 2IW)",
+            release,
+        );
+
+        let clusters = [2, 4, 8, 16]
+            .map(|n| {
+                let at = |t| ConfigSpec {
+                    clusters: Some(n),
+                    ..on(t)
+                };
+                (format!("{n}_clusters"), at("ring"), at("conv"))
+            })
+            .to_vec();
+        plan = speedups(
+            plan,
+            "Ablation 3. Ring-over-Conv speedup vs cluster count (1 bus, 2IW)",
+            clusters,
+        );
+
+        let hops = [1, 2, 3, 4]
+            .map(|hop| {
+                let at = |t| ConfigSpec {
+                    hop_latency: Some(hop),
+                    ..on(t)
+                };
+                (format!("{hop}_cycles_per_hop"), at("ring"), at("conv"))
+            })
+            .to_vec();
+        plan = speedups(
+            plan,
+            "Ablation 4. Ring-over-Conv speedup vs hop latency (8c, 1 bus)",
+            hops,
+        );
+
+        plan.report(
+            ReportSpec::distribution(vec![make(Ring, 8, 2, 1).name, make(Conv, 8, 2, 1).name])
+                .titled("Activity spread. Instruction distribution across clusters"),
+        )
+    }
 }
 
 /// The whole evaluation exactly as `rcmc figures` prints it: Table 1 and
-/// Figures 4–5 from the layout model, then each of [`plans::FIGURES`]
+/// Figures 3–5 from the layout model, Tables 2–3, the workload
+/// characterization, then each of [`plans::FIGURES`]
 /// rendered from one run of the `everything` plan, every block opening
 /// with a `====` rule. `budget`/`benches` scope the sweep (tests, quick
 /// looks).
@@ -261,7 +376,18 @@ pub fn render_figures(
         plan = plan.benches(bs.iter().copied());
     }
     let rs = session.run(&plan)?;
-    let mut blocks = vec![rcmc_layout::table1_text(), rcmc_layout::figure4_5_text()];
+    let mut blocks = vec![
+        rcmc_layout::table1_text(),
+        rcmc_layout::figure3_text(),
+        rcmc_layout::figure4_5_text(),
+        crate::config::table2_text(),
+        crate::config::table3_text(),
+        format!(
+            "Workload characterization (30k-instruction windows)\n\
+             ----------------------------------------------------\n{}",
+            rcmc_workloads::suite_table(30_000)
+        ),
+    ];
     for figure in plans::FIGURES {
         let plan = plans::builtin(figure).expect("a builtin figure");
         blocks.push(plan.render_text(&rs)?);
@@ -275,7 +401,7 @@ pub fn render_figures(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::Plan;
+    use crate::plan::{ConfigSpec, Plan};
 
     fn tiny() -> Budget {
         Budget {
@@ -325,6 +451,48 @@ mod tests {
             let max = r.dispatch_shares.iter().copied().fold(0.0, f64::max);
             assert!(max < 0.40, "{}: ring max dispatch share {max:.2}", r.bench);
         }
+    }
+
+    #[test]
+    fn ablations_render_four_speedup_tables_and_the_spread() {
+        let session = Session::ephemeral().with_jobs(2);
+        let plan = plans::builtin("ablations")
+            .unwrap()
+            .benches(["swim", "gzip"])
+            .budget(tiny());
+        let rs = session.run(&plan).unwrap();
+        let reports = plan.render_reports(&rs).unwrap();
+        let kinds: Vec<&str> = reports.iter().map(|r| r.kind.as_str()).collect();
+        assert_eq!(
+            kinds,
+            ["speedup", "speedup", "speedup", "speedup", "distribution"]
+        );
+        for (report, title) in reports.iter().zip([
+            "Ablation 1. Steering x topology (vs Conv+DCOUNT)",
+            "Ablation 2. Copy release policy (Ring 8c 1bus 2IW)",
+            "Ablation 3. Ring-over-Conv speedup vs cluster count (1 bus, 2IW)",
+            "Ablation 4. Ring-over-Conv speedup vs hop latency (8c, 1 bus)",
+        ]) {
+            assert!(report.text.starts_with(title), "{}", report.text);
+        }
+        for p in plan.reports.iter().flat_map(|r| &r.pairs) {
+            let v = rs.speedup(&p.num, &p.den).avg;
+            assert!(
+                v > 0.2 && v < 5.0,
+                "{}: speedup ratio out of range: {v}",
+                p.num
+            );
+        }
+        // The copy-release row runs under the name `ConfigSpec::resolve`
+        // tags it with, so it shares store rows with `rcmc plan run`.
+        let on_read = ConfigSpec::default()
+            .with_override("copy_release", serde::json::Value::Str("on_read".into()))
+            .resolve()
+            .unwrap()
+            .remove(0)
+            .name;
+        assert!(on_read.contains("~copy_release"), "{on_read}");
+        assert_eq!(plan.reports[1].pairs[0].num, on_read);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! rcmc trace record swim            # emulate + persist to the trace store
 //! rcmc trace import f.trc --name x  # adopt an externally captured trace
 //! rcmc trace list | verify | rm     # manage the on-disk trace store
-//! rcmc figures --jobs 8             # regenerate every table and figure
+//! rcmc figures --jobs 8             # Tables 1-3, Figures 3-14 (+ workload mix)
 //! rcmc csv --out sweep.csv          # main sweep as CSV
 //! rcmc layout                       # §3.2 area/floorplan study
 //! rcmc machines list                # the machine-family registry arch table
@@ -17,6 +17,7 @@
 //! rcmc plan run spec.json           # execute a user-authored plan file
 //! rcmc plan show main               # print a builtin plan as JSON
 //! rcmc report fig06                 # run a builtin plan, print its reports
+//! rcmc report ablations             # the beyond-paper ablation studies
 //! rcmc serve                        # JSON-lines request loop on stdin/stdout
 //! ```
 //!
@@ -134,7 +135,7 @@ fn usage() {
          \x20 trace import <file> [--name N]   adopt an external .trc as a workload\n\
          \x20 trace list | verify [name] | rm <name> [--len N]\n\
          \x20                               manage the on-disk trace store\n\
-         \x20 figures [--jobs N]            regenerate all tables/figures\n\
+         \x20 figures [--jobs N]            Tables 1-3, Figures 3-14, workload mix\n\
          \x20 csv [--out FILE] [--jobs N]   dump the main sweep as CSV\n\
          \x20 layout                        area + floorplan study\n\
          \x20 machines list                 the machine-family registry (arch table)\n\
@@ -147,7 +148,7 @@ fn usage() {
          \x20 plan list                     builtin plans + the machine registry\n\
          \x20 report <name> [--jobs N]      run a builtin plan and print its reports\n\
          \x20                               (fig06 … fig14, topology, steering-cross,\n\
-         \x20                               steering-decomposition)\n\
+         \x20                               steering-decomposition, ablations)\n\
          \x20 serve [--jobs N] [--store DIR] [--queue-limit N] [--progress stderr|none]\n\
          \x20                               concurrent JSON-lines request loop on\n\
          \x20                               stdin/stdout (see README 'Serve concurrency')\n\
@@ -610,15 +611,7 @@ fn csv(flags: &HashMap<String, String>) {
 fn layout() {
     println!("{}", ring_clustered::layout::table1_text());
     println!("{}", ring_clustered::layout::figure4_5_text());
-    for n in [4usize, 8] {
-        let p = ring_clustered::layout::ring_placement(n);
-        let (s, c) = p.module_counts();
-        println!("Figure 3: {n} clusters -> {s} straight + {c} corner modules");
-    }
-    // Sanity: the emulator and suite agree (cheap self-check for the CLI).
-    let b = benchmark("swim").unwrap();
-    let t = trace_program(&b.build(), 1000).unwrap();
-    assert_eq!(t.insns.len(), 1000);
+    print!("{}", ring_clustered::layout::figure3_text());
 }
 
 /// `rcmc machines list|show <family>` — the machine-family registry.
