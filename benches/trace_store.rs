@@ -1,41 +1,33 @@
-//! trace_store — cold vs warm full-suite trace materialization.
+//! trace_store — emulating vs decoding the full suite's oracle traces.
 //!
-//! Measures the win the on-disk [`TraceDb`] exists for: materializing the
-//! oracle traces of the whole 26-benchmark suite into a **fresh** store
-//! (cold: emulate + persist) and then again through a fresh in-memory
-//! cache over the now-populated store (warm: decode only). Asserts the
-//! cache counters prove what happened (cold: 26 built / 0 hits; warm:
-//! 0 built / 26 hits) and that every decoded trace — dynamic instructions
-//! *and* whole-run facts — is bit-identical to a fresh emulation.
+//! Measures the question the on-disk [`TraceDb`] would have to win to
+//! hold suite traces: at the paper's window (30k warm-up + 200k measured
+//! instructions, plus the run-ahead), is decoding a stored trace faster
+//! than emulating it afresh? Every suite benchmark is emulated, saved to
+//! a fresh store and loaded back once, untimed, asserting the stored trace
+//! — dynamic instructions *and* whole-run facts — is bit-identical to the
+//! emulation. Then [`REPS`] emulate-only passes (`trace_program`) and
+//! [`REPS`] decode-only passes ([`TraceDb::load`]) over the 26 benchmarks
+//! alternate, swapping which goes first every rep, so both see the same
+//! host slow phases. Each pass holds one trace at a time.
 //!
-//! Cold is timed once (it is a once-per-store event by design); warm is
-//! the median of [`WARM_REPS`] passes, and so is `emulate_s`, a pass that
-//! only emulates the suite and persists nothing: the cost a warm decode
-//! saves. Emits `BENCH_trace.json` at the repo root (atomic rename, like
-//! the other BENCH files) with `emulate_s`, `emulate_minsns_per_s`,
-//! `cold_s`, `warm_s`, `warm_minsns_per_s`, `warm_speedup`, `decode_MBps`,
-//! and the on-disk `bytes_per_insn` next to the flat v1 figure the format
-//! v2 zero-run codec replaces.
+//! Emits `BENCH_trace.json` at the repo root (atomic rename, like the
+//! other BENCH files): `emulate_s` and `decode_s` (median seconds per
+//! pass, with `_q1`/`_q3` quartiles), `emulate_minsns_per_s`,
+//! `decode_MBps`, the on-disk `bytes_per_insn` next to the flat v1 figure
+//! the format v2 zero-run codec replaces, and `_meta` (`nproc`, git
+//! revision, reps, window).
 
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::path::Path;
 use std::time::Instant;
 
-use ring_clustered::emu::{trace_program, DynInsn, TraceCache, TraceDb};
+use ring_clustered::emu::{trace_program, TraceDb};
 use ring_clustered::sim::runner::{all_bench_names, Budget};
 use ring_clustered::workloads::benchmark;
 use serde::json::Value;
 
-/// Measured instructions per trace (the measure half of the budget).
-const MEASURE_INSTRS: u64 = 30_000;
-
-/// Timed warm and emulate-only passes; the medians are reported.
-const WARM_REPS: usize = 5;
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
-}
+/// Timed passes of each kind; median and quartiles are reported.
+const REPS: usize = 9;
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Obj(
@@ -46,118 +38,56 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
     )
 }
 
-/// Materialize every suite trace through `cache` (disk fallthrough via
-/// `db`), returning elapsed seconds and the traces (the cache keeps a
-/// trace only while someone holds it; dropping them is left untimed).
-fn materialize(
-    cache: &TraceCache,
-    db: &TraceDb,
-    names: &[&str],
-    len: u64,
-) -> (f64, Vec<Arc<Vec<DynInsn>>>) {
-    let t0 = Instant::now();
-    let traces = names
-        .iter()
-        .map(|name| {
-            let b = benchmark(name).expect("suite benchmark");
-            let trace = cache.get_or_build_via(name, len, Some(db), || {
-                trace_program(&b.build(), len as usize).expect("suite benchmarks emulate cleanly")
-            });
-            assert!(!trace.is_empty(), "{name}: empty trace");
-            trace
-        })
-        .collect();
-    (t0.elapsed().as_secs_f64(), traces)
+/// `git describe` of the checkout, for the `_meta` record.
+fn git_rev(root: &Path) -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .current_dir(root)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
 }
 
-fn main() {
-    let budget = Budget {
-        warmup: 3_000,
-        measure: MEASURE_INSTRS,
-    };
-    let len = budget.trace_len();
-    let names = all_bench_names();
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("rcmc-trace-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let db = TraceDb::at(dir.clone());
-
-    // Warmup pass: emulate everything once and throw it away, so the timed
-    // passes measure emulate-vs-decode work, not one-time process costs
-    // (lazy relocation, allocator growth, first-touch page faults). Then
-    // the emulate-only passes, each dropping its traces before the next.
-    let mut emulate_times = Vec::new();
-    let mut emulated = 0;
-    for rep in 0..=WARM_REPS {
-        let t0 = Instant::now();
-        let traces: Vec<_> = names
-            .iter()
-            .map(|n| trace_program(&benchmark(n).unwrap().build(), len as usize).unwrap())
-            .collect();
-        if rep > 0 {
-            emulate_times.push(t0.elapsed().as_secs_f64());
-        }
-        emulated = traces.iter().map(|t| t.insns.len()).sum::<usize>();
-    }
-
-    // Cold is timed ONCE, against an empty store. Cold materialization is
-    // a once-per-store event by design — the entire point of the trace DB
-    // is that nobody ever pays it twice — so its honest cost is the one-
-    // shot cost, first-time page-cache/writeback pressure from persisting
-    // the store included. Looping cold and taking a median would measure
-    // a loop-steady state that no real cold start ever runs in (each
-    // iteration pre-pays the next one's kernel-side costs).
-    let _ = std::fs::remove_dir_all(&dir);
-    let cold_cache = TraceCache::new();
-    let (cold_s, cold_traces) = materialize(&cold_cache, &db, &names, len);
-    let cs = cold_cache.stats();
-    assert_eq!(
-        (cs.built, cs.db_hits),
-        (names.len() as u64, 0),
-        "cold pass must emulate everything"
-    );
-    // A real warm start is a new process, not one already holding every
-    // trace in memory — drop the cold traces before timing warm.
-    drop((cold_cache, cold_traces));
-
-    // Warm, by contrast, is the many-shot path (every run after the
-    // first), so it is timed `WARM_REPS` times through a fresh cache each
-    // time and reported as the median.
-    let mut warm_times = Vec::new();
-    let mut last_warm = None;
-    for _ in 0..WARM_REPS {
-        let warm_cache = TraceCache::new();
-        let (warm_s, warm_traces) = materialize(&warm_cache, &db, &names, len);
-        warm_times.push(warm_s);
-        let ws = warm_cache.stats();
-        assert_eq!(
-            (ws.built, ws.db_hits),
-            (0, names.len() as u64),
-            "warm pass must load everything from the trace store"
-        );
-        last_warm = Some((warm_cache, warm_traces));
-    }
-    let (warm_cache, _warm_traces) = last_warm.expect("at least one rep");
-    let fmt = |xs: &[f64]| {
+/// `[q1, median, q3]` of the pass times, printed and returned.
+fn quartiles(what: &str, mut xs: Vec<f64>) -> [f64; 3] {
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let q = [REPS / 4, REPS / 2, 3 * REPS / 4].map(|i| xs[i]);
+    println!(
+        "  {what:7} {:.3} s  (q1 {:.3}, q3 {:.3})  reps [{}]",
+        q[1],
+        q[0],
+        q[2],
         xs.iter()
             .map(|t| format!("{t:.3}"))
             .collect::<Vec<_>>()
             .join(" ")
-    };
-    println!(
-        "  emulate reps [{}]  cold {cold_s:.3}  warm reps [{}]",
-        fmt(&emulate_times),
-        fmt(&warm_times)
     );
-    let warm_s = median(warm_times);
-    let emulate_s = median(emulate_times);
+    q
+}
 
-    // Bit-identity: stored == freshly emulated, whole-run facts included.
-    let mut bytes_total = 0u64;
-    let mut insns_total = 0u64;
+fn main() {
+    let len = Budget {
+        warmup: 30_000,
+        measure: 200_000,
+    }
+    .trace_len();
+    let names = all_bench_names();
+    let emulate = |name: &str| {
+        trace_program(&benchmark(name).unwrap().build(), len as usize)
+            .expect("suite benchmarks emulate cleanly")
+    };
+    let dir = std::env::temp_dir().join(format!("rcmc-trace-bench-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = TraceDb::at(dir.clone());
+
+    // Untimed: fill the store, and check every stored trace against the
+    // emulation it came from.
+    let mut insns = 0u64;
     for name in &names {
-        let b = benchmark(name).unwrap();
-        let fresh = trace_program(&b.build(), len as usize).unwrap();
+        let fresh = emulate(name);
+        assert!(db.save(name, len, &fresh), "{name}: save failed");
         let stored = db.load_full(name, len).expect("stored trace validates");
         assert_eq!(stored.insns, fresh.insns, "{name}: dynamic stream differs");
         assert_eq!(stored.halted, fresh.halted, "{name}: halted flag differs");
@@ -165,31 +95,52 @@ fn main() {
             stored.static_insns, fresh.static_insns,
             "{name}: static count differs"
         );
-        let in_mem = warm_cache.get_or_build_via(name, len, Some(&db), || {
-            panic!("{name}: warm cache lost its entry")
-        });
-        assert_eq!(*in_mem, fresh.insns, "{name}: cached stream differs");
+        insns += fresh.insns.len() as u64;
     }
-    for m in db.list() {
-        bytes_total += m.bytes;
-        insns_total += m.insns;
+    let bytes: u64 = db.list().iter().map(|m| m.bytes).sum();
+
+    let emulate_pass = || {
+        let t0 = Instant::now();
+        for name in &names {
+            assert!(!emulate(name).insns.is_empty(), "{name}: empty trace");
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    let decode_pass = || {
+        let t0 = Instant::now();
+        for name in &names {
+            let trace = db.load(name, len).expect("stored trace loads");
+            assert!(!trace.is_empty(), "{name}: empty trace");
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    let (mut emulate_s, mut decode_s) = (Vec::new(), Vec::new());
+    for rep in 0..REPS {
+        if rep % 2 == 0 {
+            emulate_s.push(emulate_pass());
+            decode_s.push(decode_pass());
+        } else {
+            decode_s.push(decode_pass());
+            emulate_s.push(emulate_pass());
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 
-    let warm_speedup = cold_s / warm_s;
-    let decode_mbps = bytes_total as f64 / warm_s / 1e6;
+    println!(
+        "trace_store: {} traces × {len} insns, {insns} insns, {:.1} MB on disk",
+        names.len(),
+        bytes as f64 / 1e6
+    );
+    let [e1, emulate_s, e3] = quartiles("emulate", emulate_s);
+    let [d1, decode_s, d3] = quartiles("decode", decode_s);
+    let emulate_minsns = insns as f64 / emulate_s / 1e6;
+    let decode_mbps = bytes as f64 / decode_s / 1e6;
     // Zero-run compression win: format v1 stored every record as four flat
     // words (32 B/insn, no header amortization worth counting); v2 stores
     // only the nonzero words behind a control byte.
     let bytes_per_insn_flat = 32.0;
-    let bytes_per_insn = bytes_total as f64 / insns_total as f64;
-    println!(
-        "trace_store: {} traces, {:.1} MB on disk",
-        names.len(),
-        bytes_total as f64 / 1e6
-    );
-    let emulate_minsns = emulated as f64 / emulate_s / 1e6;
-    println!("  emulate {emulate_s:.3}s ({emulate_minsns:.0} Minsn/s)  cold {cold_s:.3}s  warm {warm_s:.3}s  speedup {warm_speedup:.1}x  decode {decode_mbps:.0} MB/s");
+    let bytes_per_insn = bytes as f64 / insns as f64;
+    println!("  emulate {emulate_minsns:.0} Minsn/s  decode {decode_mbps:.0} MB/s  ({:.2}x the emulate time)", decode_s / emulate_s);
     println!(
         "  {bytes_per_insn:.2} B/insn on disk (flat v1 encoding: {bytes_per_insn_flat:.0} B/insn)"
     );
@@ -198,30 +149,35 @@ fn main() {
         "v2 zero-run codec did not beat the flat v1 record size"
     );
 
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let num = Value::Num;
     let bench = obj(vec![
         (
             "_meta",
             obj(vec![
                 ("bench", Value::Str("trace_store".into())),
-                ("traces", Value::Num(names.len() as f64)),
-                ("trace_len", Value::Num(len as f64)),
-                ("bytes", Value::Num(bytes_total as f64)),
+                ("nproc", num(nproc as f64)),
+                ("git_rev", Value::Str(git_rev(root))),
+                ("reps", num(REPS as f64)),
+                ("traces", num(names.len() as f64)),
+                ("trace_len", num(len as f64)),
+                ("insns", num(insns as f64)),
+                ("bytes", num(bytes as f64)),
             ]),
         ),
-        ("emulate_s", Value::Num(emulate_s)),
-        ("emulate_minsns_per_s", Value::Num(emulate_minsns)),
-        ("cold_s", Value::Num(cold_s)),
-        ("warm_s", Value::Num(warm_s)),
-        (
-            "warm_minsns_per_s",
-            Value::Num(insns_total as f64 / warm_s / 1e6),
-        ),
-        ("warm_speedup", Value::Num(warm_speedup)),
-        ("decode_MBps", Value::Num(decode_mbps)),
-        ("bytes_per_insn_flat", Value::Num(bytes_per_insn_flat)),
-        ("bytes_per_insn", Value::Num(bytes_per_insn)),
+        ("emulate_s", num(emulate_s)),
+        ("emulate_s_q1", num(e1)),
+        ("emulate_s_q3", num(e3)),
+        ("decode_s", num(decode_s)),
+        ("decode_s_q1", num(d1)),
+        ("decode_s_q3", num(d3)),
+        ("emulate_minsns_per_s", num(emulate_minsns)),
+        ("decode_MBps", num(decode_mbps)),
+        ("bytes_per_insn_flat", num(bytes_per_insn_flat)),
+        ("bytes_per_insn", num(bytes_per_insn)),
     ]);
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_trace.json");
+    let path = root.join("BENCH_trace.json");
     let tmp = path.with_extension("json.tmp");
     std::fs::write(&tmp, format!("{}\n", bench.to_pretty_string())).expect("write BENCH_trace");
     std::fs::rename(&tmp, &path).expect("rename BENCH_trace");

@@ -8,7 +8,9 @@
 //! emulation — so two threads building traces for *different* benchmarks
 //! proceed fully in parallel, while a second requester of the *same*
 //! benchmark blocks on that key's build lock until the first build
-//! finishes and then shares its `Arc`.
+//! finishes and then shares its `Arc`. The cache never touches the disk:
+//! a caller that decodes a stored trace hands it a *load* closure
+//! instead ([`TraceCache::get_or_load`]).
 //!
 //! The registry keeps only [`Weak`] references: a trace's memory returns
 //! to the allocator when the last holder's `Arc` drops, and the next
@@ -22,7 +24,6 @@ use std::sync::{Arc, Weak};
 use parking_lot::Mutex;
 
 use crate::trace::DynInsn;
-use crate::trace_db::TraceDb;
 
 /// One key's slot. `build` serializes the builders and decoders of the
 /// key; `trace` points at the shared trace while any holder keeps it alive
@@ -48,13 +49,14 @@ fn find<'a>(slots: &'a Slots, name: &str, len: u64) -> Option<&'a Arc<Slot>> {
 }
 
 /// A snapshot of a cache ([`TraceCache::stats`]): how its traces were
-/// materialized so far, split between fresh emulation and on-disk
-/// trace-store hits, and what its holders keep alive right now.
+/// materialized so far, split between fresh emulation and loads from an
+/// on-disk trace store, and what its holders keep alive right now.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceCacheStats {
-    /// Traces produced by running the build closure (fresh emulation).
+    /// Traces produced by [`TraceCache::get_or_build`] (fresh emulation).
     pub built: u64,
-    /// Traces decoded from a [`TraceDb`] instead of being built.
+    /// Traces produced by [`TraceCache::get_or_load`] (decoded from an
+    /// on-disk [`crate::TraceDb`]).
     pub db_hits: u64,
     /// Traces some holder keeps alive.
     pub live: usize,
@@ -96,43 +98,44 @@ impl TraceCache {
         slot
     }
 
-    /// Return the trace for `(name, len)`. A live trace is shared; a miss
-    /// consults `db` first (disk hit → decode, no emulation), and only a
-    /// disk miss runs `build` — whose result (dynamic stream *and*
-    /// whole-run facts) is then persisted back into `db` so every later
-    /// process warm-starts. Concurrent requesters of one key wait for the
-    /// in-flight decode or build instead of duplicating it.
-    pub fn get_or_build_via<F>(
+    /// Return the trace for `(name, len)`: a live trace is shared, and a
+    /// miss runs `build` (fresh emulation). Concurrent requesters of one
+    /// key wait for the in-flight build instead of duplicating it.
+    pub fn get_or_build<F>(&self, name: &str, len: u64, build: F) -> Arc<Vec<DynInsn>>
+    where
+        F: FnOnce() -> Vec<DynInsn>,
+    {
+        self.get_or_make(name, len, &self.built, || Some(Arc::new(build())))
+            .expect("a build always yields a trace")
+    }
+
+    /// [`TraceCache::get_or_build`] for a trace decoded rather than built:
+    /// a miss runs `load`, which may find nothing (`None`, nothing cached).
+    pub fn get_or_load<F>(&self, name: &str, len: u64, load: F) -> Option<Arc<Vec<DynInsn>>>
+    where
+        F: FnOnce() -> Option<Arc<Vec<DynInsn>>>,
+    {
+        self.get_or_make(name, len, &self.db_hits, load)
+    }
+
+    /// The shared path of both: under the key's build lock, a live trace
+    /// or whatever `make` yields, counted in `made`.
+    fn get_or_make(
         &self,
         name: &str,
         len: u64,
-        db: Option<&TraceDb>,
-        build: F,
-    ) -> Arc<Vec<DynInsn>>
-    where
-        F: FnOnce() -> crate::trace::Trace,
-    {
+        made: &AtomicU64,
+        make: impl FnOnce() -> Option<Arc<Vec<DynInsn>>>,
+    ) -> Option<Arc<Vec<DynInsn>>> {
         let slot = self.slot(name, len);
         let _building = slot.build.lock();
         if let Some(live) = slot.live() {
-            return live;
+            return Some(live);
         }
-        let trace = match db.and_then(|db| db.load(name, len)) {
-            Some(hit) => {
-                self.db_hits.fetch_add(1, Ordering::Relaxed);
-                hit
-            }
-            None => {
-                let built = build();
-                self.built.fetch_add(1, Ordering::Relaxed);
-                if let Some(db) = db {
-                    db.save(name, len, &built);
-                }
-                Arc::new(built.insns)
-            }
-        };
+        let trace = make()?;
+        made.fetch_add(1, Ordering::Relaxed);
         *slot.trace.lock() = Arc::downgrade(&trace);
-        trace
+        Some(trace)
     }
 
     /// The trace of `(name, len)` if some holder keeps it alive. Never
@@ -147,9 +150,8 @@ impl TraceCache {
         self.stats().bytes
     }
 
-    /// Lifetime materialization counters — how many traces were freshly
-    /// emulated vs decoded from an attached [`TraceDb`] — and the traces
-    /// live right now.
+    /// Lifetime materialization counters — how many traces were built vs
+    /// loaded — and the traces live right now.
     pub fn stats(&self) -> TraceCacheStats {
         let live: Vec<_> = self
             .slots
@@ -172,32 +174,27 @@ impl TraceCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Trace;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn trace(n: usize) -> Trace {
+    fn trace(n: usize) -> Vec<DynInsn> {
         let insn = DynInsn {
             insn: rcmc_isa::Insn::halt(),
             pc: 0,
             next_pc: 0,
             mem_addr: 0,
         };
-        Trace {
-            insns: vec![insn; n],
-            halted: false,
-            static_insns: 1,
-        }
+        vec![insn; n]
     }
 
     #[test]
     fn builds_once_and_shares_the_arc() {
         let cache = TraceCache::new();
         let builds = AtomicUsize::new(0);
-        let a = cache.get_or_build_via("x", 10, None, || {
+        let a = cache.get_or_build("x", 10, || {
             builds.fetch_add(1, Ordering::SeqCst);
             trace(1)
         });
-        let b = cache.get_or_build_via("x", 10, None, || {
+        let b = cache.get_or_build("x", 10, || {
             builds.fetch_add(1, Ordering::SeqCst);
             trace(1)
         });
@@ -207,11 +204,24 @@ mod tests {
     }
 
     #[test]
+    fn loads_are_counted_apart_and_a_miss_caches_nothing() {
+        let cache = TraceCache::new();
+        assert!(cache.get_or_load("x", 10, || None).is_none());
+        let a = cache
+            .get_or_load("x", 10, || Some(Arc::new(trace(2))))
+            .unwrap();
+        let b = cache.get_or_build("x", 10, || unreachable!("x is live"));
+        assert!(Arc::ptr_eq(&a, &b));
+        let stats = cache.stats();
+        assert_eq!((stats.built, stats.db_hits, stats.live), (0, 1, 1));
+    }
+
+    #[test]
     fn keys_are_name_and_len() {
         let cache = TraceCache::new();
-        let a = cache.get_or_build_via("x", 10, None, || trace(1));
-        let b = cache.get_or_build_via("x", 20, None, || trace(1));
-        let c = cache.get_or_build_via("y", 10, None, || trace(1));
+        let a = cache.get_or_build("x", 10, || trace(1));
+        let b = cache.get_or_build("x", 20, || trace(1));
+        let c = cache.get_or_build("y", 10, || trace(1));
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.stats().live, 3);
@@ -225,7 +235,7 @@ mod tests {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     s.spawn(|| {
-                        CACHE.get_or_build_via("shared", 99, None, || {
+                        CACHE.get_or_build("shared", 99, || {
                             BUILDS.fetch_add(1, Ordering::SeqCst);
                             // Give racing threads time to pile onto the slot.
                             std::thread::sleep(std::time::Duration::from_millis(5));
@@ -245,7 +255,7 @@ mod tests {
     #[test]
     fn dropped_traces_free_their_memory_and_are_rebuilt() {
         let cache = TraceCache::new();
-        let a = cache.get_or_build_via("x", 10, None, || trace(3));
+        let a = cache.get_or_build("x", 10, || trace(3));
         assert_eq!(cache.bytes(), 3 * std::mem::size_of::<DynInsn>());
         assert!(cache.get("x", 10).is_some_and(|t| Arc::ptr_eq(&t, &a)));
         drop(a);
@@ -253,13 +263,13 @@ mod tests {
         assert!(cache.get("x", 10).is_none());
         // The next request builds again and sees the new content, as a
         // same-length re-import of the trace would be seen.
-        let b = cache.get_or_build_via("x", 10, None, || trace(5));
+        let b = cache.get_or_build("x", 10, || trace(5));
         assert_eq!(b.len(), 5);
         assert_eq!(cache.stats().built, 2);
         // Inserting another key prunes the dead slot of a dropped trace.
-        let c = cache.get_or_build_via("y", 10, None, || trace(1));
+        let c = cache.get_or_build("y", 10, || trace(1));
         drop(b);
-        let _d = cache.get_or_build_via("z", 10, None, || trace(1));
+        let _d = cache.get_or_build("z", 10, || trace(1));
         assert_eq!(cache.slots.lock().len(), 2, "dead slot of x not pruned");
         drop(c);
     }

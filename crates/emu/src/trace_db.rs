@@ -3,7 +3,9 @@
 //! A [`TraceDb`] is a directory of `.trc` files, one per `(name, len)` key
 //! (the same identity [`crate::TraceCache`] uses in memory), laid out as
 //! `<dir>/<name>/<len>.trc`: a fixed little-endian header followed by one
-//! record per [`DynInsn`], consumed by a sequential chunked decode.
+//! record per [`DynInsn`], consumed by a sequential chunked decode. The
+//! simulator keeps imported (externally captured) traces here; it
+//! emulates its own suite's traces, which is faster than decoding them.
 //!
 //! ## File layout (all integers little-endian)
 //!
@@ -66,8 +68,8 @@
 //!   traces.
 //!
 //! A stored trace is **ignored, never trusted**: [`TraceDb::load`] returns
-//! `None` (fall through to re-emulation) unless the magic, both versions,
-//! the embedded name/key, the payload size and the checksum all check out.
+//! `None` (a miss) unless the magic, both versions, the embedded name/key,
+//! the payload size and the checksum all check out.
 //! Writes go through a temp file + atomic rename (exactly like the result
 //! store), so concurrent writers — threads or processes racing on one key —
 //! can only ever leave a complete, valid file behind.
@@ -128,6 +130,8 @@ pub enum TraceDbError {
     ChecksumMismatch,
     /// A payload record does not decode to a valid instruction.
     BadRecord(usize),
+    /// An import under a name the caller reserves ([`TraceDb::import_unless`]).
+    ReservedName(String),
 }
 
 impl std::fmt::Display for TraceDbError {
@@ -145,6 +149,7 @@ impl std::fmt::Display for TraceDbError {
             TraceDbError::Truncated => write!(f, "truncated payload"),
             TraceDbError::ChecksumMismatch => write!(f, "payload checksum mismatch"),
             TraceDbError::BadRecord(i) => write!(f, "record {i} does not decode"),
+            TraceDbError::ReservedName(n) => write!(f, "the name '{n}' is reserved"),
         }
     }
 }
@@ -221,16 +226,14 @@ impl TraceDb {
     }
 
     /// Load the trace stored under `(name, len)`, or `None` if absent,
-    /// stale (older format/trace version) or corrupt in any way — the
-    /// caller falls through to re-emulation; a stored trace is never
-    /// trusted without passing every check.
+    /// stale (older format/trace version) or corrupt in any way — a
+    /// stored trace is never trusted without passing every check.
     pub fn load(&self, name: &str, len: u64) -> Option<Arc<Vec<DynInsn>>> {
         self.load_full(name, len).ok().map(|t| Arc::new(t.insns))
     }
 
     /// Persist `trace` under `(name, len)` via temp file + atomic rename.
-    /// Returns whether the trace is now durably on disk (an unwritable
-    /// store degrades to re-emulation next process, not an error).
+    /// Returns whether the trace is now durably on disk.
     pub fn save(&self, name: &str, len: u64, trace: &Trace) -> bool {
         if !Self::valid_name(name) {
             return false;
@@ -247,10 +250,24 @@ impl TraceDb {
         file_bytes: &[u8],
         rename: Option<&str>,
     ) -> Result<(String, u64), TraceDbError> {
+        self.import_unless(file_bytes, rename, |_| false)
+    }
+
+    /// [`TraceDb::import`], refusing (and writing nothing for) a name
+    /// `reserved` matches.
+    pub fn import_unless(
+        &self,
+        file_bytes: &[u8],
+        rename: Option<&str>,
+        reserved: impl Fn(&str) -> bool,
+    ) -> Result<(String, u64), TraceDbError> {
         let (header, trace) = decode(file_bytes, file_bytes.len() as u64, None, true)?;
         let name = rename.unwrap_or(&header.name).to_string();
         if !Self::valid_name(&name) {
             return Err(TraceDbError::KeyMismatch);
+        }
+        if reserved(&name) {
+            return Err(TraceDbError::ReservedName(name));
         }
         if !self.save(&name, header.key_len, &trace) {
             return Err(TraceDbError::Io("store is not writable".to_string()));
@@ -381,7 +398,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// word *j* of every record (the payload is always a whole number of
 /// 32-byte records, so the lanes stay in lockstep). One serial FNV chain
 /// would put a multiply's full latency between every 8 bytes — on the
-/// warm-start path that chain, not memory, is the bottleneck; four
+/// decode path that chain, not memory, is the bottleneck; four
 /// independent lanes give the CPU four chains to overlap. Every single-bit
 /// flip still lands in exactly one lane and survives the final mix.
 #[derive(Clone, Copy)]
@@ -564,7 +581,7 @@ fn read_header(r: &mut impl Read) -> Result<Header, TraceDbError> {
 /// Byte-indexed decode tables for the record decode loop. `Opcode::from_u8`
 /// is a linear scan over the opcode list and the register decode is a
 /// compare chain; at one opcode plus three register decodes per record
-/// those branches would dominate the whole warm-start path, so both become
+/// those branches would dominate the whole decode path, so both become
 /// single L1-resident table loads (`None` marks invalid bytes).
 struct DecodeLuts {
     op: [Option<Opcode>; 256],
@@ -940,6 +957,27 @@ mod tests {
         assert_eq!(
             db.import(&bad, None).unwrap_err(),
             TraceDbError::ChecksumMismatch
+        );
+        let _ = std::fs::remove_dir_all(db.dir());
+    }
+
+    #[test]
+    fn import_refuses_reserved_names_and_writes_nothing() {
+        let db = temp_db("reserved");
+        let t = sample_trace();
+        let bytes = encode_file("kept", 42, &t.insns, t.halted, t.static_insns);
+        let reserved = |n: &str| n == "kept" || n == "taken";
+        for rename in [None, Some("taken")] {
+            let want = rename.unwrap_or("kept").to_string();
+            assert_eq!(
+                db.import_unless(&bytes, rename, reserved).unwrap_err(),
+                TraceDbError::ReservedName(want)
+            );
+        }
+        assert!(db.list().is_empty(), "a refused import writes nothing");
+        assert_eq!(
+            db.import_unless(&bytes, Some("free"), reserved).unwrap(),
+            ("free".to_string(), 42)
         );
         let _ = std::fs::remove_dir_all(db.dir());
     }

@@ -8,7 +8,7 @@
 //!   the builder methods or parsed from a JSON spec file;
 //! * [`session::Session`] — the execution environment: the disk-backed
 //!   result store (`target/rcmc-results/`), the worker thread pool, the
-//!   on-disk trace store, and the progress sink. Runs go through the same
+//!   store of imported traces, and the progress sink. Runs go through the same
 //!   scheduler as `rcmc serve`, whose workers hold each oracle trace only
 //!   while its jobs run;
 //! * [`resultset::ResultSet`] — typed sweep results with the

@@ -847,7 +847,7 @@ impl Plan {
     /// the pair twice or inflate progress totals). Resolves against the
     /// process-default trace store, so imported traces are valid workloads.
     pub fn resolve_benches(&self) -> Result<Vec<String>, String> {
-        self.resolve_benches_in(crate::runner::default_trace_db())
+        self.resolve_benches_in(Some(crate::runner::default_trace_db()))
     }
 
     /// [`Plan::resolve_benches`] against an explicit trace store: a name
@@ -879,7 +879,7 @@ impl Plan {
     /// executors do the expansion exactly once. Benchmarks resolve against
     /// the process-default trace store; see [`Plan::resolve_in`].
     pub fn resolve(&self) -> Result<(Vec<SimConfig>, Vec<String>), String> {
-        self.resolve_in(crate::runner::default_trace_db())
+        self.resolve_in(Some(crate::runner::default_trace_db()))
     }
 
     /// [`Plan::resolve`] against an explicit trace store (imported traces

@@ -2,7 +2,8 @@
 //! result memoization.
 //!
 //! [`run_pair`] is one job: probe the store, load the oracle trace (live
-//! in memory → on-disk [`TraceDb`] → emulator, [`cached_trace_via`]),
+//! in memory, else emulated for a suite benchmark or decoded from the
+//! on-disk [`TraceDb`] for an imported one, [`cached_trace_via`]),
 //! simulate, [`reduce_metrics`], persist. Grids of jobs run on the
 //! scheduler ([`crate::scheduler`]), which both
 //! [`crate::session::Session::run`] and `rcmc serve` drive; there the
@@ -119,7 +120,7 @@ pub struct RunResult {
 /// jobs holding a trace keep it alive, and every concurrent requester of
 /// a held trace shares it (traces are identical across configurations),
 /// within a run and across serve requests. Its counters are the
-/// process-wide build and decode tallies.
+/// process-wide emulation and import-load tallies.
 static TRACES: TraceCache = TraceCache::new();
 
 /// Where the default stores live: `CARGO_TARGET_DIR`, else the workspace's
@@ -135,28 +136,27 @@ fn target_dir() -> PathBuf {
         })
 }
 
-/// The process-default on-disk trace store ([`TraceDb`]): the workspace's
-/// `target/rcmc-traces`, overridable with `RCMC_TRACE_DIR=<dir>` and
-/// disabled entirely with `RCMC_TRACE_DIR=off` (or `none`/`0`/empty).
-/// Consulted once and memoized. Sessions can override per-instance with
+/// The process-default store of imported traces ([`TraceDb`]): the
+/// workspace's `target/rcmc-traces`, or `RCMC_TRACE_DIR=<dir>` (an empty
+/// value counts as unset). Consulted once and memoized. Sessions can
+/// override it per instance with
 /// [`crate::session::Session::with_trace_store`].
-pub fn default_trace_db() -> Option<&'static TraceDb> {
-    static DB: OnceLock<Option<TraceDb>> = OnceLock::new();
+pub fn default_trace_db() -> &'static TraceDb {
+    static DB: OnceLock<TraceDb> = OnceLock::new();
     DB.get_or_init(|| {
-        let dir = match std::env::var("RCMC_TRACE_DIR") {
-            Ok(v) if matches!(v.trim(), "" | "off" | "none" | "0") => return None,
-            Ok(v) => PathBuf::from(v),
-            Err(_) => target_dir().join("rcmc-traces"),
-        };
-        Some(TraceDb::at(dir))
+        TraceDb::at(
+            std::env::var_os("RCMC_TRACE_DIR")
+                .filter(|v| !v.is_empty())
+                .map(PathBuf::from)
+                .unwrap_or_else(|| target_dir().join("rcmc-traces")),
+        )
     })
-    .as_ref()
 }
 
 /// Materialization counters of the process-wide trace cache: how many
-/// traces were freshly emulated vs decoded from an on-disk store (what
-/// `rcmc plan run` reports and the CI warm-start check greps), and the
-/// traces jobs hold right now.
+/// traces were emulated (`built`) vs decoded from a trace store
+/// (`db_hits`, imported traces only; what `rcmc plan run` reports and CI
+/// greps), and the traces jobs hold right now.
 pub fn trace_cache_stats() -> TraceCacheStats {
     TRACES.stats()
 }
@@ -187,38 +187,42 @@ pub fn check_workload(name: &str, db: Option<&TraceDb>) -> Result<(), String> {
 }
 
 /// Fetch (or build) the oracle trace for `bench` with `len` instructions,
-/// using the process-default trace store as the disk fallthrough. The
-/// trace stays in memory only while the caller (or another holder) keeps
-/// the returned `Arc`.
+/// resolving imported traces against the process-default trace store.
+/// The trace stays in memory only while the caller (or another holder)
+/// keeps the returned `Arc`.
 pub fn cached_trace(bench: &str, len: u64) -> Arc<Vec<DynInsn>> {
-    cached_trace_via(bench, len, default_trace_db())
+    cached_trace_via(bench, len, Some(default_trace_db()))
 }
 
-/// [`cached_trace`] against an explicit trace store (`None` = fully
-/// in-memory). Suite benchmarks fall through live → `db` → emulator;
-/// names that are not in the suite resolve to **imported traces**: the
-/// longest trace stored under that name is used regardless of `len`
-/// (externally captured workloads have a fixed length — a shorter trace
-/// simply ends the run early, exactly like a program that halts).
+/// [`cached_trace`] against an explicit trace store. This is where a
+/// trace comes from: a live trace is shared; otherwise a suite benchmark
+/// is always emulated (emulating beats decoding, `BENCH_trace.json`) and
+/// never reads or writes `db`, and any other name is an **imported
+/// trace**, decoded from `db`: the longest trace stored under that name,
+/// regardless of `len` (externally captured workloads have a fixed length
+/// — a shorter trace simply ends the run early, exactly like a program
+/// that halts).
 ///
 /// Panics if `bench` is neither a suite benchmark nor a stored trace;
 /// callers reject such names first with [`check_workload`].
 pub fn cached_trace_via(bench: &str, len: u64, db: Option<&TraceDb>) -> Arc<Vec<DynInsn>> {
     if let Some(b) = benchmark(bench) {
-        return TRACES.get_or_build_via(bench, len, db, || {
+        return TRACES.get_or_build(bench, len, || {
             trace_built(|| b.build(), len as usize)
                 .unwrap_or_else(|e| panic!("{bench} failed to emulate: {e}"))
+                .insns
         });
     }
-    let stored = db.map(|d| d.lens_of(bench)).unwrap_or_default();
-    let Some(&best) = stored.last() else {
+    let Some((db, best)) = db.and_then(|d| Some((d, d.lens_of(bench).last().copied()?))) else {
         panic!("unknown workload '{bench}' (not in the suite or the trace store)");
     };
-    TRACES.get_or_build_via(bench, best, db, || {
-        // Unreachable unless the file vanished between `lens_of` and here;
-        // there is no emulator path for imported workloads.
-        panic!("imported trace '{bench}' ({best} insns) disappeared from the trace store")
-    })
+    // `None` only if the file vanished or went bad since `lens_of`; there
+    // is no emulator path for imported workloads.
+    TRACES
+        .get_or_load(bench, best, || db.load(bench, best))
+        .unwrap_or_else(|| {
+            panic!("imported trace '{bench}' ({best} insns) disappeared from the trace store")
+        })
 }
 
 /// Disk-backed memoization of [`RunResult`]s.
@@ -508,8 +512,8 @@ pub fn reduce_metrics(cfg: &SimConfig, bench: &str, stats: &rcmc_core::Stats) ->
 }
 
 /// Simulate one (configuration × benchmark) pair, memoized. `db` is the
-/// oracle-trace fallthrough the run materializes its trace against
-/// (`None` = in-memory only).
+/// store an imported workload's trace is loaded from (`None`: suite
+/// benchmarks only).
 pub fn run_pair(
     cfg: &SimConfig,
     bench: &str,

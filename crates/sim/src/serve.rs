@@ -30,8 +30,8 @@
 //! `progress` (streamed per executed job, interleaved across in-flight
 //! requests — demux on `id`), `result` (rows + rendered reports),
 //! `cancelled`, `stats` (`scheduler` counters, and `trace_cache`: `bytes`
-//! and `live` traces held now, `built`/`db_hits` over the process
-//! lifetime), `error`, `bye`. Every event carries the originating request
+//! and `live` traces held now, `built`/`db_hits` — suite traces emulated
+//! and imported traces loaded over the process lifetime), `error`, `bye`. Every event carries the originating request
 //! `id`.
 //!
 //! Malformed JSON gets an `error` event and the loop keeps reading. A
@@ -131,7 +131,8 @@ fn plan_of(req: &Value) -> Result<Plan, String> {
 }
 
 /// JSON rendering of the process-wide trace cache: the traces workers hold
-/// right now and the lifetime build/decode counters (the `stats` event).
+/// right now and the lifetime emulation/import-load counters (the `stats`
+/// event).
 fn trace_cache_value() -> Value {
     let t = runner::trace_cache_stats();
     obj(vec![

@@ -2,7 +2,7 @@
 //!
 //! A [`Session`] owns everything a run needs besides the plan itself: the
 //! disk-backed [`ResultStore`] memoization, the worker [`rayon::ThreadPool`]
-//! fan-out, the on-disk trace store, and the progress sink. One `Session`
+//! fan-out, the store of imported traces, and the progress sink. One `Session`
 //! can execute any number of [`Plan`]s — `rcmc serve` keeps a single warm
 //! session alive across requests, so every plan after the first reuses
 //! memoized runs.
@@ -56,7 +56,7 @@ pub struct Session {
     pool: rayon::ThreadPool,
     jobs: usize,
     progress: Progress,
-    // On-disk oracle-trace fallthrough; one handle shared by every
+    // Where imported traces are loaded from; one handle shared by every
     // scheduler worker of this session.
     trace_db: Option<TraceDb>,
 }
@@ -100,9 +100,8 @@ impl Session {
         Session::with_store(ResultStore::open_default())
     }
 
-    /// A session that memoizes nothing and touches no on-disk trace store
-    /// (tests, throwaway experiments): every trace a run needs is
-    /// emulated.
+    /// A session that memoizes nothing and has no trace store (tests,
+    /// throwaway experiments): it runs suite benchmarks only.
     pub fn ephemeral() -> Session {
         Session::with_store(ResultStore::ephemeral()).without_trace_store()
     }
@@ -116,7 +115,7 @@ impl Session {
             pool: rayon::ThreadPool::new(jobs),
             jobs,
             progress: Progress::Silent,
-            trace_db: runner::default_trace_db().cloned(),
+            trace_db: Some(runner::default_trace_db().clone()),
         }
     }
 
@@ -135,14 +134,14 @@ impl Session {
         self
     }
 
-    /// Use an explicit on-disk trace store for this session's runs.
+    /// Load this session's imported traces from an explicit trace store.
     pub fn with_trace_store(mut self, db: TraceDb) -> Session {
         self.trace_db = Some(db);
         self
     }
 
-    /// Disable the on-disk trace store for this session (every missing
-    /// trace is emulated; nothing is persisted).
+    /// Detach the trace store: the session runs suite benchmarks only
+    /// (which never touch a store), and imported names are unknown.
     pub fn without_trace_store(mut self) -> Session {
         self.trace_db = None;
         self

@@ -117,10 +117,10 @@ fn trace_cache_emulates_exactly_once_under_contention() {
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 s.spawn(|| {
-                    cache.get_or_build_via("applu", 3_000, None, || {
+                    cache.get_or_build("applu", 3_000, || {
                         builds.fetch_add(1, Ordering::SeqCst);
                         let program = benchmark("applu").unwrap().build();
-                        trace_program(&program, 3_000).unwrap()
+                        trace_program(&program, 3_000).unwrap().insns
                     })
                 })
             })

@@ -1,11 +1,11 @@
-//! Trace-store round trips at suite scale, cache fallthrough, and
-//! imported traces as plan-resolvable workloads.
+//! Trace-store round trips at suite scale, where a run's trace comes
+//! from, and imported traces as plan-resolvable workloads.
 //!
 //! The load-bearing guarantee: a trace pulled back out of the on-disk
 //! store is **bit-identical** — dynamic instruction stream and whole-run
 //! facts — to what the emulator produces fresh, for every benchmark in
-//! the suite. Anything less and warm-started simulations would silently
-//! diverge from cold ones.
+//! the suite; and a suite benchmark's run never reads the store, so a
+//! file stored under its name cannot stand in for it.
 
 use std::path::PathBuf;
 
@@ -42,39 +42,63 @@ fn all_suite_traces_round_trip_bit_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The cache fallthrough contract: miss → emulate + persist; a second
-/// (fresh) cache over the same store decodes instead of emulating, and
-/// hands back the identical stream. `bytes()` tracks what's held either
-/// way, and dropping the last holder frees memory but not the store.
+/// A suite name always emulates: a store holding mcf's trace filed as
+/// `gzip/<len>.trc` (what importing mcf under the name gzip once wrote)
+/// leaves the gzip run's trace equal to a fresh gzip emulation.
+#[test]
+fn a_stored_trace_under_a_suite_name_is_never_read() {
+    let (db, dir) = temp_db("shadow");
+    let len = 7_000u64;
+    let emulate = |name| trace_program(&benchmark(name).unwrap().build(), len as usize).unwrap();
+    assert!(db.save("gzip", len, &emulate("mcf")));
+    let got = cached_trace_via("gzip", len, Some(&db));
+    assert_eq!(*got, emulate("gzip").insns, "gzip ran on the stored file");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The cache fallthrough contract for a stored trace: a miss decodes
+/// from the store, a second request shares the live trace instead of
+/// decoding again, and dropping the last holder frees memory but not the
+/// store, so the next request goes back to it. The cache itself never
+/// writes a store: building a key leaves no file behind.
 #[test]
 fn cache_falls_through_to_store_and_back() {
     let (db, dir) = temp_db("fallthrough");
     let len = 9_000u64;
+    let fresh = trace_program(&benchmark("swim").unwrap().build(), len as usize).unwrap();
+    assert!(db.save("ext", len, &fresh));
 
-    let cold = TraceCache::new();
-    let from_emu = cold.get_or_build_via("swim", len, Some(&db), || {
-        trace_program(&benchmark("swim").unwrap().build(), len as usize).unwrap()
-    });
-    let cs = cold.stats();
-    assert_eq!((cs.built, cs.db_hits), (1, 0));
-    assert!(db.contains("swim", len), "cold build must persist");
-    assert!(cold.bytes() > 0, "bytes() must account the held trace");
+    let cache = TraceCache::new();
+    let loaded = cache
+        .get_or_load("ext", len, || db.load("ext", len))
+        .unwrap();
+    assert_eq!(*loaded, fresh.insns, "decoded and emulated traces differ");
+    let shared = cache
+        .get_or_load("ext", len, || panic!("a live trace must be shared"))
+        .unwrap();
+    let s = cache.stats();
+    assert_eq!((s.built, s.db_hits, s.live), (0, 1, 1));
+    assert!(cache.bytes() > 0, "bytes() must account the held trace");
 
-    let warm = TraceCache::new();
-    let from_db = warm.get_or_build_via("swim", len, Some(&db), || {
-        panic!("warm start must not emulate")
-    });
-    let ws = warm.stats();
-    assert_eq!((ws.built, ws.db_hits), (0, 1));
-    assert_eq!(from_db, from_emu, "decoded and emulated traces differ");
-    assert_eq!(warm.bytes(), cold.bytes());
-
-    drop(from_db);
-    assert_eq!(warm.bytes(), 0);
+    drop((loaded, shared));
+    assert_eq!(cache.bytes(), 0);
     assert!(
-        db.contains("swim", len),
+        db.contains("ext", len),
         "dropping a trace frees memory, not the on-disk store"
     );
+    let again = cache
+        .get_or_load("ext", len, || db.load("ext", len))
+        .unwrap();
+    assert_eq!(*again, fresh.insns);
+    assert_eq!(
+        cache.stats().db_hits,
+        2,
+        "the next miss goes back to the store"
+    );
+
+    let built = cache.get_or_build("swim", len, || fresh.insns.clone());
+    assert_eq!(*built, fresh.insns);
+    assert!(!db.contains("swim", len), "the cache wrote a trace store");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -121,8 +145,8 @@ fn imported_trace_is_a_plan_resolvable_workload() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Warm-starting a sweep through the store must not change results:
-/// same grid, cold store vs pre-populated store, bit-identical runs.
+/// A store that already holds the suite traces must not change results:
+/// same grid, no store vs a pre-populated store, bit-identical runs.
 #[test]
 fn warm_started_sweep_matches_cold() {
     let (db, dir) = temp_db("sweepwarm");
@@ -143,18 +167,23 @@ fn warm_started_sweep_matches_cold() {
         .budget(budget);
 
     let cold = Session::with_store(ResultStore::ephemeral())
-        .with_trace_store(db.clone())
+        .without_trace_store()
         .with_jobs(1)
         .run(&plan)
         .unwrap();
-    // Store now holds both traces; a second session decodes instead of
-    // emulating (asserted by the cache fallthrough test above — here we
-    // assert the *results* cannot tell the difference).
+    let len = budget.trace_len();
+    for name in ["gzip", "swim"] {
+        let t = trace_program(&benchmark(name).unwrap().build(), len as usize).unwrap();
+        assert!(db.save(name, len, &t));
+    }
     let warm = Session::with_store(ResultStore::ephemeral())
         .with_trace_store(db.clone())
         .with_jobs(1)
         .run(&plan)
         .unwrap();
-    assert_eq!(cold, warm, "warm-start changed simulation results");
+    assert_eq!(
+        cold, warm,
+        "a populated trace store changed simulation results"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

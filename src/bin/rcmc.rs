@@ -6,9 +6,9 @@
 //! rcmc compare galgel --jobs 2      # Ring vs Conv side by side
 //! rcmc disasm mcf --limit 40        # static code of a surrogate benchmark
 //! rcmc trace view gzip --from 500 --len 24 [--config NAME]
-//! rcmc trace record swim            # emulate + persist to the trace store
+//! rcmc trace record swim            # write a suite trace to a .trc file
 //! rcmc trace import f.trc --name x  # adopt an externally captured trace
-//! rcmc trace list | verify | rm     # manage the on-disk trace store
+//! rcmc trace list | verify | rm     # manage the store of imported traces
 //! rcmc figures --jobs 8             # Tables 1-3, Figures 3-14 (+ workload mix)
 //! rcmc csv --out sweep.csv          # main sweep as CSV
 //! rcmc layout                       # §3.2 area/floorplan study
@@ -26,11 +26,15 @@
 //! else all cores) sizes the pool, and results are bit-identical at any
 //! worker count. Unknown flags and unparsable flag values are hard errors
 //! (exit code 2), not silently ignored.
+//!
+//! Suite benchmarks are always emulated; the trace store (`--trace-store
+//! DIR`, else `RCMC_TRACE_DIR`, else `target/rcmc-traces`) holds imported
+//! traces only.
 
 use std::collections::HashMap;
 
 use ring_clustered::core::{Core, PipeTracer};
-use ring_clustered::emu::{trace_program, TraceDb};
+use ring_clustered::emu::{trace_program, TraceDb, TraceDbError};
 use ring_clustered::sim::experiments::{self, plans};
 use ring_clustered::sim::plan::ConfigSpec;
 use ring_clustered::sim::runner::{
@@ -48,12 +52,11 @@ fn main() {
         return;
     };
     let flags = match cmd.as_str() {
-        "list" | "layout" => parse_flags(cmd, &args[1..], &[], &[]),
+        "list" | "layout" => parse_flags(cmd, &args[1..], &[]),
         "serve" => parse_flags(
             cmd,
             &args[1..],
             &["jobs", "store", "queue-limit", "progress", "trace-store"],
-            &["no-trace-store"],
         ),
         "run" => parse_flags(
             cmd,
@@ -68,11 +71,10 @@ fn main() {
                 "jobs",
                 "trace-store",
             ],
-            &["no-trace-store"],
         ),
-        "machines" => parse_flags(cmd, &args[1..], &[], &[]),
-        "compare" => parse_flags(cmd, &args[1..], &["instrs", "warmup", "jobs"], &[]),
-        "disasm" => parse_flags(cmd, &args[1..], &["limit"], &[]),
+        "machines" => parse_flags(cmd, &args[1..], &[]),
+        "compare" => parse_flags(cmd, &args[1..], &["instrs", "warmup", "jobs"]),
+        "disasm" => parse_flags(cmd, &args[1..], &["limit"]),
         "trace" => {
             // Flag vocabulary depends on the verb; `parse_flags` skips bare
             // words, so handing it the verb as a positional is harmless.
@@ -83,15 +85,14 @@ fn main() {
                 Some("rm") => &["len", "trace-store"],
                 _ => &["trace-store"], // list | verify | errors
             };
-            parse_flags(cmd, &args[1..], allowed, &[])
+            parse_flags(cmd, &args[1..], allowed)
         }
-        "figures" | "report" => parse_flags(cmd, &args[1..], &["jobs"], &[]),
-        "csv" => parse_flags(cmd, &args[1..], &["out", "jobs"], &[]),
+        "figures" | "report" => parse_flags(cmd, &args[1..], &["jobs"]),
+        "csv" => parse_flags(cmd, &args[1..], &["out", "jobs"]),
         "plan" => parse_flags(
             cmd,
             &args[1..],
             &["jobs", "out", "store", "machine", "trace-store"],
-            &["no-trace-store"],
         ),
         other => {
             eprintln!("unknown command '{other}'\n");
@@ -131,10 +132,11 @@ fn usage() {
          \x20 disasm <bench> [--limit N]    static surrogate code\n\
          \x20 trace view <bench> [--from I] [--len N] [--config NAME]\n\
          \x20                               cycle-by-cycle pipeline view\n\
-         \x20 trace record <bench> [--len N]   emulate + persist to the trace store\n\
+         \x20 trace record <bench> [--len N]   write a suite trace to a .trc file\n\
+         \x20                               (for `trace import`; runs emulate)\n\
          \x20 trace import <file> [--name N]   adopt an external .trc as a workload\n\
          \x20 trace list | verify [name] | rm <name> [--len N]\n\
-         \x20                               manage the on-disk trace store\n\
+         \x20                               manage the store of imported traces\n\
          \x20 figures [--jobs N]            Tables 1-3, Figures 3-14, workload mix\n\
          \x20 csv [--out FILE] [--jobs N]   dump the main sweep as CSV\n\
          \x20 layout                        area + floorplan study\n\
@@ -153,16 +155,15 @@ fn usage() {
          \x20                               concurrent JSON-lines request loop on\n\
          \x20                               stdin/stdout (see README 'Serve concurrency')\n\
          \n\
-         run, plan run, serve and every trace verb also accept\n\
-         \x20 --trace-store DIR             use an explicit on-disk trace store\n\
-         \x20 --no-trace-store              emulate everything, persist nothing\n\
-         \x20                               (not a trace verb flag)\n\
+         run, plan run, serve and every trace verb but view also accept\n\
+         \x20 --trace-store DIR             where imported traces live (suite\n\
+         \x20                               benchmarks are always emulated)\n\
          \n\
          environment:\n\
          \x20 RCMC_INSTRS / RCMC_WARMUP     default measurement window\n\
          \x20 RCMC_JOBS                     default sweep worker count (else all cores)\n\
-         \x20 RCMC_TRACE_DIR                trace store directory ('off' disables;\n\
-         \x20                               default target/rcmc-traces)\n\
+         \x20 RCMC_TRACE_DIR                trace store directory\n\
+         \x20                               (default target/rcmc-traces)\n\
          \n\
          --jobs parallelizes sweeps; `run` accepts it for symmetry but a single\n\
          run always uses one worker.\n\
@@ -177,25 +178,14 @@ fn usage() {
     );
 }
 
-/// Parse `--flag value` pairs plus bare `--switch` toggles, rejecting
-/// flags outside `allowed`/`switches` and value flags with a missing
-/// value. Bare words (positionals) pass through untouched; a present
-/// switch maps to `"true"`.
-fn parse_flags(
-    cmd: &str,
-    rest: &[String],
-    allowed: &[&str],
-    switches: &[&str],
-) -> HashMap<String, String> {
+/// Parse `--flag value` pairs, rejecting flags outside `allowed` and
+/// flags with a missing value. Bare words (positionals) pass through
+/// untouched.
+fn parse_flags(cmd: &str, rest: &[String], allowed: &[&str]) -> HashMap<String, String> {
     let mut out = HashMap::new();
     let mut i = 0;
     while i < rest.len() {
         if let Some(key) = rest[i].strip_prefix("--") {
-            if switches.contains(&key) {
-                out.insert(key.to_string(), "true".to_string());
-                i += 1;
-                continue;
-            }
             if !allowed.contains(&key) {
                 eprintln!("unknown flag '--{key}' for '{cmd}'\n");
                 usage();
@@ -276,32 +266,13 @@ fn session_from(flags: &HashMap<String, String>) -> Session {
         .with_progress(Progress::Stderr)
 }
 
-/// Resolve `--trace-store DIR` / `--no-trace-store` (default: the
-/// process-wide store, itself governed by `RCMC_TRACE_DIR`).
-fn trace_db_from(flags: &HashMap<String, String>) -> Option<TraceDb> {
-    if flags.contains_key("no-trace-store") {
-        return None;
-    }
+/// The store of imported traces: `--trace-store DIR`, else the
+/// process-wide store (`RCMC_TRACE_DIR`, else `target/rcmc-traces`).
+fn trace_db_from(flags: &HashMap<String, String>) -> TraceDb {
     match flags.get("trace-store") {
-        Some(dir) => Some(TraceDb::at(dir.into())),
-        None => default_trace_db().cloned(),
+        Some(dir) => TraceDb::at(dir.into()),
+        None => default_trace_db().clone(),
     }
-}
-
-/// Apply [`trace_db_from`] to a session.
-fn with_trace_db(session: Session, flags: &HashMap<String, String>) -> Session {
-    match trace_db_from(flags) {
-        Some(db) => session.with_trace_store(db),
-        None => session.without_trace_store(),
-    }
-}
-
-/// The trace-management verbs need a concrete store; explain the escape
-/// hatches if the default one is disabled.
-fn trace_db_required(flags: &HashMap<String, String>) -> TraceDb {
-    trace_db_from(flags).unwrap_or_else(|| {
-        die("the trace store is disabled (RCMC_TRACE_DIR); pass --trace-store DIR".to_string())
-    })
 }
 
 /// The axes spec of a known configuration (`--config NAME`).
@@ -376,7 +347,7 @@ fn run(args: &[String], flags: &HashMap<String, String>) {
         .remove(0);
     let budget = budget_from(flags);
     let _ = jobs_from(flags); // validated; a single run always uses one worker
-    let session = with_trace_db(Session::new(), flags);
+    let session = Session::new().with_trace_store(trace_db_from(flags));
     check_workload(&bench, session.trace_db()).unwrap_or_else(die);
     let r = session.run_one(&cfg, &bench, &budget);
     println!(
@@ -457,6 +428,15 @@ fn trace_view(args: &[String], flags: &HashMap<String, String>) {
     let bench = positional(args, 2, "benchmark name");
     let from: u32 = num_flag(flags, "from").unwrap_or(1000);
     let len: u32 = num_flag(flags, "len").unwrap_or(24);
+    if len == 0 {
+        eprintln!("--len must be at least 1");
+        std::process::exit(2);
+    }
+    let Some(end) = from.checked_add(len) else {
+        eprintln!("--from + --len must fit in 32 bits");
+        std::process::exit(2);
+    };
+    check_workload(&bench, Some(default_trace_db())).unwrap_or_else(die);
     let cfg_name = flags
         .get("config")
         .cloned()
@@ -465,22 +445,21 @@ fn trace_view(args: &[String], flags: &HashMap<String, String>) {
         .resolve()
         .unwrap_or_else(die)
         .remove(0);
-    let trace = cached_trace(&bench, (from + len) as u64 + 50_000);
+    let trace = cached_trace(&bench, end as u64 + 50_000);
     let mut core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
-    core.attach_tracer(PipeTracer::new(from, from + len));
-    core.run((from + len) as u64 + 20_000);
+    core.attach_tracer(PipeTracer::new(from, end));
+    core.run(end as u64 + 20_000);
     let tracer = core.take_tracer().unwrap();
-    println!(
-        "{bench} on {cfg_name}, dynamic instructions {from}..{}",
-        from + len
-    );
+    println!("{bench} on {cfg_name}, dynamic instructions {from}..{end}");
     print!("{}", tracer.render(&trace, 100));
     let (wait, lat) = tracer.latency_summary();
     println!("mean dispatch→issue wait {wait:.1} cycles; mean issue→complete {lat:.1} cycles");
 }
 
 /// `rcmc trace record <bench> [--len N]` — emulate a suite benchmark and
-/// persist its oracle trace, making later runs (any process) warm-start.
+/// write its oracle trace to `<store>/<bench>/<len>.trc`, a file to hand
+/// to `trace import` (runs of a suite benchmark always emulate; they
+/// never read this file).
 fn trace_record(args: &[String], flags: &HashMap<String, String>) {
     let bench = positional(args, 2, "benchmark name");
     let Some(b) = benchmark(&bench) else {
@@ -488,7 +467,7 @@ fn trace_record(args: &[String], flags: &HashMap<String, String>) {
         std::process::exit(1);
     };
     let len: u64 = num_flag(flags, "len").unwrap_or_else(|| Budget::default().trace_len());
-    let db = trace_db_required(flags);
+    let db = trace_db_from(flags);
     let trace =
         trace_program(&b.build(), len as usize).unwrap_or_else(|e| die(format!("{bench}: {e}")));
     let n = trace.insns.len();
@@ -509,19 +488,24 @@ fn trace_record(args: &[String], flags: &HashMap<String, String>) {
 fn trace_import(args: &[String], flags: &HashMap<String, String>) {
     let path = positional(args, 2, "trace file");
     let bytes = std::fs::read(&path).unwrap_or_else(|e| die(format!("cannot read '{path}': {e}")));
-    let db = trace_db_required(flags);
-    match db.import(&bytes, flags.get("name").map(String::as_str)) {
+    let db = trace_db_from(flags);
+    let suite_name = |name: &str| benchmark(name).is_some();
+    match db.import_unless(&bytes, flags.get("name").map(String::as_str), suite_name) {
         Ok((name, len)) => println!(
             "imported '{path}' as workload '{name}' ({len} instructions); \
              run it like any benchmark: `rcmc run {name}`"
         ),
+        Err(TraceDbError::ReservedName(name)) => die(format!(
+            "cannot import '{path}' as '{name}': '{name}' is a suite benchmark, whose \
+             runs always emulate, so no run would read it (pick another --name)"
+        )),
         Err(e) => die(format!("invalid trace file '{path}': {e}")),
     }
 }
 
 /// `rcmc trace list` — catalog the store.
 fn trace_list(flags: &HashMap<String, String>) {
-    let db = trace_db_required(flags);
+    let db = trace_db_from(flags);
     let metas = db.list();
     if metas.is_empty() {
         println!("trace store {} is empty", db.dir().display());
@@ -547,7 +531,7 @@ fn trace_list(flags: &HashMap<String, String>) {
 /// `rcmc trace rm <name> [--len N]` — evict stored traces.
 fn trace_rm(args: &[String], flags: &HashMap<String, String>) {
     let name = positional(args, 2, "workload name");
-    let db = trace_db_required(flags);
+    let db = trace_db_from(flags);
     let removed = db.remove(&name, num_flag(flags, "len"));
     println!("removed {removed} trace file(s) for '{name}'");
     if removed == 0 {
@@ -558,7 +542,7 @@ fn trace_rm(args: &[String], flags: &HashMap<String, String>) {
 /// `rcmc trace verify [<name>]` — strict-decode every stored trace (full
 /// per-record ISA validation, not just the checksum) and report damage.
 fn trace_verify(args: &[String], flags: &HashMap<String, String>) {
-    let db = trace_db_required(flags);
+    let db = trace_db_from(flags);
     let only = args.get(2).filter(|a| !a.starts_with("--"));
     let metas: Vec<_> = db
         .list()
@@ -685,16 +669,15 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
                 Some(jobs) => plan = plan.jobs(jobs),
                 None => {}
             }
-            // `--store DIR` isolates result memoization (CI uses separate
-            // stores with one shared trace store to prove warm-starting).
+            // `--store DIR` isolates result memoization (CI runs one plan
+            // twice on separate stores, so both runs simulate).
             let store = match flags.get("store") {
                 Some(dir) => ResultStore::at(dir.into()),
                 None => ResultStore::open_default(),
             };
-            let session = with_trace_db(
-                Session::with_store(store).with_progress(Progress::Stderr),
-                flags,
-            );
+            let session = Session::with_store(store)
+                .with_progress(Progress::Stderr)
+                .with_trace_store(trace_db_from(flags));
             let (cfgs, benches) = plan.resolve_in(session.trace_db()).unwrap_or_else(die);
             eprintln!(
                 "plan '{}': {} configurations × {} benchmarks",
@@ -767,10 +750,9 @@ fn serve_cmd(flags: &HashMap<String, String>) {
         Some(dir) => ResultStore::at(dir.into()),
         None => ResultStore::open_default(),
     };
-    let mut session = with_trace_db(
-        Session::with_store(store).with_jobs(jobs_from(flags)),
-        flags,
-    );
+    let mut session = Session::with_store(store)
+        .with_jobs(jobs_from(flags))
+        .with_trace_store(trace_db_from(flags));
     // Default stays silent: serve streams its own JSON progress events.
     // `--progress stderr` additionally mirrors the labelled status line.
     match flags.get("progress").map(String::as_str) {

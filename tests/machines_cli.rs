@@ -57,13 +57,12 @@ fn machines_show_details_one_family_and_rejects_unknown() {
 }
 
 /// `rcmc run swim <flags>` (space-separated) on a tiny window, against a
-/// private target directory and no trace store.
+/// private target directory.
 fn run(tag: &str, flags: &str) -> Output {
     let target = temp_dir(tag);
     let out = rcmc()
         .env("CARGO_TARGET_DIR", &target)
         .args(["run", "swim", "--instrs", "2000", "--warmup", "500"])
-        .arg("--no-trace-store")
         .args(flags.split_whitespace())
         .output()
         .unwrap();

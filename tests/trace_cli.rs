@@ -163,42 +163,76 @@ fn import_under_new_name_and_run_it() {
 #[test]
 fn no_trace_store_leaves_no_files() {
     let dir = temp_store("off");
-    let store = dir.to_str().unwrap();
     let target = temp_store("off-target");
-    // RCMC_TRACE_DIR would normally populate `dir`; the escape hatch
-    // must win over the environment. The result store is redirected so
-    // both invocations really simulate (a memoized result would build
-    // no trace at all).
+    // A suite benchmark is always emulated: the trace store RCMC_TRACE_DIR
+    // names is neither read nor written. The result store is redirected so
+    // the run really simulates (a memoized result would build no trace).
     let run = rcmc()
-        .env("RCMC_TRACE_DIR", store)
+        .env("RCMC_TRACE_DIR", &dir)
         .env("CARGO_TARGET_DIR", &target)
-        .args([
-            "run",
-            "swim",
-            "--instrs",
-            "2000",
-            "--warmup",
-            "500",
-            "--no-trace-store",
-        ])
-        .output()
-        .unwrap();
-    assert!(run.status.success(), "{run:?}");
-    assert!(!dir.exists(), "--no-trace-store must not write {dir:?}");
-
-    // Without the escape hatch the same run persists the trace (fresh
-    // result store again — same reasoning).
-    let target2 = temp_store("off-target2");
-    let run2 = rcmc()
-        .env("RCMC_TRACE_DIR", store)
-        .env("CARGO_TARGET_DIR", &target2)
         .args(["run", "swim", "--instrs", "2000", "--warmup", "500"])
         .output()
         .unwrap();
-    assert!(run2.status.success(), "{run2:?}");
-    assert!(dir.join("swim").exists(), "default-on store must persist");
-    for d in [&dir, &target, &target2] {
+    assert!(run.status.success(), "{run:?}");
+    assert!(!dir.exists(), "a suite run must not write {dir:?}");
+    for d in [&dir, &target] {
         let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+#[test]
+fn import_under_a_suite_name_exits_1_and_writes_nothing() {
+    let rec_dir = temp_store("suite-rec");
+    let dir = temp_store("suite-imp");
+    let rec = rcmc()
+        .args(["trace", "record", "mcf", "--len", "3000", "--trace-store"])
+        .arg(&rec_dir)
+        .output()
+        .unwrap();
+    assert!(rec.status.success(), "{rec:?}");
+    let captured = rec_dir.join("mcf").join("3000.trc");
+    // Renamed onto a suite benchmark, or keeping the suite name embedded
+    // in the file: either way no run could ever read the import.
+    for (rename, name) in [(Some("gzip"), "gzip"), (None, "mcf")] {
+        let mut cmd = rcmc();
+        cmd.args(["trace", "import"]).arg(&captured);
+        if let Some(n) = rename {
+            cmd.args(["--name", n]);
+        }
+        let imp = cmd.arg("--trace-store").arg(&dir).output().unwrap();
+        assert_eq!(imp.status.code(), Some(1), "{imp:?}");
+        let err = String::from_utf8_lossy(&imp.stderr);
+        assert!(
+            err.contains(&format!("'{name}' is a suite benchmark")),
+            "{err}"
+        );
+        assert!(!err.contains("panicked"), "{err}");
+    }
+    assert!(!dir.exists(), "a refused import must not write {dir:?}");
+    let _ = std::fs::remove_dir_all(&rec_dir);
+}
+
+#[test]
+fn trace_view_rejects_bad_input_without_panicking() {
+    // An unknown workload is a user error (exit 1, `rcmc run`'s message);
+    // an empty window is a bad flag value (exit 2).
+    let unknown = rcmc().args(["trace", "view", "nope"]).output().unwrap();
+    assert_eq!(unknown.status.code(), Some(1), "{unknown:?}");
+    let err = String::from_utf8_lossy(&unknown.stderr);
+    assert!(err.contains("unknown benchmark 'nope'"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+
+    // So is a window past the end of the 32-bit instruction index.
+    for window in [["--len", "0"], ["--from", "4294967295"]] {
+        let bad = rcmc()
+            .args(["trace", "view", "gzip"])
+            .args(window)
+            .output()
+            .unwrap();
+        assert_eq!(bad.status.code(), Some(2), "{window:?}: {bad:?}");
+        let err = String::from_utf8_lossy(&bad.stderr);
+        assert!(err.contains("--len"), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
     }
 }
 
