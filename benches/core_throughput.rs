@@ -39,7 +39,7 @@ use ring_clustered::core::config::DistanceLut;
 use ring_clustered::core::steering::{self, SteerCtx};
 use ring_clustered::core::value::ValueTable;
 use ring_clustered::core::{Core, CoreConfig, Steering, Topology};
-use ring_clustered::emu::DynInsn;
+use ring_clustered::emu::Trace;
 use ring_clustered::sim::config::{
     make, make_pair, steering_name, topology_name, SimConfig, ALL_STEERINGS, ALL_TOPOLOGIES,
 };
@@ -74,7 +74,7 @@ fn round(x: f64, places: i32) -> Value {
 /// One measurement pass over both benchmarks' traces: total (cycles,
 /// committed, skipped, whole-run cycles, wall seconds).
 fn run_mode(
-    traces: &[Arc<Vec<DynInsn>>],
+    traces: &[Arc<Trace>],
     cfg: &SimConfig,
     budget: &Budget,
     event_driven: bool,
@@ -100,7 +100,7 @@ fn run_mode(
 }
 
 /// Per-topology rows (both modes), cluster scaling and the machine grid.
-fn core_throughput(traces: &[Arc<Vec<DynInsn>>], budget: &Budget) -> Vec<(&'static str, Value)> {
+fn core_throughput(traces: &[Arc<Trace>], budget: &Budget) -> Vec<(&'static str, Value)> {
     let mut rows: Vec<(String, SimConfig)> = ALL_TOPOLOGIES
         .iter()
         .map(|&t| (topology_name(t).to_string(), make(t, 8, 2, 1)))
@@ -225,7 +225,7 @@ fn core_throughput(traces: &[Arc<Vec<DynInsn>>], budget: &Budget) -> Vec<(&'stat
 }
 
 /// One event-driven run per (steering policy × topology) pair.
-fn steering_cross(traces: &[Arc<Vec<DynInsn>>], budget: &Budget) -> Value {
+fn steering_cross(traces: &[Arc<Trace>], budget: &Budget) -> Value {
     println!("\nSteering-cross throughput (serial, one core, 8clus_1bus_2IW)");
     println!("-------------------------------------------------------------");
     let mut pairs = Vec::new();

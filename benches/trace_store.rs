@@ -15,13 +15,15 @@
 //! other BENCH files): `emulate_s` and `decode_s` (median seconds per
 //! pass, with `_q1`/`_q3` quartiles), `emulate_minsns_per_s`,
 //! `decode_MBps`, the on-disk `bytes_per_insn` next to the flat v1 figure
-//! the format v2 zero-run codec replaces, and `_meta` (`nproc`, git
-//! revision, reps, window).
+//! the format v2 zero-run codec replaces, the in-memory
+//! `mem_bytes_per_insn` of an emulated trace (16-byte records plus its
+//! share of the static table), and `_meta` (`nproc`, git revision, reps,
+//! window).
 
 use std::path::Path;
 use std::time::Instant;
 
-use ring_clustered::emu::{trace_program, TraceDb};
+use ring_clustered::emu::{trace_program, DynInsn, TraceDb};
 use ring_clustered::sim::runner::{all_bench_names, Budget};
 use ring_clustered::workloads::benchmark;
 use serde::json::Value;
@@ -84,25 +86,24 @@ fn main() {
 
     // Untimed: fill the store, and check every stored trace against the
     // emulation it came from.
-    let mut insns = 0u64;
+    let (mut insns, mut mem_bytes) = (0u64, 0u64);
     for name in &names {
         let fresh = emulate(name);
         assert!(db.save(name, len, &fresh), "{name}: save failed");
         let stored = db.load_full(name, len).expect("stored trace validates");
-        assert_eq!(stored.insns, fresh.insns, "{name}: dynamic stream differs");
-        assert_eq!(stored.halted, fresh.halted, "{name}: halted flag differs");
-        assert_eq!(
-            stored.static_insns, fresh.static_insns,
-            "{name}: static count differs"
+        assert!(
+            stored == fresh,
+            "{name}: logical stream or whole-run facts differ"
         );
-        insns += fresh.insns.len() as u64;
+        insns += fresh.len() as u64;
+        mem_bytes += fresh.bytes() as u64;
     }
     let bytes: u64 = db.list().iter().map(|m| m.bytes).sum();
 
     let emulate_pass = || {
         let t0 = Instant::now();
         for name in &names {
-            assert!(!emulate(name).insns.is_empty(), "{name}: empty trace");
+            assert!(!emulate(name).is_empty(), "{name}: empty trace");
         }
         t0.elapsed().as_secs_f64()
     };
@@ -148,6 +149,15 @@ fn main() {
         bytes_per_insn < bytes_per_insn_flat,
         "v2 zero-run codec did not beat the flat v1 record size"
     );
+    // In memory: 16-byte records over a per-trace static table, against the
+    // 32-byte logical record a trace would hold without the table.
+    let logical_bytes = std::mem::size_of::<DynInsn>();
+    let mem_bytes_per_insn = mem_bytes as f64 / insns as f64;
+    println!("  {mem_bytes_per_insn:.4} B/insn in memory (logical record: {logical_bytes} B/insn)");
+    assert!(
+        mem_bytes_per_insn < logical_bytes as f64,
+        "the compact trace is no smaller than its logical records"
+    );
 
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -176,6 +186,7 @@ fn main() {
         ("decode_MBps", num(decode_mbps)),
         ("bytes_per_insn_flat", num(bytes_per_insn_flat)),
         ("bytes_per_insn", num(bytes_per_insn)),
+        ("mem_bytes_per_insn", num(mem_bytes_per_insn)),
     ]);
     let path = root.join("BENCH_trace.json");
     let tmp = path.with_extension("json.tmp");

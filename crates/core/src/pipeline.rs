@@ -49,7 +49,7 @@
 
 use std::collections::VecDeque;
 
-use rcmc_emu::DynInsn;
+use rcmc_emu::{StaticInsn, Trace, TraceRec};
 use rcmc_isa::{FuKind, InsnClass, Opcode, Reg, NUM_ARCH_REGS};
 use rcmc_uarch::{FrontEndPredictor, MemConfig, MemHierarchy, PredictorConfig};
 
@@ -121,7 +121,9 @@ enum DispatchIdle {
 /// [`Core::run`] or [`Core::run_with_warmup`].
 pub struct Core<'t> {
     cfg: CoreConfig,
-    trace: &'t [DynInsn],
+    /// The trace's records and static table (what the hot path reads).
+    recs: &'t [TraceRec],
+    statics: &'t [StaticInsn],
     mem: MemHierarchy,
     fe: FrontEndPredictor,
 
@@ -185,7 +187,7 @@ impl<'t> Core<'t> {
         cfg: CoreConfig,
         mem_cfg: MemConfig,
         pred_cfg: PredictorConfig,
-        trace: &'t [DynInsn],
+        trace: &'t Trace,
     ) -> Self {
         cfg.validate().expect("invalid core configuration");
         let n = cfg.n_clusters;
@@ -225,7 +227,8 @@ impl<'t> Core<'t> {
             skipped_cycles: 0,
             ready_mask: 0,
             comm_mask: 0,
-            trace,
+            recs: &trace.insns,
+            statics: &trace.statics,
             cfg,
             scratch_ready: Vec::new(),
             scratch_remove: Vec::new(),
@@ -244,6 +247,12 @@ impl<'t> Core<'t> {
     /// Detach and return the tracer.
     pub fn take_tracer(&mut self) -> Option<PipeTracer> {
         self.tracer.take()
+    }
+
+    /// The static instruction of trace record `trace_idx`.
+    #[inline]
+    fn static_of(&self, trace_idx: u32) -> StaticInsn {
+        self.statics[self.recs[trace_idx as usize].sid as usize]
     }
 
     #[inline]
@@ -318,7 +327,7 @@ impl<'t> Core<'t> {
 
     /// True when the trace is exhausted and the machine has fully drained.
     fn drained(&self) -> bool {
-        self.fetch_idx >= self.trace.len() && self.fetch_q.is_empty() && self.rob.is_empty()
+        self.fetch_idx >= self.recs.len() && self.fetch_q.is_empty() && self.rob.is_empty()
     }
 
     /// Run until `budget` instructions have committed, the program halts, or
@@ -404,12 +413,12 @@ impl<'t> Core<'t> {
                 }
                 Ev::LoadAddr { rob } => {
                     let e = *self.rob.get(rob);
-                    let addr = self.trace[e.trace_idx as usize].mem_addr;
+                    let addr = self.recs[e.trace_idx as usize].mem_addr;
                     self.lsq.load_addr_known(e.lsq, addr, self.now);
                 }
                 Ev::StoreReady { rob } => {
                     let e = *self.rob.get(rob);
-                    let addr = self.trace[e.trace_idx as usize].mem_addr;
+                    let addr = self.recs[e.trace_idx as usize].mem_addr;
                     self.lsq.store_ready(e.lsq, addr);
                     self.rob.get_mut(rob).done = true;
                     self.trace_mark(e.trace_idx, |r, now| r.complete = now);
@@ -451,7 +460,7 @@ impl<'t> Core<'t> {
                     self.stats.stalls.store_buf_full += 1;
                     break;
                 }
-                let addr = self.trace[head.trace_idx as usize].mem_addr;
+                let addr = self.recs[head.trace_idx as usize].mem_addr;
                 self.store_buf.push_back(addr);
                 self.lsq.release(head.lsq);
             }
@@ -736,8 +745,7 @@ impl<'t> Core<'t> {
     /// Attempt to dispatch one instruction; false = stall (nothing
     /// allocated).
     fn try_dispatch_one(&mut self, trace_idx: u32) -> bool {
-        let d = &self.trace[trace_idx as usize];
-        let insn = d.insn;
+        let insn = self.static_of(trace_idx).insn;
         let class = insn.class();
 
         if !self.rob.has_space() {
@@ -999,7 +1007,7 @@ impl<'t> Core<'t> {
             return;
         }
         let can_fetch = self.fetch_stalled_on.is_none()
-            && self.fetch_idx < self.trace.len()
+            && self.fetch_idx < self.recs.len()
             && self.fetch_q.len() < self.cfg.fetch_queue;
         if can_fetch && self.fetch_resume <= self.now {
             return;
@@ -1084,7 +1092,7 @@ impl<'t> Core<'t> {
         if !self.rob.has_space() {
             return DispatchIdle::RobFull;
         }
-        let insn = self.trace[trace_idx as usize].insn;
+        let insn = self.static_of(trace_idx).insn;
         let class = insn.class();
         if matches!(class, InsnClass::Nop | InsnClass::Halt) {
             return DispatchIdle::Dispatches;
@@ -1124,15 +1132,15 @@ impl<'t> Core<'t> {
             return;
         }
         for _ in 0..self.cfg.fetch_width {
-            if self.fetch_idx >= self.trace.len() {
+            if self.fetch_idx >= self.recs.len() {
                 return;
             }
             if self.fetch_q.len() >= self.cfg.fetch_queue {
                 return;
             }
             let ti = self.fetch_idx;
-            let d = self.trace[ti];
-            // Instruction-cache: one access per new 32-byte line.
+            let d = self.recs[ti].logical(self.statics);
+            // Instruction cache: one access per new `l1i.line`-byte line.
             let line = (d.pc as u64 * rcmc_isa::INSN_BYTES) / self.mem.cfg.l1i.line as u64;
             if line != self.last_fetch_line {
                 let lat = self.mem.access_inst(d.pc as u64 * rcmc_isa::INSN_BYTES);

@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests on small hand-built programs.
 
 use rcmc_asm::Asm;
-use rcmc_emu::{trace_program, DynInsn};
+use rcmc_emu::{trace_program, Trace};
 use rcmc_isa::Reg;
 use rcmc_uarch::{MemConfig, PredictorConfig};
 
@@ -16,7 +16,7 @@ fn f(n: u8) -> Reg {
     Reg::fp(n)
 }
 
-fn run_trace(cfg: CoreConfig, trace: &[DynInsn]) -> Stats {
+fn run_trace(cfg: CoreConfig, trace: &Trace) -> Stats {
     let mut core = Core::new(cfg, MemConfig::default(), PredictorConfig::default(), trace);
     core.run(u64::MAX).clone()
 }
@@ -47,7 +47,7 @@ fn conv_cfg(n: usize) -> CoreConfig {
 /// times (looping keeps the I-cache warm, like the paper's steady-state
 /// measurement windows; straight-line cold code would measure the memory
 /// system, not the back end).
-fn serial_chain(iters: usize) -> Vec<DynInsn> {
+fn serial_chain(iters: usize) -> Trace {
     let mut a = Asm::new();
     a.movi(r(1), 0);
     a.movi(r(10), iters as i32);
@@ -59,11 +59,11 @@ fn serial_chain(iters: usize) -> Vec<DynInsn> {
     a.bne(r(10), r(0), top);
     a.halt();
     let p = a.assemble().unwrap();
-    trace_program(&p, 32 * iters + 64).unwrap().insns
+    trace_program(&p, 32 * iters + 64).unwrap()
 }
 
 /// `width` independent chains interleaved, looped.
-fn parallel_chains(width: usize, iters: usize) -> Vec<DynInsn> {
+fn parallel_chains(width: usize, iters: usize) -> Trace {
     let mut a = Asm::new();
     for w in 0..width {
         a.movi(r(1 + w as u8), 0);
@@ -80,9 +80,7 @@ fn parallel_chains(width: usize, iters: usize) -> Vec<DynInsn> {
     a.bne(r(10), r(0), top);
     a.halt();
     let p = a.assemble().unwrap();
-    trace_program(&p, (4 * width + 4) * iters + 64)
-        .unwrap()
-        .insns
+    trace_program(&p, (4 * width + 4) * iters + 64).unwrap()
 }
 
 #[test]
@@ -163,7 +161,7 @@ fn fp_chain_uses_fp_pipe() {
     }
     a.halt();
     let p = a.assemble().unwrap();
-    let t = trace_program(&p, 4096).unwrap().insns;
+    let t = trace_program(&p, 4096).unwrap();
     let s = run_trace(ring_cfg(4), &t);
     assert_eq!(s.committed_fp, 101); // fcvtif + 100 fadd
     assert!(s.issued_fp >= 101);
@@ -191,7 +189,7 @@ fn load_store_roundtrip_commits() {
     a.bne(r(10), r(0), top);
     a.halt();
     let p = a.assemble().unwrap();
-    let t = trace_program(&p, 4096).unwrap().insns;
+    let t = trace_program(&p, 4096).unwrap();
     let s = run_trace(ring_cfg(4), &t);
     assert_eq!(s.committed_stores, 64);
     assert_eq!(s.committed_loads, 64);
@@ -210,7 +208,7 @@ fn branchy_loop_commits_and_predicts() {
     a.bne(r(1), r(0), top);
     a.halt();
     let p = a.assemble().unwrap();
-    let t = trace_program(&p, 4096).unwrap().insns;
+    let t = trace_program(&p, 4096).unwrap();
     let s = run_trace(ring_cfg(4), &t);
     assert_eq!(s.committed_branches, 200);
     // A simple countdown loop is near-perfectly predictable after warmup.
@@ -237,7 +235,7 @@ fn diamond_dependence_creates_comms_on_ring() {
     a.bne(r(10), r(0), top);
     a.halt();
     let p = a.assemble().unwrap();
-    let t = trace_program(&p, 4096).unwrap().insns;
+    let t = trace_program(&p, 4096).unwrap();
     let s = run_trace(ring_cfg(8), &t);
     assert_eq!(s.committed, t.len() as u64 - 1);
     assert!(
@@ -262,7 +260,7 @@ fn conv_and_ring_both_drain_without_watchdog() {
     a.bne(r(1), r(0), top);
     a.halt();
     let p = a.assemble().unwrap();
-    let t = trace_program(&p, 8192).unwrap().insns;
+    let t = trace_program(&p, 8192).unwrap();
     for cfg in [ring_cfg(4), ring_cfg(8), conv_cfg(4), conv_cfg(8)] {
         let s = run_trace(cfg, &t);
         assert_eq!(s.committed, 2 + 50 * 5);
@@ -318,7 +316,7 @@ fn mispredictions_cost_cycles() {
         a.bne(r(1), r(0), top);
         a.halt();
         let p = a.assemble().unwrap();
-        trace_program(&p, 1 << 14).unwrap().insns
+        trace_program(&p, 1 << 14).unwrap()
     };
     let random = mk(true);
     let stable = mk(false);
@@ -344,9 +342,9 @@ fn warmup_window_subtracts() {
 
 #[test]
 fn truncated_trace_without_halt_drains() {
-    let t = serial_chain(50);
-    let t = &t[..300]; // cut before halt
-    let s = run_trace(ring_cfg(4), t);
+    let mut t = serial_chain(50);
+    t.insns.truncate(300); // cut before halt
+    let s = run_trace(ring_cfg(4), &t);
     assert_eq!(s.committed, 300);
 }
 
@@ -363,7 +361,7 @@ fn comm_conservation() {
     }
     a.halt();
     let p = a.assemble().unwrap();
-    let t = trace_program(&p, 2048).unwrap().insns;
+    let t = trace_program(&p, 2048).unwrap();
     let s = run_trace(ring_cfg(8), &t);
     assert_eq!(s.comms_created, s.comms_issued);
 }
@@ -382,7 +380,7 @@ fn two_buses_reduce_contention() {
     }
     a.halt();
     let p = a.assemble().unwrap();
-    let t = trace_program(&p, 4096).unwrap().insns;
+    let t = trace_program(&p, 4096).unwrap();
     let mut one = ring_cfg(8);
     one.n_buses = 1;
     let mut two = ring_cfg(8);

@@ -16,7 +16,7 @@
 
 use std::fmt::Write as _;
 
-use rcmc_emu::DynInsn;
+use rcmc_emu::Trace;
 
 /// One traced instruction's lifecycle (cycle numbers; 0 = not reached).
 #[derive(Clone, Copy, Debug, Default)]
@@ -82,7 +82,7 @@ impl PipeTracer {
     ///
     /// Stage letters: `F`etch, `D`ispatch, `I`ssue, `C`omplete, `R`etire.
     /// The time axis is clipped to `max_width` columns.
-    pub fn render(&self, trace: &[DynInsn], max_width: usize) -> String {
+    pub fn render(&self, trace: &Trace, max_width: usize) -> String {
         let base = self
             .records
             .iter()
@@ -162,7 +162,7 @@ mod tests {
     use rcmc_isa::Reg;
     use rcmc_uarch::{MemConfig, PredictorConfig};
 
-    fn chain_trace() -> Vec<DynInsn> {
+    fn chain_trace() -> Trace {
         let mut a = Asm::new();
         let r = Reg::int;
         a.movi(r(1), 0);
@@ -174,7 +174,7 @@ mod tests {
         a.addi(r(9), r(9), -1);
         a.bne(r(9), r(0), top);
         a.halt();
-        trace_program(&a.assemble().unwrap(), 4096).unwrap().insns
+        trace_program(&a.assemble().unwrap(), 4096).unwrap()
     }
 
     #[test]
@@ -222,7 +222,7 @@ mod tests {
         // The serial addi chain advances one cluster per instruction.
         let mut clusters = Vec::new();
         for idx in 200..216 {
-            let d = &trace[idx as usize];
+            let d = trace.get(idx as usize).unwrap();
             if d.insn.to_string().starts_with("addi r1") {
                 clusters.push(tracer.get(idx).unwrap().cluster);
             }

@@ -11,7 +11,7 @@
 
 use rcmc_asm::Asm;
 use rcmc_core::{Core, CoreConfig, Steering, Topology};
-use rcmc_emu::{trace_program, DynInsn};
+use rcmc_emu::{trace_program, Trace};
 use rcmc_isa::Reg;
 use rcmc_uarch::{MemConfig, PredictorConfig};
 
@@ -19,7 +19,7 @@ fn r(n: u8) -> Reg {
     Reg::int(n)
 }
 
-fn run(cfg: CoreConfig, trace: &[DynInsn]) -> rcmc_core::Stats {
+fn run(cfg: CoreConfig, trace: &Trace) -> rcmc_core::Stats {
     let mut core = Core::new(cfg, MemConfig::default(), PredictorConfig::default(), trace);
     core.run(u64::MAX).clone()
 }
@@ -49,9 +49,7 @@ fn warm_serial_chain_cpi_is_one() {
     a.addi(r(9), r(9), -1);
     a.bne(r(9), r(0), top);
     a.halt();
-    let t = trace_program(&a.assemble().unwrap(), 1 << 14)
-        .unwrap()
-        .insns;
+    let t = trace_program(&a.assemble().unwrap(), 1 << 14).unwrap();
     let s = run(ring(8), &t);
     // 64 iterations x 18 instructions + 2 movi; chain-limited: ~1 cycle per
     // chain instruction. Allow only the pipeline-fill + icache-warmup slack.
@@ -80,7 +78,7 @@ fn one_hop_comm_latency_is_one_bus_cycle() {
     a.addi(r(9), r(9), -1);
     a.bne(r(9), r(0), top);
     a.halt();
-    let t = trace_program(&a.assemble().unwrap(), 4096).unwrap().insns;
+    let t = trace_program(&a.assemble().unwrap(), 4096).unwrap();
     let s = run(ring(8), &t);
     assert!(s.comms_issued > 0, "the join must communicate");
     // Every communication in this kernel is neighbour-distance.
@@ -105,7 +103,7 @@ fn committed_counts_are_exact() {
     a.addi(r(9), r(9), -1);
     a.bne(r(9), r(0), top);
     a.halt();
-    let t = trace_program(&a.assemble().unwrap(), 4096).unwrap().insns;
+    let t = trace_program(&a.assemble().unwrap(), 4096).unwrap();
     for (topology, steering) in [
         (Topology::Ring, Steering::RingDep),
         (Topology::Conv, Steering::ConvDcount),
@@ -150,7 +148,7 @@ fn divide_throughput_scales_with_clusters() {
     a.addi(r(9), r(9), -1);
     a.bne(r(9), r(0), top);
     a.halt();
-    let t = trace_program(&a.assemble().unwrap(), 4096).unwrap().insns;
+    let t = trace_program(&a.assemble().unwrap(), 4096).unwrap();
     let s2 = run(ring(2), &t);
     let s8 = run(ring(8), &t);
     // All four divides share the same source operands, so dependence-based
@@ -183,9 +181,7 @@ fn cache_misses_cost_cycles() {
         a.addi(r(9), r(9), -1);
         a.bne(r(9), r(0), top);
         a.halt();
-        trace_program(&a.assemble().unwrap(), 1 << 14)
-            .unwrap()
-            .insns
+        trace_program(&a.assemble().unwrap(), 1 << 14).unwrap()
     };
     // Same instruction count; "hot" revisits the same 8 pages every
     // iteration, "cold" walks fresh pages each time.

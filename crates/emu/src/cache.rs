@@ -23,7 +23,7 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
-use crate::trace::DynInsn;
+use crate::trace::Trace;
 
 /// One key's slot. `build` serializes the builders and decoders of the
 /// key; `trace` points at the shared trace while any holder keeps it alive
@@ -31,11 +31,11 @@ use crate::trace::DynInsn;
 #[derive(Default)]
 struct Slot {
     build: Mutex<()>,
-    trace: Mutex<Weak<Vec<DynInsn>>>,
+    trace: Mutex<Weak<Trace>>,
 }
 
 impl Slot {
-    fn live(&self) -> Option<Arc<Vec<DynInsn>>> {
+    fn live(&self) -> Option<Arc<Trace>> {
         self.trace.lock().upgrade()
     }
 }
@@ -60,7 +60,7 @@ pub struct TraceCacheStats {
     pub db_hits: u64,
     /// Traces some holder keeps alive.
     pub live: usize,
-    /// In-memory bytes of the live traces.
+    /// In-memory bytes of the live traces: records plus static tables.
     pub bytes: usize,
 }
 
@@ -101,9 +101,9 @@ impl TraceCache {
     /// Return the trace for `(name, len)`: a live trace is shared, and a
     /// miss runs `build` (fresh emulation). Concurrent requesters of one
     /// key wait for the in-flight build instead of duplicating it.
-    pub fn get_or_build<F>(&self, name: &str, len: u64, build: F) -> Arc<Vec<DynInsn>>
+    pub fn get_or_build<F>(&self, name: &str, len: u64, build: F) -> Arc<Trace>
     where
-        F: FnOnce() -> Vec<DynInsn>,
+        F: FnOnce() -> Trace,
     {
         self.get_or_make(name, len, &self.built, || Some(Arc::new(build())))
             .expect("a build always yields a trace")
@@ -111,9 +111,9 @@ impl TraceCache {
 
     /// [`TraceCache::get_or_build`] for a trace decoded rather than built:
     /// a miss runs `load`, which may find nothing (`None`, nothing cached).
-    pub fn get_or_load<F>(&self, name: &str, len: u64, load: F) -> Option<Arc<Vec<DynInsn>>>
+    pub fn get_or_load<F>(&self, name: &str, len: u64, load: F) -> Option<Arc<Trace>>
     where
-        F: FnOnce() -> Option<Arc<Vec<DynInsn>>>,
+        F: FnOnce() -> Option<Arc<Trace>>,
     {
         self.get_or_make(name, len, &self.db_hits, load)
     }
@@ -125,8 +125,8 @@ impl TraceCache {
         name: &str,
         len: u64,
         made: &AtomicU64,
-        make: impl FnOnce() -> Option<Arc<Vec<DynInsn>>>,
-    ) -> Option<Arc<Vec<DynInsn>>> {
+        make: impl FnOnce() -> Option<Arc<Trace>>,
+    ) -> Option<Arc<Trace>> {
         let slot = self.slot(name, len);
         let _building = slot.build.lock();
         if let Some(live) = slot.live() {
@@ -140,7 +140,7 @@ impl TraceCache {
 
     /// The trace of `(name, len)` if some holder keeps it alive. Never
     /// builds or decodes, and never waits on a build in flight.
-    pub fn get(&self, name: &str, len: u64) -> Option<Arc<Vec<DynInsn>>> {
+    pub fn get(&self, name: &str, len: u64) -> Option<Arc<Trace>> {
         find(&self.slots.lock(), name, len)?.live()
     }
 
@@ -163,10 +163,7 @@ impl TraceCache {
             built: self.built.load(Ordering::Relaxed),
             db_hits: self.db_hits.load(Ordering::Relaxed),
             live: live.len(),
-            bytes: live
-                .iter()
-                .map(|t| t.len() * std::mem::size_of::<DynInsn>())
-                .sum(),
+            bytes: live.iter().map(|t| t.bytes()).sum(),
         }
     }
 }
@@ -176,14 +173,23 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn trace(n: usize) -> Vec<DynInsn> {
-        let insn = DynInsn {
-            insn: rcmc_isa::Insn::halt(),
-            pc: 0,
+    use crate::trace::{StaticInsn, TraceRec};
+
+    fn trace(n: usize) -> Trace {
+        let rec = TraceRec {
+            sid: 0,
             next_pc: 0,
             mem_addr: 0,
         };
-        vec![insn; n]
+        Trace {
+            insns: vec![rec; n],
+            statics: vec![StaticInsn {
+                insn: rcmc_isa::Insn::halt(),
+                pc: 0,
+            }],
+            halted: true,
+            static_insns: 1,
+        }
     }
 
     #[test]
@@ -256,7 +262,8 @@ mod tests {
     fn dropped_traces_free_their_memory_and_are_rebuilt() {
         let cache = TraceCache::new();
         let a = cache.get_or_build("x", 10, || trace(3));
-        assert_eq!(cache.bytes(), 3 * std::mem::size_of::<DynInsn>());
+        // Three 16-byte records and one 16-byte static.
+        assert_eq!(cache.bytes(), (3 + 1) * 16);
         assert!(cache.get("x", 10).is_some_and(|t| Arc::ptr_eq(&t, &a)));
         drop(a);
         assert_eq!(cache.bytes(), 0);

@@ -2,7 +2,9 @@
 //!
 //! Executes [`rcmc_isa::Program`]s at the architectural level and records the
 //! **dynamic instruction stream** (one [`DynInsn`] per executed instruction,
-//! with resolved branch outcomes and effective memory addresses). The
+//! with resolved branch outcomes and effective memory addresses), stored
+//! as a [`Trace`]: 16-byte [`TraceRec`]s over a table of the program's
+//! [`StaticInsn`]s. The
 //! clustered timing model in `rcmc-core` replays this stream: an
 //! *execution-driven, stall-on-mispredict* simulation style in which the
 //! timing model never fabricates wrong-path work but still pays realistic
@@ -22,5 +24,5 @@ pub mod trace_db;
 pub use cache::{TraceCache, TraceCacheStats};
 pub use cpu::{Cpu, EmuError};
 pub use mem::Memory;
-pub use trace::{trace_built, trace_program, DynInsn, Trace, TraceError};
+pub use trace::{trace_built, trace_program, DynInsn, StaticInsn, Trace, TraceError, TraceRec};
 pub use trace_db::{TraceDb, TraceDbError, TraceMeta, TRACE_VERSION};

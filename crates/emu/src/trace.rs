@@ -1,16 +1,20 @@
 //! Dynamic instruction stream ("oracle trace") generation.
+//!
+//! A [`Trace`] is stored compactly: a per-trace table of the distinct
+//! static instructions it executes ([`StaticInsn`], indexed by a static
+//! id) and one 16-byte [`TraceRec`] per dynamic instruction holding only
+//! what varies between executions of one static instruction. Readers see
+//! the 32-byte logical record, [`DynInsn`], through [`Trace::get`] and
+//! [`Trace::iter`].
 
 use rcmc_isa::{Insn, InsnClass, Program};
 
 use crate::cpu::{Cpu, EmuError};
 
-/// One dynamic instruction: the static instruction plus the resolved
-/// control-flow and memory facts the timing model needs.
-///
-/// 32 bytes: the 12-byte static instruction, two 4-byte pcs, the 8-byte
-/// address, and 4 bytes of padding to the address's alignment. Every
-/// in-memory trace is a `Vec` of these, so the record size sets the trace
-/// cache's footprint and the emulator's write bandwidth.
+/// One dynamic instruction, logical form: the static instruction plus the
+/// resolved control-flow and memory facts the timing model needs. What a
+/// [`Trace`] yields; traces store it split into a [`StaticInsn`] and a
+/// [`TraceRec`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DynInsn {
     /// Static instruction (12 bytes).
@@ -33,19 +37,102 @@ impl DynInsn {
     /// For conditional branches: was this instance taken?
     #[inline]
     pub fn taken(&self) -> bool {
-        self.next_pc != self.pc + 1
+        self.next_pc != self.pc.wrapping_add(1)
+    }
+}
+
+/// One entry of a trace's static table: an instruction and its pc.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct StaticInsn {
+    /// The static instruction.
+    pub insn: Insn,
+    /// Its pc.
+    pub pc: u32,
+}
+
+/// One dynamic instruction, stored form: 16 bytes. Every in-memory trace
+/// holds one per traced instruction, so the record size sets the trace
+/// cache's footprint and the emulator's write bandwidth.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TraceRec {
+    /// Index of the instruction and its pc in [`Trace::statics`].
+    pub sid: u32,
+    /// pc of the next dynamic instruction.
+    pub next_pc: u32,
+    /// Effective byte address for loads/stores, else 0.
+    pub mem_addr: u64,
+}
+
+impl TraceRec {
+    /// The logical record of this record over its trace's static table.
+    #[inline]
+    pub fn logical(&self, statics: &[StaticInsn]) -> DynInsn {
+        let s = statics[self.sid as usize];
+        DynInsn {
+            insn: s.insn,
+            pc: s.pc,
+            next_pc: self.next_pc,
+            mem_addr: self.mem_addr,
+        }
     }
 }
 
 /// A fully materialized dynamic trace plus a couple of whole-run facts.
+///
+/// Every record's `sid` indexes `statics`. Two traces are equal when they
+/// yield the same logical stream and whole-run facts, however their static
+/// tables are laid out: an emulated trace numbers its statics by pc, a
+/// decoded one in order of first appearance.
 #[derive(Debug)]
 pub struct Trace {
-    /// The dynamic instructions in program order.
-    pub insns: Vec<DynInsn>,
+    /// The dynamic records in program order.
+    pub insns: Vec<TraceRec>,
+    /// The distinct (pc, instruction) pairs the records refer to.
+    pub statics: Vec<StaticInsn>,
     /// Whether the program ran to `halt` (vs hitting the budget).
     pub halted: bool,
     /// Static instruction count of the program.
     pub static_insns: usize,
+}
+
+impl Trace {
+    /// Dynamic instructions in the trace.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.insns.len()
+    }
+
+    /// Whether the trace holds no instruction.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.insns.is_empty()
+    }
+
+    /// The logical record of dynamic instruction `i`, if there is one.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<DynInsn> {
+        self.insns.get(i).map(|r| r.logical(&self.statics))
+    }
+
+    /// The logical records in program order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = DynInsn> + '_ {
+        self.insns.iter().map(|r| r.logical(&self.statics))
+    }
+
+    /// In-memory bytes of the records and the static table.
+    pub fn bytes(&self) -> usize {
+        self.insns.len() * std::mem::size_of::<TraceRec>()
+            + self.statics.len() * std::mem::size_of::<StaticInsn>()
+    }
+}
+
+impl PartialEq for Trace {
+    fn eq(&self, other: &Trace) -> bool {
+        self.halted == other.halted
+            && self.static_insns == other.static_insns
+            && self.len() == other.len()
+            && self.iter().eq(other.iter())
+    }
 }
 
 /// Errors producing a trace.
@@ -98,22 +185,32 @@ pub fn trace_built(build: impl FnOnce() -> Program, max_insns: usize) -> Result<
 }
 
 /// Step a fresh [`Cpu`] over `program`, pushing each record into `insns`,
-/// whose reserved capacity the caller chose.
+/// whose reserved capacity the caller chose. The static table is the
+/// program itself, so a record's `sid` is its pc.
 fn trace_into(
     program: &Program,
     max_insns: usize,
-    mut insns: Vec<DynInsn>,
+    mut insns: Vec<TraceRec>,
 ) -> Result<Trace, TraceError> {
     let mut cpu = Cpu::new(program);
     while insns.len() < max_insns {
         let Some(d) = cpu.step()? else { break };
-        insns.push(d);
+        insns.push(TraceRec {
+            sid: d.pc,
+            next_pc: d.next_pc,
+            mem_addr: d.mem_addr,
+        });
         if cpu.halted() {
             break;
         }
     }
+    let statics = (0..)
+        .zip(&program.insns)
+        .map(|(pc, &insn)| StaticInsn { insn, pc })
+        .collect();
     Ok(Trace {
         insns,
+        statics,
         halted: cpu.halted(),
         static_insns: program.insns.len(),
     })
@@ -144,16 +241,17 @@ mod tests {
         let p = counted_loop(5);
         let t = trace_program(&p, 1000).unwrap();
         // movi + 5*(addi,bne) + halt
-        assert_eq!(t.insns.len(), 1 + 10 + 1);
+        assert_eq!(t.len(), 1 + 10 + 1);
         assert!(t.halted);
-        assert_eq!(t.insns.last().unwrap().insn.op, Opcode::Halt);
+        assert_eq!(t.get(t.len() - 1).unwrap().insn.op, Opcode::Halt);
+        assert_eq!(t.get(t.len()), None);
     }
 
     #[test]
     fn budget_truncates() {
         let p = counted_loop(1_000_000);
         let t = trace_program(&p, 100).unwrap();
-        assert_eq!(t.insns.len(), 100);
+        assert_eq!(t.len(), 100);
         assert!(!t.halted);
     }
 
@@ -162,8 +260,8 @@ mod tests {
         for n in [5, 1_000_000] {
             let want = trace_program(&counted_loop(n), 100).unwrap();
             let got = trace_built(|| counted_loop(n), 100).unwrap();
+            assert_eq!(got, want);
             assert_eq!(got.insns, want.insns);
-            assert_eq!(got.halted, want.halted);
         }
     }
 
@@ -171,7 +269,7 @@ mod tests {
     fn taken_flag_consistent() {
         let p = counted_loop(3);
         let t = trace_program(&p, 1000).unwrap();
-        for d in &t.insns {
+        for d in t.iter() {
             if d.insn.op.is_cond_branch() {
                 let expect_taken = d.next_pc != d.pc + 1;
                 assert_eq!(d.taken(), expect_taken);
@@ -182,24 +280,37 @@ mod tests {
         }
     }
 
-    /// Every byte of `DynInsn` is paid once per traced instruction: a
-    /// 40-byte record would add 25% to every trace in memory, about 2 MB
-    /// of `paper-sweep`'s peak RSS, above the benchmark's 10%
-    /// `peak_rss_mb` bound (about 1.3 MB).
+    /// Every byte of `TraceRec` is paid once per traced instruction: a
+    /// 24-byte record would add half again to every trace in memory, about
+    /// 2 MB of `paper-sweep`'s peak RSS, above the benchmark's 10%
+    /// `peak_rss_mb` bound.
     #[test]
-    fn dyninsn_is_compact() {
-        assert!(
-            std::mem::size_of::<DynInsn>() <= 32,
-            "DynInsn grew: {}",
-            std::mem::size_of::<DynInsn>()
-        );
+    fn trace_rec_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<TraceRec>(), 16);
+        assert_eq!(std::mem::size_of::<StaticInsn>(), 16);
+    }
+
+    #[test]
+    fn emulated_statics_are_the_program_by_pc() {
+        let p = counted_loop(3);
+        let t = trace_program(&p, 1000).unwrap();
+        assert_eq!(t.statics.len(), p.insns.len());
+        for d in t.iter() {
+            assert_eq!(d.insn, p.insns[d.pc as usize]);
+        }
+        assert!(t
+            .insns
+            .iter()
+            .all(|r| t.statics[r.sid as usize].pc == r.sid));
+        assert_eq!(t.bytes(), (t.len() + p.insns.len()) * 16);
     }
 
     #[test]
     fn next_pcs_chain() {
         let p = counted_loop(4);
         let t = trace_program(&p, 1000).unwrap();
-        for w in t.insns.windows(2) {
+        let insns: Vec<DynInsn> = t.iter().collect();
+        for w in insns.windows(2) {
             assert_eq!(w[0].next_pc, w[1].pc, "dynamic stream must chain");
         }
     }

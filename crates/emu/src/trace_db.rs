@@ -3,7 +3,8 @@
 //! A [`TraceDb`] is a directory of `.trc` files, one per `(name, len)` key
 //! (the same identity [`crate::TraceCache`] uses in memory), laid out as
 //! `<dir>/<name>/<len>.trc`: a fixed little-endian header followed by one
-//! record per [`DynInsn`], consumed by a sequential chunked decode. The
+//! record per dynamic instruction (its logical [`DynInsn`]), consumed by a
+//! sequential chunked decode into a compact [`Trace`]. The
 //! simulator keeps imported (externally captured) traces here; it
 //! emulates its own suite's traces, which is faster than decoding them.
 //!
@@ -54,9 +55,12 @@
 //! versions on the fixed 64 bytes before it reads the name region, then
 //! walks the payload through a bounded scratch window one record at a time
 //! (a fixed 32-byte v1 record or a v2 control-byte record), folding the
-//! checksum in the same pass. Its `strict` mode (`verify`, `import`) also
-//! runs the full ISA decoder on every record. [`TraceDb::list`] reads
-//! headers only.
+//! checksum in the same pass. The file stores every record's instruction
+//! in full; the decoder interns each distinct (pc, instruction) pair once
+//! into the trace's static table, so the full ISA decoder (operand
+//! signature included) runs only the first time a pair appears. A record
+//! whose instruction does not decode is still reported at its own index,
+//! the first that carries the word. [`TraceDb::list`] reads headers only.
 //!
 //! ## Versioning rules
 //!
@@ -74,14 +78,15 @@
 //! store), so concurrent writers — threads or processes racing on one key —
 //! can only ever leave a complete, valid file behind.
 
+use std::collections::HashMap;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use rcmc_isa::{encode, Insn, Opcode, Reg, NUM_INT_REGS};
+use rcmc_isa::{encode, Insn};
 
-use crate::trace::{DynInsn, Trace};
+use crate::trace::{DynInsn, StaticInsn, Trace, TraceRec};
 
 /// File-layout version this build writes; bump when the byte layout
 /// changes. v2 = zero-run compressed records (v1 = fixed 32-byte records,
@@ -108,7 +113,6 @@ const V2_WORD_MASK: u8 = 0x0f;
 
 const MAGIC: &[u8; 8] = b"RCMCTRCE";
 const HEADER_BASE: usize = 64;
-const NO_REG: u8 = 0xff;
 
 /// Why a stored trace was rejected (surfaced by [`TraceDb::load_full`] and
 /// `rcmc trace verify`; [`TraceDb::load`] folds all of these into `None`).
@@ -222,14 +226,19 @@ impl TraceDb {
     /// Every rejection reason is explicit; callers that only care about
     /// hit-or-miss use [`TraceDb::load`].
     pub fn load_full(&self, name: &str, len: u64) -> Result<Trace, TraceDbError> {
-        self.decode_stored(name, len, false)
+        if !Self::valid_name(name) {
+            return Err(TraceDbError::KeyMismatch);
+        }
+        let f = std::fs::File::open(self.path_of(name, len)).map_err(io_err)?;
+        let file_len = f.metadata().map_err(io_err)?.len();
+        decode(f, file_len, Some((name, len))).map(|(_, t)| t)
     }
 
     /// Load the trace stored under `(name, len)`, or `None` if absent,
     /// stale (older format/trace version) or corrupt in any way — a
     /// stored trace is never trusted without passing every check.
-    pub fn load(&self, name: &str, len: u64) -> Option<Arc<Vec<DynInsn>>> {
-        self.load_full(name, len).ok().map(|t| Arc::new(t.insns))
+    pub fn load(&self, name: &str, len: u64) -> Option<Arc<Trace>> {
+        self.load_full(name, len).ok().map(Arc::new)
     }
 
     /// Persist `trace` under `(name, len)` via temp file + atomic rename.
@@ -238,11 +247,11 @@ impl TraceDb {
         if !Self::valid_name(name) {
             return false;
         }
-        let bytes = encode_file(name, len, &trace.insns, trace.halted, trace.static_insns);
+        let bytes = encode_file(name, len, trace);
         write_atomic(&self.path_of(name, len), &bytes).is_ok()
     }
 
-    /// Copy an already-encoded trace file into the store after strict
+    /// Copy an already-encoded trace file into the store after full
     /// validation, optionally renaming it; a v1 file is stored as v2.
     /// Returns the `(name, len)` key it landed under.
     pub fn import(
@@ -261,7 +270,7 @@ impl TraceDb {
         rename: Option<&str>,
         reserved: impl Fn(&str) -> bool,
     ) -> Result<(String, u64), TraceDbError> {
-        let (header, trace) = decode(file_bytes, file_bytes.len() as u64, None, true)?;
+        let (header, trace) = decode(file_bytes, file_bytes.len() as u64, None)?;
         let name = rename.unwrap_or(&header.name).to_string();
         if !Self::valid_name(&name) {
             return Err(TraceDbError::KeyMismatch);
@@ -275,26 +284,11 @@ impl TraceDb {
         Ok((name, header.key_len))
     }
 
-    /// Strict full validation of the trace stored under `(name, len)`:
-    /// everything [`TraceDb::load_full`] checks **and** a per-record run of
-    /// the full ISA decoder (what `rcmc trace verify` uses — `load` skips
-    /// the per-record signature check because the checksum already vouches
-    /// for bytes this build wrote itself). Returns the stored instruction
-    /// count.
+    /// Full validation of the trace stored under `(name, len)` (what
+    /// `rcmc trace verify` uses): every check [`TraceDb::load_full`] makes.
+    /// Returns the stored instruction count.
     pub fn verify(&self, name: &str, len: u64) -> Result<u64, TraceDbError> {
-        self.decode_stored(name, len, true)
-            .map(|t| t.insns.len() as u64)
-    }
-
-    /// Decode the file stored under `(name, len)`, cross-checking its
-    /// embedded key (a renamed or misplaced file must miss).
-    fn decode_stored(&self, name: &str, len: u64, strict: bool) -> Result<Trace, TraceDbError> {
-        if !Self::valid_name(name) {
-            return Err(TraceDbError::KeyMismatch);
-        }
-        let f = std::fs::File::open(self.path_of(name, len)).map_err(io_err)?;
-        let file_len = f.metadata().map_err(io_err)?.len();
-        decode(f, file_len, Some((name, len)), strict).map(|(_, t)| t)
+        self.load_full(name, len).map(|t| t.len() as u64)
     }
 
     /// Every `(name, len)` entry in the store with readable headers,
@@ -499,30 +493,25 @@ fn payload_offset(name_len: usize) -> usize {
     (HEADER_BASE + name_len).div_ceil(RECORD_BYTES) * RECORD_BYTES
 }
 
-/// Serialize one trace into its complete (format-v2) file image.
-fn encode_file(
-    name: &str,
-    key_len: u64,
-    insns: &[DynInsn],
-    halted: bool,
-    statics: usize,
-) -> Vec<u8> {
+/// Serialize one trace, from its logical records, into its complete
+/// (format-v2) file image.
+fn encode_file(name: &str, key_len: u64, trace: &Trace) -> Vec<u8> {
     let payload_off = payload_offset(name.len());
     let mut out = vec![0u8; payload_off];
-    out.reserve(insns.len() * (1 + RECORD_BYTES / 2)); // typical ≈ 17 B/insn
+    out.reserve(trace.len() * (1 + RECORD_BYTES / 2)); // typical ≈ 17 B/insn
     out[0..8].copy_from_slice(MAGIC);
     out[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
     out[12..16].copy_from_slice(&TRACE_VERSION.to_le_bytes());
     out[16..24].copy_from_slice(&key_len.to_le_bytes());
-    out[24..32].copy_from_slice(&(insns.len() as u64).to_le_bytes());
+    out[24..32].copy_from_slice(&(trace.len() as u64).to_le_bytes());
     // checksum written below, once the payload exists
-    out[40..44].copy_from_slice(&(statics as u32).to_le_bytes());
-    out[44] = halted as u8;
+    out[40..44].copy_from_slice(&(trace.static_insns as u32).to_le_bytes());
+    out[44] = trace.halted as u8;
     out[48..50].copy_from_slice(&(name.len() as u16).to_le_bytes());
     out[HEADER_BASE..HEADER_BASE + name.len()].copy_from_slice(name.as_bytes());
     let mut lanes = Lanes::new();
-    for d in insns {
-        let words = logical_words(d);
+    for d in trace.iter() {
+        let words = logical_words(&d);
         lanes.fold_words(words);
         encode_v2_record(words, &mut out);
     }
@@ -578,59 +567,54 @@ fn read_header(r: &mut impl Read) -> Result<Header, TraceDbError> {
     })
 }
 
-/// Byte-indexed decode tables for the record decode loop. `Opcode::from_u8`
-/// is a linear scan over the opcode list and the register decode is a
-/// compare chain; at one opcode plus three register decodes per record
-/// those branches would dominate the whole decode path, so both become
-/// single L1-resident table loads (`None` marks invalid bytes).
-struct DecodeLuts {
-    op: [Option<Opcode>; 256],
-    reg: [Option<Option<Reg>>; 256],
+/// Most pcs the decoder's dense table covers, whatever a header claims.
+const DENSE_PCS: u64 = 1 << 16;
+
+/// The static table a decode builds: one [`StaticInsn`] per distinct
+/// (pc, instruction word) pair. A pc below the header's static count (and
+/// [`DENSE_PCS`]) looks up the first word seen there in a pc-indexed
+/// table; a sparse pc, or a second word at a dense pc, goes through a hash
+/// map. Either way, equal pairs share one static id and different pairs
+/// never do.
+struct Interner {
+    dense: Vec<Option<(u64, u32)>>,
+    sparse: HashMap<(u32, u64), u32>,
+    statics: Vec<StaticInsn>,
 }
 
-fn decode_luts() -> &'static DecodeLuts {
-    static LUTS: std::sync::OnceLock<DecodeLuts> = std::sync::OnceLock::new();
-    LUTS.get_or_init(|| {
-        let mut t = DecodeLuts {
-            op: [None; 256],
-            reg: [None; 256],
-        };
-        for &op in Opcode::ALL {
-            t.op[op as u8 as usize] = Some(op);
+impl Interner {
+    fn new(static_insns: u32, insn_count: u64) -> Interner {
+        let n = (static_insns as u64).min(insn_count).min(DENSE_PCS) as usize;
+        Interner {
+            dense: vec![None; n],
+            sparse: HashMap::new(),
+            statics: Vec::with_capacity(n),
         }
-        for b in 0..=255u8 {
-            t.reg[b as usize] = match b {
-                NO_REG => Some(None),
-                n if (n as usize) < NUM_INT_REGS => Some(Some(Reg::Int(n))),
-                n if (n as usize) < 2 * NUM_INT_REGS => Some(Some(Reg::Fp(n - NUM_INT_REGS as u8))),
-                _ => None,
-            };
-        }
-        t
-    })
-}
+    }
 
-/// Build one instruction from a record's logical words. The
-/// register/opcode fields are range-checked through the tables (an
-/// out-of-range byte can never build an invalid `Reg`), but the operand
-/// signature is *not* re-validated here — the checksum already vouches for
-/// the bytes, and the decoder's `strict` mode runs the full ISA decoder
-/// instead.
-#[inline]
-fn decode_words(words: [u64; 4], lut: &DecodeLuts) -> Option<DynInsn> {
-    let word = words[0];
-    Some(DynInsn {
-        insn: Insn {
-            op: lut.op[(word & 0xff) as usize]?,
-            rd: lut.reg[(word >> 8) as u8 as usize]?,
-            rs1: lut.reg[(word >> 16) as u8 as usize]?,
-            rs2: lut.reg[(word >> 24) as u8 as usize]?,
-            imm: (word >> 32) as u32 as i32,
-        },
-        pc: words[1] as u32,
-        next_pc: (words[1] >> 32) as u32,
-        mem_addr: words[2],
-    })
+    /// The static id of `(pc, word)`. A new pair's instruction comes from
+    /// `insn`; `None` from it (or a table past `u32` ids) is `None`.
+    #[inline]
+    fn intern(&mut self, pc: u32, word: u64, insn: impl FnOnce() -> Option<Insn>) -> Option<u32> {
+        match self.dense.get(pc as usize) {
+            Some(&Some((w, sid))) if w == word => return Some(sid),
+            Some(None) => {}
+            _ => {
+                if let Some(&sid) = self.sparse.get(&(pc, word)) {
+                    return Some(sid);
+                }
+            }
+        }
+        let sid = u32::try_from(self.statics.len()).ok()?;
+        self.statics.push(StaticInsn { insn: insn()?, pc });
+        match self.dense.get_mut(pc as usize) {
+            Some(slot @ None) => *slot = Some((word, sid)),
+            _ => {
+                self.sparse.insert((pc, word), sid);
+            }
+        }
+        Some(sid)
+    }
 }
 
 /// Decode one record of either layout from the front of `b`: the logical
@@ -655,7 +639,7 @@ const STREAM_CHUNK: usize = 256 * 1024;
 /// Trace files are several MB — far bigger than any cache level — so the
 /// payload flows through a bounded thread-local scratch window instead of
 /// a file-sized buffer: the only file-sized memory a load touches is the
-/// instruction vector it returns. Checksum and decode share one pass;
+/// records of the trace it returns. Checksum and decode share one pass;
 /// decoding ahead of verification is safe because every field is
 /// range-checked and the result is discarded unless the sums match. A
 /// file that shrinks mid-read surfaces as [`TraceDbError::Truncated`] like
@@ -664,7 +648,6 @@ fn decode(
     mut r: impl Read,
     file_len: u64,
     expect: Option<(&str, u64)>,
-    strict: bool,
 ) -> Result<(Header, Trace), TraceDbError> {
     let h = read_header(&mut r)?;
     if expect.is_some_and(|(name, len)| h.name != name || h.key_len != len) {
@@ -689,9 +672,9 @@ fn decode(
     thread_local! {
         static SCRATCH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
     }
-    let lut = decode_luts();
     let mut lanes = Lanes::new();
     let mut insns = Vec::with_capacity(h.insn_count as usize);
+    let mut statics = Interner::new(h.static_insns, h.insn_count);
     SCRATCH.with(|buf| {
         let scratch = &mut *buf.borrow_mut();
         scratch.resize(STREAM_CHUNK, 0);
@@ -713,10 +696,16 @@ fn decode(
             let (words, used) = decode_any_record(&scratch[pos..valid], v1, i)?;
             pos += used;
             lanes.fold_words(words);
-            if strict {
-                rcmc_isa::decode(words[0]).map_err(|_| TraceDbError::BadRecord(i))?;
-            }
-            insns.push(decode_words(words, lut).ok_or(TraceDbError::BadRecord(i))?);
+            let sid = statics
+                .intern(words[1] as u32, words[0], || {
+                    rcmc_isa::decode(words[0]).ok()
+                })
+                .ok_or(TraceDbError::BadRecord(i))?;
+            insns.push(TraceRec {
+                sid,
+                next_pc: (words[1] >> 32) as u32,
+                mem_addr: words[2],
+            });
         }
         if pos != valid || remaining > 0 {
             return Err(TraceDbError::Truncated);
@@ -728,6 +717,7 @@ fn decode(
     }
     let trace = Trace {
         insns,
+        statics: statics.statics,
         halted: h.halted,
         static_insns: h.static_insns as usize,
     };
@@ -737,7 +727,7 @@ fn decode(
 /// Decode a complete in-memory file image (the codec tests' entry point).
 #[cfg(test)]
 fn decode_file(bytes: &[u8], expect: Option<(&str, u64)>) -> Result<Trace, TraceDbError> {
-    decode(bytes, bytes.len() as u64, expect, false).map(|(_, t)| t)
+    decode(bytes, bytes.len() as u64, expect).map(|(_, t)| t)
 }
 
 #[cfg(test)]
@@ -748,28 +738,28 @@ mod tests {
     fn sample_trace() -> Trace {
         let r = |x| Some(Reg::int(x));
         let f = |x| Some(Reg::fp(x));
-        let insns = vec![
-            DynInsn {
+        let statics = vec![
+            StaticInsn {
                 insn: Insn::new(Opcode::Movi, r(1), None, None, -7),
                 pc: 0,
-                next_pc: 1,
-                mem_addr: 0,
             },
-            DynInsn {
+            StaticInsn {
                 insn: Insn::new(Opcode::Fld, f(2), r(1), None, 16),
                 pc: 1,
-                next_pc: 2,
-                mem_addr: 0xdead_beef_cafe,
             },
-            DynInsn {
+            StaticInsn {
                 insn: Insn::new(Opcode::Bne, None, r(1), r(0), -2),
                 pc: 2,
-                next_pc: 1,
-                mem_addr: 0,
             },
         ];
+        let rec = |sid, next_pc, mem_addr| TraceRec {
+            sid,
+            next_pc,
+            mem_addr,
+        };
         Trace {
-            insns,
+            insns: vec![rec(0, 1, 0), rec(1, 2, 0xdead_beef_cafe), rec(2, 1, 0)],
+            statics,
             halted: true,
             static_insns: 4,
         }
@@ -783,28 +773,22 @@ mod tests {
 
     /// Reference v1 encoder (the pre-compression layout), kept so the
     /// fallthrough decode path is tested against real v1 images.
-    fn encode_file_v1(
-        name: &str,
-        key_len: u64,
-        insns: &[DynInsn],
-        halted: bool,
-        statics: usize,
-    ) -> Vec<u8> {
+    fn encode_file_v1(name: &str, key_len: u64, trace: &Trace) -> Vec<u8> {
         let payload_off = payload_offset(name.len());
-        let mut out = vec![0u8; payload_off + insns.len() * RECORD_BYTES];
+        let mut out = vec![0u8; payload_off + trace.len() * RECORD_BYTES];
         out[0..8].copy_from_slice(MAGIC);
         out[8..12].copy_from_slice(&1u32.to_le_bytes());
         out[12..16].copy_from_slice(&TRACE_VERSION.to_le_bytes());
         out[16..24].copy_from_slice(&key_len.to_le_bytes());
-        out[24..32].copy_from_slice(&(insns.len() as u64).to_le_bytes());
-        out[40..44].copy_from_slice(&(statics as u32).to_le_bytes());
-        out[44] = halted as u8;
+        out[24..32].copy_from_slice(&(trace.len() as u64).to_le_bytes());
+        out[40..44].copy_from_slice(&(trace.static_insns as u32).to_le_bytes());
+        out[44] = trace.halted as u8;
         out[48..50].copy_from_slice(&(name.len() as u16).to_le_bytes());
         out[HEADER_BASE..HEADER_BASE + name.len()].copy_from_slice(name.as_bytes());
         let mut lanes = Lanes::new();
-        for (i, d) in insns.iter().enumerate() {
+        for (i, d) in trace.iter().enumerate() {
             let r = &mut out[payload_off + i * RECORD_BYTES..payload_off + (i + 1) * RECORD_BYTES];
-            let words = logical_words(d);
+            let words = logical_words(&d);
             lanes.fold_words(words);
             for (w, word) in words.into_iter().enumerate() {
                 r[w * 8..(w + 1) * 8].copy_from_slice(&word.to_le_bytes());
@@ -817,40 +801,41 @@ mod tests {
     #[test]
     fn roundtrip_in_memory() {
         let t = sample_trace();
-        let bytes = encode_file("x", 99, &t.insns, t.halted, t.static_insns);
+        let bytes = encode_file("x", 99, &t);
         let back = decode_file(&bytes, Some(("x", 99))).unwrap();
-        assert_eq!(back.insns, t.insns);
+        assert_eq!(back, t);
         assert!(back.halted);
         assert_eq!(back.static_insns, 4);
+        assert_eq!(back.statics, t.statics);
     }
 
     #[test]
     fn v1_files_fall_through_and_decode_identically() {
         let t = sample_trace();
-        let v1 = encode_file_v1("x", 99, &t.insns, t.halted, t.static_insns);
-        let v2 = encode_file("x", 99, &t.insns, t.halted, t.static_insns);
+        let v1 = encode_file_v1("x", 99, &t);
+        let v2 = encode_file("x", 99, &t);
         // Same content, same checksum (it covers the logical words), two
         // layouts — and the warm loader must accept both.
         assert_eq!(v1[32..40], v2[32..40], "checksum is layout-independent");
         let from_v1 = decode_file(&v1, Some(("x", 99))).unwrap();
         let from_v2 = decode_file(&v2, Some(("x", 99))).unwrap();
-        assert_eq!(from_v1.insns, from_v2.insns);
-        assert_eq!(from_v1.insns, t.insns);
+        assert_eq!(from_v1, from_v2);
+        assert_eq!(from_v1, t);
         // The on-disk streaming path falls through too.
         let db = temp_db("v1fall");
         let p = db.dir().join("x").join("99.trc");
         std::fs::create_dir_all(p.parent().unwrap()).unwrap();
         std::fs::write(&p, &v1).unwrap();
-        assert_eq!(*db.load("x", 99).unwrap(), t.insns);
-        assert_eq!(db.verify("x", 99).unwrap(), t.insns.len() as u64);
+        assert_eq!(*db.load("x", 99).unwrap(), t);
+        assert_eq!(db.verify("x", 99).unwrap(), t.len() as u64);
         let _ = std::fs::remove_dir_all(db.dir());
     }
 
     #[test]
     fn zero_runs_compress() {
         let t = sample_trace();
-        let v1 = encode_file_v1("x", 99, &t.insns, t.halted, t.static_insns);
-        let v2 = encode_file("x", 99, &t.insns, t.halted, t.static_insns);
+        let v1 = encode_file_v1("x", 99, &t);
+        let v2 = encode_file("x", 99, &t);
         assert!(
             v2.len() < v1.len(),
             "v2 ({}) must be smaller than v1 ({})",
@@ -866,7 +851,7 @@ mod tests {
     #[test]
     fn v2_reserved_control_bits_are_bad_records() {
         let t = sample_trace();
-        let mut bytes = encode_file("x", 99, &t.insns, t.halted, t.static_insns);
+        let mut bytes = encode_file("x", 99, &t);
         let off = payload_offset(1);
         bytes[off] |= 0x80; // reserved bit in the first record's control byte
         assert_eq!(
@@ -874,7 +859,7 @@ mod tests {
             TraceDbError::BadRecord(0)
         );
         // Trailing garbage is a truncation-class mismatch, not a silent pass.
-        let mut extra = encode_file("x", 99, &t.insns, t.halted, t.static_insns);
+        let mut extra = encode_file("x", 99, &t);
         extra.push(0x00);
         assert_eq!(
             decode_file(&extra, Some(("x", 99))).unwrap_err(),
@@ -888,7 +873,7 @@ mod tests {
         let t = sample_trace();
         assert!(db.save("bench-a", 1000, &t));
         let got = db.load("bench-a", 1000).expect("stored trace must load");
-        assert_eq!(*got, t.insns);
+        assert_eq!(*got, t);
         assert!(db.contains("bench-a", 1000));
         assert!(!db.contains("bench-a", 1001));
         let _ = std::fs::remove_dir_all(db.dir());
@@ -897,7 +882,7 @@ mod tests {
     #[test]
     fn key_mismatch_is_a_miss() {
         let t = sample_trace();
-        let bytes = encode_file("x", 99, &t.insns, t.halted, t.static_insns);
+        let bytes = encode_file("x", 99, &t);
         assert_eq!(
             decode_file(&bytes, Some(("y", 99))).unwrap_err(),
             TraceDbError::KeyMismatch
@@ -946,10 +931,10 @@ mod tests {
     fn import_validates_and_renames() {
         let db = temp_db("imp");
         let t = sample_trace();
-        let bytes = encode_file("orig", 42, &t.insns, t.halted, t.static_insns);
+        let bytes = encode_file("orig", 42, &t);
         let (name, len) = db.import(&bytes, Some("renamed")).unwrap();
         assert_eq!((name.as_str(), len), ("renamed", 42));
-        assert_eq!(*db.load("renamed", 42).unwrap(), t.insns);
+        assert_eq!(*db.load("renamed", 42).unwrap(), t);
         // A corrupted file must be rejected outright.
         let mut bad = bytes.clone();
         let last = bad.len() - 1;
@@ -965,7 +950,7 @@ mod tests {
     fn import_refuses_reserved_names_and_writes_nothing() {
         let db = temp_db("reserved");
         let t = sample_trace();
-        let bytes = encode_file("kept", 42, &t.insns, t.halted, t.static_insns);
+        let bytes = encode_file("kept", 42, &t);
         let reserved = |n: &str| n == "kept" || n == "taken";
         for rename in [None, Some("taken")] {
             let want = rename.unwrap_or("kept").to_string();

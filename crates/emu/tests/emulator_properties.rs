@@ -62,16 +62,17 @@ proptest! {
 
         let t1 = trace_program(&p, 100_000).unwrap();
         let t2 = trace_program(&p, 100_000).unwrap();
-        prop_assert_eq!(t1.insns.len(), t2.insns.len());
-        for (a, b) in t1.insns.iter().zip(&t2.insns) {
+        prop_assert_eq!(t1.len(), t2.len());
+        for (a, b) in t1.iter().zip(t2.iter()) {
             prop_assert_eq!(a, b);
         }
         // Dynamic stream must chain: next_pc of k == pc of k+1.
-        for w in t1.insns.windows(2) {
+        let insns: Vec<_> = t1.iter().collect();
+        for w in insns.windows(2) {
             prop_assert_eq!(w[0].next_pc, w[1].pc);
         }
         // The loop body executes exactly `iters` times.
-        let adds = t1.insns.iter().filter(|d| d.insn.op == Opcode::Add).count();
+        let adds = t1.iter().filter(|d| d.insn.op == Opcode::Add).count();
         prop_assert_eq!(adds, consts.len() * iters as usize);
     }
 

@@ -7,7 +7,7 @@
 
 use std::path::{Path, PathBuf};
 
-use rcmc_emu::{trace_program, Trace, TraceDb, TraceDbError};
+use rcmc_emu::{trace_program, DynInsn, StaticInsn, Trace, TraceDb, TraceDbError, TraceRec};
 use rcmc_isa::{Insn, Opcode, Program, Reg};
 
 fn temp_db(tag: &str) -> (TraceDb, PathBuf) {
@@ -52,10 +52,8 @@ fn round_trip_through_the_filesystem() {
     let t = sample(50);
     assert!(db.save("loop", 7777, &t));
     let back = db.load_full("loop", 7777).expect("fresh save loads");
-    assert_eq!(back.insns, t.insns);
-    assert_eq!(back.halted, t.halted);
-    assert_eq!(back.static_insns, t.static_insns);
-    assert_eq!(db.verify("loop", 7777).unwrap(), t.insns.len() as u64);
+    assert_eq!(back, t);
+    assert_eq!(db.verify("loop", 7777).unwrap(), t.len() as u64);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -165,7 +163,7 @@ fn concurrent_writers_leave_one_valid_file() {
     let (db, dir) = temp_db("race");
     let a = sample(40);
     let b = sample(90);
-    assert_ne!(a.insns, b.insns);
+    assert_ne!(a, b);
     std::thread::scope(|s| {
         for i in 0..8 {
             let db = db.clone();
@@ -181,7 +179,7 @@ fn concurrent_writers_leave_one_valid_file() {
         .load_full("hot", 500)
         .expect("racers must not tear the file");
     assert!(
-        winner.insns == a.insns || winner.insns == b.insns,
+        winner == a || winner == b,
         "stored trace must be one racer's payload, whole"
     );
     assert_eq!(db.list().len(), 1);
@@ -279,6 +277,13 @@ fn every_reader_gives_one_file_the_same_verdict() {
             TraceDbError::BadRecord(0),
         ),
         (
+            // Record 0's `movi r1, 10` becomes a `nop` with a destination:
+            // a known opcode whose operand signature does not hold.
+            "operand signature",
+            edit(&|b| b[off + 1] = Opcode::Nop as u8),
+            TraceDbError::BadRecord(0),
+        ),
+        (
             "payload bit flip",
             edit(&|b| *b.last_mut().unwrap() ^= 0x01),
             TraceDbError::ChecksumMismatch,
@@ -327,17 +332,174 @@ fn every_reader_gives_one_file_the_same_verdict() {
     for (what, image) in [("v1", &v1), ("v2", &v2)] {
         std::fs::write(&p, image).unwrap();
         let back = db.load_full("w", 100).unwrap();
-        assert_eq!(back.insns, t.insns, "{what}: load_full");
-        assert_eq!((back.halted, back.static_insns), (t.halted, t.static_insns));
-        assert_eq!(db.verify("w", 100).unwrap(), t.insns.len() as u64, "{what}");
+        assert_eq!(back, t, "{what}: load_full");
+        assert_eq!(db.verify("w", 100).unwrap(), t.len() as u64, "{what}");
         assert_eq!(
             import_db.import(image, None).unwrap(),
             ("w".to_string(), 100)
         );
         let imported = import_db.load_full("w", 100).unwrap();
-        assert_eq!(imported.insns, t.insns, "{what}: import");
+        assert_eq!(imported, t, "{what}: import");
         assert_eq!(std::fs::read(file_of(&import_dir, "w", 100)).unwrap(), v2);
     }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&import_dir);
+}
+
+/// A trace built record by record: `recs` are `(static index, next_pc,
+/// mem_addr)` over `statics`, with `static_insns` as the header's claim.
+fn hand_built(statics: Vec<StaticInsn>, recs: &[(u32, u32, u64)], static_insns: usize) -> Trace {
+    Trace {
+        insns: recs
+            .iter()
+            .map(|&(sid, next_pc, mem_addr)| TraceRec {
+                sid,
+                next_pc,
+                mem_addr,
+            })
+            .collect(),
+        statics,
+        halted: false,
+        static_insns,
+    }
+}
+
+/// One pc, two instructions: a file the emulator never writes (its pcs
+/// index one program), but an imported trace can hold, e.g. from
+/// self-modifying or overlaid code.
+fn conflicting_pcs() -> Trace {
+    let r = |x| Some(Reg::int(x));
+    let at = |pc, insn| StaticInsn { insn, pc };
+    let statics = vec![
+        at(5, Insn::new(Opcode::Addi, r(1), r(1), None, -1)),
+        at(5, Insn::new(Opcode::Movi, r(2), None, None, 9)),
+        at(6, Insn::new(Opcode::Ld, r(3), r(2), None, 0)),
+    ];
+    let recs = [
+        (0, 5, 0),
+        (1, 6, 0),
+        (2, 5, 0x40),
+        (1, 6, 0),
+        (0, 5, 0),
+        (2, 5, 0x48),
+    ];
+    hand_built(statics, &recs, 7)
+}
+
+/// Sparse pcs at the top of the address space (one of them holding two
+/// instructions), addresses past 2^32, and a header claiming `u32::MAX`
+/// static instructions.
+fn sparse_high_pcs() -> Trace {
+    let r = |x| Some(Reg::int(x));
+    let top = u32::MAX;
+    let at = |pc, insn| StaticInsn { insn, pc };
+    let statics = vec![
+        at(top, Insn::new(Opcode::Ld, r(3), r(2), None, 8)),
+        at(top - 1, Insn::new(Opcode::Jal, r(31), None, None, -6)),
+        at(top - 7, Insn::new(Opcode::St, None, r(2), r(3), 0)),
+        at(0, Insn::nop()),
+        at(top, Insn::new(Opcode::Addi, r(2), r(2), None, 8)),
+    ];
+    let recs = [
+        (2, top, 0xffff_ffff_fff8),
+        (0, 0, 1 << 40),
+        (3, top - 1, 0),
+        (0, top - 7, u64::MAX - 7),
+        (1, top - 7, 0),
+        (4, top, 0),
+        (2, top, 8),
+    ];
+    hand_built(statics, &recs, u32::MAX as usize)
+}
+
+/// Byte offsets of every v2 record in a trace image whose name is `name`.
+fn record_offsets(image: &[u8], name: &str) -> Vec<usize> {
+    let mut offs = Vec::new();
+    let mut at = payload_off(name);
+    while at < image.len() {
+        offs.push(at);
+        at += 1 + image[at].count_ones() as usize * 8;
+    }
+    offs
+}
+
+/// Imported traces the emulator could not have produced decode to the
+/// same logical stream and checksum through every reader, and a damaged
+/// copy of each gets one verdict from all of them — a bad instruction word
+/// reported at the record that carries it, even where the record repeats a
+/// (pc, instruction) pair seen before the damage.
+#[test]
+fn hostile_imports_decode_to_the_same_stream() {
+    for (what, t) in [
+        ("one pc, two insns", conflicting_pcs()),
+        ("sparse high pcs", sparse_high_pcs()),
+    ] {
+        let (src, src_dir) = temp_db("hostile-src");
+        let (db, dir) = temp_db("hostile");
+        assert!(src.save("ext", 64, &t), "{what}");
+        let image = std::fs::read(file_of(&src_dir, "ext", 64)).unwrap();
+        assert_eq!(db.import(&image, None).unwrap(), ("ext".to_string(), 64));
+        let want: Vec<DynInsn> = t.iter().collect();
+        let back = db.load_full("ext", 64).unwrap();
+        assert_eq!(back.iter().collect::<Vec<_>>(), want, "{what}: load_full");
+        assert_eq!(back, t, "{what}");
+        assert_eq!(*db.load("ext", 64).unwrap(), t, "{what}: load");
+        assert_eq!(db.verify("ext", 64).unwrap(), t.len() as u64, "{what}");
+        // Distinct (pc, insn) pairs stay distinct after interning.
+        assert_eq!(back.statics.len(), t.statics.len(), "{what}");
+        // Re-encoding the decoded trace gives the same file, checksum
+        // included.
+        assert_eq!(
+            std::fs::read(file_of(&dir, "ext", 64)).unwrap(),
+            image,
+            "{what}"
+        );
+
+        let recs = record_offsets(&image, "ext");
+        assert_eq!(recs.len(), t.len());
+        let edit = |f: &dyn Fn(&mut Vec<u8>)| {
+            let mut b = image.clone();
+            f(&mut b);
+            b
+        };
+        let cases = [
+            // Opcode byte (the first word's low byte) of record 3, whose
+            // pair already appeared undamaged.
+            (edit(&|b| b[recs[3] + 1] = 0xee), TraceDbError::BadRecord(3)),
+            (edit(&|b| b[recs[1]] |= 0x80), TraceDbError::BadRecord(1)),
+            (
+                edit(&|b| *b.last_mut().unwrap() ^= 0x01),
+                TraceDbError::ChecksumMismatch,
+            ),
+            (image[..image.len() - 3].to_vec(), TraceDbError::Truncated),
+        ];
+        let p = file_of(&dir, "ext", 64);
+        let (bad_db, bad_dir) = temp_db("hostile-bad");
+        for (k, (bad, want)) in cases.iter().enumerate() {
+            std::fs::write(&p, bad).unwrap();
+            assert_eq!(
+                db.load_full("ext", 64).unwrap_err(),
+                *want,
+                "{what} #{k}: load_full"
+            );
+            assert!(db.load("ext", 64).is_none(), "{what} #{k}: load");
+            assert_eq!(
+                db.verify("ext", 64).unwrap_err(),
+                *want,
+                "{what} #{k}: verify"
+            );
+            assert_eq!(
+                bad_db.import(bad, None).unwrap_err(),
+                *want,
+                "{what} #{k}: import"
+            );
+        }
+        assert!(
+            bad_db.list().is_empty(),
+            "{what}: a rejected import writes nothing"
+        );
+        for d in [src_dir, dir, bad_dir] {
+            let _ = std::fs::remove_dir_all(d);
+        }
+    }
 }

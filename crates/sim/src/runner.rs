@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use rcmc_core::Core;
-use rcmc_emu::{trace_built, DynInsn, TraceCache, TraceCacheStats, TraceDb};
+use rcmc_emu::{trace_built, Trace, TraceCache, TraceCacheStats, TraceDb};
 use rcmc_workloads::benchmark;
 use serde::{Deserialize, Serialize};
 
@@ -161,14 +161,15 @@ pub fn trace_cache_stats() -> TraceCacheStats {
     TRACES.stats()
 }
 
-/// In-memory bytes of the traces jobs hold right now.
+/// In-memory bytes (records plus static tables) of the traces jobs hold
+/// right now.
 pub fn trace_cache_bytes() -> usize {
     TRACES.bytes()
 }
 
 /// The trace of `bench` at `len` instructions if a job holds it; never
 /// loads anything.
-pub(crate) fn live_trace(bench: &str, len: u64) -> Option<Arc<Vec<DynInsn>>> {
+pub(crate) fn live_trace(bench: &str, len: u64) -> Option<Arc<Trace>> {
     TRACES.get(bench, len)
 }
 
@@ -190,7 +191,7 @@ pub fn check_workload(name: &str, db: Option<&TraceDb>) -> Result<(), String> {
 /// resolving imported traces against the process-default trace store.
 /// The trace stays in memory only while the caller (or another holder)
 /// keeps the returned `Arc`.
-pub fn cached_trace(bench: &str, len: u64) -> Arc<Vec<DynInsn>> {
+pub fn cached_trace(bench: &str, len: u64) -> Arc<Trace> {
     cached_trace_via(bench, len, Some(default_trace_db()))
 }
 
@@ -205,12 +206,11 @@ pub fn cached_trace(bench: &str, len: u64) -> Arc<Vec<DynInsn>> {
 ///
 /// Panics if `bench` is neither a suite benchmark nor a stored trace;
 /// callers reject such names first with [`check_workload`].
-pub fn cached_trace_via(bench: &str, len: u64, db: Option<&TraceDb>) -> Arc<Vec<DynInsn>> {
+pub fn cached_trace_via(bench: &str, len: u64, db: Option<&TraceDb>) -> Arc<Trace> {
     if let Some(b) = benchmark(bench) {
         return TRACES.get_or_build(bench, len, || {
             trace_built(|| b.build(), len as usize)
                 .unwrap_or_else(|e| panic!("{bench} failed to emulate: {e}"))
-                .insns
         });
     }
     let Some((db, best)) = db.and_then(|d| Some((d, d.lens_of(bench).last().copied()?))) else {
@@ -470,7 +470,7 @@ impl JobKey {
 
 /// Simulate one (configuration × benchmark) pair over `trace`, returning
 /// the raw counters (no memoization, no reduction).
-fn simulate_stats(cfg: &SimConfig, budget: &Budget, trace: &[DynInsn]) -> rcmc_core::Stats {
+fn simulate_stats(cfg: &SimConfig, budget: &Budget, trace: &Trace) -> rcmc_core::Stats {
     let mut core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, trace);
     let stats = core.run_with_warmup(budget.warmup, budget.measure);
     // The trace is cut to what a run can read (`Budget::trace_len`), so a
@@ -534,7 +534,7 @@ pub(crate) fn run_pair_with(
     bench: &str,
     budget: &Budget,
     store: &ResultStore,
-    trace: impl FnOnce() -> Arc<Vec<DynInsn>>,
+    trace: impl FnOnce() -> Arc<Trace>,
 ) -> RunResult {
     let key_name = store_name(cfg);
     if let Some(hit) = store.load(&key_name, bench, budget) {

@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-use rcmc_emu::{DynInsn, TraceDb};
+use rcmc_emu::{Trace, TraceDb};
 use serde::json::Value;
 
 use crate::config::SimConfig;
@@ -205,7 +205,7 @@ pub enum Submission {
 
 /// The trace a worker holds between jobs, with the `(bench, trace_len)`
 /// it was requested at.
-type Held = Option<((String, u64), Arc<Vec<DynInsn>>)>;
+type Held = Option<((String, u64), Arc<Trace>)>;
 
 /// The shared scheduler: a bounded queue of deduplicated jobs plus the
 /// request registry. See the [module docs](self) for semantics. `'s`

@@ -120,7 +120,7 @@ fn trace_cache_emulates_exactly_once_under_contention() {
                     cache.get_or_build("applu", 3_000, || {
                         builds.fetch_add(1, Ordering::SeqCst);
                         let program = benchmark("applu").unwrap().build();
-                        trace_program(&program, 3_000).unwrap().insns
+                        trace_program(&program, 3_000).unwrap()
                     })
                 })
             })

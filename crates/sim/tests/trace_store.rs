@@ -31,11 +31,9 @@ fn all_suite_traces_round_trip_bit_identical() {
         let fresh = trace_program(&benchmark(name).unwrap().build(), len as usize).unwrap();
         assert!(db.save(name, len, &fresh), "{name}: save failed");
         let stored = db.load_full(name, len).expect("just-saved trace loads");
-        assert_eq!(stored.insns, fresh.insns, "{name}: dynamic stream differs");
-        assert_eq!(stored.halted, fresh.halted, "{name}: halted differs");
         assert_eq!(
-            stored.static_insns, fresh.static_insns,
-            "{name}: static count differs"
+            stored, fresh,
+            "{name}: logical stream or whole-run facts differ"
         );
     }
     assert_eq!(db.list().len(), all_bench_names().len());
@@ -52,7 +50,7 @@ fn a_stored_trace_under_a_suite_name_is_never_read() {
     let emulate = |name| trace_program(&benchmark(name).unwrap().build(), len as usize).unwrap();
     assert!(db.save("gzip", len, &emulate("mcf")));
     let got = cached_trace_via("gzip", len, Some(&db));
-    assert_eq!(*got, emulate("gzip").insns, "gzip ran on the stored file");
+    assert_eq!(*got, emulate("gzip"), "gzip ran on the stored file");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -72,7 +70,7 @@ fn cache_falls_through_to_store_and_back() {
     let loaded = cache
         .get_or_load("ext", len, || db.load("ext", len))
         .unwrap();
-    assert_eq!(*loaded, fresh.insns, "decoded and emulated traces differ");
+    assert_eq!(*loaded, fresh, "decoded and emulated traces differ");
     let shared = cache
         .get_or_load("ext", len, || panic!("a live trace must be shared"))
         .unwrap();
@@ -89,15 +87,16 @@ fn cache_falls_through_to_store_and_back() {
     let again = cache
         .get_or_load("ext", len, || db.load("ext", len))
         .unwrap();
-    assert_eq!(*again, fresh.insns);
+    assert_eq!(*again, fresh);
     assert_eq!(
         cache.stats().db_hits,
         2,
         "the next miss goes back to the store"
     );
 
-    let built = cache.get_or_build("swim", len, || fresh.insns.clone());
-    assert_eq!(*built, fresh.insns);
+    let swim = || trace_program(&benchmark("swim").unwrap().build(), len as usize).unwrap();
+    let built = cache.get_or_build("swim", len, swim);
+    assert_eq!(*built, fresh);
     assert!(!db.contains("swim", len), "the cache wrote a trace store");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -141,7 +140,7 @@ fn imported_trace_is_a_plan_resolvable_workload() {
 
     // The longest stored length serves shorter/longer budgets too.
     let longest = cached_trace_via("myext", 50_000, Some(&db));
-    assert_eq!(longest.len(), t.insns.len());
+    assert_eq!(longest.len(), t.len());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

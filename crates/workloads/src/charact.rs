@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use rcmc_emu::DynInsn;
+use rcmc_emu::Trace;
 use rcmc_isa::InsnClass;
 
 /// Dynamic characterization of one trace window.
@@ -33,7 +33,7 @@ pub struct MixReport {
 }
 
 /// Characterize a dynamic window.
-pub fn characterize(trace: &[DynInsn]) -> MixReport {
+pub fn characterize(trace: &Trace) -> MixReport {
     let n = trace.len().max(1);
     let mut int_ops = 0usize;
     let mut fp_ops = 0usize;
@@ -114,9 +114,7 @@ pub fn suite_table(window: usize) -> String {
         "program", "class", "int%", "fp%", "ld%", "st%", "br%", "depdist", "pages", "static"
     );
     for b in crate::suite() {
-        let trace = rcmc_emu::trace_program(&b.build(), window)
-            .expect("benchmark must emulate")
-            .insns;
+        let trace = rcmc_emu::trace_program(&b.build(), window).expect("benchmark must emulate");
         let m = characterize(&trace);
         let _ = writeln!(
             out,
@@ -144,7 +142,7 @@ mod tests {
 
     fn mix(name: &str) -> MixReport {
         let b = benchmark(name).unwrap();
-        characterize(&trace_program(&b.build(), 20_000).unwrap().insns)
+        characterize(&trace_program(&b.build(), 20_000).unwrap())
     }
 
     #[test]

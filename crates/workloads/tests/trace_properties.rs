@@ -13,12 +13,7 @@ fn every_benchmark_emulates_a_full_window() {
         let p = b.build();
         let t = trace_program(&p, WINDOW)
             .unwrap_or_else(|e| panic!("{} failed to emulate: {e}", b.name));
-        assert_eq!(
-            t.insns.len(),
-            WINDOW,
-            "{} trace too short (halted early)",
-            b.name
-        );
+        assert_eq!(t.len(), WINDOW, "{} trace too short (halted early)", b.name);
         assert!(!t.halted, "{} must run steady-state, not halt", b.name);
     }
 }
@@ -29,7 +24,6 @@ fn fp_benchmarks_are_fp_heavy_and_int_benchmarks_are_not() {
         let p = b.build();
         let t = trace_program(&p, WINDOW).unwrap();
         let fp = t
-            .insns
             .iter()
             .filter(|d| {
                 matches!(
@@ -38,7 +32,7 @@ fn fp_benchmarks_are_fp_heavy_and_int_benchmarks_are_not() {
                 ) || matches!(d.insn.op, rcmc_isa::Opcode::Fld | rcmc_isa::Opcode::Fst)
             })
             .count() as f64
-            / t.insns.len() as f64;
+            / t.len() as f64;
         match b.class {
             Class::Fp => assert!(
                 fp > 0.25,
@@ -62,12 +56,7 @@ fn int_benchmarks_are_branchier() {
     for b in suite() {
         let p = b.build();
         let t = trace_program(&p, WINDOW).unwrap();
-        let br = t
-            .insns
-            .iter()
-            .filter(|d| d.insn.op.is_cond_branch())
-            .count() as f64
-            / t.insns.len() as f64;
+        let br = t.iter().filter(|d| d.insn.op.is_cond_branch()).count() as f64 / t.len() as f64;
         match b.class {
             Class::Int => {
                 int_avg += br;
@@ -92,7 +81,7 @@ fn all_memory_accesses_are_aligned() {
     for b in suite() {
         let p = b.build();
         let t = trace_program(&p, WINDOW).unwrap();
-        for d in &t.insns {
+        for d in t.iter() {
             if d.insn.op.is_mem() {
                 assert_eq!(
                     d.mem_addr % 8,
@@ -111,12 +100,12 @@ fn every_benchmark_touches_memory() {
     for b in suite() {
         let p = b.build();
         let t = trace_program(&p, WINDOW).unwrap();
-        let mem = t.insns.iter().filter(|d| d.insn.op.is_mem()).count();
+        let mem = t.iter().filter(|d| d.insn.op.is_mem()).count();
         assert!(
-            mem * 20 > t.insns.len(),
+            mem * 20 > t.len(),
             "{}: only {mem} memory ops in {} instructions",
             b.name,
-            t.insns.len()
+            t.len()
         );
     }
 }
@@ -126,15 +115,8 @@ fn mcf_has_low_ilp_chain_character() {
     // The pointer chase must be dominated by dependent loads.
     let b = rcmc_workloads::benchmark("mcf").unwrap();
     let t = trace_program(&b.build(), WINDOW).unwrap();
-    let loads = t
-        .insns
-        .iter()
-        .filter(|d| d.class() == InsnClass::Load)
-        .count() as f64;
-    assert!(
-        loads / t.insns.len() as f64 > 0.15,
-        "mcf load fraction too low"
-    );
+    let loads = t.iter().filter(|d| d.class() == InsnClass::Load).count() as f64;
+    assert!(loads / t.len() as f64 > 0.15, "mcf load fraction too low");
 }
 
 #[test]
@@ -142,11 +124,7 @@ fn nbody_benchmarks_use_fp_divides() {
     for name in ["ammp", "fma3d"] {
         let b = rcmc_workloads::benchmark(name).unwrap();
         let t = trace_program(&b.build(), WINDOW).unwrap();
-        let divs = t
-            .insns
-            .iter()
-            .filter(|d| d.class() == InsnClass::FpDiv)
-            .count();
+        let divs = t.iter().filter(|d| d.class() == InsnClass::FpDiv).count();
         assert!(divs > 100, "{name}: expected many FP divides, got {divs}");
     }
 }
@@ -159,7 +137,6 @@ fn footprints_differ_across_suite() {
         let p = b.build();
         let t = trace_program(&p, WINDOW).unwrap();
         let mut pages: Vec<u64> = t
-            .insns
             .iter()
             .filter(|d| d.insn.op.is_mem())
             .map(|d| d.mem_addr >> 12)

@@ -43,7 +43,7 @@ fn main() {
     let trace = trace_program(&program, 200_000).expect("emulation failed");
     println!(
         "dynamic trace:  {} instructions (halted: {})\n",
-        trace.insns.len(),
+        trace.len(),
         trace.halted
     );
 
@@ -60,7 +60,7 @@ fn main() {
             cfg,
             MemConfig::default(),
             PredictorConfig::default(),
-            &trace.insns,
+            &trace,
         );
         let stats = core.run(u64::MAX);
         println!(

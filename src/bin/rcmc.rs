@@ -470,7 +470,7 @@ fn trace_record(args: &[String], flags: &HashMap<String, String>) {
     let db = trace_db_from(flags);
     let trace =
         trace_program(&b.build(), len as usize).unwrap_or_else(|e| die(format!("{bench}: {e}")));
-    let n = trace.insns.len();
+    let n = trace.len();
     if !db.save(&bench, len, &trace) {
         die::<()>(format!(
             "trace store '{}' is not writable",

@@ -4,15 +4,18 @@
 //! The reference below is the emulator as it was first written: a `match`
 //! on each `Insn` straight from the program, separate `i64`/`f64` register
 //! files, and a `HashMap` page table filled byte by byte. It is slow and
-//! obviously right. Both run random valid programs over every opcode and
-//! all 26 suite benchmarks at the default trace length, and must agree on
-//! the `Trace` (`insns`, `halted`, `static_insns`), the error (if any), and
-//! the final architectural state: pc, registers and resident pages.
+//! obviously right. It records plain 32-byte `DynInsn`s. Both run random
+//! valid programs over every opcode and all 26 suite benchmarks at the
+//! default trace length, and must agree on the trace (the compact
+//! `Trace`'s logical records, `halted`, `static_insns`), the error (if
+//! any), and the final architectural state: pc, registers and resident
+//! pages. Each suite trace must also come back from a trace-store save and
+//! load with the reference's records.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use ring_clustered::emu::{trace_program, Cpu, DynInsn, EmuError, Trace, TraceError};
+use ring_clustered::emu::{trace_program, Cpu, DynInsn, EmuError, Trace, TraceDb, TraceError};
 use ring_clustered::isa::{DataSeg, Insn, Opcode, Program, Reg, DATA_BASE};
 use ring_clustered::sim::runner::{all_bench_names, Budget};
 use ring_clustered::workloads::benchmark;
@@ -237,8 +240,16 @@ mod reference {
         }
     }
 
+    /// A trace as the reference records it: one `DynInsn` per step.
+    #[derive(Debug)]
+    pub struct RefTrace {
+        pub insns: Vec<DynInsn>,
+        pub halted: bool,
+        pub static_insns: usize,
+    }
+
     /// `trace_program` over the reference, plus its final state.
-    pub fn run(p: &Program, budget: usize) -> (Result<Trace, TraceError>, State) {
+    pub fn run(p: &Program, budget: usize) -> (Result<RefTrace, TraceError>, State) {
         let mut cpu = Cpu::new(p);
         let mut insns = Vec::new();
         let mut err = None;
@@ -266,7 +277,7 @@ mod reference {
         };
         let trace = match err {
             Some(e) => Err(e),
-            None => Ok(Trace {
+            None => Ok(RefTrace {
                 insns,
                 halted: cpu.halted,
                 static_insns: p.insns.len(),
@@ -305,30 +316,41 @@ fn emulator_state(p: &Program, budget: usize) -> State {
     }
 }
 
+/// `got`'s logical records and whole-run facts are the reference's.
+fn assert_same_trace(got: &Trace, want: &reference::RefTrace, what: &str) {
+    assert_eq!(got.len(), want.insns.len(), "{what}: trace length");
+    if let Some(k) = got.iter().zip(&want.insns).position(|(a, b)| a != *b) {
+        panic!(
+            "{what}: record {k} differs: {:?} vs reference {:?}",
+            got.get(k),
+            want.insns[k]
+        );
+    }
+    assert_eq!(got.halted, want.halted, "{what}: halted");
+    assert_eq!(got.static_insns, want.static_insns, "{what}: static_insns");
+}
+
 /// Both emulators agree on `p` within `budget` dynamic instructions.
-fn assert_agree(p: &Program, budget: usize, what: &str) {
+/// Returns both traces when the program emulates.
+fn assert_agree(p: &Program, budget: usize, what: &str) -> Option<(Trace, reference::RefTrace)> {
     let (want, want_state) = reference::run(p, budget);
     let got = trace_program(p, budget);
-    match (&got, &want) {
+    assert_eq!(emulator_state(p, budget), want_state, "{what}: final state");
+    match (got, want) {
         (Ok(g), Ok(w)) => {
-            assert_eq!(g.insns.len(), w.insns.len(), "{what}: trace length");
-            if let Some(k) = g.insns.iter().zip(&w.insns).position(|(a, b)| a != b) {
-                panic!(
-                    "{what}: record {k} differs: {:?} vs reference {:?}",
-                    g.insns[k], w.insns[k]
-                );
-            }
-            assert_eq!(g.halted, w.halted, "{what}: halted");
-            assert_eq!(g.static_insns, w.static_insns, "{what}: static_insns");
+            assert_same_trace(&g, &w, what);
+            Some((g, w))
         }
-        (Err(g), Err(w)) => assert_eq!(g, w, "{what}: error"),
-        _ => panic!(
+        (Err(g), Err(w)) => {
+            assert_eq!(g, w, "{what}: error");
+            None
+        }
+        (got, want) => panic!(
             "{what}: outcome differs: {:?} vs reference {:?}",
-            got.as_ref().map(|t| t.insns.len()),
-            want.as_ref().map(|t| t.insns.len())
+            got.map(|t| t.len()),
+            want.map(|t| t.insns.len())
         ),
     }
-    assert_eq!(emulator_state(p, budget), want_state, "{what}: final state");
 }
 
 /// SplitMix64: one seed drives a whole generated program.
@@ -547,8 +569,16 @@ fn random_programs_cover_the_isa() {
 #[test]
 fn suite_benchmarks_match_the_reference() {
     let len = Budget::default().trace_len() as usize;
+    let dir = std::env::temp_dir().join(format!("rcmc-oracle-{}", std::process::id()));
+    let db = TraceDb::at(dir.clone());
     for name in all_bench_names() {
         let p = benchmark(name).expect("suite benchmark").build();
-        assert_agree(&p, len, name);
+        let (got, want) = assert_agree(&p, len, name).expect("suite benchmarks emulate");
+        assert!(db.save(name, len as u64, &got), "{name}: save failed");
+        drop(got);
+        let back = db.load_full(name, len as u64).expect("a saved trace loads");
+        assert_same_trace(&back, &want, &format!("{name} after save and load"));
+        db.remove(name, None);
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,7 +11,7 @@ use ring_clustered::workloads::{benchmark, suite};
 
 const WINDOW: usize = 12_000;
 
-fn run(cfg: CoreConfig, trace: &[ring_clustered::emu::DynInsn]) -> ring_clustered::core::Stats {
+fn run(cfg: CoreConfig, trace: &ring_clustered::emu::Trace) -> ring_clustered::core::Stats {
     let mut core = Core::new(cfg, MemConfig::default(), PredictorConfig::default(), trace);
     core.run(u64::MAX).clone()
 }
@@ -22,7 +22,7 @@ fn every_benchmark_runs_on_every_table3_config() {
     // watchdog panics, every instruction commits, metrics stay sane.
     for cfg in ConfigSpec::group("table3").resolve().unwrap() {
         for b in suite().iter().step_by(5) {
-            let trace = trace_program(&b.build(), 3_000).unwrap().insns;
+            let trace = trace_program(&b.build(), 3_000).unwrap();
             let s = run(cfg.core.clone(), &trace);
             assert_eq!(
                 s.committed,
@@ -48,7 +48,7 @@ fn ring_comm_count_bounded_by_two_source_instructions() {
     // so comms ≤ instructions with ≥1 register source.
     for name in ["galgel", "gcc", "equake"] {
         let b = benchmark(name).unwrap();
-        let trace = trace_program(&b.build(), WINDOW).unwrap().insns;
+        let trace = trace_program(&b.build(), WINDOW).unwrap();
         let with_src = trace
             .iter()
             .filter(|d| d.insn.live_source_count() >= 1)
@@ -75,7 +75,7 @@ fn comms_created_equals_comms_issued_on_drain() {
     // No squash path exists: every communication created must be issued.
     for name in ["swim", "vpr", "lucas"] {
         let b = benchmark(name).unwrap();
-        let trace = trace_program(&b.build(), WINDOW).unwrap().insns;
+        let trace = trace_program(&b.build(), WINDOW).unwrap();
         for topology in config::ALL_TOPOLOGIES {
             let s = run(
                 CoreConfig {
@@ -95,7 +95,7 @@ fn ring_distributes_dispatch_evenly_across_the_suite() {
     // Figure 11's property: on Ring_8clus_1bus_2IW every benchmark spreads
     // within a loose band around 1/8 per cluster.
     for b in suite().iter().step_by(3) {
-        let trace = trace_program(&b.build(), WINDOW).unwrap().insns;
+        let trace = trace_program(&b.build(), WINDOW).unwrap();
         let s = run(CoreConfig::default(), &trace); // default == Ring 8c 1bus 2IW
         let shares = s.dispatch_shares(8);
         let mx = shares.iter().copied().fold(0.0f64, f64::max);
@@ -111,7 +111,7 @@ fn ring_distributes_dispatch_evenly_across_the_suite() {
 #[test]
 fn conv_ssa_concentrates_ring_ssa_does_not() {
     let b = benchmark("wupwise").unwrap();
-    let trace = trace_program(&b.build(), WINDOW).unwrap().insns;
+    let trace = trace_program(&b.build(), WINDOW).unwrap();
     let ring = run(
         CoreConfig {
             topology: Topology::Ring,
@@ -142,7 +142,7 @@ fn conv_ssa_concentrates_ring_ssa_does_not() {
 fn two_cycle_hops_hurt_conv_more_than_ring() {
     // §4.6's direction: slower buses widen the Ring advantage.
     let b = benchmark("galgel").unwrap();
-    let trace = trace_program(&b.build(), WINDOW).unwrap().insns;
+    let trace = trace_program(&b.build(), WINDOW).unwrap();
     let mut ring1 = config::make(Topology::Ring, 8, 2, 1).core;
     let mut conv1 = config::make(Topology::Conv, 8, 2, 1).core;
     let r1 = run(ring1.clone(), &trace).ipc();
@@ -162,7 +162,7 @@ fn two_cycle_hops_hurt_conv_more_than_ring() {
 #[test]
 fn deterministic_across_runs() {
     let b = benchmark("parser").unwrap();
-    let trace = trace_program(&b.build(), WINDOW).unwrap().insns;
+    let trace = trace_program(&b.build(), WINDOW).unwrap();
     let a = run(CoreConfig::default(), &trace);
     let b2 = run(CoreConfig::default(), &trace);
     assert_eq!(a.cycles, b2.cycles);
@@ -174,7 +174,7 @@ fn deterministic_across_runs() {
 #[test]
 fn warmup_plus_measure_equals_full_run() {
     let b = benchmark("apsi").unwrap();
-    let trace = trace_program(&b.build(), WINDOW).unwrap().insns;
+    let trace = trace_program(&b.build(), WINDOW).unwrap();
     let mut core = Core::new(
         CoreConfig::default(),
         MemConfig::default(),

@@ -165,18 +165,18 @@ proptest! {
                 cfg.clone(),
                 MemConfig::default(),
                 PredictorConfig::default(),
-                &trace.insns,
+                &trace,
             );
             let stats = core.run(u64::MAX);
             // Every oracle instruction commits, in order, minus the final
             // halt if present.
-            let expect = trace.insns.len() as u64 - u64::from(trace.halted);
+            let expect = trace.len() as u64 - u64::from(trace.halted);
             prop_assert_eq!(stats.committed, expect);
             // Conservation: all created comms issue once the pipeline drains.
             prop_assert_eq!(stats.comms_created, stats.comms_issued);
             // Every dispatched instruction belongs to exactly one cluster.
             let dispatched: u64 = stats.dispatched_per_cluster.iter().sum();
-            prop_assert!(dispatched <= trace.insns.len() as u64);
+            prop_assert!(dispatched <= trace.len() as u64);
         }
     }
 
@@ -187,9 +187,9 @@ proptest! {
         let program = build_program(&body);
         let trace = trace_program(&program, 4_000).unwrap();
         let cfg = CoreConfig::default();
-        let mut full = Core::new(cfg.clone(), MemConfig::default(), PredictorConfig::default(), &trace.insns);
+        let mut full = Core::new(cfg.clone(), MemConfig::default(), PredictorConfig::default(), &trace);
         full.run(u64::MAX);
-        let mut budgeted = Core::new(cfg, MemConfig::default(), PredictorConfig::default(), &trace.insns);
+        let mut budgeted = Core::new(cfg, MemConfig::default(), PredictorConfig::default(), &trace);
         budgeted.run(1_000);
         // The budgeted run is a strict prefix in committed count and cycles.
         prop_assert!(budgeted.stats().committed <= full.stats().committed);

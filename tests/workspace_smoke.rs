@@ -33,7 +33,7 @@ fn ring_and_conventional_commit_the_same_instruction_count() {
     let program = tiny_program();
     let trace = trace_program(&program, 4096).expect("smoke program must emulate");
     // Everything the emulator traced commits, except the halt itself.
-    let expected = trace.insns.len() as u64 - u64::from(trace.halted);
+    let expected = trace.len() as u64 - u64::from(trace.halted);
 
     let mut committed = Vec::new();
     for (topology, steering) in [
@@ -49,7 +49,7 @@ fn ring_and_conventional_commit_the_same_instruction_count() {
             cfg,
             MemConfig::default(),
             PredictorConfig::default(),
-            &trace.insns,
+            &trace,
         );
         let stats = core.run(u64::MAX);
         assert_eq!(
