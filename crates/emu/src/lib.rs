@@ -4,7 +4,7 @@
 //! **dynamic instruction stream** (one [`DynInsn`] per executed instruction,
 //! with resolved branch outcomes and effective memory addresses), stored
 //! as a [`Trace`]: 16-byte [`TraceRec`]s over a table of the program's
-//! [`StaticInsn`]s. The
+//! [`StaticInsn`]s, or yielded record by record by a [`TraceSource`]. The
 //! clustered timing model in `rcmc-core` replays this stream: an
 //! *execution-driven, stall-on-mispredict* simulation style in which the
 //! timing model never fabricates wrong-path work but still pays realistic
@@ -15,14 +15,14 @@
 //! generators guarantee valid aligned code and the timing model's
 //! store-to-load forwarding relies on alignment.
 
-mod cache;
 mod cpu;
 mod mem;
 mod trace;
 pub mod trace_db;
 
-pub use cache::{TraceCache, TraceCacheStats};
 pub use cpu::{Cpu, EmuError};
 pub use mem::Memory;
-pub use trace::{trace_built, trace_program, DynInsn, StaticInsn, Trace, TraceError, TraceRec};
+pub use trace::{
+    trace_built, trace_program, DynInsn, StaticInsn, Trace, TraceError, TraceRec, TraceSource,
+};
 pub use trace_db::{TraceDb, TraceDbError, TraceMeta, TRACE_VERSION};

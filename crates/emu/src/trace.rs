@@ -6,6 +6,12 @@
 //! what varies between executions of one static instruction. Readers see
 //! the 32-byte logical record, [`DynInsn`], through [`Trace::get`] and
 //! [`Trace::iter`].
+//!
+//! A timing run need not hold a whole trace: a [`TraceSource`] yields the
+//! same records one at a time, from the emulator stepping a program or
+//! from a materialized trace replayed in order.
+
+use std::borrow::Cow;
 
 use rcmc_isa::{Insn, InsnClass, Program};
 
@@ -50,10 +56,10 @@ pub struct StaticInsn {
     pub pc: u32,
 }
 
-/// One dynamic instruction, stored form: 16 bytes. Every in-memory trace
-/// holds one per traced instruction, so the record size sets the trace
-/// cache's footprint and the emulator's write bandwidth.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// One dynamic instruction, stored form: 16 bytes. A materialized trace
+/// holds one per traced instruction and a core's ring one per slot, so
+/// the record size sets both footprints.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceRec {
     /// Index of the instruction and its pc in [`Trace::statics`].
     pub sid: u32,
@@ -185,8 +191,7 @@ pub fn trace_built(build: impl FnOnce() -> Program, max_insns: usize) -> Result<
 }
 
 /// Step a fresh [`Cpu`] over `program`, pushing each record into `insns`,
-/// whose reserved capacity the caller chose. The static table is the
-/// program itself, so a record's `sid` is its pc.
+/// whose reserved capacity the caller chose.
 fn trace_into(
     program: &Program,
     max_insns: usize,
@@ -195,25 +200,83 @@ fn trace_into(
     let mut cpu = Cpu::new(program);
     while insns.len() < max_insns {
         let Some(d) = cpu.step()? else { break };
-        insns.push(TraceRec {
-            sid: d.pc,
-            next_pc: d.next_pc,
-            mem_addr: d.mem_addr,
-        });
+        insns.push(emulated_rec(d));
         if cpu.halted() {
             break;
         }
     }
-    let statics = (0..)
-        .zip(&program.insns)
-        .map(|(pc, &insn)| StaticInsn { insn, pc })
-        .collect();
     Ok(Trace {
         insns,
-        statics,
+        statics: program_statics(program),
         halted: cpu.halted(),
         static_insns: program.insns.len(),
     })
+}
+
+/// An emulated trace's static table: the program itself, so a record's
+/// `sid` is its pc.
+fn program_statics(program: &Program) -> Vec<StaticInsn> {
+    (0..)
+        .zip(&program.insns)
+        .map(|(pc, &insn)| StaticInsn { insn, pc })
+        .collect()
+}
+
+/// The stored record of an emulated step over [`program_statics`].
+fn emulated_rec(d: DynInsn) -> TraceRec {
+    TraceRec {
+        sid: d.pc,
+        next_pc: d.next_pc,
+        mem_addr: d.mem_addr,
+    }
+}
+
+/// Trace records over a static table, yielded in program order: what a
+/// timing run reads instead of holding a whole trace. Either form yields
+/// exactly the records of the trace it stands for.
+pub struct TraceSource<'t> {
+    statics: Cow<'t, [StaticInsn]>,
+    recs: Box<dyn Iterator<Item = TraceRec> + 't>,
+}
+
+impl<'t> TraceSource<'t> {
+    /// Step the emulator over `program`, the workload `name`, until it
+    /// halts: the records of [`trace_program`], with the program as the
+    /// static table. Workloads are valid programs, so an emulation error
+    /// panics with "`name` failed to emulate: …".
+    pub fn emulate(name: &str, program: &Program) -> TraceSource<'static> {
+        let (name, mut cpu) = (name.to_string(), Cpu::new(program));
+        let step = move || {
+            let d = cpu.step();
+            d.unwrap_or_else(|e| panic!("{name} failed to emulate: {}", TraceError::Emu(e)))
+                .map(emulated_rec)
+        };
+        TraceSource {
+            statics: Cow::Owned(program_statics(program)),
+            recs: Box::new(std::iter::from_fn(step)),
+        }
+    }
+
+    /// Replay the records of a materialized trace.
+    pub fn replay(trace: &'t Trace) -> Self {
+        TraceSource {
+            statics: Cow::Borrowed(&trace.statics),
+            recs: Box::new(trace.insns.iter().copied()),
+        }
+    }
+
+    /// The static table every record's `sid` indexes.
+    pub fn statics(&self) -> &[StaticInsn] {
+        &self.statics
+    }
+}
+
+impl Iterator for TraceSource<'_> {
+    type Item = TraceRec;
+
+    fn next(&mut self) -> Option<TraceRec> {
+        self.recs.next()
+    }
 }
 
 #[cfg(test)]
@@ -263,6 +326,30 @@ mod tests {
             assert_eq!(got, want);
             assert_eq!(got.insns, want.insns);
         }
+    }
+
+    #[test]
+    fn sources_yield_the_materialized_records() {
+        for n in [5, 1_000_000] {
+            let p = counted_loop(n);
+            let t = trace_program(&p, 100).unwrap();
+            let emulated = TraceSource::emulate("loop", &p);
+            assert_eq!(emulated.statics(), &t.statics[..]);
+            let recs: Vec<TraceRec> = emulated.take(100).collect();
+            assert_eq!(recs, t.insns);
+            assert!(TraceSource::replay(&t).eq(t.insns.iter().copied()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bad failed to emulate: emulation failed: pc 1 out of range")]
+    fn an_emulation_error_panics_with_the_workload_name() {
+        let p = Program {
+            insns: vec![Insn::new(Opcode::Movi, Some(Reg::int(1)), None, None, 1)],
+            data: vec![],
+            entry: 0,
+        };
+        TraceSource::emulate("bad", &p).for_each(drop);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Persistent, mmap-friendly on-disk store for oracle traces.
 //!
-//! A [`TraceDb`] is a directory of `.trc` files, one per `(name, len)` key
-//! (the same identity [`crate::TraceCache`] uses in memory), laid out as
+//! A [`TraceDb`] is a directory of `.trc` files, one per `(name, len)` key,
+//! laid out as
 //! `<dir>/<name>/<len>.trc`: a fixed little-endian header followed by one
 //! record per dynamic instruction (its logical [`DynInsn`]), consumed by a
 //! sequential chunked decode into a compact [`Trace`]. The
@@ -16,7 +16,7 @@
 //!      8     4  format version   (FORMAT_VERSION — file layout)
 //!     12     4  trace version    (TRACE_VERSION — emulator semantics,
 //!                                 independent of the timing MODEL_VERSION)
-//!     16     8  key length       (the requested trace length, cache key)
+//!     16     8  key length       (the requested trace length, store key)
 //!     24     8  instruction count
 //!     32     8  checksum         (4-lane FNV-1a over the LOGICAL records:
 //!                                 lane j folds 8-byte word j of each
@@ -163,9 +163,9 @@ impl std::error::Error for TraceDbError {}
 /// Catalog entry for one stored trace ([`TraceDb::list`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceMeta {
-    /// Workload name (the cache key's name half).
+    /// Workload name (the store key's name half).
     pub name: String,
-    /// Requested trace length (the cache key's length half).
+    /// Requested trace length (the store key's length half).
     pub len: u64,
     /// Dynamic instructions actually stored.
     pub insns: u64,

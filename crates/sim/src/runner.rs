@@ -1,28 +1,30 @@
-//! Run (configuration × benchmark) pairs with trace sharing and disk-backed
-//! result memoization.
+//! Run (configuration × benchmark) pairs with disk-backed result
+//! memoization.
 //!
-//! [`run_pair`] is one job: probe the store, load the oracle trace (live
-//! in memory, else emulated for a suite benchmark or decoded from the
-//! on-disk [`TraceDb`] for an imported one, [`cached_trace_via`]),
-//! simulate, [`reduce_metrics`], persist. Grids of jobs run on the
-//! scheduler ([`crate::scheduler`]), which both
-//! [`crate::session::Session::run`] and `rcmc serve` drive; there the
-//! workers hold the traces and hand them to each job, and a trace lives
-//! only while some worker holds it. Every simulation is independent and
-//! traces are shared read-only, so results are bit-identical at any
-//! worker count, and every finished pair is durably memoized the moment it
+//! [`run_pair`] is one job: probe the store, simulate, [`reduce_metrics`],
+//! persist. The job streams its oracle trace through the core's ring: a
+//! suite benchmark is emulated as the core fetches, and an imported trace
+//! is decoded from the on-disk [`TraceDb`] and replayed. No job holds a
+//! suite trace and nothing is shared between jobs. Grids of jobs run on
+//! the scheduler ([`crate::scheduler`]), which both
+//! [`crate::session::Session::run`] and `rcmc serve` drive. Every
+//! simulation is independent, so results are bit-identical at any worker
+//! count, and every finished pair is durably memoized the moment it
 //! completes (an interrupted run resumes where it stopped).
+//!
+//! [`cached_trace`] materializes a whole trace, for the callers that need
+//! one: the pipeline view, the oracles and the tests.
 //!
 //! The [`ResultStore`] is sharded per configuration
 //! (`target/rcmc-results/<config>/<key>.json`), so huge sweeps never pile
 //! thousands of files into one directory.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use rcmc_core::Core;
-use rcmc_emu::{trace_built, Trace, TraceCache, TraceCacheStats, TraceDb};
+use rcmc_emu::{trace_built, Trace, TraceDb, TraceSource};
 use rcmc_workloads::benchmark;
 use serde::{Deserialize, Serialize};
 
@@ -64,9 +66,9 @@ impl Default for Budget {
 }
 
 impl Budget {
-    /// Dynamic instructions a run with this budget needs in its trace:
-    /// warmup + measure, plus [`rcmc_core::RUN_AHEAD`] for what fetch
-    /// reads ahead of commit and commit overshoots the budget (every
+    /// Dynamic instructions a materialized trace needs for a run with this
+    /// budget: warmup + measure, plus [`rcmc_core::RUN_AHEAD`] for what
+    /// fetch reads ahead of commit and commit overshoots the budget (every
     /// configuration that validates fits it). The length is part of the
     /// trace-store key.
     pub fn trace_len(&self) -> u64 {
@@ -116,12 +118,10 @@ pub struct RunResult {
     pub cycles: u64,
 }
 
-/// The process-wide oracle-trace registry. It owns no trace memory: the
-/// jobs holding a trace keep it alive, and every concurrent requester of
-/// a held trace shares it (traces are identical across configurations),
-/// within a run and across serve requests. Its counters are the
-/// process-wide emulation and import-load tallies.
-static TRACES: TraceCache = TraceCache::new();
+/// Suite traces this process emulated, streamed or materialized.
+static EMULATED: AtomicU64 = AtomicU64::new(0);
+/// Imported traces this process loaded from a trace store.
+static LOADED: AtomicU64 = AtomicU64::new(0);
 
 /// Where the default stores live: `CARGO_TARGET_DIR`, else the workspace's
 /// `target/`.
@@ -153,24 +153,31 @@ pub fn default_trace_db() -> &'static TraceDb {
     })
 }
 
-/// Materialization counters of the process-wide trace cache: how many
-/// traces were emulated (`built`) vs decoded from a trace store
-/// (`db_hits`, imported traces only; what `rcmc plan run` reports and CI
-/// greps), and the traces jobs hold right now.
-pub fn trace_cache_stats() -> TraceCacheStats {
-    TRACES.stats()
+/// Where this process's traces came from ([`trace_cache_stats`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TraceCounts {
+    /// Suite traces emulated: one per executed suite job, plus one per
+    /// materialized suite trace.
+    pub built: u64,
+    /// Imported traces decoded from a trace store.
+    pub db_hits: u64,
 }
 
-/// In-memory bytes (records plus static tables) of the traces jobs hold
-/// right now.
+/// How many traces this process has emulated (`built`) and decoded from a
+/// trace store (`db_hits`, imported traces only). What `rcmc plan run`
+/// reports and CI greps.
+pub fn trace_cache_stats() -> TraceCounts {
+    TraceCounts {
+        built: EMULATED.load(Ordering::Relaxed),
+        db_hits: LOADED.load(Ordering::Relaxed),
+    }
+}
+
+/// Always 0: no trace is cached. A job streams its trace through the
+/// core's ring, and a materialized trace lives only while its caller
+/// holds it.
 pub fn trace_cache_bytes() -> usize {
-    TRACES.bytes()
-}
-
-/// The trace of `bench` at `len` instructions if a job holds it; never
-/// loads anything.
-pub(crate) fn live_trace(bench: &str, len: u64) -> Option<Arc<Trace>> {
-    TRACES.get(bench, len)
+    0
 }
 
 /// Check that `name` resolves to a runnable workload against `db`: a suite
@@ -187,42 +194,47 @@ pub fn check_workload(name: &str, db: Option<&TraceDb>) -> Result<(), String> {
     }
 }
 
-/// Fetch (or build) the oracle trace for `bench` with `len` instructions,
+/// Materialize the oracle trace of `bench` with `len` instructions,
 /// resolving imported traces against the process-default trace store.
-/// The trace stays in memory only while the caller (or another holder)
-/// keeps the returned `Arc`.
+/// Nothing is cached: every call emulates or decodes afresh.
 pub fn cached_trace(bench: &str, len: u64) -> Arc<Trace> {
     cached_trace_via(bench, len, Some(default_trace_db()))
 }
 
-/// [`cached_trace`] against an explicit trace store. This is where a
-/// trace comes from: a live trace is shared; otherwise a suite benchmark
-/// is always emulated (emulating beats decoding, `BENCH_trace.json`) and
-/// never reads or writes `db`, and any other name is an **imported
-/// trace**, decoded from `db`: the longest trace stored under that name,
-/// regardless of `len` (externally captured workloads have a fixed length
-/// — a shorter trace simply ends the run early, exactly like a program
-/// that halts).
+/// [`cached_trace`] against an explicit trace store. A suite benchmark is
+/// always emulated (emulating beats decoding, `BENCH_trace.json`) and
+/// never reads or writes `db`; any other name is an imported trace,
+/// decoded from `db` as a job decodes it.
 ///
 /// Panics if `bench` is neither a suite benchmark nor a stored trace;
 /// callers reject such names first with [`check_workload`].
 pub fn cached_trace_via(bench: &str, len: u64, db: Option<&TraceDb>) -> Arc<Trace> {
-    if let Some(b) = benchmark(bench) {
-        return TRACES.get_or_build(bench, len, || {
-            trace_built(|| b.build(), len as usize)
-                .unwrap_or_else(|e| panic!("{bench} failed to emulate: {e}"))
-        });
-    }
+    let Some(b) = benchmark(bench) else {
+        return load_imported(bench, db);
+    };
+    EMULATED.fetch_add(1, Ordering::Relaxed);
+    Arc::new(
+        trace_built(|| b.build(), len as usize)
+            .unwrap_or_else(|e| panic!("{bench} failed to emulate: {e}")),
+    )
+}
+
+/// The **imported trace** `bench`, decoded from `db` with its checksum
+/// verified: the longest trace stored under that name, whatever the
+/// budget (externally captured workloads have a fixed length — a shorter
+/// trace simply ends the run early, exactly like a program that halts).
+/// Panics if `db` holds no trace of that name or the file went bad.
+fn load_imported(bench: &str, db: Option<&TraceDb>) -> Arc<Trace> {
     let Some((db, best)) = db.and_then(|d| Some((d, d.lens_of(bench).last().copied()?))) else {
         panic!("unknown workload '{bench}' (not in the suite or the trace store)");
     };
     // `None` only if the file vanished or went bad since `lens_of`; there
     // is no emulator path for imported workloads.
-    TRACES
-        .get_or_load(bench, best, || db.load(bench, best))
-        .unwrap_or_else(|| {
-            panic!("imported trace '{bench}' ({best} insns) disappeared from the trace store")
-        })
+    let trace = db.load(bench, best).unwrap_or_else(|| {
+        panic!("imported trace '{bench}' ({best} insns) disappeared from the trace store")
+    });
+    LOADED.fetch_add(1, Ordering::Relaxed);
+    trace
 }
 
 /// Disk-backed memoization of [`RunResult`]s.
@@ -468,24 +480,26 @@ impl JobKey {
     }
 }
 
-/// Simulate one (configuration × benchmark) pair over `trace`, returning
-/// the raw counters (no memoization, no reduction).
-fn simulate_stats(cfg: &SimConfig, budget: &Budget, trace: &Trace) -> rcmc_core::Stats {
-    let mut core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, trace);
-    let stats = core.run_with_warmup(budget.warmup, budget.measure);
-    // The trace is cut to what a run can read (`Budget::trace_len`), so a
-    // run that stops short of its window must have ended on the program's
-    // halt or on a trace that was shorter than the cut to begin with.
-    debug_assert!(
-        core.stats().committed >= budget.warmup + budget.measure
-            || core.halted()
-            || (trace.len() as u64) < budget.trace_len(),
-        "{}: run stopped at the trimmed trace end ({} of {} insns committed)",
-        cfg.name,
-        core.stats().committed,
-        budget.warmup + budget.measure
-    );
-    stats
+/// Simulate one (configuration × benchmark) pair, returning the raw
+/// counters (no memoization, no reduction). A suite benchmark is emulated
+/// as the core fetches; an imported trace is loaded from `db` and
+/// replayed.
+fn simulate_stats(
+    cfg: &SimConfig,
+    bench: &str,
+    budget: &Budget,
+    db: Option<&TraceDb>,
+) -> rcmc_core::Stats {
+    let window = |mut core: Core<'_>| core.run_with_warmup(budget.warmup, budget.measure);
+    let (core_cfg, mem, pred) = (cfg.core.clone(), cfg.mem, cfg.pred);
+    match benchmark(bench) {
+        Some(b) => {
+            EMULATED.fetch_add(1, Ordering::Relaxed);
+            let source = TraceSource::emulate(bench, &b.build());
+            window(Core::streaming(core_cfg, mem, pred, source))
+        }
+        None => window(Core::new(core_cfg, mem, pred, &load_imported(bench, db))),
+    }
 }
 
 /// The post-run metric reduction: fold raw [`rcmc_core::Stats`] (including
@@ -511,9 +525,9 @@ pub fn reduce_metrics(cfg: &SimConfig, bench: &str, stats: &rcmc_core::Stats) ->
     }
 }
 
-/// Simulate one (configuration × benchmark) pair, memoized. `db` is the
-/// store an imported workload's trace is loaded from (`None`: suite
-/// benchmarks only).
+/// Simulate one (configuration × benchmark) pair, memoized: a store hit
+/// loads no trace. `db` is the store an imported workload's trace is
+/// loaded from (`None`: suite benchmarks only).
 pub fn run_pair(
     cfg: &SimConfig,
     bench: &str,
@@ -521,26 +535,11 @@ pub fn run_pair(
     store: &ResultStore,
     db: Option<&TraceDb>,
 ) -> RunResult {
-    run_pair_with(cfg, bench, budget, store, || {
-        cached_trace_via(bench, budget.trace_len(), db)
-    })
-}
-
-/// [`run_pair`] over a trace its caller supplies: `trace` is called only
-/// when the store misses, so a memoized pair loads no trace. The scheduler
-/// workers pass the trace they hold.
-pub(crate) fn run_pair_with(
-    cfg: &SimConfig,
-    bench: &str,
-    budget: &Budget,
-    store: &ResultStore,
-    trace: impl FnOnce() -> Arc<Trace>,
-) -> RunResult {
     let key_name = store_name(cfg);
     if let Some(hit) = store.load(&key_name, bench, budget) {
         return hit;
     }
-    let stats = simulate_stats(cfg, budget, &trace());
+    let stats = simulate_stats(cfg, bench, budget, db);
     let result = reduce_metrics(cfg, bench, &stats);
     store.save(&key_name, bench, budget, &result);
     result
@@ -579,13 +578,6 @@ mod tests {
         assert_eq!(r.dispatch_shares.len(), 4);
         let total: f64 = r.dispatch_shares.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn trace_cache_reuses() {
-        let a = cached_trace("gzip", 5000);
-        let b = cached_trace("gzip", 5000);
-        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]

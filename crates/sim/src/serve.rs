@@ -29,10 +29,10 @@
 //! Responses carry an `"event"` discriminator: `pong`, `listing`,
 //! `progress` (streamed per executed job, interleaved across in-flight
 //! requests — demux on `id`), `result` (rows + rendered reports),
-//! `cancelled`, `stats` (`scheduler` counters, and `trace_cache`: `bytes`
-//! and `live` traces held now, `built`/`db_hits` — suite traces emulated
-//! and imported traces loaded over the process lifetime), `error`, `bye`. Every event carries the originating request
-//! `id`.
+//! `cancelled`, `stats` (`scheduler` counters, and `trace_cache`:
+//! `built`/`db_hits` — suite traces emulated and imported traces loaded
+//! over the process lifetime), `error`, `bye`. Every event carries the
+//! originating request `id`.
 //!
 //! Malformed JSON gets an `error` event and the loop keeps reading. A
 //! broken *frame* — non-UTF-8 bytes or an over-long line (see
@@ -130,14 +130,11 @@ fn plan_of(req: &Value) -> Result<Plan, String> {
     }
 }
 
-/// JSON rendering of the process-wide trace cache: the traces workers hold
-/// right now and the lifetime emulation/import-load counters (the `stats`
-/// event).
+/// JSON rendering of the process's lifetime emulation and import-load
+/// counters (the `stats` event's `trace_cache`).
 fn trace_cache_value() -> Value {
     let t = runner::trace_cache_stats();
     obj(vec![
-        ("bytes", Value::Num(t.bytes as f64)),
-        ("live", Value::Num(t.live as f64)),
         ("built", Value::Num(t.built as f64)),
         ("db_hits", Value::Num(t.db_hits as f64)),
     ])
@@ -846,15 +843,19 @@ mod tests {
         let sched = field(&lines[2], "scheduler");
         assert_eq!(field(sched, "submitted"), &Value::Num(0.0));
         assert_eq!(field(sched, "coalesce_hit_rate"), &Value::Num(0.0));
-        // And the trace cache: what workers hold, and the lifetime
-        // build/decode counters.
+        // And the lifetime emulation/decode counters, nothing else: no
+        // trace is held between jobs.
         let traces = field(&lines[2], "trace_cache");
-        for key in ["bytes", "live", "built", "db_hits"] {
+        for key in ["built", "db_hits"] {
             assert!(
                 matches!(field(traces, key), Value::Num(n) if *n >= 0.0),
                 "trace_cache.{key}"
             );
         }
+        assert!(
+            matches!(traces, Value::Obj(m) if m.len() == 2),
+            "{traces:?}"
+        );
         assert_eq!(field(&lines[3], "event"), &Value::Str("bye".into()));
     }
 

@@ -10,8 +10,8 @@
 //! [`Session::run`] executes on the same job engine as `rcmc serve`: it
 //! submits the plan as one request to a fresh [`Scheduler`] whose workers
 //! run on the session's pool, then returns the finished [`ResultSet`].
-//! The workers hold the oracle traces, each loaded once per plan; when
-//! the run returns, only traces a caller still holds stay in memory.
+//! Each executed job streams its own oracle trace, so a run holds no
+//! suite trace.
 //!
 //! ```no_run
 //! use rcmc_sim::plan::Plan;

@@ -1,16 +1,12 @@
 //! Job-engine guarantees, exercised through plans on the public `Session`
-//! API: bit-identical results at any worker count, exactly-once trace
-//! emulation under thread races, deterministic progress accounting, and
-//! concurrent-safe result persistence.
+//! API: bit-identical results at any worker count, deterministic progress
+//! accounting, and concurrent-safe result persistence.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use rcmc_core::{Steering, Topology};
-use rcmc_emu::{trace_program, TraceCache};
-use rcmc_sim::runner::{cached_trace, Budget, ResultStore};
+use rcmc_sim::runner::{Budget, ResultStore};
 use rcmc_sim::{Plan, Session};
-use rcmc_workloads::benchmark;
 
 fn tiny() -> Budget {
     Budget {
@@ -104,44 +100,6 @@ fn plan_driven_runs_match_explicit_sweeps() {
     );
     let via_axes = Session::ephemeral().with_jobs(1).run(&axes).unwrap();
     assert_eq!(via_named, via_axes);
-}
-
-#[test]
-fn trace_cache_emulates_exactly_once_under_contention() {
-    // Drive the emu-level cache with a real benchmark build from N racing
-    // threads: the emulation closure must run exactly once, and everyone
-    // must share the same Arc.
-    let cache = TraceCache::new();
-    let builds = AtomicUsize::new(0);
-    let traces: Vec<_> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                s.spawn(|| {
-                    cache.get_or_build("applu", 3_000, || {
-                        builds.fetch_add(1, Ordering::SeqCst);
-                        let program = benchmark("applu").unwrap().build();
-                        trace_program(&program, 3_000).unwrap()
-                    })
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    assert_eq!(builds.load(Ordering::SeqCst), 1, "duplicate emulation");
-    assert!(traces.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])));
-    assert_eq!(traces[0].len(), 3_000);
-}
-
-#[test]
-fn process_wide_trace_cache_shares_across_threads() {
-    let trace_len = tiny().trace_len();
-    let arcs: Vec<_> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..6)
-            .map(|_| s.spawn(|| cached_trace("lucas", trace_len)))
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    assert!(arcs.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])));
 }
 
 #[test]

@@ -9,7 +9,7 @@
 
 use std::path::PathBuf;
 
-use rcmc_emu::{trace_program, TraceCache, TraceDb};
+use rcmc_emu::{trace_program, TraceDb};
 use rcmc_sim::plan::Plan;
 use rcmc_sim::runner::{all_bench_names, cached_trace_via, Budget, ResultStore};
 use rcmc_sim::Session;
@@ -51,53 +51,6 @@ fn a_stored_trace_under_a_suite_name_is_never_read() {
     assert!(db.save("gzip", len, &emulate("mcf")));
     let got = cached_trace_via("gzip", len, Some(&db));
     assert_eq!(*got, emulate("gzip"), "gzip ran on the stored file");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The cache fallthrough contract for a stored trace: a miss decodes
-/// from the store, a second request shares the live trace instead of
-/// decoding again, and dropping the last holder frees memory but not the
-/// store, so the next request goes back to it. The cache itself never
-/// writes a store: building a key leaves no file behind.
-#[test]
-fn cache_falls_through_to_store_and_back() {
-    let (db, dir) = temp_db("fallthrough");
-    let len = 9_000u64;
-    let fresh = trace_program(&benchmark("swim").unwrap().build(), len as usize).unwrap();
-    assert!(db.save("ext", len, &fresh));
-
-    let cache = TraceCache::new();
-    let loaded = cache
-        .get_or_load("ext", len, || db.load("ext", len))
-        .unwrap();
-    assert_eq!(*loaded, fresh, "decoded and emulated traces differ");
-    let shared = cache
-        .get_or_load("ext", len, || panic!("a live trace must be shared"))
-        .unwrap();
-    let s = cache.stats();
-    assert_eq!((s.built, s.db_hits, s.live), (0, 1, 1));
-    assert!(cache.bytes() > 0, "bytes() must account the held trace");
-
-    drop((loaded, shared));
-    assert_eq!(cache.bytes(), 0);
-    assert!(
-        db.contains("ext", len),
-        "dropping a trace frees memory, not the on-disk store"
-    );
-    let again = cache
-        .get_or_load("ext", len, || db.load("ext", len))
-        .unwrap();
-    assert_eq!(*again, fresh);
-    assert_eq!(
-        cache.stats().db_hits,
-        2,
-        "the next miss goes back to the store"
-    );
-
-    let swim = || trace_program(&benchmark("swim").unwrap().build(), len as usize).unwrap();
-    let built = cache.get_or_build("swim", len, swim);
-    assert_eq!(*built, fresh);
-    assert!(!db.contains("swim", len), "the cache wrote a trace store");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -44,6 +44,27 @@ use ring_clustered::sim::runner::{
 use ring_clustered::sim::{config, machines, serve, Plan, Progress, ResultStore, Session};
 use ring_clustered::workloads::{benchmark, suite};
 
+/// Write to stdout: everything the CLI prints goes through this one
+/// writer. A reader that closed the pipe early
+/// (`rcmc disasm mcf | head -1`) ends the process quietly with exit 0;
+/// any other error exits 1.
+fn write_out(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    match std::io::stdout().lock().write_fmt(args) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => die(format!("cannot write to stdout: {e}")),
+        Ok(()) => {}
+    }
+}
+
+/// `print!` and `println!` through [`write_out`].
+macro_rules! out {
+    ($($arg:tt)*) => { write_out(format_args!($($arg)*)) };
+}
+macro_rules! outln {
+    ($($arg:tt)*) => { write_out(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 fn main() {
     check_jobs_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -284,35 +305,35 @@ fn preset_spec(name: &str) -> ConfigSpec {
 }
 
 fn list() {
-    println!("benchmarks (12 INT + 14 FP SPEC2000 surrogates):");
+    outln!("benchmarks (12 INT + 14 FP SPEC2000 surrogates):");
     for b in suite() {
         let class = if b.is_fp() { "FP " } else { "INT" };
-        println!("  {:10} {class}  {:?}", b.name, b.kernel);
+        outln!("  {:10} {class}  {:?}", b.name, b.kernel);
     }
     let groups = config::group_names().join(" + ");
-    println!("\nconfigurations (groups {groups}):");
+    outln!("\nconfigurations (groups {groups}):");
     for c in config::known_configs() {
-        println!("  {}", c.name);
+        outln!("  {}", c.name);
     }
-    println!("\nbuiltin plans (rcmc plan show <name>):");
+    outln!("\nbuiltin plans (rcmc plan show <name>):");
     for p in plans::BUILTIN {
-        println!("  {p}");
+        outln!("  {p}");
     }
 }
 
 fn print_result(r: &ring_clustered::sim::RunResult) {
-    println!("  IPC                {:>8.3}", r.ipc);
-    println!("  comms/instruction  {:>8.3}", r.comms_per_insn);
-    println!("  hops/communication {:>8.2}", r.dist_per_comm);
-    println!("  bus wait/comm      {:>8.2}", r.wait_per_comm);
-    println!("  NREADY/cycle       {:>8.2}", r.nready);
-    println!("  branch miss rate   {:>8.3}", r.branch_miss_rate);
+    outln!("  IPC                {:>8.3}", r.ipc);
+    outln!("  comms/instruction  {:>8.3}", r.comms_per_insn);
+    outln!("  hops/communication {:>8.2}", r.dist_per_comm);
+    outln!("  bus wait/comm      {:>8.2}", r.wait_per_comm);
+    outln!("  NREADY/cycle       {:>8.2}", r.nready);
+    outln!("  branch miss rate   {:>8.3}", r.branch_miss_rate);
     let shares: Vec<String> = r
         .dispatch_shares
         .iter()
         .map(|s| format!("{:.0}%", s * 100.0))
         .collect();
-    println!("  dispatch shares    [{}]", shares.join(" "));
+    outln!("  dispatch shares    [{}]", shares.join(" "));
 }
 
 fn run(args: &[String], flags: &HashMap<String, String>) {
@@ -350,9 +371,10 @@ fn run(args: &[String], flags: &HashMap<String, String>) {
     let session = Session::new().with_trace_store(trace_db_from(flags));
     check_workload(&bench, session.trace_db()).unwrap_or_else(die);
     let r = session.run_one(&cfg, &bench, &budget);
-    println!(
+    outln!(
         "{bench} on {} ({} measured instructions):",
-        cfg.name, r.committed
+        cfg.name,
+        r.committed
     );
     print_result(&r);
 }
@@ -369,11 +391,11 @@ fn compare(args: &[String], flags: &HashMap<String, String>) {
     let results = session.run(&plan).unwrap_or_else(die);
     let ring = results.get("Ring_8clus_1bus_2IW", &bench).unwrap();
     let conv = results.get("Conv_8clus_1bus_2IW", &bench).unwrap();
-    println!("{bench}: Ring_8clus_1bus_2IW");
+    outln!("{bench}: Ring_8clus_1bus_2IW");
     print_result(ring);
-    println!("{bench}: Conv_8clus_1bus_2IW");
+    outln!("{bench}: Conv_8clus_1bus_2IW");
     print_result(conv);
-    println!(
+    outln!(
         "Ring speedup over Conv: {:+.1}%",
         (ring.ipc / conv.ipc - 1.0) * 100.0
     );
@@ -387,16 +409,16 @@ fn disasm(args: &[String], flags: &HashMap<String, String>) {
         std::process::exit(1);
     };
     let program = b.build();
-    println!(
+    outln!(
         "{bench}: {} static instructions, {} bytes of data",
         program.insns.len(),
         program.data_len()
     );
     for line in program.disassemble().lines().take(limit) {
-        println!("{line}");
+        outln!("{line}");
     }
     if program.insns.len() > limit {
-        println!("... ({} more; use --limit)", program.insns.len() - limit);
+        outln!("... ({} more; use --limit)", program.insns.len() - limit);
     }
 }
 
@@ -450,10 +472,10 @@ fn trace_view(args: &[String], flags: &HashMap<String, String>) {
     core.attach_tracer(PipeTracer::new(from, end));
     core.run(end as u64 + 20_000);
     let tracer = core.take_tracer().unwrap();
-    println!("{bench} on {cfg_name}, dynamic instructions {from}..{end}");
-    print!("{}", tracer.render(&trace, 100));
+    outln!("{bench} on {cfg_name}, dynamic instructions {from}..{end}");
+    out!("{}", tracer.render(&trace, 100));
     let (wait, lat) = tracer.latency_summary();
-    println!("mean dispatch→issue wait {wait:.1} cycles; mean issue→complete {lat:.1} cycles");
+    outln!("mean dispatch→issue wait {wait:.1} cycles; mean issue→complete {lat:.1} cycles");
 }
 
 /// `rcmc trace record <bench> [--len N]` — emulate a suite benchmark and
@@ -477,7 +499,7 @@ fn trace_record(args: &[String], flags: &HashMap<String, String>) {
             db.dir().display()
         ));
     }
-    println!(
+    outln!(
         "recorded {bench}/{len}: {n} dynamic instructions -> {}",
         db.dir().join(&bench).join(format!("{len}.trc")).display()
     );
@@ -491,7 +513,7 @@ fn trace_import(args: &[String], flags: &HashMap<String, String>) {
     let db = trace_db_from(flags);
     let suite_name = |name: &str| benchmark(name).is_some();
     match db.import_unless(&bytes, flags.get("name").map(String::as_str), suite_name) {
-        Ok((name, len)) => println!(
+        Ok((name, len)) => outln!(
             "imported '{path}' as workload '{name}' ({len} instructions); \
              run it like any benchmark: `rcmc run {name}`"
         ),
@@ -508,16 +530,19 @@ fn trace_list(flags: &HashMap<String, String>) {
     let db = trace_db_from(flags);
     let metas = db.list();
     if metas.is_empty() {
-        println!("trace store {} is empty", db.dir().display());
+        outln!("trace store {} is empty", db.dir().display());
         return;
     }
-    println!("trace store {}:", db.dir().display());
-    println!(
+    outln!("trace store {}:", db.dir().display());
+    outln!(
         "  {:<24} {:>12} {:>12} {:>10}  run",
-        "name/len", "insns", "bytes", "version"
+        "name/len",
+        "insns",
+        "bytes",
+        "version"
     );
     for m in metas {
-        println!(
+        outln!(
             "  {:<24} {:>12} {:>12} {:>10}  {}",
             format!("{}/{}", m.name, m.len),
             m.insns,
@@ -533,7 +558,7 @@ fn trace_rm(args: &[String], flags: &HashMap<String, String>) {
     let name = positional(args, 2, "workload name");
     let db = trace_db_from(flags);
     let removed = db.remove(&name, num_flag(flags, "len"));
-    println!("removed {removed} trace file(s) for '{name}'");
+    outln!("removed {removed} trace file(s) for '{name}'");
     if removed == 0 {
         std::process::exit(1);
     }
@@ -550,20 +575,20 @@ fn trace_verify(args: &[String], flags: &HashMap<String, String>) {
         .filter(|m| only.is_none_or(|n| &m.name == n))
         .collect();
     if metas.is_empty() {
-        println!("nothing to verify in {}", db.dir().display());
+        outln!("nothing to verify in {}", db.dir().display());
         return;
     }
     let mut bad = 0;
     for m in &metas {
         match db.verify(&m.name, m.len) {
-            Ok(n) => println!("ok      {}/{} ({n} instructions)", m.name, m.len),
+            Ok(n) => outln!("ok      {}/{} ({n} instructions)", m.name, m.len),
             Err(e) => {
                 bad += 1;
-                println!("CORRUPT {}/{}: {e}", m.name, m.len);
+                outln!("CORRUPT {}/{}: {e}", m.name, m.len);
             }
         }
     }
-    println!("{} verified, {bad} corrupt", metas.len() - bad);
+    outln!("{} verified, {bad} corrupt", metas.len() - bad);
     if bad > 0 {
         std::process::exit(1);
     }
@@ -576,7 +601,7 @@ fn die<T>(e: String) -> T {
 
 fn figures(flags: &HashMap<String, String>) {
     let text = experiments::render_figures(&session_from(flags), None, None);
-    print!("{}", text.unwrap_or_else(die));
+    out!("{}", text.unwrap_or_else(die));
 }
 
 fn csv(flags: &HashMap<String, String>) {
@@ -588,25 +613,25 @@ fn csv(flags: &HashMap<String, String>) {
             std::fs::write(path, &csv).expect("failed to write CSV");
             eprintln!("wrote {} rows to {path}", csv.lines().count() - 1);
         }
-        _ => print!("{csv}"),
+        _ => out!("{csv}"),
     }
 }
 
 fn layout() {
-    println!("{}", ring_clustered::layout::table1_text());
-    println!("{}", ring_clustered::layout::figure4_5_text());
-    print!("{}", ring_clustered::layout::figure3_text());
+    outln!("{}", ring_clustered::layout::table1_text());
+    outln!("{}", ring_clustered::layout::figure4_5_text());
+    out!("{}", ring_clustered::layout::figure3_text());
 }
 
 /// `rcmc machines list|show <family>` — the machine-family registry.
 fn machines_cmd(args: &[String]) {
     let sub = positional(args, 1, "machines subcommand (list | show)");
     match sub.as_str() {
-        "list" => print!("{}", machines::render_table()),
+        "list" => out!("{}", machines::render_table()),
         "show" => {
             let name = positional(args, 2, "machine family name");
             match machines::find(&name) {
-                Some(m) => print!("{}", m.show()),
+                Some(m) => out!("{}", m.show()),
                 None => die(format!(
                     "unknown machine '{name}' (one of: {})",
                     machines::names().join(" | ")
@@ -624,14 +649,14 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
     let sub = positional(args, 1, "plan subcommand (run | show | list)");
     match sub.as_str() {
         "list" => {
-            println!("builtin plans (rcmc plan show <name>):");
+            outln!("builtin plans (rcmc plan show <name>):");
             for p in plans::BUILTIN {
-                println!("  {p}");
+                outln!("  {p}");
             }
-            println!("\nmachine families (\"machine\" on axes-form config entries):");
-            print!("{}", machines::render_table());
+            outln!("\nmachine families (\"machine\" on axes-form config entries):");
+            out!("{}", machines::render_table());
         }
-        "show" => print!("{}", builtin_plan(args, 2).to_json()),
+        "show" => out!("{}", builtin_plan(args, 2).to_json()),
         "run" => {
             let path = positional(args, 2, "plan spec file");
             let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -711,7 +736,7 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
                     std::fs::write(path, &out).expect("failed to write output");
                     eprintln!("wrote {path}");
                 }
-                _ => print!("{out}"),
+                _ => out!("{out}"),
             }
         }
         other => {
@@ -740,7 +765,7 @@ fn report_cmd(args: &[String], flags: &HashMap<String, String>) {
         die::<()>(format!("builtin plan '{}' has no reports", plan.name));
     }
     let rs = session_from(flags).run(&plan).unwrap_or_else(die);
-    print!("{}", plan.render_text(&rs).unwrap_or_else(die));
+    out!("{}", plan.render_text(&rs).unwrap_or_else(die));
 }
 
 fn serve_cmd(flags: &HashMap<String, String>) {

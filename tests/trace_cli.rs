@@ -1,6 +1,7 @@
 //! End-to-end lifecycle of the `rcmc trace` subcommand family against an
 //! isolated `--trace-store`: record → list → verify → rm, importing a
-//! captured file under a new name, and running the import as a workload.
+//! captured file under a new name, and running the import as a workload;
+//! and a `trace view` whose reader closes the pipe early.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -257,4 +258,33 @@ fn run_of_unknown_workload_exits_1_with_a_message() {
     assert!(err.contains("unknown benchmark 'nope'"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_reader_that_closes_the_pipe_early_ends_the_cli_quietly() {
+    // `rcmc trace view … | head -1`: ~140 KB of timeline, far more than a
+    // pipe buffers, so the CLI is still writing when the reader goes.
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    let mut child = rcmc()
+        .args(["trace", "view", "gzip", "--from", "0", "--len", "3000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut reader = BufReader::new(child.stdout.take().unwrap());
+    let mut first = String::new();
+    reader.read_line(&mut first).unwrap();
+    assert!(first.starts_with("gzip on "), "{first}");
+    drop(reader);
+    let mut err = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut err)
+        .unwrap();
+    let status = child.wait().unwrap();
+    assert_eq!(status.code(), Some(0), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
 }
