@@ -41,7 +41,7 @@ enum Slot {
     },
 }
 
-/// The builder. See crate docs for an example.
+/// The builder. `examples/quickstart.rs` builds a complete program.
 #[derive(Default)]
 pub struct Asm {
     slots: Vec<Slot>,

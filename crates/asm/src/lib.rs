@@ -1,19 +1,14 @@
 //! # rcmc-asm — assembler for the RCMC mini-ISA
 //!
-//! Two front ends over one backend:
-//!
-//! * [`Asm`] — a programmatic builder used by the workload generators: emit
-//!   instructions through typed methods, create/bind [`Label`]s, allocate
-//!   initialized data, then [`Asm::assemble`] into an
-//!   [`rcmc_isa::Program`].
-//! * [`parse`] — a two-pass text assembler with labels, `.data`/`.text`
-//!   sections and data directives, used by the examples and tests.
+//! [`Asm`] is a programmatic builder, used by the workload generators, the
+//! examples and the tests: emit instructions through typed methods,
+//! create/bind [`Label`]s, allocate initialized data, then
+//! [`Asm::assemble`] into an [`rcmc_isa::Program`]. `rcmc disasm` prints a
+//! built program as text.
 //!
 //! Link-register convention (matters to the return-address-stack model in
 //! `rcmc-uarch`): `jal r31, f` is a call, `jalr r0, r31, 0` is a return.
 
 mod builder;
-mod text;
 
 pub use builder::{Asm, AsmError, Label};
-pub use text::{parse, ParseError};

@@ -142,12 +142,6 @@ pub fn mesh_dims(n: usize) -> (usize, usize) {
     (n / h, h)
 }
 
-/// Mesh coordinates of `cluster` on the [`mesh_dims`] grid (row-major).
-pub fn mesh_xy(n: usize, cluster: usize) -> (usize, usize) {
-    let (w, _) = mesh_dims(n);
-    (cluster % w, cluster / w)
-}
-
 /// Clusters per group for [`Topology::Hier`]: 4 when the cluster count
 /// allows it, else 2, else one flat group (no inter-group traffic).
 pub fn hier_group_size(n: usize) -> usize {

@@ -9,8 +9,8 @@
 //! * [`session::Session`] — the execution environment: the disk-backed
 //!   result store (`target/rcmc-results/`), the worker thread pool, the
 //!   store of imported traces, and the progress sink. Runs go through the same
-//!   scheduler as `rcmc serve`, whose workers hold each oracle trace only
-//!   while its jobs run;
+//!   scheduler as `rcmc serve`; each executed job streams its own oracle
+//!   trace and nothing is shared between jobs;
 //! * [`resultset::ResultSet`] — typed sweep results with the
 //!   query/group/geomean/speedup combinators every figure draws from.
 //!

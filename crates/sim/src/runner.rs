@@ -30,6 +30,15 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::SimConfig;
 
+/// Write to stderr, ignoring write errors: a status line or warning that
+/// cannot be shown (stderr closed or full) is dropped, never a panic.
+/// Everything this crate and the `rcmc` CLI print to stderr goes through
+/// here.
+pub fn write_err(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let _ = std::io::stderr().lock().write_fmt(args);
+}
+
 /// Bump when the timing model changes in any way that affects results;
 /// invalidates every memoized run.
 pub const MODEL_VERSION: u32 = 5;
@@ -310,11 +319,11 @@ impl ResultStore {
             Ok(()) => true,
             Err(e) => {
                 if !SAVE_WARNED.swap(true, Ordering::Relaxed) {
-                    eprintln!(
+                    write_err(format_args!(
                         "rcmc: warning: failed to persist result to {}: {e} \
-                         (continuing without memoization)",
+                         (continuing without memoization)\n",
                         p.display()
-                    );
+                    ));
                 }
                 false
             }
@@ -401,33 +410,23 @@ impl SweepProgress<'_> {
             format!("{} ", self.label)
         };
         if self.total == 0 {
-            eprintln!(
-                "\r  [{tag}{n}/{n}] all pairs memoized  (done)              ",
+            write_err(format_args!(
+                "\r  [{tag}{n}/{n}] all pairs memoized  (done)              \n",
                 n = self.memoized
-            );
+            ));
             return;
         }
-        let done = self.finished >= self.total;
-        if done {
-            eprint!(
-                "\r  [{}{}/{}] {} × {}  (done)              ",
-                tag,
-                self.finished + self.memoized,
-                self.total + self.memoized,
-                self.config,
-                self.bench,
-            );
-            eprintln!();
+        let (n, of) = (self.finished + self.memoized, self.total + self.memoized);
+        let (config, bench) = (self.config, self.bench);
+        if self.finished >= self.total {
+            write_err(format_args!(
+                "\r  [{tag}{n}/{of}] {config} × {bench}  (done)              \n"
+            ));
         } else {
-            eprint!(
-                "\r  [{}{}/{}] {} × {}  (ETA {:.0}s)              ",
-                tag,
-                self.finished + self.memoized,
-                self.total + self.memoized,
-                self.config,
-                self.bench,
+            write_err(format_args!(
+                "\r  [{tag}{n}/{of}] {config} × {bench}  (ETA {:.0}s)              ",
                 self.eta_s()
-            );
+            ));
         }
     }
 }

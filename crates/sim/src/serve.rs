@@ -2,11 +2,11 @@
 //!
 //! One request per input line, one or more response lines per request, all
 //! JSON objects. A single warm [`Session`] is shared across requests, so
-//! every plan after the first benefits from the memoized result store,
-//! and requests share the oracle traces the workers hold (each idle
-//! worker keeps at most the trace of its last job) — and requests execute
-//! *concurrently*: the reader thread only parses and submits, a
-//! [`Scheduler`] fans each plan's jobs onto the session's worker pool, and
+//! every plan after the first benefits from the memoized result store
+//! (traces are not shared: each executed job streams its own) — and
+//! requests execute *concurrently*: the reader thread only parses and
+//! submits, a [`Scheduler`] fans each plan's jobs onto the session's
+//! worker pool, and
 //! identical `(config, bench, budget)` jobs from different requests are
 //! coalesced into one simulation (see the [`crate::scheduler`] docs for
 //! coalescing, cancellation and admission-control semantics). The wire

@@ -1,42 +1,42 @@
-//! Quickstart: assemble a small program, run it on both the ring and the
-//! conventional clustered cores, and compare what happened.
+//! Quickstart: build a small program with the `Asm` builder, run it on
+//! both the ring and the conventional clustered cores, and compare what
+//! happened.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
-use ring_clustered::asm::parse;
+use ring_clustered::asm::Asm;
 use ring_clustered::core::{Core, CoreConfig, Steering, Topology};
 use ring_clustered::emu::trace_program;
+use ring_clustered::isa::Reg;
 use ring_clustered::uarch::{MemConfig, PredictorConfig};
 
 fn main() {
-    // A little dot-product-style loop in the RCMC mini-ISA.
-    let source = r#"
-        .data
-        x: .f64 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0
-        y: .f64 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0
-        .text
-        main:
-            movi r1, 2000        ; outer repetitions (warms the caches)
-        outer:
-            movi r2, x
-            movi r3, y
-            movi r4, 8           ; elements
-        loop:
-            fld  f1, 0(r2)
-            fld  f2, 0(r3)
-            fmul f3, f1, f2
-            fadd f4, f4, f3      ; running dot product
-            addi r2, r2, 8
-            addi r3, r3, 8
-            addi r4, r4, -1
-            bne  r4, r0, loop
-            addi r1, r1, -1
-            bne  r1, r0, outer
-            halt
-    "#;
-    let program = parse(source).expect("assembly failed");
+    // A little dot-product-style loop in the RCMC mini-ISA, built with the
+    // same `Asm` calls as the suite kernels (`rcmc disasm <bench>` lists one).
+    let (r, f) = (Reg::int, Reg::fp);
+    let mut a = Asm::new();
+    let x = a.data_f64(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+    let y = a.data_f64(&[8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0]);
+    a.movi(r(1), 2000); // outer repetitions (warms the caches)
+    let outer = a.label_here();
+    a.movi_addr(r(2), x);
+    a.movi_addr(r(3), y);
+    a.movi(r(4), 8); // elements
+    let inner = a.label_here();
+    a.fld(f(1), r(2), 0);
+    a.fld(f(2), r(3), 0);
+    a.fmul(f(3), f(1), f(2));
+    a.fadd(f(4), f(4), f(3)); // running dot product
+    a.addi(r(2), r(2), 8);
+    a.addi(r(3), r(3), 8);
+    a.addi(r(4), r(4), -1);
+    a.bne(r(4), r(0), inner);
+    a.addi(r(1), r(1), -1);
+    a.bne(r(1), r(0), outer);
+    a.halt();
+    let program = a.assemble().expect("assembly failed");
     println!("static program: {} instructions", program.insns.len());
 
     // Functional execution produces the oracle trace the timing cores replay.

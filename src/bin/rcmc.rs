@@ -38,8 +38,8 @@ use ring_clustered::emu::{trace_program, TraceDb, TraceDbError};
 use ring_clustered::sim::experiments::{self, plans};
 use ring_clustered::sim::plan::ConfigSpec;
 use ring_clustered::sim::runner::{
-    cached_trace, check_workload, default_jobs, default_trace_db, trace_cache_stats, Budget,
-    SweepProgress,
+    cached_trace, check_workload, default_jobs, default_trace_db, trace_cache_stats, write_err,
+    Budget, SweepProgress,
 };
 use ring_clustered::sim::{config, machines, serve, Plan, Progress, ResultStore, Session};
 use ring_clustered::workloads::{benchmark, suite};
@@ -63,6 +63,13 @@ macro_rules! out {
 }
 macro_rules! outln {
     ($($arg:tt)*) => { write_out(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// `eprintln!` through [`write_err`]: messages, progress and summaries on
+/// stderr are best-effort, so a closed or full stderr never panics the CLI
+/// or changes its exit code.
+macro_rules! errln {
+    ($($arg:tt)*) => { write_err(format_args!("{}\n", format_args!($($arg)*))) };
 }
 
 fn main() {
@@ -116,7 +123,7 @@ fn main() {
             &["jobs", "out", "store", "machine", "trace-store"],
         ),
         other => {
-            eprintln!("unknown command '{other}'\n");
+            errln!("unknown command '{other}'\n");
             usage();
             std::process::exit(1);
         }
@@ -139,7 +146,7 @@ fn main() {
 }
 
 fn usage() {
-    eprintln!(
+    errln!(
         "rcmc — ring clustered microarchitecture (IPDPS'05 reproduction)\n\
          \n\
          commands:\n\
@@ -208,7 +215,7 @@ fn parse_flags(cmd: &str, rest: &[String], allowed: &[&str]) -> HashMap<String, 
     while i < rest.len() {
         if let Some(key) = rest[i].strip_prefix("--") {
             if !allowed.contains(&key) {
-                eprintln!("unknown flag '--{key}' for '{cmd}'\n");
+                errln!("unknown flag '--{key}' for '{cmd}'\n");
                 usage();
                 std::process::exit(2);
             }
@@ -218,7 +225,7 @@ fn parse_flags(cmd: &str, rest: &[String], allowed: &[&str]) -> HashMap<String, 
                     i += 2;
                 }
                 _ => {
-                    eprintln!("flag '--{key}' needs a value");
+                    errln!("flag '--{key}' needs a value");
                     std::process::exit(2);
                 }
             }
@@ -233,7 +240,7 @@ fn parse_flags(cmd: &str, rest: &[String], allowed: &[&str]) -> HashMap<String, 
 fn num_flag<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<T> {
     flags.get(key).map(|v| {
         v.parse().unwrap_or_else(|_| {
-            eprintln!("invalid value '{v}' for --{key}");
+            errln!("invalid value '{v}' for --{key}");
             std::process::exit(2);
         })
     })
@@ -241,7 +248,7 @@ fn num_flag<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str) ->
 
 fn positional(args: &[String], idx: usize, what: &str) -> String {
     args.get(idx).cloned().unwrap_or_else(|| {
-        eprintln!("missing {what}");
+        errln!("missing {what}");
         std::process::exit(1);
     })
 }
@@ -260,7 +267,7 @@ fn budget_from(flags: &HashMap<String, String>) -> Budget {
 fn jobs_from(flags: &HashMap<String, String>) -> usize {
     match num_flag::<usize>(flags, "jobs") {
         Some(0) => {
-            eprintln!("--jobs must be at least 1\n");
+            errln!("--jobs must be at least 1\n");
             usage();
             std::process::exit(2);
         }
@@ -273,7 +280,7 @@ fn jobs_from(flags: &HashMap<String, String>) -> usize {
 /// (falling back to all cores), which hides the configuration mistake.
 fn check_jobs_env() {
     if std::env::var("RCMC_JOBS").is_ok_and(|v| v.trim().parse::<usize>() == Ok(0)) {
-        eprintln!("RCMC_JOBS must be at least 1 (unset it to use all cores)\n");
+        errln!("RCMC_JOBS must be at least 1 (unset it to use all cores)\n");
         usage();
         std::process::exit(2);
     }
@@ -299,7 +306,7 @@ fn trace_db_from(flags: &HashMap<String, String>) -> TraceDb {
 /// The axes spec of a known configuration (`--config NAME`).
 fn preset_spec(name: &str) -> ConfigSpec {
     config::preset_spec(name).unwrap_or_else(|| {
-        eprintln!("unknown configuration '{name}' (see `rcmc list`)");
+        errln!("unknown configuration '{name}' (see `rcmc list`)");
         std::process::exit(1);
     })
 }
@@ -345,7 +352,7 @@ fn run(args: &[String], flags: &HashMap<String, String>) {
         (Some(_), Some(_)) => {
             // A family is a different way of choosing the base sizing, so
             // it conflicts with a preset name.
-            eprintln!("--machine cannot be combined with --config\n");
+            errln!("--machine cannot be combined with --config\n");
             usage();
             std::process::exit(2);
         }
@@ -362,7 +369,7 @@ fn run(args: &[String], flags: &HashMap<String, String>) {
     let cfg = spec
         .resolve()
         .unwrap_or_else(|e| {
-            eprintln!("rcmc run: {e}");
+            errln!("rcmc run: {e}");
             std::process::exit(2);
         })
         .remove(0);
@@ -405,7 +412,7 @@ fn disasm(args: &[String], flags: &HashMap<String, String>) {
     let bench = positional(args, 1, "benchmark name");
     let limit: usize = num_flag(flags, "limit").unwrap_or(64);
     let Some(b) = benchmark(&bench) else {
-        eprintln!("unknown benchmark '{bench}'");
+        errln!("unknown benchmark '{bench}'");
         std::process::exit(1);
     };
     let program = b.build();
@@ -437,9 +444,9 @@ fn trace_cmd(args: &[String], flags: &HashMap<String, String>) {
         "verify" => trace_verify(args, flags),
         other => {
             if benchmark(other).is_some() {
-                eprintln!("the pipeline view moved: use `rcmc trace view {other} ...`");
+                errln!("the pipeline view moved: use `rcmc trace view {other} ...`");
             } else {
-                eprintln!("unknown trace subcommand '{other}' (view | record | import | list | rm | verify)");
+                errln!("unknown trace subcommand '{other}' (view | record | import | list | rm | verify)");
             }
             std::process::exit(1);
         }
@@ -451,11 +458,11 @@ fn trace_view(args: &[String], flags: &HashMap<String, String>) {
     let from: u32 = num_flag(flags, "from").unwrap_or(1000);
     let len: u32 = num_flag(flags, "len").unwrap_or(24);
     if len == 0 {
-        eprintln!("--len must be at least 1");
+        errln!("--len must be at least 1");
         std::process::exit(2);
     }
     let Some(end) = from.checked_add(len) else {
-        eprintln!("--from + --len must fit in 32 bits");
+        errln!("--from + --len must fit in 32 bits");
         std::process::exit(2);
     };
     check_workload(&bench, Some(default_trace_db())).unwrap_or_else(die);
@@ -485,7 +492,7 @@ fn trace_view(args: &[String], flags: &HashMap<String, String>) {
 fn trace_record(args: &[String], flags: &HashMap<String, String>) {
     let bench = positional(args, 2, "benchmark name");
     let Some(b) = benchmark(&bench) else {
-        eprintln!("unknown benchmark '{bench}' (see `rcmc list`)");
+        errln!("unknown benchmark '{bench}' (see `rcmc list`)");
         std::process::exit(1);
     };
     let len: u64 = num_flag(flags, "len").unwrap_or_else(|| Budget::default().trace_len());
@@ -595,7 +602,7 @@ fn trace_verify(args: &[String], flags: &HashMap<String, String>) {
 }
 
 fn die<T>(e: String) -> T {
-    eprintln!("rcmc: {e}");
+    errln!("rcmc: {e}");
     std::process::exit(1);
 }
 
@@ -611,7 +618,7 @@ fn csv(flags: &HashMap<String, String>) {
     match flags.get("out") {
         Some(path) if !path.is_empty() => {
             std::fs::write(path, &csv).expect("failed to write CSV");
-            eprintln!("wrote {} rows to {path}", csv.lines().count() - 1);
+            errln!("wrote {} rows to {path}", csv.lines().count() - 1);
         }
         _ => out!("{csv}"),
     }
@@ -639,7 +646,7 @@ fn machines_cmd(args: &[String]) {
             }
         }
         other => {
-            eprintln!("unknown machines subcommand '{other}' (list | show)");
+            errln!("unknown machines subcommand '{other}' (list | show)");
             std::process::exit(1);
         }
     }
@@ -660,7 +667,7 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
         "run" => {
             let path = positional(args, 2, "plan spec file");
             let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                eprintln!("cannot read '{path}': {e}");
+                errln!("cannot read '{path}': {e}");
                 std::process::exit(1);
             });
             let mut plan = Plan::from_json(&text)
@@ -684,11 +691,11 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
                         plan.name
                     ));
                 }
-                eprintln!("--machine {family}: applied to {rebased} config entries");
+                errln!("--machine {family}: applied to {rebased} config entries");
             }
             match num_flag::<usize>(flags, "jobs") {
                 Some(0) => {
-                    eprintln!("--jobs must be at least 1");
+                    errln!("--jobs must be at least 1");
                     std::process::exit(2);
                 }
                 Some(jobs) => plan = plan.jobs(jobs),
@@ -704,7 +711,7 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
                 .with_progress(Progress::Stderr)
                 .with_trace_store(trace_db_from(flags));
             let (cfgs, benches) = plan.resolve_in(session.trace_db()).unwrap_or_else(die);
-            eprintln!(
+            errln!(
                 "plan '{}': {} configurations × {} benchmarks",
                 plan.name,
                 cfgs.len(),
@@ -720,11 +727,12 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
             };
             let rs = session.run_streaming(&plan, &record).unwrap_or_else(die);
             let (executed, memoized) = *tallies.lock().unwrap();
-            eprintln!("jobs: {executed} executed, {memoized} memoized");
+            errln!("jobs: {executed} executed, {memoized} memoized");
             let ts = trace_cache_stats();
-            eprintln!(
+            errln!(
                 "traces: {} emulated, {} loaded from trace store",
-                ts.built, ts.db_hits
+                ts.built,
+                ts.db_hits
             );
             let out = if plan.reports.is_empty() {
                 rs.to_csv()
@@ -734,13 +742,13 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
             match flags.get("out") {
                 Some(path) if !path.is_empty() => {
                     std::fs::write(path, &out).expect("failed to write output");
-                    eprintln!("wrote {path}");
+                    errln!("wrote {path}");
                 }
                 _ => out!("{out}"),
             }
         }
         other => {
-            eprintln!("unknown plan subcommand '{other}' (run | show | list)");
+            errln!("unknown plan subcommand '{other}' (run | show | list)");
             std::process::exit(1);
         }
     }
@@ -784,14 +792,14 @@ fn serve_cmd(flags: &HashMap<String, String>) {
         Some("stderr") => session = session.with_progress(Progress::Stderr),
         Some("none") | None => {}
         Some(other) => {
-            eprintln!("invalid value '{other}' for --progress (stderr | none)");
+            errln!("invalid value '{other}' for --progress (stderr | none)");
             std::process::exit(2);
         }
     }
     let opts = serve::ServeOpts {
         queue_limit: match num_flag::<usize>(flags, "queue-limit") {
             Some(0) => {
-                eprintln!("--queue-limit must be at least 1");
+                errln!("--queue-limit must be at least 1");
                 std::process::exit(2);
             }
             Some(n) => n,
@@ -800,7 +808,7 @@ fn serve_cmd(flags: &HashMap<String, String>) {
     };
     let stdin = std::io::stdin();
     match serve::serve_with(&session, stdin.lock(), std::io::stdout(), &opts) {
-        Ok(s) => eprintln!(
+        Ok(s) => errln!(
             "rcmc serve: {} requests, {} plans accepted, {} jobs executed, \
              {} coalesced, {} memoized, {} cancelled",
             s.requests,

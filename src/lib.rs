@@ -12,7 +12,7 @@
 //! Layer map (bottom → top):
 //!
 //! * [`isa`] — the mini instruction set (encoding, classes, registers).
-//! * [`asm`] — assembler: text front end and programmatic builder.
+//! * [`asm`] — assembler: the programmatic `Asm` builder.
 //! * [`emu`] — functional emulator producing oracle traces.
 //! * [`uarch`] — branch predictors, BTB/RAS, cache hierarchy.
 //! * [`core`] — the clustered back end: ring/conventional topologies,

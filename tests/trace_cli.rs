@@ -1,7 +1,8 @@
 //! End-to-end lifecycle of the `rcmc trace` subcommand family against an
 //! isolated `--trace-store`: record → list → verify → rm, importing a
 //! captured file under a new name, and running the import as a workload;
-//! and a `trace view` whose reader closes the pipe early.
+//! a `trace view` whose reader closes the pipe early; and a stderr that
+//! refuses every write.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -287,4 +288,35 @@ fn a_reader_that_closes_the_pipe_early_ends_the_cli_quietly() {
     let status = child.wait().unwrap();
     assert_eq!(status.code(), Some(0), "{err}");
     assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn a_full_stderr_changes_no_exit_code_and_loses_no_stdout() {
+    // `2>/dev/full`: every stderr write fails with ENOSPC.
+    let full = || {
+        let f = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .unwrap();
+        std::process::Stdio::from(f)
+    };
+    let bogus = rcmc().arg("bogus").stderr(full()).output().unwrap();
+    assert_eq!(bogus.status.code(), Some(1), "{bogus:?}");
+
+    let dir = temp_store("fullerr");
+    let plan = rcmc()
+        .args(["plan", "run", "examples/specs/plan_smoke.json"])
+        .args(["--store", dir.to_str().unwrap()])
+        .stderr(full())
+        .output()
+        .unwrap();
+    let text = stdout(&plan);
+    assert_eq!(plan.status.code(), Some(0), "{plan:?}");
+    assert!(text.contains("Smoke: IPC"), "{text}");
+    assert!(
+        text.contains("Ring_4clus_1bus_2IW / Conv_4clus_1bus_2IW"),
+        "{text}"
+    );
+    assert!(!text.contains("panicked"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
