@@ -1,5 +1,5 @@
 //! Micro-profile: one memory-bound benchmark, reporting cycles/sec.
-use rcmc_sim::{config, runner, Session};
+use rcmc_sim::{runner, Plan, Session};
 use std::time::Instant;
 
 fn main() {
@@ -8,11 +8,15 @@ fn main() {
         warmup: 5_000,
         measure: 50_000,
     };
-    let session = Session::ephemeral();
-    let cfg = config::make(rcmc_core::Topology::Ring, 8, 2, 1);
+    let session = Session::ephemeral().with_jobs(1);
+    let plan = Plan::new("profile")
+        .config_named("Ring_8clus_1bus_2IW")
+        .bench(&bench)
+        .budget(budget);
     let t0 = Instant::now();
-    let r = session.run_one(&cfg, &bench, &budget);
+    let rs = session.run(&plan).unwrap_or_else(|e| panic!("{e}"));
     let dt = t0.elapsed().as_secs_f64();
+    let r = &rs.rows()[0];
     println!(
         "{bench}: {} cycles, {} committed, {:.1}s -> {:.2} M cycles/s, {:.2} M instr/s",
         r.cycles,

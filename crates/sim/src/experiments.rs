@@ -12,7 +12,7 @@
 //! [`Plan`]: crate::plan::Plan
 //! [`Plan::render_text`]: crate::plan::Plan::render_text
 
-use crate::runner::Budget;
+use crate::runner::{Budget, ProgressFn};
 use crate::session::Session;
 
 /// The sweeps behind the paper's figures (and the beyond-paper ablations),
@@ -362,11 +362,12 @@ pub mod plans {
 /// characterization, then each of [`plans::FIGURES`]
 /// rendered from one run of the `everything` plan, every block opening
 /// with a `====` rule. `budget`/`benches` scope the sweep (tests, quick
-/// looks).
+/// looks); `progress` hears every job of the run.
 pub fn render_figures(
     session: &Session,
     budget: Option<Budget>,
     benches: Option<&[&str]>,
+    progress: ProgressFn<'_>,
 ) -> Result<String, String> {
     let mut plan = plans::builtin("everything").expect("a builtin plan");
     if let Some(b) = budget {
@@ -375,7 +376,7 @@ pub fn render_figures(
     if let Some(bs) = benches {
         plan = plan.benches(bs.iter().copied());
     }
-    let rs = session.run(&plan)?;
+    let rs = session.run_streaming(&plan, progress)?;
     let mut blocks = vec![
         rcmc_layout::table1_text(),
         rcmc_layout::figure3_text(),

@@ -4,13 +4,13 @@
 //!
 //! * [`plan::Plan`] — a serializable experiment description: configurations
 //!   (named presets, whole paper grids, or ad-hoc axes) × benchmarks ×
-//!   instruction budget × worker count × derived-metric reports. Built with
-//!   the builder methods or parsed from a JSON spec file;
+//!   instruction budget × derived-metric reports — what to simulate, not
+//!   how. Built with the builder methods or parsed from a JSON spec file;
 //! * [`session::Session`] — the execution environment: the disk-backed
-//!   result store (`target/rcmc-results/`), the worker thread pool, the
-//!   store of imported traces, and the progress sink. Runs go through the same
-//!   scheduler as `rcmc serve`; each executed job streams its own oracle
-//!   trace and nothing is shared between jobs;
+//!   result store (`target/rcmc-results/`), the worker count, and the
+//!   store of imported traces. Runs go through the same scheduler as
+//!   `rcmc serve`, on scoped worker threads; each executed job streams its
+//!   own oracle trace and nothing is shared between jobs;
 //! * [`resultset::ResultSet`] — typed sweep results with the
 //!   query/group/geomean/speedup combinators every figure draws from.
 //!
@@ -32,7 +32,7 @@
 //! println!("{}", rs.to_csv());
 //! ```
 //!
-//! Runs fan out over the session's pool (`--jobs`/`RCMC_JOBS`) with
+//! Runs fan out over the session's workers (`--jobs`/`RCMC_JOBS`) with
 //! results bit-identical at any worker count, and every finished
 //! (configuration × benchmark) pair is memoized on disk, so regenerating
 //! every figure simulates each pair exactly once.
@@ -55,4 +55,4 @@ pub use resultset::{GroupValues, Metric, ResultSet};
 pub use runner::{default_jobs, run_pair, Budget, JobKey, ResultStore, RunResult, SweepProgress};
 pub use scheduler::{Scheduler, SchedulerStats};
 pub use serve::{ServeOpts, ServeSummary, DEFAULT_QUEUE_LIMIT};
-pub use session::{Progress, Session};
+pub use session::Session;

@@ -3,8 +3,9 @@
 //! A [`Plan`] is a serializable description of an experiment: which
 //! configurations (named presets, whole paper grids, or ad-hoc
 //! topology/steering/shape combinations), which benchmarks, what
-//! instruction budget, how many workers, and which derived-metric reports
-//! to render from the results. Plans are plain data — they can be built in
+//! instruction budget, and which derived-metric reports to render from
+//! the results — what to simulate, never how: the worker count belongs
+//! to the executing session. Plans are plain data — they can be built in
 //! code with the builder methods, round-tripped through JSON
 //! ([`Plan::to_json`] / [`Plan::from_json`]), checked into a repository as
 //! spec files, or sent over a pipe to `rcmc serve`. A
@@ -21,7 +22,6 @@
 //!   ],
 //!   "benches": ["swim", "gzip", "mcf"],
 //!   "budget": {"warmup": 10000, "measure": 50000},
-//!   "jobs": 4,
 //!   "reports": [
 //!     {"kind": "grouped", "metric": "ipc"},
 //!     {"kind": "speedup",
@@ -722,7 +722,7 @@ pub struct RenderedReport {
     pub text: String,
 }
 
-/// A declarative experiment: configurations × benchmarks × budget × jobs ×
+/// A declarative experiment: configurations × benchmarks × budget ×
 /// derived-metric reports. See the module docs for the JSON shape.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Plan {
@@ -734,8 +734,6 @@ pub struct Plan {
     pub benches: Vec<String>,
     /// Instruction window; `None` = the env-derived [`Budget::default`].
     pub budget: Option<Budget>,
-    /// Worker override; `None` = the executing session's pool.
-    pub jobs: Option<usize>,
     /// Reports to render from the results.
     pub reports: Vec<ReportSpec>,
 }
@@ -807,12 +805,6 @@ impl Plan {
         self
     }
 
-    /// Set the worker override.
-    pub fn jobs(mut self, jobs: usize) -> Plan {
-        self.jobs = Some(jobs);
-        self
-    }
-
     /// Append a report.
     pub fn report(mut self, spec: ReportSpec) -> Plan {
         self.reports.push(spec);
@@ -875,7 +867,7 @@ impl Plan {
     /// Resolve and check the whole plan in one pass: expand the
     /// configuration grid, resolve the benchmark list, verify every report
     /// (and that it only references configurations this plan actually
-    /// runs), jobs ≥ 1. Returns the resolved `(configs, benches)` so
+    /// runs). Returns the resolved `(configs, benches)` so
     /// executors do the expansion exactly once. Benchmarks resolve against
     /// the process-default trace store; see [`Plan::resolve_in`].
     pub fn resolve(&self) -> Result<(Vec<SimConfig>, Vec<String>), String> {
@@ -911,9 +903,6 @@ impl Plan {
                     ));
                 }
             }
-        }
-        if self.jobs == Some(0) {
-            return Err("'jobs' must be at least 1".to_string());
         }
         Ok((configs, benches))
     }
@@ -1006,9 +995,6 @@ impl Plan {
                 ]),
             ));
         }
-        if let Some(j) = self.jobs {
-            m.push(("jobs".to_string(), Value::Num(j as f64)));
-        }
         if !self.reports.is_empty() {
             m.push((
                 "reports".to_string(),
@@ -1050,14 +1036,6 @@ impl Plan {
                         }
                     }
                     plan.budget = Some(b);
-                }
-                "jobs" => {
-                    // Hard parse error, not deferred to resolve(): a spec
-                    // asking for zero workers is always a mistake.
-                    plan.jobs = match uint_field(v, k)? {
-                        0 => return Err("'jobs' must be at least 1".to_string()),
-                        n => Some(n as usize),
-                    };
                 }
                 "reports" => {
                     let Value::Arr(items) = v else {
@@ -1147,7 +1125,6 @@ mod tests {
                 warmup: 123,
                 measure: 456,
             })
-            .jobs(3)
             .report(ReportSpec::grouped(Metric::Nready).titled("imbalance"))
             .report(ReportSpec::speedup(vec![(
                 "Ring_8clus_1bus_2IW".into(),
@@ -1177,15 +1154,11 @@ mod tests {
         let bad_budget =
             r#"{"name": "x", "configs": [{"group": "table3"}], "budget": {"measure": -5}}"#;
         assert!(Plan::from_json(bad_budget).is_err());
-    }
-
-    #[test]
-    fn zero_jobs_is_a_hard_parse_error() {
-        let spec = r#"{"name": "x", "configs": [{"group": "table3"}], "jobs": 0}"#;
-        assert!(Plan::from_json(spec).unwrap_err().contains("jobs"));
-        // Positive counts still parse.
-        let ok = r#"{"name": "x", "configs": [{"group": "table3"}], "jobs": 3}"#;
-        assert_eq!(Plan::from_json(ok).unwrap().jobs, Some(3));
+        // The worker count is the session's, not the plan's.
+        let jobs = r#"{"name": "x", "configs": [{"group": "table3"}], "jobs": 4}"#;
+        assert!(Plan::from_json(jobs)
+            .unwrap_err()
+            .contains("unknown plan key 'jobs'"));
     }
 
     #[test]

@@ -57,21 +57,41 @@ impl Default for Budget {
     /// environment; defaults: 200k measured after 30k warm-up. The
     /// environment is consulted once per process and the result memoized, so
     /// every caller (and every worker thread) sees one consistent window
-    /// regardless of later env mutation.
+    /// regardless of later env mutation. Panics on a set value
+    /// [`env_count`] rejects (the CLI refuses one before running).
     fn default() -> Self {
         static DEFAULT: OnceLock<Budget> = OnceLock::new();
-        *DEFAULT.get_or_init(|| {
-            let measure = std::env::var("RCMC_INSTRS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(200_000);
-            let warmup = std::env::var("RCMC_WARMUP")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(30_000);
-            Budget { warmup, measure }
+        *DEFAULT.get_or_init(|| Budget {
+            warmup: env_or("RCMC_WARMUP", 0, 30_000),
+            measure: env_or("RCMC_INSTRS", 1, 200_000),
         })
     }
+}
+
+/// Environment variable `var` as a whole number of at least `min`:
+/// `Ok(None)` when unset, an error naming the variable and its value when
+/// set to anything else (surrounding whitespace is ignored). The one
+/// parse behind [`default_jobs`], [`Budget::default`] and the CLI's
+/// up-front check of `RCMC_JOBS`, `RCMC_INSTRS` and `RCMC_WARMUP`.
+pub fn env_count(var: &str, min: u64) -> Result<Option<u64>, String> {
+    let raw = match std::env::var(var) {
+        Err(std::env::VarError::NotPresent) => return Ok(None),
+        Err(std::env::VarError::NotUnicode(raw)) => raw.to_string_lossy().into_owned(),
+        Ok(raw) => raw,
+    };
+    match raw.trim().parse::<u64>() {
+        Ok(n) if n >= min => Ok(Some(n)),
+        _ => Err(format!(
+            "{var} must be at least {min} (a whole number), got '{raw}'"
+        )),
+    }
+}
+
+/// [`env_count`] with `default` for an unset variable; panics on a bad one.
+fn env_or(var: &str, min: u64, default: u64) -> u64 {
+    env_count(var, min)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .unwrap_or(default)
 }
 
 impl Budget {
@@ -85,16 +105,14 @@ impl Budget {
     }
 }
 
-/// Worker count for sweeps: `RCMC_JOBS` if set to a positive integer, else
-/// the machine's available parallelism. Read once and memoized.
+/// Worker count for sweeps: `RCMC_JOBS`, else the machine's available
+/// parallelism. Read once and memoized; panics on a set value
+/// [`env_count`] rejects (the CLI refuses one before running).
 pub fn default_jobs() -> usize {
     static JOBS: OnceLock<usize> = OnceLock::new();
     *JOBS.get_or_init(|| {
-        std::env::var("RCMC_JOBS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(rayon::default_num_threads)
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        env_or("RCMC_JOBS", 1, cores as u64) as usize
     })
 }
 
@@ -348,7 +366,7 @@ impl ResultStore {
     }
 }
 
-/// Progress of one run, reported after each executed (non-memoized) job.
+/// One run's progress, reported after each executed (non-memoized) job.
 /// Callbacks are serialized: `finished` is strictly increasing, so the
 /// `finished == total` event is always the last one delivered. A run
 /// satisfied entirely from the store delivers exactly one event with

@@ -2,7 +2,7 @@
 //!
 //! [`crate::session::Session::run`] submits one request and closes; `rcmc
 //! serve` keeps many in flight at once. Either way, requests fan their jobs
-//! onto one shared worker pool, and each job is simulate (streaming its
+//! onto one shared set of workers, and each job is simulate (streaming its
 //! trace) → reduce → persist ([`runner::run_pair`]). Three service-grade
 //! behaviors sit on top:
 //!
@@ -28,9 +28,10 @@
 //! (or a cancellation). The scheduler knows no wire format; `serve` turns
 //! sink calls into JSON events, `Session::run` into its return value.
 //!
-//! The scheduler owns no threads: callers spawn [`Scheduler::worker`]
-//! loops on a pool (so `--jobs` governs concurrency) and submit beside
-//! them. All scheduler methods are safe to call from any thread.
+//! The scheduler owns no threads: the session runs [`Scheduler::worker`]
+//! loops on scoped std threads (as many as its `--jobs` count) and
+//! submits beside them. All scheduler methods are safe to call from any
+//! thread.
 //!
 //! Lock order (strict, deadlock-free): scheduler state → request state →
 //! sink. Sink calls never hold the scheduler lock.

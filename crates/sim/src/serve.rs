@@ -6,10 +6,10 @@
 //! (traces are not shared: each executed job streams its own) — and
 //! requests execute *concurrently*: the reader thread only parses and
 //! submits, a [`Scheduler`] fans each plan's jobs onto the session's
-//! worker pool, and
-//! identical `(config, bench, budget)` jobs from different requests are
-//! coalesced into one simulation (see the [`crate::scheduler`] docs for
-//! coalescing, cancellation and admission-control semantics). The wire
+//! worker threads, and identical `(config, bench, budget)` jobs from
+//! different requests are coalesced into one simulation (see the
+//! [`crate::scheduler`] docs for coalescing, cancellation and
+//! admission-control semantics). The wire
 //! format lives here: each request's scheduler [`Sink`] turns progress,
 //! results and cancellation into the JSON events below.
 //!
@@ -55,7 +55,7 @@ use crate::plan::Plan;
 use crate::resultset::ResultSet;
 use crate::runner::{SweepProgress, MODEL_VERSION};
 use crate::scheduler::{RunRequest, Scheduler, SchedulerStats, Sink, Submission, Tally};
-use crate::session::{Progress, Session};
+use crate::session::Session;
 use crate::{config, runner};
 
 /// Writes one event line. Returns `false` when the client is gone (write
@@ -155,7 +155,7 @@ fn stats_value(s: &SchedulerStats) -> Value {
 
 /// One `run` request's view of the wire: the scheduler's deliveries become
 /// `progress`, `result` and cancelled-`error` events tagged with the
-/// request id (progress optionally mirrored to the stderr status line).
+/// request id.
 struct ServeSink<'a> {
     id: Value,
     /// The plan, kept for rendering reports once all rows are in.
@@ -163,12 +163,11 @@ struct ServeSink<'a> {
     /// Display-name configuration order reports render in.
     order: Vec<String>,
     write: EmitFn<'a>,
-    stderr: bool,
 }
 
 impl Sink for ServeSink<'_> {
     fn progress(&self, p: &SweepProgress<'_>) -> bool {
-        let sent = (self.write)(&event(
+        (self.write)(&event(
             &self.id,
             "progress",
             vec![
@@ -179,11 +178,7 @@ impl Sink for ServeSink<'_> {
                 ("bench", Value::Str(p.bench.to_string())),
                 ("label", Value::Str(p.label.to_string())),
             ],
-        ));
-        if self.stderr {
-            p.eprint_status();
-        }
-        sent
+        ))
     }
 
     fn done(&self, rs: ResultSet, tally: Tally) -> bool {
@@ -250,7 +245,6 @@ fn run_request<'a>(
             order: cfgs.iter().map(|c| c.name.clone()).collect(),
             plan,
             write,
-            stderr: matches!(session.progress(), Progress::Stderr),
         }),
         cfgs,
     };
@@ -408,21 +402,12 @@ fn read_line_capped<R: BufRead>(input: &mut R) -> std::io::Result<Line> {
     }
 }
 
-/// Run the serve loop with default [`ServeOpts`]. See [`serve_with`].
-pub fn serve<R: BufRead, W: Write + Send>(
-    session: &Session,
-    input: R,
-    output: W,
-) -> std::io::Result<ServeSummary> {
-    serve_with(session, input, output, &ServeOpts::default())
-}
-
 /// Run the serve loop: read JSON-lines requests from `input`, stream
 /// responses to `output`, sharing `session` across requests, until EOF or
 /// a `shutdown` request.
 ///
-/// The reader runs on the calling thread; `session.jobs()` scheduler
-/// workers run on the session's pool, so in-flight requests execute
+/// The reader runs on the calling thread beside `session.jobs()`
+/// scheduler workers on scoped threads, so in-flight requests execute
 /// concurrently and `progress` events from different requests interleave
 /// (each tagged with its request `id`). On `shutdown` the queue drains
 /// before the final `bye`; on EOF or a broken output pipe queued jobs are
@@ -450,24 +435,15 @@ pub fn serve_with<R: BufRead, W: Write + Send>(
     };
     let emit: EmitFn<'_> = &emit_impl;
     let mut summary = ServeSummary::default();
-    let shutdown_id = {
-        let sched = &sched;
-        session.pool().scope(|s| {
-            for _ in 0..session.jobs() {
-                s.spawn(move || sched.worker(session.store(), session.trace_db()));
-            }
-            let r = read_requests(session, sched, &mut input, emit, write, &mut summary);
-            // Whatever ended the read loop, stop the workers: they drain
-            // the (possibly purged) queue and exit, and `scope` joins
-            // them before returning.
-            sched.close();
-            r
-        })?
-    };
+    // Whatever ends the read loop, the workers then drain the (possibly
+    // purged) queue and exit before `with_workers` returns.
+    let shutdown_id = session.with_workers(&sched, session.jobs(), || {
+        read_requests(session, &sched, &mut input, emit, write, &mut summary)
+    })?;
     summary.stats = sched.stats();
     if let Some(id) = shutdown_id {
-        // Emitted after the scope join: every in-flight request has
-        // delivered its result, so `bye` is always the last event.
+        // Emitted after the workers have exited: every in-flight request
+        // has delivered its result, so `bye` is always the last event.
         emit(&event(&id, "bye", vec![]));
     }
     Ok(summary)
@@ -634,7 +610,8 @@ mod tests {
     fn serve_lines(input: &str) -> (Vec<Value>, ServeSummary) {
         let session = Session::ephemeral().with_jobs(2);
         let mut out = Vec::new();
-        let summary = serve(&session, input.as_bytes(), &mut out).unwrap();
+        let summary =
+            serve_with(&session, input.as_bytes(), &mut out, &ServeOpts::default()).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines = text
             .lines()
@@ -684,10 +661,11 @@ mod tests {
         input.push(b'\n');
         input.extend_from_slice(b"{\"id\": 9, \"op\": \"ping\"}\n");
         let mut out = Vec::new();
-        let summary = serve(
+        let summary = serve_with(
             &session,
             std::io::BufReader::with_capacity(16, input.as_slice()),
             &mut out,
+            &ServeOpts::default(),
         )
         .unwrap();
         assert_eq!(summary.requests, 3);

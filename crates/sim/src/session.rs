@@ -1,24 +1,24 @@
 //! The execution environment experiment plans run in.
 //!
 //! A [`Session`] owns everything a run needs besides the plan itself: the
-//! disk-backed [`ResultStore`] memoization, the worker [`rayon::ThreadPool`]
-//! fan-out, the store of imported traces, and the progress sink. One `Session`
-//! can execute any number of [`Plan`]s — `rcmc serve` keeps a single warm
-//! session alive across requests, so every plan after the first reuses
-//! memoized runs.
+//! disk-backed [`ResultStore`] memoization, the worker count, and the
+//! store of imported traces. One `Session` can execute any number of
+//! [`Plan`]s — `rcmc serve` keeps a single warm session alive across
+//! requests, so every plan after the first reuses memoized runs.
 //!
 //! [`Session::run`] executes on the same job engine as `rcmc serve`: it
 //! submits the plan as one request to a fresh [`Scheduler`] whose workers
-//! run on the session's pool, then returns the finished [`ResultSet`].
-//! Each executed job streams its own oracle trace, so a run holds no
-//! suite trace.
+//! are scoped threads, then returns the finished [`ResultSet`]. Each
+//! executed job streams its own oracle trace, so a run holds no suite
+//! trace. A run is silent; [`Session::run_streaming`] hands each job's
+//! [`SweepProgress`] to a callback.
 //!
 //! ```no_run
 //! use rcmc_sim::plan::Plan;
-//! use rcmc_sim::session::{Progress, Session};
-//! let session = Session::new().with_progress(Progress::Stderr);
+//! use rcmc_sim::session::Session;
+//! let session = Session::new().with_jobs(4);
 //! let plan = Plan::new("quick").config_named("Ring_8clus_1bus_2IW").bench("swim");
-//! let rs = session.run(&plan).unwrap();
+//! let rs = session.run_streaming(&plan, &|p| p.eprint_status()).unwrap();
 //! println!("{}", rs.to_csv());
 //! ```
 
@@ -27,35 +27,17 @@ use std::sync::Mutex;
 use rcmc_emu::TraceDb;
 use serde::json::Value;
 
-use crate::config::SimConfig;
 use crate::plan::Plan;
 use crate::resultset::ResultSet;
-use crate::runner::{self, Budget, ProgressFn, ResultStore, RunResult, SweepProgress};
+use crate::runner::{self, ProgressFn, ResultStore, SweepProgress};
 use crate::scheduler::{RunRequest, Scheduler, Sink, Tally};
 
-/// Where a session reports per-job progress.
-#[derive(Clone, Copy, Debug, Default)]
-pub enum Progress {
-    /// No progress output (benches, tests).
-    #[default]
-    Silent,
-    /// The shared stderr status line (`[12/390] cfg × bench (ETA ..s)`).
-    Stderr,
-}
-
-/// An experiment-execution environment: result store + thread pool +
-/// trace store + progress sink.
+/// An experiment-execution environment: result store + worker count +
+/// trace store.
 #[derive(Debug)]
 pub struct Session {
     store: ResultStore,
-    // The vendored rayon pool is a worker *count* whose OS threads are
-    // scoped to each operation — an idle pool holds no resources, so
-    // constructing one per `with_jobs`/override is free. If this is ever
-    // swapped for real rayon (whose pools spawn threads at construction),
-    // make the pool lazy instead.
-    pool: rayon::ThreadPool,
     jobs: usize,
-    progress: Progress,
     // Where imported traces are loaded from; one handle shared by every
     // scheduler worker of this session.
     trace_db: Option<TraceDb>,
@@ -67,18 +49,16 @@ impl Default for Session {
     }
 }
 
-/// The sink of a [`Session::run`] request: progress to the caller's
-/// callback (if any), the finished set into `result`.
+/// The sink of a [`Session::run_streaming`] request: progress to the
+/// caller's callback, the finished set into `result`.
 struct RunSink<'a> {
-    progress: Option<ProgressFn<'a>>,
+    progress: ProgressFn<'a>,
     result: &'a Mutex<Option<ResultSet>>,
 }
 
 impl Sink for RunSink<'_> {
     fn progress(&self, p: &SweepProgress<'_>) -> bool {
-        if let Some(f) = self.progress {
-            f(p);
-        }
+        (self.progress)(p);
         true
     }
 
@@ -92,10 +72,20 @@ impl Sink for RunSink<'_> {
     }
 }
 
+/// Closes the scheduler when dropped, so the workers drain and exit even
+/// if the body beside them unwinds.
+struct CloseOnDrop<'a, 's>(&'a Scheduler<'s>);
+
+impl Drop for CloseOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 impl Session {
     /// The standard environment: the workspace's shared
-    /// `target/rcmc-results` store, [`runner::default_jobs`] workers
-    /// (`RCMC_JOBS`, else all cores), no progress output.
+    /// `target/rcmc-results` store and [`runner::default_jobs`] workers
+    /// (`RCMC_JOBS`, else all cores).
     pub fn new() -> Session {
         Session::with_store(ResultStore::open_default())
     }
@@ -109,28 +99,17 @@ impl Session {
     /// A session over an explicit store (trace store: the process default,
     /// see [`runner::default_trace_db`]).
     pub fn with_store(store: ResultStore) -> Session {
-        let jobs = runner::default_jobs();
         Session {
             store,
-            pool: rayon::ThreadPool::new(jobs),
-            jobs,
-            progress: Progress::Silent,
+            jobs: runner::default_jobs(),
             trace_db: Some(runner::default_trace_db().clone()),
         }
     }
 
-    /// Replace the worker pool with one of `jobs` threads (1 = true serial
-    /// execution on the calling thread; results are bit-identical at any
-    /// count).
+    /// Run on `jobs` workers (1 = true serial execution on the calling
+    /// thread; results are bit-identical at any count).
     pub fn with_jobs(mut self, jobs: usize) -> Session {
         self.jobs = jobs.max(1);
-        self.pool = rayon::ThreadPool::new(self.jobs);
-        self
-    }
-
-    /// Set the progress sink.
-    pub fn with_progress(mut self, progress: Progress) -> Session {
-        self.progress = progress;
         self
     }
 
@@ -152,7 +131,7 @@ impl Session {
         self.trace_db.as_ref()
     }
 
-    /// Worker count of the session's pool.
+    /// The session's worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
     }
@@ -162,51 +141,31 @@ impl Session {
         &self.store
     }
 
-    /// The session's worker pool (the serve scheduler spawns its workers
-    /// on it so `--jobs` governs service concurrency too).
-    pub fn pool(&self) -> &rayon::ThreadPool {
-        &self.pool
-    }
-
-    /// The session's progress sink.
-    pub fn progress(&self) -> &Progress {
-        &self.progress
-    }
-
     /// Execute `plan`: resolve its configurations and benchmarks, run the
-    /// grid (on the plan's `jobs`/`budget` overrides if set, else the
-    /// session's pool and the env-derived [`Budget::default`]), and return
-    /// the typed results. Fails without simulating anything if the plan
-    /// names an unknown group/config/bench/metric.
+    /// grid on the session's workers (with the plan's budget, else the
+    /// env-derived [`runner::Budget::default`]), and return the typed
+    /// results. Fails without simulating anything if the plan names an
+    /// unknown group/config/bench/metric.
     pub fn run(&self, plan: &Plan) -> Result<ResultSet, String> {
-        let stderr_line = |p: &SweepProgress<'_>| p.eprint_status();
-        let progress: Option<ProgressFn<'_>> = match self.progress {
-            Progress::Silent => None,
-            Progress::Stderr => Some(&stderr_line),
-        };
-        self.execute(plan, progress)
+        self.run_streaming(plan, &|_| {})
     }
 
-    /// [`Session::run`] with an explicit per-job progress callback that
-    /// overrides the session sink for this run. Callbacks arrive with
-    /// strictly increasing `finished`; a plan the store satisfies entirely
-    /// gets exactly one callback, with `total == 0`.
+    /// [`Session::run`] with a per-job progress callback. Callbacks arrive
+    /// with strictly increasing `finished`; a plan the store satisfies
+    /// entirely gets exactly one callback, with `total == 0`.
+    ///
+    /// The plan is submitted as the only request of a fresh, unbounded
+    /// scheduler and drained with the calling thread working as one of
+    /// its workers (so one worker is a true serial run on the caller). A
+    /// worker panic propagates to the caller once every worker has exited.
     pub fn run_streaming(
         &self,
         plan: &Plan,
         progress: ProgressFn<'_>,
     ) -> Result<ResultSet, String> {
-        self.execute(plan, Some(progress))
-    }
-
-    /// Submit `plan` as the only request of a fresh, unbounded scheduler
-    /// and drain it on the pool, the calling thread working as one of its
-    /// workers (so one worker is a true serial run on the caller). A
-    /// worker panic propagates to the caller when the scope joins.
-    fn execute(&self, plan: &Plan, progress: Option<ProgressFn<'_>>) -> Result<ResultSet, String> {
-        // One resolution pass covers validation too (report references,
-        // jobs bounds) — see `Plan::resolve`. Resolution happens against
-        // this session's trace store so its imported traces are runnable.
+        // One resolution pass covers validation too (report references)
+        // — see `Plan::resolve`. Resolution happens against this
+        // session's trace store so its imported traces are runnable.
         let (cfgs, benches) = plan.resolve_in(self.trace_db.as_ref())?;
         let result = Mutex::new(None);
         let run = RunRequest {
@@ -221,25 +180,34 @@ impl Session {
             }),
         };
         let sched = Scheduler::new(usize::MAX);
-        let override_pool = plan.jobs.map(rayon::ThreadPool::new);
-        let pool = override_pool.as_ref().unwrap_or(&self.pool);
-        let (store, db) = (&self.store, self.trace_db.as_ref());
-        pool.scope(|s| {
-            for _ in 1..pool.num_threads() {
-                s.spawn(|| sched.worker(store, db));
-            }
-            sched.submit(run, store);
+        self.with_workers(&sched, self.jobs - 1, || {
+            sched.submit(run, &self.store);
             sched.close();
-            sched.worker(store, db);
+            sched.worker(&self.store, self.trace_db.as_ref());
         });
         let rs = result.lock().unwrap_or_else(|e| e.into_inner()).take();
         Ok(rs.expect("an unbounded, uncancelled request always completes"))
     }
 
-    /// Run (or load) a single `(configuration, benchmark)` pair through the
-    /// session's store.
-    pub fn run_one(&self, cfg: &SimConfig, bench: &str, budget: &Budget) -> RunResult {
-        runner::run_pair(cfg, bench, budget, &self.store, self.trace_db.as_ref())
+    /// Run `body` on the calling thread beside `spawned` scoped threads,
+    /// each a [`Scheduler::worker`] loop over this session's stores, then
+    /// close `sched` and return once every worker has drained the queue
+    /// and exited. The one place a session starts threads: a session run
+    /// spawns `jobs - 1` and works on the caller, `rcmc serve` spawns
+    /// `jobs` beside its reader.
+    pub(crate) fn with_workers<'s, R>(
+        &self,
+        sched: &Scheduler<'s>,
+        spawned: usize,
+        body: impl FnOnce() -> R,
+    ) -> R {
+        std::thread::scope(|s| {
+            for _ in 0..spawned {
+                s.spawn(|| sched.worker(&self.store, self.trace_db.as_ref()));
+            }
+            let _close = CloseOnDrop(sched);
+            body()
+        })
     }
 }
 
@@ -247,6 +215,7 @@ impl Session {
 mod tests {
     use super::*;
     use crate::config::make;
+    use crate::runner::Budget;
     use rcmc_core::Topology;
 
     fn tiny() -> Budget {
@@ -257,7 +226,7 @@ mod tests {
     }
 
     #[test]
-    fn session_sweep_matches_run_one() {
+    fn scheduler_path_equals_the_bare_job() {
         let s = Session::ephemeral().with_jobs(2);
         let cfg = make(Topology::Ring, 4, 2, 1);
         let plan = Plan::new("t")
@@ -266,23 +235,35 @@ mod tests {
             .budget(tiny());
         let rs = s.run(&plan).unwrap();
         assert_eq!(rs.len(), 1);
-        let direct = s.run_one(&cfg, "swim", &tiny());
-        assert_eq!(rs.get(&cfg.name, "swim"), Some(&direct));
+        let bare = runner::run_pair(&cfg, "swim", &tiny(), s.store(), None);
+        assert_eq!(rs.get(&cfg.name, "swim"), Some(&bare));
     }
 
     #[test]
-    fn plan_jobs_override_is_still_bit_identical() {
+    fn a_one_worker_run_reports_every_job_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let calls = Mutex::new(Vec::new());
         let plan = Plan::new("t")
             .config_axes(Some(Topology::Ring), None, Some(4), Some(2), Some(1), None)
+            .config_axes(Some(Topology::Conv), None, Some(4), Some(2), Some(1), None)
             .bench("gzip")
             .bench("swim")
             .budget(tiny());
-        let serial = Session::ephemeral().with_jobs(1).run(&plan).unwrap();
-        let parallel = Session::ephemeral()
+        let on_job = |p: &SweepProgress<'_>| {
+            calls
+                .lock()
+                .unwrap()
+                .push((p.finished, std::thread::current().id()));
+        };
+        Session::ephemeral()
             .with_jobs(1)
-            .run(&plan.clone().jobs(4))
+            .run_streaming(&plan, &on_job)
             .unwrap();
-        assert_eq!(serial, parallel);
+        let calls = calls.into_inner().unwrap();
+        assert_eq!(calls.len(), 4);
+        for (finished, thread) in calls {
+            assert_eq!(thread, caller, "job {finished} reported off the caller");
+        }
     }
 
     #[test]

@@ -21,7 +21,8 @@ fn rcmc_figures_text_matches_golden_renderings() {
         warmup: 1_000,
         measure: 4_000,
     };
-    let text = experiments::render_figures(&session, Some(budget), Some(&["gzip", "mcf", "swim"]))
+    let benches: &[&str] = &["gzip", "mcf", "swim"];
+    let text = experiments::render_figures(&session, Some(budget), Some(benches), &|_| {})
         .expect("paper plans must validate");
     assert_eq!(
         text, golden,

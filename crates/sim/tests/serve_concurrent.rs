@@ -5,7 +5,7 @@
 use serde::json::Value;
 
 use rcmc_sim::serve::{serve_with, ServeOpts};
-use rcmc_sim::{Progress, ResultStore, Session};
+use rcmc_sim::{ResultStore, Session};
 
 fn temp_store(tag: &str) -> (std::path::PathBuf, ResultStore) {
     let dir = std::env::temp_dir().join(format!("rcmc-sconc-{tag}-{}", std::process::id()));
@@ -16,9 +16,7 @@ fn temp_store(tag: &str) -> (std::path::PathBuf, ResultStore) {
 /// Run a serve session over `input` with `jobs` workers on a fresh store,
 /// returning the parsed response lines and the summary.
 fn serve_on(store: ResultStore, jobs: usize, input: &str) -> (Vec<Value>, rcmc_sim::ServeSummary) {
-    let session = Session::with_store(store)
-        .with_jobs(jobs)
-        .with_progress(Progress::Silent);
+    let session = Session::with_store(store).with_jobs(jobs);
     let mut out = Vec::new();
     let summary = serve_with(&session, input.as_bytes(), &mut out, &ServeOpts::default()).unwrap();
     let lines = String::from_utf8(out)

@@ -10,7 +10,7 @@ use ring_clustered::core::config::DistanceLut;
 use ring_clustered::core::steering::{RingDep, SteerCtx, SteeringPolicy};
 use ring_clustered::core::value::ValueTable;
 use ring_clustered::core::{CoreConfig, Steering, Topology};
-use ring_clustered::sim::{config, runner, Session};
+use ring_clustered::sim::{config, runner, Plan, Session};
 
 fn figure2_walkthrough() {
     println!("--- Figure 2 walkthrough (ring, 4 clusters) ---");
@@ -101,9 +101,14 @@ fn main() {
         warmup: 10_000,
         measure: 60_000,
     };
-    // One session = the shared memoized store + the warm trace cache; every
-    // (policy × fabric) cell after the first reuses the emulated trace.
-    let session = Session::new();
+    // The whole (policy × fabric) cross is one plan over the
+    // `steering-cross` group: its cells run on the session's workers and
+    // are memoized in the shared result store.
+    let plan = Plan::new("steering-lab")
+        .group("steering-cross")
+        .bench(&bench)
+        .budget(budget);
+    let rs = Session::new().run(&plan).unwrap_or_else(|e| panic!("{e}"));
     for topology in config::ALL_TOPOLOGIES {
         for steering in config::ALL_STEERINGS {
             let cfg = config::make_pair(topology, steering, 8, 2, 1);
@@ -112,7 +117,9 @@ fn main() {
                 config::topology_name(topology),
                 config::steering_name(steering)
             );
-            let r = session.run_one(&cfg, &bench, &budget);
+            let r = rs
+                .get(&cfg.name, &bench)
+                .expect("every cell of the cross ran");
             let max_share = r.dispatch_shares.iter().copied().fold(0.0f64, f64::max);
             println!(
                 "{label:14} IPC {:.3}  comms/insn {:.3}  NREADY {:.2}  max cluster share {:.1}%",

@@ -22,10 +22,11 @@
 //! ```
 //!
 //! Every sweeping command goes through one [`Session`] (shared result
-//! store, worker pool, stderr progress): `--jobs N` (default: `RCMC_JOBS`,
-//! else all cores) sizes the pool, and results are bit-identical at any
-//! worker count. Unknown flags and unparsable flag values are hard errors
-//! (exit code 2), not silently ignored.
+//! store, worker count) and streams a status line to stderr: `--jobs N`
+//! (default: `RCMC_JOBS`, else all cores) sets the worker count, and
+//! results are bit-identical at any worker count. Unknown flags,
+//! unparsable flag values and bad `RCMC_*` settings are hard errors (exit
+//! code 2), not silently ignored.
 //!
 //! Suite benchmarks are always emulated; the trace store (`--trace-store
 //! DIR`, else `RCMC_TRACE_DIR`, else `target/rcmc-traces`) holds imported
@@ -38,10 +39,10 @@ use ring_clustered::emu::{trace_program, TraceDb, TraceDbError};
 use ring_clustered::sim::experiments::{self, plans};
 use ring_clustered::sim::plan::ConfigSpec;
 use ring_clustered::sim::runner::{
-    cached_trace, check_workload, default_jobs, default_trace_db, trace_cache_stats, write_err,
-    Budget, SweepProgress,
+    cached_trace, check_workload, default_jobs, default_trace_db, env_count, trace_cache_stats,
+    write_err, Budget, SweepProgress,
 };
-use ring_clustered::sim::{config, machines, serve, Plan, Progress, ResultStore, Session};
+use ring_clustered::sim::{config, machines, serve, Plan, ResultStore, Session};
 use ring_clustered::workloads::{benchmark, suite};
 
 /// Write to stdout: everything the CLI prints goes through this one
@@ -73,7 +74,7 @@ macro_rules! errln {
 }
 
 fn main() {
-    check_jobs_env();
+    check_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
         usage();
@@ -84,7 +85,7 @@ fn main() {
         "serve" => parse_flags(
             cmd,
             &args[1..],
-            &["jobs", "store", "queue-limit", "progress", "trace-store"],
+            &["jobs", "store", "queue-limit", "trace-store"],
         ),
         "run" => parse_flags(
             cmd,
@@ -179,7 +180,7 @@ fn usage() {
          \x20 report <name> [--jobs N]      run a builtin plan and print its reports\n\
          \x20                               (fig06 … fig14, topology, steering-cross,\n\
          \x20                               steering-decomposition, ablations)\n\
-         \x20 serve [--jobs N] [--store DIR] [--queue-limit N] [--progress stderr|none]\n\
+         \x20 serve [--jobs N] [--store DIR] [--queue-limit N]\n\
          \x20                               concurrent JSON-lines request loop on\n\
          \x20                               stdin/stdout (see README 'Serve concurrency')\n\
          \n\
@@ -276,22 +277,34 @@ fn jobs_from(flags: &HashMap<String, String>) -> usize {
     }
 }
 
-/// Reject `RCMC_JOBS=0` up front — it would otherwise be silently ignored
-/// (falling back to all cores), which hides the configuration mistake.
-fn check_jobs_env() {
-    if std::env::var("RCMC_JOBS").is_ok_and(|v| v.trim().parse::<usize>() == Ok(0)) {
-        errln!("RCMC_JOBS must be at least 1 (unset it to use all cores)\n");
-        usage();
-        std::process::exit(2);
+/// Reject a set but invalid `RCMC_JOBS`, `RCMC_INSTRS` or `RCMC_WARMUP`
+/// up front, with the same parse the library defaults use — a value
+/// silently replaced by a default hides the configuration mistake.
+fn check_env() {
+    for (var, min) in [("RCMC_JOBS", 1), ("RCMC_INSTRS", 1), ("RCMC_WARMUP", 0)] {
+        if let Err(e) = env_count(var, min) {
+            errln!("{e}; unset it for the default\n");
+            usage();
+            std::process::exit(2);
+        }
     }
 }
 
-/// The shared CLI execution environment: default store, `--jobs` pool,
-/// stderr progress line.
+/// The shared CLI execution environment: default store, `--jobs` workers.
 fn session_from(flags: &HashMap<String, String>) -> Session {
-    Session::new()
-        .with_jobs(jobs_from(flags))
-        .with_progress(Progress::Stderr)
+    Session::new().with_jobs(jobs_from(flags))
+}
+
+/// The progress callback of every sweeping command: the stderr status line.
+fn status(p: &SweepProgress<'_>) {
+    p.eprint_status();
+}
+
+/// Write a `--out` file; a path that cannot be written is a user error.
+fn write_out_file(path: &str, text: &str) {
+    if let Err(e) = std::fs::write(path, text) {
+        die::<()>(format!("cannot write '{path}': {e}"));
+    }
 }
 
 /// The store of imported traces: `--trace-store DIR`, else the
@@ -373,17 +386,23 @@ fn run(args: &[String], flags: &HashMap<String, String>) {
             std::process::exit(2);
         })
         .remove(0);
-    let budget = budget_from(flags);
     let _ = jobs_from(flags); // validated; a single run always uses one worker
-    let session = Session::new().with_trace_store(trace_db_from(flags));
-    check_workload(&bench, session.trace_db()).unwrap_or_else(die);
-    let r = session.run_one(&cfg, &bench, &budget);
+    let session = Session::new()
+        .with_jobs(1)
+        .with_trace_store(trace_db_from(flags));
+    // An unknown workload fails plan resolution: exit 1, nothing runs.
+    let plan = Plan::new("run")
+        .config(spec)
+        .bench(&bench)
+        .budget(budget_from(flags));
+    let rs = session.run(&plan).unwrap_or_else(die);
+    let r = &rs.rows()[0];
     outln!(
         "{bench} on {} ({} measured instructions):",
         cfg.name,
         r.committed
     );
-    print_result(&r);
+    print_result(r);
 }
 
 fn compare(args: &[String], flags: &HashMap<String, String>) {
@@ -395,7 +414,7 @@ fn compare(args: &[String], flags: &HashMap<String, String>) {
         .config_named("Conv_8clus_1bus_2IW")
         .bench(&bench)
         .budget(budget_from(flags));
-    let results = session.run(&plan).unwrap_or_else(die);
+    let results = session.run_streaming(&plan, &status).unwrap_or_else(die);
     let ring = results.get("Ring_8clus_1bus_2IW", &bench).unwrap();
     let conv = results.get("Conv_8clus_1bus_2IW", &bench).unwrap();
     outln!("{bench}: Ring_8clus_1bus_2IW");
@@ -607,17 +626,19 @@ fn die<T>(e: String) -> T {
 }
 
 fn figures(flags: &HashMap<String, String>) {
-    let text = experiments::render_figures(&session_from(flags), None, None);
+    let text = experiments::render_figures(&session_from(flags), None, None, &status);
     out!("{}", text.unwrap_or_else(die));
 }
 
 fn csv(flags: &HashMap<String, String>) {
     let session = session_from(flags);
-    let results = session.run(&plans::main()).unwrap_or_else(die);
+    let results = session
+        .run_streaming(&plans::main(), &status)
+        .unwrap_or_else(die);
     let csv = results.to_csv();
     match flags.get("out") {
         Some(path) if !path.is_empty() => {
-            std::fs::write(path, &csv).expect("failed to write CSV");
+            write_out_file(path, &csv);
             errln!("wrote {} rows to {path}", csv.lines().count() - 1);
         }
         _ => out!("{csv}"),
@@ -693,14 +714,6 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
                 }
                 errln!("--machine {family}: applied to {rebased} config entries");
             }
-            match num_flag::<usize>(flags, "jobs") {
-                Some(0) => {
-                    errln!("--jobs must be at least 1");
-                    std::process::exit(2);
-                }
-                Some(jobs) => plan = plan.jobs(jobs),
-                None => {}
-            }
             // `--store DIR` isolates result memoization (CI runs one plan
             // twice on separate stores, so both runs simulate).
             let store = match flags.get("store") {
@@ -708,7 +721,7 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
                 None => ResultStore::open_default(),
             };
             let session = Session::with_store(store)
-                .with_progress(Progress::Stderr)
+                .with_jobs(jobs_from(flags))
                 .with_trace_store(trace_db_from(flags));
             let (cfgs, benches) = plan.resolve_in(session.trace_db()).unwrap_or_else(die);
             errln!(
@@ -722,7 +735,7 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
             // the executed/memoized summary line below.
             let tallies = std::sync::Mutex::new((0usize, 0usize));
             let record = |p: &SweepProgress<'_>| {
-                p.eprint_status();
+                status(p);
                 *tallies.lock().unwrap() = (p.finished, p.memoized);
             };
             let rs = session.run_streaming(&plan, &record).unwrap_or_else(die);
@@ -741,7 +754,7 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
             };
             match flags.get("out") {
                 Some(path) if !path.is_empty() => {
-                    std::fs::write(path, &out).expect("failed to write output");
+                    write_out_file(path, &out);
                     errln!("wrote {path}");
                 }
                 _ => out!("{out}"),
@@ -772,7 +785,9 @@ fn report_cmd(args: &[String], flags: &HashMap<String, String>) {
     if plan.reports.is_empty() {
         die::<()>(format!("builtin plan '{}' has no reports", plan.name));
     }
-    let rs = session_from(flags).run(&plan).unwrap_or_else(die);
+    let rs = session_from(flags)
+        .run_streaming(&plan, &status)
+        .unwrap_or_else(die);
     out!("{}", plan.render_text(&rs).unwrap_or_else(die));
 }
 
@@ -783,19 +798,10 @@ fn serve_cmd(flags: &HashMap<String, String>) {
         Some(dir) => ResultStore::at(dir.into()),
         None => ResultStore::open_default(),
     };
-    let mut session = Session::with_store(store)
+    // Each request's progress goes out as its own JSON events.
+    let session = Session::with_store(store)
         .with_jobs(jobs_from(flags))
         .with_trace_store(trace_db_from(flags));
-    // Default stays silent: serve streams its own JSON progress events.
-    // `--progress stderr` additionally mirrors the labelled status line.
-    match flags.get("progress").map(String::as_str) {
-        Some("stderr") => session = session.with_progress(Progress::Stderr),
-        Some("none") | None => {}
-        Some(other) => {
-            errln!("invalid value '{other}' for --progress (stderr | none)");
-            std::process::exit(2);
-        }
-    }
     let opts = serve::ServeOpts {
         queue_limit: match num_flag::<usize>(flags, "queue-limit") {
             Some(0) => {

@@ -1,6 +1,9 @@
-//! CLI guard rails for the sweep worker count: `--jobs 0` and
-//! `RCMC_JOBS=0` must fail fast with exit code 2 and the usage text, never
-//! reach the thread-pool constructor or silently fall back to all cores.
+//! CLI guard rails for the sweep worker count and the other `RCMC_*`
+//! settings: `--jobs 0` and any set `RCMC_JOBS`, `RCMC_INSTRS` or
+//! `RCMC_WARMUP` that is not a whole number in range must fail fast with
+//! exit code 2 and the usage text, never silently fall back to a default.
+//! The worker count is the session's: a plan spec carrying `"jobs"` is
+//! refused by `plan run` and `serve` alike.
 
 use std::process::Command;
 
@@ -19,12 +22,53 @@ fn jobs_zero_flag_exits_2_with_usage() {
 
 #[test]
 fn jobs_zero_env_exits_2_with_usage() {
-    let out = rcmc().env("RCMC_JOBS", "0").arg("list").output().unwrap();
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("RCMC_JOBS must be at least 1"), "{err}");
-    assert!(err.contains("commands:"), "usage text missing: {err}");
+    for (var, value, message) in [
+        ("RCMC_JOBS", "0", "RCMC_JOBS must be at least 1"),
+        ("RCMC_JOBS", "abc", "RCMC_JOBS must be at least 1"),
+        ("RCMC_JOBS", "-1", "RCMC_JOBS must be at least 1"),
+        ("RCMC_INSTRS", "20k", "RCMC_INSTRS must be at least 1"),
+        ("RCMC_WARMUP", "-5", "RCMC_WARMUP must be at least 0"),
+    ] {
+        let out = rcmc().env(var, value).arg("list").output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{var}={value}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "{var}={value}: {err}");
+        assert!(err.contains(&format!("got '{value}'")), "{err}");
+        assert!(err.contains("commands:"), "usage text missing: {err}");
+    }
     // A positive value is accepted (list does no sweeping — instant).
     let ok = rcmc().env("RCMC_JOBS", "2").arg("list").output().unwrap();
     assert!(ok.status.success(), "{ok:?}");
+}
+
+#[test]
+fn plan_specs_carrying_jobs_are_refused() {
+    let spec = r#"{"name": "j", "configs": [{"name": "Ring_4clus_1bus_2IW"}], "benches": ["swim"], "jobs": 2}"#;
+    let path = std::env::temp_dir().join(format!("rcmc-jobs-spec-{}.json", std::process::id()));
+    std::fs::write(&path, spec).unwrap();
+    let out = rcmc().args(["plan", "run"]).arg(&path).output().unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown plan key 'jobs'"), "{err}");
+
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut serve = rcmc()
+        .args(["serve", "--jobs", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut stdin = serve.stdin.take().unwrap();
+    writeln!(stdin, r#"{{"id": 1, "op": "run", "plan": {spec}}}"#).unwrap();
+    writeln!(stdin, r#"{{"op": "shutdown"}}"#).unwrap();
+    drop(stdin);
+    let out = serve.wait_with_output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    let first = text.lines().next().unwrap_or_default();
+    assert!(first.contains(r#""event":"error""#), "{text}");
+    assert!(first.contains("unknown plan key 'jobs'"), "{text}");
 }

@@ -262,6 +262,29 @@ fn run_of_unknown_workload_exits_1_with_a_message() {
 }
 
 #[test]
+fn an_unwritable_out_path_exits_1_with_a_message() {
+    // `--out` into a directory that does not exist: a user error (exit 1
+    // and the path), not a panic. The plan runs on an isolated store and
+    // only the final write fails.
+    let dir = temp_store("out");
+    let missing = dir.join("no-such-dir").join("x.txt");
+    let out = rcmc()
+        .args(["plan", "run", "examples/specs/plan_smoke.json"])
+        .args(["--store", dir.to_str().unwrap(), "--out"])
+        .arg(&missing)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(&format!("rcmc: cannot write '{}'", missing.display())),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_reader_that_closes_the_pipe_early_ends_the_cli_quietly() {
     // `rcmc trace view … | head -1`: ~140 KB of timeline, far more than a
     // pipe buffers, so the CLI is still writing when the reader goes.
