@@ -175,6 +175,9 @@ pub struct TraceMeta {
     pub trace_version: u32,
     /// Whether the traced program ran to `halt`.
     pub halted: bool,
+    /// The header's payload checksum: the identity of the stored records,
+    /// read without decoding them.
+    pub checksum: u64,
 }
 
 /// Distinguishes concurrent writers' temp files within one process; the
@@ -226,19 +229,32 @@ impl TraceDb {
     /// Every rejection reason is explicit; callers that only care about
     /// hit-or-miss use [`TraceDb::load`].
     pub fn load_full(&self, name: &str, len: u64) -> Result<Trace, TraceDbError> {
+        self.decode_key(name, len).map(|(_, t)| t)
+    }
+
+    /// Fully validate and decode the file of `(name, len)`, header
+    /// included.
+    fn decode_key(&self, name: &str, len: u64) -> Result<(Header, Trace), TraceDbError> {
         if !Self::valid_name(name) {
             return Err(TraceDbError::KeyMismatch);
         }
         let f = std::fs::File::open(self.path_of(name, len)).map_err(io_err)?;
         let file_len = f.metadata().map_err(io_err)?.len();
-        decode(f, file_len, Some((name, len))).map(|(_, t)| t)
+        decode(f, file_len, Some((name, len)))
     }
 
     /// Load the trace stored under `(name, len)`, or `None` if absent,
     /// stale (older format/trace version) or corrupt in any way — a
     /// stored trace is never trusted without passing every check.
     pub fn load(&self, name: &str, len: u64) -> Option<Arc<Trace>> {
-        self.load_full(name, len).ok().map(Arc::new)
+        self.load_summed(name, len).map(|(_, t)| t)
+    }
+
+    /// [`TraceDb::load`], with the verified checksum of the file it
+    /// decoded ([`TraceMeta::checksum`]).
+    pub fn load_summed(&self, name: &str, len: u64) -> Option<(u64, Arc<Trace>)> {
+        let (h, t) = self.decode_key(name, len).ok()?;
+        Some((h.checksum, Arc::new(t)))
     }
 
     /// Persist `trace` under `(name, len)` via temp file + atomic rename.
@@ -331,6 +347,7 @@ impl TraceDb {
                     bytes: meta.len(),
                     trace_version: h.trace_version,
                     halted: h.halted,
+                    checksum: h.checksum,
                 });
             }
         }

@@ -95,8 +95,9 @@ pub fn make_pair(
         regs_int: regs,
         regs_fp: regs,
         // Only DCOUNT steering reads the threshold; RingDep/Ssa configs
-        // keep the plain default so their memoization keys stay untouched
-        // by per-topology recalibrations (see `runner::store_name`).
+        // keep the plain default, so a per-topology recalibration leaves
+        // their content identity (`runner::store_name`) and memoized rows
+        // untouched.
         dcount_threshold: if steering == Steering::ConvDcount {
             CoreConfig::default_dcount_threshold(topology)
         } else {

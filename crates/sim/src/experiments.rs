@@ -249,8 +249,8 @@ pub mod plans {
     }
 
     /// Beyond-paper ablations on a 10-benchmark subset, each grid an
-    /// axes/override spec list that resolves to the same tagged names
-    /// (and store rows) as `rcmc plan run`:
+    /// axes/override spec list that resolves to the same tagged names as
+    /// `rcmc plan run`:
     ///
     /// 1. steering × topology cross — is the win the ring bypass or the
     ///    dependence steering?
@@ -485,7 +485,7 @@ mod tests {
             );
         }
         // The copy-release row runs under the name `ConfigSpec::resolve`
-        // tags it with, so it shares store rows with `rcmc plan run`.
+        // tags it with, the label its reports reference.
         let on_read = ConfigSpec::default()
             .with_override("copy_release", serde::json::Value::Str("on_read".into()))
             .resolve()

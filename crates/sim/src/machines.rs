@@ -17,8 +17,9 @@
 //!   resolves byte-identical configurations, names and store keys to the
 //!   presets — [`Machine::is_baseline`] guards the no-tag path.
 //! * **Every other family tags the name** with `~m:<family>` (see
-//!   `plan::ConfigSpec::resolve`), so family rows can never collide with
-//!   preset rows in the memoized result store.
+//!   `plan::ConfigSpec::resolve`), a display label: its rows are kept
+//!   apart from preset rows by what the family changes, because the
+//!   result store keys rows by content (`runner::store_name`).
 //! * **Families must validate everywhere.** Each row is checked against
 //!   every topology at both 8 and 64 clusters by the registry tests;
 //!   an entry that breaks `CoreConfig::validate` is a bug in the table.

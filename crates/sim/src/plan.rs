@@ -53,9 +53,12 @@
 //! `"overrides"` then sets individual whitelisted fields
 //! ([`rcmc_core::OVERRIDE_KEYS`]) by key.
 //! Both tag the configuration name deterministically (`~m:wide`, `~rob256`
-//! in sorted key order), so overridden configurations never collide with
-//! preset rows in the memoized result store; `"machine": "paper2005"` with
-//! no overrides is the identity and resolves byte-identical to the preset.
+//! in sorted key order). The tags are display labels that reports
+//! reference; a memoized row is keyed by the resolved configuration's
+//! content (`runner::store_name`), so an override that changes the
+//! machine never reads a preset row, and one that restates a default
+//! shares it. `"machine": "paper2005"` with no overrides is the identity
+//! and resolves byte-identical to the preset.
 
 use rcmc_core::{Steering, Topology};
 use serde::json::Value;
@@ -79,8 +82,8 @@ use crate::runner::{all_bench_names, Budget};
 ///   steering). Only this form composes with `machine` (a registry family
 ///   delta, whose default axes fill in unset `clusters`/`iw`/`buses`) and
 ///   `overrides` (whitelisted `CoreConfig` fields by key); both tag the
-///   resolved name (`~m:wide`, `~rob256`) so the memoized store keeps
-///   family/override rows apart from presets.
+///   resolved name (`~m:wide`, `~rob256`) as a display label (memoized
+///   rows are keyed by the configuration's content, not its name).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ConfigSpec {
     /// Expand to a whole configuration grid.
@@ -243,7 +246,7 @@ impl ConfigSpec {
                 // override entries (untagged: the family tag names them
                 // all) and the memory latency, then tag the name;
                 // `paper2005` is the guarded identity path (byte-identical
-                // configuration, untagged name/store key).
+                // configuration, untagged name).
                 if let Some(m) = machine.filter(|m| !m.is_baseline()) {
                     for &(key, value) in m.overrides {
                         c.core
@@ -257,7 +260,7 @@ impl ConfigSpec {
                 }
                 // Overrides apply (and tag) in sorted key order, so two
                 // specs listing the same map in different order resolve to
-                // the same name — and the same memoized store row.
+                // the same name.
                 let mut sorted: Vec<&(String, Value)> = self.overrides.iter().collect();
                 sorted.sort_by(|a, b| a.0.cmp(&b.0));
                 for (key, value) in sorted {

@@ -15,17 +15,25 @@
 //! [`cached_trace`] materializes a whole trace, for the callers that need
 //! one: the pipeline view, the oracles and the tests.
 //!
-//! The [`ResultStore`] is sharded per configuration
-//! (`target/rcmc-results/<config>/<key>.json`), so huge sweeps never pile
-//! thousands of files into one directory.
+//! A row's one identity is what was simulated, never what it is called:
+//! a [`JobKey`] hashes the resolved configuration ([`store_name`]), the
+//! workload's content (a suite program's hash or an imported trace
+//! file's checksum), the [`Budget`] and
+//! [`MODEL_VERSION`]. The scheduler coalesces jobs under it and the
+//! [`ResultStore`] files rows under it, sharded per configuration
+//! (`target/rcmc-results/<config id>/<key>.json`), so huge sweeps never
+//! pile thousands of files into one directory. Configuration names are
+//! display labels only.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use rcmc_core::Core;
-use rcmc_emu::{trace_built, Trace, TraceDb, TraceSource};
-use rcmc_workloads::benchmark;
+use rcmc_emu::{trace_built, Trace, TraceDb, TraceSource, TRACE_VERSION};
+use rcmc_workloads::{benchmark, Benchmark};
+use serde::json::Value;
 use serde::{Deserialize, Serialize};
 
 use crate::config::SimConfig;
@@ -40,8 +48,18 @@ pub fn write_err(args: std::fmt::Arguments<'_>) {
 }
 
 /// Bump when the timing model changes in any way that affects results;
-/// invalidates every memoized run.
+/// invalidates every memoized run. [`MODEL_HISTORY`] ties it to behaviour.
 pub const MODEL_VERSION: u32 = 5;
+
+/// `(version, canary digest)` of each model version since the digest
+/// exists, oldest first. The digest is FNV-1a over the rows of a canary
+/// grid: every topology × steering pair at 8 clusters, 1 bus, 2-wide, on
+/// `gzip`, `mcf` and `fma3d` (one of the two suite programs whose window
+/// forwards stores) with 500 warm-up and 1500 measured instructions. A
+/// test recomputes it and fails unless the newest entry is
+/// `(MODEL_VERSION, today's digest)` and no digest repeats, so a change
+/// that moves any canary row cannot land without a bump and a new entry.
+pub const MODEL_HISTORY: &[(u32, u64)] = &[(5, 0x978a_c31a_6364_44ec)];
 
 /// Instruction budget for one run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -237,7 +255,7 @@ pub fn cached_trace(bench: &str, len: u64) -> Arc<Trace> {
 /// callers reject such names first with [`check_workload`].
 pub fn cached_trace_via(bench: &str, len: u64, db: Option<&TraceDb>) -> Arc<Trace> {
     let Some(b) = benchmark(bench) else {
-        return load_imported(bench, db);
+        return load_imported(bench, db).1;
     };
     EMULATED.fetch_add(1, Ordering::Relaxed);
     Arc::new(
@@ -247,24 +265,89 @@ pub fn cached_trace_via(bench: &str, len: u64, db: Option<&TraceDb>) -> Arc<Trac
 }
 
 /// The **imported trace** `bench`, decoded from `db` with its checksum
-/// verified: the longest trace stored under that name, whatever the
-/// budget (externally captured workloads have a fixed length — a shorter
-/// trace simply ends the run early, exactly like a program that halts).
-/// Panics if `db` holds no trace of that name or the file went bad.
-fn load_imported(bench: &str, db: Option<&TraceDb>) -> Arc<Trace> {
+/// verified, and that checksum: the longest trace stored under that name,
+/// whatever the budget (externally captured workloads have a fixed length
+/// — a shorter trace simply ends the run early, exactly like a program
+/// that halts). Panics if `db` holds no trace of that name or the file
+/// went bad.
+fn load_imported(bench: &str, db: Option<&TraceDb>) -> (u64, Arc<Trace>) {
     let Some((db, best)) = db.and_then(|d| Some((d, d.lens_of(bench).last().copied()?))) else {
         panic!("unknown workload '{bench}' (not in the suite or the trace store)");
     };
     // `None` only if the file vanished or went bad since `lens_of`; there
     // is no emulator path for imported workloads.
-    let trace = db.load(bench, best).unwrap_or_else(|| {
+    let loaded = db.load_summed(bench, best).unwrap_or_else(|| {
         panic!("imported trace '{bench}' ({best} insns) disappeared from the trace store")
     });
     LOADED.fetch_add(1, Ordering::Relaxed);
-    trace
+    loaded
 }
 
-/// Disk-backed memoization of [`RunResult`]s.
+/// 64-bit FNV-1a, the hash behind every content identity and row
+/// checksum; `fnv(h, bytes)` continues hash `h`.
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// FNV-1a's offset basis: the hash of nothing.
+const FNV_START: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The content identity of workload `bench`, the workload half of a
+/// [`JobKey`]. A suite benchmark is `p` + a hash of [`TRACE_VERSION`] and
+/// its built program's instruction encodings and data bytes (the emulator
+/// is deterministic, so no trace has to exist); any other name is `t` +
+/// the header checksum of the imported trace a job would load from `db`
+/// (the longest stored under that name, read without decoding). `None`
+/// when `bench` is neither.
+fn workload_id(bench: &str, db: Option<&TraceDb>) -> Option<String> {
+    match benchmark(bench) {
+        Some(b) => Some(program_id(&b)),
+        None => {
+            let meta = db?.list().into_iter().rfind(|m| m.name == bench)?;
+            Some(trace_id(meta.checksum))
+        }
+    }
+}
+
+/// [`workload_id`] of an imported trace with payload checksum `sum`.
+fn trace_id(sum: u64) -> String {
+    format!("t{sum:016x}")
+}
+
+/// [`workload_id`] of a suite benchmark, its program built and hashed
+/// once per process.
+fn program_id(b: &Benchmark) -> String {
+    static IDS: Mutex<BTreeMap<&str, u64>> = Mutex::new(BTreeMap::new());
+    let ids = || IDS.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(&h) = ids().get(b.name) {
+        return format!("p{h:016x}");
+    }
+    let p = b.build();
+    let mut h = fnv(FNV_START, &TRACE_VERSION.to_le_bytes());
+    h = fnv(h, &p.entry.to_le_bytes());
+    h = fnv(h, &(p.insns.len() as u64).to_le_bytes());
+    for insn in &p.insns {
+        h = fnv(h, &rcmc_isa::encode(insn).to_le_bytes());
+    }
+    for seg in &p.data {
+        h = fnv(h, &seg.addr.to_le_bytes());
+        h = fnv(h, &(seg.bytes.len() as u64).to_le_bytes());
+        h = fnv(h, &seg.bytes);
+    }
+    ids().insert(b.name, h);
+    format!("p{h:016x}")
+}
+
+/// Disk-backed memoization of [`RunResult`]s, filed by [`JobKey`].
+///
+/// A row file holds the key it was simulated under (its [`JobKey`] text:
+/// model version, configuration hash, workload identity, budget), an
+/// FNV-1a checksum of the row's compact JSON, and the row. A file whose
+/// key or checksum does not match — truncated, edited, bit-flipped, or
+/// copied under another key's file name — is a miss, and the pair
+/// simulates again.
 #[derive(Debug)]
 pub struct ResultStore {
     dir: Option<PathBuf>,
@@ -298,42 +381,58 @@ impl ResultStore {
         ResultStore { dir: None }
     }
 
-    /// Memoization key: model version + configuration + benchmark + window.
-    pub fn key(config: &str, bench: &str, budget: &Budget) -> String {
-        format!(
-            "v{}_{}_{}_{}w{}m",
-            MODEL_VERSION, config, bench, budget.warmup, budget.measure
-        )
+    /// Where `key`'s row lives: its configuration's shard, one file per
+    /// (model version, workload, window). `None` for an ephemeral store or
+    /// a key with no workload behind it.
+    fn path_of(&self, key: &JobKey) -> Option<PathBuf> {
+        let (workload, b) = (key.workload.as_ref()?, key.budget);
+        let file = format!(
+            "v{MODEL_VERSION}_{workload}_{}w{}m.json",
+            b.warmup, b.measure
+        );
+        Some(self.dir.as_ref()?.join(&key.config).join(file))
     }
 
-    /// Sharded location: one subdirectory per configuration, so a huge sweep
-    /// spreads its files across shards and per-config discovery is one
-    /// small directory listing.
-    fn shard_path(&self, config: &str, key: &str) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(config).join(format!("{key}.json")))
-    }
-
-    /// Load a memoized result from its configuration shard, if present
-    /// and readable.
+    /// The row of configuration `config` (a [`store_name`]) on suite
+    /// benchmark `bench` at `budget`, if stored and intact. An imported
+    /// trace's row is addressed by a [`JobKey`] that knows its trace
+    /// store ([`JobKey::of`]), as the scheduler and [`run_pair`] do.
     pub fn load(&self, config: &str, bench: &str, budget: &Budget) -> Option<RunResult> {
-        let key = Self::key(config, bench, budget);
-        let bytes = std::fs::read(self.shard_path(config, &key)?).ok()?;
-        serde_json::from_slice(&bytes).ok()
+        self.load_key(&JobKey::identify(config, bench, budget, None))
     }
 
-    /// Persist `r` into its configuration shard via temp-file + atomic
-    /// rename, so concurrent writers (threads or processes) can never leave
-    /// a torn JSON file. Returns whether the result is now durably on disk;
-    /// the first failure warns on stderr with the path, later ones stay
-    /// quiet.
+    /// Persist `r` as the row of `(config, bench, budget)`, addressed as
+    /// [`ResultStore::load`] addresses it.
     pub fn save(&self, config: &str, bench: &str, budget: &Budget, r: &RunResult) -> bool {
-        let key = Self::key(config, bench, budget);
-        let Some(p) = self.shard_path(config, &key) else {
+        self.save_key(&JobKey::identify(config, bench, budget, None), r)
+    }
+
+    /// The row filed under `key`, if its file exists, names `key` and
+    /// matches its checksum. Its labels are those it was saved with.
+    pub(crate) fn load_key(&self, key: &JobKey) -> Option<RunResult> {
+        let bytes = std::fs::read(self.path_of(key)?).ok()?;
+        let file = serde::json::parse(std::str::from_utf8(&bytes).ok()?)?;
+        let row = file.get("row")?;
+        let intact = file.get("key") == Some(&Value::Str(key.to_string()))
+            && file.get("checksum") == Some(&Value::Str(row_checksum(row)));
+        intact.then(|| RunResult::from_value(row)).flatten()
+    }
+
+    /// Persist `r` under `key` via temp-file + atomic rename, so concurrent
+    /// writers (threads or processes) can never leave a torn file. Returns
+    /// whether the row is now durably on disk; the first failure warns on
+    /// stderr with the path, later ones stay quiet.
+    pub(crate) fn save_key(&self, key: &JobKey, r: &RunResult) -> bool {
+        let Some(p) = self.path_of(key) else {
             return false;
         };
-        match Self::write_atomic(&p, r) {
+        let row = r.to_value();
+        let file = Value::Obj(vec![
+            ("key".into(), Value::Str(key.to_string())),
+            ("checksum".into(), Value::Str(row_checksum(&row))),
+            ("row".into(), row),
+        ]);
+        match write_atomic(&p, file.to_pretty_string().as_bytes()) {
             Ok(()) => true,
             Err(e) => {
                 if !SAVE_WARNED.swap(true, Ordering::Relaxed) {
@@ -347,23 +446,29 @@ impl ResultStore {
             }
         }
     }
+}
 
-    fn write_atomic(p: &Path, r: &RunResult) -> std::io::Result<()> {
-        if let Some(parent) = p.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let bytes = serde_json::to_vec_pretty(r)
-            .map_err(|e| std::io::Error::other(format!("serialize: {e:?}")))?;
-        let tmp = p.with_extension(format!(
-            "tmp.{}.{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, p).inspect_err(|_| {
-            let _ = std::fs::remove_file(&tmp);
-        })
+/// FNV-1a of a row's compact JSON, as 16 hex digits.
+fn row_checksum(row: &Value) -> String {
+    format!(
+        "{:016x}",
+        fnv(FNV_START, row.to_compact_string().as_bytes())
+    )
+}
+
+fn write_atomic(p: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    if let Some(parent) = p.parent() {
+        std::fs::create_dir_all(parent)?;
     }
+    let tmp = p.with_extension(format!(
+        "tmp.{}.{}",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, p).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
 }
 
 /// One run's progress, reported after each executed (non-memoized) job.
@@ -452,70 +557,95 @@ impl SweepProgress<'_> {
 /// A per-job progress callback (invoked from worker threads, hence `Sync`).
 pub type ProgressFn<'a> = &'a (dyn Fn(&SweepProgress<'_>) + Sync);
 
-/// The name `cfg`'s results are memoized under: the display name, plus a
-/// DCOUNT-threshold tag whenever the threshold differs from the historical
-/// paper-calibrated 16.0. Per-topology recalibrations change simulation
-/// results *without* a `MODEL_VERSION` bump (the Ring/Conv goldens must
-/// stay bit-identical, so the version cannot move), and the tag keeps rows
-/// memoized under an older calibration from silently leaking into sweeps —
-/// e.g. `Xbar_8clus_1bus_2IW` results computed at threshold 16 stay dead
-/// once the calibrated default became 8.
+/// The content identity of `cfg`: the configuration half of a [`JobKey`]
+/// and the [`ResultStore`] shard its rows live in. FNV-1a over the `Debug`
+/// rendering of the resolved core, memory and predictor configuration, as
+/// 16 hex digits. The name is not part of it: two labels of one machine
+/// share rows, and any field that moves (a recalibrated DCOUNT threshold,
+/// an override, a family's memory latency) moves the identity.
 pub fn store_name(cfg: &SimConfig) -> String {
-    if cfg.core.dcount_threshold == 16.0 {
-        cfg.name.clone()
-    } else {
-        format!("{}~dc{}", cfg.name, cfg.core.dcount_threshold)
-    }
+    let text = format!("{:?} {:?} {:?}", cfg.core, cfg.mem, cfg.pred);
+    format!("{:016x}", fnv(FNV_START, text.as_bytes()))
 }
 
-/// The coalescing/memoization identity of one simulation job.
-///
-/// Two jobs with equal keys are guaranteed bit-identical [`RunResult`]s:
-/// the key is exactly what [`ResultStore`] memoizes under — the
-/// [`store_name`] (display name plus any DCOUNT-threshold tag), the
-/// benchmark, and the instruction [`Budget`]. The serve scheduler
-/// ([`crate::scheduler`]) uses it to run each distinct job once no matter
-/// how many concurrent requests ask for it.
+/// The one identity of a simulated row: what was simulated, never what it
+/// is called. The scheduler ([`crate::scheduler`]) coalesces jobs under
+/// it, so a job any number of concurrent requests ask for runs once, and
+/// the [`ResultStore`] files the row under it, so the two cannot disagree.
+/// Equal keys give bit-identical rows up to the display labels (`config`,
+/// `bench`), which each requester stamps on its own copy.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct JobKey {
-    /// Store identity of the configuration ([`store_name`]).
+    /// Content identity of the configuration ([`store_name`]).
     pub config: String,
-    /// Benchmark name.
-    pub bench: String,
+    /// Content identity of the workload: `p` + a hash of a suite
+    /// benchmark's program, or `t` + the checksum of the imported trace
+    /// file a job loads. `None` for a name with nothing behind it, whose
+    /// job fails when it runs and whose row is never stored.
+    pub workload: Option<String>,
     /// Instruction budget of the run.
     pub budget: Budget,
 }
 
 impl JobKey {
-    /// The key `(cfg, bench, budget)` memoizes and coalesces under.
-    pub fn of(cfg: &SimConfig, bench: &str, budget: &Budget) -> JobKey {
+    /// The key `(cfg, bench, budget)` simulates under, an imported trace
+    /// resolved against `db`.
+    pub fn of(cfg: &SimConfig, bench: &str, budget: &Budget, db: Option<&TraceDb>) -> JobKey {
+        JobKey::identify(&store_name(cfg), bench, budget, db)
+    }
+
+    /// The identity function: [`JobKey::of`] and the [`ResultStore`]'s
+    /// `(config, bench, budget)` entry points all come through here.
+    fn identify(config: &str, bench: &str, budget: &Budget, db: Option<&TraceDb>) -> JobKey {
         JobKey {
-            config: store_name(cfg),
-            bench: bench.to_string(),
+            config: config.to_string(),
+            workload: workload_id(bench, db),
             budget: *budget,
         }
     }
 }
 
-/// Simulate one (configuration × benchmark) pair, returning the raw
-/// counters (no memoization, no reduction). A suite benchmark is emulated
-/// as the core fetches; an imported trace is loaded from `db` and
-/// replayed.
+impl std::fmt::Display for JobKey {
+    /// The provenance line each stored row embeds: model version,
+    /// configuration hash, workload identity and budget.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "model v{MODEL_VERSION} config {} workload {} budget {}w{}m",
+            self.config,
+            self.workload.as_deref().unwrap_or("none"),
+            self.budget.warmup,
+            self.budget.measure
+        )
+    }
+}
+
+/// Simulate one (configuration × benchmark) pair, returning the identity
+/// of the workload it ran ([`workload_id`]) and the raw counters (no
+/// memoization, no reduction). A suite benchmark is emulated as the core
+/// fetches; an imported trace is loaded from `db` and replayed.
 fn simulate_stats(
     cfg: &SimConfig,
     bench: &str,
     budget: &Budget,
     db: Option<&TraceDb>,
-) -> rcmc_core::Stats {
+) -> (String, rcmc_core::Stats) {
     let window = |mut core: Core<'_>| core.run_with_warmup(budget.warmup, budget.measure);
     let (core_cfg, mem, pred) = (cfg.core.clone(), cfg.mem, cfg.pred);
     match benchmark(bench) {
         Some(b) => {
             EMULATED.fetch_add(1, Ordering::Relaxed);
             let source = TraceSource::emulate(bench, &b.build());
-            window(Core::streaming(core_cfg, mem, pred, source))
+            let stats = window(Core::streaming(core_cfg, mem, pred, source));
+            (program_id(&b), stats)
         }
-        None => window(Core::new(core_cfg, mem, pred, &load_imported(bench, db))),
+        None => {
+            let (sum, trace) = load_imported(bench, db);
+            (
+                trace_id(sum),
+                window(Core::new(core_cfg, mem, pred, &trace)),
+            )
+        }
     }
 }
 
@@ -542,9 +672,24 @@ pub fn reduce_metrics(cfg: &SimConfig, bench: &str, stats: &rcmc_core::Stats) ->
     }
 }
 
+/// `r` under the display labels `config` and `bench`. Rows are shared by
+/// content, so a row stored or simulated for another label of the same
+/// machine and workload is relabelled for each requester. (`fp` needs no
+/// relabelling: a suite program's identity is its own, and every imported
+/// trace counts as INT.)
+pub(crate) fn labelled(r: &RunResult, config: &str, bench: &str) -> RunResult {
+    RunResult {
+        config: config.to_string(),
+        bench: bench.to_string(),
+        ..r.clone()
+    }
+}
+
 /// Simulate one (configuration × benchmark) pair, memoized: a store hit
 /// loads no trace. `db` is the store an imported workload's trace is
-/// loaded from (`None`: suite benchmarks only).
+/// loaded from (`None`: suite benchmarks only). The row is filed under the
+/// workload the job actually ran, so an imported trace replaced since the
+/// store was probed never gets the old trace's row.
 pub fn run_pair(
     cfg: &SimConfig,
     bench: &str,
@@ -552,13 +697,17 @@ pub fn run_pair(
     store: &ResultStore,
     db: Option<&TraceDb>,
 ) -> RunResult {
-    let key_name = store_name(cfg);
-    if let Some(hit) = store.load(&key_name, bench, budget) {
-        return hit;
+    let key = JobKey::of(cfg, bench, budget, db);
+    if let Some(hit) = store.load_key(&key) {
+        return labelled(&hit, &cfg.name, bench);
     }
-    let stats = simulate_stats(cfg, bench, budget, db);
+    let (workload, stats) = simulate_stats(cfg, bench, budget, db);
     let result = reduce_metrics(cfg, bench, &stats);
-    store.save(&key_name, bench, budget, &result);
+    let ran = JobKey {
+        workload: Some(workload),
+        ..key
+    };
+    store.save_key(&ran, &result);
     result
 }
 
@@ -570,7 +719,7 @@ pub fn all_bench_names() -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::make;
+    use crate::config::{make, make_pair, ALL_STEERINGS, ALL_TOPOLOGIES};
     use rcmc_core::Topology;
 
     fn tiny_budget() -> Budget {
@@ -613,15 +762,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rcmc-save-{}", std::process::id()));
         let store = ResultStore::at(dir.clone());
         let cfg = make(Topology::Conv, 4, 2, 1);
+        let id = store_name(&cfg);
         let budget = tiny_budget();
         let r = run_pair(&cfg, "swim", &budget, &ResultStore::ephemeral(), None);
         assert!(
-            store.save(&cfg.name, "swim", &budget, &r),
+            store.save(&id, "swim", &budget, &r),
             "save to a writable dir must persist"
         );
-        assert_eq!(store.load(&cfg.name, "swim", &budget).as_ref(), Some(&r));
+        assert_eq!(store.load(&id, "swim", &budget).as_ref(), Some(&r));
         // No stray temp files left behind by the atomic-rename protocol.
-        let shard = dir.join(&cfg.name);
+        let shard = dir.join(&id);
         let leftovers: Vec<_> = std::fs::read_dir(&shard)
             .unwrap()
             .map(|e| e.unwrap().file_name())
@@ -629,11 +779,11 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
         // An ephemeral store persists nothing and says so.
-        assert!(!ResultStore::ephemeral().save(&cfg.name, "swim", &budget, &r));
+        assert!(!ResultStore::ephemeral().save(&id, "swim", &budget, &r));
         // An unwritable "directory" (a file in the way) fails gracefully.
         let blocked = dir.join("blocked");
         std::fs::write(&blocked, b"not a dir").unwrap();
-        assert!(!ResultStore::at(blocked.join("sub")).save(&cfg.name, "swim", &budget, &r));
+        assert!(!ResultStore::at(blocked.join("sub")).save(&id, "swim", &budget, &r));
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -648,61 +798,181 @@ mod tests {
         let rb = run_pair(&b, "gzip", &budget, &store, None);
         // One subdirectory per configuration, no flat files at the root.
         for cfg in [&a, &b] {
-            assert!(dir.join(&cfg.name).is_dir(), "missing shard {}", cfg.name);
+            assert!(
+                dir.join(store_name(cfg)).is_dir(),
+                "missing shard {}",
+                cfg.name
+            );
         }
         let flat_json = std::fs::read_dir(&dir)
             .unwrap()
             .filter(|e| e.as_ref().unwrap().path().extension() == Some("json".as_ref()))
             .count();
         assert_eq!(flat_json, 0, "sharded saves must not write flat files");
-        assert_eq!(store.load(&a.name, "gzip", &budget), Some(ra));
-        assert_eq!(store.load(&b.name, "gzip", &budget), Some(rb));
+        assert_eq!(store.load(&store_name(&a), "gzip", &budget), Some(ra));
+        assert_eq!(store.load(&store_name(&b), "gzip", &budget), Some(rb));
         let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
-    fn flat_file_at_store_root_is_a_miss() {
-        // Only the configuration shard is consulted: a row sitting where
-        // the pre-sharding layout put it is never read.
-        let dir = std::env::temp_dir().join(format!("rcmc-flat-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    fn damaged_or_misfiled_rows_are_misses_that_resimulate() {
+        // Each input leaves a file a row could be read from. The load must
+        // miss and `run_pair` must return the freshly simulated row (every
+        // damaged row below would differ from it), then file it intact.
+        let dir = std::env::temp_dir().join(format!("rcmc-damage-{}", std::process::id()));
         let store = ResultStore::at(dir.clone());
         let budget = tiny_budget();
-        let cfg = make(Topology::Ring, 4, 2, 1);
-        let r = run_pair(&cfg, "mcf", &budget, &ResultStore::ephemeral(), None);
-        let key = ResultStore::key(&cfg.name, "mcf", &budget);
-        let flat = dir.join(format!("{key}.json"));
-        std::fs::write(&flat, serde_json::to_vec_pretty(&r).unwrap()).unwrap();
-        assert_eq!(store.load(&cfg.name, "mcf", &budget), None);
-        assert!(flat.is_file(), "a miss must not touch the flat file");
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn recalibrated_thresholds_get_their_own_store_keys() {
-        // The Crossbar default threshold moved 16 -> 8 without a
-        // MODEL_VERSION bump; its store identity must move with it.
+        let ring = make(Topology::Ring, 4, 2, 1);
+        let fresh =
+            |cfg: &SimConfig, bench| run_pair(cfg, bench, &budget, &ResultStore::ephemeral(), None);
+        // A row file that passes every check, holding `r`.
+        let valid_file = |key: &JobKey, r: &RunResult| {
+            let side = ResultStore::at(dir.join("side"));
+            assert!(side.save_key(key, r));
+            std::fs::read(side.path_of(key).unwrap()).unwrap()
+        };
+        let mcf = JobKey::of(&ring, "mcf", &budget, None);
+        let intact = valid_file(&mcf, &fresh(&ring, "mcf"));
+        let mut poisoned = fresh(&ring, "mcf");
+        poisoned.ipc = 999.0;
+        // The crossbar's DCOUNT threshold was recalibrated 16 -> 8 without
+        // a MODEL_VERSION bump: a row simulated at 16 is another key's.
         let xbar = make(Topology::Crossbar, 8, 2, 1);
-        assert_eq!(store_name(&xbar), "Xbar_8clus_1bus_2IW~dc8");
-        let ring = make(Topology::Ring, 8, 2, 1);
-        assert_eq!(store_name(&ring), "Ring_8clus_1bus_2IW");
-        // A stale row memoized under the display name (i.e. computed with
-        // the old threshold) must not satisfy a sweep of the new config.
-        let dir = std::env::temp_dir().join(format!("rcmc-thr-{}", std::process::id()));
-        let store = ResultStore::at(dir.clone());
-        let budget = tiny_budget();
-        let fresh = run_pair(&xbar, "gzip", &budget, &ResultStore::ephemeral(), None);
-        let mut stale = fresh.clone();
-        stale.ipc = 999.0;
-        assert!(store.save(&xbar.name, "gzip", &budget, &stale));
-        let got = run_pair(&xbar, "gzip", &budget, &store, None);
-        assert_eq!(got, fresh, "stale pre-recalibration row leaked in");
-        // And the fresh row is now memoized under the tagged name.
-        assert_eq!(
-            store.load(&store_name(&xbar), "gzip", &budget).as_ref(),
-            Some(&fresh)
-        );
+        let mut xbar16 = xbar.clone();
+        xbar16.core.dcount_threshold = 16.0;
+        assert_ne!(store_name(&xbar), store_name(&xbar16));
+        let xbar16_key = JobKey::of(&xbar16, "gzip", &budget, None);
+        let mut xbar16_row = fresh(&xbar16, "gzip");
+        xbar16_row.ipc = 999.0;
+
+        type Damage<'a> = Box<dyn Fn(&Path) + 'a>;
+        let write = |p: &Path, bytes: &[u8]| {
+            std::fs::create_dir_all(p.parent().unwrap()).unwrap();
+            std::fs::write(p, bytes).unwrap();
+        };
+        let inputs: Vec<(&str, &SimConfig, &str, Damage)> = vec![
+            (
+                "truncated",
+                &ring,
+                "mcf",
+                Box::new(|p| write(p, &intact[..intact.len() / 2])),
+            ),
+            (
+                "bit-flipped",
+                &ring,
+                "mcf",
+                Box::new(|p| {
+                    let mut bytes = intact.clone();
+                    let at = String::from_utf8_lossy(&bytes).find("\"ipc\": ").unwrap() + 7;
+                    bytes[at] ^= 1;
+                    write(p, &bytes);
+                }),
+            ),
+            (
+                "hand-edited IPC",
+                &ring,
+                "mcf",
+                Box::new(|p| {
+                    let mut file =
+                        serde::json::parse(std::str::from_utf8(&intact).unwrap()).unwrap();
+                    let Value::Obj(members) = &mut file else {
+                        panic!("a row file is an object");
+                    };
+                    members.retain(|(k, _)| k != "row");
+                    members.push(("row".into(), poisoned.to_value()));
+                    write(p, file.to_pretty_string().as_bytes());
+                }),
+            ),
+            (
+                "valid row copied under another key's file name",
+                &ring,
+                "mcf",
+                Box::new(|p| {
+                    let gzip = JobKey::of(&ring, "gzip", &budget, None);
+                    write(p, &valid_file(&gzip, &fresh(&ring, "gzip")));
+                }),
+            ),
+            (
+                "valid row at the store root (the pre-sharding layout)",
+                &ring,
+                "mcf",
+                Box::new(|p| {
+                    let _ = std::fs::remove_file(p);
+                    let flat = dir.join(p.file_name().unwrap());
+                    write(&flat, &valid_file(&mcf, &poisoned));
+                }),
+            ),
+            (
+                "row of the pre-recalibration threshold",
+                &xbar,
+                "gzip",
+                Box::new(|_| {
+                    let p = store.path_of(&xbar16_key).unwrap();
+                    write(&p, &valid_file(&xbar16_key, &xbar16_row));
+                }),
+            ),
+        ];
+        for (what, cfg, bench, damage) in inputs {
+            let key = JobKey::of(cfg, bench, &budget, None);
+            let path = store.path_of(&key).unwrap();
+            damage(&path);
+            assert_eq!(store.load_key(&key), None, "{what}: must miss");
+            let want = fresh(cfg, bench);
+            assert_eq!(run_pair(cfg, bench, &budget, &store, None), want, "{what}");
+            assert_eq!(store.load_key(&key), Some(want), "{what}: refiled intact");
+        }
+        // No single-bit flip anywhere in a row file yields another row.
+        let want = fresh(&ring, "mcf");
+        for at in 0..intact.len() {
+            for bit in 0..8 {
+                let mut bytes = intact.clone();
+                bytes[at] ^= 1 << bit;
+                write(&store.path_of(&mcf).unwrap(), &bytes);
+                if let Some(got) = store.load_key(&mcf) {
+                    assert_eq!(got, want, "flip of bit {bit} at byte {at}");
+                }
+            }
+        }
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// FNV-1a over the canary grid's rows, labels blanked
+    /// ([`MODEL_HISTORY`]).
+    fn canary_digest() -> u64 {
+        let budget = Budget {
+            warmup: 500,
+            measure: 1_500,
+        };
+        let mut h = FNV_START;
+        for topology in ALL_TOPOLOGIES {
+            for steering in ALL_STEERINGS {
+                let cfg = make_pair(topology, steering, 8, 2, 1);
+                for bench in ["gzip", "mcf", "fma3d"] {
+                    let r = run_pair(&cfg, bench, &budget, &ResultStore::ephemeral(), None);
+                    let row = labelled(&r, "", "").to_value().to_compact_string();
+                    h = fnv(h, row.as_bytes());
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn model_version_is_pinned_to_behaviour() {
+        let now = canary_digest();
+        assert_eq!(
+            MODEL_HISTORY.last(),
+            Some(&(MODEL_VERSION, now)),
+            "the canary rows moved: bump MODEL_VERSION and append \
+             ({}, {now:#018x}) to MODEL_HISTORY",
+            MODEL_VERSION + 1
+        );
+        for (i, (version, digest)) in MODEL_HISTORY.iter().enumerate() {
+            for (later, other) in &MODEL_HISTORY[i + 1..] {
+                assert!(version < later, "versions must increase");
+                assert_ne!(digest, other, "v{later} repeats v{version}'s digest");
+            }
+        }
     }
 
     #[test]

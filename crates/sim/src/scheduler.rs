@@ -6,11 +6,13 @@
 //! trace) → reduce → persist ([`runner::run_pair`]). Three service-grade
 //! behaviors sit on top:
 //!
-//! * **Coalescing** — jobs are keyed by [`JobKey`] `(store config name,
-//!   bench, budget)`, exactly the memoization identity of the
-//!   [`ResultStore`]. A job requested by N concurrent clients is simulated
-//!   once; every subscriber receives the same bit-identical row. A
-//!   thundering herd of the same query costs one simulation.
+//! * **Coalescing** — jobs are keyed by [`JobKey`], what the job
+//!   simulates (configuration content, workload content, budget, model
+//!   version), exactly the identity the [`ResultStore`] files rows under.
+//!   A job requested by N concurrent clients — or under N labels of one
+//!   machine — is simulated once; every subscriber receives the same
+//!   bit-identical row under its own labels. A thundering herd of the same
+//!   query costs one simulation.
 //! * **Cancellation** — the `cancel` verb (and client disconnect, which
 //!   reuses the same path) drops a request's queued-but-unstarted jobs.
 //!   Jobs already running finish and still populate the store; jobs other
@@ -46,7 +48,7 @@ use serde::json::Value;
 
 use crate::config::SimConfig;
 use crate::resultset::ResultSet;
-use crate::runner::{self, Budget, JobKey, ResultStore, RunResult, SweepProgress};
+use crate::runner::{self, labelled, Budget, JobKey, ResultStore, RunResult, SweepProgress};
 
 /// Where one request's deliveries go. Every method returns `false` when
 /// the consumer is gone (a failed client write), which the scheduler
@@ -70,7 +72,7 @@ pub struct Tally {
     pub jobs: usize,
     /// Pairs simulated for this request.
     pub executed: usize,
-    /// Pairs satisfied by joining another request's in-flight job.
+    /// Pairs satisfied by joining an identical in-flight job.
     pub coalesced: usize,
     /// Pairs satisfied from the result store at submission.
     pub memoized: usize,
@@ -159,12 +161,21 @@ struct ReqState {
 
 /// A distinct simulation job and the requests subscribed to its result.
 struct Job<'s> {
-    /// The configuration to simulate (any subscriber's copy — equal keys
-    /// imply bit-identical results).
+    /// The configuration and workload to simulate (the first
+    /// subscriber's — equal keys imply bit-identical results).
     cfg: SimConfig,
+    bench: String,
     /// Running jobs survive cancellation; queued ones don't.
     running: bool,
-    subscribers: Vec<Arc<Request<'s>>>,
+    subscribers: Vec<Subscriber<'s>>,
+}
+
+/// One request's claim on a job, with the labels its row is delivered
+/// under.
+struct Subscriber<'s> {
+    req: Arc<Request<'s>>,
+    config: String,
+    bench: String,
 }
 
 struct SchedState<'s> {
@@ -266,8 +277,14 @@ impl<'s> Scheduler<'s> {
     /// Admission is all-or-nothing — if the fresh jobs would exceed the
     /// queue bound, nothing is enqueued and `Busy` is returned. A request
     /// satisfied entirely by the store completes inline: one terminal
-    /// progress with `total == 0`, then its result.
-    pub fn submit(&self, run: RunRequest<'s>, store: &ResultStore) -> Submission {
+    /// progress with `total == 0`, then its result. Imported traces are
+    /// identified against `db`, as the workers load them.
+    pub fn submit(
+        &self,
+        run: RunRequest<'s>,
+        store: &ResultStore,
+        db: Option<&TraceDb>,
+    ) -> Submission {
         let RunRequest {
             id,
             label,
@@ -280,13 +297,13 @@ impl<'s> Scheduler<'s> {
         // the disk and must not serialize the whole service. Fresh jobs
         // are collected bench-major.
         let mut rows: Vec<RunResult> = Vec::new();
-        let mut pending: Vec<(JobKey, SimConfig)> = Vec::new();
+        let mut pending: Vec<(JobKey, &SimConfig, &String)> = Vec::new();
         for bench in &benches {
             for cfg in &cfgs {
-                let key = JobKey::of(cfg, bench, &budget);
-                match store.load(&key.config, bench, &budget) {
-                    Some(hit) => rows.push(hit),
-                    None => pending.push((key, cfg.clone())),
+                let key = JobKey::of(cfg, bench, &budget, db);
+                match store.load_key(&key) {
+                    Some(hit) => rows.push(labelled(&hit, &cfg.name, bench)),
+                    None => pending.push((key, cfg, bench)),
                 }
             }
         }
@@ -309,7 +326,7 @@ impl<'s> Scheduler<'s> {
             let mut st = lock(&self.state);
             let fresh = pending
                 .iter()
-                .filter(|(key, _)| !st.jobs.contains_key(key))
+                .filter(|(key, ..)| !st.jobs.contains_key(key))
                 .count();
             if st.queued + fresh > self.queue_limit {
                 st.stats.rejected += 1;
@@ -321,20 +338,26 @@ impl<'s> Scheduler<'s> {
             }
             st.stats.submitted += (total + memoized) as u64;
             st.stats.memoized += memoized as u64;
-            for (key, cfg) in pending {
+            for (key, cfg, bench) in pending {
+                let sub = Subscriber {
+                    req: req.clone(),
+                    config: cfg.name.clone(),
+                    bench: bench.clone(),
+                };
                 match st.jobs.get_mut(&key) {
                     // Identical job already queued or running: subscribe.
                     Some(job) => {
-                        job.subscribers.push(req.clone());
+                        job.subscribers.push(sub);
                         coalesced += 1;
                     }
                     None => {
                         st.jobs.insert(
                             key.clone(),
                             Job {
-                                cfg,
+                                cfg: cfg.clone(),
+                                bench: bench.clone(),
                                 running: false,
-                                subscribers: vec![req.clone()],
+                                subscribers: vec![sub],
                             },
                         );
                         st.queue.push_back(key);
@@ -372,11 +395,11 @@ impl<'s> Scheduler<'s> {
 
     /// One worker loop: pop jobs, simulate (memoized via the store,
     /// imported traces via the shared `db` handle), and deliver the row to
-    /// every subscriber. Returns when the scheduler is closed and the
-    /// queue is drained.
+    /// every subscriber under its labels. Returns when the scheduler is
+    /// closed and the queue is drained.
     pub fn worker(&self, store: &ResultStore, db: Option<&TraceDb>) {
-        while let Some((key, cfg)) = self.next_job() {
-            let r = runner::run_pair(&cfg, &key.bench, &key.budget, store, db);
+        while let Some((key, cfg, bench)) = self.next_job() {
+            let r = runner::run_pair(&cfg, &bench, &key.budget, store, db);
             let job = {
                 let mut st = lock(&self.state);
                 st.stats.executed += 1;
@@ -385,7 +408,7 @@ impl<'s> Scheduler<'s> {
                 st.jobs.remove(&key).expect("running job stays registered")
             };
             for sub in &job.subscribers {
-                self.deliver(sub, &key.bench, &r);
+                self.deliver(&sub.req, labelled(&r, &sub.config, &sub.bench));
             }
         }
     }
@@ -439,7 +462,7 @@ impl<'s> Scheduler<'s> {
                     .iter_mut()
                     .filter_map(|(key, job)| {
                         job.subscribers
-                            .retain(|s| !cancelled.iter().any(|v| Arc::ptr_eq(s, v)));
+                            .retain(|s| !cancelled.iter().any(|v| Arc::ptr_eq(&s.req, v)));
                         (job.subscribers.is_empty() && !job.running).then(|| key.clone())
                     })
                     .collect();
@@ -464,7 +487,7 @@ impl<'s> Scheduler<'s> {
     /// Pop the next runnable job, waiting while the queue is empty, until
     /// the scheduler is closed and drained. Purges all queued work first
     /// whenever the client has disconnected.
-    fn next_job(&self) -> Option<(JobKey, SimConfig)> {
+    fn next_job(&self) -> Option<(JobKey, SimConfig, String)> {
         let mut st = lock(&self.state);
         loop {
             if self.disconnected.load(Ordering::Relaxed) {
@@ -479,9 +502,9 @@ impl<'s> Scheduler<'s> {
                     continue;
                 }
                 job.running = true;
-                let cfg = job.cfg.clone();
+                let (cfg, bench) = (job.cfg.clone(), job.bench.clone());
                 st.queued -= 1;
-                return Some((key, cfg));
+                return Some((key, cfg, bench));
             }
             if st.closed {
                 return None;
@@ -515,13 +538,12 @@ impl<'s> Scheduler<'s> {
 
     /// Hand one finished row to a subscriber: append it, report progress
     /// to its sink, and finalize once the last job lands.
-    fn deliver(&self, req: &Arc<Request<'s>>, bench: &str, r: &RunResult) {
+    fn deliver(&self, req: &Arc<Request<'s>>, r: RunResult) {
         let complete = {
             let mut rs = lock(&req.state);
             if rs.cancelled || rs.done {
                 return;
             }
-            rs.rows.push(r.clone());
             rs.finished += 1;
             // Reported under the request lock so `finished` is strictly
             // increasing at the sink.
@@ -532,9 +554,10 @@ impl<'s> Scheduler<'s> {
                 memoized: rs.memoized,
                 elapsed_s: req.started.elapsed().as_secs_f64(),
                 config: &r.config,
-                bench,
+                bench: &r.bench,
             };
             self.check(req.sink.progress(&progress));
+            rs.rows.push(r);
             rs.finished == rs.total
         };
         if complete {

@@ -248,7 +248,7 @@ fn run_request<'a>(
         }),
         cfgs,
     };
-    match sched.submit(run, session.store()) {
+    match sched.submit(run, session.store(), session.trace_db()) {
         Submission::Accepted => true,
         Submission::Busy {
             jobs,
@@ -768,6 +768,32 @@ mod tests {
                 assert_eq!(field(l, "label"), &Value::Str("t#r1".into()));
             }
         }
+    }
+
+    #[test]
+    fn two_labels_of_one_machine_run_once_under_their_own_labels() {
+        // `rob` 256 restates the default: the same machine under another
+        // label, so one job serves both pairs.
+        let req = "{\"id\": 1, \"op\": \"run\", \"plan\": {\"name\": \"t\", \
+                    \"configs\": [{\"name\": \"Ring_4clus_1bus_2IW\"}, \
+                    {\"topology\": \"ring\", \"clusters\": 4, \"overrides\": {\"rob\": 256}}], \
+                    \"benches\": [\"swim\"], \"budget\": {\"warmup\": 500, \"measure\": 2000}}}\n\
+                    {\"op\": \"shutdown\"}\n";
+        let (lines, summary) = serve_lines(req);
+        assert_eq!((summary.stats.executed, summary.stats.coalesced), (1, 1));
+        let result = &lines[lines.len() - 2];
+        let Value::Arr(rows) = field(result, "rows") else {
+            panic!("rows must be an array")
+        };
+        let labels: Vec<&Value> = rows.iter().map(|r| field(r, "config")).collect();
+        assert_eq!(
+            labels,
+            [
+                &Value::Str("Ring_4clus_1bus_2IW".into()),
+                &Value::Str("Ring_4clus_1bus_2IW~rob256".into())
+            ]
+        );
+        assert_eq!(field(&rows[0], "ipc"), field(&rows[1], "ipc"));
     }
 
     #[test]

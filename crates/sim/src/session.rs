@@ -181,7 +181,7 @@ impl Session {
         };
         let sched = Scheduler::new(usize::MAX);
         self.with_workers(&sched, self.jobs - 1, || {
-            sched.submit(run, &self.store);
+            sched.submit(run, &self.store, self.trace_db.as_ref());
             sched.close();
             sched.worker(&self.store, self.trace_db.as_ref());
         });

@@ -9,8 +9,9 @@
 //! 2. **`paper2005` is bit-identical to the presets** — same name, same
 //!    store key, same counters, so a machine-tagged plan never invalidates
 //!    the memoized result store.
-//! 3. **Overridden configurations never read preset rows** — a stale row
-//!    memoized under the untagged name must not satisfy a tagged sweep.
+//! 3. **Store rows are keyed by content, not by name** — an override that
+//!    changes the machine never reads the preset's row, and one that
+//!    restates a default shares it under its own label.
 
 use rcmc_core::Topology;
 use rcmc_sim::config::{make, topology_name, ALL_TOPOLOGIES};
@@ -88,10 +89,11 @@ fn paper2005_is_bit_identical_to_presets() {
     );
 }
 
-/// Contract 3: the `~m:`/`~key` name tags keep overridden configurations
-/// out of preset store rows. A poisoned row under the preset name must
-/// never satisfy a tagged config, and the tagged result lands under its
-/// own key.
+/// Contract 3: rows are filed under the configuration's content. A
+/// poisoned preset row never satisfies an override that changes the
+/// machine, whose result lands under its own key; an override restating
+/// the default (`rob` 256) is the preset under another label and reads
+/// the preset's row, relabelled.
 #[test]
 fn overridden_configs_never_read_preset_rows() {
     let dir = std::env::temp_dir().join(format!("rcmc-machines-{}", std::process::id()));
@@ -99,30 +101,42 @@ fn overridden_configs_never_read_preset_rows() {
     let store = ResultStore::at(dir.clone());
     let budget = tiny_budget();
 
-    let tagged = ConfigSpec::default()
-        .with_override("rob", Value::Num(32.0))
-        .resolve()
-        .unwrap()
-        .remove(0);
-    assert_eq!(tagged.name, "Ring_8clus_1bus_2IW~rob32");
-    let fresh = run_pair(&tagged, "gzip", &budget, &ResultStore::ephemeral(), None);
+    let preset = make(Topology::Ring, 8, 2, 1);
+    let with_rob = |rob| {
+        ConfigSpec::default()
+            .with_override("rob", Value::Num(rob))
+            .resolve()
+            .unwrap()
+            .remove(0)
+    };
+    let (changed, restated) = (with_rob(32.0), with_rob(256.0));
+    assert_eq!(changed.name, "Ring_8clus_1bus_2IW~rob32");
+    assert_eq!(restated.name, "Ring_8clus_1bus_2IW~rob256");
+    assert_ne!(store_name(&changed), store_name(&preset));
+    assert_eq!(store_name(&restated), store_name(&preset));
 
-    // Poison the store under the *untagged* preset name.
-    let mut stale = fresh.clone();
+    // Poison the preset's row.
+    let mut stale = run_pair(&preset, "gzip", &budget, &ResultStore::ephemeral(), None);
     stale.ipc = 999.0;
-    assert!(store.save("Ring_8clus_1bus_2IW", "gzip", &budget, &stale));
+    assert!(store.save(&store_name(&preset), "gzip", &budget, &stale));
 
-    let got = run_pair(&tagged, "gzip", &budget, &store, None);
-    assert_eq!(got, fresh, "override-tagged run read the preset store row");
+    let fresh = run_pair(&changed, "gzip", &budget, &ResultStore::ephemeral(), None);
+    let got = run_pair(&changed, "gzip", &budget, &store, None);
+    assert_eq!(got, fresh, "an overridden machine read the preset's row");
     assert_eq!(
-        store.load(&store_name(&tagged), "gzip", &budget).as_ref(),
+        store.load(&store_name(&changed), "gzip", &budget).as_ref(),
         Some(&fresh),
-        "tagged result must memoize under the tagged key"
+        "the overridden machine's row lands under its own key"
     );
-    // The poisoned preset row is untouched — tags isolate, not overwrite.
+    // The same machine under another label is the same row.
+    let shared = run_pair(&restated, "gzip", &budget, &store, None);
+    assert_eq!(
+        (shared.config.as_str(), shared.ipc),
+        (restated.name.as_str(), 999.0)
+    );
     assert_eq!(
         store
-            .load("Ring_8clus_1bus_2IW", "gzip", &budget)
+            .load(&store_name(&preset), "gzip", &budget)
             .map(|r| r.ipc),
         Some(999.0)
     );

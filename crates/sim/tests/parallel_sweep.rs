@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rcmc_core::{Steering, Topology};
-use rcmc_sim::runner::{Budget, ResultStore};
+use rcmc_sim::runner::{store_name, Budget, ResultStore};
 use rcmc_sim::{Plan, Session};
 
 fn tiny() -> Budget {
@@ -158,11 +158,13 @@ fn concurrent_sessions_share_one_store_safely() {
     });
     assert_eq!(a, b);
     // Every persisted file must parse back to the same result.
+    let (cfgs, _) = plan.resolve().unwrap();
     for r in a.rows() {
+        let cfg = cfgs.iter().find(|c| c.name == r.config).unwrap();
         assert_eq!(
             session_a
                 .store()
-                .load(&r.config, &r.bench, &budget)
+                .load(&store_name(cfg), &r.bench, &budget)
                 .as_ref(),
             Some(r),
             "torn or stale file"

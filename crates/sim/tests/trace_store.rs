@@ -139,3 +139,52 @@ fn warm_started_sweep_matches_cold() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A memoized row belongs to the trace it simulated, not to the name the
+/// trace was imported under: re-importing a different recording as `X`
+/// makes the next run of the same plan on the same result store execute,
+/// and its row equals a fresh store's.
+#[test]
+fn reimporting_a_name_never_serves_the_old_traces_row() {
+    let (db, dir) = temp_db("reimport");
+    let (side, side_dir) = temp_db("reimport-side");
+    let len = 12_000u64;
+    let import_as_x = |bench: &str| {
+        let t = trace_program(&benchmark(bench).unwrap().build(), len as usize).unwrap();
+        assert!(side.save(bench, len, &t));
+        let raw = std::fs::read(side_dir.join(bench).join(format!("{len}.trc"))).unwrap();
+        db.import(&raw, Some("X")).expect("import validates");
+    };
+    let plan = Plan::new("stale")
+        .config_named("Ring_8clus_1bus_2IW")
+        .bench("X")
+        .budget(Budget {
+            warmup: 1_000,
+            measure: 10_000,
+        });
+    let store_dir = dir.join("results");
+    let run = |store: ResultStore| {
+        let executed = std::sync::Mutex::new((0, 0));
+        let session = Session::with_store(store)
+            .with_trace_store(db.clone())
+            .with_jobs(1);
+        let rs = session
+            .run_streaming(&plan, &|p| {
+                *executed.lock().unwrap() = (p.finished, p.memoized)
+            })
+            .unwrap();
+        (rs.rows()[0].clone(), executed.into_inner().unwrap())
+    };
+
+    import_as_x("gzip");
+    let (gzip_row, tally) = run(ResultStore::at(store_dir.clone()));
+    assert_eq!(tally, (1, 0), "cold run executes");
+    import_as_x("swim");
+    let (again, tally) = run(ResultStore::at(store_dir.clone()));
+    assert_eq!(tally, (1, 0), "a re-imported X must execute, not memoize");
+    let (fresh, _) = run(ResultStore::ephemeral());
+    assert_eq!(again, fresh, "the row must be swim's, as on a fresh store");
+    assert_ne!(again, gzip_row);
+    let _ = std::fs::remove_dir_all(&side_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}

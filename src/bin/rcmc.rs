@@ -300,11 +300,29 @@ fn status(p: &SweepProgress<'_>) {
     p.eprint_status();
 }
 
-/// Write a `--out` file; a path that cannot be written is a user error.
-fn write_out_file(path: &str, text: &str) {
-    if let Err(e) = std::fs::write(path, text) {
+/// The `--out FILE` of a sweeping command, created before anything
+/// resolves or runs, so a path that cannot be written fails at once (a
+/// user error); `None` without the flag.
+fn out_file(flags: &HashMap<String, String>) -> Option<(String, std::fs::File)> {
+    let path = flags.get("out").filter(|p| !p.is_empty())?;
+    match std::fs::File::create(path) {
+        Ok(file) => Some((path.clone(), file)),
+        Err(e) => die(format!("cannot write '{path}': {e}")),
+    }
+}
+
+/// Write `text` to an [`out_file`], returning its path, or to stdout
+/// without one.
+fn write_result(dest: Option<(String, std::fs::File)>, text: &str) -> Option<String> {
+    use std::io::Write;
+    let Some((path, mut file)) = dest else {
+        out!("{text}");
+        return None;
+    };
+    if let Err(e) = file.write_all(text.as_bytes()) {
         die::<()>(format!("cannot write '{path}': {e}"));
     }
+    Some(path)
 }
 
 /// The store of imported traces: `--trace-store DIR`, else the
@@ -631,17 +649,14 @@ fn figures(flags: &HashMap<String, String>) {
 }
 
 fn csv(flags: &HashMap<String, String>) {
+    let dest = out_file(flags);
     let session = session_from(flags);
     let results = session
         .run_streaming(&plans::main(), &status)
         .unwrap_or_else(die);
     let csv = results.to_csv();
-    match flags.get("out") {
-        Some(path) if !path.is_empty() => {
-            write_out_file(path, &csv);
-            errln!("wrote {} rows to {path}", csv.lines().count() - 1);
-        }
-        _ => out!("{csv}"),
+    if let Some(path) = write_result(dest, &csv) {
+        errln!("wrote {} rows to {path}", csv.lines().count() - 1);
     }
 }
 
@@ -693,6 +708,7 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
             });
             let mut plan = Plan::from_json(&text)
                 .unwrap_or_else(|e| die(format!("invalid plan spec '{path}': {e}")));
+            let dest = out_file(flags);
             if let Some(family) = flags.get("machine") {
                 // The flag re-bases every axes-form entry onto the family
                 // (an unknown family fails when the plan resolves);
@@ -752,12 +768,8 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
             } else {
                 plan.render_text(&rs).unwrap_or_else(die) + "\n"
             };
-            match flags.get("out") {
-                Some(path) if !path.is_empty() => {
-                    write_out_file(path, &out);
-                    errln!("wrote {path}");
-                }
-                _ => out!("{out}"),
+            if let Some(path) = write_result(dest, &out) {
+                errln!("wrote {path}");
             }
         }
         other => {

@@ -264,8 +264,8 @@ fn run_of_unknown_workload_exits_1_with_a_message() {
 #[test]
 fn an_unwritable_out_path_exits_1_with_a_message() {
     // `--out` into a directory that does not exist: a user error (exit 1
-    // and the path), not a panic. The plan runs on an isolated store and
-    // only the final write fails.
+    // and the path), not a panic, found before the plan resolves or runs
+    // (no `jobs:` summary).
     let dir = temp_store("out");
     let missing = dir.join("no-such-dir").join("x.txt");
     let out = rcmc()
@@ -281,6 +281,7 @@ fn an_unwritable_out_path_exits_1_with_a_message() {
         "{err}"
     );
     assert!(!err.contains("panicked"), "{err}");
+    assert!(!err.contains("jobs:"), "the plan ran first: {err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
