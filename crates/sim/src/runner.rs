@@ -835,15 +835,6 @@ mod tests {
         let intact = valid_file(&mcf, &fresh(&ring, "mcf"));
         let mut poisoned = fresh(&ring, "mcf");
         poisoned.ipc = 999.0;
-        // The crossbar's DCOUNT threshold was recalibrated 16 -> 8 without
-        // a MODEL_VERSION bump: a row simulated at 16 is another key's.
-        let xbar = make(Topology::Crossbar, 8, 2, 1);
-        let mut xbar16 = xbar.clone();
-        xbar16.core.dcount_threshold = 16.0;
-        assert_ne!(store_name(&xbar), store_name(&xbar16));
-        let xbar16_key = JobKey::of(&xbar16, "gzip", &budget, None);
-        let mut xbar16_row = fresh(&xbar16, "gzip");
-        xbar16_row.ipc = 999.0;
 
         type Damage<'a> = Box<dyn Fn(&Path) + 'a>;
         let write = |p: &Path, bytes: &[u8]| {
@@ -892,25 +883,6 @@ mod tests {
                     write(p, &valid_file(&gzip, &fresh(&ring, "gzip")));
                 }),
             ),
-            (
-                "valid row at the store root (the pre-sharding layout)",
-                &ring,
-                "mcf",
-                Box::new(|p| {
-                    let _ = std::fs::remove_file(p);
-                    let flat = dir.join(p.file_name().unwrap());
-                    write(&flat, &valid_file(&mcf, &poisoned));
-                }),
-            ),
-            (
-                "row of the pre-recalibration threshold",
-                &xbar,
-                "gzip",
-                Box::new(|_| {
-                    let p = store.path_of(&xbar16_key).unwrap();
-                    write(&p, &valid_file(&xbar16_key, &xbar16_row));
-                }),
-            ),
         ];
         for (what, cfg, bench, damage) in inputs {
             let key = JobKey::of(cfg, bench, &budget, None);
@@ -933,6 +905,59 @@ mod tests {
                 }
             }
         }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn flat_file_at_store_root_is_a_miss() {
+        // Only the configuration shard is consulted: a valid row sitting
+        // where the pre-sharding layout put it is never read.
+        let dir = std::env::temp_dir().join(format!("rcmc-flat-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = ResultStore::at(dir.clone());
+        let budget = tiny_budget();
+        let cfg = make(Topology::Ring, 4, 2, 1);
+        let key = JobKey::of(&cfg, "mcf", &budget, None);
+        let fresh = run_pair(&cfg, "mcf", &budget, &ResultStore::ephemeral(), None);
+        let mut poisoned = fresh.clone();
+        poisoned.ipc = 999.0;
+        let side = ResultStore::at(dir.join("side"));
+        assert!(side.save_key(&key, &poisoned));
+        let sharded = side.path_of(&key).unwrap();
+        let flat = dir.join(sharded.file_name().unwrap());
+        std::fs::copy(&sharded, &flat).unwrap();
+        assert_eq!(store.load_key(&key), None);
+        assert!(flat.is_file(), "a miss must not touch the flat file");
+        assert_eq!(run_pair(&cfg, "mcf", &budget, &store, None), fresh);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn recalibrated_thresholds_get_their_own_store_keys() {
+        // The Crossbar default threshold moved 16 -> 8 without a
+        // MODEL_VERSION bump; its store identity must move with it even
+        // though the display name did not.
+        let xbar = make(Topology::Crossbar, 8, 2, 1);
+        let mut xbar16 = xbar.clone();
+        xbar16.core.dcount_threshold = 16.0;
+        assert_eq!(xbar.name, xbar16.name);
+        assert_ne!(store_name(&xbar), store_name(&xbar16));
+        // A stale row computed with the old threshold must not satisfy a
+        // sweep of the new config.
+        let dir = std::env::temp_dir().join(format!("rcmc-thr-{}", std::process::id()));
+        let store = ResultStore::at(dir.clone());
+        let budget = tiny_budget();
+        let fresh = run_pair(&xbar, "gzip", &budget, &ResultStore::ephemeral(), None);
+        let mut stale = run_pair(&xbar16, "gzip", &budget, &ResultStore::ephemeral(), None);
+        stale.ipc = 999.0;
+        assert!(store.save_key(&JobKey::of(&xbar16, "gzip", &budget, None), &stale));
+        let got = run_pair(&xbar, "gzip", &budget, &store, None);
+        assert_eq!(got, fresh, "stale pre-recalibration row leaked in");
+        // And the fresh row is now memoized under the new config's key.
+        assert_eq!(
+            store.load(&store_name(&xbar), "gzip", &budget).as_ref(),
+            Some(&fresh)
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 
