@@ -58,8 +58,9 @@ pub trait Interconnect: Send {
     fn try_send(&mut self, from: usize, to: usize) -> Option<Grant>;
 
     /// Replay `cycles` consecutive ticks with no intervening `try_send`
-    /// traffic. Must be observationally identical to calling [`tick`]
-    /// (`Interconnect::tick`) `cycles` times, ideally as an O(1) jump.
+    /// traffic. Must be observationally identical to calling
+    /// [`tick`](Interconnect::tick) `cycles` times, ideally as an O(1)
+    /// jump.
     fn advance(&mut self, cycles: u64);
 }
 

@@ -25,4 +25,4 @@ pub use mem::Memory;
 pub use trace::{
     trace_built, trace_program, DynInsn, StaticInsn, Trace, TraceError, TraceRec, TraceSource,
 };
-pub use trace_db::{TraceDb, TraceDbError, TraceMeta, TRACE_VERSION};
+pub use trace_db::{OpenTrace, TraceDb, TraceDbError, TraceMeta, TRACE_VERSION};

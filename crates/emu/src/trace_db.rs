@@ -7,6 +7,9 @@
 //! sequential chunked decode into a compact [`Trace`]. The
 //! simulator keeps imported (externally captured) traces here; it
 //! emulates its own suite's traces, which is faster than decoding them.
+//! A run resolves an imported workload's name once, with
+//! [`TraceDb::open`], and decodes the file it holds open from then on
+//! ([`OpenTrace`]).
 //!
 //! ## File layout (all integers little-endian)
 //!
@@ -32,7 +35,7 @@
 //! ```
 //!
 //! A record's **logical** form is four 8-byte words: the instruction's
-//! ISA encoding ([`rcmc_isa::encode`]), `pc | next_pc << 32`, `mem_addr`,
+//! ISA encoding ([`rcmc_isa::encode()`]), `pc | next_pc << 32`, `mem_addr`,
 //! and a reserved all-zero word.
 //!
 //! * **Format v1** stored the four words verbatim — 32 bytes per record,
@@ -49,18 +52,19 @@
 //! ## One decoder
 //!
 //! Every read of a whole file — [`TraceDb::load`]/[`TraceDb::load_full`],
-//! [`TraceDb::verify`] and [`TraceDb::import`] (which upgrades v1 files to
-//! v2) — goes through one private streaming decoder, so one file gets one
-//! verdict whichever of them reads it. It checks the magic and both
-//! versions on the fixed 64 bytes before it reads the name region, then
-//! walks the payload through a bounded scratch window one record at a time
-//! (a fixed 32-byte v1 record or a v2 control-byte record), folding the
-//! checksum in the same pass. The file stores every record's instruction
-//! in full; the decoder interns each distinct (pc, instruction) pair once
-//! into the trace's static table, so the full ISA decoder (operand
-//! signature included) runs only the first time a pair appears. A record
-//! whose instruction does not decode is still reported at its own index,
-//! the first that carries the word. [`TraceDb::list`] reads headers only.
+//! [`OpenTrace::load`], [`TraceDb::verify`] and [`TraceDb::import`] (which
+//! upgrades v1 files to v2) — goes through one private streaming decoder,
+//! so one file gets one verdict whichever of them reads it. It checks the
+//! magic and both versions on the fixed 64 bytes before it reads the name
+//! region, then walks the payload through a bounded scratch window one
+//! record at a time (a fixed 32-byte v1 record or a v2 control-byte
+//! record), folding the checksum in the same pass. The file stores every
+//! record's instruction in full; the decoder interns each distinct (pc,
+//! instruction) pair once into the trace's static table, so the full ISA
+//! decoder (operand signature included) runs only the first time a pair
+//! appears. A record whose instruction does not decode is still reported
+//! at its own index, the first that carries the word. [`TraceDb::list`]
+//! and [`TraceDb::open`] read headers only.
 //!
 //! ## Versioning rules
 //!
@@ -79,10 +83,10 @@
 //! can only ever leave a complete, valid file behind.
 
 use std::collections::HashMap;
-use std::io::Read;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use rcmc_isa::{encode, Insn};
 
@@ -229,32 +233,64 @@ impl TraceDb {
     /// Every rejection reason is explicit; callers that only care about
     /// hit-or-miss use [`TraceDb::load`].
     pub fn load_full(&self, name: &str, len: u64) -> Result<Trace, TraceDbError> {
-        self.decode_key(name, len).map(|(_, t)| t)
-    }
-
-    /// Fully validate and decode the file of `(name, len)`, header
-    /// included.
-    fn decode_key(&self, name: &str, len: u64) -> Result<(Header, Trace), TraceDbError> {
         if !Self::valid_name(name) {
             return Err(TraceDbError::KeyMismatch);
         }
         let f = std::fs::File::open(self.path_of(name, len)).map_err(io_err)?;
         let file_len = f.metadata().map_err(io_err)?.len();
-        decode(f, file_len, Some((name, len)))
+        decode(f, file_len, Some((name, len))).map(|(_, t)| t)
     }
 
     /// Load the trace stored under `(name, len)`, or `None` if absent,
     /// stale (older format/trace version) or corrupt in any way — a
     /// stored trace is never trusted without passing every check.
     pub fn load(&self, name: &str, len: u64) -> Option<Arc<Trace>> {
-        self.load_summed(name, len).map(|(_, t)| t)
+        self.load_full(name, len).ok().map(Arc::new)
     }
 
-    /// [`TraceDb::load`], with the verified checksum of the file it
-    /// decoded ([`TraceMeta::checksum`]).
-    pub fn load_summed(&self, name: &str, len: u64) -> Option<(u64, Arc<Trace>)> {
-        let (h, t) = self.decode_key(name, len).ok()?;
-        Some((h.checksum, Arc::new(t)))
+    /// The trace a run of workload `name` reads, held open: the longest
+    /// file stored under `name` whose header checks out (an externally
+    /// captured workload has a fixed length, so the longest serves every
+    /// budget). Reads only `<dir>/<name>/`, headers only. `None` when no
+    /// such file exists.
+    pub fn open(&self, name: &str) -> Option<OpenTrace> {
+        if !Self::valid_name(name) {
+            return None;
+        }
+        self.stored_lens(name).into_iter().rev().find_map(|len| {
+            let (file, h) = self.open_keyed(name, len)?;
+            Some(OpenTrace {
+                name: h.name,
+                len,
+                checksum: h.checksum,
+                file: Mutex::new(file),
+            })
+        })
+    }
+
+    /// The file of `(name, len)`, opened, with its header, if the header
+    /// parses and names that key (the payload is not read).
+    fn open_keyed(&self, name: &str, len: u64) -> Option<(std::fs::File, Header)> {
+        let mut file = std::fs::File::open(self.path_of(name, len)).ok()?;
+        let h = read_header(&mut file).ok()?;
+        (h.name == name && h.key_len == len).then_some((file, h))
+    }
+
+    /// The lengths of the `<len>.trc` files under `name`, ascending, by
+    /// file name alone (no header is read).
+    fn stored_lens(&self, name: &str) -> Vec<u64> {
+        let Ok(files) = std::fs::read_dir(self.dir.join(name)) else {
+            return Vec::new();
+        };
+        let mut lens: Vec<u64> = files
+            .flatten()
+            .filter_map(|f| {
+                let fname = f.file_name();
+                fname.to_str()?.strip_suffix(".trc")?.parse().ok()
+            })
+            .collect();
+        lens.sort_unstable();
+        lens
     }
 
     /// Persist `trace` under `(name, len)` via temp file + atomic rename.
@@ -320,26 +356,13 @@ impl TraceDb {
             if !Self::valid_name(&name) || !entry.path().is_dir() {
                 continue;
             }
-            let Ok(files) = std::fs::read_dir(entry.path()) else {
-                continue;
-            };
-            for f in files.flatten() {
-                let fname = f.file_name().to_string_lossy().into_owned();
-                let Some(len) = fname
-                    .strip_suffix(".trc")
-                    .and_then(|s| s.parse::<u64>().ok())
-                else {
+            for len in self.stored_lens(&name) {
+                let Some((file, h)) = self.open_keyed(&name, len) else {
                     continue;
                 };
-                let Ok(mut file) = std::fs::File::open(f.path()) else {
+                let Ok(meta) = file.metadata() else {
                     continue;
                 };
-                let (Ok(h), Ok(meta)) = (read_header(&mut file), file.metadata()) else {
-                    continue;
-                };
-                if h.name != name || h.key_len != len {
-                    continue;
-                }
                 out.push(TraceMeta {
                     name: name.clone(),
                     len,
@@ -355,25 +378,16 @@ impl TraceDb {
         out
     }
 
-    /// All lengths stored under `name`, ascending ([`TraceDb::list`]
-    /// filtered to one workload, header-validated).
-    pub fn lens_of(&self, name: &str) -> Vec<u64> {
-        self.list()
-            .into_iter()
-            .filter(|m| m.name == name)
-            .map(|m| m.len)
-            .collect()
-    }
-
     /// Remove stored traces: every length of `name`, or just `(name,
-    /// len)`. Returns how many files were deleted.
+    /// len)`. Returns how many files were deleted. A trace already held
+    /// open ([`TraceDb::open`]) stays readable through its handle.
     pub fn remove(&self, name: &str, len: Option<u64>) -> usize {
         if !Self::valid_name(name) {
             return 0;
         }
         let lens = match len {
             Some(l) => vec![l],
-            None => self.lens_of(name),
+            None => self.stored_lens(name),
         };
         let mut removed = 0;
         for l in lens {
@@ -384,6 +398,48 @@ impl TraceDb {
         // Best-effort: drop the per-name directory once it is empty.
         let _ = std::fs::remove_dir(self.dir.join(name));
         removed
+    }
+}
+
+/// One stored trace file, held open from [`TraceDb::open`] on. On Unix an
+/// open file outlives its directory entry, so a later
+/// [`TraceDb::remove`], or a save or import that renames another file
+/// over it, does not change what [`OpenTrace::load`] decodes.
+#[derive(Debug)]
+pub struct OpenTrace {
+    name: String,
+    len: u64,
+    checksum: u64,
+    file: Mutex<std::fs::File>,
+}
+
+impl OpenTrace {
+    /// The workload name the file is stored under.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The header's payload checksum ([`TraceMeta::checksum`]), read at
+    /// open without decoding.
+    pub fn checksum(&self) -> u64 {
+        self.checksum
+    }
+
+    /// Decode the whole file with every check [`TraceDb::load_full`]
+    /// makes, and check that its checksum is still the one read at open.
+    /// The file is rewound under a lock first, so one handle serves any
+    /// number of decodes, one at a time.
+    pub fn load(&self) -> Result<Trace, TraceDbError> {
+        // Every decode starts with a rewind, so a guard a panicking decode
+        // left behind is still usable.
+        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        file.seek(SeekFrom::Start(0)).map_err(io_err)?;
+        let file_len = file.metadata().map_err(io_err)?.len();
+        let (h, trace) = decode(&mut *file, file_len, Some((&self.name, self.len)))?;
+        if h.checksum != self.checksum {
+            return Err(TraceDbError::ChecksumMismatch);
+        }
+        Ok(trace)
     }
 }
 
@@ -936,7 +992,7 @@ mod tests {
             vec![("aaa", 10), ("aaa", 20), ("bbb", 10)]
         );
         assert_eq!(metas[0].insns, 3);
-        assert_eq!(db.lens_of("aaa"), vec![10, 20]);
+        assert_eq!(db.open("aaa").map(|t| t.len), Some(20), "longest wins");
         assert_eq!(db.remove("aaa", Some(20)), 1);
         assert_eq!(db.remove("aaa", None), 1);
         assert_eq!(db.remove("aaa", None), 0);

@@ -16,7 +16,7 @@
 //! * branch offsets and jump targets are instruction-relative immediates.
 //!
 //! The [`Insn`] struct is the single in-memory representation shared by all
-//! crates; [`Insn::encode`]/[`Insn::decode`] give the binary form and
+//! crates; [`encode()`]/[`decode()`] give the binary form and
 //! `Display` gives the disassembly.
 
 pub mod class;

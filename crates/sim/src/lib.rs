@@ -52,7 +52,9 @@ pub use config::SimConfig;
 pub use machines::Machine;
 pub use plan::{ConfigSpec, Plan, RenderedReport, ReportSpec, SpeedupPair};
 pub use resultset::{GroupValues, Metric, ResultSet};
-pub use runner::{default_jobs, run_pair, Budget, JobKey, ResultStore, RunResult, SweepProgress};
+pub use runner::{
+    default_jobs, run_pair, Budget, JobKey, ResultStore, RunResult, SweepProgress, Workload,
+};
 pub use scheduler::{Scheduler, SchedulerStats};
 pub use serve::{ServeOpts, ServeSummary, DEFAULT_QUEUE_LIMIT};
 pub use session::Session;

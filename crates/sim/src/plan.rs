@@ -51,7 +51,7 @@
 //! memory latency) are applied after topology/steering pairing, and whose
 //! default cluster/width/bus axes fill in any the entry leaves unset;
 //! `"overrides"` then sets individual whitelisted fields
-//! ([`rcmc_core::OVERRIDE_KEYS`]) by key.
+//! ([`rcmc_core::config::OVERRIDE_KEYS`]) by key.
 //! Both tag the configuration name deterministically (`~m:wide`, `~rob256`
 //! in sorted key order). The tags are display labels that reports
 //! reference; a memoized row is keyed by the resolved configuration's
@@ -67,7 +67,7 @@ use crate::config::{self, SimConfig};
 use crate::machines;
 use crate::report;
 use crate::resultset::{Metric, ResultSet};
-use crate::runner::{all_bench_names, Budget};
+use crate::runner::{all_bench_names, Budget, Workload};
 
 /// One entry of [`Plan::configs`]: a configuration group, a named preset,
 /// or an ad-hoc axes combination. Exactly one of the three forms may be
@@ -836,35 +836,27 @@ impl Plan {
         Ok(out)
     }
 
-    /// The benchmark list (the whole suite if none given), each checked
-    /// against the workload suite and deduplicated (first occurrence wins,
-    /// mirroring configuration dedup — a repeated name must not simulate
-    /// the pair twice or inflate progress totals). Resolves against the
-    /// process-default trace store, so imported traces are valid workloads.
-    pub fn resolve_benches(&self) -> Result<Vec<String>, String> {
-        self.resolve_benches_in(Some(crate::runner::default_trace_db()))
-    }
-
-    /// [`Plan::resolve_benches`] against an explicit trace store: a name
-    /// that is not in the built-in suite still resolves if `db` holds an
-    /// imported trace under it (the [`Session`](crate::session::Session)
-    /// running the plan passes its own store here).
-    pub fn resolve_benches_in(
-        &self,
-        db: Option<&rcmc_emu::TraceDb>,
-    ) -> Result<Vec<String>, String> {
-        if self.benches.is_empty() {
-            return Ok(all_bench_names().iter().map(|b| b.to_string()).collect());
-        }
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for b in &self.benches {
-            crate::runner::check_workload(b, db)?;
-            if seen.insert(b.as_str()) {
-                out.push(b.clone());
-            }
-        }
-        Ok(out)
+    /// The workload list (the whole suite if none given), deduplicated
+    /// (first occurrence wins, mirroring configuration dedup — a repeated
+    /// name must not simulate the pair twice or inflate progress totals),
+    /// each name resolved once ([`Workload::resolve`]): a name that is not
+    /// in the built-in suite resolves if `db` holds an imported trace
+    /// under it.
+    fn resolve_workloads(&self, db: Option<&rcmc_emu::TraceDb>) -> Result<Vec<Workload>, String> {
+        let names: Vec<&str> = if self.benches.is_empty() {
+            all_bench_names()
+        } else {
+            let mut seen = std::collections::HashSet::new();
+            self.benches
+                .iter()
+                .map(String::as_str)
+                .filter(|b| seen.insert(*b))
+                .collect()
+        };
+        names
+            .into_iter()
+            .map(|b| Workload::resolve(b, db))
+            .collect()
     }
 
     /// Resolve and check the whole plan in one pass: expand the
@@ -883,8 +875,22 @@ impl Plan {
         &self,
         db: Option<&rcmc_emu::TraceDb>,
     ) -> Result<(Vec<SimConfig>, Vec<String>), String> {
+        let (configs, workloads) = self.resolve_workloads_in(db)?;
+        let names = workloads.iter().map(|w| w.name().to_string()).collect();
+        Ok((configs, names))
+    }
+
+    /// [`Plan::resolve_in`], keeping each resolved [`Workload`]: what a
+    /// request submits, so its jobs run the suite programs and the open
+    /// imported-trace files resolved here (the
+    /// [`Session`](crate::session::Session) running the plan passes its
+    /// own trace store).
+    pub fn resolve_workloads_in(
+        &self,
+        db: Option<&rcmc_emu::TraceDb>,
+    ) -> Result<(Vec<SimConfig>, Vec<Workload>), String> {
         let configs = self.resolve_configs()?;
-        let benches = self.resolve_benches_in(db)?;
+        let workloads = self.resolve_workloads(db)?;
         // A typo'd name in a report would otherwise render silently as a
         // neutral speedup / zero mean — the worst failure mode for a
         // reproduction harness — so reports are checked against the
@@ -907,7 +913,7 @@ impl Plan {
                 }
             }
         }
-        Ok((configs, benches))
+        Ok((configs, workloads))
     }
 
     /// [`Plan::resolve`], discarding the resolution.
@@ -1179,7 +1185,7 @@ mod tests {
         let p = Plan::new("t")
             .config_named("Ring_4clus_1bus_2IW")
             .benches(["swim", "gzip", "swim"]);
-        assert_eq!(p.resolve_benches().unwrap(), vec!["swim", "gzip"]);
+        assert_eq!(p.resolve().unwrap().1, vec!["swim", "gzip"]);
     }
 
     #[test]

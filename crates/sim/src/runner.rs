@@ -4,9 +4,9 @@
 //! [`run_pair`] is one job: probe the store, simulate, [`reduce_metrics`],
 //! persist. The job streams its oracle trace through the core's ring: a
 //! suite benchmark is emulated as the core fetches, and an imported trace
-//! is decoded from the on-disk [`TraceDb`] and replayed. No job holds a
-//! suite trace and nothing is shared between jobs. Grids of jobs run on
-//! the scheduler ([`crate::scheduler`]), which both
+//! is decoded from the file its [`Workload`] holds open and replayed. No
+//! job holds a suite trace and nothing is shared between jobs. Grids of
+//! jobs run on the scheduler ([`crate::scheduler`]), which both
 //! [`crate::session::Session::run`] and `rcmc serve` drive. Every
 //! simulation is independent, so results are bit-identical at any worker
 //! count, and every finished pair is durably memoized the moment it
@@ -14,6 +14,13 @@
 //!
 //! [`cached_trace`] materializes a whole trace, for the callers that need
 //! one: the pipeline view, the oracles and the tests.
+//!
+//! Which instructions a workload name means is decided once per request,
+//! by [`Workload::resolve`], before anything is submitted: a suite
+//! benchmark, or the imported trace file [`TraceDb::open`] picks, held
+//! open. Keys, jobs and the store read that [`Workload`] and never search
+//! the trace store again, so a request runs the traces it resolved even
+//! if they are removed or re-imported later.
 //!
 //! A row's one identity is what was simulated, never what it is called:
 //! a [`JobKey`] hashes the resolved configuration ([`store_name`]), the
@@ -31,7 +38,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use rcmc_core::Core;
-use rcmc_emu::{trace_built, Trace, TraceDb, TraceSource, TRACE_VERSION};
+use rcmc_emu::{trace_built, OpenTrace, Trace, TraceDb, TraceSource, TRACE_VERSION};
 use rcmc_workloads::{benchmark, Benchmark};
 use serde::json::Value;
 use serde::{Deserialize, Serialize};
@@ -225,17 +232,84 @@ pub fn trace_cache_bytes() -> usize {
     0
 }
 
-/// Check that `name` resolves to a runnable workload against `db`: a suite
-/// benchmark, or an imported trace stored under that name. Plans and
-/// `rcmc run` reject an unknown workload with this message before anything
-/// simulates.
-pub fn check_workload(name: &str, db: Option<&TraceDb>) -> Result<(), String> {
-    if benchmark(name).is_some() || db.is_some_and(|d| !d.lens_of(name).is_empty()) {
-        Ok(())
-    } else {
-        Err(format!(
-            "unknown benchmark '{name}' (see `rcmc list`; imported traces: `rcmc trace list`)"
-        ))
+/// What a workload name means: the instructions a run of it executes. A
+/// suite benchmark, emulated afresh by each job that runs it, or an
+/// imported trace, held open from [`Workload::resolve`] on. Resolving is
+/// the one place a name is looked up; keys, jobs and
+/// [`cached_trace_via`] read the resolved value. Cloning is cheap, and a
+/// request holds no program or trace data.
+#[derive(Clone, Debug)]
+pub struct Workload(Source);
+
+#[derive(Clone, Debug)]
+enum Source {
+    /// Only ever a suite member: [`program_id`] trusts the name.
+    Suite(Benchmark),
+    Imported(Arc<OpenTrace>),
+}
+
+impl Workload {
+    /// Resolve `name`: a suite benchmark, else the imported trace `db`
+    /// holds under that name ([`TraceDb::open`]: the longest length
+    /// stored, whatever the budget — an externally captured workload has a
+    /// fixed length, and a shorter trace ends the run early, exactly like
+    /// a program that halts). Plans and `rcmc run` reject an unknown name
+    /// with this message before anything simulates.
+    pub fn resolve(name: &str, db: Option<&TraceDb>) -> Result<Workload, String> {
+        if let Some(b) = benchmark(name) {
+            return Ok(Workload(Source::Suite(b)));
+        }
+        match db.and_then(|d| d.open(name)) {
+            Some(t) => Ok(Workload(Source::Imported(Arc::new(t)))),
+            None => Err(format!(
+                "unknown benchmark '{name}' (see `rcmc list`; imported traces: `rcmc trace list`)"
+            )),
+        }
+    }
+
+    /// The name the workload was resolved from.
+    pub fn name(&self) -> &str {
+        match &self.0 {
+            Source::Suite(b) => b.name,
+            Source::Imported(t) => t.name(),
+        }
+    }
+
+    /// The content identity, the workload half of a [`JobKey`]: `p` + a
+    /// hash of [`TRACE_VERSION`] and a suite benchmark's built program
+    /// (the emulator is deterministic, so no trace has to exist), or `t` +
+    /// the header checksum of the imported trace file held open.
+    pub fn id(&self) -> String {
+        match &self.0 {
+            Source::Suite(b) => program_id(b),
+            Source::Imported(t) => format!("t{:016x}", t.checksum()),
+        }
+    }
+
+    /// Materialize the oracle trace: a suite benchmark emulated to `len`
+    /// instructions, or the whole imported trace file, decoded as a job
+    /// decodes it. Nothing is cached: every call emulates or decodes
+    /// afresh. Panics if an imported file went bad since it was resolved
+    /// (only a writer outside this program can do that: every write here
+    /// renames a new file into place).
+    pub fn trace(&self, len: u64) -> Trace {
+        match &self.0 {
+            Source::Suite(b) => {
+                EMULATED.fetch_add(1, Ordering::Relaxed);
+                trace_built(|| b.build(), len as usize)
+                    .unwrap_or_else(|e| panic!("{} failed to emulate: {e}", b.name))
+            }
+            Source::Imported(t) => {
+                let trace = t.load().unwrap_or_else(|e| {
+                    panic!(
+                        "imported trace '{}' went bad after it was resolved: {e}",
+                        t.name()
+                    )
+                });
+                LOADED.fetch_add(1, Ordering::Relaxed);
+                trace
+            }
+        }
     }
 }
 
@@ -246,41 +320,16 @@ pub fn cached_trace(bench: &str, len: u64) -> Arc<Trace> {
     cached_trace_via(bench, len, Some(default_trace_db()))
 }
 
-/// [`cached_trace`] against an explicit trace store. A suite benchmark is
-/// always emulated (emulating beats decoding, `BENCH_trace.json`) and
-/// never reads or writes `db`; any other name is an imported trace,
-/// decoded from `db` as a job decodes it.
+/// [`cached_trace`] against an explicit trace store: [`Workload::trace`]
+/// of `bench` resolved against `db`. A suite benchmark is always emulated
+/// (emulating beats decoding, `BENCH_trace.json`) and never reads or
+/// writes `db`.
 ///
 /// Panics if `bench` is neither a suite benchmark nor a stored trace;
-/// callers reject such names first with [`check_workload`].
+/// callers reject such names first with [`Workload::resolve`].
 pub fn cached_trace_via(bench: &str, len: u64, db: Option<&TraceDb>) -> Arc<Trace> {
-    let Some(b) = benchmark(bench) else {
-        return load_imported(bench, db).1;
-    };
-    EMULATED.fetch_add(1, Ordering::Relaxed);
-    Arc::new(
-        trace_built(|| b.build(), len as usize)
-            .unwrap_or_else(|e| panic!("{bench} failed to emulate: {e}")),
-    )
-}
-
-/// The **imported trace** `bench`, decoded from `db` with its checksum
-/// verified, and that checksum: the longest trace stored under that name,
-/// whatever the budget (externally captured workloads have a fixed length
-/// — a shorter trace simply ends the run early, exactly like a program
-/// that halts). Panics if `db` holds no trace of that name or the file
-/// went bad.
-fn load_imported(bench: &str, db: Option<&TraceDb>) -> (u64, Arc<Trace>) {
-    let Some((db, best)) = db.and_then(|d| Some((d, d.lens_of(bench).last().copied()?))) else {
-        panic!("unknown workload '{bench}' (not in the suite or the trace store)");
-    };
-    // `None` only if the file vanished or went bad since `lens_of`; there
-    // is no emulator path for imported workloads.
-    let loaded = db.load_summed(bench, best).unwrap_or_else(|| {
-        panic!("imported trace '{bench}' ({best} insns) disappeared from the trace store")
-    });
-    LOADED.fetch_add(1, Ordering::Relaxed);
-    loaded
+    let workload = Workload::resolve(bench, db).unwrap_or_else(|e| panic!("{e}"));
+    Arc::new(workload.trace(len))
 }
 
 /// 64-bit FNV-1a, the hash behind every content identity and row
@@ -294,30 +343,9 @@ fn fnv(h: u64, bytes: &[u8]) -> u64 {
 /// FNV-1a's offset basis: the hash of nothing.
 const FNV_START: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// The content identity of workload `bench`, the workload half of a
-/// [`JobKey`]. A suite benchmark is `p` + a hash of [`TRACE_VERSION`] and
-/// its built program's instruction encodings and data bytes (the emulator
-/// is deterministic, so no trace has to exist); any other name is `t` +
-/// the header checksum of the imported trace a job would load from `db`
-/// (the longest stored under that name, read without decoding). `None`
-/// when `bench` is neither.
-fn workload_id(bench: &str, db: Option<&TraceDb>) -> Option<String> {
-    match benchmark(bench) {
-        Some(b) => Some(program_id(&b)),
-        None => {
-            let meta = db?.list().into_iter().rfind(|m| m.name == bench)?;
-            Some(trace_id(meta.checksum))
-        }
-    }
-}
-
-/// [`workload_id`] of an imported trace with payload checksum `sum`.
-fn trace_id(sum: u64) -> String {
-    format!("t{sum:016x}")
-}
-
-/// [`workload_id`] of a suite benchmark, its program built and hashed
-/// once per process.
+/// [`Workload::id`] of a suite benchmark: `p` + a hash of
+/// [`TRACE_VERSION`] and its built program's instruction encodings and
+/// data bytes, built and hashed once per process.
 fn program_id(b: &Benchmark) -> String {
     static IDS: Mutex<BTreeMap<&str, u64>> = Mutex::new(BTreeMap::new());
     let ids = || IDS.lock().unwrap_or_else(|e| e.into_inner());
@@ -382,29 +410,29 @@ impl ResultStore {
     }
 
     /// Where `key`'s row lives: its configuration's shard, one file per
-    /// (model version, workload, window). `None` for an ephemeral store or
-    /// a key with no workload behind it.
+    /// (model version, workload, window). `None` for an ephemeral store.
     fn path_of(&self, key: &JobKey) -> Option<PathBuf> {
-        let (workload, b) = (key.workload.as_ref()?, key.budget);
+        let b = key.budget;
         let file = format!(
-            "v{MODEL_VERSION}_{workload}_{}w{}m.json",
-            b.warmup, b.measure
+            "v{MODEL_VERSION}_{}_{}w{}m.json",
+            key.workload, b.warmup, b.measure
         );
         Some(self.dir.as_ref()?.join(&key.config).join(file))
     }
 
     /// The row of configuration `config` (a [`store_name`]) on suite
-    /// benchmark `bench` at `budget`, if stored and intact. An imported
-    /// trace's row is addressed by a [`JobKey`] that knows its trace
-    /// store ([`JobKey::of`]), as the scheduler and [`run_pair`] do.
+    /// benchmark `bench` at `budget`, if stored and intact. Any other name
+    /// is a miss: an imported trace's row is addressed by the [`JobKey`]
+    /// of its resolved [`Workload`], as the scheduler and [`run_pair`] do.
     pub fn load(&self, config: &str, bench: &str, budget: &Budget) -> Option<RunResult> {
-        self.load_key(&JobKey::identify(config, bench, budget, None))
+        self.load_key(&JobKey::of_suite(config, bench, budget)?)
     }
 
     /// Persist `r` as the row of `(config, bench, budget)`, addressed as
-    /// [`ResultStore::load`] addresses it.
+    /// [`ResultStore::load`] addresses it (`false` for a name outside the
+    /// suite).
     pub fn save(&self, config: &str, bench: &str, budget: &Budget, r: &RunResult) -> bool {
-        self.save_key(&JobKey::identify(config, bench, budget, None), r)
+        JobKey::of_suite(config, bench, budget).is_some_and(|key| self.save_key(&key, r))
     }
 
     /// The row filed under `key`, if its file exists, names `key` and
@@ -488,6 +516,10 @@ pub struct SweepProgress<'a> {
     pub finished: usize,
     /// Jobs this sweep has to execute (memoized pairs are not counted).
     pub total: usize,
+    /// Of `total`, the pairs that joined an identical job (same
+    /// [`JobKey`]) instead of simulating: `total - coalesced` simulations
+    /// run for this sweep. Fixed before the first event.
+    pub coalesced: usize,
     /// Pairs satisfied from the result store without executing anything;
     /// folded into the displayed completion so `rcmc figures` progress
     /// reflects the whole sweep, not just the jobs that happened to miss.
@@ -578,30 +610,33 @@ pub fn store_name(cfg: &SimConfig) -> String {
 pub struct JobKey {
     /// Content identity of the configuration ([`store_name`]).
     pub config: String,
-    /// Content identity of the workload: `p` + a hash of a suite
-    /// benchmark's program, or `t` + the checksum of the imported trace
-    /// file a job loads. `None` for a name with nothing behind it, whose
-    /// job fails when it runs and whose row is never stored.
-    pub workload: Option<String>,
+    /// Content identity of the workload ([`Workload::id`]): `p` + a hash
+    /// of a suite benchmark's program, or `t` + the checksum of the
+    /// imported trace file a job loads.
+    pub workload: String,
     /// Instruction budget of the run.
     pub budget: Budget,
 }
 
 impl JobKey {
-    /// The key `(cfg, bench, budget)` simulates under, an imported trace
-    /// resolved against `db`.
-    pub fn of(cfg: &SimConfig, bench: &str, budget: &Budget, db: Option<&TraceDb>) -> JobKey {
-        JobKey::identify(&store_name(cfg), bench, budget, db)
-    }
-
-    /// The identity function: [`JobKey::of`] and the [`ResultStore`]'s
-    /// `(config, bench, budget)` entry points all come through here.
-    fn identify(config: &str, bench: &str, budget: &Budget, db: Option<&TraceDb>) -> JobKey {
+    /// The key `(cfg, workload, budget)` simulates under.
+    pub fn of(cfg: &SimConfig, workload: &Workload, budget: &Budget) -> JobKey {
         JobKey {
-            config: config.to_string(),
-            workload: workload_id(bench, db),
+            config: store_name(cfg),
+            workload: workload.id(),
             budget: *budget,
         }
+    }
+
+    /// The key of configuration `config` (a [`store_name`]) on suite
+    /// benchmark `bench`, the [`ResultStore`]'s `(config, bench, budget)`
+    /// address; `None` for a name outside the suite.
+    fn of_suite(config: &str, bench: &str, budget: &Budget) -> Option<JobKey> {
+        Some(JobKey {
+            config: config.to_string(),
+            workload: Workload::resolve(bench, None).ok()?.id(),
+            budget: *budget,
+        })
     }
 }
 
@@ -612,39 +647,26 @@ impl std::fmt::Display for JobKey {
         write!(
             f,
             "model v{MODEL_VERSION} config {} workload {} budget {}w{}m",
-            self.config,
-            self.workload.as_deref().unwrap_or("none"),
-            self.budget.warmup,
-            self.budget.measure
+            self.config, self.workload, self.budget.warmup, self.budget.measure
         )
     }
 }
 
-/// Simulate one (configuration × benchmark) pair, returning the identity
-/// of the workload it ran ([`workload_id`]) and the raw counters (no
-/// memoization, no reduction). A suite benchmark is emulated as the core
-/// fetches; an imported trace is loaded from `db` and replayed.
-fn simulate_stats(
-    cfg: &SimConfig,
-    bench: &str,
-    budget: &Budget,
-    db: Option<&TraceDb>,
-) -> (String, rcmc_core::Stats) {
+/// Simulate one (configuration × workload) pair and return the raw
+/// counters (no memoization, no reduction). A suite benchmark is emulated
+/// as the core fetches; an imported trace is decoded and replayed.
+fn simulate_stats(cfg: &SimConfig, workload: &Workload, budget: &Budget) -> rcmc_core::Stats {
     let window = |mut core: Core<'_>| core.run_with_warmup(budget.warmup, budget.measure);
     let (core_cfg, mem, pred) = (cfg.core.clone(), cfg.mem, cfg.pred);
-    match benchmark(bench) {
-        Some(b) => {
+    match &workload.0 {
+        Source::Suite(b) => {
             EMULATED.fetch_add(1, Ordering::Relaxed);
-            let source = TraceSource::emulate(bench, &b.build());
-            let stats = window(Core::streaming(core_cfg, mem, pred, source));
-            (program_id(&b), stats)
+            let source = TraceSource::emulate(b.name, &b.build());
+            window(Core::streaming(core_cfg, mem, pred, source))
         }
-        None => {
-            let (sum, trace) = load_imported(bench, db);
-            (
-                trace_id(sum),
-                window(Core::new(core_cfg, mem, pred, &trace)),
-            )
+        Source::Imported(_) => {
+            let trace = workload.trace(budget.trace_len());
+            window(Core::new(core_cfg, mem, pred, &trace))
         }
     }
 }
@@ -685,29 +707,22 @@ pub(crate) fn labelled(r: &RunResult, config: &str, bench: &str) -> RunResult {
     }
 }
 
-/// Simulate one (configuration × benchmark) pair, memoized: a store hit
-/// loads no trace. `db` is the store an imported workload's trace is
-/// loaded from (`None`: suite benchmarks only). The row is filed under the
-/// workload the job actually ran, so an imported trace replaced since the
-/// store was probed never gets the old trace's row.
+/// Simulate one (configuration × workload) pair, memoized: a store hit
+/// loads no trace. The job runs exactly the workload it is keyed by, and
+/// the row is filed under that key.
 pub fn run_pair(
     cfg: &SimConfig,
-    bench: &str,
+    workload: &Workload,
     budget: &Budget,
     store: &ResultStore,
-    db: Option<&TraceDb>,
 ) -> RunResult {
-    let key = JobKey::of(cfg, bench, budget, db);
+    let key = JobKey::of(cfg, workload, budget);
     if let Some(hit) = store.load_key(&key) {
-        return labelled(&hit, &cfg.name, bench);
+        return labelled(&hit, &cfg.name, workload.name());
     }
-    let (workload, stats) = simulate_stats(cfg, bench, budget, db);
-    let result = reduce_metrics(cfg, bench, &stats);
-    let ran = JobKey {
-        workload: Some(workload),
-        ..key
-    };
-    store.save_key(&ran, &result);
+    let stats = simulate_stats(cfg, workload, budget);
+    let result = reduce_metrics(cfg, workload.name(), &stats);
+    store.save_key(&key, &result);
     result
 }
 
@@ -722,6 +737,10 @@ mod tests {
     use crate::config::{make, make_pair, ALL_STEERINGS, ALL_TOPOLOGIES};
     use rcmc_core::Topology;
 
+    fn suite(name: &str) -> Workload {
+        Workload::resolve(name, None).unwrap()
+    }
+
     fn tiny_budget() -> Budget {
         Budget {
             warmup: 2_000,
@@ -733,7 +752,7 @@ mod tests {
     fn run_pair_produces_sane_metrics() {
         let cfg = make(Topology::Ring, 4, 2, 1);
         let store = ResultStore::ephemeral();
-        let r = run_pair(&cfg, "swim", &tiny_budget(), &store, None);
+        let r = run_pair(&cfg, &suite("swim"), &tiny_budget(), &store);
         // Commit width can overshoot each window boundary by up to 7.
         assert!(
             (r.committed as i64 - 8_000).unsigned_abs() < 16,
@@ -751,8 +770,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rcmc-test-{}", std::process::id()));
         let store = ResultStore::at(dir.clone());
         let cfg = make(Topology::Conv, 4, 2, 1);
-        let r1 = run_pair(&cfg, "gzip", &tiny_budget(), &store, None);
-        let r2 = run_pair(&cfg, "gzip", &tiny_budget(), &store, None);
+        let r1 = run_pair(&cfg, &suite("gzip"), &tiny_budget(), &store);
+        let r2 = run_pair(&cfg, &suite("gzip"), &tiny_budget(), &store);
         assert_eq!(r1, r2);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -764,7 +783,7 @@ mod tests {
         let cfg = make(Topology::Conv, 4, 2, 1);
         let id = store_name(&cfg);
         let budget = tiny_budget();
-        let r = run_pair(&cfg, "swim", &budget, &ResultStore::ephemeral(), None);
+        let r = run_pair(&cfg, &suite("swim"), &budget, &ResultStore::ephemeral());
         assert!(
             store.save(&id, "swim", &budget, &r),
             "save to a writable dir must persist"
@@ -794,8 +813,8 @@ mod tests {
         let budget = tiny_budget();
         let a = make(Topology::Ring, 4, 2, 1);
         let b = make(Topology::Conv, 4, 2, 1);
-        let ra = run_pair(&a, "gzip", &budget, &store, None);
-        let rb = run_pair(&b, "gzip", &budget, &store, None);
+        let ra = run_pair(&a, &suite("gzip"), &budget, &store);
+        let rb = run_pair(&b, &suite("gzip"), &budget, &store);
         // One subdirectory per configuration, no flat files at the root.
         for cfg in [&a, &b] {
             assert!(
@@ -823,15 +842,16 @@ mod tests {
         let store = ResultStore::at(dir.clone());
         let budget = tiny_budget();
         let ring = make(Topology::Ring, 4, 2, 1);
-        let fresh =
-            |cfg: &SimConfig, bench| run_pair(cfg, bench, &budget, &ResultStore::ephemeral(), None);
+        let fresh = |cfg: &SimConfig, bench| {
+            run_pair(cfg, &suite(bench), &budget, &ResultStore::ephemeral())
+        };
         // A row file that passes every check, holding `r`.
         let valid_file = |key: &JobKey, r: &RunResult| {
             let side = ResultStore::at(dir.join("side"));
             assert!(side.save_key(key, r));
             std::fs::read(side.path_of(key).unwrap()).unwrap()
         };
-        let mcf = JobKey::of(&ring, "mcf", &budget, None);
+        let mcf = JobKey::of(&ring, &suite("mcf"), &budget);
         let intact = valid_file(&mcf, &fresh(&ring, "mcf"));
         let mut poisoned = fresh(&ring, "mcf");
         poisoned.ipc = 999.0;
@@ -879,18 +899,22 @@ mod tests {
                 &ring,
                 "mcf",
                 Box::new(|p| {
-                    let gzip = JobKey::of(&ring, "gzip", &budget, None);
+                    let gzip = JobKey::of(&ring, &suite("gzip"), &budget);
                     write(p, &valid_file(&gzip, &fresh(&ring, "gzip")));
                 }),
             ),
         ];
         for (what, cfg, bench, damage) in inputs {
-            let key = JobKey::of(cfg, bench, &budget, None);
+            let key = JobKey::of(cfg, &suite(bench), &budget);
             let path = store.path_of(&key).unwrap();
             damage(&path);
             assert_eq!(store.load_key(&key), None, "{what}: must miss");
             let want = fresh(cfg, bench);
-            assert_eq!(run_pair(cfg, bench, &budget, &store, None), want, "{what}");
+            assert_eq!(
+                run_pair(cfg, &suite(bench), &budget, &store),
+                want,
+                "{what}"
+            );
             assert_eq!(store.load_key(&key), Some(want), "{what}: refiled intact");
         }
         // No single-bit flip anywhere in a row file yields another row.
@@ -917,8 +941,8 @@ mod tests {
         let store = ResultStore::at(dir.clone());
         let budget = tiny_budget();
         let cfg = make(Topology::Ring, 4, 2, 1);
-        let key = JobKey::of(&cfg, "mcf", &budget, None);
-        let fresh = run_pair(&cfg, "mcf", &budget, &ResultStore::ephemeral(), None);
+        let key = JobKey::of(&cfg, &suite("mcf"), &budget);
+        let fresh = run_pair(&cfg, &suite("mcf"), &budget, &ResultStore::ephemeral());
         let mut poisoned = fresh.clone();
         poisoned.ipc = 999.0;
         let side = ResultStore::at(dir.join("side"));
@@ -928,7 +952,7 @@ mod tests {
         std::fs::copy(&sharded, &flat).unwrap();
         assert_eq!(store.load_key(&key), None);
         assert!(flat.is_file(), "a miss must not touch the flat file");
-        assert_eq!(run_pair(&cfg, "mcf", &budget, &store, None), fresh);
+        assert_eq!(run_pair(&cfg, &suite("mcf"), &budget, &store), fresh);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -947,11 +971,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rcmc-thr-{}", std::process::id()));
         let store = ResultStore::at(dir.clone());
         let budget = tiny_budget();
-        let fresh = run_pair(&xbar, "gzip", &budget, &ResultStore::ephemeral(), None);
-        let mut stale = run_pair(&xbar16, "gzip", &budget, &ResultStore::ephemeral(), None);
+        let fresh = run_pair(&xbar, &suite("gzip"), &budget, &ResultStore::ephemeral());
+        let mut stale = run_pair(&xbar16, &suite("gzip"), &budget, &ResultStore::ephemeral());
         stale.ipc = 999.0;
-        assert!(store.save_key(&JobKey::of(&xbar16, "gzip", &budget, None), &stale));
-        let got = run_pair(&xbar, "gzip", &budget, &store, None);
+        assert!(store.save_key(&JobKey::of(&xbar16, &suite("gzip"), &budget), &stale));
+        let got = run_pair(&xbar, &suite("gzip"), &budget, &store);
         assert_eq!(got, fresh, "stale pre-recalibration row leaked in");
         // And the fresh row is now memoized under the new config's key.
         assert_eq!(
@@ -973,7 +997,7 @@ mod tests {
             for steering in ALL_STEERINGS {
                 let cfg = make_pair(topology, steering, 8, 2, 1);
                 for bench in ["gzip", "mcf", "fma3d"] {
-                    let r = run_pair(&cfg, bench, &budget, &ResultStore::ephemeral(), None);
+                    let r = run_pair(&cfg, &suite(bench), &budget, &ResultStore::ephemeral());
                     let row = labelled(&r, "", "").to_value().to_compact_string();
                     h = fnv(h, row.as_bytes());
                 }
@@ -1004,8 +1028,8 @@ mod tests {
     fn runs_are_deterministic() {
         let cfg = make(Topology::Ring, 8, 1, 1);
         let store = ResultStore::ephemeral();
-        let a = run_pair(&cfg, "mcf", &tiny_budget(), &store, None);
-        let b = run_pair(&cfg, "mcf", &tiny_budget(), &store, None);
+        let a = run_pair(&cfg, &suite("mcf"), &tiny_budget(), &store);
+        let b = run_pair(&cfg, &suite("mcf"), &tiny_budget(), &store);
         assert_eq!(a, b);
     }
 
@@ -1017,6 +1041,7 @@ mod tests {
             label: "",
             finished: 0,
             total: 0,
+            coalesced: 0,
             memoized: 7,
             elapsed_s: 0.0,
             config: "",
@@ -1028,6 +1053,7 @@ mod tests {
             label: "",
             finished: 2,
             total: 4,
+            coalesced: 0,
             memoized: 3,
             elapsed_s: 6.0,
             config: "c",

@@ -3,8 +3,11 @@
 //! [`crate::session::Session::run`] submits one request and closes; `rcmc
 //! serve` keeps many in flight at once. Either way, requests fan their jobs
 //! onto one shared set of workers, and each job is simulate (streaming its
-//! trace) → reduce → persist ([`runner::run_pair`]). Three service-grade
-//! behaviors sit on top:
+//! trace) → reduce → persist ([`runner::run_pair`]). A request arrives
+//! with its workloads already resolved ([`Workload`]), so the scheduler
+//! never looks a name up: a job runs the suite program or the open trace
+//! file its request resolved, whatever the trace store holds by then.
+//! Three service-grade behaviors sit on top:
 //!
 //! * **Coalescing** — jobs are keyed by [`JobKey`], what the job
 //!   simulates (configuration content, workload content, budget, model
@@ -43,12 +46,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-use rcmc_emu::TraceDb;
 use serde::json::Value;
 
 use crate::config::SimConfig;
 use crate::resultset::ResultSet;
-use crate::runner::{self, labelled, Budget, JobKey, ResultStore, RunResult, SweepProgress};
+use crate::runner::{
+    self, labelled, Budget, JobKey, ResultStore, RunResult, SweepProgress, Workload,
+};
 
 /// Where one request's deliveries go. Every method returns `false` when
 /// the consumer is gone (a failed client write), which the scheduler
@@ -87,18 +91,23 @@ pub struct RunRequest<'s> {
     pub label: String,
     /// Resolved configurations.
     pub cfgs: Vec<SimConfig>,
-    /// Resolved benchmarks.
-    pub benches: Vec<String>,
+    /// Resolved workloads ([`Workload::resolve`]).
+    pub workloads: Vec<Workload>,
     /// Instruction window of every job.
     pub budget: Budget,
     /// Receives the request's deliveries.
     pub sink: Box<dyn Sink + 's>,
 }
 
-/// Lifetime counters of one scheduler (reported by the `stats` op and in
+/// Lifetime counters of one scheduler, and two gauges of what it is doing
+/// now (reported by the `stats` op and in
 /// [`crate::serve::ServeSummary`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
+    /// Gauge: jobs waiting for a worker now.
+    pub queued: u64,
+    /// Gauge: jobs simulating now.
+    pub running: u64,
     /// (config × bench) pairs requested by accepted `run` requests.
     pub submitted: u64,
     /// Jobs actually simulated by the workers.
@@ -164,7 +173,7 @@ struct Job<'s> {
     /// The configuration and workload to simulate (the first
     /// subscriber's — equal keys imply bit-identical results).
     cfg: SimConfig,
-    bench: String,
+    workload: Workload,
     /// Running jobs survive cancellation; queued ones don't.
     running: bool,
     subscribers: Vec<Subscriber<'s>>,
@@ -248,9 +257,14 @@ impl<'s> Scheduler<'s> {
         }
     }
 
-    /// Snapshot of the lifetime counters.
+    /// Snapshot of the lifetime counters and the gauges.
     pub fn stats(&self) -> SchedulerStats {
-        lock(&self.state).stats
+        let st = lock(&self.state);
+        SchedulerStats {
+            queued: st.queued as u64,
+            running: st.jobs.values().filter(|j| j.running).count() as u64,
+            ..st.stats
+        }
     }
 
     /// True once a write to the client has failed.
@@ -277,19 +291,13 @@ impl<'s> Scheduler<'s> {
     /// Admission is all-or-nothing — if the fresh jobs would exceed the
     /// queue bound, nothing is enqueued and `Busy` is returned. A request
     /// satisfied entirely by the store completes inline: one terminal
-    /// progress with `total == 0`, then its result. Imported traces are
-    /// identified against `db`, as the workers load them.
-    pub fn submit(
-        &self,
-        run: RunRequest<'s>,
-        store: &ResultStore,
-        db: Option<&TraceDb>,
-    ) -> Submission {
+    /// progress with `total == 0`, then its result.
+    pub fn submit(&self, run: RunRequest<'s>, store: &ResultStore) -> Submission {
         let RunRequest {
             id,
             label,
             cfgs,
-            benches,
+            workloads,
             budget,
             sink,
         } = run;
@@ -297,13 +305,13 @@ impl<'s> Scheduler<'s> {
         // the disk and must not serialize the whole service. Fresh jobs
         // are collected bench-major.
         let mut rows: Vec<RunResult> = Vec::new();
-        let mut pending: Vec<(JobKey, &SimConfig, &String)> = Vec::new();
-        for bench in &benches {
+        let mut pending: Vec<(JobKey, &SimConfig, &Workload)> = Vec::new();
+        for workload in &workloads {
             for cfg in &cfgs {
-                let key = JobKey::of(cfg, bench, &budget, db);
+                let key = JobKey::of(cfg, workload, &budget);
                 match store.load_key(&key) {
-                    Some(hit) => rows.push(labelled(&hit, &cfg.name, bench)),
-                    None => pending.push((key, cfg, bench)),
+                    Some(hit) => rows.push(labelled(&hit, &cfg.name, workload.name())),
+                    None => pending.push((key, cfg, workload)),
                 }
             }
         }
@@ -338,11 +346,11 @@ impl<'s> Scheduler<'s> {
             }
             st.stats.submitted += (total + memoized) as u64;
             st.stats.memoized += memoized as u64;
-            for (key, cfg, bench) in pending {
+            for (key, cfg, workload) in pending {
                 let sub = Subscriber {
                     req: req.clone(),
                     config: cfg.name.clone(),
-                    bench: bench.clone(),
+                    bench: workload.name().to_string(),
                 };
                 match st.jobs.get_mut(&key) {
                     // Identical job already queued or running: subscribe.
@@ -355,7 +363,7 @@ impl<'s> Scheduler<'s> {
                             key.clone(),
                             Job {
                                 cfg: cfg.clone(),
-                                bench: bench.clone(),
+                                workload: workload.clone(),
                                 running: false,
                                 subscribers: vec![sub],
                             },
@@ -382,6 +390,7 @@ impl<'s> Scheduler<'s> {
                 label: &req.label,
                 finished: 0,
                 total: 0,
+                coalesced: 0,
                 memoized,
                 elapsed_s: req.started.elapsed().as_secs_f64(),
                 config: "",
@@ -393,13 +402,12 @@ impl<'s> Scheduler<'s> {
         Submission::Accepted
     }
 
-    /// One worker loop: pop jobs, simulate (memoized via the store,
-    /// imported traces via the shared `db` handle), and deliver the row to
-    /// every subscriber under its labels. Returns when the scheduler is
-    /// closed and the queue is drained.
-    pub fn worker(&self, store: &ResultStore, db: Option<&TraceDb>) {
-        while let Some((key, cfg, bench)) = self.next_job() {
-            let r = runner::run_pair(&cfg, &bench, &key.budget, store, db);
+    /// One worker loop: pop jobs, simulate (memoized via the store), and
+    /// deliver the row to every subscriber under its labels. Returns when
+    /// the scheduler is closed and the queue is drained.
+    pub fn worker(&self, store: &ResultStore) {
+        while let Some((key, cfg, workload)) = self.next_job() {
+            let r = runner::run_pair(&cfg, &workload, &key.budget, store);
             let job = {
                 let mut st = lock(&self.state);
                 st.stats.executed += 1;
@@ -487,7 +495,7 @@ impl<'s> Scheduler<'s> {
     /// Pop the next runnable job, waiting while the queue is empty, until
     /// the scheduler is closed and drained. Purges all queued work first
     /// whenever the client has disconnected.
-    fn next_job(&self) -> Option<(JobKey, SimConfig, String)> {
+    fn next_job(&self) -> Option<(JobKey, SimConfig, Workload)> {
         let mut st = lock(&self.state);
         loop {
             if self.disconnected.load(Ordering::Relaxed) {
@@ -502,9 +510,9 @@ impl<'s> Scheduler<'s> {
                     continue;
                 }
                 job.running = true;
-                let (cfg, bench) = (job.cfg.clone(), job.bench.clone());
+                let (cfg, workload) = (job.cfg.clone(), job.workload.clone());
                 st.queued -= 1;
-                return Some((key, cfg, bench));
+                return Some((key, cfg, workload));
             }
             if st.closed {
                 return None;
@@ -551,6 +559,7 @@ impl<'s> Scheduler<'s> {
                 label: &req.label,
                 finished: rs.finished,
                 total: rs.total,
+                coalesced: rs.coalesced,
                 memoized: rs.memoized,
                 elapsed_s: req.started.elapsed().as_secs_f64(),
                 config: &r.config,
@@ -585,5 +594,56 @@ impl<'s> Scheduler<'s> {
         };
         lock(&self.state).requests.retain(|r| !Arc::ptr_eq(r, req));
         self.check(req.sink.done(ResultSet::from_rows(rows), tally));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::Plan;
+    use rcmc_core::Topology;
+
+    struct Ignore;
+
+    impl Sink for Ignore {
+        fn progress(&self, _: &SweepProgress<'_>) -> bool {
+            true
+        }
+        fn done(&self, _: ResultSet, _: Tally) -> bool {
+            true
+        }
+        fn cancelled(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn gauges_count_queued_and_running_jobs() {
+        let plan = Plan::new("gauges")
+            .config_axes(Some(Topology::Ring), None, Some(4), Some(2), Some(1), None)
+            .config_axes(Some(Topology::Conv), None, Some(4), Some(2), Some(1), None)
+            .benches(["gzip", "swim"])
+            .budget(Budget {
+                warmup: 200,
+                measure: 1_000,
+            });
+        let (cfgs, workloads) = plan.resolve_workloads_in(None).unwrap();
+        let store = ResultStore::ephemeral();
+        let sched = Scheduler::new(usize::MAX);
+        let run = RunRequest {
+            id: Value::Null,
+            label: plan.name.clone(),
+            cfgs,
+            workloads,
+            budget: plan.budget.unwrap(),
+            sink: Box::new(Ignore),
+        };
+        assert!(matches!(sched.submit(run, &store), Submission::Accepted));
+        let s = sched.stats();
+        assert_eq!((s.queued, s.running, s.executed), (4, 0, 0));
+        sched.close();
+        sched.worker(&store);
+        let s = sched.stats();
+        assert_eq!((s.queued, s.running, s.executed), (0, 0, 4));
     }
 }

@@ -29,7 +29,8 @@
 //! Responses carry an `"event"` discriminator: `pong`, `listing`,
 //! `progress` (streamed per executed job, interleaved across in-flight
 //! requests — demux on `id`), `result` (rows + rendered reports),
-//! `cancelled`, `stats` (`scheduler` counters, and `trace_cache`:
+//! `cancelled`, `stats` (`scheduler` counters with the `queued` and
+//! `running` job gauges, and `trace_cache`:
 //! `built`/`db_hits` — suite traces emulated and imported traces loaded
 //! over the process lifetime), `error`, `bye`. Every event carries the
 //! originating request `id`.
@@ -149,6 +150,8 @@ fn stats_value(s: &SchedulerStats) -> Value {
         ("memoized", Value::Num(s.memoized as f64)),
         ("cancelled", Value::Num(s.cancelled as f64)),
         ("rejected", Value::Num(s.rejected as f64)),
+        ("queued", Value::Num(s.queued as f64)),
+        ("running", Value::Num(s.running as f64)),
         ("coalesce_hit_rate", Value::Num(s.coalesce_hit_rate())),
     ])
 }
@@ -228,7 +231,7 @@ fn run_request<'a>(
     // Resolve up front: rejects bad plans before any simulation and yields
     // the configuration order the result's reports render in. The session's
     // trace store is consulted so imported traces are servable workloads.
-    let (cfgs, benches) = match plan.resolve_in(session.trace_db()) {
+    let (cfgs, workloads) = match plan.resolve_workloads_in(session.trace_db()) {
         Ok(r) => r,
         Err(e) => {
             emit(&event(id, "error", vec![("error", Value::Str(e))]));
@@ -238,7 +241,7 @@ fn run_request<'a>(
     let run = RunRequest {
         id: id.clone(),
         label: request_label(&plan.name, id),
-        benches,
+        workloads,
         budget: plan.budget.unwrap_or_default(),
         sink: Box::new(ServeSink {
             id: id.clone(),
@@ -248,7 +251,7 @@ fn run_request<'a>(
         }),
         cfgs,
     };
-    match sched.submit(run, session.store(), session.trace_db()) {
+    match sched.submit(run, session.store()) {
         Submission::Accepted => true,
         Submission::Busy {
             jobs,
@@ -842,11 +845,13 @@ mod tests {
         assert_eq!(field(&lines[0], "dropped"), &Value::Num(0.0));
         // `cancel` without a target is an error, not a crash.
         assert_eq!(field(&lines[1], "event"), &Value::Str("error".into()));
-        // The stats op reports scheduler counters.
+        // The stats op reports scheduler counters and gauges.
         assert_eq!(field(&lines[2], "event"), &Value::Str("stats".into()));
         let sched = field(&lines[2], "scheduler");
         assert_eq!(field(sched, "submitted"), &Value::Num(0.0));
         assert_eq!(field(sched, "coalesce_hit_rate"), &Value::Num(0.0));
+        assert_eq!(field(sched, "queued"), &Value::Num(0.0));
+        assert_eq!(field(sched, "running"), &Value::Num(0.0));
         // And the lifetime emulation/decode counters, nothing else: no
         // trace is held between jobs.
         let traces = field(&lines[2], "trace_cache");

@@ -38,8 +38,7 @@ use crate::scheduler::{RunRequest, Scheduler, Sink, Tally};
 pub struct Session {
     store: ResultStore,
     jobs: usize,
-    // Where imported traces are loaded from; one handle shared by every
-    // scheduler worker of this session.
+    // Where plans resolve imported workloads; the workers never read it.
     trace_db: Option<TraceDb>,
 }
 
@@ -166,13 +165,13 @@ impl Session {
         // One resolution pass covers validation too (report references)
         // — see `Plan::resolve`. Resolution happens against this
         // session's trace store so its imported traces are runnable.
-        let (cfgs, benches) = plan.resolve_in(self.trace_db.as_ref())?;
+        let (cfgs, workloads) = plan.resolve_workloads_in(self.trace_db.as_ref())?;
         let result = Mutex::new(None);
         let run = RunRequest {
             id: Value::Null,
             label: plan.name.clone(),
             cfgs,
-            benches,
+            workloads,
             budget: plan.budget.unwrap_or_default(),
             sink: Box::new(RunSink {
                 progress,
@@ -181,16 +180,16 @@ impl Session {
         };
         let sched = Scheduler::new(usize::MAX);
         self.with_workers(&sched, self.jobs - 1, || {
-            sched.submit(run, &self.store, self.trace_db.as_ref());
+            sched.submit(run, &self.store);
             sched.close();
-            sched.worker(&self.store, self.trace_db.as_ref());
+            sched.worker(&self.store);
         });
         let rs = result.lock().unwrap_or_else(|e| e.into_inner()).take();
         Ok(rs.expect("an unbounded, uncancelled request always completes"))
     }
 
     /// Run `body` on the calling thread beside `spawned` scoped threads,
-    /// each a [`Scheduler::worker`] loop over this session's stores, then
+    /// each a [`Scheduler::worker`] loop over this session's result store, then
     /// close `sched` and return once every worker has drained the queue
     /// and exited. The one place a session starts threads: a session run
     /// spawns `jobs - 1` and works on the caller, `rcmc serve` spawns
@@ -203,7 +202,7 @@ impl Session {
     ) -> R {
         std::thread::scope(|s| {
             for _ in 0..spawned {
-                s.spawn(|| sched.worker(&self.store, self.trace_db.as_ref()));
+                s.spawn(|| sched.worker(&self.store));
             }
             let _close = CloseOnDrop(sched);
             body()
@@ -235,7 +234,8 @@ mod tests {
             .budget(tiny());
         let rs = s.run(&plan).unwrap();
         assert_eq!(rs.len(), 1);
-        let bare = runner::run_pair(&cfg, "swim", &tiny(), s.store(), None);
+        let swim = runner::Workload::resolve("swim", None).unwrap();
+        let bare = runner::run_pair(&cfg, &swim, &tiny(), s.store());
         assert_eq!(rs.get(&cfg.name, "swim"), Some(&bare));
     }
 

@@ -17,7 +17,7 @@ use rcmc_core::Topology;
 use rcmc_sim::config::{make, topology_name, ALL_TOPOLOGIES};
 use rcmc_sim::machines::{self, REGISTRY};
 use rcmc_sim::plan::{ConfigSpec, Plan};
-use rcmc_sim::runner::{run_pair, store_name, Budget, ResultStore};
+use rcmc_sim::runner::{run_pair, store_name, Budget, ResultStore, Workload};
 use rcmc_sim::Session;
 use serde::json::Value;
 
@@ -75,14 +75,9 @@ fn paper2005_is_bit_identical_to_presets() {
     // Same counters, not just same config: run both through the simulator.
     let store = ResultStore::ephemeral();
     let budget = tiny_budget();
-    let a = run_pair(&preset, "mcf", &budget, &store, None);
-    let b = run_pair(
-        &via_machine,
-        "mcf",
-        &budget,
-        &ResultStore::ephemeral(),
-        None,
-    );
+    let mcf = Workload::resolve("mcf", None).unwrap();
+    let a = run_pair(&preset, &mcf, &budget, &store);
+    let b = run_pair(&via_machine, &mcf, &budget, &ResultStore::ephemeral());
     assert_eq!(
         a, b,
         "paper2005 must simulate bit-identically to the preset"
@@ -115,13 +110,14 @@ fn overridden_configs_never_read_preset_rows() {
     assert_ne!(store_name(&changed), store_name(&preset));
     assert_eq!(store_name(&restated), store_name(&preset));
 
+    let gzip = Workload::resolve("gzip", None).unwrap();
     // Poison the preset's row.
-    let mut stale = run_pair(&preset, "gzip", &budget, &ResultStore::ephemeral(), None);
+    let mut stale = run_pair(&preset, &gzip, &budget, &ResultStore::ephemeral());
     stale.ipc = 999.0;
     assert!(store.save(&store_name(&preset), "gzip", &budget, &stale));
 
-    let fresh = run_pair(&changed, "gzip", &budget, &ResultStore::ephemeral(), None);
-    let got = run_pair(&changed, "gzip", &budget, &store, None);
+    let fresh = run_pair(&changed, &gzip, &budget, &ResultStore::ephemeral());
+    let got = run_pair(&changed, &gzip, &budget, &store);
     assert_eq!(got, fresh, "an overridden machine read the preset's row");
     assert_eq!(
         store.load(&store_name(&changed), "gzip", &budget).as_ref(),
@@ -129,7 +125,7 @@ fn overridden_configs_never_read_preset_rows() {
         "the overridden machine's row lands under its own key"
     );
     // The same machine under another label is the same row.
-    let shared = run_pair(&restated, "gzip", &budget, &store, None);
+    let shared = run_pair(&restated, &gzip, &budget, &store);
     assert_eq!(
         (shared.config.as_str(), shared.ipc),
         (restated.name.as_str(), 999.0)

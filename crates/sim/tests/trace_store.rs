@@ -8,12 +8,15 @@
 //! file stored under its name cannot stand in for it.
 
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 use rcmc_emu::{trace_program, TraceDb};
 use rcmc_sim::plan::Plan;
-use rcmc_sim::runner::{all_bench_names, cached_trace_via, Budget, ResultStore};
-use rcmc_sim::Session;
+use rcmc_sim::runner::{all_bench_names, cached_trace_via, Budget, ResultStore, RunResult};
+use rcmc_sim::scheduler::{RunRequest, Scheduler, Sink, Tally};
+use rcmc_sim::{ResultSet, Session, SweepProgress};
 use rcmc_workloads::benchmark;
+use serde::json::Value;
 
 fn temp_db(tag: &str) -> (TraceDb, PathBuf) {
     let dir = std::env::temp_dir().join(format!("rcmc-tstore-{tag}-{}", std::process::id()));
@@ -187,4 +190,135 @@ fn reimporting_a_name_never_serves_the_old_traces_row() {
     assert_ne!(again, gzip_row);
     let _ = std::fs::remove_dir_all(&side_dir);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Keeps a request's result set and tally.
+struct Keep<'a>(&'a Mutex<Option<(ResultSet, Tally)>>);
+
+impl Sink for Keep<'_> {
+    fn progress(&self, _: &SweepProgress<'_>) -> bool {
+        true
+    }
+
+    fn done(&self, rs: ResultSet, tally: Tally) -> bool {
+        *self.0.lock().unwrap() = Some((rs, tally));
+        true
+    }
+
+    fn cancelled(&self) -> bool {
+        true
+    }
+}
+
+/// A request runs the trace it resolved. A 1×1 request over the imported
+/// `ext` (gzip's recording) is submitted; then `ext` changes before any
+/// worker starts the job. Inputs: `ext` removed, and swim's recording
+/// re-imported as `ext`. Either way the job delivers the row gzip-as-`ext`
+/// gives on a fresh store, filed under gzip's checksum (with gzip's
+/// recording back as `ext`, the next run memoizes it), and the next
+/// request resolves what the store holds by then.
+#[test]
+fn a_request_runs_the_trace_it_resolved() {
+    let (side, side_dir) = temp_db("pin-side");
+    let len = 12_000u64;
+    let recording = |bench: &str| {
+        let t = trace_program(&benchmark(bench).unwrap().build(), len as usize).unwrap();
+        assert!(side.save(bench, len, &t));
+        std::fs::read(side_dir.join(bench).join(format!("{len}.trc"))).unwrap()
+    };
+    let (gzip, swim) = (recording("gzip"), recording("swim"));
+    let budget = Budget {
+        warmup: 1_000,
+        measure: 10_000,
+    };
+    let plan = Plan::new("pin")
+        .config_named("Ring_8clus_1bus_2IW")
+        .bench("ext")
+        .budget(budget);
+    // The row, and (executed, memoized), of a session run of `plan`.
+    let run = |store: ResultStore, db: &TraceDb| {
+        let counts = Mutex::new((0, 0));
+        let rs = Session::with_store(store)
+            .with_trace_store(db.clone())
+            .with_jobs(1)
+            .run_streaming(&plan, &|p| {
+                *counts.lock().unwrap() = (p.total - p.coalesced, p.memoized)
+            })
+            .unwrap();
+        (rs.rows()[0].clone(), counts.into_inner().unwrap())
+    };
+    // What `ext` gives as the only trace of a fresh store.
+    let fresh_row = |bytes: &[u8]| {
+        let (db, dir) = temp_db("pin-fresh");
+        db.import(bytes, Some("ext")).unwrap();
+        let (row, _) = run(ResultStore::ephemeral(), &db);
+        let _ = std::fs::remove_dir_all(&dir);
+        row
+    };
+    let (gzip_row, swim_row) = (fresh_row(&gzip), fresh_row(&swim));
+    assert_ne!(gzip_row, swim_row);
+
+    // Each input: how `ext` changes after submission, and the row the
+    // next request runs (`None`: `ext` no longer resolves).
+    type Change<'a> = Box<dyn Fn(&TraceDb) + 'a>;
+    let inputs: Vec<(&str, Change, Option<&RunResult>)> = vec![
+        (
+            "removed",
+            Box::new(|db| assert_eq!(db.remove("ext", None), 1)),
+            None,
+        ),
+        (
+            "re-imported as swim",
+            Box::new(|db| {
+                db.import(&swim, Some("ext")).unwrap();
+            }),
+            Some(&swim_row),
+        ),
+    ];
+    for (what, change, next) in inputs {
+        let (db, dir) = temp_db("pin");
+        db.import(&gzip, Some("ext")).unwrap();
+        let results = dir.join("results");
+        let store = ResultStore::at(results.clone());
+        let (cfgs, workloads) = plan.resolve_workloads_in(Some(&db)).unwrap();
+        let got = Mutex::new(None);
+        let sched = Scheduler::new(usize::MAX);
+        sched.submit(
+            RunRequest {
+                id: Value::Null,
+                label: what.to_string(),
+                cfgs,
+                workloads,
+                budget,
+                sink: Box::new(Keep(&got)),
+            },
+            &store,
+        );
+        change(&db);
+        sched.close();
+        sched.worker(&store);
+        drop(sched);
+        let (rs, tally) = got.into_inner().unwrap().expect("the request completes");
+        assert_eq!(
+            rs.rows(),
+            std::slice::from_ref(&gzip_row),
+            "{what}: the job ran another trace"
+        );
+        assert_eq!(tally.executed, 1, "{what}");
+
+        // The next request resolves the store as it is now.
+        match next {
+            None => assert!(plan.resolve_in(Some(&db)).is_err(), "{what}"),
+            Some(want) => {
+                let (row, counts) = run(ResultStore::at(results.clone()), &db);
+                assert_eq!((&row, counts), (want, (1, 0)), "{what}");
+            }
+        }
+        // Filed under gzip's checksum, not under the name.
+        db.import(&gzip, Some("ext")).unwrap();
+        let (row, counts) = run(ResultStore::at(results), &db);
+        assert_eq!((row, counts), (gzip_row.clone(), (0, 1)), "{what}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&side_dir);
 }

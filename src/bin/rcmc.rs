@@ -39,8 +39,8 @@ use ring_clustered::emu::{trace_program, TraceDb, TraceDbError};
 use ring_clustered::sim::experiments::{self, plans};
 use ring_clustered::sim::plan::ConfigSpec;
 use ring_clustered::sim::runner::{
-    cached_trace, check_workload, default_jobs, default_trace_db, env_count, trace_cache_stats,
-    write_err, Budget, SweepProgress,
+    default_jobs, default_trace_db, env_count, trace_cache_stats, write_err, Budget, SweepProgress,
+    Workload,
 };
 use ring_clustered::sim::{config, machines, serve, Plan, ResultStore, Session};
 use ring_clustered::workloads::{benchmark, suite};
@@ -502,7 +502,7 @@ fn trace_view(args: &[String], flags: &HashMap<String, String>) {
         errln!("--from + --len must fit in 32 bits");
         std::process::exit(2);
     };
-    check_workload(&bench, Some(default_trace_db())).unwrap_or_else(die);
+    let workload = Workload::resolve(&bench, Some(default_trace_db())).unwrap_or_else(die);
     let cfg_name = flags
         .get("config")
         .cloned()
@@ -511,7 +511,7 @@ fn trace_view(args: &[String], flags: &HashMap<String, String>) {
         .resolve()
         .unwrap_or_else(die)
         .remove(0);
-    let trace = cached_trace(&bench, end as u64 + 50_000);
+    let trace = workload.trace(end as u64 + 50_000);
     let mut core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
     core.attach_tracer(PipeTracer::new(from, end));
     core.run(end as u64 + 20_000);
@@ -748,11 +748,12 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
             );
             // Stream progress to stderr while recording the final sweep
             // tallies — CI's cold-then-warm machine-sweep check asserts on
-            // the executed/memoized summary line below.
+            // the executed/memoized summary line below. Executed counts
+            // simulations: pairs that joined an identical job ran none.
             let tallies = std::sync::Mutex::new((0usize, 0usize));
             let record = |p: &SweepProgress<'_>| {
                 status(p);
-                *tallies.lock().unwrap() = (p.finished, p.memoized);
+                *tallies.lock().unwrap() = (p.total - p.coalesced, p.memoized);
             };
             let rs = session.run_streaming(&plan, &record).unwrap_or_else(die);
             let (executed, memoized) = *tallies.lock().unwrap();

@@ -72,3 +72,32 @@ fn plan_specs_carrying_jobs_are_refused() {
     assert!(first.contains(r#""event":"error""#), "{text}");
     assert!(first.contains("unknown plan key 'jobs'"), "{text}");
 }
+
+/// `jobs: N executed` counts simulations, not delivered pairs: two labels
+/// of one machine (the preset, and an override restating its default
+/// `rob`) share one job.
+#[test]
+fn plan_run_counts_simulations_not_labels() {
+    let dir = std::env::temp_dir().join(format!("rcmc-two-labels-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("two_labels.json");
+    std::fs::write(
+        &spec,
+        r#"{"name": "two-labels", "configs": [{"name": "Ring_4clus_1bus_2IW"}, {"topology": "ring", "clusters": 4, "overrides": {"rob": 256}}], "benches": ["swim"], "budget": {"warmup": 500, "measure": 2000}}"#,
+    )
+    .unwrap();
+    let out = rcmc()
+        .args(["plan", "run"])
+        .arg(&spec)
+        .arg("--store")
+        .arg(dir.join("results"))
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(out.status.success(), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("2 configurations × 1 benchmarks"), "{err}");
+    assert!(err.contains("jobs: 1 executed, 0 memoized"), "{err}");
+    assert!(err.contains("traces: 1 emulated"), "{err}");
+}

@@ -12,7 +12,7 @@ use ring_clustered::emu::{trace_program, TraceDb, TraceSource};
 use ring_clustered::isa::{Program, Reg};
 use ring_clustered::sim::config::make_pair;
 use ring_clustered::sim::runner::{
-    cached_trace, cached_trace_via, reduce_metrics, run_pair, Budget, ResultStore,
+    cached_trace, cached_trace_via, reduce_metrics, run_pair, Budget, ResultStore, Workload,
 };
 use ring_clustered::sim::SimConfig;
 use ring_clustered::workloads::benchmark;
@@ -129,9 +129,10 @@ fn a_short_imported_trace_ends_the_run_early() {
         warmup: 500,
         measure: 5_000,
     };
+    let short = Workload::resolve("short", Some(&db)).unwrap();
     for topology in TOPOLOGIES {
         let cfg = make_pair(topology, Steering::RingDep, 8, 2, 1);
-        let row = run_pair(&cfg, "short", &budget, &ResultStore::ephemeral(), Some(&db));
+        let row = run_pair(&cfg, &short, &budget, &ResultStore::ephemeral());
         let trace = cached_trace_via("short", budget.trace_len(), Some(&db));
         assert_eq!(*trace, recorded);
         let core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
@@ -154,7 +155,8 @@ fn a_job_matches_the_replay_of_its_materialized_trace() {
     };
     for bench in ["gzip", "swim", "mcf"] {
         let cfg = make_pair(Topology::Ring, Steering::RingDep, 8, 2, 1);
-        let row = run_pair(&cfg, bench, &budget, &ResultStore::ephemeral(), None);
+        let workload = Workload::resolve(bench, None).unwrap();
+        let row = run_pair(&cfg, &workload, &budget, &ResultStore::ephemeral());
         let trace = cached_trace(bench, budget.trace_len());
         let core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
         let (stats, _, _) = finish(core, &budget, false);
