@@ -1,15 +1,18 @@
 //! Persistent, mmap-friendly on-disk store for oracle traces.
 //!
-//! A [`TraceDb`] is a directory of `.trc` files, one per `(name, len)` key,
-//! laid out as
-//! `<dir>/<name>/<len>.trc`: a fixed little-endian header followed by one
-//! record per dynamic instruction (its logical [`DynInsn`]), consumed by a
-//! sequential chunked decode into a compact [`Trace`]. The
-//! simulator keeps imported (externally captured) traces here; it
-//! emulates its own suite's traces, which is faster than decoding them.
-//! A run resolves an imported workload's name once, with
-//! [`TraceDb::open`], and decodes the file it holds open from then on
-//! ([`OpenTrace`]).
+//! A [`TraceDb`] is a directory of `.trc` files, one per workload name,
+//! laid out as `<dir>/<name>.trc`: a fixed little-endian header followed
+//! by one record per dynamic instruction (its logical [`DynInsn`]),
+//! consumed by a sequential chunked decode into a compact [`Trace`]. A
+//! name means one file: the last [`TraceDb::save`] or [`TraceDb::import`]
+//! of a name replaces it. The simulator keeps imported (externally
+//! captured) traces here; it emulates its own suite's traces, which is
+//! faster than decoding them. A run resolves an imported workload's name
+//! once, with [`TraceDb::open`], and decodes the file it holds open from
+//! then on ([`OpenTrace`]).
+//!
+//! A store in the old `<dir>/<name>/<len>.trc` layout is migrated when
+//! [`TraceDb::at`] opens it.
 //!
 //! ## File layout (all integers little-endian)
 //!
@@ -19,7 +22,8 @@
 //!      8     4  format version   (FORMAT_VERSION — file layout)
 //!     12     4  trace version    (TRACE_VERSION — emulator semantics,
 //!                                 independent of the timing MODEL_VERSION)
-//!     16     8  key length       (the requested trace length, store key)
+//!     16     8  key length       (the requested trace length; checked
+//!                                 by TraceDb::load)
 //!     24     8  instruction count
 //!     32     8  checksum         (4-lane FNV-1a over the LOGICAL records:
 //!                                 lane j folds 8-byte word j of each
@@ -51,20 +55,20 @@
 //!
 //! ## One decoder
 //!
-//! Every read of a whole file — [`TraceDb::load`]/[`TraceDb::load_full`],
-//! [`OpenTrace::load`], [`TraceDb::verify`] and [`TraceDb::import`] (which
-//! upgrades v1 files to v2) — goes through one private streaming decoder,
-//! so one file gets one verdict whichever of them reads it. It checks the
-//! magic and both versions on the fixed 64 bytes before it reads the name
-//! region, then walks the payload through a bounded scratch window one
-//! record at a time (a fixed 32-byte v1 record or a v2 control-byte
-//! record), folding the checksum in the same pass. The file stores every
-//! record's instruction in full; the decoder interns each distinct (pc,
-//! instruction) pair once into the trace's static table, so the full ISA
-//! decoder (operand signature included) runs only the first time a pair
-//! appears. A record whose instruction does not decode is still reported
-//! at its own index, the first that carries the word. [`TraceDb::list`]
-//! and [`TraceDb::open`] read headers only.
+//! Every read of a whole file — [`TraceDb::load`]/[`TraceDb::load_full`]
+//! (what `rcmc trace verify` runs), [`OpenTrace::load`] and
+//! [`TraceDb::import`] (which upgrades v1 files to v2) — goes through one
+//! private streaming decoder, so one file gets one verdict whichever of
+//! them reads it. It checks the magic and both versions on the fixed 64
+//! bytes before it reads the name region, then walks the payload through a
+//! bounded scratch window one record at a time (a fixed 32-byte v1 record
+//! or a v2 control-byte record), folding the checksum in the same pass. The
+//! file stores every record's instruction in full; the decoder interns each
+//! distinct (pc, instruction) pair once into the trace's static table, so
+//! the full ISA decoder (operand signature included) runs only the first
+//! time a pair appears. A record whose instruction does not decode is still
+//! reported at its own index, the first that carries the word.
+//! [`TraceDb::list`] and [`TraceDb::open`] read headers only.
 //!
 //! ## Versioning rules
 //!
@@ -79,8 +83,8 @@
 //! `None` (a miss) unless the magic, both versions, the embedded name/key,
 //! the payload size and the checksum all check out.
 //! Writes go through a temp file + atomic rename (exactly like the result
-//! store), so concurrent writers — threads or processes racing on one key —
-//! can only ever leave a complete, valid file behind.
+//! store), so concurrent writers — threads or processes racing on one
+//! name — can only ever leave a complete, valid file behind.
 
 use std::collections::HashMap;
 use std::io::{Read, Seek, SeekFrom};
@@ -138,7 +142,7 @@ pub enum TraceDbError {
     ChecksumMismatch,
     /// A payload record does not decode to a valid instruction.
     BadRecord(usize),
-    /// An import under a name the caller reserves ([`TraceDb::import_unless`]).
+    /// An import under a name the caller reserves ([`TraceDb::import`]).
     ReservedName(String),
 }
 
@@ -167,9 +171,9 @@ impl std::error::Error for TraceDbError {}
 /// Catalog entry for one stored trace ([`TraceDb::list`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceMeta {
-    /// Workload name (the store key's name half).
+    /// Workload name (the file is `<name>.trc`).
     pub name: String,
-    /// Requested trace length (the store key's length half).
+    /// Requested trace length, as recorded in the header.
     pub len: u64,
     /// Dynamic instructions actually stored.
     pub insns: u64,
@@ -199,9 +203,17 @@ pub struct TraceDb {
 }
 
 impl TraceDb {
-    /// A store rooted at `dir` (created on first write).
+    /// A store rooted at `dir` (created on first write). A store in the
+    /// old `<name>/<len>.trc` layout is migrated, best effort: in each
+    /// directory holding a `<len>.trc` file, the file a run of `name` read
+    /// before — the longest whose header names `(name, len)` — becomes
+    /// `<name>.trc`, unless that file exists, and the directory is
+    /// deleted, since no run could read the rest. A store with no such
+    /// directory is only read.
     pub fn at(dir: PathBuf) -> TraceDb {
-        TraceDb { dir }
+        let db = TraceDb { dir };
+        db.migrate();
+        db
     }
 
     /// Root directory of the store.
@@ -220,23 +232,19 @@ impl TraceDb {
                 .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.'))
     }
 
-    fn path_of(&self, name: &str, len: u64) -> PathBuf {
-        self.dir.join(name).join(format!("{len}.trc"))
+    fn path_of(&self, name: &str) -> PathBuf {
+        self.dir.join(format!("{name}.trc"))
     }
 
-    /// Whether a file exists for `(name, len)` (without validating it).
-    pub fn contains(&self, name: &str, len: u64) -> bool {
-        Self::valid_name(name) && self.path_of(name, len).is_file()
-    }
-
-    /// Load and fully validate the trace stored under `(name, len)`.
-    /// Every rejection reason is explicit; callers that only care about
-    /// hit-or-miss use [`TraceDb::load`].
+    /// Load and fully validate the trace stored under `name`, whose header
+    /// must record the requested length `len`. Every rejection reason is
+    /// explicit; callers that only care about hit-or-miss use
+    /// [`TraceDb::load`].
     pub fn load_full(&self, name: &str, len: u64) -> Result<Trace, TraceDbError> {
         if !Self::valid_name(name) {
             return Err(TraceDbError::KeyMismatch);
         }
-        let f = std::fs::File::open(self.path_of(name, len)).map_err(io_err)?;
+        let f = std::fs::File::open(self.path_of(name)).map_err(io_err)?;
         let file_len = f.metadata().map_err(io_err)?.len();
         decode(f, file_len, Some((name, len))).map(|(_, t)| t)
     }
@@ -248,80 +256,42 @@ impl TraceDb {
         self.load_full(name, len).ok().map(Arc::new)
     }
 
-    /// The trace a run of workload `name` reads, held open: the longest
-    /// file stored under `name` whose header checks out (an externally
-    /// captured workload has a fixed length, so the longest serves every
-    /// budget). Reads only `<dir>/<name>/`, headers only. `None` when no
-    /// such file exists.
+    /// The trace a run of workload `name` reads, held open: `<dir>/<name>.trc`
+    /// if its header parses and names `name` (the payload is not read).
+    /// `None` when no such file exists.
     pub fn open(&self, name: &str) -> Option<OpenTrace> {
         if !Self::valid_name(name) {
             return None;
         }
-        self.stored_lens(name).into_iter().rev().find_map(|len| {
-            let (file, h) = self.open_keyed(name, len)?;
-            Some(OpenTrace {
-                name: h.name,
-                len,
-                checksum: h.checksum,
-                file: Mutex::new(file),
-            })
+        let (file, h) = open_named(&self.path_of(name), name)?;
+        Some(OpenTrace {
+            name: h.name,
+            len: h.key_len,
+            checksum: h.checksum,
+            file: Mutex::new(file),
         })
     }
 
-    /// The file of `(name, len)`, opened, with its header, if the header
-    /// parses and names that key (the payload is not read).
-    fn open_keyed(&self, name: &str, len: u64) -> Option<(std::fs::File, Header)> {
-        let mut file = std::fs::File::open(self.path_of(name, len)).ok()?;
-        let h = read_header(&mut file).ok()?;
-        (h.name == name && h.key_len == len).then_some((file, h))
-    }
-
-    /// The lengths of the `<len>.trc` files under `name`, ascending, by
-    /// file name alone (no header is read).
-    fn stored_lens(&self, name: &str) -> Vec<u64> {
-        let Ok(files) = std::fs::read_dir(self.dir.join(name)) else {
-            return Vec::new();
-        };
-        let mut lens: Vec<u64> = files
-            .flatten()
-            .filter_map(|f| {
-                let fname = f.file_name();
-                fname.to_str()?.strip_suffix(".trc")?.parse().ok()
-            })
-            .collect();
-        lens.sort_unstable();
-        lens
-    }
-
-    /// Persist `trace` under `(name, len)` via temp file + atomic rename.
-    /// Returns whether the trace is now durably on disk.
+    /// Persist `trace` as `name`'s one file, recording `len` in its
+    /// header, via temp file + atomic rename: it replaces whatever was
+    /// stored under `name`. Returns whether the trace is now durably on
+    /// disk.
     pub fn save(&self, name: &str, len: u64, trace: &Trace) -> bool {
-        if !Self::valid_name(name) {
-            return false;
-        }
-        let bytes = encode_file(name, len, trace);
-        write_atomic(&self.path_of(name, len), &bytes).is_ok()
+        Self::valid_name(name)
+            && write_atomic(&self.path_of(name), &encode_file(name, len, trace)).is_ok()
     }
 
     /// Copy an already-encoded trace file into the store after full
-    /// validation, optionally renaming it; a v1 file is stored as v2.
-    /// Returns the `(name, len)` key it landed under.
+    /// validation, under `rename` or else the name in its header,
+    /// replacing whatever was stored under that name; a v1 file is stored
+    /// as v2. A name `reserved` matches is refused, and nothing is
+    /// written. Returns the catalog entry of the stored file.
     pub fn import(
         &self,
         file_bytes: &[u8],
         rename: Option<&str>,
-    ) -> Result<(String, u64), TraceDbError> {
-        self.import_unless(file_bytes, rename, |_| false)
-    }
-
-    /// [`TraceDb::import`], refusing (and writing nothing for) a name
-    /// `reserved` matches.
-    pub fn import_unless(
-        &self,
-        file_bytes: &[u8],
-        rename: Option<&str>,
         reserved: impl Fn(&str) -> bool,
-    ) -> Result<(String, u64), TraceDbError> {
+    ) -> Result<TraceMeta, TraceDbError> {
         let (header, trace) = decode(file_bytes, file_bytes.len() as u64, None)?;
         let name = rename.unwrap_or(&header.name).to_string();
         if !Self::valid_name(&name) {
@@ -330,75 +300,92 @@ impl TraceDb {
         if reserved(&name) {
             return Err(TraceDbError::ReservedName(name));
         }
-        if !self.save(&name, header.key_len, &trace) {
-            return Err(TraceDbError::Io("store is not writable".to_string()));
-        }
-        Ok((name, header.key_len))
+        let bytes = encode_file(&name, header.key_len, &trace);
+        write_atomic(&self.path_of(&name), &bytes).map_err(io_err)?;
+        Ok(meta(name, &header, bytes.len() as u64))
     }
 
-    /// Full validation of the trace stored under `(name, len)` (what
-    /// `rcmc trace verify` uses): every check [`TraceDb::load_full`] makes.
-    /// Returns the stored instruction count.
-    pub fn verify(&self, name: &str, len: u64) -> Result<u64, TraceDbError> {
-        self.load_full(name, len).map(|t| t.len() as u64)
-    }
-
-    /// Every `(name, len)` entry in the store with readable headers,
-    /// sorted by name then length. Files whose header does not parse are
-    /// skipped (they are invisible to [`TraceDb::load`] too).
+    /// Every stored trace whose header parses and names its file, sorted
+    /// by name. Other files are skipped (they are invisible to
+    /// [`TraceDb::open`] too).
     pub fn list(&self) -> Vec<TraceMeta> {
-        let mut out = Vec::new();
-        let Ok(names) = std::fs::read_dir(&self.dir) else {
-            return out;
+        let Ok(entries) = std::fs::read_dir(&self.dir) else {
+            return Vec::new();
         };
-        for entry in names.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if !Self::valid_name(&name) || !entry.path().is_dir() {
-                continue;
-            }
-            for len in self.stored_lens(&name) {
-                let Some((file, h)) = self.open_keyed(&name, len) else {
-                    continue;
-                };
-                let Ok(meta) = file.metadata() else {
-                    continue;
-                };
-                out.push(TraceMeta {
-                    name: name.clone(),
-                    len,
-                    insns: h.insn_count,
-                    bytes: meta.len(),
-                    trace_version: h.trace_version,
-                    halted: h.halted,
-                    checksum: h.checksum,
-                });
-            }
-        }
-        out.sort_by(|a, b| (&a.name, a.len).cmp(&(&b.name, b.len)));
+        let mut out: Vec<TraceMeta> = entries
+            .flatten()
+            .filter_map(|entry| {
+                let fname = entry.file_name();
+                let name = fname.to_str()?.strip_suffix(".trc")?;
+                if !Self::valid_name(name) {
+                    return None;
+                }
+                let (file, h) = open_named(&entry.path(), name)?;
+                Some(meta(name.to_string(), &h, file.metadata().ok()?.len()))
+            })
+            .collect();
+        out.sort_by(|a, b| a.name.cmp(&b.name));
         out
     }
 
-    /// Remove stored traces: every length of `name`, or just `(name,
-    /// len)`. Returns how many files were deleted. A trace already held
-    /// open ([`TraceDb::open`]) stays readable through its handle.
-    pub fn remove(&self, name: &str, len: Option<u64>) -> usize {
-        if !Self::valid_name(name) {
-            return 0;
-        }
-        let lens = match len {
-            Some(l) => vec![l],
-            None => self.stored_lens(name),
-        };
-        let mut removed = 0;
-        for l in lens {
-            if std::fs::remove_file(self.path_of(name, l)).is_ok() {
-                removed += 1;
-            }
-        }
-        // Best-effort: drop the per-name directory once it is empty.
-        let _ = std::fs::remove_dir(self.dir.join(name));
-        removed
+    /// Delete the trace stored under `name`. Returns whether a file was
+    /// deleted. A trace already held open ([`TraceDb::open`]) stays
+    /// readable through its handle.
+    pub fn remove(&self, name: &str) -> bool {
+        Self::valid_name(name) && std::fs::remove_file(self.path_of(name)).is_ok()
     }
+
+    /// The old-layout migration of [`TraceDb::at`].
+    fn migrate(&self) {
+        let Ok(entries) = std::fs::read_dir(&self.dir) else {
+            return;
+        };
+        for entry in entries.flatten() {
+            let (old, name) = (entry.path(), entry.file_name());
+            let name = name.to_string_lossy();
+            let Ok(files) = std::fs::read_dir(&old) else {
+                continue; // not a directory
+            };
+            let mut lens: Vec<u64> = files
+                .flatten()
+                .filter_map(|f| f.file_name().to_str()?.strip_suffix(".trc")?.parse().ok())
+                .collect();
+            if lens.is_empty() || !Self::valid_name(&name) {
+                continue;
+            }
+            let target = self.path_of(&name);
+            lens.sort_unstable_by(|a, b| b.cmp(a)); // longest first
+            let resolved = lens
+                .into_iter()
+                .map(|len| (len, old.join(format!("{len}.trc"))))
+                .find(|(len, p)| open_named(p, &name).is_some_and(|(_, h)| h.key_len == *len));
+            if let Some((_, file)) = resolved.filter(|_| !target.exists()) {
+                let _ = std::fs::rename(file, &target);
+            }
+            let _ = std::fs::remove_dir_all(&old);
+        }
+    }
+}
+
+/// The catalog entry of a file stored as `name` with header `h`.
+fn meta(name: String, h: &Header, bytes: u64) -> TraceMeta {
+    TraceMeta {
+        name,
+        len: h.key_len,
+        insns: h.insn_count,
+        bytes,
+        trace_version: h.trace_version,
+        halted: h.halted,
+        checksum: h.checksum,
+    }
+}
+
+/// The file at `path`, opened, with its header, if the header parses and
+/// names `name` (the payload is not read).
+fn open_named(path: &Path, name: &str) -> Option<(std::fs::File, Header)> {
+    let mut file = std::fs::File::open(path).ok()?;
+    let h = read_header(&mut file).ok()?;
+    (h.name == name).then_some((file, h))
 }
 
 /// One stored trace file, held open from [`TraceDb::open`] on. On Unix an
@@ -896,11 +883,9 @@ mod tests {
         assert_eq!(from_v1, t);
         // The on-disk streaming path falls through too.
         let db = temp_db("v1fall");
-        let p = db.dir().join("x").join("99.trc");
-        std::fs::create_dir_all(p.parent().unwrap()).unwrap();
-        std::fs::write(&p, &v1).unwrap();
+        std::fs::create_dir_all(db.dir()).unwrap();
+        std::fs::write(db.dir().join("x.trc"), &v1).unwrap();
         assert_eq!(*db.load("x", 99).unwrap(), t);
-        assert_eq!(db.verify("x", 99).unwrap(), t.len() as u64);
         let _ = std::fs::remove_dir_all(db.dir());
     }
 
@@ -947,8 +932,11 @@ mod tests {
         assert!(db.save("bench-a", 1000, &t));
         let got = db.load("bench-a", 1000).expect("stored trace must load");
         assert_eq!(*got, t);
-        assert!(db.contains("bench-a", 1000));
-        assert!(!db.contains("bench-a", 1001));
+        assert_eq!(
+            db.load_full("bench-a", 1001).unwrap_err(),
+            TraceDbError::KeyMismatch,
+            "the header's length is checked"
+        );
         let _ = std::fs::remove_dir_all(db.dir());
     }
 
@@ -989,13 +977,13 @@ mod tests {
                 .iter()
                 .map(|m| (m.name.as_str(), m.len))
                 .collect::<Vec<_>>(),
-            vec![("aaa", 10), ("aaa", 20), ("bbb", 10)]
+            vec![("aaa", 20), ("bbb", 10)],
+            "one file per name: the last save of `aaa` replaced the first"
         );
         assert_eq!(metas[0].insns, 3);
-        assert_eq!(db.open("aaa").map(|t| t.len), Some(20), "longest wins");
-        assert_eq!(db.remove("aaa", Some(20)), 1);
-        assert_eq!(db.remove("aaa", None), 1);
-        assert_eq!(db.remove("aaa", None), 0);
+        assert_eq!(db.open("aaa").map(|t| t.len), Some(20));
+        assert!(db.remove("aaa"));
+        assert!(!db.remove("aaa"));
         assert_eq!(db.list().len(), 1);
         let _ = std::fs::remove_dir_all(db.dir());
     }
@@ -1005,15 +993,19 @@ mod tests {
         let db = temp_db("imp");
         let t = sample_trace();
         let bytes = encode_file("orig", 42, &t);
-        let (name, len) = db.import(&bytes, Some("renamed")).unwrap();
-        assert_eq!((name.as_str(), len), ("renamed", 42));
+        let meta = db.import(&bytes, Some("renamed"), |_| false).unwrap();
+        assert_eq!(
+            (meta.name.as_str(), meta.len, meta.insns),
+            ("renamed", 42, 3)
+        );
+        assert_eq!(db.list(), vec![meta]);
         assert_eq!(*db.load("renamed", 42).unwrap(), t);
         // A corrupted file must be rejected outright.
         let mut bad = bytes.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
         assert_eq!(
-            db.import(&bad, None).unwrap_err(),
+            db.import(&bad, None, |_| false).unwrap_err(),
             TraceDbError::ChecksumMismatch
         );
         let _ = std::fs::remove_dir_all(db.dir());
@@ -1028,15 +1020,13 @@ mod tests {
         for rename in [None, Some("taken")] {
             let want = rename.unwrap_or("kept").to_string();
             assert_eq!(
-                db.import_unless(&bytes, rename, reserved).unwrap_err(),
+                db.import(&bytes, rename, reserved).unwrap_err(),
                 TraceDbError::ReservedName(want)
             );
         }
         assert!(db.list().is_empty(), "a refused import writes nothing");
-        assert_eq!(
-            db.import_unless(&bytes, Some("free"), reserved).unwrap(),
-            ("free".to_string(), 42)
-        );
+        let meta = db.import(&bytes, Some("free"), reserved).unwrap();
+        assert_eq!((meta.name.as_str(), meta.len), ("free", 42));
         let _ = std::fs::remove_dir_all(db.dir());
     }
 }

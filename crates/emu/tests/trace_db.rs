@@ -41,9 +41,9 @@ fn sample(iters: i32) -> Trace {
     trace_program(&looped_program(iters), 100_000).expect("test program emulates")
 }
 
-/// Byte offset of the `len`-keyed trace file, for surgical corruption.
-fn file_of(dir: &Path, name: &str, len: u64) -> PathBuf {
-    dir.join(name).join(format!("{len}.trc"))
+/// The one file of `name`, for surgical corruption.
+fn file_of(dir: &Path, name: &str) -> PathBuf {
+    dir.join(format!("{name}.trc"))
 }
 
 #[test]
@@ -53,7 +53,6 @@ fn round_trip_through_the_filesystem() {
     assert!(db.save("loop", 7777, &t));
     let back = db.load_full("loop", 7777).expect("fresh save loads");
     assert_eq!(back, t);
-    assert_eq!(db.verify("loop", 7777).unwrap(), t.len() as u64);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -62,13 +61,12 @@ fn corrupt_header_is_ignored() {
     let (db, dir) = temp_db("badmagic");
     let t = sample(10);
     assert!(db.save("w", 100, &t));
-    let p = file_of(&dir, "w", 100);
+    let p = file_of(&dir, "w");
     let mut bytes = std::fs::read(&p).unwrap();
     bytes[3] ^= 0xff; // magic
     std::fs::write(&p, &bytes).unwrap();
     assert_eq!(db.load_full("w", 100).unwrap_err(), TraceDbError::BadMagic);
     assert!(db.load("w", 100).is_none(), "corrupt file must miss");
-    assert!(db.verify("w", 100).is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -81,7 +79,7 @@ fn wrong_versions_are_ignored() {
         (12usize, TraceDbError::WrongTraceVersion(99)),
     ] {
         assert!(db.save("w", 100, &t));
-        let p = file_of(&dir, "w", 100);
+        let p = file_of(&dir, "w");
         let mut bytes = std::fs::read(&p).unwrap();
         bytes[off] = 99; // low byte of the little-endian version word
         std::fs::write(&p, &bytes).unwrap();
@@ -96,7 +94,7 @@ fn truncated_payload_is_ignored() {
     let (db, dir) = temp_db("trunc");
     let t = sample(10);
     assert!(db.save("w", 100, &t));
-    let p = file_of(&dir, "w", 100);
+    let p = file_of(&dir, "w");
     let full = std::fs::read(&p).unwrap();
     // Chop mid-payload, mid-record, and into the header.
     for keep in [full.len() - 32, full.len() - 7, 40] {
@@ -116,7 +114,7 @@ fn payload_bitflip_fails_the_checksum() {
     let (db, dir) = temp_db("cksum");
     let t = sample(10);
     assert!(db.save("w", 100, &t));
-    let p = file_of(&dir, "w", 100);
+    let p = file_of(&dir, "w");
     let mut bytes = std::fs::read(&p).unwrap();
     // Flip a bit in a record's reserved word: the decoder ignores those
     // bytes, so only the checksum stands between this file and a bogus
@@ -137,11 +135,9 @@ fn mismatched_key_is_ignored() {
     let (db, dir) = temp_db("key");
     let t = sample(10);
     assert!(db.save("w", 100, &t));
-    // Copy the file under a different name and length: both must miss.
-    let src = file_of(&dir, "w", 100);
-    std::fs::create_dir_all(dir.join("stolen")).unwrap();
-    std::fs::copy(&src, file_of(&dir, "stolen", 100)).unwrap();
-    std::fs::copy(&src, file_of(&dir, "w", 200)).unwrap();
+    // Copy the file under a different name, and ask for another length:
+    // both must miss.
+    std::fs::copy(file_of(&dir, "w"), file_of(&dir, "stolen")).unwrap();
     assert_eq!(
         db.load_full("stolen", 100).unwrap_err(),
         TraceDbError::KeyMismatch
@@ -184,7 +180,7 @@ fn concurrent_writers_leave_one_valid_file() {
     );
     assert_eq!(db.list().len(), 1);
     // No temp droppings left behind.
-    let leftovers: Vec<_> = std::fs::read_dir(dir.join("hot"))
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()
         .flatten()
         .filter(|e| !e.file_name().to_string_lossy().ends_with(".trc"))
@@ -221,15 +217,15 @@ fn v1_of(v2: &[u8], name: &str) -> Vec<u8> {
 }
 
 /// One file, one verdict: whichever reader meets a damaged image —
-/// `load_full`, `verify` or `import` — rejects it for the same reason, and
-/// good v1 and v2 images load, verify and import to the same trace.
+/// `load_full` or `import` — rejects it for the same reason, and good v1
+/// and v2 images load and import to the same trace.
 #[test]
 fn every_reader_gives_one_file_the_same_verdict() {
     let (db, dir) = temp_db("verdict");
     let (import_db, import_dir) = temp_db("verdict-import");
     let t = sample(10);
     assert!(db.save("w", 100, &t));
-    let p = file_of(&dir, "w", 100);
+    let p = file_of(&dir, "w");
     let v2 = std::fs::read(&p).unwrap();
     let v1 = v1_of(&v2, "w");
     let off = payload_off("w");
@@ -302,9 +298,8 @@ fn every_reader_gives_one_file_the_same_verdict() {
             "{what}: load_full"
         );
         assert!(db.load("w", 100).is_none(), "{what}: load");
-        assert_eq!(db.verify("w", 100).unwrap_err(), *want, "{what}: verify");
         assert_eq!(
-            import_db.import(image, None).unwrap_err(),
+            import_db.import(image, None, |_| false).unwrap_err(),
             *want,
             "{what}: import"
         );
@@ -316,15 +311,12 @@ fn every_reader_gives_one_file_the_same_verdict() {
 
     // A good file under the wrong key: only keyed readers can tell.
     std::fs::write(&p, &v2).unwrap();
-    std::fs::create_dir_all(dir.join("stolen")).unwrap();
-    std::fs::copy(&p, file_of(&dir, "stolen", 100)).unwrap();
-    std::fs::copy(&p, file_of(&dir, "w", 200)).unwrap();
+    std::fs::copy(&p, file_of(&dir, "stolen")).unwrap();
     for (name, len) in [("stolen", 100), ("w", 200)] {
         assert_eq!(
             db.load_full(name, len).unwrap_err(),
             TraceDbError::KeyMismatch
         );
-        assert_eq!(db.verify(name, len).unwrap_err(), TraceDbError::KeyMismatch);
     }
 
     // Good images of both layouts: same trace through every reader, and
@@ -333,14 +325,11 @@ fn every_reader_gives_one_file_the_same_verdict() {
         std::fs::write(&p, image).unwrap();
         let back = db.load_full("w", 100).unwrap();
         assert_eq!(back, t, "{what}: load_full");
-        assert_eq!(db.verify("w", 100).unwrap(), t.len() as u64, "{what}");
-        assert_eq!(
-            import_db.import(image, None).unwrap(),
-            ("w".to_string(), 100)
-        );
+        let meta = import_db.import(image, None, |_| false).unwrap();
+        assert_eq!((meta.name.as_str(), meta.len), ("w", 100), "{what}");
         let imported = import_db.load_full("w", 100).unwrap();
         assert_eq!(imported, t, "{what}: import");
-        assert_eq!(std::fs::read(file_of(&import_dir, "w", 100)).unwrap(), v2);
+        assert_eq!(std::fs::read(file_of(&import_dir, "w")).unwrap(), v2);
     }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&import_dir);
@@ -437,20 +426,20 @@ fn hostile_imports_decode_to_the_same_stream() {
         let (src, src_dir) = temp_db("hostile-src");
         let (db, dir) = temp_db("hostile");
         assert!(src.save("ext", 64, &t), "{what}");
-        let image = std::fs::read(file_of(&src_dir, "ext", 64)).unwrap();
-        assert_eq!(db.import(&image, None).unwrap(), ("ext".to_string(), 64));
+        let image = std::fs::read(file_of(&src_dir, "ext")).unwrap();
+        let meta = db.import(&image, None, |_| false).unwrap();
+        assert_eq!((meta.name.as_str(), meta.len), ("ext", 64), "{what}");
         let want: Vec<DynInsn> = t.iter().collect();
         let back = db.load_full("ext", 64).unwrap();
         assert_eq!(back.iter().collect::<Vec<_>>(), want, "{what}: load_full");
         assert_eq!(back, t, "{what}");
         assert_eq!(*db.load("ext", 64).unwrap(), t, "{what}: load");
-        assert_eq!(db.verify("ext", 64).unwrap(), t.len() as u64, "{what}");
         // Distinct (pc, insn) pairs stay distinct after interning.
         assert_eq!(back.statics.len(), t.statics.len(), "{what}");
         // Re-encoding the decoded trace gives the same file, checksum
         // included.
         assert_eq!(
-            std::fs::read(file_of(&dir, "ext", 64)).unwrap(),
+            std::fs::read(file_of(&dir, "ext")).unwrap(),
             image,
             "{what}"
         );
@@ -473,7 +462,7 @@ fn hostile_imports_decode_to_the_same_stream() {
             ),
             (image[..image.len() - 3].to_vec(), TraceDbError::Truncated),
         ];
-        let p = file_of(&dir, "ext", 64);
+        let p = file_of(&dir, "ext");
         let (bad_db, bad_dir) = temp_db("hostile-bad");
         for (k, (bad, want)) in cases.iter().enumerate() {
             std::fs::write(&p, bad).unwrap();
@@ -484,12 +473,7 @@ fn hostile_imports_decode_to_the_same_stream() {
             );
             assert!(db.load("ext", 64).is_none(), "{what} #{k}: load");
             assert_eq!(
-                db.verify("ext", 64).unwrap_err(),
-                *want,
-                "{what} #{k}: verify"
-            );
-            assert_eq!(
-                bad_db.import(bad, None).unwrap_err(),
+                bad_db.import(bad, None, |_| false).unwrap_err(),
                 *want,
                 "{what} #{k}: import"
             );
@@ -501,5 +485,96 @@ fn hostile_imports_decode_to_the_same_stream() {
         for d in [src_dir, dir, bad_dir] {
             let _ = std::fs::remove_dir_all(d);
         }
+    }
+}
+
+/// A name means one file: a later save under the same name replaces the
+/// earlier one, whatever the lengths recorded in their headers.
+#[test]
+fn the_last_write_of_a_name_wins() {
+    let (db, dir) = temp_db("lastwins");
+    let of_len = |len: u64| trace_program(&looped_program(100), len as usize).unwrap();
+    assert!(db.save("w", 200, &of_len(200)));
+    assert!(db.save("w", 100, &of_len(100)));
+    let open = db.open("w").expect("w is stored");
+    assert_eq!(open.load().unwrap(), of_len(100));
+    let metas = db.list();
+    assert_eq!(
+        metas
+            .iter()
+            .map(|m| (m.name.as_str(), m.len))
+            .collect::<Vec<_>>(),
+        [("w", 100)]
+    );
+    assert_eq!(
+        db.load_full("w", 200).unwrap_err(),
+        TraceDbError::KeyMismatch
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file under `dir` (recursively), by path relative to it, with its
+/// bytes, sorted.
+fn snapshot(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut todo = vec![dir.to_path_buf()];
+    while let Some(d) = todo.pop() {
+        for e in std::fs::read_dir(&d).unwrap().flatten() {
+            if e.path().is_dir() {
+                todo.push(e.path());
+            } else {
+                let rel = e.path().strip_prefix(dir).unwrap().to_path_buf();
+                out.push((rel, std::fs::read(e.path()).unwrap()));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// A store in the old `<name>/<len>.trc` layout is migrated when it is
+/// opened: each name keeps, as `<name>.trc`, the file a run of it read
+/// before (the longest length whose header names that key), an existing
+/// `<name>.trc` is kept instead, and no old directory remains. Opening the
+/// store again changes nothing; opening a missing store creates nothing.
+#[test]
+fn an_old_layout_store_migrates_once_when_opened() {
+    let (side, side_dir) = temp_db("migrate-side");
+    let image = |name: &str, len: u64, iters: i32| {
+        assert!(side.save(name, len, &sample(iters)));
+        std::fs::read(file_of(&side_dir, name)).unwrap()
+    };
+    let old = [
+        ("w/100.trc", image("w", 100, 10)),
+        ("w/200.trc", image("w", 200, 20)),
+        // Longest, but its header names another key: no run read it.
+        ("w/300.trc", image("elsewhere", 300, 30)),
+        ("v/50.trc", image("v", 50, 5)),
+        ("v.trc", image("v", 60, 6)),
+    ];
+    let (_, dir) = temp_db("migrate");
+    for (path, bytes) in &old {
+        let p = dir.join(path);
+        std::fs::create_dir_all(p.parent().unwrap()).unwrap();
+        std::fs::write(&p, bytes).unwrap();
+    }
+
+    let db = TraceDb::at(dir.clone());
+    let want = vec![
+        (PathBuf::from("v.trc"), old[4].1.clone()),
+        (PathBuf::from("w.trc"), old[1].1.clone()),
+    ];
+    assert_eq!(snapshot(&dir), want, "w.trc is the old w/200.trc");
+    assert_eq!(*db.load("w", 200).unwrap(), sample(20));
+    assert_eq!(*db.load("v", 60).unwrap(), sample(6));
+
+    let _ = TraceDb::at(dir.clone());
+    assert_eq!(snapshot(&dir), want, "a second open changes nothing");
+
+    let missing = dir.join("missing");
+    let _ = TraceDb::at(missing.clone());
+    assert!(!missing.exists(), "opening a missing store creates it");
+    for d in [dir, side_dir] {
+        let _ = std::fs::remove_dir_all(d);
     }
 }

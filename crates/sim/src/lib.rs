@@ -55,6 +55,6 @@ pub use resultset::{GroupValues, Metric, ResultSet};
 pub use runner::{
     default_jobs, run_pair, Budget, JobKey, ResultStore, RunResult, SweepProgress, Workload,
 };
-pub use scheduler::{Scheduler, SchedulerStats};
+pub use scheduler::{JobFailure, Scheduler, SchedulerStats};
 pub use serve::{ServeOpts, ServeSummary, DEFAULT_QUEUE_LIMIT};
 pub use session::Session;

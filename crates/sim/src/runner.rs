@@ -17,10 +17,12 @@
 //!
 //! Which instructions a workload name means is decided once per request,
 //! by [`Workload::resolve`], before anything is submitted: a suite
-//! benchmark, or the imported trace file [`TraceDb::open`] picks, held
-//! open. Keys, jobs and the store read that [`Workload`] and never search
-//! the trace store again, so a request runs the traces it resolved even
-//! if they are removed or re-imported later.
+//! benchmark, or the name's one imported trace file ([`TraceDb::open`]),
+//! held open. Keys, jobs and the store read that [`Workload`] and never
+//! search the trace store again, so a request runs the traces it resolved
+//! even if they are removed or re-imported later.
+//! A damaged imported file still resolves (only its header is read), and
+//! fails each job that decodes it: [`run_pair`] returns the error.
 //!
 //! A row's one identity is what was simulated, never what it is called:
 //! a [`JobKey`] hashes the resolved configuration ([`store_name`]), the
@@ -123,8 +125,8 @@ impl Budget {
     /// Dynamic instructions a materialized trace needs for a run with this
     /// budget: warmup + measure, plus [`rcmc_core::RUN_AHEAD`] for what
     /// fetch reads ahead of commit and commit overshoots the budget (every
-    /// configuration that validates fits it). The length is part of the
-    /// trace-store key.
+    /// configuration that validates fits it). `rcmc trace record` records
+    /// this many by default.
     pub fn trace_len(&self) -> u64 {
         self.warmup + self.measure + rcmc_core::RUN_AHEAD
     }
@@ -249,12 +251,12 @@ enum Source {
 }
 
 impl Workload {
-    /// Resolve `name`: a suite benchmark, else the imported trace `db`
-    /// holds under that name ([`TraceDb::open`]: the longest length
-    /// stored, whatever the budget — an externally captured workload has a
-    /// fixed length, and a shorter trace ends the run early, exactly like
-    /// a program that halts). Plans and `rcmc run` reject an unknown name
-    /// with this message before anything simulates.
+    /// Resolve `name`: a suite benchmark, else the one imported trace `db`
+    /// holds under that name ([`TraceDb::open`]), whatever the budget — an
+    /// externally captured workload has a fixed length, and a shorter
+    /// trace ends the run early, exactly like a program that halts. Plans
+    /// and `rcmc run` reject an unknown name with this message before
+    /// anything simulates.
     pub fn resolve(name: &str, db: Option<&TraceDb>) -> Result<Workload, String> {
         if let Some(b) = benchmark(name) {
             return Ok(Workload(Source::Suite(b)));
@@ -289,25 +291,21 @@ impl Workload {
     /// Materialize the oracle trace: a suite benchmark emulated to `len`
     /// instructions, or the whole imported trace file, decoded as a job
     /// decodes it. Nothing is cached: every call emulates or decodes
-    /// afresh. Panics if an imported file went bad since it was resolved
-    /// (only a writer outside this program can do that: every write here
-    /// renames a new file into place).
-    pub fn trace(&self, len: u64) -> Trace {
+    /// afresh. An imported file whose payload does not decode is an error
+    /// naming the trace.
+    pub fn trace(&self, len: u64) -> Result<Trace, String> {
         match &self.0 {
             Source::Suite(b) => {
                 EMULATED.fetch_add(1, Ordering::Relaxed);
                 trace_built(|| b.build(), len as usize)
-                    .unwrap_or_else(|e| panic!("{} failed to emulate: {e}", b.name))
+                    .map_err(|e| format!("{} failed to emulate: {e}", b.name))
             }
             Source::Imported(t) => {
-                let trace = t.load().unwrap_or_else(|e| {
-                    panic!(
-                        "imported trace '{}' went bad after it was resolved: {e}",
-                        t.name()
-                    )
-                });
+                let trace = t
+                    .load()
+                    .map_err(|e| format!("imported trace '{}': {e}", t.name()))?;
                 LOADED.fetch_add(1, Ordering::Relaxed);
-                trace
+                Ok(trace)
             }
         }
     }
@@ -325,11 +323,12 @@ pub fn cached_trace(bench: &str, len: u64) -> Arc<Trace> {
 /// (emulating beats decoding, `BENCH_trace.json`) and never reads or
 /// writes `db`.
 ///
-/// Panics if `bench` is neither a suite benchmark nor a stored trace;
-/// callers reject such names first with [`Workload::resolve`].
+/// Panics if `bench` is neither a suite benchmark nor a stored trace, or
+/// its trace does not decode; callers reject unknown names first with
+/// [`Workload::resolve`].
 pub fn cached_trace_via(bench: &str, len: u64, db: Option<&TraceDb>) -> Arc<Trace> {
     let workload = Workload::resolve(bench, db).unwrap_or_else(|e| panic!("{e}"));
-    Arc::new(workload.trace(len))
+    Arc::new(workload.trace(len).unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// 64-bit FNV-1a, the hash behind every content identity and row
@@ -654,21 +653,26 @@ impl std::fmt::Display for JobKey {
 
 /// Simulate one (configuration × workload) pair and return the raw
 /// counters (no memoization, no reduction). A suite benchmark is emulated
-/// as the core fetches; an imported trace is decoded and replayed.
-fn simulate_stats(cfg: &SimConfig, workload: &Workload, budget: &Budget) -> rcmc_core::Stats {
+/// as the core fetches; an imported trace is decoded and replayed, or its
+/// decode error returned.
+fn simulate_stats(
+    cfg: &SimConfig,
+    workload: &Workload,
+    budget: &Budget,
+) -> Result<rcmc_core::Stats, String> {
     let window = |mut core: Core<'_>| core.run_with_warmup(budget.warmup, budget.measure);
     let (core_cfg, mem, pred) = (cfg.core.clone(), cfg.mem, cfg.pred);
-    match &workload.0 {
+    Ok(match &workload.0 {
         Source::Suite(b) => {
             EMULATED.fetch_add(1, Ordering::Relaxed);
             let source = TraceSource::emulate(b.name, &b.build());
             window(Core::streaming(core_cfg, mem, pred, source))
         }
         Source::Imported(_) => {
-            let trace = workload.trace(budget.trace_len());
+            let trace = workload.trace(budget.trace_len())?;
             window(Core::new(core_cfg, mem, pred, &trace))
         }
-    }
+    })
 }
 
 /// The post-run metric reduction: fold raw [`rcmc_core::Stats`] (including
@@ -709,21 +713,22 @@ pub(crate) fn labelled(r: &RunResult, config: &str, bench: &str) -> RunResult {
 
 /// Simulate one (configuration × workload) pair, memoized: a store hit
 /// loads no trace. The job runs exactly the workload it is keyed by, and
-/// the row is filed under that key.
+/// the row is filed under that key. An imported trace that does not
+/// decode fails the job with the error, and no row is saved.
 pub fn run_pair(
     cfg: &SimConfig,
     workload: &Workload,
     budget: &Budget,
     store: &ResultStore,
-) -> RunResult {
+) -> Result<RunResult, String> {
     let key = JobKey::of(cfg, workload, budget);
     if let Some(hit) = store.load_key(&key) {
-        return labelled(&hit, &cfg.name, workload.name());
+        return Ok(labelled(&hit, &cfg.name, workload.name()));
     }
-    let stats = simulate_stats(cfg, workload, budget);
+    let stats = simulate_stats(cfg, workload, budget)?;
     let result = reduce_metrics(cfg, workload.name(), &stats);
     store.save_key(&key, &result);
-    result
+    Ok(result)
 }
 
 /// All 26 suite names.
@@ -752,7 +757,7 @@ mod tests {
     fn run_pair_produces_sane_metrics() {
         let cfg = make(Topology::Ring, 4, 2, 1);
         let store = ResultStore::ephemeral();
-        let r = run_pair(&cfg, &suite("swim"), &tiny_budget(), &store);
+        let r = run_pair(&cfg, &suite("swim"), &tiny_budget(), &store).unwrap();
         // Commit width can overshoot each window boundary by up to 7.
         assert!(
             (r.committed as i64 - 8_000).unsigned_abs() < 16,
@@ -770,8 +775,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rcmc-test-{}", std::process::id()));
         let store = ResultStore::at(dir.clone());
         let cfg = make(Topology::Conv, 4, 2, 1);
-        let r1 = run_pair(&cfg, &suite("gzip"), &tiny_budget(), &store);
-        let r2 = run_pair(&cfg, &suite("gzip"), &tiny_budget(), &store);
+        let r1 = run_pair(&cfg, &suite("gzip"), &tiny_budget(), &store).unwrap();
+        let r2 = run_pair(&cfg, &suite("gzip"), &tiny_budget(), &store).unwrap();
         assert_eq!(r1, r2);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -783,7 +788,7 @@ mod tests {
         let cfg = make(Topology::Conv, 4, 2, 1);
         let id = store_name(&cfg);
         let budget = tiny_budget();
-        let r = run_pair(&cfg, &suite("swim"), &budget, &ResultStore::ephemeral());
+        let r = run_pair(&cfg, &suite("swim"), &budget, &ResultStore::ephemeral()).unwrap();
         assert!(
             store.save(&id, "swim", &budget, &r),
             "save to a writable dir must persist"
@@ -813,8 +818,8 @@ mod tests {
         let budget = tiny_budget();
         let a = make(Topology::Ring, 4, 2, 1);
         let b = make(Topology::Conv, 4, 2, 1);
-        let ra = run_pair(&a, &suite("gzip"), &budget, &store);
-        let rb = run_pair(&b, &suite("gzip"), &budget, &store);
+        let ra = run_pair(&a, &suite("gzip"), &budget, &store).unwrap();
+        let rb = run_pair(&b, &suite("gzip"), &budget, &store).unwrap();
         // One subdirectory per configuration, no flat files at the root.
         for cfg in [&a, &b] {
             assert!(
@@ -843,7 +848,7 @@ mod tests {
         let budget = tiny_budget();
         let ring = make(Topology::Ring, 4, 2, 1);
         let fresh = |cfg: &SimConfig, bench| {
-            run_pair(cfg, &suite(bench), &budget, &ResultStore::ephemeral())
+            run_pair(cfg, &suite(bench), &budget, &ResultStore::ephemeral()).unwrap()
         };
         // A row file that passes every check, holding `r`.
         let valid_file = |key: &JobKey, r: &RunResult| {
@@ -911,7 +916,7 @@ mod tests {
             assert_eq!(store.load_key(&key), None, "{what}: must miss");
             let want = fresh(cfg, bench);
             assert_eq!(
-                run_pair(cfg, &suite(bench), &budget, &store),
+                run_pair(cfg, &suite(bench), &budget, &store).unwrap(),
                 want,
                 "{what}"
             );
@@ -942,7 +947,7 @@ mod tests {
         let budget = tiny_budget();
         let cfg = make(Topology::Ring, 4, 2, 1);
         let key = JobKey::of(&cfg, &suite("mcf"), &budget);
-        let fresh = run_pair(&cfg, &suite("mcf"), &budget, &ResultStore::ephemeral());
+        let fresh = run_pair(&cfg, &suite("mcf"), &budget, &ResultStore::ephemeral()).unwrap();
         let mut poisoned = fresh.clone();
         poisoned.ipc = 999.0;
         let side = ResultStore::at(dir.join("side"));
@@ -952,7 +957,10 @@ mod tests {
         std::fs::copy(&sharded, &flat).unwrap();
         assert_eq!(store.load_key(&key), None);
         assert!(flat.is_file(), "a miss must not touch the flat file");
-        assert_eq!(run_pair(&cfg, &suite("mcf"), &budget, &store), fresh);
+        assert_eq!(
+            run_pair(&cfg, &suite("mcf"), &budget, &store).unwrap(),
+            fresh
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -971,11 +979,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rcmc-thr-{}", std::process::id()));
         let store = ResultStore::at(dir.clone());
         let budget = tiny_budget();
-        let fresh = run_pair(&xbar, &suite("gzip"), &budget, &ResultStore::ephemeral());
-        let mut stale = run_pair(&xbar16, &suite("gzip"), &budget, &ResultStore::ephemeral());
+        let fresh = run_pair(&xbar, &suite("gzip"), &budget, &ResultStore::ephemeral()).unwrap();
+        let mut stale =
+            run_pair(&xbar16, &suite("gzip"), &budget, &ResultStore::ephemeral()).unwrap();
         stale.ipc = 999.0;
         assert!(store.save_key(&JobKey::of(&xbar16, &suite("gzip"), &budget), &stale));
-        let got = run_pair(&xbar, &suite("gzip"), &budget, &store);
+        let got = run_pair(&xbar, &suite("gzip"), &budget, &store).unwrap();
         assert_eq!(got, fresh, "stale pre-recalibration row leaked in");
         // And the fresh row is now memoized under the new config's key.
         assert_eq!(
@@ -997,7 +1006,8 @@ mod tests {
             for steering in ALL_STEERINGS {
                 let cfg = make_pair(topology, steering, 8, 2, 1);
                 for bench in ["gzip", "mcf", "fma3d"] {
-                    let r = run_pair(&cfg, &suite(bench), &budget, &ResultStore::ephemeral());
+                    let r =
+                        run_pair(&cfg, &suite(bench), &budget, &ResultStore::ephemeral()).unwrap();
                     let row = labelled(&r, "", "").to_value().to_compact_string();
                     h = fnv(h, row.as_bytes());
                 }
@@ -1028,8 +1038,8 @@ mod tests {
     fn runs_are_deterministic() {
         let cfg = make(Topology::Ring, 8, 1, 1);
         let store = ResultStore::ephemeral();
-        let a = run_pair(&cfg, &suite("mcf"), &tiny_budget(), &store);
-        let b = run_pair(&cfg, &suite("mcf"), &tiny_budget(), &store);
+        let a = run_pair(&cfg, &suite("mcf"), &tiny_budget(), &store).unwrap();
+        let b = run_pair(&cfg, &suite("mcf"), &tiny_budget(), &store).unwrap();
         assert_eq!(a, b);
     }
 

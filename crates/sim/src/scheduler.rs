@@ -25,13 +25,19 @@
 //!   atomically (nothing partially enqueued) with [`Submission::Busy`],
 //!   so one over-deep client cannot balloon the process. A session run
 //!   uses no bound.
+//! * **Failure isolation** — a job whose imported trace does not decode
+//!   saves no row and counts as failed. Every request subscribed to it
+//!   ends through the cancellation path (its queued jobs dropped), and its
+//!   sink's one terminal event carries the failed configuration, bench and
+//!   error ([`JobFailure`]). Other requests and the workers carry on.
 //!
 //! A request's fresh jobs queue bench-major, in submission order.
 //!
 //! Each request carries a typed [`Sink`]: it receives a [`SweepProgress`]
 //! per delivered job, then the finished [`ResultSet`] with its [`Tally`]
-//! (or a cancellation). The scheduler knows no wire format; `serve` turns
-//! sink calls into JSON events, `Session::run` into its return value.
+//! (or a cancellation or failure). The scheduler knows no wire format;
+//! `serve` turns sink calls into JSON events, `Session::run` into its
+//! return value.
 //!
 //! The scheduler owns no threads: the session runs [`Scheduler::worker`]
 //! loops on scoped std threads (as many as its `--jobs` count) and
@@ -65,8 +71,26 @@ pub trait Sink: Send + Sync {
     /// Every row is in: the assembled result set and its tallies. Called
     /// at most once, after the last `progress`.
     fn done(&self, rs: ResultSet, tally: Tally) -> bool;
-    /// The request was cancelled before completing; nothing follows.
-    fn cancelled(&self) -> bool;
+    /// The request ended before completing: cancelled (`None`), or failed
+    /// because one of its jobs did (`Some`). Nothing follows.
+    fn cancelled(&self, failure: Option<&JobFailure>) -> bool;
+}
+
+/// A job that failed, as one request subscribed to it sees it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct JobFailure {
+    /// The request's configuration label of the job.
+    pub config: String,
+    /// The request's benchmark label of the job.
+    pub bench: String,
+    /// Why the job failed (names the trace that did not decode).
+    pub error: String,
+}
+
+impl std::fmt::Display for JobFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} × {}: {}", self.config, self.bench, self.error)
+    }
 }
 
 /// Per-request job accounting, delivered with the finished [`ResultSet`].
@@ -112,6 +136,9 @@ pub struct SchedulerStats {
     pub submitted: u64,
     /// Jobs actually simulated by the workers.
     pub executed: u64,
+    /// Jobs that failed instead (their trace did not decode), each ending
+    /// the requests subscribed to it.
+    pub failed: u64,
     /// Pairs satisfied by subscribing to an identical in-flight job.
     pub coalesced: u64,
     /// Pairs satisfied from the result store at submission time.
@@ -403,20 +430,39 @@ impl<'s> Scheduler<'s> {
     }
 
     /// One worker loop: pop jobs, simulate (memoized via the store), and
-    /// deliver the row to every subscriber under its labels. Returns when
-    /// the scheduler is closed and the queue is drained.
+    /// deliver the row to every subscriber under its labels — or, for a
+    /// job that fails, end every subscribed request with the failure.
+    /// Returns when the scheduler is closed and the queue is drained.
     pub fn worker(&self, store: &ResultStore) {
         while let Some((key, cfg, workload)) = self.next_job() {
-            let r = runner::run_pair(&cfg, &workload, &key.budget, store);
+            let outcome = runner::run_pair(&cfg, &workload, &key.budget, store);
             let job = {
                 let mut st = lock(&self.state);
-                st.stats.executed += 1;
+                match outcome {
+                    Ok(_) => st.stats.executed += 1,
+                    Err(_) => st.stats.failed += 1,
+                }
                 // Cancellation never removes a running job, so the entry
                 // is still there (possibly with no subscribers left).
                 st.jobs.remove(&key).expect("running job stays registered")
             };
-            for sub in &job.subscribers {
-                self.deliver(&sub.req, labelled(&r, &sub.config, &sub.bench));
+            match outcome {
+                Ok(r) => {
+                    for sub in &job.subscribers {
+                        self.deliver(&sub.req, labelled(&r, &sub.config, &sub.bench));
+                    }
+                }
+                Err(error) => {
+                    let victims = job.subscribers.into_iter().map(|sub| {
+                        let failure = JobFailure {
+                            config: sub.config,
+                            bench: sub.bench,
+                            error: error.clone(),
+                        };
+                        (sub.req, Some(failure))
+                    });
+                    self.cancel_requests(victims.collect());
+                }
             }
         }
     }
@@ -427,12 +473,12 @@ impl<'s> Scheduler<'s> {
     /// and running jobs — are kept). Each cancelled request's sink hears
     /// [`Sink::cancelled`] once.
     pub fn cancel(&self, target: &Value) -> (bool, usize) {
-        let victims: Vec<Arc<Request<'s>>> = {
+        let victims = {
             let st = lock(&self.state);
             st.requests
                 .iter()
                 .filter(|r| &r.id == target)
-                .cloned()
+                .map(|r| (r.clone(), None))
                 .collect()
         };
         self.cancel_requests(victims)
@@ -441,19 +487,30 @@ impl<'s> Scheduler<'s> {
     /// Cancel every live request (client EOF and stream-desync path).
     /// Returns the number of queued jobs dropped.
     pub fn cancel_all(&self) -> usize {
-        let victims: Vec<Arc<Request<'s>>> = lock(&self.state).requests.clone();
+        let victims = lock(&self.state)
+            .requests
+            .iter()
+            .map(|r| (r.clone(), None))
+            .collect();
         self.cancel_requests(victims).1
     }
 
-    fn cancel_requests(&self, victims: Vec<Arc<Request<'s>>>) -> (bool, usize) {
+    /// End each victim request still live — cancelled, or failed with its
+    /// [`JobFailure`] — and drop the queued jobs no live request still
+    /// subscribes to. Returns whether any request ended, and how many
+    /// jobs were dropped.
+    fn cancel_requests(
+        &self,
+        victims: Vec<(Arc<Request<'s>>, Option<JobFailure>)>,
+    ) -> (bool, usize) {
         if victims.is_empty() {
             return (false, 0);
         }
-        let mut cancelled: Vec<Arc<Request<'s>>> = Vec::new();
+        let mut cancelled: Vec<(Arc<Request<'s>>, Option<JobFailure>)> = Vec::new();
         let mut dropped = 0usize;
         {
             let mut st = lock(&self.state);
-            for req in victims {
+            for (req, failure) in victims {
                 let mut rs = lock(&req.state);
                 // A delivery may have finalized the request between the
                 // lookup and here; `done`/`cancelled` settle the race.
@@ -462,15 +519,15 @@ impl<'s> Scheduler<'s> {
                 }
                 rs.cancelled = true;
                 drop(rs);
-                cancelled.push(req);
+                cancelled.push((req, failure));
             }
+            let is_victim = |r: &Arc<Request<'s>>| cancelled.iter().any(|(v, _)| Arc::ptr_eq(r, v));
             if !cancelled.is_empty() {
                 let dead: Vec<JobKey> = st
                     .jobs
                     .iter_mut()
                     .filter_map(|(key, job)| {
-                        job.subscribers
-                            .retain(|s| !cancelled.iter().any(|v| Arc::ptr_eq(&s.req, v)));
+                        job.subscribers.retain(|s| !is_victim(&s.req));
                         (job.subscribers.is_empty() && !job.running).then(|| key.clone())
                     })
                     .collect();
@@ -482,12 +539,11 @@ impl<'s> Scheduler<'s> {
                     dropped += 1;
                 }
                 st.stats.cancelled += dropped as u64;
-                st.requests
-                    .retain(|r| !cancelled.iter().any(|v| Arc::ptr_eq(r, v)));
+                st.requests.retain(|r| !is_victim(r));
             }
         }
-        for req in &cancelled {
-            self.check(req.sink.cancelled());
+        for (req, failure) in &cancelled {
+            self.check(req.sink.cancelled(failure.as_ref()));
         }
         (!cancelled.is_empty(), dropped)
     }
@@ -612,7 +668,7 @@ mod tests {
         fn done(&self, _: ResultSet, _: Tally) -> bool {
             true
         }
-        fn cancelled(&self) -> bool {
+        fn cancelled(&self, _: Option<&JobFailure>) -> bool {
             true
         }
     }

@@ -29,11 +29,18 @@
 //! Responses carry an `"event"` discriminator: `pong`, `listing`,
 //! `progress` (streamed per executed job, interleaved across in-flight
 //! requests — demux on `id`), `result` (rows + rendered reports),
-//! `cancelled`, `stats` (`scheduler` counters with the `queued` and
-//! `running` job gauges, and `trace_cache`:
+//! `cancelled`, `stats` (`scheduler` counters — `failed` among them —
+//! with the `queued` and `running` job gauges, and `trace_cache`:
 //! `built`/`db_hits` — suite traces emulated and imported traces loaded
 //! over the process lifetime), `error`, `bye`. Every event carries the
 //! originating request `id`.
+//!
+//! A `run` request ends in exactly one `result` or one `error`. An error
+//! with `"reason": "cancelled"` ends a cancelled request; one with
+//! `"reason": "failed"` ends a request one of whose jobs failed (an
+//! imported trace that does not decode), naming its `config`, `bench` and
+//! `error`. A failed job stores no row and ends only the requests that
+//! subscribed to it: the loop keeps serving.
 //!
 //! Malformed JSON gets an `error` event and the loop keeps reading. A
 //! broken *frame* — non-UTF-8 bytes or an over-long line (see
@@ -55,7 +62,9 @@ use crate::experiments::plans;
 use crate::plan::Plan;
 use crate::resultset::ResultSet;
 use crate::runner::{SweepProgress, MODEL_VERSION};
-use crate::scheduler::{RunRequest, Scheduler, SchedulerStats, Sink, Submission, Tally};
+use crate::scheduler::{
+    JobFailure, RunRequest, Scheduler, SchedulerStats, Sink, Submission, Tally,
+};
 use crate::session::Session;
 use crate::{config, runner};
 
@@ -146,6 +155,7 @@ fn stats_value(s: &SchedulerStats) -> Value {
     obj(vec![
         ("submitted", Value::Num(s.submitted as f64)),
         ("executed", Value::Num(s.executed as f64)),
+        ("failed", Value::Num(s.failed as f64)),
         ("coalesced", Value::Num(s.coalesced as f64)),
         ("memoized", Value::Num(s.memoized as f64)),
         ("cancelled", Value::Num(s.cancelled as f64)),
@@ -157,8 +167,8 @@ fn stats_value(s: &SchedulerStats) -> Value {
 }
 
 /// One `run` request's view of the wire: the scheduler's deliveries become
-/// `progress`, `result` and cancelled-`error` events tagged with the
-/// request id.
+/// `progress`, `result` and cancelled- or failed-`error` events tagged
+/// with the request id.
 struct ServeSink<'a> {
     id: Value,
     /// The plan, kept for rendering reports once all rows are in.
@@ -188,16 +198,23 @@ impl Sink for ServeSink<'_> {
         (self.write)(&result_event(&self.id, &self.plan, &self.order, &rs, tally))
     }
 
-    fn cancelled(&self) -> bool {
-        (self.write)(&event(
-            &self.id,
-            "error",
-            vec![
+    fn cancelled(&self, failure: Option<&JobFailure>) -> bool {
+        let plan = ("plan", Value::Str(self.plan.name.clone()));
+        let fields = match failure {
+            None => vec![
                 ("error", Value::Str("request cancelled".into())),
                 ("reason", Value::Str("cancelled".into())),
-                ("plan", Value::Str(self.plan.name.clone())),
+                plan,
             ],
-        ))
+            Some(f) => vec![
+                ("error", Value::Str(f.error.clone())),
+                ("reason", Value::Str("failed".into())),
+                plan,
+                ("config", Value::Str(f.config.clone())),
+                ("bench", Value::Str(f.bench.clone())),
+            ],
+        };
+        (self.write)(&event(&self.id, "error", fields))
     }
 }
 
@@ -849,6 +866,7 @@ mod tests {
         assert_eq!(field(&lines[2], "event"), &Value::Str("stats".into()));
         let sched = field(&lines[2], "scheduler");
         assert_eq!(field(sched, "submitted"), &Value::Num(0.0));
+        assert_eq!(field(sched, "failed"), &Value::Num(0.0));
         assert_eq!(field(sched, "coalesce_hit_rate"), &Value::Num(0.0));
         assert_eq!(field(sched, "queued"), &Value::Num(0.0));
         assert_eq!(field(sched, "running"), &Value::Num(0.0));

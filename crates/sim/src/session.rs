@@ -11,7 +11,8 @@
 //! are scoped threads, then returns the finished [`ResultSet`]. Each
 //! executed job streams its own oracle trace, so a run holds no suite
 //! trace. A run is silent; [`Session::run_streaming`] hands each job's
-//! [`SweepProgress`] to a callback.
+//! [`SweepProgress`] to a callback. A job that fails (an imported trace
+//! that does not decode) ends the run with its error.
 //!
 //! ```no_run
 //! use rcmc_sim::plan::Plan;
@@ -30,7 +31,7 @@ use serde::json::Value;
 use crate::plan::Plan;
 use crate::resultset::ResultSet;
 use crate::runner::{self, ProgressFn, ResultStore, SweepProgress};
-use crate::scheduler::{RunRequest, Scheduler, Sink, Tally};
+use crate::scheduler::{JobFailure, RunRequest, Scheduler, Sink, Tally};
 
 /// An experiment-execution environment: result store + worker count +
 /// trace store.
@@ -49,10 +50,17 @@ impl Default for Session {
 }
 
 /// The sink of a [`Session::run_streaming`] request: progress to the
-/// caller's callback, the finished set into `result`.
+/// caller's callback, the finished set or a job's failure into `result`.
 struct RunSink<'a> {
     progress: ProgressFn<'a>,
-    result: &'a Mutex<Option<ResultSet>>,
+    result: &'a Mutex<Option<Result<ResultSet, String>>>,
+}
+
+impl RunSink<'_> {
+    fn end(&self, outcome: Result<ResultSet, String>) -> bool {
+        *self.result.lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
+        true
+    }
 }
 
 impl Sink for RunSink<'_> {
@@ -62,12 +70,13 @@ impl Sink for RunSink<'_> {
     }
 
     fn done(&self, rs: ResultSet, _: Tally) -> bool {
-        *self.result.lock().unwrap_or_else(|e| e.into_inner()) = Some(rs);
-        true
+        self.end(Ok(rs))
     }
 
-    fn cancelled(&self) -> bool {
-        true
+    fn cancelled(&self, failure: Option<&JobFailure>) -> bool {
+        self.end(Err(
+            failure.map_or("request cancelled".into(), |f| f.to_string())
+        ))
     }
 }
 
@@ -151,7 +160,9 @@ impl Session {
 
     /// [`Session::run`] with a per-job progress callback. Callbacks arrive
     /// with strictly increasing `finished`; a plan the store satisfies
-    /// entirely gets exactly one callback, with `total == 0`.
+    /// entirely gets exactly one callback, with `total == 0`. A job that
+    /// fails ends the run: its error (configuration, bench and why) is
+    /// returned once the workers have exited, and no row is stored for it.
     ///
     /// The plan is submitted as the only request of a fresh, unbounded
     /// scheduler and drained with the calling thread working as one of
@@ -184,8 +195,8 @@ impl Session {
             sched.close();
             sched.worker(&self.store);
         });
-        let rs = result.lock().unwrap_or_else(|e| e.into_inner()).take();
-        Ok(rs.expect("an unbounded, uncancelled request always completes"))
+        let outcome = result.lock().unwrap_or_else(|e| e.into_inner()).take();
+        outcome.unwrap_or_else(|| Err("request cancelled".into()))
     }
 
     /// Run `body` on the calling thread beside `spawned` scoped threads,
@@ -235,7 +246,7 @@ mod tests {
         let rs = s.run(&plan).unwrap();
         assert_eq!(rs.len(), 1);
         let swim = runner::Workload::resolve("swim", None).unwrap();
-        let bare = runner::run_pair(&cfg, &swim, &tiny(), s.store());
+        let bare = runner::run_pair(&cfg, &swim, &tiny(), s.store()).unwrap();
         assert_eq!(rs.get(&cfg.name, "swim"), Some(&bare));
     }
 

@@ -434,8 +434,8 @@ fn crossbar_through_runner_is_deterministic() {
     let cfg = make(Topology::Crossbar, 8, 2, 2);
     let store = rcmc_sim::runner::ResultStore::ephemeral();
     let equake = rcmc_sim::runner::Workload::resolve("equake", None).unwrap();
-    let a = rcmc_sim::runner::run_pair(&cfg, &equake, &budget, &store);
-    let b = rcmc_sim::runner::run_pair(&cfg, &equake, &budget, &store);
+    let a = rcmc_sim::runner::run_pair(&cfg, &equake, &budget, &store).unwrap();
+    let b = rcmc_sim::runner::run_pair(&cfg, &equake, &budget, &store).unwrap();
     assert_eq!(a, b);
     assert!(a.ipc > 0.0);
     assert!(

@@ -76,8 +76,8 @@ fn paper2005_is_bit_identical_to_presets() {
     let store = ResultStore::ephemeral();
     let budget = tiny_budget();
     let mcf = Workload::resolve("mcf", None).unwrap();
-    let a = run_pair(&preset, &mcf, &budget, &store);
-    let b = run_pair(&via_machine, &mcf, &budget, &ResultStore::ephemeral());
+    let a = run_pair(&preset, &mcf, &budget, &store).unwrap();
+    let b = run_pair(&via_machine, &mcf, &budget, &ResultStore::ephemeral()).unwrap();
     assert_eq!(
         a, b,
         "paper2005 must simulate bit-identically to the preset"
@@ -112,12 +112,12 @@ fn overridden_configs_never_read_preset_rows() {
 
     let gzip = Workload::resolve("gzip", None).unwrap();
     // Poison the preset's row.
-    let mut stale = run_pair(&preset, &gzip, &budget, &ResultStore::ephemeral());
+    let mut stale = run_pair(&preset, &gzip, &budget, &ResultStore::ephemeral()).unwrap();
     stale.ipc = 999.0;
     assert!(store.save(&store_name(&preset), "gzip", &budget, &stale));
 
-    let fresh = run_pair(&changed, &gzip, &budget, &ResultStore::ephemeral());
-    let got = run_pair(&changed, &gzip, &budget, &store);
+    let fresh = run_pair(&changed, &gzip, &budget, &ResultStore::ephemeral()).unwrap();
+    let got = run_pair(&changed, &gzip, &budget, &store).unwrap();
     assert_eq!(got, fresh, "an overridden machine read the preset's row");
     assert_eq!(
         store.load(&store_name(&changed), "gzip", &budget).as_ref(),
@@ -125,7 +125,7 @@ fn overridden_configs_never_read_preset_rows() {
         "the overridden machine's row lands under its own key"
     );
     // The same machine under another label is the same row.
-    let shared = run_pair(&restated, &gzip, &budget, &store);
+    let shared = run_pair(&restated, &gzip, &budget, &store).unwrap();
     assert_eq!(
         (shared.config.as_str(), shared.ipc),
         (restated.name.as_str(), 999.0)

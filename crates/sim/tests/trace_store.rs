@@ -13,7 +13,7 @@ use std::sync::Mutex;
 use rcmc_emu::{trace_program, TraceDb};
 use rcmc_sim::plan::Plan;
 use rcmc_sim::runner::{all_bench_names, cached_trace_via, Budget, ResultStore, RunResult};
-use rcmc_sim::scheduler::{RunRequest, Scheduler, Sink, Tally};
+use rcmc_sim::scheduler::{JobFailure, RunRequest, Scheduler, Sink, Tally};
 use rcmc_sim::{ResultSet, Session, SweepProgress};
 use rcmc_workloads::benchmark;
 use serde::json::Value;
@@ -44,7 +44,7 @@ fn all_suite_traces_round_trip_bit_identical() {
 }
 
 /// A suite name always emulates: a store holding mcf's trace filed as
-/// `gzip/<len>.trc` (what importing mcf under the name gzip once wrote)
+/// `gzip.trc` (what importing mcf under the name gzip once wrote)
 /// leaves the gzip run's trace equal to a fresh gzip emulation.
 #[test]
 fn a_stored_trace_under_a_suite_name_is_never_read() {
@@ -58,8 +58,8 @@ fn a_stored_trace_under_a_suite_name_is_never_read() {
 }
 
 /// An imported trace is a first-class workload: plans resolve it, a
-/// session with that store simulates it, and the longest stored length
-/// serves any requested budget.
+/// session with that store simulates it, and its one stored file serves
+/// any requested budget.
 #[test]
 fn imported_trace_is_a_plan_resolvable_workload() {
     let (db, dir) = temp_db("imported");
@@ -69,9 +69,11 @@ fn imported_trace_is_a_plan_resolvable_workload() {
     // store, then import the raw file bytes under a new name.
     let (side, side_dir) = temp_db("imported-side");
     assert!(side.save("captured", len, &t));
-    let raw = std::fs::read(side_dir.join("captured").join(format!("{len}.trc"))).unwrap();
-    let (name, got_len) = db.import(&raw, Some("myext")).expect("import validates");
-    assert_eq!((name.as_str(), got_len), ("myext", len));
+    let raw = std::fs::read(side_dir.join("captured.trc")).unwrap();
+    let meta = db
+        .import(&raw, Some("myext"), |_| false)
+        .expect("import validates");
+    assert_eq!((meta.name.as_str(), meta.len), ("myext", len));
     let _ = std::fs::remove_dir_all(&side_dir);
 
     // Unknown to a store-less resolve, known to one holding the import.
@@ -94,7 +96,7 @@ fn imported_trace_is_a_plan_resolvable_workload() {
     assert_eq!(rs.len(), 1);
     assert!(rs.rows()[0].ipc > 0.0, "imported workload must simulate");
 
-    // The longest stored length serves shorter/longer budgets too.
+    // The one stored file serves shorter/longer budgets too.
     let longest = cached_trace_via("myext", 50_000, Some(&db));
     assert_eq!(longest.len(), t.len());
     let _ = std::fs::remove_dir_all(&dir);
@@ -155,8 +157,9 @@ fn reimporting_a_name_never_serves_the_old_traces_row() {
     let import_as_x = |bench: &str| {
         let t = trace_program(&benchmark(bench).unwrap().build(), len as usize).unwrap();
         assert!(side.save(bench, len, &t));
-        let raw = std::fs::read(side_dir.join(bench).join(format!("{len}.trc"))).unwrap();
-        db.import(&raw, Some("X")).expect("import validates");
+        let raw = std::fs::read(side_dir.join(format!("{bench}.trc"))).unwrap();
+        db.import(&raw, Some("X"), |_| false)
+            .expect("import validates");
     };
     let plan = Plan::new("stale")
         .config_named("Ring_8clus_1bus_2IW")
@@ -205,7 +208,7 @@ impl Sink for Keep<'_> {
         true
     }
 
-    fn cancelled(&self) -> bool {
+    fn cancelled(&self, _: Option<&JobFailure>) -> bool {
         true
     }
 }
@@ -224,7 +227,7 @@ fn a_request_runs_the_trace_it_resolved() {
     let recording = |bench: &str| {
         let t = trace_program(&benchmark(bench).unwrap().build(), len as usize).unwrap();
         assert!(side.save(bench, len, &t));
-        std::fs::read(side_dir.join(bench).join(format!("{len}.trc"))).unwrap()
+        std::fs::read(side_dir.join(format!("{bench}.trc"))).unwrap()
     };
     let (gzip, swim) = (recording("gzip"), recording("swim"));
     let budget = Budget {
@@ -250,7 +253,7 @@ fn a_request_runs_the_trace_it_resolved() {
     // What `ext` gives as the only trace of a fresh store.
     let fresh_row = |bytes: &[u8]| {
         let (db, dir) = temp_db("pin-fresh");
-        db.import(bytes, Some("ext")).unwrap();
+        db.import(bytes, Some("ext"), |_| false).unwrap();
         let (row, _) = run(ResultStore::ephemeral(), &db);
         let _ = std::fs::remove_dir_all(&dir);
         row
@@ -262,22 +265,18 @@ fn a_request_runs_the_trace_it_resolved() {
     // next request runs (`None`: `ext` no longer resolves).
     type Change<'a> = Box<dyn Fn(&TraceDb) + 'a>;
     let inputs: Vec<(&str, Change, Option<&RunResult>)> = vec![
-        (
-            "removed",
-            Box::new(|db| assert_eq!(db.remove("ext", None), 1)),
-            None,
-        ),
+        ("removed", Box::new(|db| assert!(db.remove("ext"))), None),
         (
             "re-imported as swim",
             Box::new(|db| {
-                db.import(&swim, Some("ext")).unwrap();
+                db.import(&swim, Some("ext"), |_| false).unwrap();
             }),
             Some(&swim_row),
         ),
     ];
     for (what, change, next) in inputs {
         let (db, dir) = temp_db("pin");
-        db.import(&gzip, Some("ext")).unwrap();
+        db.import(&gzip, Some("ext"), |_| false).unwrap();
         let results = dir.join("results");
         let store = ResultStore::at(results.clone());
         let (cfgs, workloads) = plan.resolve_workloads_in(Some(&db)).unwrap();
@@ -315,7 +314,7 @@ fn a_request_runs_the_trace_it_resolved() {
             }
         }
         // Filed under gzip's checksum, not under the name.
-        db.import(&gzip, Some("ext")).unwrap();
+        db.import(&gzip, Some("ext"), |_| false).unwrap();
         let (row, counts) = run(ResultStore::at(results), &db);
         assert_eq!((row, counts), (gzip_row.clone(), (0, 1)), "{what}");
         let _ = std::fs::remove_dir_all(&dir);

@@ -35,7 +35,7 @@
 use std::collections::HashMap;
 
 use ring_clustered::core::{Core, PipeTracer};
-use ring_clustered::emu::{trace_program, TraceDb, TraceDbError};
+use ring_clustered::emu::{trace_program, TraceDb, TraceDbError, TraceMeta};
 use ring_clustered::sim::experiments::{self, plans};
 use ring_clustered::sim::plan::ConfigSpec;
 use ring_clustered::sim::runner::{
@@ -111,8 +111,7 @@ fn main() {
                 Some("view") => &["from", "len", "config"],
                 Some("record") => &["len", "trace-store"],
                 Some("import") => &["name", "trace-store"],
-                Some("rm") => &["len", "trace-store"],
-                _ => &["trace-store"], // list | verify | errors
+                _ => &["trace-store"], // list | verify | rm | errors
             };
             parse_flags(cmd, &args[1..], allowed)
         }
@@ -164,7 +163,8 @@ fn usage() {
          \x20 trace record <bench> [--len N]   write a suite trace to a .trc file\n\
          \x20                               (for `trace import`; runs emulate)\n\
          \x20 trace import <file> [--name N]   adopt an external .trc as a workload\n\
-         \x20 trace list | verify [name] | rm <name> [--len N]\n\
+         \x20                               (replacing a trace of that name)\n\
+         \x20 trace list | verify [name] | rm <name>\n\
          \x20                               manage the store of imported traces\n\
          \x20 figures [--jobs N]            Tables 1-3, Figures 3-14, workload mix\n\
          \x20 csv [--out FILE] [--jobs N]   dump the main sweep as CSV\n\
@@ -511,7 +511,7 @@ fn trace_view(args: &[String], flags: &HashMap<String, String>) {
         .resolve()
         .unwrap_or_else(die)
         .remove(0);
-    let trace = workload.trace(end as u64 + 50_000);
+    let trace = workload.trace(end as u64 + 50_000).unwrap_or_else(die);
     let mut core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
     core.attach_tracer(PipeTracer::new(from, end));
     core.run(end as u64 + 20_000);
@@ -523,9 +523,9 @@ fn trace_view(args: &[String], flags: &HashMap<String, String>) {
 }
 
 /// `rcmc trace record <bench> [--len N]` — emulate a suite benchmark and
-/// write its oracle trace to `<store>/<bench>/<len>.trc`, a file to hand
-/// to `trace import` (runs of a suite benchmark always emulate; they
-/// never read this file).
+/// write its oracle trace to `<store>/<bench>.trc`, a file to hand to
+/// `trace import` (runs of a suite benchmark always emulate; they never
+/// read this file).
 fn trace_record(args: &[String], flags: &HashMap<String, String>) {
     let bench = positional(args, 2, "benchmark name");
     let Some(b) = benchmark(&bench) else {
@@ -545,20 +545,21 @@ fn trace_record(args: &[String], flags: &HashMap<String, String>) {
     }
     outln!(
         "recorded {bench}/{len}: {n} dynamic instructions -> {}",
-        db.dir().join(&bench).join(format!("{len}.trc")).display()
+        db.dir().join(format!("{bench}.trc")).display()
     );
 }
 
 /// `rcmc trace import <file> [--name NAME]` — adopt an externally captured
-/// `.trc` file (full strict validation) as a named workload.
+/// `.trc` file (full strict validation) as a named workload, replacing any
+/// trace stored under that name.
 fn trace_import(args: &[String], flags: &HashMap<String, String>) {
     let path = positional(args, 2, "trace file");
     let bytes = std::fs::read(&path).unwrap_or_else(|e| die(format!("cannot read '{path}': {e}")));
     let db = trace_db_from(flags);
     let suite_name = |name: &str| benchmark(name).is_some();
-    match db.import_unless(&bytes, flags.get("name").map(String::as_str), suite_name) {
-        Ok((name, len)) => outln!(
-            "imported '{path}' as workload '{name}' ({len} instructions); \
+    match db.import(&bytes, flags.get("name").map(String::as_str), suite_name) {
+        Ok(TraceMeta { name, insns, .. }) => outln!(
+            "imported '{path}' as workload '{name}' ({insns} instructions); \
              run it like any benchmark: `rcmc run {name}`"
         ),
         Err(TraceDbError::ReservedName(name)) => die(format!(
@@ -597,15 +598,14 @@ fn trace_list(flags: &HashMap<String, String>) {
     }
 }
 
-/// `rcmc trace rm <name> [--len N]` — evict stored traces.
+/// `rcmc trace rm <name>` — evict a stored trace.
 fn trace_rm(args: &[String], flags: &HashMap<String, String>) {
     let name = positional(args, 2, "workload name");
     let db = trace_db_from(flags);
-    let removed = db.remove(&name, num_flag(flags, "len"));
-    outln!("removed {removed} trace file(s) for '{name}'");
-    if removed == 0 {
-        std::process::exit(1);
+    if !db.remove(&name) {
+        die::<()>(format!("no trace named '{name}' in {}", db.dir().display()));
     }
+    outln!("removed trace '{name}'");
 }
 
 /// `rcmc trace verify [<name>]` — strict-decode every stored trace (full
@@ -618,14 +618,17 @@ fn trace_verify(args: &[String], flags: &HashMap<String, String>) {
         .into_iter()
         .filter(|m| only.is_none_or(|n| &m.name == n))
         .collect();
+    if let (Some(name), true) = (only, metas.is_empty()) {
+        die::<()>(format!("no trace named '{name}' in {}", db.dir().display()));
+    }
     if metas.is_empty() {
         outln!("nothing to verify in {}", db.dir().display());
         return;
     }
     let mut bad = 0;
     for m in &metas {
-        match db.verify(&m.name, m.len) {
-            Ok(n) => outln!("ok      {}/{} ({n} instructions)", m.name, m.len),
+        match db.load_full(&m.name, m.len) {
+            Ok(t) => outln!("ok      {}/{} ({} instructions)", m.name, m.len, t.len()),
             Err(e) => {
                 bad += 1;
                 outln!("CORRUPT {}/{}: {e}", m.name, m.len);
@@ -739,13 +742,6 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
             let session = Session::with_store(store)
                 .with_jobs(jobs_from(flags))
                 .with_trace_store(trace_db_from(flags));
-            let (cfgs, benches) = plan.resolve_in(session.trace_db()).unwrap_or_else(die);
-            errln!(
-                "plan '{}': {} configurations × {} benchmarks",
-                plan.name,
-                cfgs.len(),
-                benches.len(),
-            );
             // Stream progress to stderr while recording the final sweep
             // tallies — CI's cold-then-warm machine-sweep check asserts on
             // the executed/memoized summary line below. Executed counts
@@ -757,6 +753,13 @@ fn plan_cmd(args: &[String], flags: &HashMap<String, String>) {
             };
             let rs = session.run_streaming(&plan, &record).unwrap_or_else(die);
             let (executed, memoized) = *tallies.lock().unwrap();
+            // The grid as the run resolved it (one resolution per run).
+            errln!(
+                "plan '{}': {} configurations × {} benchmarks",
+                plan.name,
+                rs.config_names().len(),
+                rs.bench_names().len(),
+            );
             errln!("jobs: {executed} executed, {memoized} memoized");
             let ts = trace_cache_stats();
             errln!(
@@ -829,10 +832,11 @@ fn serve_cmd(flags: &HashMap<String, String>) {
     match serve::serve_with(&session, stdin.lock(), std::io::stdout(), &opts) {
         Ok(s) => errln!(
             "rcmc serve: {} requests, {} plans accepted, {} jobs executed, \
-             {} coalesced, {} memoized, {} cancelled",
+             {} failed, {} coalesced, {} memoized, {} cancelled",
             s.requests,
             s.runs,
             s.stats.executed,
+            s.stats.failed,
             s.stats.coalesced,
             s.stats.memoized,
             s.stats.cancelled,

@@ -578,7 +578,7 @@ fn suite_benchmarks_match_the_reference() {
         drop(got);
         let back = db.load_full(name, len as u64).expect("a saved trace loads");
         assert_same_trace(&back, &want, &format!("{name} after save and load"));
-        db.remove(name, None);
+        db.remove(name);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -132,7 +132,7 @@ fn a_short_imported_trace_ends_the_run_early() {
     let short = Workload::resolve("short", Some(&db)).unwrap();
     for topology in TOPOLOGIES {
         let cfg = make_pair(topology, Steering::RingDep, 8, 2, 1);
-        let row = run_pair(&cfg, &short, &budget, &ResultStore::ephemeral());
+        let row = run_pair(&cfg, &short, &budget, &ResultStore::ephemeral()).unwrap();
         let trace = cached_trace_via("short", budget.trace_len(), Some(&db));
         assert_eq!(*trace, recorded);
         let core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
@@ -156,7 +156,7 @@ fn a_job_matches_the_replay_of_its_materialized_trace() {
     for bench in ["gzip", "swim", "mcf"] {
         let cfg = make_pair(Topology::Ring, Steering::RingDep, 8, 2, 1);
         let workload = Workload::resolve(bench, None).unwrap();
-        let row = run_pair(&cfg, &workload, &budget, &ResultStore::ephemeral());
+        let row = run_pair(&cfg, &workload, &budget, &ResultStore::ephemeral()).unwrap();
         let trace = cached_trace(bench, budget.trace_len());
         let core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
         let (stats, _, _) = finish(core, &budget, false);

@@ -1,10 +1,11 @@
 //! End-to-end lifecycle of the `rcmc trace` subcommand family against an
 //! isolated `--trace-store`: record → list → verify → rm, importing a
 //! captured file under a new name, and running the import as a workload;
-//! a `trace view` whose reader closes the pipe early; and a stderr that
+//! a damaged import that fails its run without taking the CLI down; a
+//! `trace view` whose reader closes the pipe early; and a stderr that
 //! refuses every write.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn rcmc() -> Command {
@@ -58,7 +59,7 @@ fn record_list_verify_rm_lifecycle() {
 
     // Damage the stored file: verify must flag it and exit non-zero,
     // and rm must still be able to evict it.
-    let path = dir.join("swim").join("4000.trc");
+    let path = dir.join("swim.trc");
     let mut bytes = std::fs::read(&path).unwrap();
     let n = bytes.len();
     bytes[n - 1] ^= 1;
@@ -75,7 +76,7 @@ fn record_list_verify_rm_lifecycle() {
         .output()
         .unwrap();
     assert!(rm.status.success(), "{rm:?}");
-    assert!(stdout(&rm).contains("removed 1 trace file(s)"), "{rm:?}");
+    assert!(stdout(&rm).contains("removed trace 'swim'"), "{rm:?}");
 
     // Removing again finds nothing and exits 1.
     let rm2 = rcmc()
@@ -106,7 +107,7 @@ fn import_under_new_name_and_run_it() {
         .output()
         .unwrap();
     assert!(rec.status.success(), "{rec:?}");
-    let captured = dir.join("mcf").join("3000.trc");
+    let captured = dir.join("mcf.trc");
     let imp = rcmc()
         .args([
             "trace",
@@ -162,6 +163,141 @@ fn import_under_new_name_and_run_it() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Record mcf into `dir` and import it there as `name`; returns the
+/// imported file.
+fn import_mcf_as(dir: &Path, name: &str) -> PathBuf {
+    let rec = rcmc()
+        .args(["trace", "record", "mcf", "--len", "3000", "--trace-store"])
+        .arg(dir)
+        .output()
+        .unwrap();
+    assert!(rec.status.success(), "{rec:?}");
+    let imp = rcmc()
+        .args(["trace", "import"])
+        .arg(dir.join("mcf.trc"))
+        .args(["--name", name, "--trace-store"])
+        .arg(dir)
+        .output()
+        .unwrap();
+    assert!(imp.status.success(), "{imp:?}");
+    dir.join(format!("{name}.trc"))
+}
+
+/// Row files under a result store.
+fn rows_in(dir: &Path) -> usize {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return 0;
+    };
+    entries
+        .flatten()
+        .map(|e| match e.path() {
+            p if p.is_dir() => rows_in(&p),
+            p => usize::from(p.extension() == Some("json".as_ref())),
+        })
+        .sum()
+}
+
+/// An imported trace whose payload is damaged with its header intact
+/// still resolves (resolution reads headers only), and its run fails:
+/// exit 1 with a message naming the trace, no panic. No row is
+/// memoized, so a second run fails the same way.
+#[test]
+fn a_damaged_trace_fails_its_run_with_exit_1() {
+    let dir = temp_store("damaged");
+    let target = temp_store("damaged-target");
+    let ext = import_mcf_as(&dir, "ext");
+    let mut bytes = std::fs::read(&ext).unwrap();
+    *bytes.last_mut().unwrap() ^= 1;
+    std::fs::write(&ext, &bytes).unwrap();
+    for attempt in 1..=2 {
+        let run = rcmc()
+            .env("CARGO_TARGET_DIR", &target)
+            .args(["run", "ext", "--instrs", "2000", "--warmup", "500"])
+            .arg("--trace-store")
+            .arg(&dir)
+            .output()
+            .unwrap();
+        assert_eq!(run.status.code(), Some(1), "run {attempt}: {run:?}");
+        let err = String::from_utf8_lossy(&run.stderr);
+        assert!(
+            err.contains("imported trace 'ext': payload checksum mismatch"),
+            "run {attempt}: {err}"
+        );
+        assert!(!err.contains("panicked"), "run {attempt}: {err}");
+        assert_eq!(rows_in(&target), 0, "run {attempt} stored a row");
+    }
+    for d in [&dir, &target] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+/// `trace verify NAME` for a name the store does not hold is an error,
+/// like `trace rm NAME`: exit 1 and a message.
+#[test]
+fn verify_of_a_name_not_stored_exits_1() {
+    let dir = temp_store("verify-missing");
+    let ext = import_mcf_as(&dir, "ext");
+    assert!(ext.is_file());
+    for name in ["nope", "ext.trc"] {
+        let ver = rcmc()
+            .args(["trace", "verify", name, "--trace-store"])
+            .arg(&dir)
+            .output()
+            .unwrap();
+        assert_eq!(ver.status.code(), Some(1), "{name}: {ver:?}");
+        let err = String::from_utf8_lossy(&ver.stderr);
+        assert!(err.contains(&format!("no trace named '{name}'")), "{err}");
+    }
+    let ok = rcmc()
+        .args(["trace", "verify", "ext", "--trace-store"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(ok.status.success(), "{ok:?}");
+    assert!(stdout(&ok).contains("1 verified, 0 corrupt"), "{ok:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `trace import` reports the instructions the file holds, not the length
+/// its capture asked for: fewer, for a capture that halted.
+#[test]
+fn import_reports_the_stored_instruction_count() {
+    use ring_clustered::emu::{trace_program, TraceDb};
+    use ring_clustered::isa::{Insn, Opcode, Program, Reg};
+    let side = temp_store("count-side");
+    let dir = temp_store("count");
+    let r = |x| Some(Reg::int(x));
+    let program = Program {
+        insns: vec![
+            Insn::new(Opcode::Movi, r(1), None, None, 5),
+            Insn::new(Opcode::Addi, r(1), r(1), None, -1),
+            Insn::new(Opcode::Bne, None, r(1), r(0), -2),
+            Insn::halt(),
+        ],
+        data: vec![],
+        entry: 0,
+    };
+    let trace = trace_program(&program, 1000).unwrap();
+    assert!(trace.halted && trace.len() < 1000);
+    assert!(TraceDb::at(side.clone()).save("halts", 1000, &trace));
+    let imp = rcmc()
+        .args(["trace", "import"])
+        .arg(side.join("halts.trc"))
+        .arg("--trace-store")
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(imp.status.success(), "{imp:?}");
+    let text = stdout(&imp);
+    assert!(
+        text.contains(&format!("workload 'halts' ({} instructions)", trace.len())),
+        "{text}"
+    );
+    for d in [&side, &dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
 #[test]
 fn no_trace_store_leaves_no_files() {
     let dir = temp_store("off");
@@ -192,7 +328,7 @@ fn import_under_a_suite_name_exits_1_and_writes_nothing() {
         .output()
         .unwrap();
     assert!(rec.status.success(), "{rec:?}");
-    let captured = rec_dir.join("mcf").join("3000.trc");
+    let captured = rec_dir.join("mcf.trc");
     // Renamed onto a suite benchmark, or keeping the suite name embedded
     // in the file: either way no run could ever read the import.
     for (rename, name) in [(Some("gzip"), "gzip"), (None, "mcf")] {
