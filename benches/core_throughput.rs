@@ -36,6 +36,7 @@ use std::time::Instant;
 
 use ring_clustered::core::bus::BusFabric;
 use ring_clustered::core::config::DistanceLut;
+use ring_clustered::core::queues::IssueQueue;
 use ring_clustered::core::steering::{self, SteerCtx};
 use ring_clustered::core::value::ValueTable;
 use ring_clustered::core::{Core, CoreConfig, Steering, Topology};
@@ -349,6 +350,12 @@ fn components() -> Value {
         let mut values = ValueTable::new(8, 48, 48);
         let vids: Vec<_> = (0..16).map(|i| values.alloc_ready(i % 8, false)).collect();
         let dist = DistanceLut::new(&cfg);
+        let iq_int: Vec<_> = (0..cfg.n_clusters)
+            .map(|_| IssueQueue::new(cfg.iq_int))
+            .collect();
+        let iq_fp: Vec<_> = (0..cfg.n_clusters)
+            .map(|_| IssueQueue::new(cfg.iq_fp))
+            .collect();
         let mut policy = steering::build(&cfg);
         rows.push(component("steering", name, 1024, || {
             for i in 0..1024usize {
@@ -357,6 +364,8 @@ fn components() -> Value {
                     cfg: &cfg,
                     dist: &dist,
                     values: &values,
+                    iq_int: &iq_int,
+                    iq_fp: &iq_fp,
                     srcs: &srcs,
                 }));
             }

@@ -418,6 +418,29 @@ impl CoreConfig {
         if self.rob == 0 || self.lsq == 0 || self.fetch_queue == 0 {
             return Err("rob/lsq/fetch_queue must be nonzero".into());
         }
+        // Queues reserve their full capacity up front, and the core never
+        // reads more than RUN_AHEAD instructions past its last commit, so
+        // a larger queue only reserves memory (gigabytes, for an override
+        // near its 1e9 limit).
+        for (key, cap) in [
+            ("iq_int", self.iq_int),
+            ("iq_fp", self.iq_fp),
+            ("iq_comm", self.iq_comm),
+            ("lsq", self.lsq),
+            ("store_buffer", self.store_buffer),
+        ] {
+            if cap as u64 > RUN_AHEAD {
+                return Err(format!("{key} = {cap} exceeds RUN_AHEAD ({RUN_AHEAD})"));
+            }
+        }
+        // Like every latency the core schedules, the decode delay must fit
+        // the event wheel; a deeper front end would starve commit until the
+        // watchdog fires.
+        if self.frontend_depth as usize >= EVENT_WHEEL {
+            return Err(format!(
+                "frontend_depth must be below the {EVENT_WHEEL}-cycle event wheel"
+            ));
+        }
         self.check_run_ahead()
     }
 
@@ -758,6 +781,27 @@ mod tests {
             ..CoreConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn queue_and_front_end_bounds_are_inclusive() {
+        let d = CoreConfig::default();
+        let at_bound = CoreConfig {
+            iq_int: RUN_AHEAD as usize,
+            frontend_depth: EVENT_WHEEL as u32 - 1,
+            ..d.clone()
+        };
+        assert!(at_bound.validate().is_ok());
+        let queue = CoreConfig {
+            iq_int: RUN_AHEAD as usize + 1,
+            ..d.clone()
+        };
+        assert!(queue.validate().unwrap_err().contains("iq_int"));
+        let deep = CoreConfig {
+            frontend_depth: EVENT_WHEEL as u32,
+            ..d
+        };
+        assert!(deep.validate().unwrap_err().contains("frontend_depth"));
     }
 
     #[test]

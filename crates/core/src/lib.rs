@@ -36,7 +36,6 @@ pub mod pipeview;
 pub mod queues;
 pub mod rob;
 pub mod stats;
-pub mod steer;
 pub mod steering;
 pub mod timeq;
 pub mod value;

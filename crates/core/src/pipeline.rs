@@ -54,7 +54,7 @@
 use std::collections::VecDeque;
 
 use rcmc_emu::{StaticInsn, Trace, TraceRec, TraceSource};
-use rcmc_isa::{FuKind, InsnClass, Opcode, Reg, NUM_ARCH_REGS};
+use rcmc_isa::{FuKind, Insn, InsnClass, Opcode, Reg, NUM_ARCH_REGS};
 use rcmc_uarch::{FrontEndPredictor, MemConfig, MemHierarchy, PredictorConfig};
 
 use crate::config::{CopyRelease, CoreConfig, DistanceLut, MAX_CLUSTERS};
@@ -65,8 +65,7 @@ use crate::pipeview::PipeTracer;
 use crate::queues::{CommOp, CommQueue, IqEntry, IssueQueue};
 use crate::rob::{Rob, RobEntry};
 use crate::stats::Stats;
-use crate::steer::Steered;
-use crate::steering::{self, SteerCtx, SteeringPolicy};
+use crate::steering::{self, SteerCtx, Steered, SteeringPolicy};
 use crate::timeq::TimeQueue;
 use crate::value::{CopyState, ValueId, ValueTable};
 
@@ -707,7 +706,6 @@ impl<'t> Core<'t> {
             };
             budget -= 1;
             self.scratch_remove.push(idx);
-            self.policy.issued(c);
             self.trace_mark(entry.trace_idx, |r, now| r.issue = now);
             if fp {
                 self.stats.issued_fp += 1;
@@ -832,31 +830,10 @@ impl<'t> Core<'t> {
             return true;
         }
 
-        // Live source values, captured per operand slot BEFORE the
-        // destination rename overwrites the map (r0 is never renamed).
-        // Inline buffers: dispatch runs up to fetch_width times per cycle
-        // and must not allocate.
-        let src_slots: [Option<Reg>; 2] = insn.sources();
-        let mut src_vals: [Option<ValueId>; 2] = [None, None];
-        let mut srcs_buf = [0 as ValueId; 2];
-        let mut n_srcs = 0usize;
-        for (slot, r) in src_slots.into_iter().enumerate() {
-            if let Some(r) = r {
-                if !r.is_zero() {
-                    let v = self.rename[r.unified()];
-                    src_vals[slot] = Some(v);
-                    srcs_buf[n_srcs] = v;
-                    n_srcs += 1;
-                }
-            }
-        }
-
-        let steered = self.policy.steer(&SteerCtx {
-            cfg: &self.cfg,
-            dist: &self.dist,
-            values: &self.values,
-            srcs: &srcs_buf[..n_srcs],
-        });
+        // Live sources are captured BEFORE the destination rename
+        // overwrites the map.
+        let srcs = self.live_sources(insn);
+        let steered = self.steer(srcs);
         let dest = insn.dest();
 
         // ---- resource checks (all-or-nothing) ----
@@ -918,7 +895,7 @@ impl<'t> Core<'t> {
         // Issue-queue entry: wait on sources without a Ready copy in c.
         let mut waits: [Option<ValueId>; 2] = [None, None];
         let mut reads: [Option<ValueId>; 2] = [None, None];
-        for (slot, v) in src_vals.into_iter().enumerate() {
+        for (slot, v) in srcs.into_iter().enumerate() {
             let Some(v) = v else { continue };
             reads[slot] = Some(v);
             self.values.add_reader(v, c);
@@ -942,7 +919,6 @@ impl<'t> Core<'t> {
         self.refresh_cluster(c);
 
         self.stats.dispatched_per_cluster[c] += 1;
-        self.policy.dispatched(c);
         let n_comms = comms.len() as u8;
         self.trace_mark(trace_idx, |r, now| {
             r.dispatch = now;
@@ -950,6 +926,33 @@ impl<'t> Core<'t> {
             r.comms = n_comms;
         });
         true
+    }
+
+    /// The live source value of each operand slot of `insn` (architectural
+    /// `r0` excluded), as the rename map has them now.
+    fn live_sources(&self, insn: Insn) -> [Option<ValueId>; 2] {
+        insn.sources()
+            .map(|r| r.filter(|r| !r.is_zero()).map(|r| self.rename[r.unified()]))
+    }
+
+    /// Ask the steering policy to place an instruction with live sources
+    /// `srcs` against the current machine state. Inline buffers: dispatch
+    /// runs up to `fetch_width` times per cycle and must not allocate.
+    fn steer(&mut self, srcs: [Option<ValueId>; 2]) -> Steered {
+        let mut packed = [0; 2];
+        let mut n = 0;
+        for v in srcs.into_iter().flatten() {
+            packed[n] = v;
+            n += 1;
+        }
+        self.policy.steer(&SteerCtx {
+            cfg: &self.cfg,
+            dist: &self.dist,
+            values: &self.values,
+            iq_int: &self.iq_int,
+            iq_fp: &self.iq_fp,
+            srcs: &packed[..n],
+        })
     }
 
     /// Would dispatching `class`/`dest` into `steered` stall, and on what?
@@ -1158,15 +1161,8 @@ impl<'t> Core<'t> {
         if matches!(class, InsnClass::Nop | InsnClass::Halt) {
             return DispatchIdle::Dispatches;
         }
-        let src_slots: [Option<Reg>; 2] = insn.sources();
-        let mut srcs_buf = [0 as ValueId; 2];
-        let mut n_srcs = 0usize;
-        for r in src_slots.into_iter().flatten() {
-            if !r.is_zero() {
-                srcs_buf[n_srcs] = self.rename[r.unified()];
-                n_srcs += 1;
-            }
-        }
+        let srcs = self.live_sources(insn);
+        let n_srcs = srcs.iter().flatten().count();
         let period = self.policy.retry_period(n_srcs, self.cfg.n_clusters);
         debug_assert!(
             (1..=MAX_CLUSTERS).contains(&period),
@@ -1175,12 +1171,7 @@ impl<'t> Core<'t> {
         let dest = insn.dest();
         let mut outcomes: [Option<StallKind>; MAX_CLUSTERS] = [None; MAX_CLUSTERS];
         for slot in outcomes.iter_mut().take(period) {
-            let steered = self.policy.steer(&SteerCtx {
-                cfg: &self.cfg,
-                dist: &self.dist,
-                values: &self.values,
-                srcs: &srcs_buf[..n_srcs],
-            });
+            let steered = self.steer(srcs);
             *slot = self.dispatch_stall_reason(class, dest, &steered);
         }
         DispatchIdle::Stalled { outcomes, period }

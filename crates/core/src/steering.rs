@@ -5,15 +5,10 @@
 //! ([`crate::interconnect`]): any [`SteeringPolicy`] can drive any
 //! [`crate::config::Topology`], which is exactly the cross the paper's §4
 //! ablation needs (e.g. DCOUNT-balanced steering on a crossbar, or
-//! dependence steering on a mesh). A policy owns **all** of its mutable
-//! state — the DCOUNT counters live inside [`ConvDcount`], not in the
-//! pipeline — and learns about pipeline activity only through the two
-//! feedback hooks:
-//!
-//! * [`SteeringPolicy::dispatched`] — an instruction was dispatched to a
-//!   cluster (resources allocated, waiting to issue);
-//! * [`SteeringPolicy::issued`] — an instruction left a cluster's issue
-//!   queue.
+//! dependence steering on a mesh). A policy sees the machine only through
+//! a [`SteerCtx`]: the configuration, the value table and the per-cluster
+//! issue queues. The only state a policy keeps is a rotating tie-break
+//! pointer; the DCOUNT balance metric is read from the issue queues.
 //!
 //! The three policies:
 //!
@@ -26,18 +21,148 @@
 //! * [`Ssa`] — §4.7: send to the home cluster of the leftmost operand;
 //!   round-robin for operand-less instructions. No balance control.
 //!
+//! This module also owns the policy-independent pieces: the [`Steered`]
+//! result with its inline [`CommList`], and the nearest-copy distance
+//! helpers that both the policies and the pipeline use.
+//!
 //! Steering never fails: it always picks a cluster. Resource availability in
 //! the chosen cluster is checked afterwards by dispatch, which stalls when
 //! "the chosen cluster is full" (§3.1) rather than re-steering.
 
 use crate::config::{cluster_mask, CoreConfig, DistanceLut, Steering};
-use crate::steer::{nearest_copy_distance, needed_comms, Steered};
+use crate::queues::IssueQueue;
 use crate::value::{ClusterBits, ValueId, ValueTable};
+
+/// A required communication: bring `value` from cluster `from` to the
+/// consumer's cluster.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NeededComm {
+    /// The value to move.
+    pub value: ValueId,
+    /// Source cluster (nearest existing copy).
+    pub from: u8,
+}
+
+/// The communications one instruction needs, stored inline (no heap).
+///
+/// An instruction has at most two source operands, so at most two
+/// communications; ring steering guarantees ≤ 1 (its candidate set always
+/// contains a cluster holding an operand). Keeping this inline makes
+/// [`SteeringPolicy::steer`] — called once per dispatched
+/// instruction — fully allocation-free.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CommList {
+    items: [NeededComm; 2],
+    len: u8,
+}
+
+impl CommList {
+    /// Empty list.
+    pub const fn new() -> Self {
+        CommList {
+            items: [NeededComm { value: 0, from: 0 }; 2],
+            len: 0,
+        }
+    }
+
+    /// Append (panics beyond two entries — impossible with ≤ 2 operands).
+    #[inline]
+    pub fn push(&mut self, c: NeededComm) {
+        self.items[self.len as usize] = c;
+        self.len += 1;
+    }
+
+    /// The live entries.
+    #[inline]
+    pub fn as_slice(&self) -> &[NeededComm] {
+        &self.items[..self.len as usize]
+    }
+
+    /// Number of communications.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// No communications needed?
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl PartialEq for CommList {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for CommList {}
+
+/// Result of steering one instruction.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Steered {
+    /// Execution cluster.
+    pub cluster: usize,
+    /// Communications to create (0..=2; ring guarantees ≤1).
+    pub comms: CommList,
+}
+
+/// Distance from the nearest copy of `v` to `to`, minimized over buses.
+pub fn nearest_copy_distance(
+    dist: &DistanceLut,
+    values: &ValueTable,
+    v: ValueId,
+    to: usize,
+) -> u32 {
+    values
+        .mapped_clusters(v)
+        .map(|p| dist.min_distance(p, to))
+        .min()
+        .expect("live value must be mapped somewhere")
+}
+
+/// The nearest source cluster for moving `v` to `to` (ties → lowest index).
+fn nearest_copy_cluster(dist: &DistanceLut, values: &ValueTable, v: ValueId, to: usize) -> usize {
+    let mut best = usize::MAX;
+    let mut bestd = u32::MAX;
+    for p in values.mapped_clusters(v) {
+        let d = dist.min_distance(p, to);
+        if d < bestd {
+            bestd = d;
+            best = p;
+        }
+    }
+    debug_assert!(best != usize::MAX);
+    best
+}
+
+/// Communications needed to execute an instruction with `srcs` in `cluster`
+/// (one per operand without a local copy, deduplicated).
+pub fn needed_comms(
+    dist: &DistanceLut,
+    values: &ValueTable,
+    srcs: &[ValueId],
+    cluster: usize,
+) -> CommList {
+    let mut comms = CommList::new();
+    for &v in srcs {
+        if !values.mapped(v, cluster) && !comms.as_slice().iter().any(|c| c.value == v) {
+            let from = nearest_copy_cluster(dist, values, v, cluster);
+            comms.push(NeededComm {
+                value: v,
+                from: from as u8,
+            });
+        }
+    }
+    comms
+}
 
 /// Everything a policy may consult when placing one instruction: the
 /// configuration (cluster count, thresholds), the precomputed distance
-/// table, the value table (where the operands live, register pressure) and
-/// the instruction's live source values (architectural `r0` excluded;
+/// table, the value table (where the operands live, register pressure), the
+/// per-cluster INT and FP issue queues (DCOUNT occupancy) and the
+/// instruction's live source values (architectural `r0` excluded;
 /// in-flight copies count as mapped).
 pub struct SteerCtx<'a> {
     /// Back-end configuration (cluster count, thresholds).
@@ -46,6 +171,10 @@ pub struct SteerCtx<'a> {
     pub dist: &'a DistanceLut,
     /// Value/copy state (operand homes, free registers).
     pub values: &'a ValueTable,
+    /// Integer issue queue of each cluster.
+    pub iq_int: &'a [IssueQueue],
+    /// Floating-point issue queue of each cluster.
+    pub iq_fp: &'a [IssueQueue],
     /// Live source values of the instruction being steered (0..=2).
     pub srcs: &'a [ValueId],
 }
@@ -58,31 +187,26 @@ impl SteerCtx<'_> {
             comms: needed_comms(self.dist, self.values, self.srcs, cluster),
         }
     }
+
+    /// DCOUNT of `cluster` (Canal/Parcerisa): its dispatched-but-not-yet-
+    /// issued instructions, i.e. the occupancy of its INT and FP issue
+    /// queues. Communications are not instructions and do not count.
+    pub fn dcount(&self, cluster: usize) -> usize {
+        self.iq_int[cluster].len() + self.iq_fp[cluster].len()
+    }
 }
 
-/// One steering algorithm plus all of its mutable state.
+/// One steering algorithm plus its tie-break state.
 ///
-/// Contract: [`SteeringPolicy::steer`] is called once per dispatched
-/// instruction (in dispatch order); [`SteeringPolicy::dispatched`] follows
-/// for every instruction that actually allocated resources (a steer whose
-/// dispatch stalls is *not* confirmed and may be re-attempted next cycle);
-/// [`SteeringPolicy::issued`] fires when an instruction leaves its issue
-/// queue. Policies must be deterministic — identical call sequences must
-/// produce identical placements at any sweep worker count.
+/// Contract: [`SteeringPolicy::steer`] is called once per dispatch attempt
+/// (in dispatch order); a steer whose dispatch stalls allocates nothing and
+/// is re-attempted next cycle. Policies must be deterministic — identical
+/// call sequences must produce identical placements at any sweep worker
+/// count.
 pub trait SteeringPolicy: Send {
     /// Place one instruction: pick its execution cluster and the
     /// communications that choice implies (via [`SteerCtx::finish`]).
     fn steer(&mut self, ctx: &SteerCtx<'_>) -> Steered;
-
-    /// Feedback: an instruction was dispatched to `cluster`.
-    fn dispatched(&mut self, cluster: usize) {
-        let _ = cluster;
-    }
-
-    /// Feedback: an instruction issued from `cluster` (left the queue).
-    fn issued(&mut self, cluster: usize) {
-        let _ = cluster;
-    }
 
     /// Retry periodicity for the event-driven loop: when the same stalled
     /// instruction is re-steered every cycle against *frozen* machine state,
@@ -108,66 +232,8 @@ pub trait SteeringPolicy: Send {
 pub fn build(cfg: &CoreConfig) -> Box<dyn SteeringPolicy> {
     match cfg.steering {
         Steering::RingDep => Box::new(RingDep::new()),
-        Steering::ConvDcount => Box::new(ConvDcount::new(cfg.n_clusters)),
+        Steering::ConvDcount => Box::new(ConvDcount),
         Steering::Ssa => Box::new(Ssa::new()),
-    }
-}
-
-/// DCOUNT workload-balance state (Canal/Parcerisa): per-cluster counts of
-/// **dispatched-but-not-yet-issued** instructions. The metric is
-/// self-correcting — redirecting a handful of instructions immediately
-/// closes the gap — which is what keeps the baseline's balance mode from
-/// degenerating into permanent scatter.
-pub struct Dcount {
-    dc: Box<[i32]>,
-}
-
-impl Dcount {
-    /// Fresh state.
-    pub fn new(n_clusters: usize) -> Self {
-        Dcount {
-            dc: vec![0; n_clusters].into_boxed_slice(),
-        }
-    }
-
-    /// Record a dispatch to `cluster`.
-    #[inline]
-    pub fn dispatched(&mut self, cluster: usize) {
-        self.dc[cluster] += 1;
-    }
-
-    /// Record an issue from `cluster` (the instruction left the queue).
-    #[inline]
-    pub fn issued(&mut self, cluster: usize) {
-        debug_assert!(self.dc[cluster] > 0, "DCOUNT underflow");
-        self.dc[cluster] -= 1;
-    }
-
-    /// Current imbalance: max − min pending-instruction counts.
-    pub fn imbalance(&self) -> f64 {
-        let mut mx = i32::MIN;
-        let mut mn = i32::MAX;
-        for &d in self.dc.iter() {
-            mx = mx.max(d);
-            mn = mn.min(d);
-        }
-        (mx - mn) as f64
-    }
-
-    /// Least-loaded cluster (lowest counter; ties → lowest index).
-    pub fn least_loaded(&self) -> usize {
-        let mut best = 0;
-        for c in 1..self.dc.len() {
-            if self.dc[c] < self.dc[best] {
-                best = c;
-            }
-        }
-        best
-    }
-
-    /// Counter value (tests).
-    pub fn count(&self, cluster: usize) -> f64 {
-        self.dc[cluster] as f64
     }
 }
 
@@ -268,33 +334,28 @@ impl Default for RingDep {
 }
 
 /// §4.1 baseline steering: locality with explicit DCOUNT balance control.
-/// Owns the DCOUNT counters; the pipeline feeds them through the
-/// [`SteeringPolicy::dispatched`]/[`SteeringPolicy::issued`] hooks.
-pub struct ConvDcount {
-    dcount: Dcount,
-}
-
-impl ConvDcount {
-    /// Fresh policy for `n_clusters` clusters.
-    pub fn new(n_clusters: usize) -> Self {
-        ConvDcount {
-            dcount: Dcount::new(n_clusters),
-        }
-    }
-
-    /// The internal balance state (tests, labs).
-    pub fn dcount(&self) -> &Dcount {
-        &self.dcount
-    }
-}
+/// Stateless: the balance metric is the issue-queue occupancy
+/// ([`SteerCtx::dcount`]), which is self-correcting — redirecting a handful
+/// of instructions immediately closes the gap — and that keeps balance mode
+/// from degenerating into permanent scatter.
+pub struct ConvDcount;
 
 impl SteeringPolicy for ConvDcount {
     fn steer(&mut self, ctx: &SteerCtx<'_>) -> Steered {
         let (cfg, values, srcs) = (ctx.cfg, ctx.values, ctx.srcs);
-        let dcount = &self.dcount;
         let n = cfg.n_clusters;
-        if dcount.imbalance() > cfg.dcount_threshold {
-            return ctx.finish(dcount.least_loaded());
+        // Imbalance (max − min DCOUNT) and the least-loaded cluster (lowest
+        // count; ties → lowest index).
+        let (mut least, mut min, mut max) = (0, usize::MAX, 0);
+        let dcounts = ctx.iq_int[..n].iter().zip(&ctx.iq_fp[..n]);
+        for (c, d) in dcounts.map(|(i, f)| i.len() + f.len()).enumerate() {
+            if d < min {
+                (least, min) = (c, d);
+            }
+            max = max.max(d);
+        }
+        if (max - min) as f64 > cfg.dcount_threshold {
+            return ctx.finish(least);
         }
         // "If any source operand is not available at dispatch time":
         // clusters where the pending operands will be produced.
@@ -332,12 +393,13 @@ impl SteeringPolicy for ConvDcount {
             cand = cluster_mask(n);
         }
         // Least loaded among the selected clusters (ascending cluster
-        // order, strict less: lowest index wins ties, as before).
+        // order, strict less: lowest index wins ties).
         let mut bestc = usize::MAX;
-        let mut bestdc = f64::MAX;
+        let mut bestdc = usize::MAX;
         for c in ClusterBits(cand) {
-            if dcount.count(c) < bestdc {
-                bestdc = dcount.count(c);
+            let d = ctx.dcount(c);
+            if d < bestdc {
+                bestdc = d;
                 bestc = c;
             }
         }
@@ -345,15 +407,8 @@ impl SteeringPolicy for ConvDcount {
         ctx.finish(bestc)
     }
 
-    fn dispatched(&mut self, cluster: usize) {
-        self.dcount.dispatched(cluster);
-    }
-
-    fn issued(&mut self, cluster: usize) {
-        self.dcount.issued(cluster);
-    }
-
-    /// `steer` reads only DCOUNT/value state, which a dead cycle freezes.
+    /// `steer` is a pure function of the context, which a dead cycle
+    /// freezes.
     fn retry_period(&self, _n_srcs: usize, _n_clusters: usize) -> usize {
         1
     }
@@ -414,7 +469,8 @@ impl Default for Ssa {
 mod tests {
     use super::*;
     use crate::config::Topology;
-    use crate::steer::NeededComm;
+    use crate::queues::IqEntry;
+    use rcmc_isa::InsnClass;
 
     fn ring4() -> CoreConfig {
         CoreConfig {
@@ -428,19 +484,67 @@ mod tests {
         }
     }
 
+    /// Per-cluster INT and FP issue queues; cluster `c` holds `int[c]`
+    /// integer and `fp[c]` floating-point entries.
+    fn queues(cfg: &CoreConfig, int: &[usize], fp: &[usize]) -> [Vec<IssueQueue>; 2] {
+        [(int, InsnClass::IntAlu), (fp, InsnClass::FpAlu)].map(|(occ, class)| {
+            (0..cfg.n_clusters)
+                .map(|c| {
+                    let mut q = IssueQueue::new(cfg.iq_int.max(cfg.iq_fp));
+                    for seq in 0..occ.get(c).copied().unwrap_or(0) {
+                        q.push(IqEntry {
+                            seq: seq as u64,
+                            rob: 0,
+                            trace_idx: 0,
+                            class,
+                            waits: [None; 2],
+                            reads: [None; 2],
+                        });
+                    }
+                    q
+                })
+                .collect()
+        })
+    }
+
+    /// Steer against issue queues with the given INT/FP occupancy.
+    fn steer_loaded(
+        policy: &mut dyn SteeringPolicy,
+        cfg: &CoreConfig,
+        values: &ValueTable,
+        int: &[usize],
+        fp: &[usize],
+        srcs: &[ValueId],
+    ) -> Steered {
+        let dist = DistanceLut::new(cfg);
+        let [iq_int, iq_fp] = queues(cfg, int, fp);
+        policy.steer(&SteerCtx {
+            cfg,
+            dist: &dist,
+            values,
+            iq_int: &iq_int,
+            iq_fp: &iq_fp,
+            srcs,
+        })
+    }
+
+    /// Steer against empty issue queues.
     fn steer(
         policy: &mut dyn SteeringPolicy,
         cfg: &CoreConfig,
         values: &ValueTable,
         srcs: &[ValueId],
     ) -> Steered {
-        let dist = DistanceLut::new(cfg);
-        policy.steer(&SteerCtx {
-            cfg,
-            dist: &dist,
-            values,
-            srcs,
-        })
+        steer_loaded(policy, cfg, values, &[], &[], srcs)
+    }
+
+    fn conv4(threshold: f64) -> CoreConfig {
+        CoreConfig {
+            topology: Topology::Conv,
+            steering: Steering::ConvDcount,
+            dcount_threshold: threshold,
+            ..ring4()
+        }
     }
 
     /// The worked example of Figure 2, instruction by instruction.
@@ -551,21 +655,76 @@ mod tests {
 
     #[test]
     fn conv_balance_mode_overrides_locality() {
-        let mut cfg = ring4();
-        cfg.topology = Topology::Conv;
-        cfg.steering = Steering::ConvDcount;
-        cfg.dcount_threshold = 4.0;
+        let cfg = conv4(4.0);
         let mut values = ValueTable::new(4, 64, 64);
-        let mut s = ConvDcount::new(4);
         let v = values.alloc(0, false);
         values.mark_ready(v, 0);
-        // Pile dispatches onto cluster 0 beyond the threshold.
-        for _ in 0..6 {
-            s.dispatched(0);
-        }
-        let st = steer(&mut s, &cfg, &values, &[v]);
+        // Six instructions wait in cluster 0's queue: beyond the threshold.
+        let st = steer_loaded(&mut ConvDcount, &cfg, &values, &[6], &[], &[v]);
         assert_ne!(st.cluster, 0, "balance mode must leave the loaded cluster");
         assert_eq!(st.comms.len(), 1, "which costs a communication");
+    }
+
+    #[test]
+    fn dcount_balance_picks_the_least_occupied_cluster_lowest_index_first() {
+        let cfg = conv4(4.0);
+        let mut values = ValueTable::new(4, 64, 64);
+        let v = values.alloc(0, false);
+        values.mark_ready(v, 0);
+        // Occupancy 6/3/1/1: imbalance 5 > 4. Clusters 2 and 3 tie for
+        // least occupied; the lower index wins.
+        let st = steer_loaded(&mut ConvDcount, &cfg, &values, &[6, 3, 1, 1], &[], &[v]);
+        assert_eq!(st.cluster, 2);
+        // An operand-less instruction outside balance mode goes to the
+        // least-occupied cluster too, again lowest index on ties.
+        let st = steer_loaded(&mut ConvDcount, &cfg, &values, &[2, 1, 1, 2], &[], &[]);
+        assert_eq!(st.cluster, 1);
+    }
+
+    #[test]
+    fn dcount_threshold_comparison_is_strict() {
+        let cfg = conv4(4.0);
+        let mut values = ValueTable::new(4, 64, 64);
+        let v = values.alloc(0, false);
+        values.mark_ready(v, 0);
+        // Imbalance exactly at the threshold: locality keeps the operand's
+        // cluster, no communication.
+        let at = steer_loaded(&mut ConvDcount, &cfg, &values, &[4], &[], &[v]);
+        assert_eq!((at.cluster, at.comms.len()), (0, 0));
+        // One more pending instruction tips it into balance mode.
+        let over = steer_loaded(&mut ConvDcount, &cfg, &values, &[5], &[], &[v]);
+        assert_eq!((over.cluster, over.comms.len()), (1, 1));
+    }
+
+    #[test]
+    fn dcount_counts_int_and_fp_queues() {
+        let cfg = conv4(4.0);
+        let mut values = ValueTable::new(4, 64, 64);
+        let v = values.alloc(0, false);
+        values.mark_ready(v, 0);
+        // Three INT plus three FP entries in cluster 0: DCOUNT 6, balance
+        // mode. Either queue alone stays under the threshold.
+        let dist = DistanceLut::new(&cfg);
+        let [iq_int, iq_fp] = queues(&cfg, &[3], &[3]);
+        let ctx = SteerCtx {
+            cfg: &cfg,
+            dist: &dist,
+            values: &values,
+            iq_int: &iq_int,
+            iq_fp: &iq_fp,
+            srcs: &[v],
+        };
+        assert_eq!(
+            (0..4).map(|c| ctx.dcount(c)).collect::<Vec<_>>(),
+            [6, 0, 0, 0]
+        );
+        assert_eq!(ConvDcount.steer(&ctx).cluster, 1);
+        for (int, fp) in [([3], [0]), ([0], [3])] {
+            let st = steer_loaded(&mut ConvDcount, &cfg, &values, &int, &fp, &[v]);
+            assert_eq!(st.cluster, 0);
+        }
+        // Communications wait in per-cluster comm queues, which the context
+        // does not carry: they are not instructions and never count.
     }
 
     #[test]
@@ -574,7 +733,7 @@ mod tests {
         cfg.topology = Topology::Conv;
         cfg.steering = Steering::ConvDcount;
         let mut values = ValueTable::new(4, 64, 64);
-        let mut s = ConvDcount::new(4);
+        let mut s = ConvDcount;
         let pending = values.alloc(2, false); // in flight, home 2
         let st = steer(&mut s, &cfg, &values, &[pending]);
         assert_eq!(
@@ -591,7 +750,7 @@ mod tests {
         cfg.steering = Steering::ConvDcount;
         cfg.n_buses = 2; // bidirectional distances
         let mut values = ValueTable::new(4, 64, 64);
-        let mut s = ConvDcount::new(4);
+        let mut s = ConvDcount;
         let a = values.alloc(0, false);
         values.mark_ready(a, 0);
         let b = values.alloc(1, false);
@@ -620,64 +779,6 @@ mod tests {
             seen.push(steer(&mut s, &cfg, &values, &[]).cluster);
         }
         assert_eq!(seen, vec![0, 1, 2, 3, 0]);
-    }
-
-    #[test]
-    fn dcount_tracks_pending_instructions() {
-        let mut d = Dcount::new(4);
-        d.dispatched(0);
-        d.dispatched(0);
-        d.dispatched(1);
-        assert!((d.imbalance() - 2.0).abs() < 1e-12);
-        d.issued(0);
-        assert!((d.count(0) - 1.0).abs() < 1e-12);
-        assert!((d.imbalance() - 1.0).abs() < 1e-12);
-        assert_eq!(d.least_loaded(), 2);
-    }
-
-    #[test]
-    fn conv_feedback_hooks_drive_the_dcount() {
-        // The pipeline's dispatched/issued notifications are the only way
-        // balance state changes; the hooks must mirror Dcount exactly.
-        let mut s = ConvDcount::new(4);
-        s.dispatched(1);
-        s.dispatched(1);
-        s.dispatched(3);
-        assert!((s.dcount().count(1) - 2.0).abs() < 1e-12);
-        assert!((s.dcount().imbalance() - 2.0).abs() < 1e-12);
-        s.issued(1);
-        assert!((s.dcount().count(1) - 1.0).abs() < 1e-12);
-        assert_eq!(s.dcount().least_loaded(), 0);
-    }
-
-    #[test]
-    fn ringdep_and_ssa_ignore_feedback() {
-        // The hooks are no-ops for stateless-balance policies: placements
-        // before and after a storm of notifications must be identical.
-        let cfg = ring4();
-        let values = ValueTable::new(4, 64, 64);
-        let mut a = RingDep::new();
-        let mut b = RingDep::new();
-        for c in 0..4 {
-            b.dispatched(c);
-            b.issued(c);
-        }
-        for _ in 0..6 {
-            assert_eq!(
-                steer(&mut a, &cfg, &values, &[]).cluster,
-                steer(&mut b, &cfg, &values, &[]).cluster
-            );
-        }
-        let mut a = Ssa::new();
-        let mut b = Ssa::new();
-        b.dispatched(2);
-        b.issued(2);
-        for _ in 0..6 {
-            assert_eq!(
-                steer(&mut a, &cfg, &values, &[]).cluster,
-                steer(&mut b, &cfg, &values, &[]).cluster
-            );
-        }
     }
 
     #[test]
@@ -720,8 +821,7 @@ mod tests {
             1,
             "with operands Ssa is pure"
         );
-        let cd = ConvDcount::new(4);
-        assert_eq!(SteeringPolicy::retry_period(&cd, 0, 4), 1);
+        assert_eq!(SteeringPolicy::retry_period(&ConvDcount, 0, 4), 1);
     }
 
     #[test]
@@ -734,17 +834,50 @@ mod tests {
                 ..ring4()
             };
             let values = ValueTable::new(4, 64, 64);
-            let dist = DistanceLut::new(&cfg);
-            let mut p = build(&cfg);
-            let st = p.steer(&SteerCtx {
-                cfg: &cfg,
-                dist: &dist,
-                values: &values,
-                srcs: &[],
-            });
+            let st = steer(build(&cfg).as_mut(), &cfg, &values, &[]);
             assert!(st.cluster < 4, "{steering:?}");
-            p.dispatched(st.cluster);
-            p.issued(st.cluster);
         }
+    }
+
+    #[test]
+    fn needed_comms_deduplicates_same_value() {
+        // An instruction reading the same value twice needs one comm.
+        let dist = DistanceLut::new(&ring4());
+        let mut values = ValueTable::new(4, 64, 64);
+        let v = values.alloc(0, false);
+        let comms = needed_comms(&dist, &values, &[v, v], 2);
+        assert_eq!(comms.len(), 1);
+    }
+
+    #[test]
+    fn comm_list_holds_two_inline() {
+        // The conv balance path can need both operands moved: the inline
+        // list must carry both, in operand order, with no heap involved.
+        let dist = DistanceLut::new(&ring4());
+        let mut values = ValueTable::new(4, 64, 64);
+        let a = values.alloc(0, false);
+        let b = values.alloc(2, false);
+        let comms = needed_comms(&dist, &values, &[a, b], 1);
+        assert_eq!(comms.len(), 2);
+        assert_eq!(
+            comms.as_slice(),
+            &[
+                NeededComm { value: a, from: 0 },
+                NeededComm { value: b, from: 2 }
+            ]
+        );
+        assert!(!comms.is_empty());
+    }
+
+    #[test]
+    fn comm_list_equality_ignores_dead_slots() {
+        let mut x = CommList::new();
+        let mut y = CommList::new();
+        x.push(NeededComm { value: 7, from: 1 });
+        y.push(NeededComm { value: 7, from: 1 });
+        assert_eq!(x, y);
+        y.push(NeededComm { value: 9, from: 2 });
+        assert_ne!(x, y);
+        assert_eq!(CommList::new(), CommList::default());
     }
 }

@@ -68,7 +68,8 @@
 //! the full ISA decoder (operand signature included) runs only the first
 //! time a pair appears. A record whose instruction does not decode is still
 //! reported at its own index, the first that carries the word.
-//! [`TraceDb::list`] and [`TraceDb::open`] read headers only.
+//! [`TraceDb::scan`], [`TraceDb::list`] and [`TraceDb::open`] read headers
+//! only.
 //!
 //! ## Versioning rules
 //!
@@ -256,20 +257,22 @@ impl TraceDb {
         self.load_full(name, len).ok().map(Arc::new)
     }
 
-    /// The trace a run of workload `name` reads, held open: `<dir>/<name>.trc`
-    /// if its header parses and names `name` (the payload is not read).
-    /// `None` when no such file exists.
-    pub fn open(&self, name: &str) -> Option<OpenTrace> {
+    /// The trace a run of workload `name` reads, held open:
+    /// `<dir>/<name>.trc`, whose header must parse and name `name` (the
+    /// payload is not read). `Ok(None)` when no such file exists; a file
+    /// whose header is damaged is an error, not a missing trace.
+    pub fn open(&self, name: &str) -> Result<Option<OpenTrace>, TraceDbError> {
         if !Self::valid_name(name) {
-            return None;
+            return Ok(None);
         }
-        let (file, h) = open_named(&self.path_of(name), name)?;
-        Some(OpenTrace {
-            name: h.name,
-            len: h.key_len,
-            checksum: h.checksum,
-            file: Mutex::new(file),
-        })
+        Ok(
+            open_named(&self.path_of(name), name)?.map(|(file, h)| OpenTrace {
+                name: h.name,
+                len: h.key_len,
+                checksum: h.checksum,
+                file: Mutex::new(file),
+            }),
+        )
     }
 
     /// Persist `trace` as `name`'s one file, recording `len` in its
@@ -305,14 +308,15 @@ impl TraceDb {
         Ok(meta(name, &header, bytes.len() as u64))
     }
 
-    /// Every stored trace whose header parses and names its file, sorted
-    /// by name. Other files are skipped (they are invisible to
-    /// [`TraceDb::open`] too).
-    pub fn list(&self) -> Vec<TraceMeta> {
+    /// Every `<name>.trc` file in the store, sorted by name: its catalog
+    /// entry if its header parses and names `name`, else why not (the
+    /// payload is not read). Files whose stem is not a valid name are not
+    /// traces and are skipped.
+    pub fn scan(&self) -> Vec<(String, Result<TraceMeta, TraceDbError>)> {
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return Vec::new();
         };
-        let mut out: Vec<TraceMeta> = entries
+        let mut out: Vec<_> = entries
             .flatten()
             .filter_map(|entry| {
                 let fname = entry.file_name();
@@ -320,12 +324,26 @@ impl TraceDb {
                 if !Self::valid_name(name) {
                     return None;
                 }
-                let (file, h) = open_named(&entry.path(), name)?;
-                Some(meta(name.to_string(), &h, file.metadata().ok()?.len()))
+                // `None`: removed since the directory was read.
+                let opened = open_named(&entry.path(), name).transpose()?;
+                let meta = opened.and_then(|(file, h)| {
+                    let bytes = file.metadata().map_err(io_err)?.len();
+                    Ok(meta(name.to_string(), &h, bytes))
+                });
+                Some((name.to_string(), meta))
             })
             .collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
+        out.sort_by(|a, b| a.0.cmp(&b.0));
         out
+    }
+
+    /// The readable entries of [`TraceDb::scan`]: every stored trace whose
+    /// header parses and names its file, sorted by name.
+    pub fn list(&self) -> Vec<TraceMeta> {
+        self.scan()
+            .into_iter()
+            .filter_map(|(_, m)| m.ok())
+            .collect()
     }
 
     /// Delete the trace stored under `name`. Returns whether a file was
@@ -358,7 +376,9 @@ impl TraceDb {
             let resolved = lens
                 .into_iter()
                 .map(|len| (len, old.join(format!("{len}.trc"))))
-                .find(|(len, p)| open_named(p, &name).is_some_and(|(_, h)| h.key_len == *len));
+                .find(|(len, p)| {
+                    matches!(open_named(p, &name), Ok(Some((_, h))) if h.key_len == *len)
+                });
             if let Some((_, file)) = resolved.filter(|_| !target.exists()) {
                 let _ = std::fs::rename(file, &target);
             }
@@ -380,12 +400,19 @@ fn meta(name: String, h: &Header, bytes: u64) -> TraceMeta {
     }
 }
 
-/// The file at `path`, opened, with its header, if the header parses and
-/// names `name` (the payload is not read).
-fn open_named(path: &Path, name: &str) -> Option<(std::fs::File, Header)> {
-    let mut file = std::fs::File::open(path).ok()?;
-    let h = read_header(&mut file).ok()?;
-    (h.name == name).then_some((file, h))
+/// The file at `path`, opened, with its header, which must parse and name
+/// `name` (the payload is not read). `Ok(None)` if there is no such file.
+fn open_named(path: &Path, name: &str) -> Result<Option<(std::fs::File, Header)>, TraceDbError> {
+    let mut file = match std::fs::File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(io_err(e)),
+    };
+    let h = read_header(&mut file)?;
+    if h.name != name {
+        return Err(TraceDbError::KeyMismatch);
+    }
+    Ok(Some((file, h)))
 }
 
 /// One stored trace file, held open from [`TraceDb::open`] on. On Unix an
@@ -981,7 +1008,7 @@ mod tests {
             "one file per name: the last save of `aaa` replaced the first"
         );
         assert_eq!(metas[0].insns, 3);
-        assert_eq!(db.open("aaa").map(|t| t.len), Some(20));
+        assert_eq!(db.open("aaa").unwrap().map(|t| t.len), Some(20));
         assert!(db.remove("aaa"));
         assert!(!db.remove("aaa"));
         assert_eq!(db.list().len(), 1);

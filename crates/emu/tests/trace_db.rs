@@ -496,7 +496,7 @@ fn the_last_write_of_a_name_wins() {
     let of_len = |len: u64| trace_program(&looped_program(100), len as usize).unwrap();
     assert!(db.save("w", 200, &of_len(200)));
     assert!(db.save("w", 100, &of_len(100)));
-    let open = db.open("w").expect("w is stored");
+    let open = db.open("w").unwrap().expect("w is stored");
     assert_eq!(open.load().unwrap(), of_len(100));
     let metas = db.list();
     assert_eq!(

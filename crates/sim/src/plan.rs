@@ -1040,7 +1040,13 @@ impl Plan {
                     for (bk, bv) in fields {
                         match bk.as_str() {
                             "warmup" => b.warmup = uint_field(bv, bk)?,
-                            "measure" => b.measure = uint_field(bv, bk)?,
+                            "measure" => {
+                                b.measure = uint_field(bv, bk)?;
+                                if b.measure == 0 {
+                                    // A zero window measures nothing.
+                                    return Err("'measure' must be at least 1".to_string());
+                                }
+                            }
                             other => return Err(format!("unknown budget key '{other}'")),
                         }
                     }
@@ -1163,6 +1169,17 @@ mod tests {
         let bad_budget =
             r#"{"name": "x", "configs": [{"group": "table3"}], "budget": {"measure": -5}}"#;
         assert!(Plan::from_json(bad_budget).is_err());
+        // A zero measurement window measures nothing; a zero warm-up is fine.
+        let zero = r#"{"name": "x", "configs": [{"group": "table3"}], "budget": {"measure": 0}}"#;
+        assert!(Plan::from_json(zero)
+            .unwrap_err()
+            .contains("'measure' must be at least 1"));
+        let no_warmup =
+            r#"{"name": "x", "configs": [{"group": "table3"}], "budget": {"warmup": 0}}"#;
+        assert_eq!(
+            Plan::from_json(no_warmup).unwrap().budget.unwrap().warmup,
+            0
+        );
         // The worker count is the session's, not the plan's.
         let jobs = r#"{"name": "x", "configs": [{"group": "table3"}], "jobs": 4}"#;
         assert!(Plan::from_json(jobs)

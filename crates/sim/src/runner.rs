@@ -255,17 +255,18 @@ impl Workload {
     /// holds under that name ([`TraceDb::open`]), whatever the budget — an
     /// externally captured workload has a fixed length, and a shorter
     /// trace ends the run early, exactly like a program that halts. Plans
-    /// and `rcmc run` reject an unknown name with this message before
-    /// anything simulates.
+    /// and `rcmc run` reject an unknown name, or a stored trace whose
+    /// header is damaged, with this message before anything simulates.
     pub fn resolve(name: &str, db: Option<&TraceDb>) -> Result<Workload, String> {
         if let Some(b) = benchmark(name) {
             return Ok(Workload(Source::Suite(b)));
         }
-        match db.and_then(|d| d.open(name)) {
-            Some(t) => Ok(Workload(Source::Imported(Arc::new(t)))),
-            None => Err(format!(
+        match db.map_or(Ok(None), |d| d.open(name)) {
+            Ok(Some(t)) => Ok(Workload(Source::Imported(Arc::new(t)))),
+            Ok(None) => Err(format!(
                 "unknown benchmark '{name}' (see `rcmc list`; imported traces: `rcmc trace list`)"
             )),
+            Err(e) => Err(format!("imported trace '{name}': {e}")),
         }
     }
 

@@ -8,9 +8,11 @@
 //! living in the pipeline), with the DCOUNT threshold pinned at the
 //! pre-recalibration 16.0 so the deliberate Crossbar recalibration cannot
 //! mask a policy-dispatch regression. Every configuration going through the
-//! `Interconnect` + `SteeringPolicy` trait pair — with DCOUNT state owned
-//! by the `ConvDcount` policy and wakeup running off per-value waiter
-//! bitsets of slot-stable issue queues — must reproduce every counter
+//! `Interconnect` + `SteeringPolicy` trait pair — with DCOUNT read from the
+//! issue queues' occupancy by a stateless `ConvDcount` (it once kept its
+//! own counters, fed by dispatch/issue feedback hooks) and wakeup running
+//! off per-value waiter bitsets of slot-stable issue queues — must
+//! reproduce every counter
 //! bit-for-bit: cycles, commit mix, communication counts/distances/waits,
 //! NREADY and the per-cluster dispatch histogram. If any row moves, the
 //! timing model changed and MODEL_VERSION in `rcmc_sim::runner` must be

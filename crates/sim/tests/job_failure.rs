@@ -23,7 +23,10 @@ fn damaged_store(tag: &str) -> (TraceDb, PathBuf) {
     let mut bytes = std::fs::read(&file).unwrap();
     *bytes.last_mut().unwrap() ^= 1;
     std::fs::write(&file, &bytes).unwrap();
-    assert!(db.open("ext").is_some(), "the damaged file still resolves");
+    assert!(
+        db.open("ext").unwrap().is_some(),
+        "the damaged file still resolves"
+    );
     (db, dir)
 }
 

@@ -7,6 +7,7 @@
 //! ```
 
 use ring_clustered::core::config::DistanceLut;
+use ring_clustered::core::queues::IssueQueue;
 use ring_clustered::core::steering::{RingDep, SteerCtx, SteeringPolicy};
 use ring_clustered::core::value::ValueTable;
 use ring_clustered::core::{CoreConfig, Steering, Topology};
@@ -24,12 +25,19 @@ fn figure2_walkthrough() {
     };
     let mut values = ValueTable::new(4, 64, 64);
     let dist = DistanceLut::new(&cfg);
+    // Empty issue queues: ring steering balances on free registers, not on
+    // queue occupancy.
+    let iq: Vec<_> = (0..cfg.n_clusters)
+        .map(|_| IssueQueue::new(cfg.iq_int))
+        .collect();
     let mut policy = RingDep::new();
     let steer = |policy: &mut RingDep, values: &ValueTable, srcs: &[u32]| {
         policy.steer(&SteerCtx {
             cfg: &cfg,
             dist: &dist,
             values,
+            iq_int: &iq,
+            iq_fp: &iq,
             srcs,
         })
     };
@@ -56,7 +64,7 @@ fn figure2_walkthrough() {
 
     // I3. R3 = R1 + R2
     let s3 = steer(&mut policy, &values, &[r1, r2]);
-    for cm in &s3.comms {
+    for cm in s3.comms.as_slice() {
         values.add_copy(cm.value, s3.cluster);
         values.mark_ready(cm.value, s3.cluster);
     }
@@ -70,7 +78,7 @@ fn figure2_walkthrough() {
 
     // I4. R4 = R1 + R3
     let s4 = steer(&mut policy, &values, &[r1, r3]);
-    for cm in &s4.comms {
+    for cm in s4.comms.as_slice() {
         values.add_copy(cm.value, s4.cluster);
         values.mark_ready(cm.value, s4.cluster);
     }

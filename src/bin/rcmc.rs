@@ -254,9 +254,16 @@ fn positional(args: &[String], idx: usize, what: &str) -> String {
     })
 }
 
+/// The measurement window `--instrs`/`--warmup` ask for (defaults:
+/// [`Budget::default`]). A zero window measures nothing, so `--instrs 0`
+/// exits 2, like a zero `RCMC_INSTRS`.
 fn budget_from(flags: &HashMap<String, String>) -> Budget {
     let mut b = Budget::default();
     if let Some(v) = num_flag(flags, "instrs") {
+        if v == 0 {
+            errln!("--instrs must be at least 1");
+            std::process::exit(2);
+        }
         b.measure = v;
     }
     if let Some(v) = num_flag(flags, "warmup") {
@@ -573,8 +580,8 @@ fn trace_import(args: &[String], flags: &HashMap<String, String>) {
 /// `rcmc trace list` — catalog the store.
 fn trace_list(flags: &HashMap<String, String>) {
     let db = trace_db_from(flags);
-    let metas = db.list();
-    if metas.is_empty() {
+    let entries = db.scan();
+    if entries.is_empty() {
         outln!("trace store {} is empty", db.dir().display());
         return;
     }
@@ -586,15 +593,18 @@ fn trace_list(flags: &HashMap<String, String>) {
         "bytes",
         "version"
     );
-    for m in metas {
-        outln!(
-            "  {:<24} {:>12} {:>12} {:>10}  {}",
-            format!("{}/{}", m.name, m.len),
-            m.insns,
-            m.bytes,
-            m.trace_version,
-            if m.halted { "halted" } else { "budget" },
-        );
+    for (name, meta) in entries {
+        match meta {
+            Ok(m) => outln!(
+                "  {:<24} {:>12} {:>12} {:>10}  {}",
+                format!("{name}/{}", m.len),
+                m.insns,
+                m.bytes,
+                m.trace_version,
+                if m.halted { "halted" } else { "budget" },
+            ),
+            Err(e) => outln!("  {name:<24} CORRUPT: {e}"),
+        }
     }
 }
 
@@ -613,29 +623,33 @@ fn trace_rm(args: &[String], flags: &HashMap<String, String>) {
 fn trace_verify(args: &[String], flags: &HashMap<String, String>) {
     let db = trace_db_from(flags);
     let only = args.get(2).filter(|a| !a.starts_with("--"));
-    let metas: Vec<_> = db
-        .list()
+    let entries: Vec<_> = db
+        .scan()
         .into_iter()
-        .filter(|m| only.is_none_or(|n| &m.name == n))
+        .filter(|(name, _)| only.is_none_or(|n| name == n))
         .collect();
-    if let (Some(name), true) = (only, metas.is_empty()) {
+    if let (Some(name), true) = (only, entries.is_empty()) {
         die::<()>(format!("no trace named '{name}' in {}", db.dir().display()));
     }
-    if metas.is_empty() {
+    if entries.is_empty() {
         outln!("nothing to verify in {}", db.dir().display());
         return;
     }
     let mut bad = 0;
-    for m in &metas {
-        match db.load_full(&m.name, m.len) {
-            Ok(t) => outln!("ok      {}/{} ({} instructions)", m.name, m.len, t.len()),
+    for (name, meta) in &entries {
+        let (key, checked) = match meta {
+            Ok(m) => (format!("{name}/{}", m.len), db.load_full(name, m.len)),
+            Err(e) => (name.clone(), Err(e.clone())),
+        };
+        match checked {
+            Ok(t) => outln!("ok      {key} ({} instructions)", t.len()),
             Err(e) => {
                 bad += 1;
-                outln!("CORRUPT {}/{}: {e}", m.name, m.len);
+                outln!("CORRUPT {key}: {e}");
             }
         }
     }
-    outln!("{} verified, {bad} corrupt", metas.len() - bad);
+    outln!("{} verified, {bad} corrupt", entries.len() - bad);
     if bad > 0 {
         std::process::exit(1);
     }

@@ -3,7 +3,8 @@
 //! `RCMC_WARMUP` that is not a whole number in range must fail fast with
 //! exit code 2 and the usage text, never silently fall back to a default.
 //! The worker count is the session's: a plan spec carrying `"jobs"` is
-//! refused by `plan run` and `serve` alike.
+//! refused by `plan run` and `serve` alike. A zero measurement window is
+//! refused by the flag, the environment and the plan spec alike.
 
 use std::process::Command;
 
@@ -71,6 +72,59 @@ fn plan_specs_carrying_jobs_are_refused() {
     let first = text.lines().next().unwrap_or_default();
     assert!(first.contains(r#""event":"error""#), "{text}");
     assert!(first.contains("unknown plan key 'jobs'"), "{text}");
+}
+
+/// A zero measurement window measures nothing, so every way to ask for one
+/// is refused before anything simulates: `--instrs 0` exits 2 like
+/// `RCMC_INSTRS=0`, and a plan spec with `"measure": 0` fails to parse in
+/// `plan run` (exit 1) and in `serve` (an error event).
+#[test]
+fn a_zero_measurement_window_is_refused_everywhere() {
+    let run = rcmc()
+        .args(["run", "swim", "--instrs", "0"])
+        .output()
+        .unwrap();
+    assert_eq!(run.status.code(), Some(2), "{run:?}");
+    let err = String::from_utf8_lossy(&run.stderr);
+    assert!(err.contains("--instrs must be at least 1"), "{err}");
+    assert!(
+        !String::from_utf8_lossy(&run.stdout).contains("IPC"),
+        "{run:?}"
+    );
+
+    let env = rcmc().env("RCMC_INSTRS", "0").arg("list").output().unwrap();
+    assert_eq!(env.status.code(), Some(2), "{env:?}");
+
+    let spec = r#"{"name": "z", "configs": [{"name": "Ring_4clus_1bus_2IW"}], "benches": ["swim"], "budget": {"measure": 0}}"#;
+    let path = std::env::temp_dir().join(format!("rcmc-zero-spec-{}.json", std::process::id()));
+    std::fs::write(&path, spec).unwrap();
+    let out = rcmc().args(["plan", "run"]).arg(&path).output().unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("'measure' must be at least 1"), "{err}");
+    assert!(!err.contains("jobs:"), "the plan ran: {err}");
+
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut serve = rcmc()
+        .args(["serve", "--jobs", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut stdin = serve.stdin.take().unwrap();
+    writeln!(stdin, r#"{{"id": 1, "op": "run", "plan": {spec}}}"#).unwrap();
+    writeln!(stdin, r#"{{"op": "shutdown"}}"#).unwrap();
+    drop(stdin);
+    let out = serve.wait_with_output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    let first = text.lines().next().unwrap_or_default();
+    assert!(first.contains(r#""event":"error""#), "{text}");
+    assert!(first.contains("'measure' must be at least 1"), "{text}");
+    assert!(!text.contains(r#""event":"result""#), "{text}");
 }
 
 /// `jobs: N executed` counts simulations, not delivered pairs: two labels

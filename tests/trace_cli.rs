@@ -2,6 +2,7 @@
 //! isolated `--trace-store`: record → list → verify → rm, importing a
 //! captured file under a new name, and running the import as a workload;
 //! a damaged import that fails its run without taking the CLI down; a
+//! damaged header reported as corrupt rather than hidden; a
 //! `trace view` whose reader closes the pipe early; and a stderr that
 //! refuses every write.
 
@@ -229,6 +230,75 @@ fn a_damaged_trace_fails_its_run_with_exit_1() {
     for d in [&dir, &target] {
         let _ = std::fs::remove_dir_all(d);
     }
+}
+
+/// A stored trace whose header is damaged (here: a flipped magic byte) is
+/// reported as corrupt, never hidden: `trace list` shows it, `trace
+/// verify` counts it and exits 1, and `trace verify NAME`, `run NAME` and
+/// plan resolution name the damage instead of calling the name unknown.
+#[test]
+fn a_trace_with_a_damaged_header_is_reported_corrupt() {
+    let dir = temp_store("bad-header");
+    let ext = import_mcf_as(&dir, "ext");
+    let mut bytes = std::fs::read(&ext).unwrap();
+    bytes[3] ^= 0x20;
+    std::fs::write(&ext, &bytes).unwrap();
+    let store = || ["--trace-store", dir.to_str().unwrap()];
+
+    let ls = rcmc()
+        .args(["trace", "list"])
+        .args(store())
+        .output()
+        .unwrap();
+    assert!(ls.status.success(), "{ls:?}");
+    assert!(stdout(&ls).contains("ext"), "{ls:?}");
+    assert!(stdout(&ls).contains("CORRUPT: bad magic"), "{ls:?}");
+
+    let ver = rcmc()
+        .args(["trace", "verify"])
+        .args(store())
+        .output()
+        .unwrap();
+    assert_eq!(ver.status.code(), Some(1), "{ver:?}");
+    assert!(stdout(&ver).contains("CORRUPT ext: bad magic"), "{ver:?}");
+    assert!(stdout(&ver).contains("1 verified, 1 corrupt"), "{ver:?}");
+
+    let one = rcmc()
+        .args(["trace", "verify", "ext"])
+        .args(store())
+        .output()
+        .unwrap();
+    assert_eq!(one.status.code(), Some(1), "{one:?}");
+    assert!(stdout(&one).contains("0 verified, 1 corrupt"), "{one:?}");
+
+    let spec = dir.join("plan.json");
+    std::fs::write(
+        &spec,
+        r#"{"name": "p", "configs": [{"name": "Ring_4clus_1bus_2IW"}], "benches": ["ext"],
+            "budget": {"warmup": 500, "measure": 2000}}"#,
+    )
+    .unwrap();
+    let run = rcmc()
+        .args(["run", "ext", "--instrs", "2000", "--warmup", "500"])
+        .args(store())
+        .output()
+        .unwrap();
+    let plan = rcmc()
+        .args(["plan", "run"])
+        .arg(&spec)
+        .args(store())
+        .args(["--store"])
+        .arg(dir.join("results"))
+        .output()
+        .unwrap();
+    for out in [run, plan] {
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("imported trace 'ext': bad magic"), "{err}");
+        assert!(!err.contains("unknown benchmark"), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `trace verify NAME` for a name the store does not hold is an error,
