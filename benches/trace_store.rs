@@ -16,9 +16,9 @@
 //! pass, with `_q1`/`_q3` quartiles), `emulate_minsns_per_s`,
 //! `decode_MBps`, the on-disk `bytes_per_insn` next to the flat v1 figure
 //! the format v2 zero-run codec replaces, the in-memory
-//! `mem_bytes_per_insn` of an emulated trace (16-byte records plus its
-//! share of the static table), and `_meta` (`nproc`, git revision, reps,
-//! window).
+//! `mem_bytes_per_insn` of an emulated trace (8-byte packed records, the
+//! escape table and its share of the static table), and `_meta` (`nproc`,
+//! git revision, reps, window, and the suite's escaped records).
 
 use std::path::Path;
 use std::time::Instant;
@@ -86,7 +86,7 @@ fn main() {
 
     // Untimed: fill the store, and check every stored trace against the
     // emulation it came from.
-    let (mut insns, mut mem_bytes) = (0u64, 0u64);
+    let (mut insns, mut mem_bytes, mut escapes) = (0u64, 0u64, 0u64);
     for name in &names {
         let fresh = emulate(name);
         assert!(db.save(name, len, &fresh), "{name}: save failed");
@@ -97,6 +97,7 @@ fn main() {
         );
         insns += fresh.len() as u64;
         mem_bytes += fresh.bytes() as u64;
+        escapes += fresh.escapes() as u64;
     }
     let bytes: u64 = db.list().iter().map(|m| m.bytes).sum();
 
@@ -149,8 +150,8 @@ fn main() {
         bytes_per_insn < bytes_per_insn_flat,
         "v2 zero-run codec did not beat the flat v1 record size"
     );
-    // In memory: 16-byte records over a per-trace static table, against the
-    // 32-byte logical record a trace would hold without the table.
+    // In memory: 8-byte packed records over a per-trace static table,
+    // against the 32-byte logical record a trace would hold without it.
     let logical_bytes = std::mem::size_of::<DynInsn>();
     let mem_bytes_per_insn = mem_bytes as f64 / insns as f64;
     println!("  {mem_bytes_per_insn:.4} B/insn in memory (logical record: {logical_bytes} B/insn)");
@@ -174,6 +175,7 @@ fn main() {
                 ("trace_len", num(len as f64)),
                 ("insns", num(insns as f64)),
                 ("bytes", num(bytes as f64)),
+                ("escapes", num(escapes as f64)),
             ]),
         ),
         ("emulate_s", num(emulate_s)),

@@ -161,6 +161,15 @@ impl Cpu {
     /// leaves it out of line, and emulation runs ~3× slower.
     #[inline(always)]
     pub fn step(&mut self) -> Result<Option<DynInsn>, EmuError> {
+        Ok(self.step_packed()?.map(|(d, _)| d))
+    }
+
+    /// [`Cpu::step`], plus the word a packed trace record stores for the
+    /// instruction, set as it executes: a load's or store's address (its
+    /// low 32 bits), a conditional branch's taken bit, a `jalr`'s target,
+    /// else 0. [`Cpu::step`] drops it, and inlining drops its cost.
+    #[inline(always)]
+    pub(crate) fn step_packed(&mut self) -> Result<Option<(DynInsn, u32)>, EmuError> {
         if self.halted {
             return Ok(None);
         }
@@ -181,6 +190,7 @@ impl Cpu {
         let imm = d.insn.imm as i64;
         let mut next_pc = pc + 1;
         let mut mem_addr = 0u64;
+        let mut word = 0u32;
 
         use Opcode::*;
         let v: u64 = match d.insn.op {
@@ -224,10 +234,12 @@ impl Cpu {
             Fmov => a,
             Ld | Fld => {
                 mem_addr = Self::addr(pc, ai, imm)?;
+                word = mem_addr as u32;
                 self.mem.read_u64(mem_addr)
             }
             St | Fst => {
                 mem_addr = Self::addr(pc, ai, imm)?;
+                word = mem_addr as u32;
                 self.mem.write_u64(mem_addr, b);
                 0
             }
@@ -241,6 +253,7 @@ impl Cpu {
                 if taken {
                     next_pc = d.target;
                 }
+                word = taken as u32;
                 0
             }
             Jal => {
@@ -249,6 +262,7 @@ impl Cpu {
             }
             Jalr => {
                 next_pc = ai.wrapping_add(imm) as u32;
+                word = next_pc;
                 (pc + 1) as u64
             }
             Nop => 0,
@@ -261,12 +275,13 @@ impl Cpu {
         self.regs[d.rd as usize & MASK] = v;
         self.regs[0] = 0;
         self.pc = next_pc;
-        Ok(Some(DynInsn {
+        let d = DynInsn {
             insn: d.insn,
             pc,
             next_pc,
             mem_addr,
-        }))
+        };
+        Ok(Some((d, word)))
     }
 }
 

@@ -3,8 +3,9 @@
 //! Executes [`rcmc_isa::Program`]s at the architectural level and records the
 //! **dynamic instruction stream** (one [`DynInsn`] per executed instruction,
 //! with resolved branch outcomes and effective memory addresses), stored
-//! as a [`Trace`]: 16-byte [`TraceRec`]s over a table of the program's
-//! [`StaticInsn`]s, or yielded record by record by a [`TraceSource`]. The
+//! as a [`Trace`]: 8-byte [`PackedRec`]s over a table of the program's
+//! [`StaticInsn`]s, or yielded record by record, as 16-byte [`TraceRec`]s,
+//! by a [`TraceSource`]. The
 //! clustered timing model in `rcmc-core` replays this stream: an
 //! *execution-driven, stall-on-mispredict* simulation style in which the
 //! timing model never fabricates wrong-path work but still pays realistic
@@ -23,6 +24,7 @@ pub mod trace_db;
 pub use cpu::{Cpu, EmuError};
 pub use mem::Memory;
 pub use trace::{
-    trace_built, trace_program, DynInsn, StaticInsn, Trace, TraceError, TraceRec, TraceSource,
+    trace_built, trace_program, DynInsn, PackError, PackedRec, StaticInsn, Trace, TraceError,
+    TraceRec, TraceSource,
 };
 pub use trace_db::{OpenTrace, TraceDb, TraceDbError, TraceMeta, TRACE_VERSION};

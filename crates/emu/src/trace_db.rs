@@ -3,7 +3,8 @@
 //! A [`TraceDb`] is a directory of `.trc` files, one per workload name,
 //! laid out as `<dir>/<name>.trc`: a fixed little-endian header followed
 //! by one record per dynamic instruction (its logical [`DynInsn`]),
-//! consumed by a sequential chunked decode into a compact [`Trace`]. A
+//! consumed by a sequential chunked decode into a compact [`Trace`] (8
+//! bytes per record in memory, against a table of static instructions). A
 //! name means one file: the last [`TraceDb::save`] or [`TraceDb::import`]
 //! of a name replaces it. The simulator keeps imported (externally
 //! captured) traces here; it emulates its own suite's traces, which is
@@ -66,8 +67,15 @@
 //! file stores every record's instruction in full; the decoder interns each
 //! distinct (pc, instruction) pair once into the trace's static table, so
 //! the full ISA decoder (operand signature included) runs only the first
-//! time a pair appears. A record whose instruction does not decode is still
-//! reported at its own index, the first that carries the word.
+//! time a pair appears, and packs the record against it ([`Trace::push`]):
+//! a static id plus one 32-bit word, or an entry in the trace's escape
+//! table for a record its instruction cannot derive (an address past 32
+//! bits, an address on a non-memory instruction, a `next_pc` the
+//! instruction would not produce). A record whose instruction does not
+//! decode, or whose static id or escape index does not fit, is reported as
+//! [`TraceDbError::BadRecord`] at its own index, the first that carries
+//! the word. The encoder writes the unpacked logical records, so the
+//! in-memory packing changes neither the file bytes nor the checksum.
 //! [`TraceDb::scan`], [`TraceDb::list`] and [`TraceDb::open`] read headers
 //! only.
 //!
@@ -657,16 +665,15 @@ fn read_header(r: &mut impl Read) -> Result<Header, TraceDbError> {
 /// Most pcs the decoder's dense table covers, whatever a header claims.
 const DENSE_PCS: u64 = 1 << 16;
 
-/// The static table a decode builds: one [`StaticInsn`] per distinct
-/// (pc, instruction word) pair. A pc below the header's static count (and
-/// [`DENSE_PCS`]) looks up the first word seen there in a pc-indexed
-/// table; a sparse pc, or a second word at a dense pc, goes through a hash
-/// map. Either way, equal pairs share one static id and different pairs
-/// never do.
+/// How a decode builds its trace's static table: one [`StaticInsn`] per
+/// distinct (pc, instruction word) pair. A pc below the header's static
+/// count (and [`DENSE_PCS`]) looks up the first word seen there in a
+/// pc-indexed table; a sparse pc, or a second word at a dense pc, goes
+/// through a hash map. Either way, equal pairs share one static id and
+/// different pairs never do.
 struct Interner {
     dense: Vec<Option<(u64, u32)>>,
     sparse: HashMap<(u32, u64), u32>,
-    statics: Vec<StaticInsn>,
 }
 
 impl Interner {
@@ -675,14 +682,20 @@ impl Interner {
         Interner {
             dense: vec![None; n],
             sparse: HashMap::new(),
-            statics: Vec::with_capacity(n),
         }
     }
 
-    /// The static id of `(pc, word)`. A new pair's instruction comes from
-    /// `insn`; `None` from it (or a table past `u32` ids) is `None`.
+    /// The static id of `(pc, word)` in `statics`. A new pair's
+    /// instruction comes from `insn`; `None` from it (or a table past
+    /// `u32` ids) is `None`.
     #[inline]
-    fn intern(&mut self, pc: u32, word: u64, insn: impl FnOnce() -> Option<Insn>) -> Option<u32> {
+    fn intern(
+        &mut self,
+        statics: &mut Vec<StaticInsn>,
+        pc: u32,
+        word: u64,
+        insn: impl FnOnce() -> Option<Insn>,
+    ) -> Option<u32> {
         match self.dense.get(pc as usize) {
             Some(&Some((w, sid))) if w == word => return Some(sid),
             Some(None) => {}
@@ -692,8 +705,8 @@ impl Interner {
                 }
             }
         }
-        let sid = u32::try_from(self.statics.len()).ok()?;
-        self.statics.push(StaticInsn { insn: insn()?, pc });
+        let sid = u32::try_from(statics.len()).ok()?;
+        statics.push(StaticInsn { insn: insn()?, pc });
         match self.dense.get_mut(pc as usize) {
             Some(slot @ None) => *slot = Some((word, sid)),
             _ => {
@@ -760,8 +773,10 @@ fn decode(
         static SCRATCH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
     }
     let mut lanes = Lanes::new();
-    let mut insns = Vec::with_capacity(h.insn_count as usize);
-    let mut statics = Interner::new(h.static_insns, h.insn_count);
+    let mut interner = Interner::new(h.static_insns, h.insn_count);
+    let statics = Vec::with_capacity(interner.dense.len());
+    let mut trace = Trace::new(statics, h.halted, h.static_insns as usize);
+    trace.insns.reserve_exact(h.insn_count as usize);
     SCRATCH.with(|buf| {
         let scratch = &mut *buf.borrow_mut();
         scratch.resize(STREAM_CHUNK, 0);
@@ -783,16 +798,18 @@ fn decode(
             let (words, used) = decode_any_record(&scratch[pos..valid], v1, i)?;
             pos += used;
             lanes.fold_words(words);
-            let sid = statics
-                .intern(words[1] as u32, words[0], || {
+            let sid = interner
+                .intern(&mut trace.statics, words[1] as u32, words[0], || {
                     rcmc_isa::decode(words[0]).ok()
                 })
                 .ok_or(TraceDbError::BadRecord(i))?;
-            insns.push(TraceRec {
-                sid,
-                next_pc: (words[1] >> 32) as u32,
-                mem_addr: words[2],
-            });
+            trace
+                .push(TraceRec {
+                    sid,
+                    next_pc: (words[1] >> 32) as u32,
+                    mem_addr: words[2],
+                })
+                .map_err(|_| TraceDbError::BadRecord(i))?;
         }
         if pos != valid || remaining > 0 {
             return Err(TraceDbError::Truncated);
@@ -802,12 +819,6 @@ fn decode(
     if lanes.finish() != h.checksum {
         return Err(TraceDbError::ChecksumMismatch);
     }
-    let trace = Trace {
-        insns,
-        statics: statics.statics,
-        halted: h.halted,
-        static_insns: h.static_insns as usize,
-    };
     Ok((h, trace))
 }
 
@@ -839,17 +850,16 @@ mod tests {
                 pc: 2,
             },
         ];
-        let rec = |sid, next_pc, mem_addr| TraceRec {
-            sid,
-            next_pc,
-            mem_addr,
-        };
-        Trace {
-            insns: vec![rec(0, 1, 0), rec(1, 2, 0xdead_beef_cafe), rec(2, 1, 0)],
-            statics,
-            halted: true,
-            static_insns: 4,
+        let mut t = Trace::new(statics, true, 4);
+        for (sid, next_pc, mem_addr) in [(0, 1, 0), (1, 2, 0xdead_beef_cafe), (2, 1, 0)] {
+            t.push(TraceRec {
+                sid,
+                next_pc,
+                mem_addr,
+            })
+            .unwrap();
         }
+        t
     }
 
     fn temp_db(tag: &str) -> TraceDb {
@@ -893,7 +903,7 @@ mod tests {
         assert_eq!(back, t);
         assert!(back.halted);
         assert_eq!(back.static_insns, 4);
-        assert_eq!(back.statics, t.statics);
+        assert_eq!(back.statics(), t.statics());
     }
 
     #[test]

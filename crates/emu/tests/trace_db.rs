@@ -338,19 +338,16 @@ fn every_reader_gives_one_file_the_same_verdict() {
 /// A trace built record by record: `recs` are `(static index, next_pc,
 /// mem_addr)` over `statics`, with `static_insns` as the header's claim.
 fn hand_built(statics: Vec<StaticInsn>, recs: &[(u32, u32, u64)], static_insns: usize) -> Trace {
-    Trace {
-        insns: recs
-            .iter()
-            .map(|&(sid, next_pc, mem_addr)| TraceRec {
-                sid,
-                next_pc,
-                mem_addr,
-            })
-            .collect(),
-        statics,
-        halted: false,
-        static_insns,
+    let mut t = Trace::new(statics, false, static_insns);
+    for &(sid, next_pc, mem_addr) in recs {
+        t.push(TraceRec {
+            sid,
+            next_pc,
+            mem_addr,
+        })
+        .expect("sid in the table");
     }
+    t
 }
 
 /// One pc, two instructions: a file the emulator never writes (its pcs
@@ -435,7 +432,7 @@ fn hostile_imports_decode_to_the_same_stream() {
         assert_eq!(back, t, "{what}");
         assert_eq!(*db.load("ext", 64).unwrap(), t, "{what}: load");
         // Distinct (pc, insn) pairs stay distinct after interning.
-        assert_eq!(back.statics.len(), t.statics.len(), "{what}");
+        assert_eq!(back.statics().len(), t.statics().len(), "{what}");
         // Re-encoding the decoded trace gives the same file, checksum
         // included.
         assert_eq!(

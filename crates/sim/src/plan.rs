@@ -889,6 +889,11 @@ impl Plan {
         &self,
         db: Option<&rcmc_emu::TraceDb>,
     ) -> Result<(Vec<SimConfig>, Vec<Workload>), String> {
+        if self.budget.is_some_and(|b| b.measure == 0) {
+            // What the JSON, CLI and env parsers refuse, for a plan built
+            // in code: a zero window measures nothing.
+            return Err("'measure' must be at least 1".to_string());
+        }
         let configs = self.resolve_configs()?;
         let workloads = self.resolve_workloads(db)?;
         // A typo'd name in a report would otherwise render silently as a

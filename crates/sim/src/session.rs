@@ -287,4 +287,27 @@ mod tests {
         let bad_cfg = Plan::new("t").config_named("Ring_9000clus").bench("swim");
         assert!(s.run(&bad_cfg).unwrap_err().contains("Ring_9000clus"));
     }
+
+    /// A plan built in code gets the refusal a parsed spec gets: a zero
+    /// window would run, report `ipc 0` and be memoized.
+    #[test]
+    fn a_zero_measurement_window_is_refused_and_memoizes_nothing() {
+        let dir = std::env::temp_dir().join(format!("rcmc-zero-window-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = Session::with_store(ResultStore::at(dir.clone())).with_jobs(1);
+        let cfg = make(Topology::Ring, 4, 2, 1);
+        let zero = Budget {
+            warmup: 0,
+            measure: 0,
+        };
+        let plan = Plan::new("t").config_named(&cfg.name).bench("swim");
+        let err = s.run(&plan.clone().budget(zero)).unwrap_err();
+        assert_eq!(err, "'measure' must be at least 1");
+        assert_eq!(
+            s.store().load(&runner::store_name(&cfg), "swim", &zero),
+            None
+        );
+        assert!(!dir.exists(), "a refused plan writes nothing");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
