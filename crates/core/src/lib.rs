@@ -34,7 +34,6 @@ pub mod lsq;
 pub mod pipeline;
 pub mod pipeview;
 pub mod queues;
-pub mod rob;
 pub mod stats;
 pub mod steering;
 pub mod timeq;

@@ -12,8 +12,10 @@
 //!   data become known together, so a matching store always has its data);
 //! * stores write the cache when they drain from the committed-store buffer.
 //!
-//! Entries live in a slab; three program-ordered indexes over it answer the
-//! per-cycle queries without scanning the slab:
+//! Each entry carries its instruction's trace index, which is also its
+//! program-order age (the core dispatches in trace order). Entries live in
+//! a slab; three program-ordered indexes over it answer the per-cycle
+//! queries without scanning the slab:
 //!
 //! * **live stores**, oldest first: `alloc` pushes to the back and `release`
 //!   pops the front (stores commit in order), both O(1). The forwarding
@@ -22,7 +24,7 @@
 //! * **unknown-address stores**, oldest first: `alloc` pushes to the back and
 //!   `store_ready` trims known stores off the front (amortized O(1)), so the
 //!   front is the disambiguation barrier, read in O(1);
-//! * **waiting loads** (address known, not started), sorted by `seq`:
+//! * **waiting loads** (address known, not started), sorted by `idx`:
 //!   `load_addr_known` inserts by binary search and a load leaves when it
 //!   starts.
 //!
@@ -53,9 +55,8 @@ enum LoadPhase {
 struct Entry {
     live: bool,
     is_store: bool,
-    /// Program-order sequence (dispatch order).
-    seq: u64,
-    rob: u32,
+    /// The instruction's trace index (program order).
+    idx: u64,
     addr: u64,
     /// Stores: address (and data) known.
     addr_known: bool,
@@ -79,8 +80,8 @@ pub enum LoadKind {
 pub struct StartedLoad {
     /// LSQ slab id.
     pub id: LsqId,
-    /// ROB index of the load.
-    pub rob: u32,
+    /// The load's trace index.
+    pub idx: u64,
     /// Effective address.
     pub addr: u64,
     /// Forward or cache access.
@@ -94,12 +95,12 @@ pub struct Lsq {
     live: usize,
     capacity: usize,
     transfer: u64,
-    /// Live stores, oldest first, as `(seq, id)`.
+    /// Live stores, oldest first, as `(idx, id)`.
     stores: VecDeque<(u64, LsqId)>,
     /// The oldest unknown-address store and every store allocated after it,
     /// oldest first (`store_ready` trims known stores off the front).
     unknown: VecDeque<LsqId>,
-    /// Loads in `Waiting` phase, sorted by `seq`.
+    /// Loads in `Waiting` phase, sorted by `idx`.
     waiting: Vec<LsqId>,
 }
 
@@ -133,15 +134,15 @@ impl Lsq {
         self.live < self.capacity
     }
 
-    /// Allocate an entry at dispatch (program order = `seq`).
-    pub fn alloc(&mut self, is_store: bool, rob: u32, seq: u64) -> LsqId {
+    /// Allocate an entry at dispatch for the instruction at trace index
+    /// `idx` (program order).
+    pub fn alloc(&mut self, is_store: bool, idx: u64) -> LsqId {
         assert!(self.has_space(), "LSQ overflow");
         self.live += 1;
         let e = Entry {
             live: true,
             is_store,
-            seq,
-            rob,
+            idx,
             addr: 0,
             addr_known: false,
             phase: LoadPhase::WaitAddr,
@@ -159,10 +160,10 @@ impl Lsq {
         };
         if is_store {
             debug_assert!(
-                self.stores.back().is_none_or(|&(s, _)| s < seq),
+                self.stores.back().is_none_or(|&(s, _)| s < idx),
                 "stores allocate in program order"
             );
-            self.stores.push_back((seq, id));
+            self.stores.push_back((idx, id));
             self.unknown.push_back(id);
         }
         id
@@ -176,11 +177,11 @@ impl Lsq {
         e.addr = addr;
         e.phase = LoadPhase::Waiting;
         e.arrival = now + self.transfer;
-        let seq = e.seq;
+        let idx = e.idx;
         let slab = &self.slab;
         let at = self
             .waiting
-            .partition_point(|&w| slab[w as usize].seq < seq);
+            .partition_point(|&w| slab[w as usize].idx < idx);
         self.waiting.insert(at, id);
     }
 
@@ -241,13 +242,13 @@ impl Lsq {
         while k < self.waiting.len() {
             let id = self.waiting[k];
             let e = self.slab[id as usize];
-            if e.seq >= barrier {
+            if e.idx >= barrier {
                 break;
             }
             k += 1;
             let kind = if e.arrival > now {
                 None
-            } else if self.forwards(e.seq, e.addr) {
+            } else if self.forwards(e.idx, e.addr) {
                 Some(LoadKind::Forward)
             } else if ports_left > 0 {
                 ports_left -= 1;
@@ -260,7 +261,7 @@ impl Lsq {
                     self.slab[id as usize].phase = LoadPhase::Started;
                     started.push(StartedLoad {
                         id,
-                        rob: e.rob,
+                        idx: e.idx,
                         addr: e.addr,
                         kind,
                     });
@@ -274,19 +275,19 @@ impl Lsq {
         self.waiting.drain(kept..k);
     }
 
-    /// The oldest unknown-address store's sequence number (the conservative
+    /// The oldest unknown-address store's trace index (the conservative
     /// disambiguation barrier), or `u64::MAX` when none.
     fn barrier(&self) -> u64 {
         self.unknown
             .front()
-            .map_or(u64::MAX, |&id| self.slab[id as usize].seq)
+            .map_or(u64::MAX, |&id| self.slab[id as usize].idx)
     }
 
-    /// Does a live store older than `seq` have address `addr`? Walks the
+    /// Does a live store older than `idx` have address `addr`? Walks the
     /// older stores youngest first; every one has a known address when the
     /// load is below the barrier.
-    fn forwards(&self, seq: u64, addr: u64) -> bool {
-        let older = self.stores.partition_point(|&(s, _)| s < seq);
+    fn forwards(&self, idx: u64, addr: u64) -> bool {
+        let older = self.stores.partition_point(|&(s, _)| s < idx);
         self.stores
             .range(..older)
             .rev()
@@ -302,14 +303,14 @@ impl Lsq {
     ///
     /// Port-order detail: forwards are port-free, and if any cache-eligible
     /// unblocked load exists the oldest one gets a port whenever `ports > 0`
-    /// — so existence doesn't depend on the seq-ordered port hand-out.
+    /// — so existence doesn't depend on the age-ordered port hand-out.
     pub fn would_start_any(&self, ports: u32) -> bool {
         let barrier = self.barrier();
         self.waiting
             .iter()
             .map(|&id| &self.slab[id as usize])
-            .take_while(|e| e.seq < barrier)
-            .any(|e| ports > 0 || self.forwards(e.seq, e.addr))
+            .take_while(|e| e.idx < barrier)
+            .any(|e| ports > 0 || self.forwards(e.idx, e.addr))
     }
 }
 
@@ -322,8 +323,7 @@ mod tests {
     struct Slot {
         live: bool,
         is_store: bool,
-        seq: u64,
-        rob: u32,
+        idx: u64,
         addr: u64,
         addr_known: bool,
         phase: LoadPhase,
@@ -347,12 +347,11 @@ mod tests {
             }
         }
 
-        fn alloc(&mut self, is_store: bool, rob: u32, seq: u64) -> LsqId {
+        fn alloc(&mut self, is_store: bool, idx: u64) -> LsqId {
             let e = Slot {
                 live: true,
                 is_store,
-                seq,
-                rob,
+                idx,
                 addr: 0,
                 addr_known: false,
                 phase: LoadPhase::WaitAddr,
@@ -393,16 +392,16 @@ mod tests {
             self.slab
                 .iter()
                 .filter(|s| s.live && s.is_store && !s.addr_known)
-                .map(|s| s.seq)
+                .map(|s| s.idx)
                 .min()
                 .unwrap_or(u64::MAX)
         }
 
-        /// Whether some live store older than `seq` has address `addr`.
-        fn forwards(&self, seq: u64, addr: u64) -> bool {
+        /// Whether some live store older than `idx` has address `addr`.
+        fn forwards(&self, idx: u64, addr: u64) -> bool {
             self.slab
                 .iter()
-                .any(|s| s.live && s.is_store && s.seq < seq && s.addr == addr)
+                .any(|s| s.live && s.is_store && s.idx < idx && s.addr == addr)
         }
 
         fn start_loads(&mut self, now: u64, ports: u32) -> Vec<StartedLoad> {
@@ -414,15 +413,15 @@ mod tests {
                         && !e.is_store
                         && e.phase == LoadPhase::Waiting
                         && e.arrival <= now
-                        && e.seq < barrier
+                        && e.idx < barrier
                 })
                 .collect();
-            cands.sort_unstable_by_key(|&i| self.slab[i].seq);
+            cands.sort_unstable_by_key(|&i| self.slab[i].idx);
             let mut ports_left = ports;
             let mut out = Vec::new();
             for i in cands {
-                let (seq, addr) = (self.slab[i].seq, self.slab[i].addr);
-                let kind = if self.forwards(seq, addr) {
+                let (idx, addr) = (self.slab[i].idx, self.slab[i].addr);
+                let kind = if self.forwards(idx, addr) {
                     LoadKind::Forward
                 } else if ports_left > 0 {
                     ports_left -= 1;
@@ -433,7 +432,7 @@ mod tests {
                 self.slab[i].phase = LoadPhase::Started;
                 out.push(StartedLoad {
                     id: i as LsqId,
-                    rob: self.slab[i].rob,
+                    idx,
                     addr,
                     kind,
                 });
@@ -447,8 +446,8 @@ mod tests {
                 e.live
                     && !e.is_store
                     && e.phase == LoadPhase::Waiting
-                    && e.seq < barrier
-                    && (ports > 0 || self.forwards(e.seq, e.addr))
+                    && e.idx < barrier
+                    && (ports > 0 || self.forwards(e.idx, e.addr))
             })
         }
     }
@@ -456,7 +455,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
         /// Random program-order sequences as the pipeline issues them:
-        /// allocation in `seq` order, loads released once started, stores
+        /// allocation in trace-index order, loads released once started, stores
         /// released oldest first once their address is known.
         #[test]
         fn indexed_lsq_matches_full_slab_scan(
@@ -466,7 +465,7 @@ mod tests {
         ) {
             let mut lsq = Lsq::new(capacity, transfer);
             let mut oracle = SlabScan::new(transfer);
-            let (mut seq, mut rob, mut now) = (0u64, 0u32, 0u64);
+            let (mut idx, mut now) = (0u64, 0u64);
             // Loads without an address; stores without an address; started
             // loads; live stores oldest first (id, address known).
             let (mut wait_addr, mut unready, mut started) = (Vec::new(), Vec::new(), Vec::new());
@@ -478,10 +477,9 @@ mod tests {
                 match op {
                     0..=2 if lsq.has_space() => {
                         let is_store = pick % 3 == 0;
-                        seq += 1 + u64::from(pick % 2);
-                        rob += 1;
-                        let id = lsq.alloc(is_store, rob, seq);
-                        prop_assert_eq!(id, oracle.alloc(is_store, rob, seq));
+                        idx += 1 + u64::from(pick % 2);
+                        let id = lsq.alloc(is_store, idx);
+                        prop_assert_eq!(id, oracle.alloc(is_store, idx));
                         if is_store {
                             unready.push(id);
                             stores.push_back((id, false));
@@ -530,8 +528,8 @@ mod tests {
     #[test]
     fn load_waits_for_older_store_address() {
         let mut l = Lsq::new(8, 1);
-        let st = l.alloc(true, 0, 10);
-        let ld = l.alloc(false, 1, 11);
+        let st = l.alloc(true, 10);
+        let ld = l.alloc(false, 11);
         l.load_addr_known(ld, 0x100, 0);
         // Store address unknown: the load must not start.
         assert!(l.start_loads(5, 4).is_empty());
@@ -545,8 +543,8 @@ mod tests {
     #[test]
     fn forwarding_from_matching_store() {
         let mut l = Lsq::new(8, 1);
-        let st = l.alloc(true, 0, 10);
-        let ld = l.alloc(false, 1, 11);
+        let st = l.alloc(true, 10);
+        let ld = l.alloc(false, 11);
         l.store_ready(st, 0x100);
         l.load_addr_known(ld, 0x100, 0);
         let s = l.start_loads(5, 4);
@@ -557,9 +555,9 @@ mod tests {
     #[test]
     fn forwards_from_youngest_matching_store() {
         let mut l = Lsq::new(8, 1);
-        let st1 = l.alloc(true, 0, 10);
-        let st2 = l.alloc(true, 1, 12);
-        let ld = l.alloc(false, 2, 13);
+        let st1 = l.alloc(true, 10);
+        let st2 = l.alloc(true, 12);
+        let ld = l.alloc(false, 13);
         l.store_ready(st1, 0x100);
         l.store_ready(st2, 0x100);
         l.load_addr_known(ld, 0x100, 0);
@@ -572,8 +570,8 @@ mod tests {
     #[test]
     fn younger_stores_do_not_block() {
         let mut l = Lsq::new(8, 1);
-        let ld = l.alloc(false, 0, 10);
-        let _st = l.alloc(true, 1, 11); // younger, address unknown
+        let ld = l.alloc(false, 10);
+        let _st = l.alloc(true, 11); // younger, address unknown
         l.load_addr_known(ld, 0x80, 0);
         let s = l.start_loads(4, 4);
         assert_eq!(s.len(), 1);
@@ -582,7 +580,7 @@ mod tests {
     #[test]
     fn transfer_latency_delays_arrival() {
         let mut l = Lsq::new(8, 1);
-        let ld = l.alloc(false, 0, 1);
+        let ld = l.alloc(false, 1);
         l.load_addr_known(ld, 0x40, 10); // arrives at 11
         assert!(l.start_loads(10, 4).is_empty());
         assert_eq!(l.start_loads(11, 4).len(), 1);
@@ -592,7 +590,7 @@ mod tests {
     fn port_budget_limits_cache_loads() {
         let mut l = Lsq::new(16, 0);
         for k in 0..6 {
-            let id = l.alloc(false, k, k as u64);
+            let id = l.alloc(false, k as u64);
             l.load_addr_known(id, 0x1000 + 8 * k as u64, 0);
         }
         let s = l.start_loads(0, 4);
@@ -604,8 +602,8 @@ mod tests {
     #[test]
     fn oldest_load_wins_ports() {
         let mut l = Lsq::new(8, 0);
-        let young = l.alloc(false, 1, 20);
-        let old = l.alloc(false, 0, 5);
+        let young = l.alloc(false, 20);
+        let old = l.alloc(false, 5);
         l.load_addr_known(young, 0x8, 0);
         l.load_addr_known(old, 0x10, 0);
         let s = l.start_loads(0, 1);
@@ -616,8 +614,8 @@ mod tests {
     #[test]
     fn capacity_and_release() {
         let mut l = Lsq::new(2, 1);
-        let a = l.alloc(false, 0, 0);
-        let _b = l.alloc(true, 1, 1);
+        let a = l.alloc(false, 0);
+        let _b = l.alloc(true, 1);
         assert!(!l.has_space());
         l.release(a);
         assert!(l.has_space());
@@ -629,8 +627,8 @@ mod tests {
         // Every eligibility rule, probed read-only before the mutating call.
         let mut l = Lsq::new(8, 1);
         assert!(!l.would_start_any(4), "empty queue");
-        let st = l.alloc(true, 0, 10);
-        let ld = l.alloc(false, 1, 11);
+        let st = l.alloc(true, 10);
+        let ld = l.alloc(false, 11);
         l.load_addr_known(ld, 0x100, 0); // arrives at 1
         assert!(!l.would_start_any(4), "blocked by unknown store address");
         l.store_ready(st, 0x200);
@@ -638,14 +636,14 @@ mod tests {
         assert!(!l.would_start_any(0), "no ports, no cache access");
         // An unblocked load still in transit starts on arrival.
         let mut transit = Lsq::new(8, 5);
-        let ld_t = transit.alloc(false, 0, 1);
+        let ld_t = transit.alloc(false, 1);
         transit.load_addr_known(ld_t, 0x80, 0); // arrives at 5
         assert!(transit.would_start_any(4), "in transit, starts on arrival");
         assert!(transit.start_loads(0, 4).is_empty(), "not yet arrived");
         // A matching store makes it a port-free forward.
         let mut l2 = Lsq::new(8, 0);
-        let st2 = l2.alloc(true, 0, 1);
-        let ld2 = l2.alloc(false, 1, 2);
+        let st2 = l2.alloc(true, 1);
+        let ld2 = l2.alloc(false, 2);
         l2.store_ready(st2, 0x40);
         l2.load_addr_known(ld2, 0x40, 0);
         assert!(l2.would_start_any(0), "forwards need no port");
@@ -661,8 +659,8 @@ mod tests {
         // never blocked on a matching store's data: it forwards at once.
         // Verify it starts exactly once (no double start).
         let mut l = Lsq::new(8, 0);
-        let st = l.alloc(true, 0, 1);
-        let ld = l.alloc(false, 1, 2);
+        let st = l.alloc(true, 1);
+        let ld = l.alloc(false, 2);
         l.store_ready(st, 0x100);
         l.load_addr_known(ld, 0x100, 0);
         assert_eq!(l.start_loads(0, 4).len(), 1);

@@ -7,12 +7,14 @@
 //!
 //! Timing discipline per cycle (in processing order):
 //!
-//! 1. **events** — completions scheduled on the event wheel fire: values
-//!    become ready (waking the owning cluster's queues), ROB entries
-//!    complete, loads learn their addresses, a resolving branch un-stalls
+//! 1. **events** — completions scheduled on the event wheel fire: a
+//!    producer writes back (its value becomes ready in its home cluster,
+//!    waking that cluster's queues) and completes, a communication's copy
+//!    arrives, loads learn their addresses, a resolving branch un-stalls
 //!    fetch;
-//! 2. **commit** — up to `commit_width` done entries leave the ROB head;
-//!    committing a redefiner releases all copies of the overwritten value;
+//! 2. **commit** — up to `commit_width` done instructions leave the ROB
+//!    head; committing a redefiner releases all copies of the overwritten
+//!    value;
 //! 3. **memory** — eligible loads start (D-cache ports permitting, with
 //!    store→load forwarding), committed stores drain to the cache;
 //! 4. **issue** — per cluster: ready communications arbitrate for bus
@@ -20,13 +22,21 @@
 //!    INT/FP issue widths and functional-unit availability; NREADY is
 //!    sampled after selection;
 //! 5. **dispatch** — up to `fetch_width` decoded instructions steer to
-//!    clusters and allocate ROB/IQ/register/communication resources,
+//!    clusters and allocate ROB/IQ/LSQ/register/communication resources,
 //!    stalling (in order) on the first instruction whose *chosen* cluster is
 //!    full;
 //! 6. **fetch** — up to `fetch_width` instructions enter the fetch queue,
 //!    stopping at a predicted-taken branch, an I-cache miss, or a
 //!    misprediction (stall-on-mispredict: fetch resumes the cycle after the
 //!    branch resolves).
+//!
+//! Fetch, dispatch and commit all move in program order, and fetch never
+//! follows a wrong path, so an instruction's trace index is its only
+//! identity. The ROB is the index range `commit_idx..dispatch_idx` and the
+//! fetch queue is `dispatch_idx..fetch_idx`; an instruction's pipeline
+//! state sits in the ring slot of its index, beside its trace record. Issue
+//! queues, communication queues, the LSQ and the event wheel name an
+//! instruction by that index, and it is also their age stamp.
 //!
 //! Because dispatch runs after issue, a dispatched instruction issues no
 //! earlier than the next cycle; because events run before issue, dependent
@@ -60,10 +70,9 @@ use rcmc_uarch::{FrontEndPredictor, MemConfig, MemHierarchy, PredictorConfig};
 use crate::config::{CopyRelease, CoreConfig, DistanceLut, MAX_CLUSTERS};
 use crate::fu::FuSet;
 use crate::interconnect::{self, Interconnect};
-use crate::lsq::{LoadKind, Lsq, NO_LSQ};
+use crate::lsq::{LoadKind, Lsq, LsqId, NO_LSQ};
 use crate::pipeview::PipeTracer;
 use crate::queues::{CommOp, CommQueue, IqEntry, IssueQueue};
-use crate::rob::{Rob, RobEntry};
 use crate::stats::Stats;
 use crate::steering::{self, SteerCtx, Steered, SteeringPolicy};
 use crate::timeq::TimeQueue;
@@ -71,26 +80,47 @@ use crate::value::{CopyState, ValueId, ValueTable};
 
 const WHEEL: usize = crate::config::EVENT_WHEEL;
 
+/// A wheel event. Every variant but `CopyReady` names its instruction by
+/// trace index.
 #[derive(Clone, Copy, Debug)]
 enum Ev {
-    /// `value` becomes readable in `cluster`: mark + wake that cluster.
+    /// A communication's copy of `value` becomes readable in `cluster`:
+    /// mark + wake that cluster.
     CopyReady { value: ValueId, cluster: u8 },
-    /// Instruction completes (commit-eligible); un-stalls fetch if it was the
-    /// mispredicted control instruction fetch is waiting on.
-    RobDone { rob: u32 },
+    /// Instruction writes back and completes (commit-eligible); un-stalls
+    /// fetch if it was the mispredicted control instruction fetch is
+    /// waiting on.
+    RobDone { idx: u64 },
     /// Load address generated; forwards to the LSQ.
-    LoadAddr { rob: u32 },
-    /// Store address + data captured; completes the store in the ROB.
-    StoreReady { rob: u32 },
-    /// Load finished (cache or forward): completes + releases its LSQ slot.
-    LoadDone { rob: u32 },
+    LoadAddr { idx: u64 },
+    /// Store address + data captured; completes the store.
+    StoreReady { idx: u64 },
+    /// Load finished (cache or forward): releases its LSQ slot, writes
+    /// back and completes.
+    LoadDone { idx: u64 },
 }
 
+/// The pipeline state of one instruction between fetch and commit, held in
+/// the ring slot of its trace index. `avail` is read while the instruction
+/// is in the fetch queue; the other fields are set at dispatch and read
+/// until commit.
 #[derive(Clone, Copy)]
-struct Fetched {
-    trace_idx: u32,
+struct InFlight {
     /// Cycle at which decode/rename is finished and dispatch may proceed.
     avail: u64,
+    /// Destination value (if the instruction writes a register).
+    dest: Option<ValueId>,
+    /// The value this instruction's destination *redefines*; all its copies
+    /// are freed when this instruction commits (§3 release policy).
+    prev: Option<ValueId>,
+    /// LSQ entry for memory operations (`NO_LSQ` otherwise).
+    lsq: LsqId,
+    /// Behavioural class.
+    class: InsnClass,
+    /// Completed (eligible to commit)?
+    done: bool,
+    /// Execution cluster.
+    cluster: u8,
 }
 
 /// Dispatch stall causes, in check order (mirrors `StallBreakdown`).
@@ -105,8 +135,9 @@ enum StallKind {
 /// What the dispatch stage would do next cycle, probed against frozen state
 /// by the idle-skip analysis.
 enum DispatchIdle {
-    /// No dispatch attempt is pending (empty fetch queue, or the front entry
-    /// is still in decode — the caller bounds the skip on its `avail`).
+    /// No dispatch attempt is pending (empty fetch queue, or its front
+    /// instruction is still in decode — the caller bounds the skip on its
+    /// `avail`).
     NoAttempt,
     /// ROB full: every skipped cycle charges `rob_full`; steering never runs.
     RobFull,
@@ -127,25 +158,34 @@ pub struct Core<'t> {
     cfg: CoreConfig,
     /// Where the trace's records come from.
     source: TraceSource<'t>,
-    /// The records a run can still touch: record `i` sits at `ring[i %
-    /// ring.len()]` until record `i + ring.len()` replaces it. Fetch reads
-    /// record `fetch_idx`, and every later stage reads only records in the
-    /// fetch queue or the ROB, which are contiguous and end just before
-    /// `fetch_idx`. So `rob + fetch_queue + 1` slots hold every record a
-    /// read can reach; the length, `rob + fetch_queue + fetch_width`
-    /// rounded up to a power of two, leaves room to refill in batches.
+    /// The records a run can still touch: record `i` sits at `ring[i &
+    /// (ring.len() - 1)]` until record `i + ring.len()` replaces it. Fetch
+    /// reads record `fetch_idx`, and every later stage reads only records
+    /// in the ROB or the fetch queue, `commit_idx..fetch_idx`. So `rob +
+    /// fetch_queue + 1` slots hold every record a read can reach; the
+    /// length, `rob + fetch_queue + fetch_width` rounded up to a power of
+    /// two, leaves room to refill in batches.
     ring: Box<[TraceRec]>,
+    /// Pipeline state of the instructions in `commit_idx..fetch_idx`, in
+    /// the slots of their records (same length and indexing as `ring`).
+    inflight: Box<[InFlight]>,
     /// Records pulled from `source` so far.
-    pulled: usize,
+    pulled: u64,
     mem: MemHierarchy,
     fe: FrontEndPredictor,
 
+    // Program order: `commit_idx <= dispatch_idx <= fetch_idx <= pulled`.
+    /// The ROB head: the oldest instruction not yet committed.
+    commit_idx: u64,
+    /// The fetch-queue head: the oldest instruction not yet dispatched.
+    dispatch_idx: u64,
+    /// The next record to fetch.
+    fetch_idx: u64,
+
     // Front end.
-    fetch_idx: usize,
-    fetch_q: VecDeque<Fetched>,
     fetch_resume: u64,
     /// Trace index of the mispredicted control instruction fetch waits on.
-    fetch_stalled_on: Option<u32>,
+    fetch_stalled_on: Option<u64>,
     last_fetch_line: u64,
 
     // Rename.
@@ -154,7 +194,6 @@ pub struct Core<'t> {
     policy: Box<dyn SteeringPolicy>,
     /// Pairwise cluster distances, precomputed once per configuration.
     dist: DistanceLut,
-    seq: u64,
 
     // Per-cluster structures.
     iq_int: Vec<IssueQueue>,
@@ -163,7 +202,6 @@ pub struct Core<'t> {
     fus: Vec<FuSet>,
 
     fabric: Box<dyn Interconnect>,
-    rob: Rob,
     lsq: Lsq,
     store_buf: VecDeque<u64>,
 
@@ -229,13 +267,13 @@ impl<'t> Core<'t> {
             iq_fp: (0..n).map(|_| IssueQueue::new(cfg.iq_fp)).collect(),
             iq_comm: (0..n).map(|_| CommQueue::new(cfg.iq_comm)).collect(),
             fus: (0..n).map(|_| FuSet::new(cfg.iw_int, cfg.iw_fp)).collect(),
-            rob: Rob::new(cfg.rob),
             lsq: Lsq::new(cfg.lsq, mem_cfg.dcache_transfer as u64),
             store_buf: VecDeque::with_capacity(cfg.store_buffer),
             mem: MemHierarchy::new(mem_cfg),
             fe: FrontEndPredictor::new(&pred_cfg),
+            commit_idx: 0,
+            dispatch_idx: 0,
             fetch_idx: 0,
-            fetch_q: VecDeque::with_capacity(cfg.fetch_queue),
             fetch_resume: 0,
             fetch_stalled_on: None,
             last_fetch_line: u64::MAX,
@@ -243,7 +281,6 @@ impl<'t> Core<'t> {
             values,
             policy: steering::build(&cfg),
             dist: DistanceLut::new(&cfg),
-            seq: 0,
             wheel: TimeQueue::new(WHEEL),
             now: 0,
             last_commit: 0,
@@ -255,6 +292,19 @@ impl<'t> Core<'t> {
             comm_mask: 0,
             source,
             ring: vec![TraceRec::default(); ring_len].into_boxed_slice(),
+            inflight: vec![
+                InFlight {
+                    avail: 0,
+                    dest: None,
+                    prev: None,
+                    lsq: NO_LSQ,
+                    class: InsnClass::Nop,
+                    done: false,
+                    cluster: 0,
+                };
+                ring_len
+            ]
+            .into_boxed_slice(),
             pulled: 0,
             cfg,
             scratch_ready: Vec::new(),
@@ -278,52 +328,78 @@ impl<'t> Core<'t> {
         self.tracer.take()
     }
 
-    /// Trace record `i`, which must still be in the ring.
+    /// The ring slot of trace index `idx`, which must still be in the ring.
     #[inline]
-    fn rec(&self, i: usize) -> TraceRec {
+    fn slot(&self, idx: u64) -> usize {
         debug_assert!(
-            i < self.pulled && self.pulled - i <= self.ring.len(),
-            "trace record {i} is not in the ring ({} pulled)",
+            idx < self.pulled && self.pulled - idx <= self.ring.len() as u64,
+            "trace record {idx} is not in the ring ({} pulled)",
             self.pulled
         );
-        self.ring[i & (self.ring.len() - 1)]
+        idx as usize & (self.ring.len() - 1)
     }
 
-    /// The static instruction of trace record `trace_idx`.
+    /// Trace record `idx`.
     #[inline]
-    fn static_of(&self, trace_idx: u32) -> StaticInsn {
-        self.source.statics()[self.rec(trace_idx as usize).sid as usize]
+    fn rec(&self, idx: u64) -> TraceRec {
+        self.ring[self.slot(idx)]
+    }
+
+    /// The static instruction of trace record `idx`.
+    #[inline]
+    fn static_of(&self, idx: u64) -> StaticInsn {
+        self.source.statics()[self.rec(idx).sid as usize]
+    }
+
+    /// The pipeline state of in-flight instruction `idx`.
+    #[inline]
+    fn at(&self, idx: u64) -> &InFlight {
+        &self.inflight[self.slot(idx)]
+    }
+
+    /// Mutable [`Core::at`].
+    #[inline]
+    fn at_mut(&mut self, idx: u64) -> &mut InFlight {
+        let s = self.slot(idx);
+        &mut self.inflight[s]
+    }
+
+    /// Room in the ROB for one more instruction?
+    #[inline]
+    fn rob_has_space(&self) -> bool {
+        self.dispatch_idx - self.commit_idx < self.cfg.rob as u64
+    }
+
+    /// Room in the fetch queue for one more instruction?
+    #[inline]
+    fn fetch_queue_has_space(&self) -> bool {
+        self.fetch_idx - self.dispatch_idx < self.cfg.fetch_queue as u64
     }
 
     /// Once fetch has read every record pulled, pull from the source as
-    /// many records as fit over records no longer in flight. Batches run
-    /// about 3% faster than one record per fetch on `stall-sweep`'s jobs:
-    /// the emulator and the core take turns with their working sets.
+    /// many records as fit over records no longer in flight (those before
+    /// `commit_idx`). Batches run about 3% faster than one record per
+    /// fetch on `stall-sweep`'s jobs: the emulator and the core take turns
+    /// with their working sets.
     fn refill(&mut self) {
-        let oldest = self.rob.head().map(|h| h.trace_idx);
-        let oldest = oldest.or(self.fetch_q.front().map(|f| f.trace_idx));
-        let free = oldest.map_or(self.fetch_idx, |i| i as usize) + self.ring.len() - self.pulled;
+        let free = self.commit_idx + self.ring.len() as u64 - self.pulled;
         debug_assert!(
             free > 0,
             "record {} would overwrite a record in flight",
             self.pulled
         );
         let mask = self.ring.len() - 1;
-        for rec in self.source.by_ref().take(free) {
-            self.ring[self.pulled & mask] = rec;
+        for rec in self.source.by_ref().take(free as usize) {
+            self.ring[self.pulled as usize & mask] = rec;
             self.pulled += 1;
         }
     }
 
     #[inline]
-    fn trace_mark(
-        &mut self,
-        trace_idx: u32,
-        f: impl FnOnce(&mut crate::pipeview::InsnRecord, u64),
-    ) {
+    fn trace_mark(&mut self, idx: u64, f: impl FnOnce(&mut crate::pipeview::InsnRecord, u64)) {
         if let Some(t) = self.tracer.as_mut() {
             let now = self.now;
-            if let Some(r) = t.rec(trace_idx) {
+            if let Some(r) = t.rec(idx) {
                 f(r, now);
             }
         }
@@ -385,9 +461,12 @@ impl<'t> Core<'t> {
         self.wheel.schedule(self.now, delay, ev);
     }
 
-    /// True when the trace is exhausted and the machine has fully drained.
+    /// True when the trace is exhausted and the machine has fully drained:
+    /// every record pulled has committed (fetch refills the ring whenever it
+    /// has read every record pulled, so a source with records left is never
+    /// fully committed).
     fn drained(&self) -> bool {
-        self.fetch_idx >= self.pulled && self.fetch_q.is_empty() && self.rob.is_empty()
+        self.commit_idx == self.pulled
     }
 
     /// Run until `budget` instructions have committed, the program halts, or
@@ -440,11 +519,13 @@ impl<'t> Core<'t> {
         self.now += 1;
         assert!(
             self.now - self.last_commit < self.cfg.watchdog_cycles,
-            "watchdog: no commit for {} cycles at cycle {} (rob={}, fetch_q={}, lsq={})",
+            "watchdog: no commit for {} cycles at cycle {} (ROB head at trace index {}, \
+             rob={}, fetch queue={}, lsq={})",
             self.cfg.watchdog_cycles,
             self.now,
-            self.rob.len(),
-            self.fetch_q.len(),
+            self.commit_idx,
+            self.dispatch_idx - self.commit_idx,
+            self.fetch_idx - self.dispatch_idx,
             self.lsq.len(),
         );
     }
@@ -456,39 +537,26 @@ impl<'t> Core<'t> {
         self.wheel.swap_due(self.now, &mut evs);
         for ev in &evs {
             match *ev {
-                Ev::CopyReady { value, cluster } => {
-                    let c = cluster as usize;
-                    if self.values.mark_ready(value, c) {
-                        self.iq_int[c].wakeup(value);
-                        self.iq_fp[c].wakeup(value);
-                        self.iq_comm[c].wakeup(value, self.now);
-                        self.refresh_cluster(c);
+                Ev::CopyReady { value, cluster } => self.copy_ready(value, cluster as usize),
+                Ev::RobDone { idx } => {
+                    self.complete(idx);
+                    if self.fetch_stalled_on == Some(idx) {
+                        self.fetch_stalled_on = None;
+                        self.fetch_resume = self.now + 1;
                     }
                 }
-                Ev::RobDone { rob } => {
-                    self.rob.get_mut(rob).done = true;
-                    let ti = self.rob.get(rob).trace_idx;
-                    self.trace_mark(ti, |r, now| r.complete = now);
-                    self.maybe_unstall_fetch(rob);
+                Ev::LoadAddr { idx } => {
+                    let addr = self.rec(idx).mem_addr;
+                    self.lsq.load_addr_known(self.at(idx).lsq, addr, self.now);
                 }
-                Ev::LoadAddr { rob } => {
-                    let e = *self.rob.get(rob);
-                    let addr = self.rec(e.trace_idx as usize).mem_addr;
-                    self.lsq.load_addr_known(e.lsq, addr, self.now);
+                Ev::StoreReady { idx } => {
+                    let addr = self.rec(idx).mem_addr;
+                    self.lsq.store_ready(self.at(idx).lsq, addr);
+                    self.complete(idx);
                 }
-                Ev::StoreReady { rob } => {
-                    let e = *self.rob.get(rob);
-                    let addr = self.rec(e.trace_idx as usize).mem_addr;
-                    self.lsq.store_ready(e.lsq, addr);
-                    self.rob.get_mut(rob).done = true;
-                    self.trace_mark(e.trace_idx, |r, now| r.complete = now);
-                }
-                Ev::LoadDone { rob } => {
-                    let lsq = self.rob.get(rob).lsq;
-                    self.lsq.release(lsq);
-                    self.rob.get_mut(rob).done = true;
-                    let ti = self.rob.get(rob).trace_idx;
-                    self.trace_mark(ti, |r, now| r.complete = now);
+                Ev::LoadDone { idx } => {
+                    self.lsq.release(self.at(idx).lsq);
+                    self.complete(idx);
                 }
             }
         }
@@ -498,34 +566,50 @@ impl<'t> Core<'t> {
         self.scratch_events = evs;
     }
 
-    fn maybe_unstall_fetch(&mut self, rob: u32) {
-        if let Some(ti) = self.fetch_stalled_on {
-            if self.rob.get(rob).trace_idx == ti {
-                self.fetch_stalled_on = None;
-                self.fetch_resume = self.now + 1;
-            }
+    /// `value` becomes readable in cluster `c`: mark the copy and wake the
+    /// cluster's queues.
+    fn copy_ready(&mut self, value: ValueId, c: usize) {
+        if self.values.mark_ready(value, c) {
+            self.iq_int[c].wakeup(value);
+            self.iq_fp[c].wakeup(value);
+            self.iq_comm[c].wakeup(value, self.now);
+            self.refresh_cluster(c);
         }
+    }
+
+    /// Instruction `idx` writes back, making its result (if any) readable
+    /// in its home cluster, and then completes.
+    fn complete(&mut self, idx: u64) {
+        let e = *self.at(idx);
+        if let Some(dest) = e.dest {
+            self.copy_ready(dest, self.cfg.dest_cluster(e.cluster as usize));
+        }
+        self.at_mut(idx).done = true;
+        self.trace_mark(idx, |r, now| r.complete = now);
     }
 
     // ---------------------------------------------------------- commit --
 
     fn commit(&mut self) {
         for _ in 0..self.cfg.commit_width {
-            let Some(head) = self.rob.head() else { break };
-            if !head.done {
+            if self.commit_idx == self.dispatch_idx {
                 break;
             }
-            if head.class == InsnClass::Store {
+            let idx = self.commit_idx;
+            let e = *self.at(idx);
+            if !e.done {
+                break;
+            }
+            if e.class == InsnClass::Store {
                 if self.store_buf.len() >= self.cfg.store_buffer {
                     self.stats.stalls.store_buf_full += 1;
                     break;
                 }
-                let addr = self.rec(head.trace_idx as usize).mem_addr;
-                self.store_buf.push_back(addr);
-                self.lsq.release(head.lsq);
+                self.store_buf.push_back(self.rec(idx).mem_addr);
+                self.lsq.release(e.lsq);
             }
-            let e = self.rob.pop_head();
-            self.trace_mark(e.trace_idx, |r, now| r.commit = now);
+            self.commit_idx += 1;
+            self.trace_mark(idx, |r, now| r.commit = now);
             if let Some(prev) = e.prev {
                 self.values.free(prev);
             }
@@ -567,18 +651,7 @@ impl<'t> Core<'t> {
                     (lat + self.mem.cfg.dcache_transfer as u64, s.kind)
                 }
             };
-            let e = *self.rob.get(s.rob);
-            if let Some(dest) = e.dest {
-                let dc = self.cfg.dest_cluster(e.cluster as usize) as u8;
-                self.schedule(
-                    complete,
-                    Ev::CopyReady {
-                        value: dest,
-                        cluster: dc,
-                    },
-                );
-            }
-            self.schedule(complete, Ev::LoadDone { rob: s.rob });
+            self.schedule(complete, Ev::LoadDone { idx: s.idx });
         }
         started.clear();
         self.scratch_loads = started;
@@ -695,18 +768,19 @@ impl<'t> Core<'t> {
             if budget == 0 {
                 break;
             }
-            let idx = self.scratch_ready[i];
+            let slot = self.scratch_ready[i];
             let entry: IqEntry = *if fp {
-                self.iq_fp[c].get(idx)
+                self.iq_fp[c].get(slot)
             } else {
-                self.iq_int[c].get(idx)
+                self.iq_int[c].get(slot)
             };
             let Some(latency) = self.fus[c].try_issue(entry.class, self.now) else {
                 continue; // FU busy; younger ready entries may still go.
             };
             budget -= 1;
-            self.scratch_remove.push(idx);
-            self.trace_mark(entry.trace_idx, |r, now| r.issue = now);
+            self.scratch_remove.push(slot);
+            let idx = entry.idx;
+            self.trace_mark(idx, |r, now| r.issue = now);
             if fp {
                 self.stats.issued_fp += 1;
             } else {
@@ -717,30 +791,13 @@ impl<'t> Core<'t> {
             for r in entry.reads.into_iter().flatten() {
                 self.values.reader_done(r, c, release);
             }
-            let rob = entry.rob;
-            let e = *self.rob.get(rob);
-            match entry.class {
-                InsnClass::Load => {
-                    // AGU latency, then the request travels to the LSQ.
-                    self.schedule(latency as u64, Ev::LoadAddr { rob });
-                }
-                InsnClass::Store => {
-                    self.schedule(latency as u64, Ev::StoreReady { rob });
-                }
-                _ => {
-                    if let Some(dest) = e.dest {
-                        let dc = self.cfg.dest_cluster(c) as u8;
-                        self.schedule(
-                            latency as u64,
-                            Ev::CopyReady {
-                                value: dest,
-                                cluster: dc,
-                            },
-                        );
-                    }
-                    self.schedule(latency as u64, Ev::RobDone { rob });
-                }
-            }
+            let ev = match entry.class {
+                // AGU latency, then the request travels to the LSQ.
+                InsnClass::Load => Ev::LoadAddr { idx },
+                InsnClass::Store => Ev::StoreReady { idx },
+                _ => Ev::RobDone { idx },
+            };
+            self.schedule(latency as u64, ev);
         }
         let mut removals = std::mem::take(&mut self.scratch_remove);
         if fp {
@@ -788,42 +845,40 @@ impl<'t> Core<'t> {
 
     fn dispatch(&mut self) {
         for _ in 0..self.cfg.fetch_width {
-            let Some(&f) = self.fetch_q.front() else {
-                break;
-            };
-            if f.avail > self.now {
+            let idx = self.dispatch_idx;
+            if idx == self.fetch_idx || self.at(idx).avail > self.now {
                 break;
             }
-            if !self.try_dispatch_one(f.trace_idx) {
+            if !self.try_dispatch_one(idx) {
                 break; // in-order dispatch: first stall blocks the rest
             }
-            self.fetch_q.pop_front();
+            self.dispatch_idx += 1;
         }
     }
 
-    /// Attempt to dispatch one instruction; false = stall (nothing
-    /// allocated).
-    fn try_dispatch_one(&mut self, trace_idx: u32) -> bool {
-        let insn = self.static_of(trace_idx).insn;
+    /// Attempt to dispatch instruction `idx`, the fetch-queue head; false =
+    /// stall (nothing allocated).
+    fn try_dispatch_one(&mut self, idx: u64) -> bool {
+        let insn = self.static_of(idx).insn;
         let class = insn.class();
 
-        if !self.rob.has_space() {
+        if !self.rob_has_space() {
             self.stats.stalls.rob_full += 1;
             return false;
         }
 
         // Nops and halt skip steering entirely.
         if matches!(class, InsnClass::Nop | InsnClass::Halt) {
-            self.rob.push(RobEntry {
-                trace_idx,
-                class,
-                done: true,
+            *self.at_mut(idx) = InFlight {
                 dest: None,
                 prev: None,
                 lsq: NO_LSQ,
+                class,
+                done: true,
                 cluster: 0,
-            });
-            self.trace_mark(trace_idx, |r, now| {
+                ..*self.at(idx)
+            };
+            self.trace_mark(idx, |r, now| {
                 r.dispatch = now;
                 r.complete = now;
             });
@@ -846,9 +901,6 @@ impl<'t> Core<'t> {
         let dest_cluster = self.cfg.dest_cluster(c);
 
         // ---- allocate ----
-        self.seq += 1;
-        let seq = self.seq;
-
         // Communications: allocate the consumer-side copy + the comm op.
         for cm in comms {
             self.values.add_copy(cm.value, c);
@@ -856,7 +908,7 @@ impl<'t> Core<'t> {
             self.values.add_reader(cm.value, cm.from as usize);
             let ready = self.values.state(cm.value, cm.from as usize) == CopyState::Ready;
             self.iq_comm[cm.from as usize].push(CommOp {
-                seq,
+                idx,
                 value: cm.value,
                 from: cm.from,
                 to: c as u8,
@@ -878,19 +930,20 @@ impl<'t> Core<'t> {
             None => (None, None),
         };
 
-        let rob = self.rob.push(RobEntry {
-            trace_idx,
-            class,
-            done: false,
+        let lsq = if class.is_mem() {
+            self.lsq.alloc(class == InsnClass::Store, idx)
+        } else {
+            NO_LSQ
+        };
+        *self.at_mut(idx) = InFlight {
             dest: dest_v,
             prev: prev_v,
-            lsq: NO_LSQ,
+            lsq,
+            class,
+            done: false,
             cluster: c as u8,
-        });
-        if class.is_mem() {
-            let lsq = self.lsq.alloc(class == InsnClass::Store, rob, seq);
-            self.rob.get_mut(rob).lsq = lsq;
-        }
+            ..*self.at(idx)
+        };
 
         // Issue-queue entry: wait on sources without a Ready copy in c.
         let mut waits: [Option<ValueId>; 2] = [None, None];
@@ -904,9 +957,7 @@ impl<'t> Core<'t> {
             }
         }
         let entry = IqEntry {
-            seq,
-            rob,
-            trace_idx,
+            idx,
             class,
             waits,
             reads,
@@ -920,7 +971,7 @@ impl<'t> Core<'t> {
 
         self.stats.dispatched_per_cluster[c] += 1;
         let n_comms = comms.len() as u8;
-        self.trace_mark(trace_idx, |r, now| {
+        self.trace_mark(idx, |r, now| {
             r.dispatch = now;
             r.cluster = c as u8;
             r.comms = n_comms;
@@ -1056,7 +1107,7 @@ impl<'t> Core<'t> {
         if self.wheel.due(self.now) {
             return;
         }
-        if self.rob.head().is_some_and(|h| h.done) {
+        if self.commit_idx < self.dispatch_idx && self.at(self.commit_idx).done {
             return;
         }
         if !self.store_buf.is_empty() {
@@ -1072,7 +1123,7 @@ impl<'t> Core<'t> {
         }
         let can_fetch = self.fetch_stalled_on.is_none()
             && self.fetch_idx < self.pulled
-            && self.fetch_q.len() < self.cfg.fetch_queue;
+            && self.fetch_queue_has_space();
         if can_fetch && self.fetch_resume <= self.now {
             return;
         }
@@ -1098,11 +1149,12 @@ impl<'t> Core<'t> {
         // the steering policy over one full retry period of the frozen
         // state. Skipped cycle `now + j` replays probe slot `j % period`.
         let mut probe = DispatchIdle::NoAttempt;
-        if let Some(&f) = self.fetch_q.front() {
-            if f.avail > self.now {
-                wake = wake.min(f.avail);
+        if self.dispatch_idx < self.fetch_idx {
+            let avail = self.at(self.dispatch_idx).avail;
+            if avail > self.now {
+                wake = wake.min(avail);
             } else {
-                probe = self.probe_dispatch(f.trace_idx);
+                probe = self.probe_dispatch(self.dispatch_idx);
                 match &probe {
                     DispatchIdle::Dispatches => return,
                     DispatchIdle::Stalled { outcomes, period } => {
@@ -1148,15 +1200,15 @@ impl<'t> Core<'t> {
         self.now = wake;
     }
 
-    /// Probe what the dispatch stage would do with the queue-front
-    /// instruction, cycling the steering policy through exactly one retry
+    /// Probe what the dispatch stage would do with the fetch-queue head
+    /// `idx`, cycling the steering policy through exactly one retry
     /// period so rotating tie-breaks end back at their starting phase (the
     /// `retry_period` contract makes the probe side-effect-free).
-    fn probe_dispatch(&mut self, trace_idx: u32) -> DispatchIdle {
-        if !self.rob.has_space() {
+    fn probe_dispatch(&mut self, idx: u64) -> DispatchIdle {
+        if !self.rob_has_space() {
             return DispatchIdle::RobFull;
         }
-        let insn = self.static_of(trace_idx).insn;
+        let insn = self.static_of(idx).insn;
         let class = insn.class();
         if matches!(class, InsnClass::Nop | InsnClass::Halt) {
             return DispatchIdle::Dispatches;
@@ -1187,7 +1239,7 @@ impl<'t> Core<'t> {
             if self.fetch_idx >= self.pulled {
                 return;
             }
-            if self.fetch_q.len() >= self.cfg.fetch_queue {
+            if !self.fetch_queue_has_space() {
                 return;
             }
             let ti = self.fetch_idx;
@@ -1214,11 +1266,8 @@ impl<'t> Core<'t> {
             if !correct {
                 self.stats.branch_misses += 1;
             }
-            self.fetch_q.push_back(Fetched {
-                trace_idx: ti as u32,
-                avail: self.now + self.cfg.frontend_depth as u64 - 1,
-            });
-            self.trace_mark(ti as u32, |r, now| r.fetch = now.max(1));
+            self.at_mut(ti).avail = self.now + self.cfg.frontend_depth as u64 - 1;
+            self.trace_mark(ti, |r, now| r.fetch = now.max(1));
             self.fetch_idx += 1;
             if self.fetch_idx == self.pulled {
                 self.refill();
@@ -1227,7 +1276,7 @@ impl<'t> Core<'t> {
                 return; // nothing beyond halt
             }
             if !correct {
-                self.fetch_stalled_on = Some(ti as u32);
+                self.fetch_stalled_on = Some(ti);
                 return;
             }
             // One taken control transfer per cycle.

@@ -70,12 +70,9 @@ impl PipeTracer {
     }
 
     #[inline]
-    pub(crate) fn rec(&mut self, trace_idx: u32) -> Option<&mut InsnRecord> {
-        if trace_idx >= self.from && trace_idx < self.to {
-            Some(&mut self.records[(trace_idx - self.from) as usize])
-        } else {
-            None
-        }
+    pub(crate) fn rec(&mut self, trace_idx: u64) -> Option<&mut InsnRecord> {
+        let i = trace_idx.checked_sub(self.from.into())? as usize;
+        self.records.get_mut(i)
     }
 
     /// Render a text timeline for the window over the given oracle trace.

@@ -3,7 +3,9 @@
 //! Wakeup is modelled as a tag broadcast: when a value becomes ready in a
 //! cluster, every queue entry in that cluster waiting on it clears the
 //! matching source. Selection is oldest-first among ready entries, as in the
-//! paper's baseline.
+//! paper's baseline. An entry's age is its instruction's trace index: the
+//! core dispatches in program order and never fetches a wrong path, so the
+//! trace index is both the instruction's identity and its age stamp.
 //!
 //! An [`IssueQueue`] is a window of slots tracked by bitsets: an entry keeps
 //! its slot from dispatch until it issues, occupancy and readiness are one
@@ -20,12 +22,8 @@ use crate::value::ValueId;
 /// One issue-queue entry (an in-flight, not-yet-issued instruction).
 #[derive(Clone, Copy, Debug)]
 pub struct IqEntry {
-    /// Global dispatch sequence number (age ordering).
-    pub seq: u64,
-    /// ROB index.
-    pub rob: u32,
-    /// Index into the dynamic trace (for execution metadata).
-    pub trace_idx: u32,
+    /// The instruction's trace index: its identity and its age.
+    pub idx: u64,
     /// Behavioural class (selects FU and latency).
     pub class: InsnClass,
     /// Source values still being waited on (`None` = slot unused/ready).
@@ -183,7 +181,7 @@ impl IssueQueue {
 
     /// Ready entries in age order (oldest first), written into `out`.
     ///
-    /// `seq` is unique within an issue queue (one entry per dispatched
+    /// `idx` is unique within an issue queue (one entry per dispatched
     /// instruction), so the order does not depend on slot placement.
     pub fn ready_into(&self, out: &mut Vec<usize>) {
         out.clear();
@@ -198,7 +196,7 @@ impl IssueQueue {
             }
         }
         debug_assert_eq!(out.len(), self.n_ready, "ready count out of sync");
-        out.sort_unstable_by_key(|&i| self.slots[i].seq);
+        out.sort_unstable_by_key(|&i| self.slots[i].idx);
     }
 
     /// Number of ready entries (NREADY accounting / selection fast path).
@@ -257,8 +255,8 @@ pub fn fu_index(kind: rcmc_isa::FuKind) -> usize {
 /// One pending communication: copy `value` from `from` to `to`.
 #[derive(Clone, Copy, Debug)]
 pub struct CommOp {
-    /// Age (dispatch sequence of the consumer that required it).
-    pub seq: u64,
+    /// Age: the trace index of the consumer that required it.
+    pub idx: u64,
     /// Value to transport.
     pub value: ValueId,
     /// Source cluster (where a copy lives).
@@ -333,7 +331,7 @@ impl CommQueue {
     /// Ready comms in age order, written into `out`.
     ///
     /// Ties are part of the timing model. The comms an instruction needs
-    /// for its two sources share its `seq`, and the sort leaves equal keys
+    /// for its two sources share its `idx`, and the sort leaves equal keys
     /// in `Vec` position order, which `remove`'s `swap_remove` permutes.
     /// That order decides which of the two asks the interconnect first, so
     /// a layout that keeps positions stable (as [`IssueQueue`]'s slots do)
@@ -345,7 +343,7 @@ impl CommQueue {
         }
         out.extend((0..self.entries.len()).filter(|&i| self.entries[i].ready));
         debug_assert_eq!(out.len(), self.n_ready, "comm ready count out of sync");
-        out.sort_unstable_by_key(|&i| self.entries[i].seq);
+        out.sort_unstable_by_key(|&i| self.entries[i].idx);
     }
 
     /// Ready comms queued (selection fast path).
@@ -422,7 +420,7 @@ mod tests {
             let mut out: Vec<usize> = (0..self.entries.len())
                 .filter(|&i| self.entries[i].ready())
                 .collect();
-            out.sort_unstable_by_key(|&i| self.entries[i].seq);
+            out.sort_unstable_by_key(|&i| self.entries[i].idx);
             out
         }
 
@@ -477,7 +475,7 @@ mod tests {
         ) {
             let mut q = IssueQueue::new(capacity);
             let mut oracle = VecQueue::new(capacity);
-            let mut seq = 0u64;
+            let mut idx = 0u64;
             let mut got = Vec::new();
             for (op, pick) in ops {
                 // Few values, so waits collide and broadcasts find waiters;
@@ -488,11 +486,9 @@ mod tests {
                 };
                 match op {
                     0..=3 if q.has_space() => {
-                        seq += 1;
+                        idx += 1 + u64::from((pick >> 24) & 1);
                         let e = IqEntry {
-                            seq,
-                            rob: seq as u32,
-                            trace_idx: pick,
+                            idx,
                             class: CLASSES[(pick >> 16) as usize % CLASSES.len()],
                             waits: [value(0), value(8)],
                             reads: [None, None],
@@ -515,7 +511,7 @@ mod tests {
                         let mut issued_ref = Vec::new();
                         for (k, (&i, &j)) in got.iter().zip(&want).enumerate() {
                             let (a, b) = (q.get(i), &oracle.entries[j]);
-                            prop_assert_eq!((a.seq, a.trace_idx), (b.seq, b.trace_idx));
+                            prop_assert_eq!(a.idx, b.idx);
                             prop_assert!(a.ready());
                             if pick >> (k % 32) & 1 == 0 {
                                 issued.push(i);
@@ -534,12 +530,12 @@ mod tests {
                 let want = oracle.ready_ordered();
                 prop_assert_eq!(q.ready_count(), want.len());
                 q.ready_into(&mut got);
-                let seqs = |idx: &[usize], get: &dyn Fn(usize) -> u64| {
-                    idx.iter().map(|&i| get(i)).collect::<Vec<_>>()
+                let ages = |slots: &[usize], get: &dyn Fn(usize) -> u64| {
+                    slots.iter().map(|&i| get(i)).collect::<Vec<_>>()
                 };
                 prop_assert_eq!(
-                    seqs(&got, &|i| q.get(i).seq),
-                    seqs(&want, &|i| oracle.entries[i].seq)
+                    ages(&got, &|i| q.get(i).idx),
+                    ages(&want, &|i| oracle.entries[i].idx)
                 );
                 let mut counts = [0; 4];
                 q.ready_by_fu(&mut counts);
@@ -548,11 +544,9 @@ mod tests {
         }
     }
 
-    fn entry(seq: u64, waits: [Option<ValueId>; 2]) -> IqEntry {
+    fn entry(idx: u64, waits: [Option<ValueId>; 2]) -> IqEntry {
         IqEntry {
-            seq,
-            rob: 0,
-            trace_idx: 0,
+            idx,
             class: InsnClass::IntAlu,
             waits,
             reads: [None, None],
@@ -587,8 +581,8 @@ mod tests {
         q.push(entry(9, [Some(1), None]));
         let r = q.ready_ordered();
         assert_eq!(r.len(), 2);
-        assert_eq!(q.get(r[0]).seq, 2);
-        assert_eq!(q.get(r[1]).seq, 5);
+        assert_eq!(q.get(r[0]).idx, 2);
+        assert_eq!(q.get(r[1]).idx, 5);
     }
 
     #[test]
@@ -627,14 +621,14 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.ready_count(), 0);
         q.wakeup(7);
-        assert_eq!(q.ready_count(), 1, "seq 1 ready; seq 3 still waits on 8");
+        assert_eq!(q.ready_count(), 1, "idx 1 ready; idx 3 still waits on 8");
         q.wakeup(7); // consumed broadcast: nothing left registered
         assert_eq!(q.ready_count(), 1);
         q.wakeup(8);
         assert_eq!(q.ready_count(), 2);
         let r = q.ready_ordered();
-        assert_eq!(q.get(r[0]).seq, 1);
-        assert_eq!(q.get(r[1]).seq, 3);
+        assert_eq!(q.get(r[0]).idx, 1);
+        assert_eq!(q.get(r[1]).idx, 3);
     }
 
     #[test]
@@ -658,7 +652,7 @@ mod tests {
     fn comm_queue_wakeup_records_cycle() {
         let mut q = CommQueue::new(4);
         q.push(CommOp {
-            seq: 0,
+            idx: 0,
             value: 3,
             from: 1,
             to: 2,
@@ -666,7 +660,7 @@ mod tests {
             ready_cycle: 0,
         });
         q.push(CommOp {
-            seq: 1,
+            idx: 1,
             value: 4,
             from: 1,
             to: 3,
@@ -703,8 +697,8 @@ mod tests {
 
     #[test]
     fn comm_queue_same_seq_order_follows_swap_remove() {
-        let op = |seq, value| CommOp {
-            seq,
+        let op = |idx, value| CommOp {
+            idx,
             value,
             from: 0,
             to: 1,
@@ -713,7 +707,7 @@ mod tests {
         };
         let mut q = CommQueue::new(4);
         q.push(op(1, 9));
-        // Two comms of one instruction: same `seq`, pushed in source order.
+        // Two comms of one instruction: same `idx`, pushed in source order.
         q.push(op(2, 10));
         q.push(op(2, 11));
         let values = |q: &CommQueue| {
@@ -739,8 +733,8 @@ mod tests {
             q.wakeup(v);
         }
         let r = q.ready_ordered();
-        let seqs: Vec<u64> = r.iter().map(|&i| q.get(i).seq).collect();
-        assert_eq!(seqs, [871, 936, 937, 1000]);
+        let ages: Vec<u64> = r.iter().map(|&i| q.get(i).idx).collect();
+        assert_eq!(ages, [871, 936, 937, 1000]);
         let mut idx = vec![r[1], r[3]];
         q.remove_many(&mut idx);
         assert_eq!((q.len(), q.ready_count()), (128, 2));
@@ -753,7 +747,7 @@ mod tests {
     fn comm_queue_ready_count_is_maintained() {
         let mut q = CommQueue::new(4);
         q.push(CommOp {
-            seq: 0,
+            idx: 0,
             value: 3,
             from: 0,
             to: 1,
@@ -761,7 +755,7 @@ mod tests {
             ready_cycle: 0,
         });
         q.push(CommOp {
-            seq: 1,
+            idx: 1,
             value: 4,
             from: 0,
             to: 2,
@@ -782,7 +776,7 @@ mod tests {
         assert!(q.has_space_for(2));
         assert!(!q.has_space_for(3));
         q.push(CommOp {
-            seq: 0,
+            idx: 0,
             value: 1,
             from: 0,
             to: 1,

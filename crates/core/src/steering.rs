@@ -491,11 +491,9 @@ mod tests {
             (0..cfg.n_clusters)
                 .map(|c| {
                     let mut q = IssueQueue::new(cfg.iq_int.max(cfg.iq_fp));
-                    for seq in 0..occ.get(c).copied().unwrap_or(0) {
+                    for idx in 0..occ.get(c).copied().unwrap_or(0) {
                         q.push(IqEntry {
-                            seq: seq as u64,
-                            rob: 0,
-                            trace_idx: 0,
+                            idx: idx as u64,
                             class,
                             waits: [None; 2],
                             reads: [None; 2],

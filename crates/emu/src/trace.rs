@@ -319,8 +319,6 @@ impl PartialEq for Trace {
 pub enum TraceError {
     /// The underlying emulator faulted.
     Emu(EmuError),
-    /// The program halted before producing `min_insns` dynamic instructions.
-    TooShort { produced: usize, wanted: usize },
     /// A record could not be packed into the trace.
     Pack(PackError),
 }
@@ -329,9 +327,6 @@ impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceError::Emu(e) => write!(f, "emulation failed: {e}"),
-            TraceError::TooShort { produced, wanted } => {
-                write!(f, "trace too short: produced {produced}, wanted {wanted}")
-            }
             TraceError::Pack(e) => write!(f, "record does not pack: {e}"),
         }
     }

@@ -895,6 +895,20 @@ impl Plan {
             return Err("'measure' must be at least 1".to_string());
         }
         let configs = self.resolve_configs()?;
+        // Warm-up's last cycle can commit up to `commit_width - 1`
+        // instructions past `warmup`, so a shorter window could end inside
+        // that cycle and measure nothing.
+        let measure = self.budget.unwrap_or_default().measure;
+        if let Some(c) = configs
+            .iter()
+            .find(|c| measure < c.core.commit_width as u64)
+        {
+            return Err(format!(
+                "'measure' ({measure}) is below the commit width ({}) of configuration \
+                 '{}': the window could end inside warm-up's last cycle and measure nothing",
+                c.core.commit_width, c.name
+            ));
+        }
         let workloads = self.resolve_workloads(db)?;
         // A typo'd name in a report would otherwise render silently as a
         // neutral speedup / zero mean — the worst failure mode for a

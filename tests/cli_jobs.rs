@@ -127,6 +127,63 @@ fn a_zero_measurement_window_is_refused_everywhere() {
     assert!(!text.contains(r#""event":"result""#), "{text}");
 }
 
+/// A window shorter than the commit width can end inside warm-up's last
+/// cycle, which may commit past both `warmup` and `warmup + measure`: it
+/// would report 0 measured instructions and memoize that row. `rcmc run`
+/// and `plan run` refuse it with exit 1 before anything simulates.
+#[test]
+fn a_window_below_the_commit_width_is_refused_and_saves_no_row() {
+    let dir = std::env::temp_dir().join(format!("rcmc-short-window-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let want = "'measure' (1) is below the commit width (8) of configuration 'Ring_8clus_1bus_2IW'";
+    let run = rcmc()
+        .args(["run", "gzip", "--warmup", "1", "--instrs", "1"])
+        .env("CARGO_TARGET_DIR", &dir)
+        .output()
+        .unwrap();
+    assert_eq!(run.status.code(), Some(1), "{run:?}");
+    let err = String::from_utf8_lossy(&run.stderr);
+    assert!(err.contains(want), "{err}");
+    assert!(run.stdout.is_empty(), "{run:?}");
+    assert!(!dir.exists(), "a refused run writes nothing");
+
+    let spec = r#"{"name": "w", "configs": [{"name": "Ring_8clus_1bus_2IW"}], "benches": ["gzip"], "budget": {"warmup": 1, "measure": 7}}"#;
+    let path = std::env::temp_dir().join(format!("rcmc-short-spec-{}.json", std::process::id()));
+    std::fs::write(&path, spec).unwrap();
+    let out = rcmc()
+        .args(["plan", "run"])
+        .arg(&path)
+        .arg("--store")
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("'measure' (7) is below the commit width (8)"),
+        "{err}"
+    );
+    assert!(!err.contains("jobs:"), "the plan ran: {err}");
+    assert!(!dir.exists(), "a refused plan writes nothing");
+
+    // The shortest window the check allows runs and measures something.
+    std::fs::write(&path, spec.replace("\"measure\": 7", "\"measure\": 8")).unwrap();
+    let out = rcmc()
+        .args(["plan", "run"])
+        .arg(&path)
+        .arg("--store")
+        .arg(&dir)
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(out.status.success(), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("jobs: 1 executed"),
+        "{out:?}"
+    );
+}
+
 /// `jobs: N executed` counts simulations, not delivered pairs: two labels
 /// of one machine (the preset, and an override restating its default
 /// `rob`) share one job.

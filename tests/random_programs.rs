@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use ring_clustered::asm::Asm;
-use ring_clustered::core::{Core, CoreConfig, Steering, Topology};
-use ring_clustered::emu::trace_program;
+use ring_clustered::core::{Core, CoreConfig, PipeTracer, Steering, Topology};
+use ring_clustered::emu::{trace_program, Trace};
 use ring_clustered::isa::Reg;
 use ring_clustered::uarch::{MemConfig, PredictorConfig};
 
@@ -153,6 +153,69 @@ fn all_configs() -> Vec<CoreConfig> {
     v
 }
 
+/// Run `trace` to the end on `cfg` with every instruction traced, and
+/// check the window capacities from the recorded cycles alone, sharing no
+/// code with the pipeline's own capacity checks: after dispatch in any
+/// cycle at most `rob` instructions are dispatched and not committed
+/// (commit runs first in a cycle), after fetch at most `fetch_queue` are
+/// fetched and not dispatched (dispatch runs first), and no cycle commits
+/// more than `commit_width`.
+fn check_window_capacities(cfg: &CoreConfig, trace: &Trace) {
+    let mut core = Core::new(
+        cfg.clone(),
+        MemConfig::default(),
+        PredictorConfig::default(),
+        trace,
+    );
+    core.attach_tracer(PipeTracer::new(0, trace.len() as u32));
+    core.run(u64::MAX);
+    let end = core.cycle() as usize + 1;
+    let tracer = core.take_tracer().expect("tracer attached");
+    // Per-cycle deltas: an instruction occupies the fetch queue over
+    // [fetch, dispatch) and the ROB over [dispatch, commit).
+    let (mut fq, mut rob, mut commits) = (vec![0i64; end], vec![0i64; end], vec![0usize; end]);
+    for i in 0..trace.len() as u32 {
+        let r = tracer.get(i).expect("inside the traced window");
+        assert!(
+            0 < r.fetch && r.fetch <= r.dispatch && r.dispatch < r.commit,
+            "instruction {} has fetch {} dispatch {} commit {}",
+            i,
+            r.fetch,
+            r.dispatch,
+            r.commit
+        );
+        let (f, d, c) = (r.fetch as usize, r.dispatch as usize, r.commit as usize);
+        fq[f] += 1;
+        fq[d] -= 1;
+        rob[d] += 1;
+        rob[c] -= 1;
+        commits[c] += 1;
+    }
+    let (mut in_fq, mut in_rob) = (0, 0);
+    for t in 0..end {
+        in_fq += fq[t];
+        in_rob += rob[t];
+        assert!(
+            in_fq <= cfg.fetch_queue as i64,
+            "fetch queue holds {} at cycle {}",
+            in_fq,
+            t
+        );
+        assert!(
+            in_rob <= cfg.rob as i64,
+            "ROB holds {} at cycle {}",
+            in_rob,
+            t
+        );
+        assert!(
+            commits[t] <= cfg.commit_width,
+            "{} commits at cycle {}",
+            commits[t],
+            t
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
@@ -177,6 +240,24 @@ proptest! {
             // Every dispatched instruction belongs to exactly one cluster.
             let dispatched: u64 = stats.dispatched_per_cluster.iter().sum();
             prop_assert!(dispatched <= trace.len() as u64);
+        }
+    }
+
+    /// Every configuration, plus a narrow window whose ROB, fetch queue
+    /// and commit width bind often.
+    #[test]
+    fn random_programs_respect_window_capacities(body in prop::collection::vec(arb_op(), 4..40)) {
+        let program = build_program(&body);
+        let trace = trace_program(&program, 6_000).unwrap();
+        let narrow = CoreConfig {
+            rob: 16,
+            fetch_queue: 4,
+            fetch_width: 4,
+            commit_width: 2,
+            ..CoreConfig::default()
+        };
+        for cfg in all_configs().iter().chain([&narrow]) {
+            check_window_capacities(cfg, &trace);
         }
     }
 
