@@ -14,8 +14,8 @@
 # the end (a given SCRATCH is kept, and its build is reused by the next
 # run). Each check is one `cargo test` invocation on the debug profile; a
 # check that fails, does not build or runs past CHECK_TIMEOUT seconds
-# (default 900) kills the mutant. Six mutants take about 4 minutes on
-# 2 vCPUs once the first debug build of the scratch tree exists.
+# (default 900) kills the mutant. Six mutants take about 3 minutes on
+# 2 vCPUs, the scratch tree's first build included.
 set -euo pipefail
 
 out=${1:-MUTANTS.txt}
