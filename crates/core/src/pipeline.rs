@@ -351,16 +351,29 @@ impl<'t> Core<'t> {
         self.source.statics()[self.rec(idx).sid as usize]
     }
 
+    /// The slot of in-flight instruction `idx`: fetched and not yet
+    /// committed, so a stale index (one already committed) is caught.
+    #[inline]
+    fn inflight_slot(&self, idx: u64) -> usize {
+        debug_assert!(
+            self.commit_idx <= idx && idx < self.fetch_idx,
+            "instruction {idx} is not in flight ({}..{})",
+            self.commit_idx,
+            self.fetch_idx
+        );
+        self.slot(idx)
+    }
+
     /// The pipeline state of in-flight instruction `idx`.
     #[inline]
     fn at(&self, idx: u64) -> &InFlight {
-        &self.inflight[self.slot(idx)]
+        &self.inflight[self.inflight_slot(idx)]
     }
 
     /// Mutable [`Core::at`].
     #[inline]
     fn at_mut(&mut self, idx: u64) -> &mut InFlight {
-        let s = self.slot(idx);
+        let s = self.inflight_slot(idx);
         &mut self.inflight[s]
     }
 
@@ -1266,9 +1279,9 @@ impl<'t> Core<'t> {
             if !correct {
                 self.stats.branch_misses += 1;
             }
+            self.fetch_idx += 1;
             self.at_mut(ti).avail = self.now + self.cfg.frontend_depth as u64 - 1;
             self.trace_mark(ti, |r, now| r.fetch = now.max(1));
-            self.fetch_idx += 1;
             if self.fetch_idx == self.pulled {
                 self.refill();
             }

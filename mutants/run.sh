@@ -8,24 +8,17 @@
 # mutants × checks matrix to OUT, followed by each patch's first line,
 # which says what the mutant breaks (or why it cannot break anything).
 #
-#   bash mutants/run.sh [OUT] [SCRATCH]     # from the repository root
+#   bash mutants/run.sh [OUT]     # from the repository root
 #
-# OUT defaults to MUTANTS.txt; SCRATCH to a fresh `mktemp -d`, removed at
-# the end (a given SCRATCH is kept, and its build is reused by the next
-# run). Each check is one `cargo test` invocation on the debug profile; a
-# check that fails, does not build or runs past CHECK_TIMEOUT seconds
-# (default 900) kills the mutant. Six mutants take about 3 minutes on
-# 2 vCPUs, the scratch tree's first build included.
+# OUT defaults to MUTANTS.txt. The scratch directory is a fresh
+# `mktemp -d`, removed at the end. Each check is one `cargo test`
+# invocation on the debug profile; a check that fails, does not build or
+# runs past 900 seconds kills the mutant. Seven mutants take about
+# 4 minutes on 2 vCPUs, the scratch tree's first build included.
 set -euo pipefail
 
 out=${1:-MUTANTS.txt}
-scratch=${2:-}
-keep=1
-if [ -z "$scratch" ]; then
-    scratch=$(mktemp -d)
-    keep=0
-fi
-timeout_s=${CHECK_TIMEOUT:-900}
+scratch=$(mktemp -d)
 root=$(git rev-parse --show-toplevel)
 tree="$scratch/tree"
 logs="$scratch/logs"
@@ -56,7 +49,7 @@ check_cmd() {
 run_check() {
     local cmd
     cmd=$(check_cmd "$1")
-    if (cd "$tree" && CARGO_TARGET_DIR="$scratch/target" timeout "$timeout_s" $cmd) >"$2" 2>&1 &&
+    if (cd "$tree" && CARGO_TARGET_DIR="$scratch/target" timeout 900 $cmd) >"$2" 2>&1 &&
         grep -qE 'test result: ok\. [1-9][0-9]* passed' "$2"; then
         echo .
     else
@@ -64,15 +57,12 @@ run_check() {
     fi
 }
 
-rm -rf "$tree" "$logs"
 mkdir -p "$tree" "$logs"
 # Its own repository, so `git apply` patches this tree wherever it lies.
 git init -q "$tree"
-# Extracted with fresh mtimes (`-m`): a reused SCRATCH keeps the build of
-# the last mutant, which cargo would otherwise take as up to date.
 (cd "$root" && git ls-files -co --exclude-standard |
     while IFS= read -r f; do [ -e "$f" ] && printf '%s\n' "$f"; done |
-    tar -cf - -T -) | tar -xmf - -C "$tree"
+    tar -cf - -T -) | tar -xf - -C "$tree"
 
 checks=("${oracles[@]}" "${detectors[@]}")
 for c in "${checks[@]}"; do
@@ -123,4 +113,4 @@ done
     done
 } >>"$out.tmp"
 mv "$out.tmp" "$out"
-[ "$keep" = 1 ] || rm -rf "$scratch"
+rm -rf "$scratch"
