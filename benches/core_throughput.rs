@@ -29,17 +29,18 @@
 //! communication-heavy INT and one FP benchmark keeps both the steering
 //! and the issue/bus paths hot.
 
+mod common;
+
 use std::hint::black_box;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ring_clustered::core::bus::BusFabric;
-use ring_clustered::core::config::DistanceLut;
+use common::{git_rev, obj};
 use ring_clustered::core::queues::IssueQueue;
 use ring_clustered::core::steering::{self, SteerCtx};
 use ring_clustered::core::value::ValueTable;
-use ring_clustered::core::{Core, CoreConfig, Steering, Topology};
+use ring_clustered::core::{Core, CoreConfig, DistanceLut, Fabric, Steering, Topology};
 use ring_clustered::emu::Trace;
 use ring_clustered::sim::config::{
     make, make_pair, steering_name, topology_name, SimConfig, ALL_STEERINGS, ALL_TOPOLOGIES,
@@ -56,15 +57,6 @@ const BENCHES: [&str; 2] = ["gzip", "swim"];
 
 /// Timed repetitions of each component kernel.
 const REPS: usize = 200;
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
 
 /// `x` rounded to `places` decimals.
 fn round(x: f64, places: i32) -> Value {
@@ -108,8 +100,6 @@ fn core_throughput(traces: &[Arc<Trace>], budget: &Budget) -> Vec<(&'static str,
         .collect();
     // Stall-heavy rows: a long hop stretches every bus reservation, so
     // dispatch and issue spend most cycles waiting — the wheel's best case.
-    // 7 is the longest hop the 64-cycle reservation window admits on an
-    // 8-cluster segmented bus.
     for (topo, hop) in [
         (Topology::Conv, 4),
         (Topology::Conv, 7),
@@ -328,12 +318,14 @@ fn components() -> Value {
         }
     }));
 
-    let mut fabric = BusFabric::new(&CoreConfig::default());
+    // The default ring: one forward bus over 8 clusters, so `from → to`
+    // is a path of `1 + from % 6` segments.
+    let mut fabric = Fabric::new(&CoreConfig::default());
     let mut from = 0usize;
     rows.push(component("bus", "reserve_tick_1k", 1024, || {
         for _ in 0..1024 {
             from = (from + 1) % 8;
-            black_box(fabric.buses[0].try_reserve(from, 1 + (from as u32 % 6)));
+            black_box(fabric.try_send(from, (from + 1 + from % 6) % 8));
             fabric.tick();
         }
     }));
@@ -372,19 +364,6 @@ fn components() -> Value {
         }));
     }
     Value::Arr(rows)
-}
-
-/// The checked-out revision (`-dirty` with uncommitted changes), or
-/// `unknown` outside a git checkout.
-fn git_rev(root: &Path) -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--abbrev=12"])
-        .current_dir(root)
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
 }
 
 fn main() {

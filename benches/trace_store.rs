@@ -20,9 +20,12 @@
 //! escape table and its share of the static table), and `_meta` (`nproc`,
 //! git revision, reps, window, and the suite's escaped records).
 
+mod common;
+
 use std::path::Path;
 use std::time::Instant;
 
+use common::{git_rev, obj};
 use ring_clustered::emu::{trace_program, DynInsn, TraceDb};
 use ring_clustered::sim::runner::{all_bench_names, Budget};
 use ring_clustered::workloads::benchmark;
@@ -30,27 +33,6 @@ use serde::json::Value;
 
 /// Timed passes of each kind; median and quartiles are reported.
 const REPS: usize = 9;
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-/// `git describe` of the checkout, for the `_meta` record.
-fn git_rev(root: &Path) -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--abbrev=12"])
-        .current_dir(root)
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
 
 /// `[q1, median, q3]` of the pass times, printed and returned.
 fn quartiles(what: &str, mut xs: Vec<f64>) -> [f64; 3] {

@@ -48,12 +48,12 @@ pub enum Topology {
     /// XY (dimension-ordered) routing over bidirectional neighbor links,
     /// Manhattan-distance delays, `n_buses` ports per directed link. The
     /// grid is the most square factorization of the cluster count (see
-    /// [`mesh_dims`]); prime counts degenerate to a 1×N line.
+    /// [`crate::fabric::mesh_dims`]); prime counts degenerate to a 1×N line.
     Mesh,
     /// Beyond-paper ablation: hierarchical clusters-of-clusters — every
-    /// group of [`hier_group_size`] clusters shares a cheap single-hop
-    /// local bus, and all groups share one expensive
-    /// [`HIER_INTER_HOPS`]-hop inter-group link.
+    /// group of [`crate::fabric::hier_group_size`] clusters shares a cheap
+    /// single-hop local bus, and all groups share one expensive
+    /// [`crate::fabric::HIER_INTER_HOPS`]-hop inter-group link.
     Hier,
 }
 
@@ -107,20 +107,6 @@ pub fn cluster_mask(n: usize) -> u64 {
 /// so the wheel wraps with a mask.
 pub const EVENT_WHEEL: usize = 512;
 
-/// Reservation-window length in future cycles for the wormhole-reserving
-/// fabrics (`BusFabric` segments are a 128-bit mask; `Mesh2D` links use
-/// arrays of this length). Sized so the longest bus path at
-/// [`MAX_CLUSTERS`] clusters × 1 cycle/hop still fits.
-/// [`CoreConfig::validate`] rejects configurations whose longest path ×
-/// hop latency does not fit, so the fabrics can assume it.
-pub const RESERVATION_WINDOW: usize = 128;
-
-/// Hop distance charged for crossing the shared inter-group link of
-/// [`Topology::Hier`] (the intra-group bus is always one hop). Chosen so
-/// leaving the group costs about as much as the worst conventional-bus
-/// distance at 8 clusters with 2 buses — steering should avoid it.
-pub const HIER_INTER_HOPS: u32 = 4;
-
 /// Trace entries a run may read past its instruction budget. Fetch never
 /// follows a wrong path, so it stays within the ROB, the fetch queue and
 /// one fetch group of the last commit, and commit overshoots the budget by
@@ -129,35 +115,6 @@ pub const HIER_INTER_HOPS: u32 = 4;
 /// exceeds it, so a trace of `budget + RUN_AHEAD` instructions is never
 /// read to its end before the budget commits.
 pub const RUN_AHEAD: u64 = 16_384;
-
-/// Grid dimensions `(width, height)` for [`Topology::Mesh`]: the most
-/// square factorization of `n` with `width >= height`. Prime cluster
-/// counts degenerate to a 1×N line (a bidirectional chain).
-pub fn mesh_dims(n: usize) -> (usize, usize) {
-    let mut h = (n as f64).sqrt().floor() as usize;
-    while h > 1 && !n.is_multiple_of(h) {
-        h -= 1;
-    }
-    let h = h.max(1);
-    (n / h, h)
-}
-
-/// Clusters per group for [`Topology::Hier`]: 4 when the cluster count
-/// allows it, else 2, else one flat group (no inter-group traffic).
-pub fn hier_group_size(n: usize) -> usize {
-    if n.is_multiple_of(4) {
-        4
-    } else if n.is_multiple_of(2) {
-        2
-    } else {
-        n
-    }
-}
-
-/// The [`Topology::Hier`] group a cluster belongs to.
-pub fn hier_group(n: usize, cluster: usize) -> usize {
-    cluster / hier_group_size(n)
-}
 
 /// Full back-end configuration. Defaults correspond to the paper's
 /// `8clus_1bus_2IW` configuration; `rcmc-sim` provides all Table 3 presets.
@@ -259,11 +216,11 @@ impl CoreConfig {
     /// benchmark subset at 8 clusters / 1 bus / 2IW; see `rcmc-sim`'s
     /// `calibrate_dcount` example). The bus topologies keep the
     /// paper-baseline value; the point-to-point fabrics tolerate scatter
-    /// better (every redirection costs at most one / [`HIER_INTER_HOPS`]
-    /// hops, not a bus walk), so their calibration runs favor tighter
-    /// balance control — geomean IPC at the optimum vs the Conv-calibrated
-    /// 16.0: Xbar 0.8413 vs 0.8109, Mesh 0.8088 vs 0.7852, Hier 0.7767 vs
-    /// 0.7675.
+    /// better (every redirection costs at most one /
+    /// [`crate::fabric::HIER_INTER_HOPS`] hops, not a bus walk), so their
+    /// calibration runs favor tighter balance control — geomean IPC at the
+    /// optimum vs the Conv-calibrated 16.0: Xbar 0.8413 vs 0.8109, Mesh
+    /// 0.8088 vs 0.7852, Hier 0.7767 vs 0.7675.
     pub fn default_dcount_threshold(topology: Topology) -> f64 {
         match topology {
             Topology::Ring | Topology::Conv => 16.0,
@@ -362,42 +319,7 @@ impl CoreConfig {
         if self.hop_latency == 0 {
             return Err("hop_latency must be >= 1".into());
         }
-        // The wormhole-reserving fabrics hold one reservation slot per
-        // future cycle of a path: the longest route must fit the window.
-        let max_path: u64 = match self.topology {
-            // A bus path can span up to n_clusters segments.
-            Topology::Ring | Topology::Conv => self.n_clusters as u64,
-            Topology::Mesh => {
-                let (w, h) = mesh_dims(self.n_clusters);
-                (w - 1 + h - 1).max(1) as u64
-            }
-            // Entry-cycle-only arbitration: no reservation window.
-            Topology::Crossbar | Topology::Hier => 0,
-        };
-        if max_path * self.hop_latency as u64 >= RESERVATION_WINDOW as u64 {
-            return Err(format!(
-                "hop_latency {} with {} clusters exceeds the {}-cycle \
-                 reservation window of {:?}",
-                self.hop_latency, self.n_clusters, RESERVATION_WINDOW, self.topology
-            ));
-        }
-        // Every grant delay must also fit the pipeline's event wheel. The
-        // bus/mesh fabrics are already bounded tighter by the reservation
-        // window; this catches the entry-cycle fabrics (Crossbar, Hier),
-        // whose delays are unbounded by any window.
-        let max_dist: u64 = match self.topology {
-            Topology::Ring | Topology::Conv => self.n_clusters as u64,
-            Topology::Crossbar => 1,
-            Topology::Mesh => max_path,
-            Topology::Hier => HIER_INTER_HOPS as u64,
-        };
-        if max_dist * self.hop_latency as u64 >= EVENT_WHEEL as u64 {
-            return Err(format!(
-                "hop_latency {} makes the longest {:?} delay overflow the \
-                 {}-cycle event wheel",
-                self.hop_latency, self.topology, EVENT_WHEEL
-            ));
-        }
+        crate::fabric::check(self)?;
         // Physical registers must cover the architectural state plus at least
         // a little rename headroom, or dispatch can starve (see DESIGN.md).
         if self.regs_int < rcmc_isa::NUM_INT_REGS + 8 {
@@ -474,98 +396,12 @@ impl CoreConfig {
             Topology::Conv | Topology::Crossbar | Topology::Mesh | Topology::Hier => cluster,
         }
     }
-
-    /// Hop distance from `from` to `to` on bus `bus`.
-    ///
-    /// Ring: every bus runs forward. Conv: bus 0 runs forward; bus 1 (if
-    /// present) runs backward. Crossbar: every remote cluster is one hop.
-    /// Mesh: the XY route's Manhattan distance (all links bidirectional, so
-    /// every "bus" sees the same distance). Hier: one hop inside a group,
-    /// [`HIER_INTER_HOPS`] across groups.
-    #[inline]
-    pub fn bus_distance(&self, bus: usize, from: usize, to: usize) -> u32 {
-        let n = self.n_clusters;
-        let fwd = ((to + n - from) % n) as u32;
-        match self.topology {
-            Topology::Ring => fwd,
-            Topology::Conv => {
-                if bus.is_multiple_of(2) {
-                    fwd
-                } else {
-                    ((from + n - to) % n) as u32
-                }
-            }
-            Topology::Crossbar => u32::from(from != to),
-            Topology::Mesh => {
-                // One mesh_dims evaluation for both endpoints: this runs in
-                // the steering hot path (per candidate cluster per operand).
-                let (w, _) = mesh_dims(n);
-                let (fx, fy) = (from % w, from / w);
-                let (tx, ty) = (to % w, to / w);
-                (fx.abs_diff(tx) + fy.abs_diff(ty)) as u32
-            }
-            Topology::Hier => {
-                if from == to {
-                    0
-                } else if hier_group(n, from) == hier_group(n, to) {
-                    1
-                } else {
-                    HIER_INTER_HOPS
-                }
-            }
-        }
-    }
-
-    /// Minimum communication distance from `from` to `to` over any bus
-    /// (what the steering algorithms minimize).
-    #[inline]
-    pub fn min_distance(&self, from: usize, to: usize) -> u32 {
-        match self.topology {
-            // Bus-dependent distances (forward vs backward buses).
-            Topology::Ring | Topology::Conv => (0..self.n_buses)
-                .map(|b| self.bus_distance(b, from, to))
-                .min()
-                .unwrap_or(0),
-            // n_buses is pure bandwidth here: one evaluation suffices.
-            Topology::Crossbar | Topology::Mesh | Topology::Hier => self.bus_distance(0, from, to),
-        }
-    }
-}
-
-/// Precomputed all-pairs [`CoreConfig::min_distance`] table, built once per
-/// config. `min_distance` is the inner loop of every steering decision
-/// (per candidate cluster per operand) and, for `Mesh`, re-derives the grid
-/// factorization on each call — at 64 clusters the LUT is 16 KiB and turns
-/// each lookup into one indexed load.
-#[derive(Clone, Debug)]
-pub struct DistanceLut {
-    n: usize,
-    d: Box<[u32]>,
-}
-
-impl DistanceLut {
-    /// Build the `n_clusters × n_clusters` table for `cfg`.
-    pub fn new(cfg: &CoreConfig) -> Self {
-        let n = cfg.n_clusters;
-        let mut d = vec![0u32; n * n].into_boxed_slice();
-        for from in 0..n {
-            for to in 0..n {
-                d[from * n + to] = cfg.min_distance(from, to);
-            }
-        }
-        DistanceLut { n, d }
-    }
-
-    /// [`CoreConfig::min_distance`], as one load.
-    #[inline]
-    pub fn min_distance(&self, from: usize, to: usize) -> u32 {
-        self.d[from * self.n + to]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::{hier_group_size, mesh_dims, DistanceLut, Fabric, HIER_INTER_HOPS};
 
     #[test]
     fn default_validates() {
@@ -688,10 +524,17 @@ mod tests {
             n_buses: 2,
             ..CoreConfig::default()
         };
-        assert_eq!(c.bus_distance(0, 2, 3), 1);
-        assert_eq!(c.bus_distance(1, 2, 3), 1, "ring buses all run forward");
-        assert_eq!(c.bus_distance(0, 3, 2), 7);
-        assert_eq!(c.min_distance(3, 2), 7);
+        let lut = DistanceLut::new(&c);
+        assert_eq!(lut.min_distance(2, 3), 1);
+        assert_eq!(lut.min_distance(3, 2), 7);
+        // The second bus charges the same 7 hops: it runs forward too.
+        let mut f = Fabric::new(&c);
+        assert_eq!(f.try_send(3, 2).map(|g| g.distance), Some(7));
+        assert_eq!(
+            f.try_send(3, 2).map(|g| g.distance),
+            Some(7),
+            "ring buses all run forward"
+        );
     }
 
     #[test]
@@ -701,10 +544,13 @@ mod tests {
             n_buses: 2,
             ..CoreConfig::default()
         };
-        assert_eq!(c.bus_distance(0, 3, 2), 7);
-        assert_eq!(c.bus_distance(1, 3, 2), 1);
-        assert_eq!(c.min_distance(3, 2), 1);
-        assert_eq!(c.min_distance(0, 4), 4);
+        let lut = DistanceLut::new(&c);
+        assert_eq!(lut.min_distance(3, 2), 1);
+        assert_eq!(lut.min_distance(0, 4), 4);
+        // The backward bus first, then the forward one.
+        let mut f = Fabric::new(&c);
+        assert_eq!(f.try_send(3, 2).map(|g| g.distance), Some(1));
+        assert_eq!(f.try_send(3, 2).map(|g| g.distance), Some(7));
     }
 
     #[test]
@@ -726,15 +572,18 @@ mod tests {
             ..CoreConfig::default()
         };
         // 8 clusters on a 4×2 grid: 0=(0,0), 3=(3,0), 4=(0,1), 7=(3,1).
-        assert_eq!(c.min_distance(0, 7), 4);
-        assert_eq!(c.min_distance(7, 0), 4, "mesh links are bidirectional");
-        assert_eq!(c.min_distance(0, 3), 3);
-        assert_eq!(c.min_distance(0, 4), 1);
-        assert_eq!(c.min_distance(1, 6), 2);
-        assert_eq!(c.min_distance(2, 2), 0);
-        // Both buses report the same distance (n_buses is bandwidth only).
+        let lut = DistanceLut::new(&c);
+        assert_eq!(lut.min_distance(0, 7), 4);
+        assert_eq!(lut.min_distance(7, 0), 4, "mesh links are bidirectional");
+        assert_eq!(lut.min_distance(0, 3), 3);
+        assert_eq!(lut.min_distance(0, 4), 1);
+        assert_eq!(lut.min_distance(1, 6), 2);
+        assert_eq!(lut.min_distance(2, 2), 0);
+        // Both lanes charge the same distance (n_buses is bandwidth only).
         let c2 = CoreConfig { n_buses: 2, ..c };
-        assert_eq!(c2.bus_distance(0, 0, 7), c2.bus_distance(1, 0, 7));
+        let mut f = Fabric::new(&c2);
+        assert_eq!(f.try_send(0, 7).map(|g| g.distance), Some(4));
+        assert_eq!(f.try_send(0, 7).map(|g| g.distance), Some(4));
         // Results stay local: conventional-style destination.
         assert_eq!(c2.dest_cluster(5), 5);
     }
@@ -747,11 +596,11 @@ mod tests {
         };
         // 8 clusters -> 2 groups of 4.
         assert_eq!(hier_group_size(8), 4);
-        assert_eq!(hier_group(8, 3), 0);
-        assert_eq!(hier_group(8, 4), 1);
-        assert_eq!(c.min_distance(0, 3), 1, "intra-group is one hop");
-        assert_eq!(c.min_distance(1, 7), HIER_INTER_HOPS);
-        assert_eq!(c.min_distance(2, 2), 0);
+        let lut = DistanceLut::new(&c);
+        assert_eq!(lut.min_distance(0, 3), 1, "intra-group is one hop");
+        assert_eq!(lut.min_distance(3, 4), HIER_INTER_HOPS);
+        assert_eq!(lut.min_distance(1, 7), HIER_INTER_HOPS);
+        assert_eq!(lut.min_distance(2, 2), 0);
         assert_eq!(c.dest_cluster(5), 5);
         // 6 clusters -> groups of 2; 2 clusters -> one flat group.
         assert_eq!(hier_group_size(6), 2);
@@ -895,7 +744,12 @@ mod tests {
         // groups of 4.
         assert_eq!(mesh_dims(64), (8, 8));
         assert_eq!(hier_group_size(64), 4);
-        assert_eq!(hier_group(64, 63), 15);
+        let hier = CoreConfig {
+            topology: Topology::Hier,
+            n_clusters: 64,
+            ..CoreConfig::default()
+        };
+        assert_eq!(DistanceLut::new(&hier).min_distance(60, 63), 1);
 
         // A 64-cluster ring fits the 128-slot window only at 1 cycle/hop.
         for (hop, ok) in [(1, true), (2, false)] {
@@ -943,12 +797,15 @@ mod tests {
                     n_clusters: 12,
                     ..CoreConfig::default()
                 };
+                // The table holds what an idle fabric charges.
                 let lut = DistanceLut::new(&c);
                 for from in 0..c.n_clusters {
-                    for to in 0..c.n_clusters {
+                    assert_eq!(lut.min_distance(from, from), 0);
+                    for to in (0..c.n_clusters).filter(|&to| to != from) {
+                        let grant = Fabric::new(&c).try_send(from, to).unwrap();
                         assert_eq!(
                             lut.min_distance(from, to),
-                            c.min_distance(from, to),
+                            grant.distance,
                             "{topology:?} {n_buses} buses {from}->{to}"
                         );
                     }

@@ -2,8 +2,8 @@
 //!
 //! This crate is the paper's contribution plus its baseline: a
 //! dynamically-scheduled clustered superscalar core that replays oracle
-//! traces from `rcmc-emu` under two interconnect topologies and three
-//! steering algorithms.
+//! traces from `rcmc-emu` under the paper's two interconnect topologies
+//! (plus three beyond-paper ones) and three steering algorithms.
 //!
 //! ## The ring clustered microarchitecture (Figure 1)
 //!
@@ -23,13 +23,17 @@
 //! load. [`config::Topology::Conv`] models the conventional baseline
 //! (intra-cluster bypass, DCOUNT balance control, forward+backward buses).
 //!
+//! Both bus topologies, and the beyond-paper crossbar, mesh and
+//! hierarchical ones, run on one [`Fabric`]: links of reservation windows,
+//! and one route function per topology that also fills the
+//! [`DistanceLut`] steering minimizes.
+//!
 //! Entry point: [`Core`], built over a dynamic trace; see `rcmc-sim` for
 //! Table 2/3 presets and whole-suite sweeps.
 
-pub mod bus;
 pub mod config;
+pub mod fabric;
 pub mod fu;
-pub mod interconnect;
 pub mod lsq;
 pub mod pipeline;
 pub mod pipeview;
@@ -40,7 +44,7 @@ pub mod timeq;
 pub mod value;
 
 pub use config::{CopyRelease, CoreConfig, Steering, Topology, MAX_CLUSTERS, RUN_AHEAD};
-pub use interconnect::{Crossbar, Grant, Hier, Interconnect, Mesh2D};
+pub use fabric::{DistanceLut, Fabric, Grant};
 pub use pipeline::Core;
 pub use pipeview::PipeTracer;
 pub use stats::Stats;

@@ -67,9 +67,9 @@ use rcmc_emu::{StaticInsn, Trace, TraceRec, TraceSource};
 use rcmc_isa::{FuKind, Insn, InsnClass, Opcode, Reg, NUM_ARCH_REGS};
 use rcmc_uarch::{FrontEndPredictor, MemConfig, MemHierarchy, PredictorConfig};
 
-use crate::config::{CopyRelease, CoreConfig, DistanceLut, MAX_CLUSTERS};
+use crate::config::{CopyRelease, CoreConfig, MAX_CLUSTERS};
+use crate::fabric::{DistanceLut, Fabric};
 use crate::fu::FuSet;
-use crate::interconnect::{self, Interconnect};
 use crate::lsq::{LoadKind, Lsq, LsqId, NO_LSQ};
 use crate::pipeview::PipeTracer;
 use crate::queues::{CommOp, CommQueue, IqEntry, IssueQueue};
@@ -201,7 +201,7 @@ pub struct Core<'t> {
     iq_comm: Vec<CommQueue>,
     fus: Vec<FuSet>,
 
-    fabric: Box<dyn Interconnect>,
+    fabric: Fabric,
     lsq: Lsq,
     store_buf: VecDeque<u64>,
 
@@ -262,7 +262,7 @@ impl<'t> Core<'t> {
             *slot = values.alloc_ready(0, a >= rcmc_isa::NUM_INT_REGS);
         }
         let mut core = Core {
-            fabric: interconnect::build(&cfg),
+            fabric: Fabric::new(&cfg),
             iq_int: (0..n).map(|_| IssueQueue::new(cfg.iq_int)).collect(),
             iq_fp: (0..n).map(|_| IssueQueue::new(cfg.iq_fp)).collect(),
             iq_comm: (0..n).map(|_| CommQueue::new(cfg.iq_comm)).collect(),
@@ -723,7 +723,7 @@ impl<'t> Core<'t> {
                 break;
             }
             let op: CommOp = *self.iq_comm[c].get(idx);
-            // The interconnect owns path selection and arbitration; a denial
+            // The fabric owns path selection and arbitration; a denial
             // leaves the comm queued to retry next cycle (Figure 9 waiting).
             if let Some(g) = self.fabric.try_send(op.from as usize, op.to as usize) {
                 self.schedule(

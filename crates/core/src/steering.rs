@@ -2,7 +2,7 @@
 //!
 //! Steering — *which cluster executes the next instruction* — is the second
 //! orthogonal axis of the design space next to the interconnect
-//! ([`crate::interconnect`]): any [`SteeringPolicy`] can drive any
+//! ([`crate::fabric`]): any [`SteeringPolicy`] can drive any
 //! [`crate::config::Topology`], which is exactly the cross the paper's §4
 //! ablation needs (e.g. DCOUNT-balanced steering on a crossbar, or
 //! dependence steering on a mesh). A policy sees the machine only through
@@ -29,7 +29,8 @@
 //! the chosen cluster is checked afterwards by dispatch, which stalls when
 //! "the chosen cluster is full" (§3.1) rather than re-steering.
 
-use crate::config::{cluster_mask, CoreConfig, DistanceLut, Steering};
+use crate::config::{cluster_mask, CoreConfig, Steering};
+use crate::fabric::DistanceLut;
 use crate::queues::IssueQueue;
 use crate::value::{ClusterBits, ValueId, ValueTable};
 

@@ -10,7 +10,7 @@
 //! randomness), so the in-tree `rand` stand-in does not affect them.
 
 use rcmc_asm::Asm;
-use rcmc_core::{Core, CoreConfig, Steering, Topology};
+use rcmc_core::{Core, CoreConfig, PipeTracer, Steering, Topology};
 use rcmc_emu::{trace_program, Trace};
 use rcmc_isa::Reg;
 use rcmc_uarch::{MemConfig, PredictorConfig};
@@ -200,4 +200,55 @@ fn cache_misses_cost_cycles() {
         s_cold.cycles
     );
     assert!(s_cold.l1d_misses > 20 * s_hot.l1d_misses.max(1));
+}
+
+/// The LSQ barrier trims every known store: a load behind two older
+/// stores, whose younger store's address is known first, starts in the
+/// cycle the older store's address becomes known. Derivation: that
+/// store's `StoreReady` event fires in the events stage of cycle `t`,
+/// which pops it and then the younger, already known store off the
+/// unknown-address queue. A 40-cycle divide chain ahead of both stores
+/// keeps them from committing, so in the memory stage of the same cycle
+/// the waiting load forwards from the younger store (same address): 1
+/// cycle in the LSQ plus the 1-way `dcache_transfer` back, so the load
+/// completes at `t + 1 + dcache_transfer`.
+#[test]
+fn load_starts_when_its_oldest_unknown_store_resolves() {
+    let mut a = Asm::new();
+    let buf = a.data_zero(64);
+    a.movi_addr(r(2), buf);
+    a.movi(r(3), 7);
+    a.div(r(6), r(3), r(3)); // 2 × 20-cycle divides: holds commit
+    a.div(r(6), r(6), r(3));
+    a.div(r(4), r(3), r(3)); // the older store's data, 20 cycles
+    a.st(r(4), r(2), 0); // older store, address known late
+    a.st(r(3), r(2), 8); // younger store, address known early
+    a.ld(r(5), r(2), 8); // forwards from the younger store
+    a.halt();
+    let t = trace_program(&a.assemble().unwrap(), 64).unwrap();
+    let mem = MemConfig::default();
+    let mut core = Core::new(ring(8), mem, PredictorConfig::default(), &t);
+    let n = t.len() as u32;
+    core.attach_tracer(PipeTracer::new(0, n));
+    let s = core.run(u64::MAX).clone();
+    assert_eq!(s.committed, n as u64 - 1);
+    assert_eq!(s.store_forwards, 1);
+    let tracer = core.take_tracer().unwrap();
+    let rec = |i: u32| *tracer.get(i).unwrap();
+    let (chain, older, younger, load) = (rec(3), rec(5), rec(6), rec(7));
+    // The younger store resolves first, the load's request is at the LSQ
+    // before the older store resolves (only the barrier holds it), and
+    // neither store commits before the load starts.
+    let transfer = mem.dcache_transfer as u64;
+    assert!(younger.complete < older.complete, "{younger:?} {older:?}");
+    assert!(
+        load.issue + 1 + transfer < older.complete,
+        "{load:?} {older:?}"
+    );
+    assert!(chain.complete > older.complete, "{chain:?} {older:?}");
+    assert_eq!(
+        load.complete,
+        older.complete + 1 + transfer,
+        "older {older:?}, younger {younger:?}, load {load:?}"
+    );
 }

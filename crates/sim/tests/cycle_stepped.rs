@@ -63,7 +63,7 @@ fn event_driven_matches_cycle_stepped_on_random_configs() {
         // (64-cluster rings require single-cycle hops).
         let max_hop = match topology {
             Topology::Ring | Topology::Conv => {
-                ((rcmc_core::config::RESERVATION_WINDOW - 1) / n_clusters).min(4) as u64
+                ((rcmc_core::fabric::RESERVATION_WINDOW - 1) / n_clusters).min(4) as u64
             }
             _ => 4,
         };

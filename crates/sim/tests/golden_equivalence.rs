@@ -2,17 +2,18 @@
 //! pluggable steering-policy refactor must be invisible in the numbers.
 //!
 //! The Ring/Conv/SSA counters below were captured from the pre-refactor
-//! seed model (MODEL_VERSION 5, `BusFabric` hard-wired into the pipeline,
+//! seed model (MODEL_VERSION 5, the bus fabric hard-wired into the pipeline,
 //! heap-allocated steering); the Xbar rows were captured immediately before
 //! the steering layer landed (same MODEL_VERSION, `Steerer`+`Dcount` still
 //! living in the pipeline), with the DCOUNT threshold pinned at the
 //! pre-recalibration 16.0 so the deliberate Crossbar recalibration cannot
 //! mask a policy-dispatch regression. Every configuration going through the
-//! `Interconnect` + `SteeringPolicy` trait pair — with DCOUNT read from the
-//! issue queues' occupancy by a stateless `ConvDcount` (it once kept its
-//! own counters, fed by dispatch/issue feedback hooks) and wakeup running
-//! off per-value waiter bitsets of slot-stable issue queues — must
-//! reproduce every counter
+//! `SteeringPolicy` trait and the one link-reservation `Fabric` (once an
+//! `Interconnect` trait with one implementation per topology) — with DCOUNT
+//! read from the issue queues' occupancy by a stateless `ConvDcount` (it
+//! once kept its own counters, fed by dispatch/issue feedback hooks) and
+//! wakeup running off per-value waiter bitsets of slot-stable issue queues
+//! — must reproduce every counter
 //! bit-for-bit: cycles, commit mix, communication counts/distances/waits,
 //! NREADY and the per-cluster dispatch histogram. If any row moves, the
 //! timing model changed and MODEL_VERSION in `rcmc_sim::runner` must be
@@ -413,7 +414,7 @@ fn hier_runs_end_to_end_with_two_level_comms() {
     let s = core.run_with_warmup(budget.warmup, budget.measure);
     assert!(s.committed >= budget.measure, "hier run must complete");
     assert!(s.comms_issued > 0, "DCOUNT steering must communicate");
-    let inter = rcmc_core::config::HIER_INTER_HOPS as u64;
+    let inter = rcmc_core::fabric::HIER_INTER_HOPS as u64;
     assert!(s.comm_distance >= s.comms_issued);
     assert!(s.comm_distance <= inter * s.comms_issued);
     // The aggregate must decompose into 1-hop and HIER_INTER_HOPS-hop

@@ -6,11 +6,10 @@
 //! cargo run --release --example steering_lab [benchmark]
 //! ```
 
-use ring_clustered::core::config::DistanceLut;
 use ring_clustered::core::queues::IssueQueue;
 use ring_clustered::core::steering::{RingDep, SteerCtx, SteeringPolicy};
 use ring_clustered::core::value::ValueTable;
-use ring_clustered::core::{CoreConfig, Steering, Topology};
+use ring_clustered::core::{CoreConfig, DistanceLut, Steering, Topology};
 use ring_clustered::sim::{config, runner, Plan, Session};
 
 fn figure2_walkthrough() {
