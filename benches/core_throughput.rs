@@ -17,7 +17,7 @@
 //! * `steering_cross` — one run per (steering policy × topology) pair, so
 //!   a steering-layer or interconnect change that slows any pair shows up.
 //! * `components` — the hot components no other number isolates (branch
-//!   predictors, L1D access, bus reservation, steering policies), each a
+//!   predictors, L1D access, bus reservation, steering algorithms), each a
 //!   fixed kernel timed over [`REPS`] repetitions; median and quartiles of
 //!   ns per operation.
 //! * `_meta` — host cores, git revision and the component rep count.
@@ -348,18 +348,23 @@ fn components() -> Value {
         let iq_fp: Vec<_> = (0..cfg.n_clusters)
             .map(|_| IssueQueue::new(cfg.iq_fp))
             .collect();
-        let mut policy = steering::build(&cfg);
+        // The tie-break phase advances as the core advances it.
+        let mut phase = 0;
         rows.push(component("steering", name, 1024, || {
             for i in 0..1024usize {
                 let srcs = [vids[i % 16], vids[(i * 7 + 3) % 16]];
-                black_box(policy.steer(&SteerCtx {
+                let ctx = SteerCtx {
                     cfg: &cfg,
                     dist: &dist,
                     values: &values,
                     iq_int: &iq_int,
                     iq_fp: &iq_fp,
                     srcs: &srcs,
-                }));
+                };
+                black_box(steering::steer(steering, phase, &ctx));
+                if steering::rotates(steering, srcs.len()) {
+                    phase = (phase + 1) % cfg.n_clusters;
+                }
             }
         }));
     }

@@ -668,37 +668,48 @@ mod tests {
 
     #[test]
     fn reservation_window_overflows_rejected() {
-        // Ring: a 32-cluster bus path at 4 cycles/hop is 128 slots — too big.
+        // Hop `j` of a route books offset `j × hop_latency` of the 128-cycle
+        // window, so the bound is on the longest route's last hop.
+        let check = |topology, n_clusters, hop_latency| {
+            CoreConfig {
+                topology,
+                n_clusters,
+                hop_latency,
+                ..CoreConfig::default()
+            }
+            .validate()
+            .is_ok()
+        };
+        // Ring and Conv: the longest bus path at 32 clusters is 31 hops, its
+        // last at 30 × 4 = 120 (fits) or 30 × 5 = 150 (does not).
+        for topology in [Topology::Ring, Topology::Conv] {
+            assert!(check(topology, 32, 4), "{topology:?}");
+            assert!(!check(topology, 32, 5), "{topology:?}");
+        }
+        // ... and runs: its longest path, 1 → 0 on the forward bus, books
+        // its last segment at offset 120 and is delivered 124 cycles later.
         let c = CoreConfig {
             n_clusters: 32,
             hop_latency: 4,
             ..CoreConfig::default()
         };
-        assert!(c.validate().is_err());
-        let c = CoreConfig {
-            n_clusters: 31,
-            hop_latency: 4,
-            ..CoreConfig::default()
-        };
-        assert!(c.validate().is_ok());
-        // Mesh: a prime count degenerates to a line; 13 clusters × 11
-        // cycles/hop exceeds the window, but a 4×4 grid (diameter 6) fits.
-        let c = CoreConfig {
-            topology: Topology::Mesh,
-            n_clusters: 13,
-            hop_latency: 11,
-            ..CoreConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = CoreConfig {
-            topology: Topology::Mesh,
-            n_clusters: 16,
-            hop_latency: 11,
-            ..CoreConfig::default()
-        };
-        assert!(c.validate().is_ok());
-        // Entry-cycle fabrics reserve nothing, but their grant delays must
-        // still fit the event wheel: Hier's worst delay is
+        let grant = crate::fabric::Fabric::new(&c).try_send(1, 0);
+        assert_eq!(
+            grant,
+            Some(crate::fabric::Grant {
+                delay: 124,
+                distance: 31
+            })
+        );
+        // Mesh: a prime count degenerates to a line, so 13 clusters route
+        // up to 12 hops (last at 11 × 11 = 121; 11 × 12 = 132 overflows); a
+        // 4×4 grid's diameter is 6 (last at 5 × 25 = 125; 5 × 26 = 130).
+        assert!(check(Topology::Mesh, 13, 11));
+        assert!(!check(Topology::Mesh, 13, 12));
+        assert!(check(Topology::Mesh, 16, 25));
+        assert!(!check(Topology::Mesh, 16, 26));
+        // Entry-cycle fabrics book offset 0 only, but their grant delays
+        // must still fit the event wheel: Hier's worst delay is
         // hop_latency × HIER_INTER_HOPS.
         for topology in [Topology::Crossbar, Topology::Hier] {
             let c = CoreConfig {
@@ -708,24 +719,10 @@ mod tests {
             };
             assert!(c.validate().is_ok());
         }
-        let c = CoreConfig {
-            topology: Topology::Hier,
-            hop_latency: 128, // 128 × 4 = 512 ≥ wheel
-            ..CoreConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = CoreConfig {
-            topology: Topology::Crossbar,
-            hop_latency: 511,
-            ..CoreConfig::default()
-        };
-        assert!(c.validate().is_ok());
-        let c = CoreConfig {
-            topology: Topology::Crossbar,
-            hop_latency: 512,
-            ..CoreConfig::default()
-        };
-        assert!(c.validate().is_err());
+        assert!(check(Topology::Hier, 8, 127)); // 127 × 4 = 508 < wheel
+        assert!(!check(Topology::Hier, 8, 128)); // 128 × 4 = 512 ≥ wheel
+        assert!(check(Topology::Crossbar, 8, 511));
+        assert!(!check(Topology::Crossbar, 8, 512));
     }
 
     #[test]
@@ -751,8 +748,9 @@ mod tests {
         };
         assert_eq!(DistanceLut::new(&hier).min_distance(60, 63), 1);
 
-        // A 64-cluster ring fits the 128-slot window only at 1 cycle/hop.
-        for (hop, ok) in [(1, true), (2, false)] {
+        // A 64-cluster ring's longest path is 63 hops, the last at
+        // 62 × 2 = 124 < 128 slots; 3 cycles/hop overflows (186).
+        for (hop, ok) in [(2, true), (3, false)] {
             let c = CoreConfig {
                 n_clusters: 64,
                 hop_latency: hop,
@@ -760,7 +758,8 @@ mod tests {
             };
             assert_eq!(c.validate().is_ok(), ok, "ring 64 clusters hop {hop}");
         }
-        // The 8×8 mesh (diameter 14) overflows at 10 cycles/hop (140 ≥ 128).
+        // The 8×8 mesh (diameter 14) books its last hop at 13 × 9 = 117
+        // and overflows at 10 cycles/hop (130 ≥ 128).
         for (hop, ok) in [(9, true), (10, false)] {
             let c = CoreConfig {
                 topology: Topology::Mesh,

@@ -39,8 +39,9 @@ use crate::config::{CoreConfig, Topology, EVENT_WHEEL};
 
 /// Reservation-window length in future cycles: one bit of a link lane's
 /// `u128`. [`CoreConfig::validate`] rejects configurations whose longest
-/// reserved path × hop latency does not fit, so the longest bus path at
-/// [`crate::MAX_CLUSTERS`] clusters needs single-cycle hops.
+/// route books its last hop past the window, so the longest bus path at
+/// [`crate::MAX_CLUSTERS`] clusters (63 hops, the last at offset
+/// `62 × hop_latency`) allows at most 2-cycle hops.
 pub const RESERVATION_WINDOW: usize = 128;
 
 /// Hop distance charged for crossing the inter-group link of
@@ -78,21 +79,23 @@ pub fn hier_group_size(n: usize) -> usize {
 /// [`EVENT_WHEEL`].
 pub(crate) fn check(cfg: &CoreConfig) -> Result<(), String> {
     let n = cfg.n_clusters as u64;
-    // (longest reserved path in hops, longest charged distance). A bus
-    // path is bounded by a full ring of segments; Crossbar and Hier book
-    // at offset 0 only, so they reserve no path.
-    let (path, distance) = match cfg.topology {
-        Topology::Ring | Topology::Conv => (n, n),
+    // (hops of the longest route, longest charged distance); validate has
+    // checked `n >= 2`. The longest bus path runs `n − 1` segments and the longest mesh route the grid's
+    // diameter; Crossbar and Hier book one step, at offset 0.
+    let (hops, distance) = match cfg.topology {
+        Topology::Ring | Topology::Conv => (n - 1, n - 1),
         Topology::Mesh => {
             let (w, h) = mesh_dims(cfg.n_clusters);
-            let d = (w - 1 + h - 1).max(1) as u64;
+            let d = (w - 1 + h - 1) as u64;
             (d, d)
         }
-        Topology::Crossbar => (0, 1),
-        Topology::Hier => (0, HIER_INTER_HOPS as u64),
+        Topology::Crossbar => (1, 1),
+        Topology::Hier => (1, HIER_INTER_HOPS as u64),
     };
     let hop = cfg.hop_latency as u64;
-    if path * hop >= RESERVATION_WINDOW as u64 {
+    // Hop `j` books offset `j × hop`, so the last hop's offset is the
+    // latest booking.
+    if (hops - 1) * hop >= RESERVATION_WINDOW as u64 {
         return Err(format!(
             "hop_latency {} with {} clusters exceeds the {}-cycle \
              reservation window of {:?}",

@@ -28,6 +28,11 @@
 //! and one route function per topology that also fills the
 //! [`DistanceLut`] steering minimizes.
 //!
+//! Steering is one pure function, [`steering::steer`], of the algorithm
+//! ([`Steering`]), a tie-break phase and a read-only [`SteerCtx`] view of
+//! the machine; it returns a [`Steered`] placement. The core keeps the
+//! phase and advances it after each steer that [`steering::rotates`].
+//!
 //! Entry point: [`Core`], built over a dynamic trace; see `rcmc-sim` for
 //! Table 2/3 presets and whole-suite sweeps.
 
@@ -48,7 +53,7 @@ pub use fabric::{DistanceLut, Fabric, Grant};
 pub use pipeline::Core;
 pub use pipeview::PipeTracer;
 pub use stats::Stats;
-pub use steering::{SteerCtx, SteeringPolicy};
+pub use steering::{SteerCtx, Steered};
 
 #[cfg(test)]
 mod pipeline_tests;

@@ -74,7 +74,7 @@ use crate::lsq::{LoadKind, Lsq, LsqId, NO_LSQ};
 use crate::pipeview::PipeTracer;
 use crate::queues::{CommOp, CommQueue, IqEntry, IssueQueue};
 use crate::stats::Stats;
-use crate::steering::{self, SteerCtx, Steered, SteeringPolicy};
+use crate::steering::{self, SteerCtx, Steered};
 use crate::timeq::TimeQueue;
 use crate::value::{CopyState, ValueId, ValueTable};
 
@@ -191,7 +191,9 @@ pub struct Core<'t> {
     // Rename.
     rename: [ValueId; NUM_ARCH_REGS],
     values: ValueTable,
-    policy: Box<dyn SteeringPolicy>,
+    /// The steering tie-break's phase, in `0..n_clusters`: advanced after
+    /// every steer that [`steering::rotates`], stalled or not.
+    rr: usize,
     /// Pairwise cluster distances, precomputed once per configuration.
     dist: DistanceLut,
 
@@ -279,7 +281,7 @@ impl<'t> Core<'t> {
             last_fetch_line: u64::MAX,
             rename,
             values,
-            policy: steering::build(&cfg),
+            rr: 0,
             dist: DistanceLut::new(&cfg),
             wheel: TimeQueue::new(WHEEL),
             now: 0,
@@ -901,7 +903,10 @@ impl<'t> Core<'t> {
         // Live sources are captured BEFORE the destination rename
         // overwrites the map.
         let srcs = self.live_sources(insn);
-        let steered = self.steer(srcs);
+        let steered = self.steer(srcs, self.rr);
+        if steering::rotates(self.cfg.steering, srcs.iter().flatten().count()) {
+            self.rr = (self.rr + 1) % self.cfg.n_clusters;
+        }
         let dest = insn.dest();
 
         // ---- resource checks (all-or-nothing) ----
@@ -999,24 +1004,26 @@ impl<'t> Core<'t> {
             .map(|r| r.filter(|r| !r.is_zero()).map(|r| self.rename[r.unified()]))
     }
 
-    /// Ask the steering policy to place an instruction with live sources
-    /// `srcs` against the current machine state. Inline buffers: dispatch
-    /// runs up to `fetch_width` times per cycle and must not allocate.
-    fn steer(&mut self, srcs: [Option<ValueId>; 2]) -> Steered {
+    /// Where steering would place an instruction with live sources `srcs`
+    /// against the current machine state at tie-break `phase`. Inline
+    /// buffers: dispatch runs up to `fetch_width` times per cycle and must
+    /// not allocate.
+    fn steer(&self, srcs: [Option<ValueId>; 2], phase: usize) -> Steered {
         let mut packed = [0; 2];
         let mut n = 0;
         for v in srcs.into_iter().flatten() {
             packed[n] = v;
             n += 1;
         }
-        self.policy.steer(&SteerCtx {
+        let ctx = SteerCtx {
             cfg: &self.cfg,
             dist: &self.dist,
             values: &self.values,
             iq_int: &self.iq_int,
             iq_fp: &self.iq_fp,
             srcs: &packed[..n],
-        })
+        };
+        steering::steer(self.cfg.steering, phase, &ctx)
     }
 
     /// Would dispatching `class`/`dest` into `steered` stall, and on what?
@@ -1109,10 +1116,10 @@ impl<'t> Core<'t> {
     /// load, no ready instruction or communication, no fetch progress, and
     /// a dispatch stage that only re-charges the same stall is dead: the
     /// only state that moves is the fabric's reservations, which `advance`
-    /// replays, and a rotating steering tie-break, which `retry_advance`
-    /// replays in O(1). The wake bound is the earliest of the next wheel
-    /// event, the fetch-resume or decode timer, the first dispatch-retry
-    /// success, and the watchdog.
+    /// replays, and the steering tie-break's phase, which moves on by the
+    /// skipped cycles modulo the retry period. The wake bound is the
+    /// earliest of the next wheel event, the fetch-resume or decode timer,
+    /// the first dispatch-retry success, and the watchdog.
     fn fast_forward_idle(&mut self) {
         // Anything able to act on the upcoming cycle disqualifies the skip.
         // A due wheel bucket is the most common reason, so it goes first;
@@ -1159,8 +1166,8 @@ impl<'t> Core<'t> {
         }
 
         // Dispatch: if a decoded instruction waits at the queue head, probe
-        // the steering policy over one full retry period of the frozen
-        // state. Skipped cycle `now + j` replays probe slot `j % period`.
+        // steering over one full retry period of the frozen state. Skipped
+        // cycle `now + j` replays probe slot `j % period`.
         let mut probe = DispatchIdle::NoAttempt;
         if self.dispatch_idx < self.fetch_idx {
             let avail = self.at(self.dispatch_idx).avail;
@@ -1203,7 +1210,7 @@ impl<'t> Core<'t> {
                         self.bump_stall(kind, times);
                     }
                 }
-                self.policy.retry_advance(rem, self.cfg.n_clusters);
+                self.rr = (self.rr + rem) % self.cfg.n_clusters;
             }
             _ => {}
         }
@@ -1214,10 +1221,10 @@ impl<'t> Core<'t> {
     }
 
     /// Probe what the dispatch stage would do with the fetch-queue head
-    /// `idx`, cycling the steering policy through exactly one retry
-    /// period so rotating tie-breaks end back at their starting phase (the
-    /// `retry_period` contract makes the probe side-effect-free).
-    fn probe_dispatch(&mut self, idx: u64) -> DispatchIdle {
+    /// `idx` over one retry period: the steer of skipped cycle `now + j`
+    /// sees phase `rr + j`, and its period is `n_clusters` when it
+    /// [`steering::rotates`], else 1. Mutates nothing.
+    fn probe_dispatch(&self, idx: u64) -> DispatchIdle {
         if !self.rob_has_space() {
             return DispatchIdle::RobFull;
         }
@@ -1227,16 +1234,13 @@ impl<'t> Core<'t> {
             return DispatchIdle::Dispatches;
         }
         let srcs = self.live_sources(insn);
-        let n_srcs = srcs.iter().flatten().count();
-        let period = self.policy.retry_period(n_srcs, self.cfg.n_clusters);
-        debug_assert!(
-            (1..=MAX_CLUSTERS).contains(&period),
-            "retry_period {period} outside 1..=MAX_CLUSTERS"
-        );
+        let n = self.cfg.n_clusters;
+        let rotates = steering::rotates(self.cfg.steering, srcs.iter().flatten().count());
+        let period = if rotates { n } else { 1 };
         let dest = insn.dest();
         let mut outcomes: [Option<StallKind>; MAX_CLUSTERS] = [None; MAX_CLUSTERS];
-        for slot in outcomes.iter_mut().take(period) {
-            let steered = self.steer(srcs);
+        for (j, slot) in outcomes.iter_mut().take(period).enumerate() {
+            let steered = self.steer(srcs, (self.rr + j) % n);
             *slot = self.dispatch_stall_reason(class, dest, &steered);
         }
         DispatchIdle::Stalled { outcomes, period }
@@ -1257,10 +1261,12 @@ impl<'t> Core<'t> {
             }
             let ti = self.fetch_idx;
             let d = self.rec(ti).logical(self.source.statics());
-            // Instruction cache: one access per new `l1i.line`-byte line.
-            let line = (d.pc as u64 * rcmc_isa::INSN_BYTES) / self.mem.cfg.l1i.line as u64;
+            // Instruction cache: one access per new `l1i.line`-byte line
+            // (a power of two, which the cache asserts).
+            let addr = d.pc as u64 * rcmc_isa::INSN_BYTES;
+            let line = addr >> self.mem.cfg.l1i.line.trailing_zeros();
             if line != self.last_fetch_line {
-                let lat = self.mem.access_inst(d.pc as u64 * rcmc_isa::INSN_BYTES);
+                let lat = self.mem.access_inst(addr);
                 self.last_fetch_line = line;
                 if lat > self.mem.cfg.l1i.latency {
                     // Miss: stall; the line is now filled, we resume later.

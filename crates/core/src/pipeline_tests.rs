@@ -217,9 +217,20 @@ fn branchy_loop_commits_and_predicts() {
 
 #[test]
 fn diamond_dependence_creates_comms_on_ring() {
-    // Two chains advancing around the ring at different speeds, joined every
-    // iteration: the join's operands live in different clusters, forcing a
-    // communication.
+    let t = diamond();
+    let s = run_trace(ring_cfg(8), &t);
+    assert_eq!(s.committed, t.len() as u64 - 1);
+    assert!(
+        s.comms_issued > 0,
+        "joins across clusters should need communications"
+    );
+    assert!(s.dist_per_comm() >= 1.0);
+}
+
+/// Two chains advancing around the ring at different speeds, joined every
+/// iteration: the join's operands live in different clusters, forcing a
+/// communication.
+fn diamond() -> Trace {
     let mut a = Asm::new();
     a.movi(r(1), 1);
     a.movi(r(2), 2);
@@ -235,14 +246,20 @@ fn diamond_dependence_creates_comms_on_ring() {
     a.bne(r(10), r(0), top);
     a.halt();
     let p = a.assemble().unwrap();
-    let t = trace_program(&p, 4096).unwrap();
-    let s = run_trace(ring_cfg(8), &t);
-    assert_eq!(s.committed, t.len() as u64 - 1);
-    assert!(
-        s.comms_issued > 0,
-        "joins across clusters should need communications"
-    );
-    assert!(s.dist_per_comm() >= 1.0);
+    trace_program(&p, 4096).unwrap()
+}
+
+#[test]
+fn longest_bus_path_at_the_window_edge_runs() {
+    // 32 clusters at 4 cycles/hop: a 31-hop bus path books its last
+    // segment at offset 120 of the 128-cycle reservation window.
+    let t = diamond();
+    for mut cfg in [ring_cfg(32), conv_cfg(32)] {
+        cfg.hop_latency = 4;
+        let s = run_trace(cfg, &t);
+        assert_eq!(s.committed, t.len() as u64 - 1);
+        assert!(s.comms_issued > 0);
+    }
 }
 
 #[test]

@@ -1,29 +1,32 @@
-//! The pluggable steering-policy layer.
+//! Steering: *which cluster executes the next instruction*.
 //!
-//! Steering — *which cluster executes the next instruction* — is the second
-//! orthogonal axis of the design space next to the interconnect
-//! ([`crate::fabric`]): any [`SteeringPolicy`] can drive any
-//! [`crate::config::Topology`], which is exactly the cross the paper's §4
-//! ablation needs (e.g. DCOUNT-balanced steering on a crossbar, or
-//! dependence steering on a mesh). A policy sees the machine only through
-//! a [`SteerCtx`]: the configuration, the value table and the per-cluster
-//! issue queues. The only state a policy keeps is a rotating tie-break
-//! pointer; the DCOUNT balance metric is read from the issue queues.
+//! Steering is the second orthogonal axis of the design space next to the
+//! interconnect ([`crate::fabric`]): any [`Steering`] algorithm can drive
+//! any [`crate::config::Topology`], which is exactly the cross the paper's
+//! §4 ablation needs (e.g. DCOUNT-balanced steering on a crossbar, or
+//! dependence steering on a mesh). The algorithms form a closed set, so
+//! [`steer`] is one pure function of the algorithm, a rotating tie-break
+//! `phase` and the machine state a [`SteerCtx`] shows: the configuration,
+//! the value table and the per-cluster issue queues. The core owns the
+//! phase and advances it after each steer that [`rotates`]; the DCOUNT
+//! balance metric is read from the issue queues.
 //!
-//! The three policies:
+//! The three algorithms:
 //!
-//! * [`RingDep`] — §3.1: dependence-based steering whose tie-break is the
-//!   free-register count of the cluster that will *receive* the result (the
-//!   next cluster in the ring). The paper's Figure 2 example is reproduced
-//!   in this module's tests.
-//! * [`ConvDcount`] — §4.1: the baseline's locality steering with explicit
-//!   DCOUNT workload-balance control (Parcerisa et al., PACT'02).
-//! * [`Ssa`] — §4.7: send to the home cluster of the leftmost operand;
-//!   round-robin for operand-less instructions. No balance control.
+//! * [`Steering::RingDep`] — §3.1: dependence-based steering whose
+//!   tie-break is the free-register count of the cluster that will
+//!   *receive* the result (the next cluster in the ring), then the phase.
+//!   The paper's Figure 2 example is reproduced in this module's tests.
+//! * [`Steering::ConvDcount`] — §4.1: the baseline's locality steering
+//!   with explicit DCOUNT workload-balance control (Parcerisa et al.,
+//!   PACT'02). It never reads the phase.
+//! * [`Steering::Ssa`] — §4.7: send to the home cluster of the leftmost
+//!   operand; operand-less instructions go to the phase's cluster
+//!   (round-robin). No balance control.
 //!
-//! This module also owns the policy-independent pieces: the [`Steered`]
-//! result with its inline [`CommList`], and the nearest-copy distance
-//! helpers that both the policies and the pipeline use.
+//! This module also owns the algorithm-independent pieces: the
+//! [`Steered`] result with its inline [`CommList`], and the nearest-copy
+//! distance helpers that both the algorithms and the pipeline use.
 //!
 //! Steering never fails: it always picks a cluster. Resource availability in
 //! the chosen cluster is checked afterwards by dispatch, which stalls when
@@ -49,8 +52,8 @@ pub struct NeededComm {
 /// An instruction has at most two source operands, so at most two
 /// communications; ring steering guarantees ≤ 1 (its candidate set always
 /// contains a cluster holding an operand). Keeping this inline makes
-/// [`SteeringPolicy::steer`] — called once per dispatched
-/// instruction — fully allocation-free.
+/// [`steer`] — called once per dispatch attempt — fully
+/// allocation-free.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CommList {
     items: [NeededComm; 2],
@@ -159,7 +162,7 @@ pub fn needed_comms(
     comms
 }
 
-/// Everything a policy may consult when placing one instruction: the
+/// Everything steering may consult when placing one instruction: the
 /// configuration (cluster count, thresholds), the precomputed distance
 /// table, the value table (where the operands live, register pressure), the
 /// per-cluster INT and FP issue queues (DCOUNT occupancy) and the
@@ -181,14 +184,6 @@ pub struct SteerCtx<'a> {
 }
 
 impl SteerCtx<'_> {
-    /// Package a cluster choice with the communications it implies.
-    pub fn finish(&self, cluster: usize) -> Steered {
-        Steered {
-            cluster,
-            comms: needed_comms(self.dist, self.values, self.srcs, cluster),
-        }
-    }
-
     /// DCOUNT of `cluster` (Canal/Parcerisa): its dispatched-but-not-yet-
     /// issued instructions, i.e. the occupancy of its INT and FP issue
     /// queues. Communications are not instructions and do not count.
@@ -197,273 +192,173 @@ impl SteerCtx<'_> {
     }
 }
 
-/// One steering algorithm plus its tie-break state.
-///
-/// Contract: [`SteeringPolicy::steer`] is called once per dispatch attempt
-/// (in dispatch order); a steer whose dispatch stalls allocates nothing and
-/// is re-attempted next cycle. Policies must be deterministic — identical
-/// call sequences must produce identical placements at any sweep worker
-/// count.
-pub trait SteeringPolicy: Send {
-    /// Place one instruction: pick its execution cluster and the
-    /// communications that choice implies (via [`SteerCtx::finish`]).
-    fn steer(&mut self, ctx: &SteerCtx<'_>) -> Steered;
-
-    /// Retry periodicity for the event-driven loop: when the same stalled
-    /// instruction is re-steered every cycle against *frozen* machine state,
-    /// after how many `steer` calls does the sequence of placements repeat
-    /// (and the policy's internal retry state return to its start)?
-    ///
-    /// Return 1 for policies whose `steer` is pure under frozen context, or
-    /// `n_clusters` for a rotating tie-break that advances once per call;
-    /// the period must lie in `1..=MAX_CLUSTERS`. `n_srcs` is the stalled
-    /// instruction's live source-operand count (rotation often only applies
-    /// to the 0-source case).
-    fn retry_period(&self, n_srcs: usize, n_clusters: usize) -> usize;
-
-    /// Replay `k` same-state `steer` calls in O(1): advance rotating retry
-    /// state exactly as `k` consecutive (stalled) steers would have. Only
-    /// called with `k < retry_period(..)`; pure policies need not override.
-    fn retry_advance(&mut self, k: usize, n_clusters: usize) {
-        let _ = (k, n_clusters);
+/// Does a steer of `kind` for an instruction with `n_srcs` live sources
+/// consume a tie-break phase? RingDep breaks every tie by rotation, Ssa
+/// rotates only operand-less instructions, DCOUNT never rotates. The core
+/// advances its phase by one after each steer that rotates, so a stalled
+/// instruction re-steered against frozen state repeats its placements
+/// with period `n_clusters` when this holds and 1 otherwise.
+#[inline]
+pub fn rotates(kind: Steering, n_srcs: usize) -> bool {
+    match kind {
+        Steering::RingDep => true,
+        Steering::ConvDcount => false,
+        Steering::Ssa => n_srcs == 0,
     }
 }
 
-/// Build the steering policy the configuration asks for.
-pub fn build(cfg: &CoreConfig) -> Box<dyn SteeringPolicy> {
-    match cfg.steering {
-        Steering::RingDep => Box::new(RingDep::new()),
-        Steering::ConvDcount => Box::new(ConvDcount),
-        Steering::Ssa => Box::new(Ssa::new()),
+/// Place one instruction: its execution cluster under policy `kind` and
+/// the communications that choice implies. `phase` (in `0..n_clusters`)
+/// is the rotating tie-break's position; the result is a pure function of
+/// `kind`, `phase` and the machine state in `ctx`.
+#[inline]
+pub fn steer(kind: Steering, phase: usize, ctx: &SteerCtx<'_>) -> Steered {
+    debug_assert!(phase < ctx.cfg.n_clusters, "phase {phase} out of range");
+    let cluster = match kind {
+        Steering::RingDep => ring_dep(phase, ctx),
+        Steering::ConvDcount => conv_dcount(ctx),
+        // §4.7: the lowest-index cluster that stores (or will store) the
+        // leftmost operand; operand-less instructions go round-robin.
+        Steering::Ssa => match ctx.srcs.first() {
+            Some(v) => ctx
+                .values
+                .mapped_clusters(*v)
+                .next()
+                .expect("live value must be mapped somewhere"),
+            None => phase,
+        },
+    };
+    Steered {
+        cluster,
+        comms: needed_comms(ctx.dist, ctx.values, ctx.srcs, cluster),
     }
 }
 
-/// §3.1 dependence-based steering (free-register balance metric).
-pub struct RingDep {
-    /// Rotating tie-break pointer (the paper steers the 0-source case
-    /// "randomly"; rotation keeps runs deterministic).
-    rr: usize,
-}
-
-impl RingDep {
-    /// Fresh policy.
-    pub fn new() -> Self {
-        RingDep { rr: 0 }
-    }
-
-    /// Most free registers in the destination cluster among candidates;
-    /// ties broken by the rotating pointer. Candidates are visited in the
-    /// rotated order `rr, rr+1, …, n-1, 0, …, rr-1` (mask split at `rr`)
-    /// with a strictly-greater comparison — the same winner as scanning all
-    /// offsets and skipping non-candidates.
-    fn pick_most_free(&mut self, cfg: &CoreConfig, values: &ValueTable, cand: u64) -> usize {
-        let n = cfg.n_clusters;
-        let mut best = usize::MAX;
-        let mut best_free = i32::MIN;
-        let low_mask = (1u64 << self.rr) - 1; // rr < n <= 64
-        for part in [cand & !low_mask, cand & low_mask] {
-            for c in ClusterBits(part) {
-                let free = values.free_regs_total(cfg.dest_cluster(c));
-                if free > best_free {
-                    best_free = free;
-                    best = c;
+/// §3.1 dependence-based steering: candidates by operand count, then most
+/// free registers in the *destination* cluster (Figure 2's example
+/// requires the destination-cluster interpretation; see tests).
+fn ring_dep(phase: usize, ctx: &SteerCtx<'_>) -> usize {
+    let (cfg, values) = (ctx.cfg, ctx.values);
+    let cand: u64 = match ctx.srcs {
+        [] => cluster_mask(cfg.n_clusters),
+        [v] => values.mapped_mask(*v),
+        [u, v] => {
+            let mu = values.mapped_mask(*u);
+            let mv = values.mapped_mask(*v);
+            let both = mu & mv;
+            if both != 0 {
+                both
+            } else {
+                // One communication required: among clusters holding one
+                // operand (exactly one: no cluster has both), minimize
+                // the missing operand's distance.
+                let mut best_dist = u32::MAX;
+                let mut best = 0u64;
+                for c in ClusterBits(mu | mv) {
+                    let missing = if mu & (1u64 << c) != 0 { *v } else { *u };
+                    let d = nearest_copy_distance(ctx.dist, values, missing, c);
+                    if d < best_dist {
+                        best_dist = d;
+                        best = 1u64 << c;
+                    } else if d == best_dist {
+                        best |= 1u64 << c;
+                    }
                 }
+                best
             }
         }
-        debug_assert!(best != usize::MAX, "steering found no candidate cluster");
-        self.rr = (self.rr + 1) % n;
-        best
-    }
-}
-
-impl SteeringPolicy for RingDep {
-    /// Candidates by operand count, then most free registers in the
-    /// *destination* cluster (Figure 2's example requires the destination
-    /// cluster interpretation; see tests).
-    fn steer(&mut self, ctx: &SteerCtx<'_>) -> Steered {
-        let (cfg, values) = (ctx.cfg, ctx.values);
-        let n = cfg.n_clusters;
-        let cand: u64 = match ctx.srcs {
-            [] => cluster_mask(n),
-            [v] => values.mapped_mask(*v),
-            [u, v] => {
-                let mu = values.mapped_mask(*u);
-                let mv = values.mapped_mask(*v);
-                let both = mu & mv;
-                if both != 0 {
-                    both
-                } else {
-                    // One communication required: among clusters holding one
-                    // operand (exactly one: no cluster has both), minimize
-                    // the missing operand's distance.
-                    let mut best_dist = u32::MAX;
-                    let mut best = 0u64;
-                    for c in ClusterBits(mu | mv) {
-                        let missing = if mu & (1u64 << c) != 0 { *v } else { *u };
-                        let d = nearest_copy_distance(ctx.dist, values, missing, c);
-                        if d < best_dist {
-                            best_dist = d;
-                            best = 1u64 << c;
-                        } else if d == best_dist {
-                            best |= 1u64 << c;
-                        }
-                    }
-                    best
-                }
+        _ => unreachable!("at most two source operands"),
+    };
+    // Most free destination registers; ties go to the first candidate in
+    // the rotated order `phase, phase+1, …, n-1, 0, …, phase-1` (the paper
+    // steers the 0-source case "randomly"; rotation keeps runs
+    // deterministic). Splitting the mask at `phase` and comparing strictly
+    // picks the same winner as scanning all offsets.
+    let mut best = usize::MAX;
+    let mut best_free = i32::MIN;
+    let low_mask = (1u64 << phase) - 1; // phase < n <= 64
+    for part in [cand & !low_mask, cand & low_mask] {
+        for c in ClusterBits(part) {
+            let free = values.free_regs_total(cfg.dest_cluster(c));
+            if free > best_free {
+                best_free = free;
+                best = c;
             }
-            _ => unreachable!("at most two source operands"),
-        };
-        ctx.finish(self.pick_most_free(cfg, values, cand))
+        }
     }
-
-    /// `pick_most_free` advances the rotating pointer on every call, so the
-    /// placement sequence under frozen state has period `n_clusters`
-    /// regardless of operand count.
-    fn retry_period(&self, _n_srcs: usize, n_clusters: usize) -> usize {
-        n_clusters
-    }
-
-    fn retry_advance(&mut self, k: usize, n_clusters: usize) {
-        self.rr = (self.rr + k) % n_clusters;
-    }
-}
-
-impl Default for RingDep {
-    fn default() -> Self {
-        Self::new()
-    }
+    debug_assert!(best != usize::MAX, "steering found no candidate cluster");
+    best
 }
 
 /// §4.1 baseline steering: locality with explicit DCOUNT balance control.
-/// Stateless: the balance metric is the issue-queue occupancy
-/// ([`SteerCtx::dcount`]), which is self-correcting — redirecting a handful
-/// of instructions immediately closes the gap — and that keeps balance mode
-/// from degenerating into permanent scatter.
-pub struct ConvDcount;
-
-impl SteeringPolicy for ConvDcount {
-    fn steer(&mut self, ctx: &SteerCtx<'_>) -> Steered {
-        let (cfg, values, srcs) = (ctx.cfg, ctx.values, ctx.srcs);
-        let n = cfg.n_clusters;
-        // Imbalance (max − min DCOUNT) and the least-loaded cluster (lowest
-        // count; ties → lowest index).
-        let (mut least, mut min, mut max) = (0, usize::MAX, 0);
-        let dcounts = ctx.iq_int[..n].iter().zip(&ctx.iq_fp[..n]);
-        for (c, d) in dcounts.map(|(i, f)| i.len() + f.len()).enumerate() {
-            if d < min {
-                (least, min) = (c, d);
-            }
-            max = max.max(d);
+/// The balance metric is the issue-queue occupancy ([`SteerCtx::dcount`]),
+/// which is self-correcting — redirecting a handful of instructions
+/// immediately closes the gap — and that keeps balance mode from
+/// degenerating into permanent scatter.
+fn conv_dcount(ctx: &SteerCtx<'_>) -> usize {
+    let (cfg, values, srcs) = (ctx.cfg, ctx.values, ctx.srcs);
+    let n = cfg.n_clusters;
+    // Imbalance (max − min DCOUNT) and the least-loaded cluster (lowest
+    // count; ties → lowest index).
+    let (mut least, mut min, mut max) = (0, usize::MAX, 0);
+    let dcounts = ctx.iq_int[..n].iter().zip(&ctx.iq_fp[..n]);
+    for (c, d) in dcounts.map(|(i, f)| i.len() + f.len()).enumerate() {
+        if d < min {
+            (least, min) = (c, d);
         }
-        if (max - min) as f64 > cfg.dcount_threshold {
-            return ctx.finish(least);
+        max = max.max(d);
+    }
+    if (max - min) as f64 > cfg.dcount_threshold {
+        return least;
+    }
+    // "If any source operand is not available at dispatch time":
+    // clusters where the pending operands will be produced.
+    let mut cand: u64 = 0;
+    for &v in srcs {
+        if !values.produced_anywhere(v) {
+            cand |= 1u64 << values.home(v);
         }
-        // "If any source operand is not available at dispatch time":
-        // clusters where the pending operands will be produced.
-        let mut cand: u64 = 0;
-        for &v in srcs {
-            if !values.produced_anywhere(v) {
-                cand |= 1u64 << values.home(v);
-            }
-        }
-        if cand != 0 {
-            // Candidates already set above.
-        } else if !srcs.is_empty() {
-            // All available: minimize the longest communication distance.
-            let mut best = u32::MAX;
-            for c in 0..n {
-                let longest = srcs
-                    .iter()
-                    .map(|v| {
-                        if values.mapped(*v, c) {
-                            0
-                        } else {
-                            nearest_copy_distance(ctx.dist, values, *v, c)
-                        }
-                    })
-                    .max()
-                    .unwrap_or(0);
-                if longest < best {
-                    best = longest;
-                    cand = 1u64 << c;
-                } else if longest == best {
-                    cand |= 1u64 << c;
-                }
-            }
-        } else {
-            cand = cluster_mask(n);
-        }
-        // Least loaded among the selected clusters (ascending cluster
-        // order, strict less: lowest index wins ties).
-        let mut bestc = usize::MAX;
-        let mut bestdc = usize::MAX;
-        for c in ClusterBits(cand) {
-            let d = ctx.dcount(c);
-            if d < bestdc {
-                bestdc = d;
-                bestc = c;
+    }
+    if cand != 0 {
+        // Candidates already set above.
+    } else if !srcs.is_empty() {
+        // All available: minimize the longest communication distance.
+        let mut best = u32::MAX;
+        for c in 0..n {
+            let longest = srcs
+                .iter()
+                .map(|v| {
+                    if values.mapped(*v, c) {
+                        0
+                    } else {
+                        nearest_copy_distance(ctx.dist, values, *v, c)
+                    }
+                })
+                .max()
+                .unwrap_or(0);
+            if longest < best {
+                best = longest;
+                cand = 1u64 << c;
+            } else if longest == best {
+                cand |= 1u64 << c;
             }
         }
-        debug_assert!(bestc != usize::MAX);
-        ctx.finish(bestc)
+    } else {
+        cand = cluster_mask(n);
     }
-
-    /// `steer` is a pure function of the context, which a dead cycle
-    /// freezes.
-    fn retry_period(&self, _n_srcs: usize, _n_clusters: usize) -> usize {
-        1
-    }
-}
-
-/// §4.7 simple steering: home cluster of the leftmost operand, round-robin
-/// for operand-less instructions.
-pub struct Ssa {
-    rr: usize,
-}
-
-impl Ssa {
-    /// Fresh policy.
-    pub fn new() -> Self {
-        Ssa { rr: 0 }
-    }
-}
-
-impl SteeringPolicy for Ssa {
-    fn steer(&mut self, ctx: &SteerCtx<'_>) -> Steered {
-        let cluster = if let Some(v) = ctx.srcs.first() {
-            // Lowest-index cluster that stores (or will store) the leftmost
-            // operand.
-            ctx.values
-                .mapped_clusters(*v)
-                .next()
-                .expect("live value must be mapped somewhere")
-        } else {
-            let c = self.rr % ctx.cfg.n_clusters;
-            self.rr = (self.rr + 1) % ctx.cfg.n_clusters;
-            c
-        };
-        ctx.finish(cluster)
-    }
-
-    /// Round-robin rotation only applies to operand-less instructions; with
-    /// sources the placement is a pure function of the value table.
-    fn retry_period(&self, n_srcs: usize, n_clusters: usize) -> usize {
-        if n_srcs == 0 {
-            n_clusters
-        } else {
-            1
+    // Least loaded among the selected clusters (ascending cluster order,
+    // strict less: lowest index wins ties).
+    let mut bestc = usize::MAX;
+    let mut bestdc = usize::MAX;
+    for c in ClusterBits(cand) {
+        let d = ctx.dcount(c);
+        if d < bestdc {
+            bestdc = d;
+            bestc = c;
         }
     }
-
-    fn retry_advance(&mut self, k: usize, n_clusters: usize) {
-        self.rr = (self.rr + k) % n_clusters;
-    }
-}
-
-impl Default for Ssa {
-    fn default() -> Self {
-        Self::new()
-    }
+    debug_assert!(bestc != usize::MAX);
+    bestc
 }
 
 #[cfg(test)]
@@ -506,9 +401,9 @@ mod tests {
         })
     }
 
-    /// Steer against issue queues with the given INT/FP occupancy.
-    fn steer_loaded(
-        policy: &mut dyn SteeringPolicy,
+    /// Steer with DCOUNT (which never reads the phase) against issue
+    /// queues with the given INT/FP occupancy.
+    fn place_loaded(
         cfg: &CoreConfig,
         values: &ValueTable,
         int: &[usize],
@@ -517,24 +412,36 @@ mod tests {
     ) -> Steered {
         let dist = DistanceLut::new(cfg);
         let [iq_int, iq_fp] = queues(cfg, int, fp);
-        policy.steer(&SteerCtx {
+        let ctx = SteerCtx {
             cfg,
             dist: &dist,
             values,
             iq_int: &iq_int,
             iq_fp: &iq_fp,
             srcs,
-        })
+        };
+        steer(Steering::ConvDcount, 0, &ctx)
     }
 
-    /// Steer against empty issue queues.
-    fn steer(
-        policy: &mut dyn SteeringPolicy,
+    /// Steer with `kind` at tie-break `phase` against empty issue queues.
+    fn place(
+        kind: Steering,
+        phase: usize,
         cfg: &CoreConfig,
         values: &ValueTable,
         srcs: &[ValueId],
     ) -> Steered {
-        steer_loaded(policy, cfg, values, &[], &[], srcs)
+        let dist = DistanceLut::new(cfg);
+        let [iq_int, iq_fp] = queues(cfg, &[], &[]);
+        let ctx = SteerCtx {
+            cfg,
+            dist: &dist,
+            values,
+            iq_int: &iq_int,
+            iq_fp: &iq_fp,
+            srcs,
+        };
+        steer(kind, phase, &ctx)
     }
 
     fn conv4(threshold: f64) -> CoreConfig {
@@ -559,18 +466,20 @@ mod tests {
     fn paper_figure2_example() {
         let cfg = ring4();
         let mut values = ValueTable::new(4, 64, 64);
-        let mut s = RingDep::new();
+        // RingDep rotates on every steer, so the core steers I1..I5 at
+        // phases 0, 1, 2, 3, 0.
+        let dep = Steering::RingDep;
 
-        // I1: no sources. All dest clusters equally free; rotating tie-break
-        // starts at 0.
-        let i1 = steer(&mut s, &cfg, &values, &[]);
+        // I1: no sources. All dest clusters equally free; the rotating
+        // tie-break starts at 0.
+        let i1 = place(dep, 0, &cfg, &values, &[]);
         assert_eq!(i1.cluster, 0);
         assert!(i1.comms.is_empty());
         let r1 = values.alloc(cfg.dest_cluster(i1.cluster), false); // home = 1
         values.mark_ready(r1, 1);
 
         // I2: one source R1 (mapped only in 1).
-        let i2 = steer(&mut s, &cfg, &values, &[r1]);
+        let i2 = place(dep, 1, &cfg, &values, &[r1]);
         assert_eq!(i2.cluster, 1);
         assert!(i2.comms.is_empty());
         let r2 = values.alloc(cfg.dest_cluster(i2.cluster), false); // home = 2
@@ -578,7 +487,7 @@ mod tests {
 
         // I3: R1 (in 1) + R2 (in 2). No cluster has both; executing in 2
         // needs R1 over 1 hop (1->2); executing in 1 needs R2 over 3 hops.
-        let i3 = steer(&mut s, &cfg, &values, &[r1, r2]);
+        let i3 = place(dep, 2, &cfg, &values, &[r1, r2]);
         assert_eq!(i3.cluster, 2);
         assert_eq!(i3.comms.as_slice(), &[NeededComm { value: r1, from: 1 }]);
         // The comm materializes a copy of R1 in 2 (as in the figure).
@@ -588,7 +497,7 @@ mod tests {
         values.mark_ready(r3, 3);
 
         // I4: R1 (in 1,2) + R3 (in 3). Executing in 3: R1 one hop from 2.
-        let i4 = steer(&mut s, &cfg, &values, &[r1, r3]);
+        let i4 = place(dep, 3, &cfg, &values, &[r1, r3]);
         assert_eq!(i4.cluster, 3);
         assert_eq!(i4.comms.as_slice(), &[NeededComm { value: r1, from: 2 }]);
         values.add_copy(r1, 3);
@@ -598,7 +507,7 @@ mod tests {
 
         // I5: R1 (in 1,2,3). Dest clusters are 2,3,0 holding 2,2,1 registers
         // respectively -> cluster 0 is freest -> execute in 3.
-        let i5 = steer(&mut s, &cfg, &values, &[r1]);
+        let i5 = place(dep, 0, &cfg, &values, &[r1]);
         assert_eq!(
             i5.cluster, 3,
             "Figure 2: 'Cluster 3 has more free registers'"
@@ -610,10 +519,9 @@ mod tests {
     fn ring_two_sources_same_cluster_no_comm() {
         let cfg = ring4();
         let mut values = ValueTable::new(4, 64, 64);
-        let mut s = RingDep::new();
         let a = values.alloc(2, false);
         let b = values.alloc(2, true);
-        let st = steer(&mut s, &cfg, &values, &[a, b]);
+        let st = place(Steering::RingDep, 0, &cfg, &values, &[a, b]);
         assert_eq!(st.cluster, 2);
         assert!(st.comms.is_empty());
     }
@@ -624,10 +532,9 @@ mod tests {
         // exactly the clusters holding one operand -> at most one comm.
         let cfg = ring4();
         let mut values = ValueTable::new(4, 64, 64);
-        let mut s = RingDep::new();
         let a = values.alloc(0, false);
         let b = values.alloc(2, false);
-        let st = steer(&mut s, &cfg, &values, &[a, b]);
+        let st = place(Steering::RingDep, 0, &cfg, &values, &[a, b]);
         assert!(st.comms.len() <= 1);
         assert!(st.cluster == 0 || st.cluster == 2);
     }
@@ -639,12 +546,11 @@ mod tests {
         // regs decide; make cluster 2 (dest of 1) scarcer.
         let cfg = ring4();
         let mut values = ValueTable::new(4, 64, 64);
-        let mut s = RingDep::new();
         let a = values.alloc(3, false);
         let b = values.alloc(1, false);
         // Burn registers in cluster 2 so dest(1)=2 is less free than dest(3)=0.
         let burn: Vec<_> = (0..10).map(|_| values.alloc(2, false)).collect();
-        let st = steer(&mut s, &cfg, &values, &[a, b]);
+        let st = place(Steering::RingDep, 0, &cfg, &values, &[a, b]);
         assert_eq!(st.cluster, 3);
         assert_eq!(st.comms.as_slice(), &[NeededComm { value: b, from: 1 }]);
         for v in burn {
@@ -659,7 +565,7 @@ mod tests {
         let v = values.alloc(0, false);
         values.mark_ready(v, 0);
         // Six instructions wait in cluster 0's queue: beyond the threshold.
-        let st = steer_loaded(&mut ConvDcount, &cfg, &values, &[6], &[], &[v]);
+        let st = place_loaded(&cfg, &values, &[6], &[], &[v]);
         assert_ne!(st.cluster, 0, "balance mode must leave the loaded cluster");
         assert_eq!(st.comms.len(), 1, "which costs a communication");
     }
@@ -672,11 +578,11 @@ mod tests {
         values.mark_ready(v, 0);
         // Occupancy 6/3/1/1: imbalance 5 > 4. Clusters 2 and 3 tie for
         // least occupied; the lower index wins.
-        let st = steer_loaded(&mut ConvDcount, &cfg, &values, &[6, 3, 1, 1], &[], &[v]);
+        let st = place_loaded(&cfg, &values, &[6, 3, 1, 1], &[], &[v]);
         assert_eq!(st.cluster, 2);
         // An operand-less instruction outside balance mode goes to the
         // least-occupied cluster too, again lowest index on ties.
-        let st = steer_loaded(&mut ConvDcount, &cfg, &values, &[2, 1, 1, 2], &[], &[]);
+        let st = place_loaded(&cfg, &values, &[2, 1, 1, 2], &[], &[]);
         assert_eq!(st.cluster, 1);
     }
 
@@ -688,10 +594,10 @@ mod tests {
         values.mark_ready(v, 0);
         // Imbalance exactly at the threshold: locality keeps the operand's
         // cluster, no communication.
-        let at = steer_loaded(&mut ConvDcount, &cfg, &values, &[4], &[], &[v]);
+        let at = place_loaded(&cfg, &values, &[4], &[], &[v]);
         assert_eq!((at.cluster, at.comms.len()), (0, 0));
         // One more pending instruction tips it into balance mode.
-        let over = steer_loaded(&mut ConvDcount, &cfg, &values, &[5], &[], &[v]);
+        let over = place_loaded(&cfg, &values, &[5], &[], &[v]);
         assert_eq!((over.cluster, over.comms.len()), (1, 1));
     }
 
@@ -717,9 +623,9 @@ mod tests {
             (0..4).map(|c| ctx.dcount(c)).collect::<Vec<_>>(),
             [6, 0, 0, 0]
         );
-        assert_eq!(ConvDcount.steer(&ctx).cluster, 1);
+        assert_eq!(steer(Steering::ConvDcount, 0, &ctx).cluster, 1);
         for (int, fp) in [([3], [0]), ([0], [3])] {
-            let st = steer_loaded(&mut ConvDcount, &cfg, &values, &int, &fp, &[v]);
+            let st = place_loaded(&cfg, &values, &int, &fp, &[v]);
             assert_eq!(st.cluster, 0);
         }
         // Communications wait in per-cluster comm queues, which the context
@@ -732,9 +638,8 @@ mod tests {
         cfg.topology = Topology::Conv;
         cfg.steering = Steering::ConvDcount;
         let mut values = ValueTable::new(4, 64, 64);
-        let mut s = ConvDcount;
         let pending = values.alloc(2, false); // in flight, home 2
-        let st = steer(&mut s, &cfg, &values, &[pending]);
+        let st = place(Steering::ConvDcount, 0, &cfg, &values, &[pending]);
         assert_eq!(
             st.cluster, 2,
             "steer to where the pending operand is produced"
@@ -749,12 +654,11 @@ mod tests {
         cfg.steering = Steering::ConvDcount;
         cfg.n_buses = 2; // bidirectional distances
         let mut values = ValueTable::new(4, 64, 64);
-        let mut s = ConvDcount;
         let a = values.alloc(0, false);
         values.mark_ready(a, 0);
         let b = values.alloc(1, false);
         values.mark_ready(b, 1);
-        let st = steer(&mut s, &cfg, &values, &[a, b]);
+        let st = place(Steering::ConvDcount, 0, &cfg, &values, &[a, b]);
         // Executing at 0 or 1 leaves the other operand 1 hop away (longest=1);
         // anywhere else the longest distance is >= 1 with two comms. 0 and 1
         // tie; least-loaded tie-break picks the lowest index.
@@ -767,74 +671,59 @@ mod tests {
         let mut cfg = ring4();
         cfg.steering = Steering::Ssa;
         let mut values = ValueTable::new(4, 64, 64);
-        let mut s = Ssa::new();
         let v = values.alloc(2, false);
         values.add_copy(v, 1);
-        let st = steer(&mut s, &cfg, &values, &[v]);
+        let st = place(Steering::Ssa, 3, &cfg, &values, &[v]);
         assert_eq!(st.cluster, 1, "lowest-index cluster holding the operand");
-        // Operand-less: round robin 0,1,2,3,0...
-        let mut seen = Vec::new();
-        for _ in 0..5 {
-            seen.push(steer(&mut s, &cfg, &values, &[]).cluster);
-        }
+        assert!(
+            !rotates(Steering::Ssa, 1),
+            "a sourced steer keeps the phase"
+        );
+        // Operand-less: each rotates, so phases 0, 1, 2, 3, 0 place
+        // round robin.
+        let seen: Vec<usize> = [0, 1, 2, 3, 0]
+            .map(|phase| place(Steering::Ssa, phase, &cfg, &values, &[]).cluster)
+            .to_vec();
         assert_eq!(seen, vec![0, 1, 2, 3, 0]);
     }
 
     #[test]
     fn retry_period_and_advance_replay_stalled_steers() {
-        // Contract for the event-driven loop: `retry_period` same-state
-        // steer calls return the policy to its starting phase, and
-        // `retry_advance(k)` is equivalent to `k` discarded steers.
+        // The event-driven loop replays a stalled instruction's re-steers
+        // against frozen state: the retry period is `n_clusters` for a
+        // steer that rotates and 1 otherwise, a phase gives the same
+        // placement however often it is asked, and advancing the phase by
+        // `k` equals `k` discarded steers.
         let cfg = ring4();
         let values = ValueTable::new(4, 64, 64);
-
-        let mut p = RingDep::new();
-        assert_eq!(SteeringPolicy::retry_period(&p, 0, 4), 4);
-        assert_eq!(SteeringPolicy::retry_period(&p, 2, 4), 4);
-        let first = steer(&mut p, &cfg, &values, &[]).cluster;
-        for _ in 0..3 {
-            steer(&mut p, &cfg, &values, &[]);
+        assert!(rotates(Steering::RingDep, 0) && rotates(Steering::RingDep, 2));
+        assert!(rotates(Steering::Ssa, 0));
+        assert!(!rotates(Steering::Ssa, 1), "with operands Ssa is pure");
+        assert!(!rotates(Steering::ConvDcount, 0));
+        for kind in [Steering::RingDep, Steering::ConvDcount, Steering::Ssa] {
+            let at = |phase| place(kind, phase, &cfg, &values, &[]).cluster;
+            let placed: Vec<usize> = (0..4).map(at).collect();
+            assert_eq!(placed, (0..4).map(at).collect::<Vec<_>>(), "{kind:?}");
+            let want = if rotates(kind, 0) {
+                [0, 1, 2, 3]
+            } else {
+                [0; 4]
+            };
+            assert_eq!(placed, want, "{kind:?}");
         }
-        assert_eq!(
-            steer(&mut p, &cfg, &values, &[]).cluster,
-            first,
-            "a full period of steers must close the rotation"
-        );
-
-        let mut a = RingDep::new();
-        let mut b = RingDep::new();
-        for _ in 0..3 {
-            steer(&mut a, &cfg, &values, &[]);
-        }
-        SteeringPolicy::retry_advance(&mut b, 3, 4);
-        assert_eq!(
-            steer(&mut a, &cfg, &values, &[]).cluster,
-            steer(&mut b, &cfg, &values, &[]).cluster,
-            "retry_advance(3) must equal three discarded steers"
-        );
-
-        let ssa = Ssa::new();
-        assert_eq!(SteeringPolicy::retry_period(&ssa, 0, 4), 4);
-        assert_eq!(
-            SteeringPolicy::retry_period(&ssa, 1, 4),
-            1,
-            "with operands Ssa is pure"
-        );
-        assert_eq!(SteeringPolicy::retry_period(&ConvDcount, 0, 4), 1);
     }
 
     #[test]
     fn factory_builds_every_policy() {
-        // Smoke: each enum variant resolves to a policy that places an
-        // operand-less instruction somewhere valid.
-        for steering in [Steering::RingDep, Steering::ConvDcount, Steering::Ssa] {
-            let cfg = CoreConfig {
-                steering,
-                ..ring4()
-            };
-            let values = ValueTable::new(4, 64, 64);
-            let st = steer(build(&cfg).as_mut(), &cfg, &values, &[]);
-            assert!(st.cluster < 4, "{steering:?}");
+        // Smoke: each algorithm places an operand-less instruction
+        // somewhere valid at every phase.
+        let cfg = ring4();
+        let values = ValueTable::new(4, 64, 64);
+        for kind in [Steering::RingDep, Steering::ConvDcount, Steering::Ssa] {
+            for phase in 0..4 {
+                let st = place(kind, phase, &cfg, &values, &[]);
+                assert!(st.cluster < 4, "{kind:?}");
+            }
         }
     }
 
@@ -846,6 +735,23 @@ mod tests {
         let v = values.alloc(0, false);
         let comms = needed_comms(&dist, &values, &[v, v], 2);
         assert_eq!(comms.len(), 1);
+    }
+
+    #[test]
+    fn needed_comms_takes_the_lowest_index_nearest_copy() {
+        // On a two-bus Conv (one forward, one backward bus), copies in
+        // clusters 0 and 2 are both one hop from 1: the tie goes to 0.
+        let cfg = CoreConfig {
+            n_buses: 2,
+            ..conv4(4.0)
+        };
+        let dist = DistanceLut::new(&cfg);
+        let mut values = ValueTable::new(4, 64, 64);
+        let v = values.alloc(2, false);
+        values.add_copy(v, 0);
+        assert_eq!((dist.min_distance(0, 1), dist.min_distance(2, 1)), (1, 1));
+        let comms = needed_comms(&dist, &values, &[v], 1);
+        assert_eq!(comms.as_slice(), &[NeededComm { value: v, from: 0 }]);
     }
 
     #[test]

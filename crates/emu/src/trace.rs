@@ -25,8 +25,6 @@
 //! same records one at a time, from the emulator stepping a program or
 //! from a materialized trace replayed in order.
 
-use std::borrow::Cow;
-
 use rcmc_isa::{Insn, InsnClass, Opcode, Program};
 
 use crate::cpu::{Cpu, EmuError};
@@ -409,10 +407,26 @@ fn emulated_rec(d: DynInsn) -> TraceRec {
 
 /// Trace records over a static table, yielded in program order: what a
 /// timing run reads instead of holding a whole trace. Either form yields
-/// exactly the records of the trace it stands for.
-pub struct TraceSource<'t> {
-    statics: Cow<'t, [StaticInsn]>,
-    recs: Box<dyn Iterator<Item = TraceRec> + 't>,
+/// exactly the records of the trace it stands for. Build one with
+/// [`TraceSource::emulate`] or [`TraceSource::replay`].
+pub enum TraceSource<'t> {
+    /// The emulator stepping the workload `name`, with the program as the
+    /// static table.
+    Emulate {
+        /// The workload, named when emulation fails.
+        name: String,
+        /// The emulator, at the next record.
+        cpu: Box<Cpu>,
+        /// The program as a static table: instruction `pc` at index `pc`.
+        statics: Vec<StaticInsn>,
+    },
+    /// A materialized trace and the index of its next record.
+    Replay {
+        /// The trace replayed.
+        trace: &'t Trace,
+        /// Index of the next record to yield.
+        next: usize,
+    },
 }
 
 impl<'t> TraceSource<'t> {
@@ -421,37 +435,43 @@ impl<'t> TraceSource<'t> {
     /// static table. Workloads are valid programs, so an emulation error
     /// panics with "`name` failed to emulate: …".
     pub fn emulate(name: &str, program: &Program) -> TraceSource<'static> {
-        let (name, mut cpu) = (name.to_string(), Cpu::new(program));
-        let step = move || {
-            let d = cpu.step();
-            d.unwrap_or_else(|e| panic!("{name} failed to emulate: {}", TraceError::Emu(e)))
-                .map(emulated_rec)
-        };
-        TraceSource {
-            statics: Cow::Owned(program_statics(program)),
-            recs: Box::new(std::iter::from_fn(step)),
+        TraceSource::Emulate {
+            name: name.to_string(),
+            cpu: Box::new(Cpu::new(program)),
+            statics: program_statics(program),
         }
     }
 
     /// Replay the records of a materialized trace, unpacked.
     pub fn replay(trace: &'t Trace) -> Self {
-        TraceSource {
-            statics: Cow::Borrowed(&trace.statics),
-            recs: Box::new(trace.recs()),
-        }
+        TraceSource::Replay { trace, next: 0 }
     }
 
     /// The static table every record's `sid` indexes.
     pub fn statics(&self) -> &[StaticInsn] {
-        &self.statics
+        match self {
+            TraceSource::Emulate { statics, .. } => statics,
+            TraceSource::Replay { trace, .. } => &trace.statics,
+        }
     }
 }
 
 impl Iterator for TraceSource<'_> {
     type Item = TraceRec;
 
+    #[inline]
     fn next(&mut self) -> Option<TraceRec> {
-        self.recs.next()
+        match self {
+            TraceSource::Emulate { name, cpu, .. } => cpu
+                .step()
+                .unwrap_or_else(|e| panic!("{name} failed to emulate: {}", TraceError::Emu(e)))
+                .map(emulated_rec),
+            TraceSource::Replay { trace, next } => {
+                let p = *trace.insns.get(*next)?;
+                *next += 1;
+                Some(trace.unpack(p))
+            }
+        }
     }
 }
 

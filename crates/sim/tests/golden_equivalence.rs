@@ -1,19 +1,20 @@
-//! Golden equivalence: the pluggable-interconnect refactor (PR 3) and the
-//! pluggable steering-policy refactor must be invisible in the numbers.
+//! Golden equivalence: the interconnect and steering refactors must be
+//! invisible in the numbers.
 //!
 //! The Ring/Conv/SSA counters below were captured from the pre-refactor
 //! seed model (MODEL_VERSION 5, the bus fabric hard-wired into the pipeline,
 //! heap-allocated steering); the Xbar rows were captured immediately before
-//! the steering layer landed (same MODEL_VERSION, `Steerer`+`Dcount` still
-//! living in the pipeline), with the DCOUNT threshold pinned at the
+//! steering moved out of the pipeline (same MODEL_VERSION, `Steerer`+`Dcount`
+//! still living in it), with the DCOUNT threshold pinned at the
 //! pre-recalibration 16.0 so the deliberate Crossbar recalibration cannot
-//! mask a policy-dispatch regression. Every configuration going through the
-//! `SteeringPolicy` trait and the one link-reservation `Fabric` (once an
-//! `Interconnect` trait with one implementation per topology) — with DCOUNT
-//! read from the issue queues' occupancy by a stateless `ConvDcount` (it
-//! once kept its own counters, fed by dispatch/issue feedback hooks) and
-//! wakeup running off per-value waiter bitsets of slot-stable issue queues
-//! — must reproduce every counter
+//! mask a steering regression. Every configuration going through the one
+//! pure `steering::steer` function (once a steering trait object per
+//! core, each algorithm keeping its own tie-break pointer) and the one
+//! link-reservation `Fabric` (once an `Interconnect` trait with one
+//! implementation per topology) — with DCOUNT read from the issue queues'
+//! occupancy (it once kept its own counters, fed by dispatch/issue
+//! feedback hooks) and wakeup running off per-value waiter bitsets of
+//! slot-stable issue queues — must reproduce every counter
 //! bit-for-bit: cycles, commit mix, communication counts/distances/waits,
 //! NREADY and the per-cluster dispatch histogram. If any row moves, the
 //! timing model changed and MODEL_VERSION in `rcmc_sim::runner` must be

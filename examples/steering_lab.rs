@@ -7,7 +7,7 @@
 //! ```
 
 use ring_clustered::core::queues::IssueQueue;
-use ring_clustered::core::steering::{RingDep, SteerCtx, SteeringPolicy};
+use ring_clustered::core::steering::{self, SteerCtx};
 use ring_clustered::core::value::ValueTable;
 use ring_clustered::core::{CoreConfig, DistanceLut, Steering, Topology};
 use ring_clustered::sim::{config, runner, Plan, Session};
@@ -29,20 +29,22 @@ fn figure2_walkthrough() {
     let iq: Vec<_> = (0..cfg.n_clusters)
         .map(|_| IssueQueue::new(cfg.iq_int))
         .collect();
-    let mut policy = RingDep::new();
-    let steer = |policy: &mut RingDep, values: &ValueTable, srcs: &[u32]| {
-        policy.steer(&SteerCtx {
+    // Ring steering rotates its tie-break on every steer, so the core
+    // steers I1..I5 at phases 0, 1, 2, 3, 0.
+    let steer = |phase: usize, values: &ValueTable, srcs: &[u32]| {
+        let ctx = SteerCtx {
             cfg: &cfg,
             dist: &dist,
             values,
             iq_int: &iq,
             iq_fp: &iq,
             srcs,
-        })
+        };
+        steering::steer(Steering::RingDep, phase, &ctx)
     };
 
     // I1. R1 = 1
-    let s1 = steer(&mut policy, &values, &[]);
+    let s1 = steer(0, &values, &[]);
     let r1 = values.alloc(cfg.dest_cluster(s1.cluster), false);
     values.mark_ready(r1, cfg.dest_cluster(s1.cluster));
     println!(
@@ -52,7 +54,7 @@ fn figure2_walkthrough() {
     );
 
     // I2. R2 = R1 + 1
-    let s2 = steer(&mut policy, &values, &[r1]);
+    let s2 = steer(1, &values, &[r1]);
     let r2 = values.alloc(cfg.dest_cluster(s2.cluster), false);
     values.mark_ready(r2, cfg.dest_cluster(s2.cluster));
     println!(
@@ -62,7 +64,7 @@ fn figure2_walkthrough() {
     );
 
     // I3. R3 = R1 + R2
-    let s3 = steer(&mut policy, &values, &[r1, r2]);
+    let s3 = steer(2, &values, &[r1, r2]);
     for cm in s3.comms.as_slice() {
         values.add_copy(cm.value, s3.cluster);
         values.mark_ready(cm.value, s3.cluster);
@@ -76,7 +78,7 @@ fn figure2_walkthrough() {
     );
 
     // I4. R4 = R1 + R3
-    let s4 = steer(&mut policy, &values, &[r1, r3]);
+    let s4 = steer(3, &values, &[r1, r3]);
     for cm in s4.comms.as_slice() {
         values.add_copy(cm.value, s4.cluster);
         values.mark_ready(cm.value, s4.cluster);
@@ -89,7 +91,7 @@ fn figure2_walkthrough() {
     );
 
     // I5. R5 = R1 x 3
-    let s5 = steer(&mut policy, &values, &[r1]);
+    let s5 = steer(0, &values, &[r1]);
     println!(
         "I5. R5 = R1 x 3  -> cluster {} (most free registers downstream)",
         s5.cluster
@@ -139,5 +141,7 @@ fn main() {
         println!();
     }
     println!("Conv+SSA concentrates; Ring+SSA still balances — §4.7's headline.");
-    println!("Any policy drives any fabric: that's the SteeringPolicy layer.");
+    println!(
+        "Any algorithm drives any fabric: steering is one function of algorithm, phase and state."
+    );
 }

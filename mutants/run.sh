@@ -13,8 +13,9 @@
 # OUT defaults to MUTANTS.txt. The scratch directory is a fresh
 # `mktemp -d`, removed at the end. Each check is one `cargo test`
 # invocation on the debug profile; a check that fails, does not build or
-# runs past 900 seconds kills the mutant. Eleven mutants take about
-# 3 minutes on 2 vCPUs, the scratch tree's first build included.
+# runs past 900 seconds kills the mutant. Fifteen mutants take about
+# 4 minutes on 2 vCPUs, the scratch tree's first build included. CI runs
+# the script and fails when a row differs from the committed MUTANTS.txt.
 set -euo pipefail
 
 out=${1:-MUTANTS.txt}
@@ -25,7 +26,7 @@ logs="$scratch/logs"
 
 # The correctness oracles check a property of the model; the change
 # detectors pin its numbers, so they kill any mutant that moves a number.
-oracles=(cycle_stepped golden_timing random_programs fabric_properties lsq:: queues::)
+oracles=(cycle_stepped golden_timing random_programs fabric_properties lsq:: queues:: steering::)
 detectors=(golden_equivalence golden_run_all model_version_is_pinned_to_behaviour)
 
 check_cmd() {
@@ -36,6 +37,7 @@ check_cmd() {
         fabric_properties) echo "cargo test -q -p rcmc-core --test fabric_properties" ;;
         lsq::) echo "cargo test -q -p rcmc-core --lib lsq::" ;;
         queues::) echo "cargo test -q -p rcmc-core --lib queues::" ;;
+        steering::) echo "cargo test -q -p rcmc-core --lib steering::" ;;
         golden_equivalence) echo "cargo test -q -p rcmc-sim --test golden_equivalence" ;;
         golden_run_all) echo "cargo test -q -p rcmc-sim --test golden_run_all" ;;
         model_version_is_pinned_to_behaviour)
