@@ -17,9 +17,11 @@
 //! * `steering_cross` — one run per (steering policy × topology) pair, so
 //!   a steering-layer or interconnect change that slows any pair shows up.
 //! * `components` — the hot components no other number isolates (branch
-//!   predictors, L1D access, bus reservation, steering algorithms), each a
-//!   fixed kernel timed over [`REPS`] repetitions; median and quartiles of
-//!   ns per operation.
+//!   predictors, L1D access, fabric sends on every topology, steering
+//!   algorithms), each a fixed kernel timed over [`REPS`] repetitions;
+//!   median and quartiles of ns per operation, and the median as a ratio
+//!   to a reference kernel no model change touches (FNV-1a over 4 KiB),
+//!   so two files from hosts or runs of different speed compare.
 //! * `_meta` — host cores, git revision and the component rep count.
 //!
 //! Core windows are fixed (not `RCMC_INSTRS`) and the result store is
@@ -36,7 +38,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use common::{git_rev, obj};
+use common::{meta, obj};
 use ring_clustered::core::queues::IssueQueue;
 use ring_clustered::core::steering::{self, SteerCtx};
 use ring_clustered::core::value::ValueTable;
@@ -243,66 +245,108 @@ fn steering_cross(traces: &[Arc<Trace>], budget: &Budget) -> Value {
     Value::Arr(pairs)
 }
 
-/// Time `kernel` (which performs `ops` operations per call) over [`REPS`]
-/// calls after a few untimed ones; one `components` row of ns per
-/// operation (median and quartiles).
-fn component(group: &str, name: &str, ops: usize, mut kernel: impl FnMut()) -> Value {
-    for _ in 0..REPS / 10 {
-        kernel();
-    }
-    let mut ns: Vec<f64> = (0..REPS)
-        .map(|_| {
-            let t0 = Instant::now();
+/// The `components` rows. The first kernel timed is the reference, and
+/// every row gives its median as a ratio to the reference's too.
+#[derive(Default)]
+struct Components {
+    reference: Option<f64>,
+    rows: Vec<Value>,
+}
+
+impl Components {
+    /// Time `kernel` (which performs `ops` operations per call) over
+    /// [`REPS`] calls after a few untimed ones; one row of ns per operation
+    /// (median and quartiles).
+    fn time(&mut self, group: &str, name: &str, ops: usize, mut kernel: impl FnMut()) {
+        for _ in 0..REPS / 10 {
             kernel();
-            t0.elapsed().as_nanos() as f64 / ops as f64
-        })
-        .collect();
-    ns.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    let [q1, median, q3] = [REPS / 4, REPS / 2, 3 * REPS / 4].map(|i| ns[i]);
-    println!("{group:8} {name:20} {median:>8.2} ns/op  (q1 {q1:.2}, q3 {q3:.2})");
-    obj(vec![
-        ("group", Value::Str(group.into())),
-        ("name", Value::Str(name.into())),
-        ("ops", Value::Num(ops as f64)),
-        ("ns_per_op_median", round(median, 3)),
-        ("ns_per_op_q1", round(q1, 3)),
-        ("ns_per_op_q3", round(q3, 3)),
-    ])
-}
-
-/// A predictor kernel: `step` (predict + update) over a strided PC
-/// stream, 3/4 taken.
-fn bpred(name: &str, mut step: impl FnMut(u32, bool)) -> Value {
-    let mut pc = 0u32;
-    component("bpred", name, 1024, || {
-        for _ in 0..1024 {
-            pc = pc.wrapping_add(97);
-            step(pc, pc & 3 != 0);
         }
-    })
+        let mut ns: Vec<f64> = (0..REPS)
+            .map(|_| {
+                let t0 = Instant::now();
+                kernel();
+                t0.elapsed().as_nanos() as f64 / ops as f64
+            })
+            .collect();
+        ns.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
+        let [q1, median, q3] = [REPS / 4, REPS / 2, 3 * REPS / 4].map(|i| ns[i]);
+        let ratio = median / *self.reference.get_or_insert(median);
+        println!(
+            "{group:8} {name:20} {median:>8.2} ns/op  (q1 {q1:.2}, q3 {q3:.2})  {ratio:>6.2}x ref"
+        );
+        self.rows.push(obj(vec![
+            ("group", Value::Str(group.into())),
+            ("name", Value::Str(name.into())),
+            ("ops", Value::Num(ops as f64)),
+            ("ns_per_op_median", round(median, 3)),
+            ("ns_per_op_q1", round(q1, 3)),
+            ("ns_per_op_q3", round(q3, 3)),
+            ("median_to_ref", round(ratio, 3)),
+        ]));
+    }
+
+    /// A predictor kernel: `step` (predict + update) over a strided PC
+    /// stream, 3/4 taken.
+    fn bpred(&mut self, name: &str, mut step: impl FnMut(u32, bool)) {
+        let mut pc = 0u32;
+        self.time("bpred", name, 1024, || {
+            for _ in 0..1024 {
+                pc = pc.wrapping_add(97);
+                step(pc, pc & 3 != 0);
+            }
+        })
+    }
+
+    /// A fabric kernel: 1024 cycles on `cfg`'s fabric, sending from
+    /// cluster `from` to `(from + 1 + from % 6) % 8` (a path of
+    /// `1 + from % 6` segments on the ring) on every `every`-th cycle,
+    /// `from` cycling over 0..8. One operation is one cycle.
+    fn bus(&mut self, name: &str, cfg: CoreConfig, every: u64) {
+        let mut fabric = Fabric::new(&cfg);
+        let (mut from, mut now) = (0usize, 0u64);
+        self.time("bus", name, 1024, || {
+            for _ in 0..1024 {
+                if now.is_multiple_of(every) {
+                    from = (from + 1) % 8;
+                    black_box(fabric.try_send(from, (from + 1 + from % 6) % 8, now));
+                }
+                now += 1;
+            }
+        })
+    }
 }
 
-/// The predictor, cache, bus and steering kernels.
+/// The reference kernel, then the predictor, cache, fabric and steering
+/// kernels. The reference is FNV-1a over a fixed 4 KiB buffer, one
+/// operation per byte: it runs no simulator code.
 fn components() -> Value {
     println!("\nComponents ({REPS} reps each)");
     println!("---------------------------");
-    let mut rows = Vec::new();
+    let mut c = Components::default();
+    let buf: Vec<u8> = (0..4096u32).map(|i| (i * 31 + 7) as u8).collect();
+    c.time("ref", "fnv1a_4k", buf.len(), || {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &b in black_box(&buf) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+        black_box(h);
+    });
 
     let mut bimodal = Bimodal::new(2048);
-    rows.push(bpred("bimodal_1k_updates", |pc, taken| {
+    c.bpred("bimodal_1k_updates", |pc, taken| {
         black_box(bimodal.predict(pc));
         bimodal.update(pc, taken);
-    }));
+    });
     let mut gshare = Gshare::new(2048);
-    rows.push(bpred("gshare_1k_updates", |pc, taken| {
+    c.bpred("gshare_1k_updates", |pc, taken| {
         black_box(gshare.predict(pc));
         gshare.update(pc, taken);
-    }));
+    });
     let mut hybrid = HybridPredictor::new(&PredictorConfig::default());
-    rows.push(bpred("hybrid_1k_updates", |pc, taken| {
+    c.bpred("hybrid_1k_updates", |pc, taken| {
         black_box(hybrid.predict(pc));
         hybrid.update(pc, taken);
-    }));
+    });
 
     let mut cache = SetAssocCache::new(CacheConfig {
         size: 32 * 1024,
@@ -311,24 +355,30 @@ fn components() -> Value {
         latency: 2,
     });
     let mut addr = 0u64;
-    rows.push(component("cache", "l1d_stream_4k", 4096, || {
+    c.time("cache", "l1d_stream_4k", 4096, || {
         for _ in 0..4096 {
             addr = addr.wrapping_add(40) & 0xf_ffff;
             black_box(cache.access(addr));
         }
-    }));
+    });
 
-    // The default ring: one forward bus over 8 clusters, so `from → to`
-    // is a path of `1 + from % 6` segments.
-    let mut fabric = Fabric::new(&CoreConfig::default());
-    let mut from = 0usize;
-    rows.push(component("bus", "reserve_tick_1k", 1024, || {
-        for _ in 0..1024 {
-            from = (from + 1) % 8;
-            black_box(fabric.try_send(from, (from + 1 + from % 6) % 8));
-            fabric.tick();
-        }
-    }));
+    // One send per cycle on every topology at the default 8 clusters and
+    // 1 bus; then a 64-cluster 4-bus Mesh that sends once every 64 cycles,
+    // so its cost is almost all idle cycles.
+    for topology in ALL_TOPOLOGIES {
+        let cfg = CoreConfig {
+            topology,
+            ..CoreConfig::default()
+        };
+        c.bus(&format!("send_1k_{}", topology_name(topology)), cfg, 1);
+    }
+    let mesh64 = CoreConfig {
+        topology: Topology::Mesh,
+        n_clusters: 64,
+        n_buses: 4,
+        ..CoreConfig::default()
+    };
+    c.bus("idle_1k_Mesh64", mesh64, 64);
 
     for (name, steering) in [
         ("ring_dep", Steering::RingDep),
@@ -350,7 +400,7 @@ fn components() -> Value {
             .collect();
         // The tie-break phase advances as the core advances it.
         let mut phase = 0;
-        rows.push(component("steering", name, 1024, || {
+        c.time("steering", name, 1024, || {
             for i in 0..1024usize {
                 let srcs = [vids[i % 16], vids[(i * 7 + 3) % 16]];
                 let ctx = SteerCtx {
@@ -366,9 +416,9 @@ fn components() -> Value {
                     phase = (phase + 1) % cfg.n_clusters;
                 }
             }
-        }));
+        });
     }
-    Value::Arr(rows)
+    Value::Arr(c.rows)
 }
 
 fn main() {
@@ -392,16 +442,14 @@ fn main() {
     let components = components();
 
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let bench = obj(vec![
         (
             "_meta",
-            obj(vec![
-                ("bench", Value::Str("core_throughput".into())),
-                ("nproc", Value::Num(nproc as f64)),
-                ("git_rev", Value::Str(git_rev(root))),
-                ("component_reps", Value::Num(REPS as f64)),
-            ]),
+            meta(
+                "core_throughput",
+                root,
+                vec![("component_reps", Value::Num(REPS as f64))],
+            ),
         ),
         ("core_throughput", core),
         ("steering_cross", cross),

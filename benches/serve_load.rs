@@ -15,8 +15,11 @@
 //!
 //! Emits `BENCH_serve.json` at the repo root (atomic rename, like the
 //! other BENCH files) with top-level `requests_per_s`, `p50_ms`, `p99_ms`
-//! and `coalesce_hit_rate`, plus per-phase sections. Knobs:
+//! and `coalesce_hit_rate`, plus per-phase sections, and a `_meta` with
+//! the host's core count and the git revision. Knobs:
 //! `RCMC_SERVE_CLIENTS` (default 8) and `RCMC_SERVE_ROUNDS` (default 3).
+
+mod common;
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -24,6 +27,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::time::Instant;
 
+use common::{meta, obj};
 use serde::json::Value;
 
 fn env_usize(key: &str, default: usize) -> usize {
@@ -127,15 +131,6 @@ fn percentile_ms(samples: &mut [f64], q: f64) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
     samples[rank - 1]
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
 }
 
 /// The herd plan: 2 configs × 2 benches = 4 jobs solo.
@@ -294,14 +289,18 @@ fn main() {
     // Top level mirrors the mixed (steady-state) latency/throughput and
     // the herd's coalescing rate — the acceptance metrics.
     let get = |section: &Value, key: &str| section.get(key).unwrap().clone();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let bench = obj(vec![
         (
             "_meta",
-            obj(vec![
-                ("bench", Value::Str("serve_load".into())),
-                ("clients", Value::Num(clients as f64)),
-                ("rounds", Value::Num(rounds as f64)),
-            ]),
+            meta(
+                "serve_load",
+                root,
+                vec![
+                    ("clients", Value::Num(clients as f64)),
+                    ("rounds", Value::Num(rounds as f64)),
+                ],
+            ),
         ),
         ("requests_per_s", get(&mixed, "requests_per_s")),
         ("p50_ms", get(&mixed, "p50_ms")),
@@ -310,7 +309,7 @@ fn main() {
         ("herd", herd),
         ("mixed", mixed),
     ]);
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_serve.json");
+    let path = root.join("BENCH_serve.json");
     let tmp = path.with_extension("json.tmp");
     std::fs::write(&tmp, format!("{}\n", bench.to_pretty_string())).expect("write BENCH_serve");
     std::fs::rename(&tmp, &path).expect("rename BENCH_serve");

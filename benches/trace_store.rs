@@ -25,7 +25,7 @@ mod common;
 use std::path::Path;
 use std::time::Instant;
 
-use common::{git_rev, obj};
+use common::{meta, obj};
 use ring_clustered::emu::{trace_program, DynInsn, TraceDb};
 use ring_clustered::sim::runner::{all_bench_names, Budget};
 use ring_clustered::workloads::benchmark;
@@ -143,22 +143,22 @@ fn main() {
     );
 
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let num = Value::Num;
     let bench = obj(vec![
         (
             "_meta",
-            obj(vec![
-                ("bench", Value::Str("trace_store".into())),
-                ("nproc", num(nproc as f64)),
-                ("git_rev", Value::Str(git_rev(root))),
-                ("reps", num(REPS as f64)),
-                ("traces", num(names.len() as f64)),
-                ("trace_len", num(len as f64)),
-                ("insns", num(insns as f64)),
-                ("bytes", num(bytes as f64)),
-                ("escapes", num(escapes as f64)),
-            ]),
+            meta(
+                "trace_store",
+                root,
+                vec![
+                    ("reps", num(REPS as f64)),
+                    ("traces", num(names.len() as f64)),
+                    ("trace_len", num(len as f64)),
+                    ("insns", num(insns as f64)),
+                    ("bytes", num(bytes as f64)),
+                    ("escapes", num(escapes as f64)),
+                ],
+            ),
         ),
         ("emulate_s", num(emulate_s)),
         ("emulate_s_q1", num(e1)),

@@ -529,9 +529,9 @@ mod tests {
         assert_eq!(lut.min_distance(3, 2), 7);
         // The second bus charges the same 7 hops: it runs forward too.
         let mut f = Fabric::new(&c);
-        assert_eq!(f.try_send(3, 2).map(|g| g.distance), Some(7));
+        assert_eq!(f.try_send(3, 2, 0).map(|g| g.distance), Some(7));
         assert_eq!(
-            f.try_send(3, 2).map(|g| g.distance),
+            f.try_send(3, 2, 0).map(|g| g.distance),
             Some(7),
             "ring buses all run forward"
         );
@@ -549,8 +549,8 @@ mod tests {
         assert_eq!(lut.min_distance(0, 4), 4);
         // The backward bus first, then the forward one.
         let mut f = Fabric::new(&c);
-        assert_eq!(f.try_send(3, 2).map(|g| g.distance), Some(1));
-        assert_eq!(f.try_send(3, 2).map(|g| g.distance), Some(7));
+        assert_eq!(f.try_send(3, 2, 0).map(|g| g.distance), Some(1));
+        assert_eq!(f.try_send(3, 2, 0).map(|g| g.distance), Some(7));
     }
 
     #[test]
@@ -582,8 +582,8 @@ mod tests {
         // Both lanes charge the same distance (n_buses is bandwidth only).
         let c2 = CoreConfig { n_buses: 2, ..c };
         let mut f = Fabric::new(&c2);
-        assert_eq!(f.try_send(0, 7).map(|g| g.distance), Some(4));
-        assert_eq!(f.try_send(0, 7).map(|g| g.distance), Some(4));
+        assert_eq!(f.try_send(0, 7, 0).map(|g| g.distance), Some(4));
+        assert_eq!(f.try_send(0, 7, 0).map(|g| g.distance), Some(4));
         // Results stay local: conventional-style destination.
         assert_eq!(c2.dest_cluster(5), 5);
     }
@@ -693,7 +693,7 @@ mod tests {
             hop_latency: 4,
             ..CoreConfig::default()
         };
-        let grant = crate::fabric::Fabric::new(&c).try_send(1, 0);
+        let grant = crate::fabric::Fabric::new(&c).try_send(1, 0, 0);
         assert_eq!(
             grant,
             Some(crate::fabric::Grant {
@@ -801,7 +801,7 @@ mod tests {
                 for from in 0..c.n_clusters {
                     assert_eq!(lut.min_distance(from, from), 0);
                     for to in (0..c.n_clusters).filter(|&to| to != from) {
-                        let grant = Fabric::new(&c).try_send(from, to).unwrap();
+                        let grant = Fabric::new(&c).try_send(from, to, 0).unwrap();
                         assert_eq!(
                             lut.min_distance(from, to),
                             grant.distance,

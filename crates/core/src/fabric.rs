@@ -2,12 +2,13 @@
 //! function per topology.
 //!
 //! Every arbitration resource of every topology is a *link* with `lanes`
-//! reservation windows. A window is a `u128`: bit `t` set means the lane is
-//! taken `t` cycles from now, so [`Fabric::tick`] shifts every window by
-//! one and [`Fabric::advance`] by `k`. A topology is only a route function:
-//! for a `from → to` communication it lists the candidate paths in try
-//! order, each with the hop `distance` it charges and its hops, a hop being
-//! one link at one future offset:
+//! reservation windows. A window is a `u128` anchored at its link's `since`
+//! cycle: bit `t` set means the lane is taken in cycle `since + t`. The
+//! fabric keeps no clock of its own; [`Fabric::try_send`] takes the current
+//! cycle, and only booking moves a link's anchor on to it. A topology is
+//! only a route function: for a `from → to` communication it lists the
+//! candidate paths in try order, each with the hop `distance` it charges
+//! and its hops, a hop being one link at one offset from the current cycle:
 //!
 //! * [`Topology::Ring`] / [`Topology::Conv`] — the paper's segmented,
 //!   fully pipelined buses (§4.2, §4.6): one 1-lane link per (bus,
@@ -127,7 +128,7 @@ pub struct Grant {
 type Candidates = ([(u32, usize); 4], usize);
 
 /// A topology's routes: its shape, no reservation state.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Routes {
     topology: Topology,
     n: usize,
@@ -138,9 +139,6 @@ struct Routes {
     /// Hier: the number of groups.
     groups: usize,
     pair_links: bool,
-    /// Cluster `c` sits at `(c % width, c / width)`: its grid column and
-    /// row (Mesh), or its place in its group and its group (Hier).
-    cells: Box<[(usize, usize)]>,
 }
 
 impl Routes {
@@ -159,8 +157,14 @@ impl Routes {
             width,
             groups: n.div_ceil(width),
             pair_links: cfg.hier_pair_links,
-            cells: (0..n).map(|c| (c % width, c / width)).collect(),
         }
+    }
+
+    /// Where cluster `c` sits: its grid column and row (Mesh), or its
+    /// place in its group and its group (Hier).
+    #[inline]
+    fn cell(&self, c: usize) -> (usize, usize) {
+        (c % self.width, c / self.width)
     }
 
     /// `(links, lanes per link)` of the reservation table.
@@ -202,10 +206,10 @@ impl Routes {
             }
             Topology::Crossbar => 1,
             Topology::Mesh => {
-                let ((fx, fy), (tx, ty)) = (self.cells[from], self.cells[to]);
+                let ((fx, fy), (tx, ty)) = (self.cell(from), self.cell(to));
                 (fx.abs_diff(tx) + fy.abs_diff(ty)) as u32
             }
-            Topology::Hier if self.cells[from].1 == self.cells[to].1 => 1,
+            Topology::Hier if self.cell(from).1 == self.cell(to).1 => 1,
             Topology::Hier => HIER_INTER_HOPS,
         };
         order[0] = (distance, 0);
@@ -248,8 +252,8 @@ impl Routes {
                 // Link `dir * n + c` leaves cluster `c` toward +x, −x, +y,
                 // −y for `dir` 0..4.
                 let w = self.width;
-                let (tx, ty) = self.cells[to];
-                let (mut x, mut y) = self.cells[from];
+                let (tx, ty) = self.cell(to);
+                let (mut x, mut y) = self.cell(from);
                 let mut j = 0;
                 while x != tx || y != ty {
                     let dir = if x != tx {
@@ -271,7 +275,7 @@ impl Routes {
                 true
             }
             Topology::Hier => {
-                let (g, fg, tg) = (self.groups, self.cells[from].1, self.cells[to].1);
+                let (g, fg, tg) = (self.groups, self.cell(from).1, self.cell(to).1);
                 let link = if fg == tg {
                     fg
                 } else if self.pair_links {
@@ -286,19 +290,20 @@ impl Routes {
 }
 
 /// The interconnect's arbitration state: every link's lanes, each a
-/// window of future cycles.
+/// window of cycles from the link's `since` cycle on.
 ///
 /// Contract: [`Fabric::try_send`] is called only for `from != to`, any
-/// number of times per cycle; [`Fabric::tick`] once per simulated cycle
-/// after every send; [`Fabric::advance`] replays cycles with no send, as
-/// the event-driven run loop skips them.
+/// number of times per cycle, with a cycle that never decreases.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Fabric {
     routes: Routes,
     lanes: usize,
     /// Lane `l` of link `k` at `windows[k * lanes + l]`; bit `t` set means
-    /// taken `t` cycles from now.
+    /// taken in cycle `since[k] + t`.
     windows: Box<[u128]>,
+    /// Per link, the cycle its windows' bit 0 stands for: the last cycle
+    /// the link was booked in.
+    since: Box<[u64]>,
 }
 
 impl Fabric {
@@ -312,56 +317,53 @@ impl Fabric {
             routes,
             lanes,
             windows: vec![0; links * lanes].into_boxed_slice(),
+            since: vec![0; links].into_boxed_slice(),
         }
     }
 
-    /// Advance one cycle.
-    pub fn tick(&mut self) {
-        for w in self.windows.iter_mut() {
-            *w >>= 1;
-        }
-    }
-
-    /// Replay `cycles` ticks with no intervening send.
-    pub fn advance(&mut self, cycles: u64) {
-        if cycles >= RESERVATION_WINDOW as u64 {
-            self.windows.fill(0);
-        } else {
-            for w in self.windows.iter_mut() {
-                *w >>= cycles;
-            }
-        }
-    }
-
-    /// The first lane of `link` free at `offset`.
+    /// The first lane of `link` free in cycle `now + offset`. A cycle past
+    /// the window was never booked, so every lane is free in it.
     #[inline]
-    fn free_lane(windows: &[u128], lanes: usize, link: usize, offset: u32) -> Option<usize> {
-        windows[link * lanes..(link + 1) * lanes]
+    fn free_lane(&self, link: usize, now: u64, offset: u32) -> Option<usize> {
+        let t = now - self.since[link] + u64::from(offset);
+        self.windows[link * self.lanes..(link + 1) * self.lanes]
             .iter()
-            .position(|w| w & (1 << offset) == 0)
+            .position(|w| t >= RESERVATION_WINDOW as u64 || w & (1 << t) == 0)
     }
 
-    /// Try to start a communication from `from` to `to` this cycle: the
-    /// first candidate path with a free lane on every hop is booked and
+    /// Book a free lane of `link` in cycle `now + offset`, first moving the
+    /// link's windows on to `now`.
+    fn book(&mut self, link: usize, now: u64, offset: u32) {
+        let lag = now - self.since[link];
+        self.since[link] = now;
+        let lanes = &mut self.windows[link * self.lanes..(link + 1) * self.lanes];
+        // A shift by the whole window or more clears it.
+        let shift = lag.min(RESERVATION_WINDOW as u64) as u32;
+        for w in lanes.iter_mut() {
+            *w = w.checked_shr(shift).unwrap_or(0);
+        }
+        let lane = lanes.iter().position(|w| w & (1 << offset) == 0);
+        lanes[lane.expect("checked free")] |= 1 << offset;
+    }
+
+    /// Try to start a communication from `from` to `to` in cycle `now`:
+    /// the first candidate path with a free lane on every hop is booked and
     /// granted; `None` books nothing.
-    pub fn try_send(&mut self, from: usize, to: usize) -> Option<Grant> {
+    pub fn try_send(&mut self, from: usize, to: usize, now: u64) -> Option<Grant> {
         debug_assert_ne!(from, to, "communication to the same cluster");
-        let (order, len) = self.routes.candidates(from, to);
-        let lanes = self.lanes;
+        let routes = self.routes;
+        let (order, len) = routes.candidates(from, to);
         for &(distance, cand) in &order[..len] {
-            let windows = &mut self.windows;
-            let free = self.routes.hops(cand, distance, from, to, |link, offset| {
-                Self::free_lane(windows, lanes, link, offset).is_some()
+            let free = routes.hops(cand, distance, from, to, |link, offset| {
+                self.free_lane(link, now, offset).is_some()
             });
             if free {
-                self.routes.hops(cand, distance, from, to, |link, offset| {
-                    let lane =
-                        Self::free_lane(windows, lanes, link, offset).expect("checked free above");
-                    windows[link * lanes + lane] |= 1 << offset;
+                routes.hops(cand, distance, from, to, |link, offset| {
+                    self.book(link, now, offset);
                     true
                 });
                 return Some(Grant {
-                    delay: distance * self.routes.hop_latency,
+                    delay: distance * routes.hop_latency,
                     distance,
                 });
             }
@@ -433,73 +435,78 @@ mod tests {
     #[test]
     fn single_message_reserves_and_delivers() {
         let mut f = ring(1, 1);
-        assert_eq!(f.try_send(0, 3), grant(3, 3));
+        assert_eq!(f.try_send(0, 3, 0), grant(3, 3));
         // Same-cycle second message from cluster 0 conflicts on segment 0.
-        assert!(f.try_send(0, 1).is_none());
+        assert!(f.try_send(0, 1, 0).is_none());
         // From cluster 4 it's fine (disjoint segments).
-        assert!(f.try_send(4, 6).is_some());
+        assert!(f.try_send(4, 6, 0).is_some());
     }
 
     #[test]
     fn pipelining_allows_back_to_back() {
+        let mut now = 0;
         let mut f = ring(1, 1);
-        assert!(f.try_send(0, 4).is_some());
-        f.tick();
+        assert!(f.try_send(0, 4, now).is_some());
+        now += 1;
         // Next cycle the same path is free again at entry (the first message
         // moved to segment 1).
-        assert!(f.try_send(0, 4).is_some());
+        assert!(f.try_send(0, 4, now).is_some());
     }
 
     #[test]
     fn trailing_message_conflicts_midpath() {
+        let mut now = 0;
         let mut f = ring(1, 1);
-        assert!(f.try_send(0, 4).is_some());
-        f.tick();
+        assert!(f.try_send(0, 4, now).is_some());
+        now += 1;
         // A message from cluster 0 of distance 1 uses segment 0 at offset 0 —
         // free. But one entering segment 1 now (from cluster 1) collides with
         // the in-flight message, which is in segment 1 this cycle.
-        assert!(f.try_send(1, 2).is_none());
-        assert!(f.try_send(0, 1).is_some());
+        assert!(f.try_send(1, 2, now).is_none());
+        assert!(f.try_send(0, 1, now).is_some());
     }
 
     #[test]
     fn two_cycle_hops_double_delay() {
+        let mut now = 0;
         let mut f = ring(1, 2);
-        assert_eq!(f.try_send(2, 7), grant(10, 5));
+        assert_eq!(f.try_send(2, 7, now), grant(10, 5));
         // Fully pipelined: a new message can still enter next cycle.
-        f.tick();
-        assert!(f.try_send(2, 7).is_some());
+        now += 1;
+        assert!(f.try_send(2, 7, now).is_some());
     }
 
     #[test]
     fn conv_second_bus_runs_backward() {
+        let mut now = 0;
         let mut f = fabric(Topology::Conv, 8, 2, 1);
         // 1 → 7 backward: segment 1→0 now, segment 0→7 next cycle.
-        assert_eq!(f.try_send(1, 7), grant(2, 2));
-        f.tick();
+        assert_eq!(f.try_send(1, 7, now), grant(2, 2));
+        now += 1;
         // 0 → 7 wants the backward segment 0→7 now, which the first
         // message holds, so it falls back to the 7-hop forward bus.
-        assert_eq!(f.try_send(0, 7), grant(7, 7));
+        assert_eq!(f.try_send(0, 7, now), grant(7, 7));
     }
 
     #[test]
     fn ring_buses_all_forward() {
         // 2 → 1 is 7 forward hops on either bus.
         let mut f = ring(2, 1);
-        assert_eq!(f.try_send(2, 1), grant(7, 7));
-        assert_eq!(f.try_send(2, 1), grant(7, 7));
-        assert!(f.try_send(2, 1).is_none(), "two buses only");
+        assert_eq!(f.try_send(2, 1, 0), grant(7, 7));
+        assert_eq!(f.try_send(2, 1, 0), grant(7, 7));
+        assert!(f.try_send(2, 1, 0).is_none(), "two buses only");
     }
 
     #[test]
     fn wraparound_path() {
+        let mut now = 0;
         let mut f = ring(1, 1);
         // 6 -> 1 is 3 hops crossing the wrap.
-        assert_eq!(f.try_send(6, 1), grant(3, 3));
+        assert_eq!(f.try_send(6, 1, now), grant(3, 3));
         // Segment 7 (leaving cluster 7) is taken at offset 1: after one
         // tick a message from 7 enters it at offset 0, the same cycle.
-        f.tick();
-        assert!(f.try_send(7, 0).is_none());
+        now += 1;
+        assert!(f.try_send(7, 0, now).is_none());
     }
 
     fn xbar(n_buses: usize, hop: u32) -> Fabric {
@@ -509,39 +516,41 @@ mod tests {
     #[test]
     fn crossbar_every_pair_is_one_hop() {
         let mut x = xbar(1, 2);
-        assert_eq!(x.try_send(0, 7), grant(2, 1));
+        assert_eq!(x.try_send(0, 7, 0), grant(2, 1));
         // A disjoint pair is independent the same cycle.
-        assert!(x.try_send(3, 4).is_some());
+        assert!(x.try_send(3, 4, 0).is_some());
     }
 
     #[test]
     fn crossbar_egress_port_conflict() {
+        let mut now = 0;
         let mut x = xbar(1, 1);
-        assert!(x.try_send(2, 5).is_some());
+        assert!(x.try_send(2, 5, now).is_some());
         // Same source, different destination: egress port taken.
-        assert!(x.try_send(2, 6).is_none());
-        x.tick();
-        assert!(x.try_send(2, 6).is_some());
+        assert!(x.try_send(2, 6, now).is_none());
+        now += 1;
+        assert!(x.try_send(2, 6, now).is_some());
     }
 
     #[test]
     fn crossbar_ingress_port_conflict() {
+        let mut now = 0;
         let mut x = xbar(1, 1);
-        assert!(x.try_send(1, 4).is_some());
+        assert!(x.try_send(1, 4, now).is_some());
         // Different source, same destination: ingress port taken.
-        assert!(x.try_send(7, 4).is_none());
-        x.tick();
-        assert!(x.try_send(7, 4).is_some());
+        assert!(x.try_send(7, 4, now).is_none());
+        now += 1;
+        assert!(x.try_send(7, 4, now).is_some());
     }
 
     #[test]
     fn crossbar_port_count_scales_bandwidth() {
         let mut x = xbar(2, 1);
-        assert!(x.try_send(0, 1).is_some());
-        assert!(x.try_send(0, 2).is_some());
-        assert!(x.try_send(0, 3).is_none(), "two egress ports only");
-        assert!(x.try_send(5, 1).is_some());
-        assert!(x.try_send(6, 1).is_none(), "two ingress ports only");
+        assert!(x.try_send(0, 1, 0).is_some());
+        assert!(x.try_send(0, 2, 0).is_some());
+        assert!(x.try_send(0, 3, 0).is_none(), "two egress ports only");
+        assert!(x.try_send(5, 1, 0).is_some());
+        assert!(x.try_send(6, 1, 0).is_none(), "two ingress ports only");
     }
 
     fn mesh(n_clusters: usize, n_buses: usize, hop: u32) -> Fabric {
@@ -550,71 +559,80 @@ mod tests {
 
     #[test]
     fn mesh_grants_manhattan_distances() {
+        let mut now = 0;
         // 8 clusters -> 4×2 grid: cluster 0 = (0,0), 7 = (3,1).
         let mut m = mesh(8, 1, 1);
-        assert_eq!(m.try_send(0, 7), grant(4, 4));
-        m.tick();
+        assert_eq!(m.try_send(0, 7, now), grant(4, 4));
+        now += 1;
         // Same row: pure X route. 4 -> 6 is (0,1) -> (2,1): 2 hops.
-        assert_eq!(m.try_send(4, 6), grant(2, 2));
+        assert_eq!(m.try_send(4, 6, now), grant(2, 2));
         // Same column: pure Y route. 1 -> 5 is (1,0) -> (1,1): 1 hop.
-        assert_eq!(m.try_send(1, 5), grant(1, 1));
+        assert_eq!(m.try_send(1, 5, now), grant(1, 1));
     }
 
     #[test]
     fn mesh_hop_latency_scales_delay_not_distance() {
         let mut m = mesh(8, 1, 2);
-        assert_eq!(m.try_send(0, 3), grant(6, 3));
+        assert_eq!(m.try_send(0, 3, 0), grant(6, 3));
     }
 
     #[test]
     fn mesh_xy_routes_share_the_first_link() {
+        let mut now = 0;
         // Both 0->2 and 0->5 leave cluster 0 eastward (XY: X first), so the
         // second message loses the link-0-east port this cycle.
         let mut m = mesh(8, 1, 1);
-        assert!(m.try_send(0, 2).is_some());
-        assert!(m.try_send(0, 5).is_none(), "0->5 goes east first under XY");
-        m.tick();
-        assert!(m.try_send(0, 5).is_some(), "link free again next cycle");
+        assert!(m.try_send(0, 2, now).is_some());
+        assert!(
+            m.try_send(0, 5, now).is_none(),
+            "0->5 goes east first under XY"
+        );
+        now += 1;
+        assert!(
+            m.try_send(0, 5, now).is_some(),
+            "link free again next cycle"
+        );
     }
 
     #[test]
     fn mesh_trailing_message_conflicts_midpath() {
+        let mut now = 0;
         // A 0->2 message occupies link 1->2 at offset 1. Next cycle a 1->2
         // message wants that link at offset 0 — the same absolute cycle.
         let mut m = mesh(8, 1, 1);
-        assert!(m.try_send(0, 2).is_some());
-        m.tick();
+        assert!(m.try_send(0, 2, now).is_some());
+        now += 1;
         assert!(
-            m.try_send(1, 2).is_none(),
+            m.try_send(1, 2, now).is_none(),
             "in-flight message owns the link"
         );
-        assert!(m.try_send(0, 1).is_some(), "link 0->1 is free again");
-        m.tick();
-        assert!(m.try_send(1, 2).is_some());
+        assert!(m.try_send(0, 1, now).is_some(), "link 0->1 is free again");
+        now += 1;
+        assert!(m.try_send(1, 2, now).is_some());
     }
 
     #[test]
     fn mesh_opposite_directions_are_independent() {
         // 1->0 (west) and 0->1 (east) use different directed links.
         let mut m = mesh(8, 1, 1);
-        assert!(m.try_send(0, 1).is_some());
-        assert!(m.try_send(1, 0).is_some());
+        assert!(m.try_send(0, 1, 0).is_some());
+        assert!(m.try_send(1, 0, 0).is_some());
     }
 
     #[test]
     fn mesh_ports_scale_link_bandwidth() {
         let mut m = mesh(8, 2, 1);
-        assert!(m.try_send(0, 1).is_some());
-        assert!(m.try_send(0, 2).is_some());
-        assert!(m.try_send(0, 3).is_none(), "two ports per link only");
+        assert!(m.try_send(0, 1, 0).is_some());
+        assert!(m.try_send(0, 2, 0).is_some());
+        assert!(m.try_send(0, 3, 0).is_none(), "two ports per link only");
     }
 
     #[test]
     fn mesh_degenerate_line_still_routes() {
         // 5 clusters is prime -> 5×1 line; the full walk is 4 hops.
         let mut m = mesh(5, 1, 1);
-        assert_eq!(m.try_send(0, 4), grant(4, 4));
-        assert_eq!(m.try_send(4, 3), grant(1, 1));
+        assert_eq!(m.try_send(0, 4, 0), grant(4, 4));
+        assert_eq!(m.try_send(4, 3, 0), grant(1, 1));
     }
 
     fn hier(n_clusters: usize, n_buses: usize, hop: u32, pair_links: bool) -> Fabric {
@@ -631,69 +649,79 @@ mod tests {
 
     #[test]
     fn hier_intra_group_is_one_cheap_hop() {
+        let mut now = 0;
         // 8 clusters -> 2 groups of 4 (0..4 and 4..8).
         let mut h = hier(8, 1, 1, false);
-        assert_eq!(h.try_send(0, 3), grant(1, 1));
+        assert_eq!(h.try_send(0, 3, now), grant(1, 1));
         // The other group's local bus is independent this same cycle.
-        assert_eq!(h.try_send(5, 6), grant(1, 1));
+        assert_eq!(h.try_send(5, 6, now), grant(1, 1));
         // But a second message on the *same* group's bus is denied.
-        assert!(h.try_send(1, 2).is_none());
-        h.tick();
-        assert!(h.try_send(1, 2).is_some());
+        assert!(h.try_send(1, 2, now).is_none());
+        now += 1;
+        assert!(h.try_send(1, 2, now).is_some());
     }
 
     #[test]
     fn hier_inter_group_link_is_expensive_and_shared() {
+        let mut now = 0;
         let mut h = hier(8, 1, 2, false);
         assert_eq!(
-            h.try_send(0, 5),
+            h.try_send(0, 5, now),
             grant(2 * HIER_INTER_HOPS, HIER_INTER_HOPS)
         );
         // One global link: a second cross-group message — even between
         // different group pairs — waits.
-        assert!(h.try_send(7, 2).is_none());
+        assert!(h.try_send(7, 2, now).is_none());
         // Intra-group traffic is unaffected by the saturated global link.
-        assert!(h.try_send(1, 2).is_some());
-        h.tick();
-        assert!(h.try_send(7, 2).is_some());
+        assert!(h.try_send(1, 2, now).is_some());
+        now += 1;
+        assert!(h.try_send(7, 2, now).is_some());
     }
 
     #[test]
     fn hier_ports_scale_both_levels() {
         let mut h = hier(8, 2, 1, false);
-        assert!(h.try_send(0, 4).is_some());
-        assert!(h.try_send(1, 5).is_some());
-        assert!(h.try_send(2, 6).is_none(), "two inter-group slots only");
-        assert!(h.try_send(0, 1).is_some());
-        assert!(h.try_send(2, 3).is_some());
-        assert!(h.try_send(0, 2).is_none(), "two local-bus slots only");
+        assert!(h.try_send(0, 4, 0).is_some());
+        assert!(h.try_send(1, 5, 0).is_some());
+        assert!(h.try_send(2, 6, 0).is_none(), "two inter-group slots only");
+        assert!(h.try_send(0, 1, 0).is_some());
+        assert!(h.try_send(2, 3, 0).is_some());
+        assert!(h.try_send(0, 2, 0).is_none(), "two local-bus slots only");
     }
 
     #[test]
     fn hier_pair_links_give_each_group_pair_its_own_pool() {
+        let mut now = 0;
         // 16 clusters -> 4 groups of 4. With per-pair links, traffic on
         // different group pairs no longer contends.
         let mut h = hier(16, 1, 2, true);
         // Group pair (0,1).
         assert_eq!(
-            h.try_send(0, 5),
+            h.try_send(0, 5, now),
             grant(2 * HIER_INTER_HOPS, HIER_INTER_HOPS)
         );
-        assert!(h.try_send(9, 14).is_some(), "pair (2,3) is independent");
+        assert!(
+            h.try_send(9, 14, now).is_some(),
+            "pair (2,3) is independent"
+        );
         // The same unordered pair still shares one pool, direction-blind:
         // 4->1 is group pair (0,1) again, already taken by 0->5.
-        assert!(h.try_send(4, 1).is_none(), "pair (0,1) pool exhausted");
-        h.tick();
-        assert!(h.try_send(4, 1).is_some());
+        assert!(h.try_send(4, 1, now).is_none(), "pair (0,1) pool exhausted");
+        now += 1;
+        assert!(h.try_send(4, 1, now).is_some());
     }
 
     #[test]
     fn hier_pair_links_scale_with_ports() {
+        let mut now = 0;
         let mut h = hier(8, 2, 1, true);
-        assert!(h.try_send(0, 4).is_some());
-        assert!(h.try_send(1, 5).is_some());
-        assert!(h.try_send(2, 6).is_none(), "two slots per pair only");
-        h.advance(10);
-        assert!(h.try_send(2, 6).is_some(), "pair pools reset by advance");
+        assert!(h.try_send(0, 4, now).is_some());
+        assert!(h.try_send(1, 5, now).is_some());
+        assert!(h.try_send(2, 6, now).is_none(), "two slots per pair only");
+        now += 10;
+        assert!(
+            h.try_send(2, 6, now).is_some(),
+            "pair pools free again 10 cycles on"
+        );
     }
 }

@@ -12,21 +12,21 @@
 //!   data become known together, so a matching store always has its data);
 //! * stores write the cache when they drain from the committed-store buffer.
 //!
-//! Each entry carries its instruction's trace index, which is also its
-//! program-order age (the core dispatches in trace order). Entries live in
-//! a slab; three program-ordered indexes over it answer the per-cycle
-//! queries without scanning the slab:
+//! An entry is named by its instruction's trace index, which is also its
+//! program-order age (the core dispatches in trace order). The queue keeps
+//! a count of its entries and two program-ordered lists:
 //!
-//! * **live stores**, oldest first: `alloc` pushes to the back and `release`
-//!   pops the front (stores commit in order), both O(1). The forwarding
-//!   check for a load binary-searches its older stores and walks them
-//!   youngest first, stopping at the first address match;
-//! * **unknown-address stores**, oldest first: `alloc` pushes to the back and
-//!   `store_ready` trims known stores off the front (amortized O(1)), so the
-//!   front is the disambiguation barrier, read in O(1);
-//! * **waiting loads** (address known, not started), sorted by `idx`:
-//!   `load_addr_known` inserts by binary search and a load leaves when it
-//!   starts.
+//! * **live stores**, oldest first, each with its address once known:
+//!   `alloc` pushes to the back and `release_store` pops the front (stores
+//!   commit in order). A cursor `known` marks the first store whose address
+//!   is unknown — every store before it is known, so it is the
+//!   disambiguation barrier — and `store_ready` moves it on past the known
+//!   stores (amortized O(1)). The forwarding check for a load
+//!   binary-searches its older stores and walks them youngest first,
+//!   stopping at the first address match;
+//! * **waiting loads** (address known, not started), sorted by trace
+//!   index: `load_addr_known` inserts by binary search and a load leaves
+//!   when it starts.
 //!
 //! [`Lsq::start_loads_into`] walks the waiting loads oldest first up to the
 //! barrier and [`Lsq::would_start_any`] does the same walk without the
@@ -34,37 +34,6 @@
 //! O(waiting loads × older stores) at worst, not O(capacity²).
 
 use std::collections::VecDeque;
-
-/// Slab index of an LSQ entry.
-pub type LsqId = u32;
-
-/// Sentinel for "no LSQ entry".
-pub const NO_LSQ: LsqId = u32::MAX;
-
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum LoadPhase {
-    /// Waiting for the AGU (issue) — address unknown.
-    WaitAddr,
-    /// Address known; in transit to / waiting at the LSQ.
-    Waiting,
-    /// Access or forward started; completion event scheduled.
-    Started,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    live: bool,
-    is_store: bool,
-    /// The instruction's trace index (program order).
-    idx: u64,
-    addr: u64,
-    /// Stores: address (and data) known.
-    addr_known: bool,
-    /// Loads only.
-    phase: LoadPhase,
-    /// Cycle at which the load request is present at the LSQ.
-    arrival: u64,
-}
 
 /// What a started load will do.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -78,8 +47,6 @@ pub enum LoadKind {
 /// A load that started this cycle.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StartedLoad {
-    /// LSQ slab id.
-    pub id: LsqId,
     /// The load's trace index.
     pub idx: u64,
     /// Effective address.
@@ -88,132 +55,121 @@ pub struct StartedLoad {
     pub kind: LoadKind,
 }
 
+/// A load whose address is known and which has not started.
+#[derive(Clone, Copy, Debug)]
+struct Waiting {
+    idx: u64,
+    addr: u64,
+    /// Cycle at which the request is present at the LSQ.
+    arrival: u64,
+}
+
 /// The queue.
 pub struct Lsq {
-    slab: Vec<Entry>,
-    free: Vec<LsqId>,
-    live: usize,
+    len: usize,
     capacity: usize,
     transfer: u64,
-    /// Live stores, oldest first, as `(idx, id)`.
-    stores: VecDeque<(u64, LsqId)>,
-    /// The oldest unknown-address store and every store allocated after it,
-    /// oldest first (`store_ready` trims known stores off the front).
-    unknown: VecDeque<LsqId>,
-    /// Loads in `Waiting` phase, sorted by `idx`.
-    waiting: Vec<LsqId>,
+    /// Live stores, oldest first, as `(idx, address once issued)`.
+    stores: VecDeque<(u64, Option<u64>)>,
+    /// Every store in `stores[..known]` has a known address; `stores[known]`
+    /// (when present) is the oldest unknown-address store.
+    known: usize,
+    /// Waiting loads, sorted by `idx`.
+    waiting: Vec<Waiting>,
 }
 
 impl Lsq {
     /// `capacity` entries; `transfer` = one-way cluster↔LSQ latency.
     pub fn new(capacity: usize, transfer: u64) -> Self {
         Lsq {
-            slab: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            live: 0,
+            len: 0,
             capacity,
             transfer,
             stores: VecDeque::with_capacity(capacity),
-            unknown: VecDeque::with_capacity(capacity),
+            known: 0,
             waiting: Vec::with_capacity(capacity),
         }
     }
 
     /// Occupancy.
     pub fn len(&self) -> usize {
-        self.live
+        self.len
     }
 
     /// Empty?
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len == 0
     }
 
     /// Space for one more?
     pub fn has_space(&self) -> bool {
-        self.live < self.capacity
+        self.len < self.capacity
     }
 
     /// Allocate an entry at dispatch for the instruction at trace index
     /// `idx` (program order).
-    pub fn alloc(&mut self, is_store: bool, idx: u64) -> LsqId {
+    pub fn alloc(&mut self, is_store: bool, idx: u64) {
         assert!(self.has_space(), "LSQ overflow");
-        self.live += 1;
-        let e = Entry {
-            live: true,
-            is_store,
-            idx,
-            addr: 0,
-            addr_known: false,
-            phase: LoadPhase::WaitAddr,
-            arrival: 0,
-        };
-        let id = match self.free.pop() {
-            Some(id) => {
-                self.slab[id as usize] = e;
-                id
-            }
-            None => {
-                self.slab.push(e);
-                (self.slab.len() - 1) as LsqId
-            }
-        };
+        self.len += 1;
         if is_store {
             debug_assert!(
                 self.stores.back().is_none_or(|&(s, _)| s < idx),
                 "stores allocate in program order"
             );
-            self.stores.push_back((idx, id));
-            self.unknown.push_back(id);
-        }
-        id
-    }
-
-    /// Load AGU completed at `now`: address becomes known; the request
-    /// reaches the LSQ after the transfer latency.
-    pub fn load_addr_known(&mut self, id: LsqId, addr: u64, now: u64) {
-        let e = &mut self.slab[id as usize];
-        debug_assert!(e.live && !e.is_store && e.phase == LoadPhase::WaitAddr);
-        e.addr = addr;
-        e.phase = LoadPhase::Waiting;
-        e.arrival = now + self.transfer;
-        let idx = e.idx;
-        let slab = &self.slab;
-        let at = self
-            .waiting
-            .partition_point(|&w| slab[w as usize].idx < idx);
-        self.waiting.insert(at, id);
-    }
-
-    /// Store issued (address + data read) at `now`.
-    pub fn store_ready(&mut self, id: LsqId, addr: u64) {
-        let e = &mut self.slab[id as usize];
-        debug_assert!(e.live && e.is_store);
-        e.addr = addr;
-        e.addr_known = true;
-        while let Some(&front) = self.unknown.front() {
-            if !self.slab[front as usize].addr_known {
-                break;
-            }
-            self.unknown.pop_front();
+            self.stores.push_back((idx, None));
         }
     }
 
-    /// Release an entry (load completion / store commit).
-    pub fn release(&mut self, id: LsqId) {
-        let e = &mut self.slab[id as usize];
-        debug_assert!(e.live);
-        debug_assert!(e.phase != LoadPhase::Waiting, "load released while waiting");
-        e.live = false;
-        if e.is_store {
-            // Its `unknown` entry is already trimmed: that queue's front is
-            // a live unknown-address store, hence younger.
-            debug_assert!(e.addr_known, "stores commit once issued");
-            let front = self.stores.pop_front();
-            debug_assert_eq!(front.map(|f| f.1), Some(id), "stores commit in order");
+    /// The load at trace index `idx` finished its AGU at `now`: its
+    /// address becomes known and the request reaches the LSQ after the
+    /// transfer latency.
+    pub fn load_addr_known(&mut self, idx: u64, addr: u64, now: u64) {
+        let at = self.waiting.partition_point(|w| w.idx < idx);
+        debug_assert!(self.waiting.get(at).is_none_or(|w| w.idx != idx));
+        self.waiting.insert(
+            at,
+            Waiting {
+                idx,
+                addr,
+                arrival: now + self.transfer,
+            },
+        );
+    }
+
+    /// The store at trace index `idx` issued (address + data read).
+    pub fn store_ready(&mut self, idx: u64, addr: u64) {
+        let at = self.stores.partition_point(|&(s, _)| s < idx);
+        let store = &mut self.stores[at];
+        debug_assert!(
+            store.0 == idx && store.1.is_none(),
+            "store_ready names a live store"
+        );
+        store.1 = Some(addr);
+        while let Some((_, Some(_))) = self.stores.get(self.known) {
+            self.known += 1;
         }
-        self.live -= 1;
-        self.free.push(id);
+    }
+
+    /// Release the load at trace index `idx` (completion).
+    pub fn release_load(&mut self, idx: u64) {
+        debug_assert!(
+            self.waiting.binary_search_by_key(&idx, |w| w.idx).is_err(),
+            "load released while waiting"
+        );
+        self.len -= 1;
+    }
+
+    /// Release the store at trace index `idx` (commit): the oldest live
+    /// store, with a known address.
+    pub fn release_store(&mut self, idx: u64) {
+        let front = self.stores.pop_front();
+        debug_assert!(
+            front.is_some_and(|(s, addr)| s == idx && addr.is_some()),
+            "stores commit in order and once issued"
+        );
+        // The front store was known, so the cursor was past it.
+        self.known -= 1;
+        self.len -= 1;
     }
 
     /// [`Lsq::start_loads_into`] into a fresh `Vec`.
@@ -240,15 +196,14 @@ impl Lsq {
         let mut kept = 0;
         let mut k = 0;
         while k < self.waiting.len() {
-            let id = self.waiting[k];
-            let e = self.slab[id as usize];
-            if e.idx >= barrier {
+            let w = self.waiting[k];
+            if w.idx >= barrier {
                 break;
             }
             k += 1;
-            let kind = if e.arrival > now {
+            let kind = if w.arrival > now {
                 None
-            } else if self.forwards(e.idx, e.addr) {
+            } else if self.forwards(w.idx, w.addr) {
                 Some(LoadKind::Forward)
             } else if ports_left > 0 {
                 ports_left -= 1;
@@ -257,17 +212,13 @@ impl Lsq {
                 None
             };
             match kind {
-                Some(kind) => {
-                    self.slab[id as usize].phase = LoadPhase::Started;
-                    started.push(StartedLoad {
-                        id,
-                        idx: e.idx,
-                        addr: e.addr,
-                        kind,
-                    });
-                }
+                Some(kind) => started.push(StartedLoad {
+                    idx: w.idx,
+                    addr: w.addr,
+                    kind,
+                }),
                 None => {
-                    self.waiting[kept] = id;
+                    self.waiting[kept] = w;
                     kept += 1;
                 }
             }
@@ -278,9 +229,7 @@ impl Lsq {
     /// The oldest unknown-address store's trace index (the conservative
     /// disambiguation barrier), or `u64::MAX` when none.
     fn barrier(&self) -> u64 {
-        self.unknown
-            .front()
-            .map_or(u64::MAX, |&id| self.slab[id as usize].idx)
+        self.stores.get(self.known).map_or(u64::MAX, |&(s, _)| s)
     }
 
     /// Does a live store older than `idx` have address `addr`? Walks the
@@ -291,7 +240,7 @@ impl Lsq {
         self.stores
             .range(..older)
             .rev()
-            .any(|&(_, id)| self.slab[id as usize].addr == addr)
+            .any(|&(_, a)| a == Some(addr))
     }
 
     /// Would [`Lsq::start_loads_into`]`(now, ports, ..)` start at least one
@@ -308,9 +257,8 @@ impl Lsq {
         let barrier = self.barrier();
         self.waiting
             .iter()
-            .map(|&id| &self.slab[id as usize])
-            .take_while(|e| e.idx < barrier)
-            .any(|e| ports > 0 || self.forwards(e.idx, e.addr))
+            .take_while(|w| w.idx < barrier)
+            .any(|w| ports > 0 || self.forwards(w.idx, w.addr))
     }
 }
 
@@ -324,17 +272,17 @@ mod tests {
         live: bool,
         is_store: bool,
         idx: u64,
-        addr: u64,
-        addr_known: bool,
-        phase: LoadPhase,
+        /// Known address (stores: once issued; loads: once the AGU ran).
+        addr: Option<u64>,
+        /// Loads: address known and not started.
+        waiting: bool,
         arrival: u64,
     }
 
-    /// Brute-force reference: the same slab and free list as [`Lsq`], with
-    /// every query answered by scanning the whole slab.
+    /// Brute-force reference: every entry ever allocated in one `Vec`,
+    /// found by trace index, with every query answered by scanning it.
     struct SlabScan {
         slab: Vec<Slot>,
-        free: Vec<LsqId>,
         transfer: u64,
     }
 
@@ -342,56 +290,48 @@ mod tests {
         fn new(transfer: u64) -> Self {
             SlabScan {
                 slab: Vec::new(),
-                free: Vec::new(),
                 transfer,
             }
         }
 
-        fn alloc(&mut self, is_store: bool, idx: u64) -> LsqId {
-            let e = Slot {
+        fn slot(&mut self, idx: u64) -> &mut Slot {
+            self.slab
+                .iter_mut()
+                .find(|s| s.idx == idx)
+                .expect("allocated")
+        }
+
+        fn alloc(&mut self, is_store: bool, idx: u64) {
+            self.slab.push(Slot {
                 live: true,
                 is_store,
                 idx,
-                addr: 0,
-                addr_known: false,
-                phase: LoadPhase::WaitAddr,
+                addr: None,
+                waiting: false,
                 arrival: 0,
-            };
-            match self.free.pop() {
-                Some(id) => {
-                    self.slab[id as usize] = e;
-                    id
-                }
-                None => {
-                    self.slab.push(e);
-                    (self.slab.len() - 1) as LsqId
-                }
-            }
+            });
         }
 
-        fn load_addr_known(&mut self, id: LsqId, addr: u64, now: u64) {
-            let e = &mut self.slab[id as usize];
-            e.addr = addr;
-            e.addr_known = true;
-            e.phase = LoadPhase::Waiting;
-            e.arrival = now + self.transfer;
+        fn load_addr_known(&mut self, idx: u64, addr: u64, now: u64) {
+            let arrival = now + self.transfer;
+            let e = self.slot(idx);
+            e.addr = Some(addr);
+            e.waiting = true;
+            e.arrival = arrival;
         }
 
-        fn store_ready(&mut self, id: LsqId, addr: u64) {
-            let e = &mut self.slab[id as usize];
-            e.addr = addr;
-            e.addr_known = true;
+        fn store_ready(&mut self, idx: u64, addr: u64) {
+            self.slot(idx).addr = Some(addr);
         }
 
-        fn release(&mut self, id: LsqId) {
-            self.slab[id as usize].live = false;
-            self.free.push(id);
+        fn release(&mut self, idx: u64) {
+            self.slot(idx).live = false;
         }
 
         fn barrier(&self) -> u64 {
             self.slab
                 .iter()
-                .filter(|s| s.live && s.is_store && !s.addr_known)
+                .filter(|s| s.live && s.is_store && s.addr.is_none())
                 .map(|s| s.idx)
                 .min()
                 .unwrap_or(u64::MAX)
@@ -401,7 +341,7 @@ mod tests {
         fn forwards(&self, idx: u64, addr: u64) -> bool {
             self.slab
                 .iter()
-                .any(|s| s.live && s.is_store && s.idx < idx && s.addr == addr)
+                .any(|s| s.live && s.is_store && s.idx < idx && s.addr == Some(addr))
         }
 
         fn start_loads(&mut self, now: u64, ports: u32) -> Vec<StartedLoad> {
@@ -409,18 +349,14 @@ mod tests {
             let mut cands: Vec<usize> = (0..self.slab.len())
                 .filter(|&i| {
                     let e = &self.slab[i];
-                    e.live
-                        && !e.is_store
-                        && e.phase == LoadPhase::Waiting
-                        && e.arrival <= now
-                        && e.idx < barrier
+                    e.live && e.waiting && e.arrival <= now && e.idx < barrier
                 })
                 .collect();
             cands.sort_unstable_by_key(|&i| self.slab[i].idx);
             let mut ports_left = ports;
             let mut out = Vec::new();
             for i in cands {
-                let (idx, addr) = (self.slab[i].idx, self.slab[i].addr);
+                let (idx, addr) = (self.slab[i].idx, self.slab[i].addr.unwrap());
                 let kind = if self.forwards(idx, addr) {
                     LoadKind::Forward
                 } else if ports_left > 0 {
@@ -429,13 +365,8 @@ mod tests {
                 } else {
                     continue;
                 };
-                self.slab[i].phase = LoadPhase::Started;
-                out.push(StartedLoad {
-                    id: i as LsqId,
-                    idx,
-                    addr,
-                    kind,
-                });
+                self.slab[i].waiting = false;
+                out.push(StartedLoad { idx, addr, kind });
             }
             out
         }
@@ -444,10 +375,9 @@ mod tests {
             let barrier = self.barrier();
             self.slab.iter().any(|e| {
                 e.live
-                    && !e.is_store
-                    && e.phase == LoadPhase::Waiting
+                    && e.waiting
                     && e.idx < barrier
-                    && (ports > 0 || self.forwards(e.idx, e.addr))
+                    && (ports > 0 || self.forwards(e.idx, e.addr.unwrap()))
             })
         }
     }
@@ -467,9 +397,9 @@ mod tests {
             let mut oracle = SlabScan::new(transfer);
             let (mut idx, mut now) = (0u64, 0u64);
             // Loads without an address; stores without an address; started
-            // loads; live stores oldest first (id, address known).
+            // loads; live stores oldest first (idx, address known).
             let (mut wait_addr, mut unready, mut started) = (Vec::new(), Vec::new(), Vec::new());
-            let mut stores: std::collections::VecDeque<(LsqId, bool)> = Default::default();
+            let mut stores: std::collections::VecDeque<(u64, bool)> = Default::default();
             let mut out = Vec::new();
             for (op, pick, ports) in ops {
                 let p = pick as usize;
@@ -478,36 +408,36 @@ mod tests {
                     0..=2 if lsq.has_space() => {
                         let is_store = pick % 3 == 0;
                         idx += 1 + u64::from(pick % 2);
-                        let id = lsq.alloc(is_store, idx);
-                        prop_assert_eq!(id, oracle.alloc(is_store, idx));
+                        lsq.alloc(is_store, idx);
+                        oracle.alloc(is_store, idx);
                         if is_store {
-                            unready.push(id);
-                            stores.push_back((id, false));
+                            unready.push(idx);
+                            stores.push_back((idx, false));
                         } else {
-                            wait_addr.push(id);
+                            wait_addr.push(idx);
                         }
                     }
                     3 | 4 if !wait_addr.is_empty() => {
-                        let id = wait_addr.swap_remove(p % wait_addr.len());
-                        lsq.load_addr_known(id, addr, now);
-                        oracle.load_addr_known(id, addr, now);
+                        let i = wait_addr.swap_remove(p % wait_addr.len());
+                        lsq.load_addr_known(i, addr, now);
+                        oracle.load_addr_known(i, addr, now);
                     }
                     5 | 6 if !unready.is_empty() => {
-                        let id = unready.swap_remove(p % unready.len());
-                        lsq.store_ready(id, addr);
-                        oracle.store_ready(id, addr);
-                        stores.iter_mut().find(|s| s.0 == id).unwrap().1 = true;
+                        let i = unready.swap_remove(p % unready.len());
+                        lsq.store_ready(i, addr);
+                        oracle.store_ready(i, addr);
+                        stores.iter_mut().find(|s| s.0 == i).unwrap().1 = true;
                     }
                     7 | 8 => {
-                        let id = if pick % 2 == 0 && stores.front().is_some_and(|s| s.1) {
-                            stores.pop_front().unwrap().0
+                        if pick % 2 == 0 && stores.front().is_some_and(|s| s.1) {
+                            let i = stores.pop_front().unwrap().0;
+                            lsq.release_store(i);
+                            oracle.release(i);
                         } else if !started.is_empty() {
-                            started.swap_remove(p % started.len())
-                        } else {
-                            continue;
-                        };
-                        lsq.release(id);
-                        oracle.release(id);
+                            let i = started.swap_remove(p % started.len());
+                            lsq.release_load(i);
+                            oracle.release(i);
+                        }
                     }
                     9 | 10 => {
                         now += u64::from(pick % 3);
@@ -515,7 +445,7 @@ mod tests {
                         lsq.start_loads_into(now, ports, &mut out);
                         let want = oracle.start_loads(now, ports);
                         prop_assert_eq!(&out, &want, "now {}", now);
-                        started.extend(out.iter().map(|s| s.id));
+                        started.extend(out.iter().map(|s| s.idx));
                     }
                     _ => {}
                 }
@@ -528,12 +458,12 @@ mod tests {
     #[test]
     fn load_waits_for_older_store_address() {
         let mut l = Lsq::new(8, 1);
-        let st = l.alloc(true, 10);
-        let ld = l.alloc(false, 11);
-        l.load_addr_known(ld, 0x100, 0);
+        l.alloc(true, 10);
+        l.alloc(false, 11);
+        l.load_addr_known(11, 0x100, 0);
         // Store address unknown: the load must not start.
         assert!(l.start_loads(5, 4).is_empty());
-        l.store_ready(st, 0x200);
+        l.store_ready(10, 0x200);
         // Different address: load goes to the cache.
         let s = l.start_loads(5, 4);
         assert_eq!(s.len(), 1);
@@ -543,10 +473,10 @@ mod tests {
     #[test]
     fn forwarding_from_matching_store() {
         let mut l = Lsq::new(8, 1);
-        let st = l.alloc(true, 10);
-        let ld = l.alloc(false, 11);
-        l.store_ready(st, 0x100);
-        l.load_addr_known(ld, 0x100, 0);
+        l.alloc(true, 10);
+        l.alloc(false, 11);
+        l.store_ready(10, 0x100);
+        l.load_addr_known(11, 0x100, 0);
         let s = l.start_loads(5, 4);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].kind, LoadKind::Forward);
@@ -555,24 +485,23 @@ mod tests {
     #[test]
     fn forwards_from_youngest_matching_store() {
         let mut l = Lsq::new(8, 1);
-        let st1 = l.alloc(true, 10);
-        let st2 = l.alloc(true, 12);
-        let ld = l.alloc(false, 13);
-        l.store_ready(st1, 0x100);
-        l.store_ready(st2, 0x100);
-        l.load_addr_known(ld, 0x100, 0);
+        l.alloc(true, 10);
+        l.alloc(true, 12);
+        l.alloc(false, 13);
+        l.store_ready(10, 0x100);
+        l.store_ready(12, 0x100);
+        l.load_addr_known(13, 0x100, 0);
         let s = l.start_loads(3, 4);
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].kind, LoadKind::Forward);
-        let _ = (st1, st2);
     }
 
     #[test]
     fn younger_stores_do_not_block() {
         let mut l = Lsq::new(8, 1);
-        let ld = l.alloc(false, 10);
-        let _st = l.alloc(true, 11); // younger, address unknown
-        l.load_addr_known(ld, 0x80, 0);
+        l.alloc(false, 10);
+        l.alloc(true, 11); // younger, address unknown
+        l.load_addr_known(10, 0x80, 0);
         let s = l.start_loads(4, 4);
         assert_eq!(s.len(), 1);
     }
@@ -580,8 +509,8 @@ mod tests {
     #[test]
     fn transfer_latency_delays_arrival() {
         let mut l = Lsq::new(8, 1);
-        let ld = l.alloc(false, 1);
-        l.load_addr_known(ld, 0x40, 10); // arrives at 11
+        l.alloc(false, 1);
+        l.load_addr_known(1, 0x40, 10); // arrives at 11
         assert!(l.start_loads(10, 4).is_empty());
         assert_eq!(l.start_loads(11, 4).len(), 1);
     }
@@ -589,9 +518,9 @@ mod tests {
     #[test]
     fn port_budget_limits_cache_loads() {
         let mut l = Lsq::new(16, 0);
-        for k in 0..6 {
-            let id = l.alloc(false, k as u64);
-            l.load_addr_known(id, 0x1000 + 8 * k as u64, 0);
+        for k in 0..6u64 {
+            l.alloc(false, k);
+            l.load_addr_known(k, 0x1000 + 8 * k, 0);
         }
         let s = l.start_loads(0, 4);
         assert_eq!(s.len(), 4, "only 4 D-cache ports");
@@ -602,22 +531,22 @@ mod tests {
     #[test]
     fn oldest_load_wins_ports() {
         let mut l = Lsq::new(8, 0);
-        let young = l.alloc(false, 20);
-        let old = l.alloc(false, 5);
-        l.load_addr_known(young, 0x8, 0);
-        l.load_addr_known(old, 0x10, 0);
+        l.alloc(false, 5);
+        l.alloc(false, 20);
+        l.load_addr_known(20, 0x8, 0);
+        l.load_addr_known(5, 0x10, 0);
         let s = l.start_loads(0, 1);
         assert_eq!(s.len(), 1);
-        assert_eq!(s[0].id, old);
+        assert_eq!(s[0].idx, 5);
     }
 
     #[test]
     fn capacity_and_release() {
         let mut l = Lsq::new(2, 1);
-        let a = l.alloc(false, 0);
-        let _b = l.alloc(true, 1);
+        l.alloc(false, 0);
+        l.alloc(true, 1);
         assert!(!l.has_space());
-        l.release(a);
+        l.release_load(0);
         assert!(l.has_space());
         assert_eq!(l.len(), 1);
     }
@@ -627,25 +556,25 @@ mod tests {
         // Every eligibility rule, probed read-only before the mutating call.
         let mut l = Lsq::new(8, 1);
         assert!(!l.would_start_any(4), "empty queue");
-        let st = l.alloc(true, 10);
-        let ld = l.alloc(false, 11);
-        l.load_addr_known(ld, 0x100, 0); // arrives at 1
+        l.alloc(true, 10);
+        l.alloc(false, 11);
+        l.load_addr_known(11, 0x100, 0); // arrives at 1
         assert!(!l.would_start_any(4), "blocked by unknown store address");
-        l.store_ready(st, 0x200);
+        l.store_ready(10, 0x200);
         assert!(l.would_start_any(4), "barrier lifted, cache access");
         assert!(!l.would_start_any(0), "no ports, no cache access");
         // An unblocked load still in transit starts on arrival.
         let mut transit = Lsq::new(8, 5);
-        let ld_t = transit.alloc(false, 1);
-        transit.load_addr_known(ld_t, 0x80, 0); // arrives at 5
+        transit.alloc(false, 1);
+        transit.load_addr_known(1, 0x80, 0); // arrives at 5
         assert!(transit.would_start_any(4), "in transit, starts on arrival");
         assert!(transit.start_loads(0, 4).is_empty(), "not yet arrived");
         // A matching store makes it a port-free forward.
         let mut l2 = Lsq::new(8, 0);
-        let st2 = l2.alloc(true, 1);
-        let ld2 = l2.alloc(false, 2);
-        l2.store_ready(st2, 0x40);
-        l2.load_addr_known(ld2, 0x40, 0);
+        l2.alloc(true, 1);
+        l2.alloc(false, 2);
+        l2.store_ready(1, 0x40);
+        l2.load_addr_known(2, 0x40, 0);
         assert!(l2.would_start_any(0), "forwards need no port");
         let mut out = Vec::new();
         l2.start_loads_into(0, 0, &mut out);
@@ -659,10 +588,10 @@ mod tests {
         // never blocked on a matching store's data: it forwards at once.
         // Verify it starts exactly once (no double start).
         let mut l = Lsq::new(8, 0);
-        let st = l.alloc(true, 1);
-        let ld = l.alloc(false, 2);
-        l.store_ready(st, 0x100);
-        l.load_addr_known(ld, 0x100, 0);
+        l.alloc(true, 1);
+        l.alloc(false, 2);
+        l.store_ready(1, 0x100);
+        l.load_addr_known(2, 0x100, 0);
         assert_eq!(l.start_loads(0, 4).len(), 1);
         assert!(
             l.start_loads(1, 4).is_empty(),

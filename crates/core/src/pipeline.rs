@@ -70,7 +70,7 @@ use rcmc_uarch::{FrontEndPredictor, MemConfig, MemHierarchy, PredictorConfig};
 use crate::config::{CopyRelease, CoreConfig, MAX_CLUSTERS};
 use crate::fabric::{DistanceLut, Fabric};
 use crate::fu::FuSet;
-use crate::lsq::{LoadKind, Lsq, LsqId, NO_LSQ};
+use crate::lsq::{LoadKind, Lsq};
 use crate::pipeview::PipeTracer;
 use crate::queues::{CommOp, CommQueue, IqEntry, IssueQueue};
 use crate::stats::Stats;
@@ -95,7 +95,7 @@ enum Ev {
     LoadAddr { idx: u64 },
     /// Store address + data captured; completes the store.
     StoreReady { idx: u64 },
-    /// Load finished (cache or forward): releases its LSQ slot, writes
+    /// Load finished (cache or forward): releases its LSQ entry, writes
     /// back and completes.
     LoadDone { idx: u64 },
 }
@@ -113,8 +113,6 @@ struct InFlight {
     /// The value this instruction's destination *redefines*; all its copies
     /// are freed when this instruction commits (§3 release policy).
     prev: Option<ValueId>,
-    /// LSQ entry for memory operations (`NO_LSQ` otherwise).
-    lsq: LsqId,
     /// Behavioural class.
     class: InsnClass,
     /// Completed (eligible to commit)?
@@ -299,7 +297,6 @@ impl<'t> Core<'t> {
                     avail: 0,
                     dest: None,
                     prev: None,
-                    lsq: NO_LSQ,
                     class: InsnClass::Nop,
                     done: false,
                     cluster: 0,
@@ -529,7 +526,6 @@ impl<'t> Core<'t> {
         self.issue_all();
         self.dispatch();
         self.fetch();
-        self.fabric.tick();
         self.stats.cycles += 1;
         self.now += 1;
         assert!(
@@ -562,15 +558,15 @@ impl<'t> Core<'t> {
                 }
                 Ev::LoadAddr { idx } => {
                     let addr = self.rec(idx).mem_addr;
-                    self.lsq.load_addr_known(self.at(idx).lsq, addr, self.now);
+                    self.lsq.load_addr_known(idx, addr, self.now);
                 }
                 Ev::StoreReady { idx } => {
                     let addr = self.rec(idx).mem_addr;
-                    self.lsq.store_ready(self.at(idx).lsq, addr);
+                    self.lsq.store_ready(idx, addr);
                     self.complete(idx);
                 }
                 Ev::LoadDone { idx } => {
-                    self.lsq.release(self.at(idx).lsq);
+                    self.lsq.release_load(idx);
                     self.complete(idx);
                 }
             }
@@ -621,7 +617,7 @@ impl<'t> Core<'t> {
                     break;
                 }
                 self.store_buf.push_back(self.rec(idx).mem_addr);
-                self.lsq.release(e.lsq);
+                self.lsq.release_store(idx);
             }
             self.commit_idx += 1;
             self.trace_mark(idx, |r, now| r.commit = now);
@@ -727,7 +723,10 @@ impl<'t> Core<'t> {
             let op: CommOp = *self.iq_comm[c].get(idx);
             // The fabric owns path selection and arbitration; a denial
             // leaves the comm queued to retry next cycle (Figure 9 waiting).
-            if let Some(g) = self.fabric.try_send(op.from as usize, op.to as usize) {
+            if let Some(g) = self
+                .fabric
+                .try_send(op.from as usize, op.to as usize, self.now)
+            {
                 self.schedule(
                     g.delay as u64,
                     Ev::CopyReady {
@@ -887,7 +886,6 @@ impl<'t> Core<'t> {
             *self.at_mut(idx) = InFlight {
                 dest: None,
                 prev: None,
-                lsq: NO_LSQ,
                 class,
                 done: true,
                 cluster: 0,
@@ -948,15 +946,12 @@ impl<'t> Core<'t> {
             None => (None, None),
         };
 
-        let lsq = if class.is_mem() {
-            self.lsq.alloc(class == InsnClass::Store, idx)
-        } else {
-            NO_LSQ
-        };
+        if class.is_mem() {
+            self.lsq.alloc(class == InsnClass::Store, idx);
+        }
         *self.at_mut(idx) = InFlight {
             dest: dest_v,
             prev: prev_v,
-            lsq,
             class,
             done: false,
             cluster: c as u8,
@@ -1115,9 +1110,10 @@ impl<'t> Core<'t> {
     /// no fired events, no committable head, no startable or in-transit
     /// load, no ready instruction or communication, no fetch progress, and
     /// a dispatch stage that only re-charges the same stall is dead: the
-    /// only state that moves is the fabric's reservations, which `advance`
-    /// replays, and the steering tie-break's phase, which moves on by the
-    /// skipped cycles modulo the retry period. The wake bound is the
+    /// only state that moves is the stall counters and the steering
+    /// tie-break's phase, which moves on by the skipped cycles modulo the
+    /// retry period. The fabric keeps no clock (its reservations are booked
+    /// by absolute cycle), so it has nothing to replay. The wake bound is the
     /// earliest of the next wheel event, the fetch-resume or decode timer,
     /// the first dispatch-retry success, and the watchdog.
     fn fast_forward_idle(&mut self) {
@@ -1214,7 +1210,6 @@ impl<'t> Core<'t> {
             }
             _ => {}
         }
-        self.fabric.advance(skipped);
         self.stats.cycles += skipped;
         self.skipped_cycles += skipped;
         self.now = wake;

@@ -3,13 +3,15 @@
 //! clusters, 1–4 buses, 1–4-cycle hops, Hier pair links on and off):
 //!
 //! * a denied send books nothing;
-//! * `advance(k)` is `k` ticks;
 //! * an idle fabric charges the `DistanceLut` distance, delivered
 //!   `distance × hop_latency` cycles later;
 //! * an idle fabric grants exactly `n_buses` identical sends per cycle;
 //! * an external ledger of (absolute cycle, link) bookings, routed
 //!   independently of the fabric, agrees with every grant and denial, so
-//!   no link is booked past its capacity in any cycle.
+//!   no link is booked past its capacity in any cycle, across steps of
+//!   one cycle and jumps of up to 200;
+//! * a reservation window after its last send, a fabric grants every
+//!   send as an idle one does.
 
 use std::collections::HashMap;
 
@@ -48,8 +50,8 @@ fn config() -> impl Strategy<Value = CoreConfig> {
         )
 }
 
-/// One step of traffic: a send (`kind` < 6), a tick (< 9) or an advance
-/// of `1 + a % 200` cycles. Endpoints are reduced modulo the cluster count.
+/// One step of traffic: a send (`kind` < 6), the next cycle (< 9) or a
+/// jump of `1 + a % 200` cycles. Endpoints are reduced modulo the cluster count.
 fn traffic() -> impl Strategy<Value = Vec<(usize, usize, u8)>> {
     prop::collection::vec((0usize..64, 0usize..64, 0u8..10), 1..300)
 }
@@ -209,37 +211,18 @@ proptest! {
     fn rejected_reservation_leaves_no_residue(cfg in config(), steps in traffic()) {
         prop_assume!(cfg.validate().is_ok());
         let mut fabric = Fabric::new(&cfg);
+        let mut now = 0;
         for (a, b, kind) in steps {
             match (kind, endpoints(&cfg, a, b)) {
                 (0..=5, Some((from, to))) => {
                     let before = fabric.clone();
-                    if fabric.try_send(from, to).is_none() {
+                    if fabric.try_send(from, to, now).is_none() {
                         prop_assert!(fabric == before, "denied {from}->{to} booked a lane");
                     }
                 }
-                _ => fabric.tick(),
+                _ => now += 1,
             }
         }
-    }
-
-    #[test]
-    fn advance_equals_repeated_ticks(cfg in config(), steps in traffic(), k in 1u64..300) {
-        prop_assume!(cfg.validate().is_ok());
-        let mut fabric = Fabric::new(&cfg);
-        for (a, b, kind) in steps {
-            match (kind, endpoints(&cfg, a, b)) {
-                (0..=7, Some((from, to))) => {
-                    fabric.try_send(from, to);
-                }
-                _ => fabric.tick(),
-            }
-        }
-        let mut ticked = fabric.clone();
-        for _ in 0..k {
-            ticked.tick();
-        }
-        fabric.advance(k);
-        prop_assert!(fabric == ticked, "advance({k}) differs from {k} ticks");
     }
 
     #[test]
@@ -252,7 +235,7 @@ proptest! {
             let distance = lut.min_distance(from, to);
             prop_assert!(distance >= 1);
             prop_assert_eq!(
-                idle.clone().try_send(from, to),
+                idle.clone().try_send(from, to, 0),
                 Some(Grant { delay: distance * cfg.hop_latency, distance }),
                 "{:?} {}->{}", cfg.topology, from, to
             );
@@ -269,9 +252,9 @@ proptest! {
         let Some((from, to)) = endpoints(&cfg, a, b) else { continue };
         let mut fabric = Fabric::new(&cfg);
         for i in 0..cfg.n_buses {
-            prop_assert!(fabric.try_send(from, to).is_some(), "send {i} of {from}->{to} denied");
+            prop_assert!(fabric.try_send(from, to, 0).is_some(), "send {i} of {from}->{to} denied");
         }
-        prop_assert!(fabric.try_send(from, to).is_none(), "{from}->{to} past n_buses granted");
+        prop_assert!(fabric.try_send(from, to, 0).is_none(), "{from}->{to} past n_buses granted");
     }
 
     #[test]
@@ -279,6 +262,7 @@ proptest! {
         prop_assume!(cfg.validate().is_ok());
         let mut fabric = Fabric::new(&cfg);
         let mut ledger = Ledger::new(&cfg);
+        let mut now = 0;
         for (a, b, kind) in steps {
             match (kind, endpoints(&cfg, a, b)) {
                 (0..=5, Some((from, to))) => {
@@ -286,15 +270,15 @@ proptest! {
                         delay: distance * cfg.hop_latency,
                         distance,
                     });
-                    prop_assert_eq!(fabric.try_send(from, to), expected, "{}->{}", from, to);
+                    prop_assert_eq!(fabric.try_send(from, to, now), expected, "{}->{}", from, to);
                 }
                 (0..=8, _) => {
-                    fabric.tick();
+                    now += 1;
                     ledger.advance(1);
                 }
                 _ => {
                     let k = 1 + a as u64 % 200;
-                    fabric.advance(k);
+                    now += k;
                     ledger.advance(k);
                 }
             }
@@ -314,28 +298,34 @@ proptest! {
         let forward = ((to + n - from) % n) as u32;
         let backward = n as u32 - forward;
         let mut fabric = Fabric::new(&cfg);
-        prop_assert_eq!(fabric.try_send(from, to).map(|g| g.distance), Some(forward.min(backward)));
-        prop_assert_eq!(fabric.try_send(from, to).map(|g| g.distance), Some(forward.max(backward)));
+        prop_assert_eq!(fabric.try_send(from, to, 0).map(|g| g.distance), Some(forward.min(backward)));
+        prop_assert_eq!(fabric.try_send(from, to, 0).map(|g| g.distance), Some(forward.max(backward)));
     }
 
     #[test]
-    fn saturation_and_drain(cfg in config(), steps in traffic(), stepped in prop::bool::ANY) {
-        // Whatever the traffic, a reservation window of idle cycles leaves
-        // the fabric idle again.
+    fn saturation_and_drain(cfg in config(), steps in traffic(), idle_for in 0u64..1000) {
+        // Whatever the traffic, from a reservation window after its last
+        // send on the fabric grants every send as an idle fabric does.
         prop_assume!(cfg.validate().is_ok());
         let mut fabric = Fabric::new(&cfg);
+        let idle = fabric.clone();
+        let mut now = 0;
+        for &(a, b, kind) in &steps {
+            match (kind, endpoints(&cfg, a, b)) {
+                (0..=7, Some((from, to))) => {
+                    fabric.try_send(from, to, now);
+                }
+                _ => now += 1,
+            }
+        }
+        let later = now + RESERVATION_WINDOW as u64 + idle_for;
         for (a, b, _) in steps {
-            if let Some((from, to)) = endpoints(&cfg, a, b) {
-                fabric.try_send(from, to);
-            }
+            let Some((from, to)) = endpoints(&cfg, a, b) else { continue };
+            prop_assert_eq!(
+                fabric.clone().try_send(from, to, later),
+                idle.clone().try_send(from, to, 0),
+                "{:?} {}->{} at cycle {}", cfg.topology, from, to, later
+            );
         }
-        if stepped {
-            for _ in 0..RESERVATION_WINDOW {
-                fabric.tick();
-            }
-        } else {
-            fabric.advance(RESERVATION_WINDOW as u64);
-        }
-        prop_assert!(fabric == Fabric::new(&cfg));
     }
 }

@@ -1,12 +1,13 @@
 //! Property tests over randomly generated (but well-formed) programs: the
 //! pipeline must never deadlock, must commit exactly the oracle stream, and
-//! the conservation invariants must hold for every topology/steering combo.
+//! the conservation invariants must hold for every topology/steering combo;
+//! Ssa must steer the instructions without a live source round-robin.
 
 use proptest::prelude::*;
 use ring_clustered::asm::Asm;
 use ring_clustered::core::{Core, CoreConfig, PipeTracer, Steering, Topology};
 use ring_clustered::emu::{trace_program, Trace};
-use ring_clustered::isa::Reg;
+use ring_clustered::isa::{InsnClass, Reg};
 use ring_clustered::uarch::{MemConfig, PredictorConfig};
 
 /// One step of a random straight-line body. Values are chosen so programs
@@ -216,6 +217,59 @@ fn check_window_capacities(cfg: &CoreConfig, trace: &Trace) {
     }
 }
 
+/// Run `trace` to the end on the Ssa configuration `cfg`, cycle by cycle
+/// with every instruction traced, and check §4.7's round-robin from the
+/// recorded clusters alone: the k-th dispatched instruction without a live
+/// source (`r0` is no source; nops and halt do not steer) executes in
+/// cluster `k mod n_clusters`. An IQ, LSQ, register or communication stall
+/// re-steers its instruction and so may move the phase on, so the check
+/// covers the instructions dispatched up to the cycle of the first such
+/// stall (dispatch stops at a stall, so all of them steered before it), or
+/// every one when the run charged none; a ROB stall never steers. Answers
+/// how many instructions it checked.
+fn check_ssa_round_robin(cfg: &CoreConfig, trace: &Trace) -> usize {
+    let mut core = Core::new(
+        cfg.clone(),
+        MemConfig::default(),
+        PredictorConfig::default(),
+        trace,
+    );
+    core.attach_tracer(PipeTracer::new(0, trace.len() as u32));
+    core.set_event_driven(false);
+    let expect = trace.len() as u64 - u64::from(trace.halted);
+    let mut last = u64::MAX;
+    while !core.halted() && core.stats().committed < expect {
+        core.tick();
+        let s = &core.stats().stalls;
+        if last == u64::MAX && s.iq_full + s.lsq_full + s.regs_full + s.comm_full > 0 {
+            last = core.cycle() - 1;
+        }
+    }
+    let tracer = core.take_tracer().expect("tracer attached");
+    let sourceless = trace.iter().enumerate().filter(|(_, d)| {
+        !matches!(d.insn.class(), InsnClass::Nop | InsnClass::Halt)
+            && d.insn.sources().iter().flatten().all(|r| r.is_zero())
+    });
+    let mut checked = 0;
+    for (k, (i, d)) in sourceless.enumerate() {
+        let r = tracer.get(i as u32).expect("inside the traced window");
+        if r.dispatch > last {
+            break;
+        }
+        assert_eq!(
+            r.cluster as usize,
+            k % cfg.n_clusters,
+            "source-less instruction {} ({}), the {}-th, on {:?}",
+            i,
+            d.insn,
+            k,
+            cfg.topology
+        );
+        checked += 1;
+    }
+    checked
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
@@ -275,5 +329,18 @@ proptest! {
         // The budgeted run is a strict prefix in committed count and cycles.
         prop_assert!(budgeted.stats().committed <= full.stats().committed);
         prop_assert!(budgeted.stats().cycles <= full.stats().cycles);
+    }
+
+    /// The Ring+Ssa and Conv+Ssa rows of every configuration.
+    #[test]
+    fn ssa_steers_sourceless_instructions_round_robin(
+        body in prop::collection::vec(arb_op(), 4..40)
+    ) {
+        let program = build_program(&body);
+        let trace = trace_program(&program, 6_000).unwrap();
+        for cfg in all_configs().iter().filter(|c| c.steering == Steering::Ssa) {
+            // The prologue's `movi`s dispatch before any stall.
+            prop_assert!(check_ssa_round_robin(cfg, &trace) > 0);
+        }
     }
 }
