@@ -326,9 +326,12 @@ impl Fabric {
     #[inline]
     fn free_lane(&self, link: usize, now: u64, offset: u32) -> Option<usize> {
         let t = now - self.since[link] + u64::from(offset);
+        if t >= RESERVATION_WINDOW as u64 {
+            return Some(0);
+        }
         self.windows[link * self.lanes..(link + 1) * self.lanes]
             .iter()
-            .position(|w| t >= RESERVATION_WINDOW as u64 || w & (1 << t) == 0)
+            .position(|w| w & (1 << t) == 0)
     }
 
     /// Book a free lane of `link` in cycle `now + offset`, first moving the
@@ -337,10 +340,12 @@ impl Fabric {
         let lag = now - self.since[link];
         self.since[link] = now;
         let lanes = &mut self.windows[link * self.lanes..(link + 1) * self.lanes];
-        // A shift by the whole window or more clears it.
-        let shift = lag.min(RESERVATION_WINDOW as u64) as u32;
-        for w in lanes.iter_mut() {
-            *w = w.checked_shr(shift).unwrap_or(0);
+        if lag > 0 {
+            // A shift by the whole window or more clears it.
+            let shift = lag.min(RESERVATION_WINDOW as u64) as u32;
+            for w in lanes.iter_mut() {
+                *w = w.checked_shr(shift).unwrap_or(0);
+            }
         }
         let lane = lanes.iter().position(|w| w & (1 << offset) == 0);
         lanes[lane.expect("checked free")] |= 1 << offset;

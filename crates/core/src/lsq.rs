@@ -55,15 +55,6 @@ pub struct StartedLoad {
     pub kind: LoadKind,
 }
 
-/// A load whose address is known and which has not started.
-#[derive(Clone, Copy, Debug)]
-struct Waiting {
-    idx: u64,
-    addr: u64,
-    /// Cycle at which the request is present at the LSQ.
-    arrival: u64,
-}
-
 /// The queue.
 pub struct Lsq {
     len: usize,
@@ -74,8 +65,9 @@ pub struct Lsq {
     /// Every store in `stores[..known]` has a known address; `stores[known]`
     /// (when present) is the oldest unknown-address store.
     known: usize,
-    /// Waiting loads, sorted by `idx`.
-    waiting: Vec<Waiting>,
+    /// Waiting loads as `(idx, addr, arrival)`, sorted by `idx`; `arrival`
+    /// is the cycle the request is present at the LSQ.
+    waiting: Vec<(u64, u64, u64)>,
 }
 
 impl Lsq {
@@ -124,16 +116,12 @@ impl Lsq {
     /// address becomes known and the request reaches the LSQ after the
     /// transfer latency.
     pub fn load_addr_known(&mut self, idx: u64, addr: u64, now: u64) {
-        let at = self.waiting.partition_point(|w| w.idx < idx);
-        debug_assert!(self.waiting.get(at).is_none_or(|w| w.idx != idx));
-        self.waiting.insert(
-            at,
-            Waiting {
-                idx,
-                addr,
-                arrival: now + self.transfer,
-            },
+        let at = self.waiting.partition_point(|w| w.0 < idx);
+        debug_assert!(
+            self.waiting.get(at).is_none_or(|w| w.0 != idx),
+            "a load's address becomes known once"
         );
+        self.waiting.insert(at, (idx, addr, now + self.transfer));
     }
 
     /// The store at trace index `idx` issued (address + data read).
@@ -153,7 +141,7 @@ impl Lsq {
     /// Release the load at trace index `idx` (completion).
     pub fn release_load(&mut self, idx: u64) {
         debug_assert!(
-            self.waiting.binary_search_by_key(&idx, |w| w.idx).is_err(),
+            self.waiting.binary_search_by_key(&idx, |w| w.0).is_err(),
             "load released while waiting"
         );
         self.len -= 1;
@@ -196,14 +184,14 @@ impl Lsq {
         let mut kept = 0;
         let mut k = 0;
         while k < self.waiting.len() {
-            let w = self.waiting[k];
-            if w.idx >= barrier {
+            let (idx, addr, arrival) = self.waiting[k];
+            if idx >= barrier {
                 break;
             }
             k += 1;
-            let kind = if w.arrival > now {
+            let kind = if arrival > now {
                 None
-            } else if self.forwards(w.idx, w.addr) {
+            } else if self.forwards(idx, addr) {
                 Some(LoadKind::Forward)
             } else if ports_left > 0 {
                 ports_left -= 1;
@@ -212,13 +200,9 @@ impl Lsq {
                 None
             };
             match kind {
-                Some(kind) => started.push(StartedLoad {
-                    idx: w.idx,
-                    addr: w.addr,
-                    kind,
-                }),
+                Some(kind) => started.push(StartedLoad { idx, addr, kind }),
                 None => {
-                    self.waiting[kept] = w;
+                    self.waiting[kept] = (idx, addr, arrival);
                     kept += 1;
                 }
             }
@@ -257,8 +241,8 @@ impl Lsq {
         let barrier = self.barrier();
         self.waiting
             .iter()
-            .take_while(|w| w.idx < barrier)
-            .any(|w| ports > 0 || self.forwards(w.idx, w.addr))
+            .take_while(|w| w.0 < barrier)
+            .any(|&(idx, addr, _)| ports > 0 || self.forwards(idx, addr))
     }
 }
 
