@@ -508,8 +508,8 @@ mod tests {
         let mut f = ring(1, 1);
         // 6 -> 1 is 3 hops crossing the wrap.
         assert_eq!(f.try_send(6, 1, now), grant(3, 3));
-        // Segment 7 (leaving cluster 7) is taken at offset 1: after one
-        // tick a message from 7 enters it at offset 0, the same cycle.
+        // Segment 7 (leaving cluster 7) is taken at offset 1: one cycle
+        // later a message from 7 enters it at offset 0, the same cycle.
         now += 1;
         assert!(f.try_send(7, 0, now).is_none());
     }
