@@ -35,7 +35,6 @@ mod common;
 
 use std::hint::black_box;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Instant;
 
 use common::{meta, obj};
@@ -49,7 +48,7 @@ use ring_clustered::sim::config::{
 };
 use ring_clustered::sim::machines::REGISTRY;
 use ring_clustered::sim::plan::ConfigSpec;
-use ring_clustered::sim::runner::{cached_trace, Budget};
+use ring_clustered::sim::runner::{Budget, Workload};
 use ring_clustered::uarch::{
     Bimodal, CacheConfig, Gshare, HybridPredictor, PredictorConfig, SetAssocCache,
 };
@@ -69,7 +68,7 @@ fn round(x: f64, places: i32) -> Value {
 /// One measurement pass over both benchmarks' traces: total (cycles,
 /// committed, skipped, whole-run cycles, wall seconds).
 fn run_mode(
-    traces: &[Arc<Trace>],
+    traces: &[Trace],
     cfg: &SimConfig,
     budget: &Budget,
     event_driven: bool,
@@ -95,7 +94,7 @@ fn run_mode(
 }
 
 /// Per-topology rows (both modes), cluster scaling and the machine grid.
-fn core_throughput(traces: &[Arc<Trace>], budget: &Budget) -> Vec<(&'static str, Value)> {
+fn core_throughput(traces: &[Trace], budget: &Budget) -> Vec<(&'static str, Value)> {
     let mut rows: Vec<(String, SimConfig)> = ALL_TOPOLOGIES
         .iter()
         .map(|&t| (topology_name(t).to_string(), make(t, 8, 2, 1)))
@@ -218,7 +217,7 @@ fn core_throughput(traces: &[Arc<Trace>], budget: &Budget) -> Vec<(&'static str,
 }
 
 /// One event-driven run per (steering policy × topology) pair.
-fn steering_cross(traces: &[Arc<Trace>], budget: &Budget) -> Value {
+fn steering_cross(traces: &[Trace], budget: &Budget) -> Value {
     println!("\nSteering-cross throughput (serial, one core, 8clus_1bus_2IW)");
     println!("-------------------------------------------------------------");
     let mut pairs = Vec::new();
@@ -427,7 +426,10 @@ fn main() {
         measure: 60_000,
     };
     // Held for the whole bench, so no timed pass emulates.
-    let traces = BENCHES.map(|b| cached_trace(b, budget.trace_len()));
+    let traces = BENCHES.map(|b| {
+        let workload = Workload::resolve(b, None).unwrap();
+        workload.trace(budget.trace_len()).unwrap()
+    });
     let window = |mut fields: Vec<(&'static str, Value)>| {
         let mut head = vec![
             ("benches", Value::Str(BENCHES.join("+"))),

@@ -2,8 +2,11 @@
 //! execute → commit, replaying an oracle trace.
 //!
 //! The core streams its trace: a [`TraceSource`] (the emulator stepping a
-//! program, or a materialized trace) fills a fixed ring that holds only
-//! the records a run can still touch, so no run holds its whole trace.
+//! program, a trace file decoded as it is read, or a materialized trace)
+//! fills a fixed ring that holds only the records a run can still touch,
+//! so no run holds its whole trace. A source that fails ends its stream
+//! like a short trace; [`Core::into_source`] hands it back for the
+//! end-of-run check ([`TraceSource::finish`]).
 //!
 //! Timing discipline per cycle (in processing order):
 //!
@@ -244,8 +247,9 @@ impl<'t> Core<'t> {
     }
 
     /// Build a core that reads its records from `source` as it fetches,
-    /// holding only its ring: over [`TraceSource::emulate`], the same run
-    /// as [`Core::new`] over the program's materialized trace.
+    /// holding only its ring: over [`TraceSource::emulate`] or
+    /// [`TraceSource::decode`], the same run as [`Core::new`] over the
+    /// materialized trace.
     pub fn streaming(
         cfg: CoreConfig,
         mem_cfg: MemConfig,
@@ -315,6 +319,12 @@ impl<'t> Core<'t> {
         };
         core.refill();
         core
+    }
+
+    /// The source the core read its records from, to check how its stream
+    /// ended ([`TraceSource::finish`]).
+    pub fn into_source(self) -> TraceSource<'t> {
+        self.source
     }
 
     /// Attach a pipeline tracer (see [`crate::pipeview::PipeTracer`]).

@@ -5,7 +5,8 @@
 //! with resolved branch outcomes and effective memory addresses), stored
 //! as a [`Trace`]: 8-byte [`PackedRec`]s over a table of the program's
 //! [`StaticInsn`]s, or yielded record by record, as 16-byte [`TraceRec`]s,
-//! by a [`TraceSource`]. The
+//! by a [`TraceSource`] (the emulator, or a stored trace file decoded by
+//! a [`TraceStream`] as it is read). The
 //! clustered timing model in `rcmc-core` replays this stream: an
 //! *execution-driven, stall-on-mispredict* simulation style in which the
 //! timing model never fabricates wrong-path work but still pays realistic
@@ -27,4 +28,4 @@ pub use trace::{
     trace_built, trace_program, DynInsn, PackError, PackedRec, StaticInsn, Trace, TraceError,
     TraceRec, TraceSource,
 };
-pub use trace_db::{OpenTrace, TraceDb, TraceDbError, TraceMeta, TRACE_VERSION};
+pub use trace_db::{OpenTrace, TraceDb, TraceDbError, TraceMeta, TraceStream, TRACE_VERSION};

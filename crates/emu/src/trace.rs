@@ -22,12 +22,16 @@
 //! [`Trace::recs`], [`Trace::get`] and [`Trace::iter`].
 //!
 //! A timing run need not hold a whole trace: a [`TraceSource`] yields the
-//! same records one at a time, from the emulator stepping a program or
-//! from a materialized trace replayed in order.
+//! same records one at a time, from the emulator stepping a program, from
+//! a trace file decoded as it is read ([`TraceStream`]), or from a
+//! materialized trace replayed in order. No source panics: an emulation
+//! or decode error ends its stream, and [`TraceSource::finish`] returns
+//! it.
 
 use rcmc_isa::{Insn, InsnClass, Opcode, Program};
 
 use crate::cpu::{Cpu, EmuError};
+use crate::trace_db::{TraceDbError, TraceStream};
 
 /// One dynamic instruction, logical form: the static instruction plus the
 /// resolved control-flow and memory facts the timing model needs. What a
@@ -319,6 +323,8 @@ pub enum TraceError {
     Emu(EmuError),
     /// A record could not be packed into the trace.
     Pack(PackError),
+    /// A trace file does not check out ([`TraceStream::finish`]).
+    Decode(TraceDbError),
 }
 
 impl std::fmt::Display for TraceError {
@@ -326,6 +332,7 @@ impl std::fmt::Display for TraceError {
         match self {
             TraceError::Emu(e) => write!(f, "emulation failed: {e}"),
             TraceError::Pack(e) => write!(f, "record does not pack: {e}"),
+            TraceError::Decode(e) => write!(f, "{e}"),
         }
     }
 }
@@ -406,20 +413,24 @@ fn emulated_rec(d: DynInsn) -> TraceRec {
 }
 
 /// Trace records over a static table, yielded in program order: what a
-/// timing run reads instead of holding a whole trace. Either form yields
+/// timing run reads instead of holding a whole trace. Each form yields
 /// exactly the records of the trace it stands for. Build one with
-/// [`TraceSource::emulate`] or [`TraceSource::replay`].
+/// [`TraceSource::emulate`], [`TraceSource::decode`] or
+/// [`TraceSource::replay`]; once the run is over, [`TraceSource::finish`]
+/// says whether the stream ended cleanly.
 pub enum TraceSource<'t> {
-    /// The emulator stepping the workload `name`, with the program as the
-    /// static table.
+    /// The emulator stepping a program, with the program as the static
+    /// table.
     Emulate {
-        /// The workload, named when emulation fails.
-        name: String,
         /// The emulator, at the next record.
         cpu: Box<Cpu>,
         /// The program as a static table: instruction `pc` at index `pc`.
         statics: Vec<StaticInsn>,
+        /// The emulation error that ended the stream, if one did.
+        error: Option<EmuError>,
     },
+    /// A trace file, decoded as it is read.
+    Decode(Box<TraceStream<'t>>),
     /// A materialized trace and the index of its next record.
     Replay {
         /// The trace replayed.
@@ -430,16 +441,21 @@ pub enum TraceSource<'t> {
 }
 
 impl<'t> TraceSource<'t> {
-    /// Step the emulator over `program`, the workload `name`, until it
-    /// halts: the records of [`trace_program`], with the program as the
-    /// static table. Workloads are valid programs, so an emulation error
-    /// panics with "`name` failed to emulate: …".
-    pub fn emulate(name: &str, program: &Program) -> TraceSource<'static> {
+    /// Step the emulator over `program` until it halts: the records of
+    /// [`trace_program`], with the program as the static table. An
+    /// emulation error ends the stream, and [`TraceSource::finish`]
+    /// returns it.
+    pub fn emulate(program: &Program) -> TraceSource<'static> {
         TraceSource::Emulate {
-            name: name.to_string(),
             cpu: Box::new(Cpu::new(program)),
             statics: program_statics(program),
+            error: None,
         }
+    }
+
+    /// The records of a trace file, decoded as the core fetches them.
+    pub fn decode(stream: TraceStream<'t>) -> Self {
+        TraceSource::Decode(Box::new(stream))
     }
 
     /// Replay the records of a materialized trace, unpacked.
@@ -451,7 +467,23 @@ impl<'t> TraceSource<'t> {
     pub fn statics(&self) -> &[StaticInsn] {
         match self {
             TraceSource::Emulate { statics, .. } => statics,
+            TraceSource::Decode(stream) => stream.statics(),
             TraceSource::Replay { trace, .. } => &trace.statics,
+        }
+    }
+
+    /// The end-of-run check: the error that ended the stream early, if
+    /// one did. A decoded file is drained first and checked whole
+    /// ([`TraceStream::finish`]), so damage past the records a run read
+    /// still fails it. Emulation and replay stop where the run stopped.
+    pub fn finish(self) -> Result<(), TraceError> {
+        match self {
+            TraceSource::Emulate { error, .. } => error.map_or(Ok(()), |e| Err(TraceError::Emu(e))),
+            TraceSource::Decode(mut stream) => match stream.finish() {
+                Ok(_) => Ok(()),
+                Err(e) => Err(TraceError::Decode(e)),
+            },
+            TraceSource::Replay { .. } => Ok(()),
         }
     }
 }
@@ -462,10 +494,16 @@ impl Iterator for TraceSource<'_> {
     #[inline]
     fn next(&mut self) -> Option<TraceRec> {
         match self {
-            TraceSource::Emulate { name, cpu, .. } => cpu
-                .step()
-                .unwrap_or_else(|e| panic!("{name} failed to emulate: {}", TraceError::Emu(e)))
-                .map(emulated_rec),
+            TraceSource::Emulate { cpu, error, .. } => {
+                if error.is_some() {
+                    return None;
+                }
+                cpu.step()
+                    .map_err(|e| *error = Some(e))
+                    .ok()?
+                    .map(emulated_rec)
+            }
+            TraceSource::Decode(stream) => stream.next(),
             TraceSource::Replay { trace, next } => {
                 let p = *trace.insns.get(*next)?;
                 *next += 1;
@@ -529,7 +567,7 @@ mod tests {
         for n in [5, 1_000_000] {
             let p = counted_loop(n);
             let t = trace_program(&p, 100).unwrap();
-            let emulated = TraceSource::emulate("loop", &p);
+            let emulated = TraceSource::emulate(&p);
             assert_eq!(emulated.statics(), t.statics());
             let recs: Vec<TraceRec> = emulated.take(100).collect();
             assert!(t.recs().eq(recs.iter().copied()));
@@ -538,14 +576,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bad failed to emulate: emulation failed: pc 1 out of range")]
-    fn an_emulation_error_panics_with_the_workload_name() {
+    fn an_emulation_error_ends_the_stream_and_is_returned() {
         let p = Program {
             insns: vec![Insn::new(Opcode::Movi, Some(Reg::int(1)), None, None, 1)],
             data: vec![],
             entry: 0,
         };
-        TraceSource::emulate("bad", &p).for_each(drop);
+        let mut source = TraceSource::emulate(&p);
+        assert_eq!(source.by_ref().count(), 1, "the movi, then the error");
+        assert_eq!(source.next(), None, "the stream stays ended");
+        let err = source.finish().unwrap_err();
+        assert_eq!(err, TraceError::Emu(EmuError::PcOutOfRange(1)));
+        assert_eq!(err.to_string(), "emulation failed: pc 1 out of range");
     }
 
     #[test]

@@ -3,14 +3,13 @@
 //! A [`TraceDb`] is a directory of `.trc` files, one per workload name,
 //! laid out as `<dir>/<name>.trc`: a fixed little-endian header followed
 //! by one record per dynamic instruction (its logical [`DynInsn`]),
-//! consumed by a sequential chunked decode into a compact [`Trace`] (8
-//! bytes per record in memory, against a table of static instructions). A
-//! name means one file: the last [`TraceDb::save`] or [`TraceDb::import`]
-//! of a name replaces it. The simulator keeps imported (externally
-//! captured) traces here; it emulates its own suite's traces, which is
-//! faster than decoding them. A run resolves an imported workload's name
-//! once, with [`TraceDb::open`], and decodes the file it holds open from
-//! then on ([`OpenTrace`]).
+//! decoded record by record by one [`TraceStream`]. A name means one
+//! file: the last [`TraceDb::save`] or [`TraceDb::import`] of a name
+//! replaces it. The simulator keeps imported (externally captured) traces
+//! here; it emulates its own suite's traces, which is faster than decoding
+//! them. A run resolves an imported workload's name once, with
+//! [`TraceDb::open`], and each of its jobs streams the file it holds open
+//! from then on ([`OpenTrace::stream`]).
 //!
 //! A store in the old `<dir>/<name>/<len>.trc` layout is migrated when
 //! [`TraceDb::at`] opens it.
@@ -56,28 +55,32 @@
 //!
 //! ## One decoder
 //!
-//! Every read of a whole file — [`TraceDb::load`]/[`TraceDb::load_full`]
-//! (what `rcmc trace verify` runs), [`OpenTrace::load`] and
-//! [`TraceDb::import`] (which upgrades v1 files to v2) — goes through one
-//! private streaming decoder, so one file gets one verdict whichever of
-//! them reads it. It checks the magic and both versions on the fixed 64
-//! bytes before it reads the name region, then walks the payload through a
-//! bounded scratch window one record at a time (a fixed 32-byte v1 record
-//! or a v2 control-byte record), folding the checksum in the same pass. The
-//! file stores every record's instruction in full; the decoder interns each
-//! distinct (pc, instruction) pair once into the trace's static table, so
-//! the full ISA decoder (operand signature included) runs only the first
-//! time a pair appears, and packs the record against it ([`Trace::push`]):
-//! a static id plus one 32-bit word, or an entry in the trace's escape
-//! table for a record its instruction cannot derive (an address past 32
-//! bits, an address on a non-memory instruction, a `next_pc` the
-//! instruction would not produce). A record whose instruction does not
-//! decode, or whose static id or escape index does not fit, is reported as
-//! [`TraceDbError::BadRecord`] at its own index, the first that carries
-//! the word. The encoder writes the unpacked logical records, so the
-//! in-memory packing changes neither the file bytes nor the checksum.
-//! [`TraceDb::scan`], [`TraceDb::list`] and [`TraceDb::open`] read headers
-//! only.
+//! Every read of a file's payload is one [`TraceStream`]: a job's
+//! ([`OpenTrace::stream`], through the core's ring), `rcmc trace verify`'s
+//! ([`TraceDb::verify`], which only counts), and every whole-file read —
+//! [`TraceDb::load`]/[`TraceDb::load_full`], [`OpenTrace::load`] and
+//! [`TraceDb::import`] (which upgrades v1 files to v2) — which collects the
+//! stream into a [`Trace`] through [`Trace::push`]. So one file gets one
+//! verdict whichever of them reads it. The header is checked first: the
+//! magic and both versions on the fixed 64 bytes before the name region is
+//! read, then the payload size against the record count. The stream then
+//! walks the payload through a bounded window one record at a time (a
+//! fixed 32-byte v1 record or a v2 control-byte record), folding the
+//! checksum in the same pass. It reads its file with positional reads
+//! (`pread`) at its own offset, so any number of streams read one open
+//! file at once, sharing neither an offset nor a lock. The file stores
+//! every record's instruction in full; the stream interns each distinct
+//! (pc, instruction) pair once into its static table as it first appears,
+//! so the full ISA decoder (operand signature included) runs only then. A
+//! record whose instruction does not decode, or whose static id does not
+//! fit, is [`TraceDbError::BadRecord`] at its own index. The stream stops
+//! at the first bad record; [`TraceStream::finish`] drains what is left
+//! and returns that error, a truncation, trailing bytes or a checksum
+//! mismatch, in that order. A collected trace packs each record against
+//! its static instruction ([`Trace::push`]); the encoder writes the
+//! unpacked logical records, so the in-memory packing changes neither the
+//! file bytes nor the checksum. [`TraceDb::scan`], [`TraceDb::list`] and
+//! [`TraceDb::open`] read headers only.
 //!
 //! ## Versioning rules
 //!
@@ -96,10 +99,11 @@
 //! name — can only ever leave a complete, valid file behind.
 
 use std::collections::HashMap;
-use std::io::{Read, Seek, SeekFrom};
+use std::fs::File;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rcmc_isa::{encode, Insn};
 
@@ -250,12 +254,33 @@ impl TraceDb {
     /// explicit; callers that only care about hit-or-miss use
     /// [`TraceDb::load`].
     pub fn load_full(&self, name: &str, len: u64) -> Result<Trace, TraceDbError> {
+        self.stream_stored(name, len, |s| s.into_trace())
+    }
+
+    /// Check the trace stored under `name` as [`TraceDb::load_full`] does,
+    /// holding no trace: its stream walks the whole file
+    /// ([`TraceStream::finish`]). Returns the number of records.
+    pub fn verify(&self, name: &str, len: u64) -> Result<u64, TraceDbError> {
+        self.stream_stored(name, len, |mut s| s.finish())
+    }
+
+    /// `f` over the stream of `<dir>/<name>.trc`, whose header must parse
+    /// and name `(name, len)`.
+    fn stream_stored<T>(
+        &self,
+        name: &str,
+        len: u64,
+        f: impl FnOnce(TraceStream<'_>) -> Result<T, TraceDbError>,
+    ) -> Result<T, TraceDbError> {
         if !Self::valid_name(name) {
             return Err(TraceDbError::KeyMismatch);
         }
-        let f = std::fs::File::open(self.path_of(name)).map_err(io_err)?;
-        let file_len = f.metadata().map_err(io_err)?.len();
-        decode(f, file_len, Some((name, len))).map(|(_, t)| t)
+        let file = File::open(self.path_of(name)).map_err(io_err)?;
+        let h = read_header(Input::File(&file))?;
+        if h.name != name || h.key_len != len {
+            return Err(TraceDbError::KeyMismatch);
+        }
+        f(TraceStream::new(Input::File(&file), &h))
     }
 
     /// Load the trace stored under `(name, len)`, or `None` if absent,
@@ -273,14 +298,7 @@ impl TraceDb {
         if !Self::valid_name(name) {
             return Ok(None);
         }
-        Ok(
-            open_named(&self.path_of(name), name)?.map(|(file, h)| OpenTrace {
-                name: h.name,
-                len: h.key_len,
-                checksum: h.checksum,
-                file: Mutex::new(file),
-            }),
-        )
+        Ok(open_named(&self.path_of(name), name)?.map(|(file, header)| OpenTrace { header, file }))
     }
 
     /// Persist `trace` as `name`'s one file, recording `len` in its
@@ -303,7 +321,9 @@ impl TraceDb {
         rename: Option<&str>,
         reserved: impl Fn(&str) -> bool,
     ) -> Result<TraceMeta, TraceDbError> {
-        let (header, trace) = decode(file_bytes, file_bytes.len() as u64, None)?;
+        let input = Input::Bytes(file_bytes);
+        let header = read_header(input)?;
+        let trace = TraceStream::new(input, &header).into_trace()?;
         let name = rename.unwrap_or(&header.name).to_string();
         if !Self::valid_name(&name) {
             return Err(TraceDbError::KeyMismatch);
@@ -410,13 +430,13 @@ fn meta(name: String, h: &Header, bytes: u64) -> TraceMeta {
 
 /// The file at `path`, opened, with its header, which must parse and name
 /// `name` (the payload is not read). `Ok(None)` if there is no such file.
-fn open_named(path: &Path, name: &str) -> Result<Option<(std::fs::File, Header)>, TraceDbError> {
-    let mut file = match std::fs::File::open(path) {
+fn open_named(path: &Path, name: &str) -> Result<Option<(File, Header)>, TraceDbError> {
+    let file = match File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(io_err(e)),
     };
-    let h = read_header(&mut file)?;
+    let h = read_header(Input::File(&file))?;
     if h.name != name {
         return Err(TraceDbError::KeyMismatch);
     }
@@ -426,42 +446,38 @@ fn open_named(path: &Path, name: &str) -> Result<Option<(std::fs::File, Header)>
 /// One stored trace file, held open from [`TraceDb::open`] on. On Unix an
 /// open file outlives its directory entry, so a later
 /// [`TraceDb::remove`], or a save or import that renames another file
-/// over it, does not change what [`OpenTrace::load`] decodes.
+/// over it, does not change what its streams decode.
 #[derive(Debug)]
 pub struct OpenTrace {
-    name: String,
-    len: u64,
-    checksum: u64,
-    file: Mutex<std::fs::File>,
+    /// The header, read and checked at open.
+    header: Header,
+    file: File,
 }
 
 impl OpenTrace {
     /// The workload name the file is stored under.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.header.name
     }
 
     /// The header's payload checksum ([`TraceMeta::checksum`]), read at
     /// open without decoding.
     pub fn checksum(&self) -> u64 {
-        self.checksum
+        self.header.checksum
+    }
+
+    /// The file's records, decoded from the start of the payload against
+    /// the header read at open, whose checksum [`TraceStream::finish`]
+    /// checks. Each stream reads at its own offset, so any number of them
+    /// read one handle at once.
+    pub fn stream(&self) -> TraceStream<'_> {
+        TraceStream::new(Input::File(&self.file), &self.header)
     }
 
     /// Decode the whole file with every check [`TraceDb::load_full`]
-    /// makes, and check that its checksum is still the one read at open.
-    /// The file is rewound under a lock first, so one handle serves any
-    /// number of decodes, one at a time.
+    /// makes: [`OpenTrace::stream`] collected into a [`Trace`].
     pub fn load(&self) -> Result<Trace, TraceDbError> {
-        // Every decode starts with a rewind, so a guard a panicking decode
-        // left behind is still usable.
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        file.seek(SeekFrom::Start(0)).map_err(io_err)?;
-        let file_len = file.metadata().map_err(io_err)?.len();
-        let (h, trace) = decode(&mut *file, file_len, Some((&self.name, self.len)))?;
-        if h.checksum != self.checksum {
-            return Err(TraceDbError::ChecksumMismatch);
-        }
-        Ok(trace)
+        self.stream().into_trace()
     }
 }
 
@@ -572,6 +588,7 @@ fn decode_v2_record(b: &[u8], idx: usize) -> Result<([u64; 4], usize), TraceDbEr
     Ok((words, off))
 }
 
+#[derive(Debug)]
 struct Header {
     format_version: u32,
     trace_version: u32,
@@ -623,13 +640,48 @@ fn io_err(e: std::io::Error) -> TraceDbError {
     }
 }
 
-/// Read and check the header, leaving `r` at the start of the payload. The
-/// magic and both versions are checked on the fixed 64 bytes before the
-/// name region is read, so a file that is not a trace at all is
+/// Where a decoder reads a trace file's bytes: an open file, read at
+/// explicit offsets (`pread`), so readers of one handle share no cursor,
+/// or a whole file image in memory.
+#[derive(Clone, Copy)]
+enum Input<'a> {
+    File(&'a File),
+    Bytes(&'a [u8]),
+}
+
+impl Input<'_> {
+    /// Bytes in the whole file.
+    fn len(self) -> Result<u64, TraceDbError> {
+        match self {
+            Input::File(f) => Ok(f.metadata().map_err(io_err)?.len()),
+            Input::Bytes(b) => Ok(b.len() as u64),
+        }
+    }
+
+    /// Fill `buf` from offset `off`; a file that ends first is
+    /// [`TraceDbError::Truncated`].
+    fn read_exact_at(self, buf: &mut [u8], off: u64) -> Result<(), TraceDbError> {
+        match self {
+            Input::File(f) => f.read_exact_at(buf, off).map_err(io_err),
+            Input::Bytes(b) => {
+                let src = usize::try_from(off)
+                    .ok()
+                    .and_then(|o| b.get(o..)?.get(..buf.len()))
+                    .ok_or(TraceDbError::Truncated)?;
+                buf.copy_from_slice(src);
+                Ok(())
+            }
+        }
+    }
+}
+
+/// Read and check the header at the start of `input`. The magic and both
+/// versions are checked on the fixed 64 bytes before the name region is
+/// read, so a file that is not a trace at all is
 /// [`TraceDbError::BadMagic`] whatever its bytes 48..50 claim.
-fn read_header(r: &mut impl Read) -> Result<Header, TraceDbError> {
+fn read_header(input: Input<'_>) -> Result<Header, TraceDbError> {
     let mut fixed = [0u8; HEADER_BASE];
-    r.read_exact(&mut fixed).map_err(io_err)?;
+    input.read_exact_at(&mut fixed, 0)?;
     if &fixed[0..8] != MAGIC {
         return Err(TraceDbError::BadMagic);
     }
@@ -646,7 +698,7 @@ fn read_header(r: &mut impl Read) -> Result<Header, TraceDbError> {
     let name_len = u16::from_le_bytes(fixed[48..50].try_into().unwrap()) as usize;
     let payload_off = payload_offset(name_len);
     let mut name_region = vec![0u8; payload_off - HEADER_BASE];
-    r.read_exact(&mut name_region).map_err(io_err)?;
+    input.read_exact_at(&mut name_region, HEADER_BASE as u64)?;
     name_region.truncate(name_len);
     let name = String::from_utf8(name_region).map_err(|_| TraceDbError::KeyMismatch)?;
     Ok(Header {
@@ -686,8 +738,8 @@ impl Interner {
     }
 
     /// The static id of `(pc, word)` in `statics`. A new pair's
-    /// instruction comes from `insn`; `None` from it (or a table past
-    /// `u32` ids) is `None`.
+    /// instruction comes from `insn`; `None` from it (or a table past the
+    /// 31-bit ids a packed [`Trace`] holds) is `None`.
     #[inline]
     fn intern(
         &mut self,
@@ -705,7 +757,7 @@ impl Interner {
                 }
             }
         }
-        let sid = u32::try_from(statics.len()).ok()?;
+        let sid = u32::try_from(statics.len()).ok().filter(|&s| s < 1 << 31)?;
         statics.push(StaticInsn { insn: insn()?, pc });
         match self.dense.get_mut(pc as usize) {
             Some(slot @ None) => *slot = Some((word, sid)),
@@ -729,103 +781,232 @@ fn decode_any_record(b: &[u8], v1: bool, idx: usize) -> Result<([u64; 4], usize)
     Ok(([w(0), w(8), w(16), w(24)], RECORD_BYTES))
 }
 
-/// Payload window of [`decode`]: small enough to live in mid-level cache.
+/// Most payload bytes a [`TraceStream`] holds: small enough to live in
+/// mid-level cache.
 const STREAM_CHUNK: usize = 256 * 1024;
 
-/// The trace-file decoder: header, key cross-check against `expect` (when
-/// reading by key), payload size, every record, checksum. `file_len` is the
-/// byte length of the whole image `r` yields.
-///
-/// Trace files are several MB — far bigger than any cache level — so the
-/// payload flows through a bounded thread-local scratch window instead of
-/// a file-sized buffer: the only file-sized memory a load touches is the
-/// records of the trace it returns. Checksum and decode share one pass;
-/// decoding ahead of verification is safe because every field is
-/// range-checked and the result is discarded unless the sums match. A
-/// file that shrinks mid-read surfaces as [`TraceDbError::Truncated`] like
-/// any other short file.
-fn decode(
-    mut r: impl Read,
-    file_len: u64,
-    expect: Option<(&str, u64)>,
-) -> Result<(Header, Trace), TraceDbError> {
-    let h = read_header(&mut r)?;
-    if expect.is_some_and(|(name, len)| h.name != name || h.key_len != len) {
-        return Err(TraceDbError::KeyMismatch);
-    }
-    // v1 records are exactly 32 bytes; v2 records are at least one byte,
-    // which bounds a hostile header's instruction count by the payload
-    // size before any allocation happens.
-    let v1 = h.format_version == 1;
-    let payload_len = file_len
-        .checked_sub(h.payload_off as u64)
-        .ok_or(TraceDbError::Truncated)?;
-    let sized = if v1 {
-        h.insn_count.checked_mul(RECORD_BYTES as u64) == Some(payload_len)
-    } else {
-        payload_len >= h.insn_count
-    };
-    if !sized {
-        return Err(TraceDbError::Truncated);
+/// The one trace-file decoder: the records of one file, in order, decoded
+/// as they are read (see the module docs, "One decoder"). It yields the
+/// records of a file that checks out; on the first bad record or short
+/// read it stops, and [`TraceStream::finish`] reports why. It folds the
+/// checksum as it goes and interns each distinct (pc, instruction) pair
+/// into its static table ([`TraceStream::statics`]) when it first
+/// appears, so every record it has yielded indexes that table. A stream
+/// holds its static table and one window of at most 256 KiB of payload,
+/// never the file's records.
+pub struct TraceStream<'a> {
+    input: Input<'a>,
+    /// Format v1 (fixed 32-byte records) rather than v2.
+    v1: bool,
+    /// Records the stream yields: the header's count, cut to the index of
+    /// the first error.
+    end: u64,
+    /// The header's payload checksum.
+    checksum: u64,
+    /// Whole-run facts from the header, for a collected [`Trace`].
+    halted: bool,
+    static_insns: u32,
+    /// File offset of the first payload byte not yet read into `window`.
+    off: u64,
+    /// Payload bytes from `off` to the end of the file.
+    remaining: u64,
+    /// `window[pos..valid]` is read and not yet decoded.
+    window: Vec<u8>,
+    pos: usize,
+    valid: usize,
+    /// Records yielded so far: the index of the next one.
+    next: u64,
+    lanes: Lanes,
+    interner: Interner,
+    statics: Vec<StaticInsn>,
+    /// The first error met; the stream yields nothing after it.
+    error: Option<TraceDbError>,
+}
+
+impl<'a> TraceStream<'a> {
+    /// The payload of `input` under its header `h`. A file whose payload
+    /// size cannot hold `h`'s record count (v1 records are exactly 32
+    /// bytes, v2 records at least one, which bounds a hostile header's
+    /// count before anything is allocated) is a stream that yields
+    /// nothing and finishes [`TraceDbError::Truncated`].
+    fn new(input: Input<'a>, h: &Header) -> TraceStream<'a> {
+        let v1 = h.format_version == 1;
+        let payload = input.len().and_then(|file_len| {
+            let payload_len = file_len
+                .checked_sub(h.payload_off as u64)
+                .ok_or(TraceDbError::Truncated)?;
+            let sized = if v1 {
+                h.insn_count.checked_mul(RECORD_BYTES as u64) == Some(payload_len)
+            } else {
+                payload_len >= h.insn_count
+            };
+            sized.then_some(payload_len).ok_or(TraceDbError::Truncated)
+        });
+        let (remaining, error) = match payload {
+            Ok(len) => (len, None),
+            Err(e) => (0, Some(e)),
+        };
+        let interner = Interner::new(h.static_insns, remaining.min(h.insn_count));
+        TraceStream {
+            input,
+            v1,
+            end: if error.is_none() { h.insn_count } else { 0 },
+            checksum: h.checksum,
+            halted: h.halted,
+            static_insns: h.static_insns,
+            off: h.payload_off as u64,
+            remaining,
+            window: vec![0; remaining.min(STREAM_CHUNK as u64) as usize],
+            pos: 0,
+            valid: 0,
+            next: 0,
+            lanes: Lanes::new(),
+            statics: Vec::with_capacity(interner.dense.len()),
+            interner,
+            error,
+        }
     }
 
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+    /// The static table every record yielded so far indexes by its `sid`.
+    pub fn statics(&self) -> &[StaticInsn] {
+        &self.statics
     }
-    let mut lanes = Lanes::new();
-    let mut interner = Interner::new(h.static_insns, h.insn_count);
-    let statics = Vec::with_capacity(interner.dense.len());
-    let mut trace = Trace::new(statics, h.halted, h.static_insns as usize);
-    trace.insns.reserve_exact(h.insn_count as usize);
-    SCRATCH.with(|buf| {
-        let scratch = &mut *buf.borrow_mut();
-        scratch.resize(STREAM_CHUNK, 0);
-        // Top the window up whenever fewer than the largest record remain
-        // in it, so the next record is always contiguous.
-        let mut remaining = payload_len as usize;
-        let (mut pos, mut valid) = (0usize, 0usize);
-        for i in 0..h.insn_count as usize {
-            if valid - pos < V2_MAX_RECORD && remaining > 0 {
-                scratch.copy_within(pos..valid, 0);
-                valid -= pos;
-                pos = 0;
-                let take = (STREAM_CHUNK - valid).min(remaining);
-                r.read_exact(&mut scratch[valid..valid + take])
-                    .map_err(io_err)?;
-                valid += take;
-                remaining -= take;
-            }
-            let (words, used) = decode_any_record(&scratch[pos..valid], v1, i)?;
-            pos += used;
-            lanes.fold_words(words);
-            let sid = interner
-                .intern(&mut trace.statics, words[1] as u32, words[0], || {
-                    rcmc_isa::decode(words[0]).ok()
-                })
-                .ok_or(TraceDbError::BadRecord(i))?;
-            trace
-                .push(TraceRec {
-                    sid,
-                    next_pc: (words[1] >> 32) as u32,
-                    mem_addr: words[2],
-                })
-                .map_err(|_| TraceDbError::BadRecord(i))?;
+
+    /// Drain the records left, then check the whole file: the first bad
+    /// record or short read, trailing bytes past the last record
+    /// ([`TraceDbError::Truncated`]), or a checksum other than the
+    /// header's. Returns the file's record count. A job's end-of-run check
+    /// and `rcmc trace verify` both end here.
+    pub fn finish(&mut self) -> Result<u64, TraceDbError> {
+        self.pump(|_, _| true);
+        if let Some(e) = &self.error {
+            return Err(e.clone());
         }
-        if pos != valid || remaining > 0 {
+        if self.pos != self.valid || self.remaining > 0 {
             return Err(TraceDbError::Truncated);
         }
-        Ok(())
-    })?;
-    if lanes.finish() != h.checksum {
-        return Err(TraceDbError::ChecksumMismatch);
+        if self.lanes.finish() != self.checksum {
+            return Err(TraceDbError::ChecksumMismatch);
+        }
+        Ok(self.next)
     }
-    Ok((h, trace))
+
+    /// Collect the stream into a [`Trace`] through [`Trace::push`], then
+    /// [`TraceStream::finish`]: what every whole-file read returns.
+    fn into_trace(mut self) -> Result<Trace, TraceDbError> {
+        let mut trace = Trace::new(Vec::new(), self.halted, self.static_insns as usize);
+        trace.insns.reserve_exact(self.end as usize);
+        self.pump(|rec, statics| {
+            let known = trace.statics.len();
+            if known < statics.len() {
+                trace.statics.extend_from_slice(&statics[known..]);
+            }
+            trace.push(rec).is_ok()
+        });
+        // A record the trace refused was yielded but not pushed.
+        if trace.len() as u64 != self.next {
+            return Err(TraceDbError::BadRecord(trace.len()));
+        }
+        self.finish()?;
+        Ok(trace)
+    }
+
+    /// Decode records into `sink`, with the static table they index, until
+    /// it returns `false` or the stream ends. The window is topped up
+    /// whenever fewer bytes than the largest record remain in it, so the
+    /// next record is always contiguous. The loop keeps its cursor and the
+    /// checksum lanes in locals. Decoding ahead of the checksum is safe:
+    /// every field is range-checked, and [`TraceStream::finish`] vouches
+    /// for the records only once the sums match.
+    #[inline(always)]
+    fn pump(&mut self, mut sink: impl FnMut(TraceRec, &[StaticInsn]) -> bool) {
+        let (mut pos, mut next, mut lanes) = (self.pos, self.next, self.lanes);
+        let failed = loop {
+            if next == self.end {
+                break None;
+            }
+            if self.valid - pos < V2_MAX_RECORD && self.remaining > 0 {
+                if let Err(e) = self.top_up(pos) {
+                    break Some(e);
+                }
+                pos = 0;
+            }
+            let (words, used) =
+                match decode_any_record(&self.window[pos..self.valid], self.v1, next as usize) {
+                    Ok(decoded) => decoded,
+                    Err(e) => break Some(e),
+                };
+            let sid = self
+                .interner
+                .intern(&mut self.statics, words[1] as u32, words[0], || {
+                    rcmc_isa::decode(words[0]).ok()
+                });
+            let Some(sid) = sid else {
+                break Some(TraceDbError::BadRecord(next as usize));
+            };
+            pos += used;
+            lanes.fold_words(words);
+            next += 1;
+            let rec = TraceRec {
+                sid,
+                next_pc: (words[1] >> 32) as u32,
+                mem_addr: words[2],
+            };
+            if !sink(rec, &self.statics) {
+                break None;
+            }
+        };
+        (self.pos, self.next, self.lanes) = (pos, next, lanes);
+        if let Some(e) = failed {
+            self.fail(e);
+        }
+    }
+
+    /// Move the undecoded bytes from `pos` on to the front of the window
+    /// and fill the rest from the file.
+    fn top_up(&mut self, pos: usize) -> Result<(), TraceDbError> {
+        self.window.copy_within(pos..self.valid, 0);
+        self.valid -= pos;
+        let take = ((self.window.len() - self.valid) as u64).min(self.remaining) as usize;
+        self.input
+            .read_exact_at(&mut self.window[self.valid..self.valid + take], self.off)?;
+        self.valid += take;
+        self.off += take as u64;
+        self.remaining -= take as u64;
+        Ok(())
+    }
+
+    /// End the stream at record `next`, for `e`.
+    #[cold]
+    fn fail(&mut self, e: TraceDbError) {
+        self.error = Some(e);
+        self.end = self.next;
+    }
+}
+
+impl Iterator for TraceStream<'_> {
+    type Item = TraceRec;
+
+    #[inline]
+    fn next(&mut self) -> Option<TraceRec> {
+        let mut out = None;
+        self.pump(|rec, _| {
+            out = Some(rec);
+            false
+        });
+        out
+    }
 }
 
 /// Decode a complete in-memory file image (the codec tests' entry point).
 #[cfg(test)]
 fn decode_file(bytes: &[u8], expect: Option<(&str, u64)>) -> Result<Trace, TraceDbError> {
-    decode(bytes, bytes.len() as u64, expect).map(|(_, t)| t)
+    let input = Input::Bytes(bytes);
+    let h = read_header(input)?;
+    if expect.is_some_and(|(name, len)| h.name != name || h.key_len != len) {
+        return Err(TraceDbError::KeyMismatch);
+    }
+    TraceStream::new(input, &h).into_trace()
 }
 
 #[cfg(test)]
@@ -1018,7 +1199,7 @@ mod tests {
             "one file per name: the last save of `aaa` replaced the first"
         );
         assert_eq!(metas[0].insns, 3);
-        assert_eq!(db.open("aaa").unwrap().map(|t| t.len), Some(20));
+        assert_eq!(db.open("aaa").unwrap().map(|t| t.header.key_len), Some(20));
         assert!(db.remove("aaa"));
         assert!(!db.remove("aaa"));
         assert_eq!(db.list().len(), 1);

@@ -2,18 +2,20 @@
 //! memoization.
 //!
 //! [`run_pair`] is one job: probe the store, simulate, [`reduce_metrics`],
-//! persist. The job streams its oracle trace through the core's ring: a
-//! suite benchmark is emulated as the core fetches, and an imported trace
-//! is decoded from the file its [`Workload`] holds open and replayed. No
-//! job holds a suite trace and nothing is shared between jobs. Grids of
-//! jobs run on the scheduler ([`crate::scheduler`]), which both
-//! [`crate::session::Session::run`] and `rcmc serve` drive. Every
-//! simulation is independent, so results are bit-identical at any worker
-//! count, and every finished pair is durably memoized the moment it
-//! completes (an interrupted run resumes where it stopped).
+//! persist. Every job takes one path: the core streams its workload's
+//! records through its ring ([`Workload::source`]) — a suite benchmark
+//! emulated as the core fetches, an imported trace decoded from the file
+//! its [`Workload`] holds open — and then checks how the stream ended
+//! ([`rcmc_emu::TraceSource::finish`]). No job holds a whole trace and
+//! nothing is shared between jobs. Grids of jobs run on the scheduler
+//! ([`crate::scheduler`]), which both [`crate::session::Session::run`] and
+//! `rcmc serve` drive. Every simulation is independent, so results are
+//! bit-identical at any worker count, and every finished pair is durably
+//! memoized the moment it completes (an interrupted run resumes where it
+//! stopped).
 //!
-//! [`cached_trace`] materializes a whole trace, for the callers that need
-//! one: the pipeline view, the oracles and the tests.
+//! [`Workload::trace`] materializes a whole trace, for the callers that
+//! need one: the pipeline view, the oracles and the tests.
 //!
 //! Which instructions a workload name means is decided once per request,
 //! by [`Workload::resolve`], before anything is submitted: a suite
@@ -22,7 +24,9 @@
 //! search the trace store again, so a request runs the traces it resolved
 //! even if they are removed or re-imported later.
 //! A damaged imported file still resolves (only its header is read), and
-//! fails each job that decodes it: [`run_pair`] returns the error.
+//! fails each job that streams it: the end-of-run check drains the rest
+//! of the file, so damage past the records a run read fails it too, and
+//! [`run_pair`] returns the error and stores no row.
 //!
 //! A row's one identity is what was simulated, never what it is called:
 //! a [`JobKey`] hashes the resolved configuration ([`store_name`]), the
@@ -213,7 +217,8 @@ pub struct TraceCounts {
     /// Suite traces emulated: one per executed suite job, plus one per
     /// materialized suite trace.
     pub built: u64,
-    /// Imported traces decoded from a trace store.
+    /// Imported traces decoded from a trace store: one per executed
+    /// imported-trace job, plus one per materialized imported trace.
     pub db_hits: u64,
 }
 
@@ -289,40 +294,53 @@ impl Workload {
         }
     }
 
+    /// The records a job streams through its core: the suite benchmark's
+    /// program emulated, or the imported trace file decoded from the start
+    /// ([`OpenTrace::stream`]). Nothing is cached: every call emulates or
+    /// decodes afresh.
+    pub fn source(&self) -> TraceSource<'_> {
+        match &self.0 {
+            Source::Suite(b) => {
+                EMULATED.fetch_add(1, Ordering::Relaxed);
+                TraceSource::emulate(&b.build())
+            }
+            Source::Imported(t) => {
+                LOADED.fetch_add(1, Ordering::Relaxed);
+                TraceSource::decode(t.stream())
+            }
+        }
+    }
+
+    /// Why a run of this workload failed, naming it: "`gzip` failed to
+    /// emulate: …" or "imported trace '`ext`': …".
+    fn failure(&self, e: impl std::fmt::Display) -> String {
+        match &self.0 {
+            Source::Suite(b) => format!("{} failed to emulate: {e}", b.name),
+            Source::Imported(t) => format!("imported trace '{}': {e}", t.name()),
+        }
+    }
+
     /// Materialize the oracle trace: a suite benchmark emulated to `len`
-    /// instructions, or the whole imported trace file, decoded as a job
-    /// decodes it. Nothing is cached: every call emulates or decodes
-    /// afresh. An imported file whose payload does not decode is an error
-    /// naming the trace.
+    /// instructions, or the whole imported trace file, collected from the
+    /// stream a job reads. Nothing is cached: every call emulates or
+    /// decodes afresh. A failure is an error naming the workload.
     pub fn trace(&self, len: u64) -> Result<Trace, String> {
         match &self.0 {
             Source::Suite(b) => {
                 EMULATED.fetch_add(1, Ordering::Relaxed);
-                trace_built(|| b.build(), len as usize)
-                    .map_err(|e| format!("{} failed to emulate: {e}", b.name))
+                trace_built(|| b.build(), len as usize).map_err(|e| self.failure(e))
             }
             Source::Imported(t) => {
-                let trace = t
-                    .load()
-                    .map_err(|e| format!("imported trace '{}': {e}", t.name()))?;
                 LOADED.fetch_add(1, Ordering::Relaxed);
-                Ok(trace)
+                t.load().map_err(|e| self.failure(e))
             }
         }
     }
 }
 
-/// Materialize the oracle trace of `bench` with `len` instructions,
-/// resolving imported traces against the process-default trace store.
-/// Nothing is cached: every call emulates or decodes afresh.
-pub fn cached_trace(bench: &str, len: u64) -> Arc<Trace> {
-    cached_trace_via(bench, len, Some(default_trace_db()))
-}
-
-/// [`cached_trace`] against an explicit trace store: [`Workload::trace`]
-/// of `bench` resolved against `db`. A suite benchmark is always emulated
-/// (emulating beats decoding, `BENCH_trace.json`) and never reads or
-/// writes `db`.
+/// [`Workload::trace`] of `bench` resolved against `db`, shared. A suite
+/// benchmark is always emulated (emulating beats decoding,
+/// `BENCH_trace.json`) and never reads or writes `db`.
 ///
 /// Panics if `bench` is neither a suite benchmark nor a stored trace, or
 /// its trace does not decode; callers reject unknown names first with
@@ -653,27 +671,20 @@ impl std::fmt::Display for JobKey {
 }
 
 /// Simulate one (configuration × workload) pair and return the raw
-/// counters (no memoization, no reduction). A suite benchmark is emulated
-/// as the core fetches; an imported trace is decoded and replayed, or its
-/// decode error returned.
+/// counters (no memoization, no reduction): the core streams the
+/// workload's source, then the end-of-run check returns the error that
+/// ended the stream, if any, naming the workload.
 fn simulate_stats(
     cfg: &SimConfig,
     workload: &Workload,
     budget: &Budget,
 ) -> Result<rcmc_core::Stats, String> {
-    let window = |mut core: Core<'_>| core.run_with_warmup(budget.warmup, budget.measure);
-    let (core_cfg, mem, pred) = (cfg.core.clone(), cfg.mem, cfg.pred);
-    Ok(match &workload.0 {
-        Source::Suite(b) => {
-            EMULATED.fetch_add(1, Ordering::Relaxed);
-            let source = TraceSource::emulate(b.name, &b.build());
-            window(Core::streaming(core_cfg, mem, pred, source))
-        }
-        Source::Imported(_) => {
-            let trace = workload.trace(budget.trace_len())?;
-            window(Core::new(core_cfg, mem, pred, &trace))
-        }
-    })
+    let mut core = Core::streaming(cfg.core.clone(), cfg.mem, cfg.pred, workload.source());
+    let stats = core.run_with_warmup(budget.warmup, budget.measure);
+    core.into_source()
+        .finish()
+        .map_err(|e| workload.failure(e))?;
+    Ok(stats)
 }
 
 /// The post-run metric reduction: fold raw [`rcmc_core::Stats`] (including
@@ -714,8 +725,9 @@ pub(crate) fn labelled(r: &RunResult, config: &str, bench: &str) -> RunResult {
 
 /// Simulate one (configuration × workload) pair, memoized: a store hit
 /// loads no trace. The job runs exactly the workload it is keyed by, and
-/// the row is filed under that key. An imported trace that does not
-/// decode fails the job with the error, and no row is saved.
+/// the row is filed under that key. A workload whose stream fails (an
+/// imported file anywhere damaged) fails the job with the error, and no
+/// row is saved.
 pub fn run_pair(
     cfg: &SimConfig,
     workload: &Workload,

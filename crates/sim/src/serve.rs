@@ -31,7 +31,7 @@
 //! requests — demux on `id`), `result` (rows + rendered reports),
 //! `cancelled`, `stats` (`scheduler` counters — `failed` among them —
 //! with the `queued` and `running` job gauges, and `trace_cache`:
-//! `built`/`db_hits` — suite traces emulated and imported traces loaded
+//! `built`/`db_hits` — suite traces emulated and imported traces streamed
 //! over the process lifetime), `error`, `bye`. Every event carries the
 //! originating request `id`.
 //!

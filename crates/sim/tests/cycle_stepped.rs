@@ -16,8 +16,14 @@
 //! (the scales the sparse masks exist for); the rest draw freely.
 
 use rcmc_core::{Core, Steering, Topology};
+use rcmc_emu::Trace;
 use rcmc_sim::config::make_pair;
-use rcmc_sim::runner::{cached_trace, Budget};
+use rcmc_sim::runner::{Budget, Workload};
+
+/// The materialized trace of suite benchmark `bench`, `len` records long.
+fn suite_trace(bench: &str, len: u64) -> Trace {
+    Workload::resolve(bench, None).unwrap().trace(len).unwrap()
+}
 
 #[test]
 fn event_driven_matches_cycle_stepped_on_random_configs() {
@@ -71,7 +77,7 @@ fn event_driven_matches_cycle_stepped_on_random_configs() {
         let bench = benches[(rng() % benches.len() as u64) as usize];
         let tag = format!("{}~hop{} × {}", cfg.name, cfg.core.hop_latency, bench);
 
-        let trace = cached_trace(bench, budget.trace_len());
+        let trace = suite_trace(bench, budget.trace_len());
         let mut fast = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
         let fast_stats = fast.run_with_warmup(budget.warmup, budget.measure);
 
@@ -101,7 +107,7 @@ fn event_driven_actually_skips_cycles_at_scale() {
     };
     for (topology, n_clusters) in [(Topology::Ring, 64), (Topology::Hier, 32)] {
         let cfg = make_pair(topology, Steering::RingDep, n_clusters, 2, 1);
-        let trace = cached_trace("gzip", budget.trace_len());
+        let trace = suite_trace("gzip", budget.trace_len());
 
         let mut fast = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
         let fast_stats = fast.run_with_warmup(budget.warmup, budget.measure);
@@ -148,7 +154,7 @@ fn event_driven_matches_cycle_stepped_with_in_transit_loads() {
                 cfg.mem.mem_latency = 400;
                 let tag = format!("{}~xfer{transfer} × {bench}", cfg.name);
 
-                let trace = cached_trace(bench, budget.trace_len());
+                let trace = suite_trace(bench, budget.trace_len());
                 let mut fast = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
                 let fast_stats = fast.run_with_warmup(budget.warmup, budget.measure);
 
@@ -185,7 +191,7 @@ fn dispatch_probe_carries_the_memory_bound_skips() {
     };
     let mut cfg = make_pair(Topology::Conv, Steering::ConvDcount, 8, 2, 1);
     cfg.mem.mem_latency = 400;
-    let trace = cached_trace("mcf", budget.trace_len());
+    let trace = suite_trace("mcf", budget.trace_len());
     let mut core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
     core.run_with_warmup(budget.warmup, budget.measure);
     let (skipped, cycles) = (core.skipped_cycles(), core.stats().cycles);

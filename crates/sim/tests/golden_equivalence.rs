@@ -33,8 +33,14 @@
 //! reader counts, and issue queues wider than one 64-slot bitset word.
 
 use rcmc_core::{CopyRelease, Core, Steering, Topology};
+use rcmc_emu::Trace;
 use rcmc_sim::config::{make, make_pair, SimConfig};
-use rcmc_sim::runner::{cached_trace, Budget};
+use rcmc_sim::runner::{Budget, Workload};
+
+/// The materialized trace of suite benchmark `bench`, `len` records long.
+fn suite_trace(bench: &str, len: u64) -> Trace {
+    Workload::resolve(bench, None).unwrap().trace(len).unwrap()
+}
 
 fn budget() -> Budget {
     Budget {
@@ -334,7 +340,7 @@ fn goldens() -> Vec<Golden> {
 fn ring_and_conv_match_pre_refactor_seed_bit_for_bit() {
     let budget = budget();
     for g in goldens() {
-        let trace = cached_trace(g.bench, budget.trace_len());
+        let trace = suite_trace(g.bench, budget.trace_len());
         let mut core = Core::new(g.cfg.core.clone(), g.cfg.mem, g.cfg.pred, &trace);
         let s = core.run_with_warmup(budget.warmup, budget.measure);
         let tag = format!("{} × {}", g.cfg.name, g.bench);
@@ -362,7 +368,7 @@ fn crossbar_runs_end_to_end_with_one_hop_comms() {
     let budget = budget();
     let cfg = make(Topology::Crossbar, 8, 2, 1);
     assert_eq!(cfg.name, "Xbar_8clus_1bus_2IW");
-    let trace = cached_trace("gzip", budget.trace_len());
+    let trace = suite_trace("gzip", budget.trace_len());
     let mut core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
     let s = core.run_with_warmup(budget.warmup, budget.measure);
     assert!(s.committed >= budget.measure, "crossbar run must complete");
@@ -392,7 +398,7 @@ fn mesh_runs_end_to_end_with_manhattan_comms() {
     let budget = budget();
     let cfg = make(Topology::Mesh, 8, 2, 1);
     assert_eq!(cfg.name, "Mesh_8clus_1bus_2IW");
-    let trace = cached_trace("gzip", budget.trace_len());
+    let trace = suite_trace("gzip", budget.trace_len());
     let mut core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
     let s = core.run_with_warmup(budget.warmup, budget.measure);
     assert!(s.committed >= budget.measure, "mesh run must complete");
@@ -410,7 +416,7 @@ fn hier_runs_end_to_end_with_two_level_comms() {
     let budget = budget();
     let cfg = make(Topology::Hier, 8, 2, 1);
     assert_eq!(cfg.name, "Hier_8clus_1bus_2IW");
-    let trace = cached_trace("gzip", budget.trace_len());
+    let trace = suite_trace("gzip", budget.trace_len());
     let mut core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
     let s = core.run_with_warmup(budget.warmup, budget.measure);
     assert!(s.committed >= budget.measure, "hier run must complete");
@@ -490,7 +496,7 @@ fn event_driven_matches_cycle_stepped_on_random_configs() {
         let bench = benches[(rng() % benches.len() as u64) as usize];
         let tag = format!("{}~hop{} × {}", cfg.name, cfg.core.hop_latency, bench);
 
-        let trace = cached_trace(bench, budget.trace_len());
+        let trace = suite_trace(bench, budget.trace_len());
         let mut fast = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
         let fast_stats = fast.run_with_warmup(budget.warmup, budget.measure);
 

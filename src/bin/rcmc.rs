@@ -618,8 +618,9 @@ fn trace_rm(args: &[String], flags: &HashMap<String, String>) {
     outln!("removed trace '{name}'");
 }
 
-/// `rcmc trace verify [<name>]` — strict-decode every stored trace (full
-/// per-record ISA validation, not just the checksum) and report damage.
+/// `rcmc trace verify [<name>]` — stream every stored trace through the
+/// decoder (full per-record ISA validation, not just the checksum),
+/// holding no trace, and report damage.
 fn trace_verify(args: &[String], flags: &HashMap<String, String>) {
     let db = trace_db_from(flags);
     let only = args.get(2).filter(|a| !a.starts_with("--"));
@@ -638,11 +639,11 @@ fn trace_verify(args: &[String], flags: &HashMap<String, String>) {
     let mut bad = 0;
     for (name, meta) in &entries {
         let (key, checked) = match meta {
-            Ok(m) => (format!("{name}/{}", m.len), db.load_full(name, m.len)),
+            Ok(m) => (format!("{name}/{}", m.len), db.verify(name, m.len)),
             Err(e) => (name.clone(), Err(e.clone())),
         };
         match checked {
-            Ok(t) => outln!("ok      {key} ({} instructions)", t.len()),
+            Ok(n) => outln!("ok      {key} ({n} instructions)"),
             Err(e) => {
                 bad += 1;
                 outln!("CORRUPT {key}: {e}");

@@ -1,20 +1,19 @@
-//! Streamed vs materialized traces. A job's core emulates its program as
-//! it fetches and holds only a ring of records ([`Core::streaming`]); the
-//! oracles and the pipeline view replay a whole materialized trace
-//! ([`Core::new`]). Both must be the same run: bit-identical [`Stats`],
-//! skipped cycles and halt flag, event-driven and cycle-stepped alike, on
-//! every topology and steering policy — and when the stream ends before
-//! the budget, on a program that halts or on a short imported trace.
+//! Streamed vs materialized traces. A job's core emulates its program, or
+//! decodes its imported trace file, as it fetches and holds only a ring of
+//! records ([`Core::streaming`]); the oracles and the pipeline view replay
+//! a whole materialized trace ([`Core::new`]). Both must be the same run:
+//! bit-identical [`Stats`], skipped cycles and halt flag, event-driven and
+//! cycle-stepped alike, on every topology and steering policy — and when
+//! the stream ends before the budget, on a program that halts or on a
+//! short imported trace.
 
 use ring_clustered::asm::Asm;
 use ring_clustered::core::{Core, CoreConfig, Stats, Steering, Topology};
 use ring_clustered::emu::{trace_program, TraceDb, TraceSource};
 use ring_clustered::isa::{Program, Reg};
 use ring_clustered::sim::config::make_pair;
-use ring_clustered::sim::runner::{
-    cached_trace, cached_trace_via, reduce_metrics, run_pair, Budget, ResultStore, Workload,
-};
-use ring_clustered::sim::SimConfig;
+use ring_clustered::sim::runner::{reduce_metrics, run_pair, Budget, ResultStore, Workload};
+use ring_clustered::sim::{Plan, Session, SimConfig};
 use ring_clustered::workloads::benchmark;
 
 const TOPOLOGIES: [Topology; 5] = [
@@ -29,10 +28,15 @@ const STEERINGS: [Steering; 3] = [Steering::RingDep, Steering::ConvDcount, Steer
 /// What a run is compared on.
 type Run = (Stats, u64, bool);
 
+/// Run `core` over `budget`, and check that its source ended cleanly.
 fn finish(mut core: Core<'_>, budget: &Budget, stepped: bool) -> Run {
     core.set_event_driven(!stepped);
     let stats = core.run_with_warmup(budget.warmup, budget.measure);
-    (stats, core.skipped_cycles(), core.halted())
+    let run = (stats, core.skipped_cycles(), core.halted());
+    core.into_source()
+        .finish()
+        .expect("the stream ends cleanly");
+    run
 }
 
 /// The streamed run of `program` against the replay of its trace
@@ -41,7 +45,7 @@ fn assert_same_runs(tag: &str, cfg: &SimConfig, program: &Program, budget: &Budg
     let trace = trace_program(program, budget.trace_len() as usize).unwrap();
     let mut last = None;
     for stepped in [false, true] {
-        let source = TraceSource::emulate(tag, program);
+        let source = TraceSource::emulate(program);
         let streamed = Core::streaming(cfg.core.clone(), cfg.mem, cfg.pred, source);
         let replayed = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
         let (a, b) = (
@@ -133,8 +137,8 @@ fn a_short_imported_trace_ends_the_run_early() {
     for topology in TOPOLOGIES {
         let cfg = make_pair(topology, Steering::RingDep, 8, 2, 1);
         let row = run_pair(&cfg, &short, &budget, &ResultStore::ephemeral()).unwrap();
-        let trace = cached_trace_via("short", budget.trace_len(), Some(&db));
-        assert_eq!(*trace, recorded);
+        let trace = short.trace(budget.trace_len()).unwrap();
+        assert_eq!(trace, recorded);
         let core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
         let (stats, _, halted) = finish(core, &budget, false);
         let replayed = reduce_metrics(&cfg, "short", &stats);
@@ -146,7 +150,7 @@ fn a_short_imported_trace_ends_the_run_early() {
 }
 
 /// The job path itself: a memo-less [`run_pair`] on a suite benchmark is
-/// the replay of `cached_trace(bench, budget.trace_len())`.
+/// the replay of its trace materialized at `budget.trace_len()`.
 #[test]
 fn a_job_matches_the_replay_of_its_materialized_trace() {
     let budget = Budget {
@@ -157,10 +161,82 @@ fn a_job_matches_the_replay_of_its_materialized_trace() {
         let cfg = make_pair(Topology::Ring, Steering::RingDep, 8, 2, 1);
         let workload = Workload::resolve(bench, None).unwrap();
         let row = run_pair(&cfg, &workload, &budget, &ResultStore::ephemeral()).unwrap();
-        let trace = cached_trace(bench, budget.trace_len());
+        let trace = workload.trace(budget.trace_len()).unwrap();
         let core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
         let (stats, _, _) = finish(core, &budget, false);
         let replayed = reduce_metrics(&cfg, bench, &stats);
         assert_eq!(format!("{row:?}"), format!("{replayed:?}"), "{bench}");
     }
+}
+
+/// An imported trace streamed from its file is the replay of the same
+/// file decoded whole, on every topology, event-driven and stepped, with a
+/// window that ends inside the file: the stream stops where the run
+/// stops, and its end-of-run check still walks the rest of the file.
+#[test]
+fn an_imported_stream_matches_the_replay_of_its_decode() {
+    let dir = std::env::temp_dir().join(format!("rcmc-streamed-ext-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = TraceDb::at(dir.clone());
+    let len = 20_000u64;
+    let recorded = trace_program(&benchmark("swim").unwrap().build(), len as usize).unwrap();
+    assert!(db.save("ext", len, &recorded));
+    let budget = Budget {
+        warmup: 500,
+        measure: 2_000,
+    };
+    assert!(budget.trace_len() < len, "the window ends inside the file");
+    let ext = Workload::resolve("ext", Some(&db)).unwrap();
+    let trace = ext.trace(budget.trace_len()).unwrap();
+    assert_eq!(trace, recorded);
+    for topology in TOPOLOGIES {
+        let cfg = make_pair(topology, Steering::RingDep, 8, 2, 1);
+        for stepped in [false, true] {
+            let streamed = Core::streaming(cfg.core.clone(), cfg.mem, cfg.pred, ext.source());
+            let replayed = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
+            let (a, b) = (
+                finish(streamed, &budget, stepped),
+                finish(replayed, &budget, stepped),
+            );
+            let tag = format!("{} (stepped: {stepped})", cfg.name);
+            // Commit can overshoot each window boundary by up to 7.
+            let short = budget.measure.abs_diff(a.0.committed);
+            assert!(short < 16, "{tag}: the trace ran out ({short} short)");
+            assert!(!a.2, "{tag}");
+            assert_eq!(a, b, "{tag}: the streamed run diverged");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two jobs streaming one imported file at once read it at their own
+/// offsets: two configurations × one imported trace give the same rows
+/// at 2 workers as at 1, bit for bit.
+#[test]
+fn imported_rows_at_two_workers_match_one_worker() {
+    let dir = std::env::temp_dir().join(format!("rcmc-streamed-par-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = TraceDb::at(dir.clone());
+    let len = 20_000u64;
+    let recorded = trace_program(&benchmark("mcf").unwrap().build(), len as usize).unwrap();
+    assert!(db.save("ext", len, &recorded));
+    let plan = Plan::new("par")
+        .config_named("Ring_8clus_1bus_2IW")
+        .config_named("Conv_8clus_1bus_2IW")
+        .bench("ext")
+        .budget(Budget {
+            warmup: 1_000,
+            measure: 8_000,
+        });
+    let run = |jobs| {
+        Session::ephemeral()
+            .with_trace_store(db.clone())
+            .with_jobs(jobs)
+            .run(&plan)
+            .unwrap()
+    };
+    let serial = run(1);
+    assert_eq!(serial.len(), 2);
+    assert_eq!(serial, run(2));
+    let _ = std::fs::remove_dir_all(&dir);
 }
