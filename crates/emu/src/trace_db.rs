@@ -796,16 +796,11 @@ const STREAM_CHUNK: usize = 256 * 1024;
 /// never the file's records.
 pub struct TraceStream<'a> {
     input: Input<'a>,
-    /// Format v1 (fixed 32-byte records) rather than v2.
-    v1: bool,
+    /// The file's header, already checked.
+    header: &'a Header,
     /// Records the stream yields: the header's count, cut to the index of
     /// the first error.
     end: u64,
-    /// The header's payload checksum.
-    checksum: u64,
-    /// Whole-run facts from the header, for a collected [`Trace`].
-    halted: bool,
-    static_insns: u32,
     /// File offset of the first payload byte not yet read into `window`.
     off: u64,
     /// Payload bytes from `off` to the end of the file.
@@ -829,13 +824,12 @@ impl<'a> TraceStream<'a> {
     /// bytes, v2 records at least one, which bounds a hostile header's
     /// count before anything is allocated) is a stream that yields
     /// nothing and finishes [`TraceDbError::Truncated`].
-    fn new(input: Input<'a>, h: &Header) -> TraceStream<'a> {
-        let v1 = h.format_version == 1;
+    fn new(input: Input<'a>, h: &'a Header) -> TraceStream<'a> {
         let payload = input.len().and_then(|file_len| {
             let payload_len = file_len
                 .checked_sub(h.payload_off as u64)
                 .ok_or(TraceDbError::Truncated)?;
-            let sized = if v1 {
+            let sized = if h.format_version == 1 {
                 h.insn_count.checked_mul(RECORD_BYTES as u64) == Some(payload_len)
             } else {
                 payload_len >= h.insn_count
@@ -849,11 +843,8 @@ impl<'a> TraceStream<'a> {
         let interner = Interner::new(h.static_insns, remaining.min(h.insn_count));
         TraceStream {
             input,
-            v1,
+            header: h,
             end: if error.is_none() { h.insn_count } else { 0 },
-            checksum: h.checksum,
-            halted: h.halted,
-            static_insns: h.static_insns,
             off: h.payload_off as u64,
             remaining,
             window: vec![0; remaining.min(STREAM_CHUNK as u64) as usize],
@@ -885,7 +876,7 @@ impl<'a> TraceStream<'a> {
         if self.pos != self.valid || self.remaining > 0 {
             return Err(TraceDbError::Truncated);
         }
-        if self.lanes.finish() != self.checksum {
+        if self.lanes.finish() != self.header.checksum {
             return Err(TraceDbError::ChecksumMismatch);
         }
         Ok(self.next)
@@ -894,7 +885,8 @@ impl<'a> TraceStream<'a> {
     /// Collect the stream into a [`Trace`] through [`Trace::push`], then
     /// [`TraceStream::finish`]: what every whole-file read returns.
     fn into_trace(mut self) -> Result<Trace, TraceDbError> {
-        let mut trace = Trace::new(Vec::new(), self.halted, self.static_insns as usize);
+        let h = self.header;
+        let mut trace = Trace::new(Vec::new(), h.halted, h.static_insns as usize);
         trace.insns.reserve_exact(self.end as usize);
         self.pump(|rec, statics| {
             let known = trace.statics.len();
@@ -921,6 +913,7 @@ impl<'a> TraceStream<'a> {
     #[inline(always)]
     fn pump(&mut self, mut sink: impl FnMut(TraceRec, &[StaticInsn]) -> bool) {
         let (mut pos, mut next, mut lanes) = (self.pos, self.next, self.lanes);
+        let v1 = self.header.format_version == 1;
         let failed = loop {
             if next == self.end {
                 break None;
@@ -932,7 +925,7 @@ impl<'a> TraceStream<'a> {
                 pos = 0;
             }
             let (words, used) =
-                match decode_any_record(&self.window[pos..self.valid], self.v1, next as usize) {
+                match decode_any_record(&self.window[pos..self.valid], v1, next as usize) {
                     Ok(decoded) => decoded,
                     Err(e) => break Some(e),
                 };
@@ -998,21 +991,21 @@ impl Iterator for TraceStream<'_> {
     }
 }
 
-/// Decode a complete in-memory file image (the codec tests' entry point).
-#[cfg(test)]
-fn decode_file(bytes: &[u8], expect: Option<(&str, u64)>) -> Result<Trace, TraceDbError> {
-    let input = Input::Bytes(bytes);
-    let h = read_header(input)?;
-    if expect.is_some_and(|(name, len)| h.name != name || h.key_len != len) {
-        return Err(TraceDbError::KeyMismatch);
-    }
-    TraceStream::new(input, &h).into_trace()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rcmc_isa::{Opcode, Reg};
+
+    /// Decode a complete in-memory file image (the codec tests' entry
+    /// point).
+    fn decode_file(bytes: &[u8], expect: Option<(&str, u64)>) -> Result<Trace, TraceDbError> {
+        let input = Input::Bytes(bytes);
+        let h = read_header(input)?;
+        if expect.is_some_and(|(name, len)| h.name != name || h.key_len != len) {
+            return Err(TraceDbError::KeyMismatch);
+        }
+        TraceStream::new(input, &h).into_trace()
+    }
 
     fn sample_trace() -> Trace {
         let r = |x| Some(Reg::int(x));
