@@ -479,10 +479,9 @@ impl<'t> TraceSource<'t> {
     pub fn finish(self) -> Result<(), TraceError> {
         match self {
             TraceSource::Emulate { error, .. } => error.map_or(Ok(()), |e| Err(TraceError::Emu(e))),
-            TraceSource::Decode(mut stream) => match stream.finish() {
-                Ok(_) => Ok(()),
-                Err(e) => Err(TraceError::Decode(e)),
-            },
+            TraceSource::Decode(mut stream) => {
+                stream.finish().map(drop).map_err(TraceError::Decode)
+            }
             TraceSource::Replay { .. } => Ok(()),
         }
     }
