@@ -14,17 +14,28 @@ pub fn obj(fields: Vec<(&str, Value)>) -> Value {
     )
 }
 
-/// The checked-out revision (`-dirty` with uncommitted changes), or
-/// `unknown` outside a git checkout.
+/// The checked-out revision, `-dirty` when a tracked file other than a
+/// `BENCH_*.json` snapshot differs from it, or `unknown` outside a git
+/// checkout. Each bench rewrites its own tracked snapshot, so counting
+/// those would mark every run after the first `-dirty`.
 fn git_rev(root: &Path) -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--abbrev=12"])
-        .current_dir(root)
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(root)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+    };
+    let Some(rev) = git(&["describe", "--always", "--abbrev=12"]) else {
+        return "unknown".into();
+    };
+    let rev = String::from_utf8_lossy(&rev.stdout).trim().to_string();
+    let snapshots = ":(top,exclude)BENCH_*.json";
+    match git(&["diff", "--quiet", "HEAD", "--", ":(top)", snapshots]) {
+        Some(_) => rev,
+        None => format!("{rev}-dirty"),
+    }
 }
 
 /// A `_meta` object: the bench's name, the host's core count and the

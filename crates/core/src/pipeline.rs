@@ -1292,7 +1292,7 @@ impl<'t> Core<'t> {
             }
             self.fetch_idx += 1;
             self.at_mut(ti).avail = self.now + self.cfg.frontend_depth as u64 - 1;
-            self.trace_mark(ti, |r, now| r.fetch = now.max(1));
+            self.trace_mark(ti, |r, now| (r.fetch, r.insn) = (now.max(1), Some(insn)));
             if self.fetch_idx == self.pulled {
                 self.refill();
             }

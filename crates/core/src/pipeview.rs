@@ -4,9 +4,12 @@
 //! [`crate::Core::attach_tracer`] to record, for a window of the dynamic
 //! instruction stream, when each instruction was fetched, dispatched (and to
 //! which cluster), issued, completed and committed — plus how many
-//! communications its operands required. [`PipeTracer::render`] draws a
-//! text timeline (one row per instruction), which makes the ring's
-//! chain-marching behaviour directly visible:
+//! communications its operands required. The core hands each traced
+//! record's instruction over at fetch, so [`PipeTracer::render`] draws a
+//! text timeline (one row per instruction) from the tracer alone: the core
+//! can stream its records ([`crate::Core::streaming`]) and nothing holds
+//! the trace. The timeline makes the ring's chain-marching behaviour
+//! directly visible:
 //!
 //! ```text
 //!     pc insn                 clu  F..D..I...C...R
@@ -16,7 +19,7 @@
 
 use std::fmt::Write as _;
 
-use rcmc_emu::Trace;
+use rcmc_isa::Insn;
 
 /// One traced instruction's lifecycle (cycle numbers; 0 = not reached).
 #[derive(Clone, Copy, Debug, Default)]
@@ -35,6 +38,8 @@ pub struct InsnRecord {
     pub cluster: u8,
     /// Communications created for this instruction's operands.
     pub comms: u8,
+    /// The instruction, handed over at fetch (`None` until fetched).
+    pub insn: Option<Insn>,
 }
 
 /// Records lifecycle events for dynamic instructions in `[from, to)`.
@@ -75,11 +80,12 @@ impl PipeTracer {
         self.records.get_mut(i)
     }
 
-    /// Render a text timeline for the window over the given oracle trace.
+    /// Render a text timeline for the window: one row per fetched
+    /// instruction.
     ///
     /// Stage letters: `F`etch, `D`ispatch, `I`ssue, `C`omplete, `R`etire.
     /// The time axis is clipped to `max_width` columns.
-    pub fn render(&self, trace: &Trace, max_width: usize) -> String {
+    pub fn render(&self, max_width: usize) -> String {
         let base = self
             .records
             .iter()
@@ -95,10 +101,9 @@ impl PipeTracer {
         );
         for (i, r) in self.records.iter().enumerate() {
             let idx = self.from as usize + i;
-            let Some(d) = trace.get(idx) else { break };
-            if r.fetch == 0 {
-                continue; // never fetched (past the run's end)
-            }
+            let Some(insn) = r.insn else {
+                continue; // never fetched (past the run's or the trace's end)
+            };
             let mut lane = vec![b' '; max_width];
             let mut mark = |cycle: u64, ch: u8| {
                 if cycle >= base {
@@ -119,7 +124,7 @@ impl PipeTracer {
                 out,
                 "{:>6} {:28} {:>3} {:>5}  {}",
                 idx,
-                d.insn.to_string(),
+                insn.to_string(),
                 r.cluster,
                 r.comms,
                 lane.trim_end()
@@ -155,7 +160,7 @@ mod tests {
     use crate::config::CoreConfig;
     use crate::pipeline::Core;
     use rcmc_asm::Asm;
-    use rcmc_emu::trace_program;
+    use rcmc_emu::{trace_program, Trace};
     use rcmc_isa::Reg;
     use rcmc_uarch::{MemConfig, PredictorConfig};
 
@@ -245,7 +250,7 @@ mod tests {
         core.attach_tracer(PipeTracer::new(0, 12));
         core.run(u64::MAX);
         let tracer = core.take_tracer().unwrap();
-        let text = tracer.render(&trace, 80);
+        let text = tracer.render(80);
         assert!(text.lines().count() >= 12, "missing rows:\n{text}");
         assert!(text.contains('F') && text.contains('R'));
         let (wait, lat) = tracer.latency_summary();

@@ -3,13 +3,14 @@
 //! A [`TraceDb`] is a directory of `.trc` files, one per workload name,
 //! laid out as `<dir>/<name>.trc`: a fixed little-endian header followed
 //! by one record per dynamic instruction (its logical [`DynInsn`]),
-//! decoded record by record by one [`TraceStream`]. A name means one
-//! file: the last [`TraceDb::save`] or [`TraceDb::import`] of a name
-//! replaces it. The simulator keeps imported (externally captured) traces
-//! here; it emulates its own suite's traces, which is faster than decoding
-//! them. A run resolves an imported workload's name once, with
-//! [`TraceDb::open`], and each of its jobs streams the file it holds open
-//! from then on ([`OpenTrace::stream`]).
+//! written record by record by one writer and decoded record by record by
+//! one [`TraceStream`]. A name means one file: the last [`TraceDb::save`],
+//! [`TraceDb::record`] or [`TraceDb::import`] of a name replaces it. The
+//! simulator keeps imported (externally captured) traces here; it emulates
+//! its own suite's traces, which is faster than decoding them. A run
+//! resolves an imported workload's name once, with [`TraceDb::open`], and
+//! each of its jobs streams the file it holds open from then on
+//! ([`OpenTrace::stream`]).
 //!
 //! A store in the old `<dir>/<name>/<len>.trc` layout is migrated when
 //! [`TraceDb::at`] opens it.
@@ -31,7 +32,10 @@
 //!                                 identical across format versions)
 //!     40     4  static instruction count of the source program
 //!     44     1  halted flag      (1 = ran to `halt`, 0 = hit the budget)
-//!     45     3  reserved (zero)
+//!     45     1  FP class flag    (1 = some record reads or writes an FP
+//!                                 register; 0 in files written before
+//!                                 the flag existed, which read as INT)
+//!     46     2  reserved (zero)
 //!     48     2  name length
 //!     50    14  reserved (zero)
 //!     64     n  name (UTF-8), zero-padded to the next multiple of 32
@@ -51,41 +55,55 @@
 //!   instruction costs 17 bytes instead of 32.
 //!
 //! The checksum always covers the logical words, so it vouches for the
-//! *decoded* instructions identically under both layouts.
+//! *decoded* instructions identically under both layouts. The FP class
+//! flag is derived from the records but outside the checksum, so a file
+//! written before it existed keeps its checksum, and with it its rows'
+//! identity, when it is re-imported.
 //!
-//! ## One decoder
+//! ## One decoder, one writer
 //!
 //! Every read of a file's payload is one [`TraceStream`]: a job's
 //! ([`OpenTrace::stream`], through the core's ring), `rcmc trace verify`'s
-//! ([`TraceDb::verify`], which only counts), and every whole-file read —
-//! [`TraceDb::load`]/[`TraceDb::load_full`], [`OpenTrace::load`] and
-//! [`TraceDb::import`] (which upgrades v1 files to v2) — which collects the
-//! stream into a [`Trace`] through [`Trace::push`]. So one file gets one
-//! verdict whichever of them reads it. The header is checked first: the
-//! magic and both versions on the fixed 64 bytes before the name region is
-//! read, then the payload size against the record count. The stream then
-//! walks the payload through a bounded window one record at a time (a
-//! fixed 32-byte v1 record or a v2 control-byte record), folding the
-//! checksum in the same pass. It reads its file with positional reads
-//! (`pread`) at its own offset, so any number of streams read one open
-//! file at once, sharing neither an offset nor a lock. The file stores
-//! every record's instruction in full; the stream interns each distinct
-//! (pc, instruction) pair once into its static table as it first appears,
-//! so the full ISA decoder (operand signature included) runs only then. A
-//! record whose instruction does not decode, or whose static id does not
-//! fit, is [`TraceDbError::BadRecord`] at its own index. The stream stops
-//! at the first bad record; [`TraceStream::finish`] drains what is left
-//! and returns that error, a truncation, trailing bytes or a checksum
-//! mismatch, in that order. A collected trace packs each record against
-//! its static instruction ([`Trace::push`]); the encoder writes the
+//! ([`TraceDb::verify`], which only counts), [`TraceDb::import`]'s (which
+//! feeds the writer, so a v1 file is stored as v2), and every whole-file
+//! read — [`TraceDb::load`]/[`TraceDb::load_full`] and [`OpenTrace::load`]
+//! — which collects the stream into a [`Trace`] through [`Trace::push`].
+//! So one file gets one verdict whichever of them reads it. The header is
+//! checked first: the magic and both versions on the fixed 64 bytes before
+//! the name region is read, then the payload size against the record
+//! count. The stream then walks the payload through a bounded window one
+//! record at a time (a fixed 32-byte v1 record or a v2 control-byte
+//! record), folding the checksum in the same pass. It reads its file with
+//! positional reads (`pread`) at its own offset, so any number of streams
+//! read one open file at once, sharing neither an offset nor a lock. The
+//! file stores every record's instruction in full; the stream interns each
+//! distinct (pc, instruction) pair once into its static table as it first
+//! appears, so the full ISA decoder (operand signature included) runs only
+//! then. A record whose instruction does not decode, or whose static id
+//! does not fit, is [`TraceDbError::BadRecord`] at its own index. The
+//! stream stops at the first bad record; [`TraceStream::finish`] drains
+//! what is left and returns that error, a truncation, trailing bytes or a
+//! checksum mismatch, in that order. A collected trace packs each record
+//! against its static instruction ([`Trace::push`]); the writer writes the
 //! unpacked logical records, so the in-memory packing changes neither the
 //! file bytes nor the checksum. [`TraceDb::scan`], [`TraceDb::list`] and
 //! [`TraceDb::open`] read headers only.
 //!
+//! Every write of a file is one writer fed one logical record at a time:
+//! [`TraceDb::save`] from a materialized [`Trace`], [`TraceDb::record`]
+//! from the emulator ([`TraceSource::emulate`]) and [`TraceDb::import`]
+//! from a [`TraceStream`]. It writes the header, then each record through
+//! a buffered temp file, folding the checksum and the FP class as it goes;
+//! at the end it writes the record count, the checksum and the flags into
+//! the header with a positional write and renames the temp file into
+//! place. None of them holds more than one record of the trace.
+//!
 //! ## Versioning rules
 //!
 //! * [`FORMAT_VERSION`] changes when the byte layout changes; older layouts
-//!   this build can still read are listed in `READABLE_FORMATS`.
+//!   this build can still read are listed in `READABLE_FORMATS`. A flag in
+//!   a reserved byte that older readers ignore (the FP class) is not a
+//!   layout change.
 //! * [`TRACE_VERSION`] changes when the *emulator's semantics* change such
 //!   that a re-emulated trace could differ. It is deliberately independent
 //!   of the timing model's `MODEL_VERSION`: timing changes never invalidate
@@ -96,18 +114,21 @@
 //! the payload size and the checksum all check out.
 //! Writes go through a temp file + atomic rename (exactly like the result
 //! store), so concurrent writers — threads or processes racing on one
-//! name — can only ever leave a complete, valid file behind.
+//! name — can only ever leave a complete, valid file behind, and a write
+//! that fails (its source stream fails, or the disk does) removes its temp
+//! file and leaves the stored trace of that name as it was.
 
 use std::collections::HashMap;
 use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use rcmc_isa::{encode, Insn};
+use rcmc_isa::{encode, Insn, Opcode, Program};
 
-use crate::trace::{DynInsn, StaticInsn, Trace, TraceRec};
+use crate::trace::{DynInsn, StaticInsn, Trace, TraceError, TraceRec, TraceSource};
 
 /// File-layout version this build writes; bump when the byte layout
 /// changes. v2 = zero-run compressed records (v1 = fixed 32-byte records,
@@ -199,6 +220,9 @@ pub struct TraceMeta {
     /// The header's payload checksum: the identity of the stored records,
     /// read without decoding them.
     pub checksum: u64,
+    /// The header's FP class flag: whether some record reads or writes an
+    /// FP register. `false` for a file written before the flag existed.
+    pub fp: bool,
 }
 
 /// Distinguishes concurrent writers' temp files within one process; the
@@ -276,11 +300,11 @@ impl TraceDb {
             return Err(TraceDbError::KeyMismatch);
         }
         let file = File::open(self.path_of(name)).map_err(io_err)?;
-        let h = read_header(Input::File(&file))?;
+        let h = read_header(&file)?;
         if h.name != name || h.key_len != len {
             return Err(TraceDbError::KeyMismatch);
         }
-        f(TraceStream::new(Input::File(&file), &h))
+        f(TraceStream::new(&file, &h))
     }
 
     /// Load the trace stored under `(name, len)`, or `None` if absent,
@@ -306,34 +330,79 @@ impl TraceDb {
     /// stored under `name`. Returns whether the trace is now durably on
     /// disk.
     pub fn save(&self, name: &str, len: u64, trace: &Trace) -> bool {
-        Self::valid_name(name)
-            && write_atomic(&self.path_of(name), &encode_file(name, len, trace)).is_ok()
+        let write = || {
+            let static_insns = trace.static_insns as u32;
+            let mut w = TraceWriter::create(&self.path_of(name), name, len, static_insns)?;
+            for d in trace.iter() {
+                w.push(&d)?;
+            }
+            w.commit(trace.halted)
+        };
+        Self::valid_name(name) && write().is_ok()
     }
 
-    /// Copy an already-encoded trace file into the store after full
-    /// validation, under `rename` or else the name in its header,
-    /// replacing whatever was stored under that name; a v1 file is stored
-    /// as v2. A name `reserved` matches is refused, and nothing is
-    /// written. Returns the catalog entry of the stored file.
+    /// Emulate `program` for at most `len` dynamic instructions
+    /// ([`TraceSource::emulate`]), writing each record as it is emulated,
+    /// and store the trace as `name`'s one file, recording `len` in its
+    /// header: the file [`TraceDb::save`] writes for
+    /// [`crate::trace_program`]'s trace, without holding that trace. An
+    /// emulation error is [`TraceError::Emu`], a write error
+    /// [`TraceError::Decode`]; either leaves the stored trace of `name` as
+    /// it was. Returns the catalog entry of the stored file.
+    pub fn record(&self, name: &str, len: u64, program: &Program) -> Result<TraceMeta, TraceError> {
+        if !Self::valid_name(name) {
+            return Err(TraceError::Decode(TraceDbError::KeyMismatch));
+        }
+        let static_insns = program.insns.len() as u32;
+        let mut w = TraceWriter::create(&self.path_of(name), name, len, static_insns)
+            .map_err(TraceError::Decode)?;
+        let mut source = TraceSource::emulate(program);
+        // A trace ends at `halt` (inclusive) or at the budget.
+        let mut halted = false;
+        for _ in 0..len {
+            let Some(rec) = source.next() else { break };
+            let d = rec.logical(source.statics());
+            halted = d.insn.op == Opcode::Halt;
+            w.push(&d).map_err(TraceError::Decode)?;
+        }
+        source.finish()?;
+        w.commit(halted).map_err(TraceError::Decode)
+    }
+
+    /// Copy a trace file into the store after full validation, under
+    /// `rename` or else the name in its header, replacing whatever was
+    /// stored under that name; a v1 file is stored as v2. The target name
+    /// is checked on the header, before the payload is read: a name
+    /// `reserved` matches is refused. The payload streams from `file`
+    /// into the writer, so a file that fails any check, even in its last
+    /// record, writes nothing. Returns the catalog entry of the stored
+    /// file.
     pub fn import(
         &self,
-        file_bytes: &[u8],
+        file: &File,
         rename: Option<&str>,
         reserved: impl Fn(&str) -> bool,
     ) -> Result<TraceMeta, TraceDbError> {
-        let input = Input::Bytes(file_bytes);
-        let header = read_header(input)?;
-        let trace = TraceStream::new(input, &header).into_trace()?;
-        let name = rename.unwrap_or(&header.name).to_string();
-        if !Self::valid_name(&name) {
+        let header = read_header(file)?;
+        let name = rename.unwrap_or(&header.name);
+        if !Self::valid_name(name) {
             return Err(TraceDbError::KeyMismatch);
         }
-        if reserved(&name) {
-            return Err(TraceDbError::ReservedName(name));
+        if reserved(name) {
+            return Err(TraceDbError::ReservedName(name.to_string()));
         }
-        let bytes = encode_file(&name, header.key_len, &trace);
-        write_atomic(&self.path_of(&name), &bytes).map_err(io_err)?;
-        Ok(meta(name, &header, bytes.len() as u64))
+        let mut stream = TraceStream::new(file, &header);
+        let mut w = TraceWriter::create(
+            &self.path_of(name),
+            name,
+            header.key_len,
+            header.static_insns,
+        )?;
+        while let Some(rec) = stream.next() {
+            w.push(&rec.logical(stream.statics()))?;
+        }
+        stream.finish()?;
+        w.commit(header.halted)
     }
 
     /// Every `<name>.trc` file in the store, sorted by name: its catalog
@@ -425,6 +494,7 @@ fn meta(name: String, h: &Header, bytes: u64) -> TraceMeta {
         trace_version: h.trace_version,
         halted: h.halted,
         checksum: h.checksum,
+        fp: h.fp,
     }
 }
 
@@ -436,7 +506,7 @@ fn open_named(path: &Path, name: &str) -> Result<Option<(File, Header)>, TraceDb
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(io_err(e)),
     };
-    let h = read_header(Input::File(&file))?;
+    let h = read_header(&file)?;
     if h.name != name {
         return Err(TraceDbError::KeyMismatch);
     }
@@ -466,12 +536,17 @@ impl OpenTrace {
         self.header.checksum
     }
 
+    /// The header's FP class flag ([`TraceMeta::fp`]).
+    pub fn fp(&self) -> bool {
+        self.header.fp
+    }
+
     /// The file's records, decoded from the start of the payload against
     /// the header read at open, whose checksum [`TraceStream::finish`]
     /// checks. Each stream reads at its own offset, so any number of them
     /// read one handle at once.
     pub fn stream(&self) -> TraceStream<'_> {
-        TraceStream::new(Input::File(&self.file), &self.header)
+        TraceStream::new(&self.file, &self.header)
     }
 
     /// Decode the whole file with every check [`TraceDb::load_full`]
@@ -481,19 +556,129 @@ impl OpenTrace {
     }
 }
 
-fn write_atomic(p: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    if let Some(parent) = p.parent() {
-        std::fs::create_dir_all(parent)?;
+/// The one trace-file writer (see the module docs, "One decoder, one
+/// writer"): one file, written record by record into a temp file beside
+/// its target, then renamed over it. It holds one buffer of the file,
+/// never its records. Dropped before [`TraceWriter::commit`], it removes
+/// its temp file, so a write that fails leaves the target as it was.
+struct TraceWriter {
+    /// The temp file, until a successful commit renames it into place.
+    tmp: Option<PathBuf>,
+    path: PathBuf,
+    out: BufWriter<File>,
+    /// The catalog entry of the file so far: records and bytes written,
+    /// and whether one of them reads or writes an FP register.
+    meta: TraceMeta,
+    static_insns: u32,
+    lanes: Lanes,
+}
+
+impl TraceWriter {
+    /// Start the file of `name` at `path`: its header, with the record
+    /// count, the checksum and the flags still zero.
+    fn create(
+        path: &Path,
+        name: &str,
+        key_len: u64,
+        static_insns: u32,
+    ) -> Result<TraceWriter, TraceDbError> {
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent).map_err(io_err)?;
+        }
+        let tmp = path.with_extension(format!(
+            "tmp.{}.{}",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let file = File::create(&tmp).map_err(io_err)?;
+        let meta = TraceMeta {
+            name: name.to_string(),
+            len: key_len,
+            insns: 0,
+            bytes: payload_offset(name.len()) as u64,
+            trace_version: TRACE_VERSION,
+            halted: false,
+            checksum: 0,
+            fp: false,
+        };
+        let mut w = TraceWriter {
+            tmp: Some(tmp),
+            path: path.to_path_buf(),
+            out: BufWriter::new(file),
+            meta,
+            static_insns,
+            lanes: Lanes::new(),
+        };
+        let header = w.header();
+        w.out.write_all(&header).map_err(io_err)?;
+        Ok(w)
     }
-    let tmp = p.with_extension(format!(
-        "tmp.{}.{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, p).inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
+
+    /// The header of the file as [`TraceWriter::meta`] describes it:
+    /// everything up to the payload.
+    fn header(&self) -> Vec<u8> {
+        let (m, name) = (&self.meta, self.meta.name.as_bytes());
+        let mut out = vec![0u8; payload_offset(name.len())];
+        out[0..8].copy_from_slice(MAGIC);
+        out[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+        out[12..16].copy_from_slice(&TRACE_VERSION.to_le_bytes());
+        out[16..24].copy_from_slice(&m.len.to_le_bytes());
+        out[24..32].copy_from_slice(&m.insns.to_le_bytes());
+        out[32..40].copy_from_slice(&m.checksum.to_le_bytes());
+        out[40..44].copy_from_slice(&self.static_insns.to_le_bytes());
+        out[44] = m.halted as u8;
+        out[45] = m.fp as u8;
+        out[48..50].copy_from_slice(&(name.len() as u16).to_le_bytes());
+        out[HEADER_BASE..HEADER_BASE + name.len()].copy_from_slice(name);
+        out
+    }
+
+    /// Append one logical record (format v2), folding it into the
+    /// checksum and the FP class.
+    #[inline]
+    fn push(&mut self, d: &DynInsn) -> Result<(), TraceDbError> {
+        let words = logical_words(d);
+        self.lanes.fold_words(words);
+        self.meta.fp = self.meta.fp || reads_or_writes_fp(&d.insn);
+        let (rec, len) = encode_v2_record(words);
+        self.out.write_all(&rec[..len]).map_err(io_err)?;
+        self.meta.insns += 1;
+        self.meta.bytes += len as u64;
+        Ok(())
+    }
+
+    /// Finish the file: write the record count, the checksum and the
+    /// flags into its header, then rename it over its target. Returns the
+    /// catalog entry of the stored file.
+    fn commit(mut self, halted: bool) -> Result<TraceMeta, TraceDbError> {
+        self.out.flush().map_err(io_err)?;
+        (self.meta.checksum, self.meta.halted) = (self.lanes.finish(), halted);
+        let header = self.header();
+        self.out
+            .get_ref()
+            .write_all_at(&header, 0)
+            .map_err(io_err)?;
+        let tmp = self.tmp.as_ref().expect("a writer commits once");
+        std::fs::rename(tmp, &self.path).map_err(io_err)?;
+        self.tmp = None;
+        Ok(self.meta.clone())
+    }
+}
+
+impl Drop for TraceWriter {
+    fn drop(&mut self) {
+        if let Some(tmp) = self.tmp.take() {
+            let _ = std::fs::remove_file(tmp);
+        }
+    }
+}
+
+/// Whether `insn` reads or writes an FP register: the rule behind a
+/// file's FP class flag.
+#[inline]
+fn reads_or_writes_fp(insn: &Insn) -> bool {
+    let mut regs = insn.sources().into_iter().chain([insn.dest()]).flatten();
+    regs.any(|r| r.is_fp())
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -544,22 +729,20 @@ fn logical_words(d: &DynInsn) -> [u64; 4] {
     ]
 }
 
-/// Append one zero-run-compressed (v2) record: a control byte flagging the
-/// nonzero words, then only those words.
+/// One zero-run-compressed (v2) record and its length: a control byte
+/// flagging the nonzero words, then only those words.
 #[inline]
-fn encode_v2_record(words: [u64; 4], out: &mut Vec<u8>) {
-    let mut ctl = 0u8;
+fn encode_v2_record(words: [u64; 4]) -> ([u8; V2_MAX_RECORD], usize) {
+    let mut out = [0u8; V2_MAX_RECORD];
+    let mut len = 1;
     for (w, &word) in words.iter().enumerate() {
         if word != 0 {
-            ctl |= 1 << w;
+            out[0] |= 1 << w;
+            out[len..len + 8].copy_from_slice(&word.to_le_bytes());
+            len += 8;
         }
     }
-    out.push(ctl);
-    for &word in words.iter() {
-        if word != 0 {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
-    }
+    (out, len)
 }
 
 /// Decode one v2 record from the front of `b`: the logical words plus the
@@ -597,39 +780,13 @@ struct Header {
     checksum: u64,
     static_insns: u32,
     halted: bool,
+    fp: bool,
     name: String,
     payload_off: usize,
 }
 
 fn payload_offset(name_len: usize) -> usize {
     (HEADER_BASE + name_len).div_ceil(RECORD_BYTES) * RECORD_BYTES
-}
-
-/// Serialize one trace, from its logical records, into its complete
-/// (format-v2) file image.
-fn encode_file(name: &str, key_len: u64, trace: &Trace) -> Vec<u8> {
-    let payload_off = payload_offset(name.len());
-    let mut out = vec![0u8; payload_off];
-    out.reserve(trace.len() * (1 + RECORD_BYTES / 2)); // typical ≈ 17 B/insn
-    out[0..8].copy_from_slice(MAGIC);
-    out[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out[12..16].copy_from_slice(&TRACE_VERSION.to_le_bytes());
-    out[16..24].copy_from_slice(&key_len.to_le_bytes());
-    out[24..32].copy_from_slice(&(trace.len() as u64).to_le_bytes());
-    // checksum written below, once the payload exists
-    out[40..44].copy_from_slice(&(trace.static_insns as u32).to_le_bytes());
-    out[44] = trace.halted as u8;
-    out[48..50].copy_from_slice(&(name.len() as u16).to_le_bytes());
-    out[HEADER_BASE..HEADER_BASE + name.len()].copy_from_slice(name.as_bytes());
-    let mut lanes = Lanes::new();
-    for d in trace.iter() {
-        let words = logical_words(&d);
-        lanes.fold_words(words);
-        encode_v2_record(words, &mut out);
-    }
-    let sum = lanes.finish();
-    out[32..40].copy_from_slice(&sum.to_le_bytes());
-    out
 }
 
 fn io_err(e: std::io::Error) -> TraceDbError {
@@ -640,48 +797,13 @@ fn io_err(e: std::io::Error) -> TraceDbError {
     }
 }
 
-/// Where a decoder reads a trace file's bytes: an open file, read at
-/// explicit offsets (`pread`), so readers of one handle share no cursor,
-/// or a whole file image in memory.
-#[derive(Clone, Copy)]
-enum Input<'a> {
-    File(&'a File),
-    Bytes(&'a [u8]),
-}
-
-impl Input<'_> {
-    /// Bytes in the whole file.
-    fn len(self) -> Result<u64, TraceDbError> {
-        match self {
-            Input::File(f) => Ok(f.metadata().map_err(io_err)?.len()),
-            Input::Bytes(b) => Ok(b.len() as u64),
-        }
-    }
-
-    /// Fill `buf` from offset `off`; a file that ends first is
-    /// [`TraceDbError::Truncated`].
-    fn read_exact_at(self, buf: &mut [u8], off: u64) -> Result<(), TraceDbError> {
-        match self {
-            Input::File(f) => f.read_exact_at(buf, off).map_err(io_err),
-            Input::Bytes(b) => {
-                let src = usize::try_from(off)
-                    .ok()
-                    .and_then(|o| b.get(o..)?.get(..buf.len()))
-                    .ok_or(TraceDbError::Truncated)?;
-                buf.copy_from_slice(src);
-                Ok(())
-            }
-        }
-    }
-}
-
-/// Read and check the header at the start of `input`. The magic and both
+/// Read and check the header at the start of `file`. The magic and both
 /// versions are checked on the fixed 64 bytes before the name region is
 /// read, so a file that is not a trace at all is
 /// [`TraceDbError::BadMagic`] whatever its bytes 48..50 claim.
-fn read_header(input: Input<'_>) -> Result<Header, TraceDbError> {
+fn read_header(file: &File) -> Result<Header, TraceDbError> {
     let mut fixed = [0u8; HEADER_BASE];
-    input.read_exact_at(&mut fixed, 0)?;
+    file.read_exact_at(&mut fixed, 0).map_err(io_err)?;
     if &fixed[0..8] != MAGIC {
         return Err(TraceDbError::BadMagic);
     }
@@ -698,7 +820,8 @@ fn read_header(input: Input<'_>) -> Result<Header, TraceDbError> {
     let name_len = u16::from_le_bytes(fixed[48..50].try_into().unwrap()) as usize;
     let payload_off = payload_offset(name_len);
     let mut name_region = vec![0u8; payload_off - HEADER_BASE];
-    input.read_exact_at(&mut name_region, HEADER_BASE as u64)?;
+    file.read_exact_at(&mut name_region, HEADER_BASE as u64)
+        .map_err(io_err)?;
     name_region.truncate(name_len);
     let name = String::from_utf8(name_region).map_err(|_| TraceDbError::KeyMismatch)?;
     Ok(Header {
@@ -709,6 +832,7 @@ fn read_header(input: Input<'_>) -> Result<Header, TraceDbError> {
         checksum: u64_at(32),
         static_insns: u32_at(40),
         halted: fixed[44] != 0,
+        fp: fixed[45] != 0,
         name,
         payload_off,
     })
@@ -795,7 +919,7 @@ const STREAM_CHUNK: usize = 256 * 1024;
 /// holds its static table and one window of at most 256 KiB of payload,
 /// never the file's records.
 pub struct TraceStream<'a> {
-    input: Input<'a>,
+    file: &'a File,
     /// The file's header, already checked.
     header: &'a Header,
     /// Records the stream yields: the header's count, cut to the index of
@@ -819,13 +943,14 @@ pub struct TraceStream<'a> {
 }
 
 impl<'a> TraceStream<'a> {
-    /// The payload of `input` under its header `h`. A file whose payload
+    /// The payload of `file` under its header `h`. A file whose payload
     /// size cannot hold `h`'s record count (v1 records are exactly 32
     /// bytes, v2 records at least one, which bounds a hostile header's
     /// count before anything is allocated) is a stream that yields
     /// nothing and finishes [`TraceDbError::Truncated`].
-    fn new(input: Input<'a>, h: &'a Header) -> TraceStream<'a> {
-        let payload = input.len().and_then(|file_len| {
+    fn new(file: &'a File, h: &'a Header) -> TraceStream<'a> {
+        let file_len = file.metadata().map(|m| m.len()).map_err(io_err);
+        let payload = file_len.and_then(|file_len| {
             let payload_len = file_len
                 .checked_sub(h.payload_off as u64)
                 .ok_or(TraceDbError::Truncated)?;
@@ -842,7 +967,7 @@ impl<'a> TraceStream<'a> {
         };
         let interner = Interner::new(h.static_insns, remaining.min(h.insn_count));
         TraceStream {
-            input,
+            file,
             header: h,
             end: if error.is_none() { h.insn_count } else { 0 },
             off: h.payload_off as u64,
@@ -961,8 +1086,9 @@ impl<'a> TraceStream<'a> {
         self.window.copy_within(pos..self.valid, 0);
         self.valid -= pos;
         let take = ((self.window.len() - self.valid) as u64).min(self.remaining) as usize;
-        self.input
-            .read_exact_at(&mut self.window[self.valid..self.valid + take], self.off)?;
+        self.file
+            .read_exact_at(&mut self.window[self.valid..self.valid + take], self.off)
+            .map_err(io_err)?;
         self.valid += take;
         self.off += take as u64;
         self.remaining -= take as u64;
@@ -996,15 +1122,40 @@ mod tests {
     use super::*;
     use rcmc_isa::{Opcode, Reg};
 
-    /// Decode a complete in-memory file image (the codec tests' entry
-    /// point).
+    /// A fresh path under the temp directory, unique across the tests of
+    /// this process.
+    fn temp_path(tag: &str) -> PathBuf {
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("rcmc-tdb-{tag}-{}-{seq}", std::process::id()))
+    }
+
+    /// `bytes` as an open file, for the readers that take one.
+    fn file_of(bytes: &[u8]) -> File {
+        let p = temp_path("file");
+        std::fs::write(&p, bytes).unwrap();
+        let file = File::open(&p).unwrap();
+        let _ = std::fs::remove_file(&p);
+        file
+    }
+
+    /// The file the writer stores for `trace` under `(name, key_len)`.
+    fn image(name: &str, key_len: u64, trace: &Trace) -> Vec<u8> {
+        let db = TraceDb::at(temp_path("image"));
+        assert!(db.save(name, key_len, trace));
+        let bytes = std::fs::read(db.path_of(name)).unwrap();
+        let _ = std::fs::remove_dir_all(db.dir());
+        bytes
+    }
+
+    /// Decode a complete file image (the codec tests' entry point).
     fn decode_file(bytes: &[u8], expect: Option<(&str, u64)>) -> Result<Trace, TraceDbError> {
-        let input = Input::Bytes(bytes);
-        let h = read_header(input)?;
+        let file = file_of(bytes);
+        let h = read_header(&file)?;
         if expect.is_some_and(|(name, len)| h.name != name || h.key_len != len) {
             return Err(TraceDbError::KeyMismatch);
         }
-        TraceStream::new(input, &h).into_trace()
+        TraceStream::new(&file, &h).into_trace()
     }
 
     fn sample_trace() -> Trace {
@@ -1044,7 +1195,7 @@ mod tests {
 
     /// Reference v1 encoder (the pre-compression layout), kept so the
     /// fallthrough decode path is tested against real v1 images.
-    fn encode_file_v1(name: &str, key_len: u64, trace: &Trace) -> Vec<u8> {
+    fn v1_image(name: &str, key_len: u64, trace: &Trace) -> Vec<u8> {
         let payload_off = payload_offset(name.len());
         let mut out = vec![0u8; payload_off + trace.len() * RECORD_BYTES];
         out[0..8].copy_from_slice(MAGIC);
@@ -1072,7 +1223,7 @@ mod tests {
     #[test]
     fn roundtrip_in_memory() {
         let t = sample_trace();
-        let bytes = encode_file("x", 99, &t);
+        let bytes = image("x", 99, &t);
         let back = decode_file(&bytes, Some(("x", 99))).unwrap();
         assert_eq!(back, t);
         assert!(back.halted);
@@ -1083,8 +1234,8 @@ mod tests {
     #[test]
     fn v1_files_fall_through_and_decode_identically() {
         let t = sample_trace();
-        let v1 = encode_file_v1("x", 99, &t);
-        let v2 = encode_file("x", 99, &t);
+        let v1 = v1_image("x", 99, &t);
+        let v2 = image("x", 99, &t);
         // Same content, same checksum (it covers the logical words), two
         // layouts — and the warm loader must accept both.
         assert_eq!(v1[32..40], v2[32..40], "checksum is layout-independent");
@@ -1103,8 +1254,8 @@ mod tests {
     #[test]
     fn zero_runs_compress() {
         let t = sample_trace();
-        let v1 = encode_file_v1("x", 99, &t);
-        let v2 = encode_file("x", 99, &t);
+        let v1 = v1_image("x", 99, &t);
+        let v2 = image("x", 99, &t);
         assert!(
             v2.len() < v1.len(),
             "v2 ({}) must be smaller than v1 ({})",
@@ -1120,7 +1271,7 @@ mod tests {
     #[test]
     fn v2_reserved_control_bits_are_bad_records() {
         let t = sample_trace();
-        let mut bytes = encode_file("x", 99, &t);
+        let mut bytes = image("x", 99, &t);
         let off = payload_offset(1);
         bytes[off] |= 0x80; // reserved bit in the first record's control byte
         assert_eq!(
@@ -1128,7 +1279,7 @@ mod tests {
             TraceDbError::BadRecord(0)
         );
         // Trailing garbage is a truncation-class mismatch, not a silent pass.
-        let mut extra = encode_file("x", 99, &t);
+        let mut extra = image("x", 99, &t);
         extra.push(0x00);
         assert_eq!(
             decode_file(&extra, Some(("x", 99))).unwrap_err(),
@@ -1154,7 +1305,7 @@ mod tests {
     #[test]
     fn key_mismatch_is_a_miss() {
         let t = sample_trace();
-        let bytes = encode_file("x", 99, &t);
+        let bytes = image("x", 99, &t);
         assert_eq!(
             decode_file(&bytes, Some(("y", 99))).unwrap_err(),
             TraceDbError::KeyMismatch
@@ -1203,8 +1354,10 @@ mod tests {
     fn import_validates_and_renames() {
         let db = temp_db("imp");
         let t = sample_trace();
-        let bytes = encode_file("orig", 42, &t);
-        let meta = db.import(&bytes, Some("renamed"), |_| false).unwrap();
+        let bytes = image("orig", 42, &t);
+        let meta = db
+            .import(&file_of(&bytes), Some("renamed"), |_| false)
+            .unwrap();
         assert_eq!(
             (meta.name.as_str(), meta.len, meta.insns),
             ("renamed", 42, 3)
@@ -1216,7 +1369,7 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
         assert_eq!(
-            db.import(&bad, None, |_| false).unwrap_err(),
+            db.import(&file_of(&bad), None, |_| false).unwrap_err(),
             TraceDbError::ChecksumMismatch
         );
         let _ = std::fs::remove_dir_all(db.dir());
@@ -1226,17 +1379,25 @@ mod tests {
     fn import_refuses_reserved_names_and_writes_nothing() {
         let db = temp_db("reserved");
         let t = sample_trace();
-        let bytes = encode_file("kept", 42, &t);
+        let bytes = image("kept", 42, &t);
         let reserved = |n: &str| n == "kept" || n == "taken";
         for rename in [None, Some("taken")] {
             let want = rename.unwrap_or("kept").to_string();
             assert_eq!(
-                db.import(&bytes, rename, reserved).unwrap_err(),
+                db.import(&file_of(&bytes), rename, reserved).unwrap_err(),
                 TraceDbError::ReservedName(want)
             );
         }
         assert!(db.list().is_empty(), "a refused import writes nothing");
-        let meta = db.import(&bytes, Some("free"), reserved).unwrap();
+        // The name is checked before the payload is read: a damaged file
+        // under a reserved name is refused for its name.
+        let mut damaged = bytes.clone();
+        *damaged.last_mut().unwrap() ^= 0x01;
+        assert_eq!(
+            db.import(&file_of(&damaged), None, reserved).unwrap_err(),
+            TraceDbError::ReservedName("kept".to_string())
+        );
+        let meta = db.import(&file_of(&bytes), Some("free"), reserved).unwrap();
         assert_eq!((meta.name.as_str(), meta.len), ("free", 42));
         let _ = std::fs::remove_dir_all(db.dir());
     }

@@ -5,9 +5,13 @@
 //! precise rejection reason from [`TraceDb::load_full`] — so callers fall
 //! back to re-emulation instead of simulating garbage.
 
+use std::fs::File;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use rcmc_emu::{trace_program, DynInsn, StaticInsn, Trace, TraceDb, TraceDbError, TraceRec};
+use rcmc_emu::{
+    trace_program, DynInsn, StaticInsn, Trace, TraceDb, TraceDbError, TraceMeta, TraceRec,
+};
 use rcmc_isa::{Insn, Opcode, Program, Reg};
 
 fn temp_db(tag: &str) -> (TraceDb, PathBuf) {
@@ -39,6 +43,18 @@ fn looped_program(iters: i32) -> Program {
 
 fn sample(iters: i32) -> Trace {
     trace_program(&looped_program(iters), 100_000).expect("test program emulates")
+}
+
+/// Import `image` into `db` under the name in its header, from a file
+/// holding it.
+fn import_image(db: &TraceDb, image: &[u8]) -> Result<TraceMeta, TraceDbError> {
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let p = std::env::temp_dir().join(format!("rcmc-tracedb-image-{}-{seq}", std::process::id()));
+    std::fs::write(&p, image).unwrap();
+    let file = File::open(&p).unwrap();
+    let _ = std::fs::remove_file(&p);
+    db.import(&file, None, |_| false)
 }
 
 /// The one file of `name`, for surgical corruption.
@@ -299,7 +315,7 @@ fn every_reader_gives_one_file_the_same_verdict() {
         );
         assert!(db.load("w", 100).is_none(), "{what}: load");
         assert_eq!(
-            import_db.import(image, None, |_| false).unwrap_err(),
+            import_image(&import_db, image).unwrap_err(),
             *want,
             "{what}: import"
         );
@@ -325,7 +341,7 @@ fn every_reader_gives_one_file_the_same_verdict() {
         std::fs::write(&p, image).unwrap();
         let back = db.load_full("w", 100).unwrap();
         assert_eq!(back, t, "{what}: load_full");
-        let meta = import_db.import(image, None, |_| false).unwrap();
+        let meta = import_image(&import_db, image).unwrap();
         assert_eq!((meta.name.as_str(), meta.len), ("w", 100), "{what}");
         let imported = import_db.load_full("w", 100).unwrap();
         assert_eq!(imported, t, "{what}: import");
@@ -424,7 +440,7 @@ fn hostile_imports_decode_to_the_same_stream() {
         let (db, dir) = temp_db("hostile");
         assert!(src.save("ext", 64, &t), "{what}");
         let image = std::fs::read(file_of(&src_dir, "ext")).unwrap();
-        let meta = db.import(&image, None, |_| false).unwrap();
+        let meta = import_image(&db, &image).unwrap();
         assert_eq!((meta.name.as_str(), meta.len), ("ext", 64), "{what}");
         let want: Vec<DynInsn> = t.iter().collect();
         let back = db.load_full("ext", 64).unwrap();
@@ -470,7 +486,7 @@ fn hostile_imports_decode_to_the_same_stream() {
             );
             assert!(db.load("ext", 64).is_none(), "{what} #{k}: load");
             assert_eq!(
-                bad_db.import(bad, None, |_| false).unwrap_err(),
+                import_image(&bad_db, bad).unwrap_err(),
                 *want,
                 "{what} #{k}: import"
             );
@@ -483,6 +499,80 @@ fn hostile_imports_decode_to_the_same_stream() {
             let _ = std::fs::remove_dir_all(d);
         }
     }
+}
+
+/// `record` emulates straight into the writer: it writes the bytes `save`
+/// writes for the trace `trace_program` materializes, whether the budget
+/// ends the trace before the program's `halt`, exactly at it, or past it.
+#[test]
+fn record_writes_the_file_save_writes() {
+    let (db, dir) = temp_db("record");
+    let (side, side_dir) = temp_db("record-side");
+    let program = looped_program(10);
+    let full = trace_program(&program, 1_000).unwrap();
+    assert!(full.halted);
+    for len in [10, full.len() as u64 - 1, full.len() as u64, 1_000] {
+        let meta = db.record("w", len, &program).unwrap();
+        let t = trace_program(&program, len as usize).unwrap();
+        assert!(side.save("w", len, &t));
+        let want = std::fs::read(file_of(&side_dir, "w")).unwrap();
+        assert_eq!(
+            std::fs::read(file_of(&dir, "w")).unwrap(),
+            want,
+            "len {len}"
+        );
+        assert_eq!((meta.insns, meta.halted), (t.len() as u64, t.halted));
+        assert_eq!(db.list(), [meta], "len {len}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&side_dir);
+}
+
+/// An import streams its file into the writer, so damage it meets only
+/// at its last record (a bad record, or a checksum that no longer
+/// matches once every record is written) fails the import after the
+/// writer has written every record before it. The failure leaves the
+/// trace stored under that name byte-identical and no temp file behind.
+#[test]
+fn a_damaged_import_keeps_the_stored_trace_and_leaves_no_temp_file() {
+    let (db, dir) = temp_db("damaged-import");
+    let (side, side_dir) = temp_db("damaged-import-side");
+    assert!(db.save("w", 100, &sample(10)));
+    let stored = std::fs::read(file_of(&dir, "w")).unwrap();
+    assert!(side.save("w", 200, &sample(20)));
+    let image = std::fs::read(file_of(&side_dir, "w")).unwrap();
+    let recs = record_offsets(&image, "w");
+    let last = *recs.last().unwrap();
+    let edit = |f: &dyn Fn(&mut Vec<u8>)| {
+        let mut b = image.clone();
+        f(&mut b);
+        b
+    };
+    let cases = [
+        (
+            "last byte flipped",
+            edit(&|b| *b.last_mut().unwrap() ^= 0x01),
+            TraceDbError::ChecksumMismatch,
+        ),
+        (
+            "last record's reserved control bit",
+            edit(&|b| b[last] |= 0x80),
+            TraceDbError::BadRecord(recs.len() - 1),
+        ),
+    ];
+    for (what, bad, want) in cases {
+        assert_eq!(import_image(&db, &bad).unwrap_err(), want, "{what}");
+        assert_eq!(
+            snapshot(&dir),
+            [(PathBuf::from("w.trc"), stored.clone())],
+            "{what}: the stored trace changed or a temp file was left"
+        );
+    }
+    // The undamaged file replaces it.
+    assert_eq!(import_image(&db, &image).unwrap().len, 200);
+    assert_eq!(snapshot(&dir), [(PathBuf::from("w.trc"), image)]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&side_dir);
 }
 
 /// A name means one file: a later save under the same name replaces the

@@ -15,7 +15,14 @@
 //! stopped).
 //!
 //! [`Workload::trace`] materializes a whole trace, for the callers that
-//! need one: the pipeline view, the oracles and the tests.
+//! need one: the oracles and the tests. The `rcmc` binary never does; its
+//! pipeline view streams like a job ([`Workload::source`], then
+//! [`Workload::finish`]).
+//!
+//! A row's INT/FP class comes from its [`Workload`] ([`Workload::fp`]):
+//! a suite benchmark's, or the FP class flag of an imported trace file,
+//! which the trace-store writer sets when a record reads or writes an FP
+//! register.
 //!
 //! Which instructions a workload name means is decided once per request,
 //! by [`Workload::resolve`], before anything is submitted: a suite
@@ -283,6 +290,17 @@ impl Workload {
         }
     }
 
+    /// The workload's INT/FP class: a suite benchmark's
+    /// ([`Benchmark::is_fp`]), or an imported trace file's FP class flag
+    /// ([`OpenTrace::fp`]; a file stored before the flag existed reads
+    /// INT until it is re-imported).
+    pub fn fp(&self) -> bool {
+        match &self.0 {
+            Source::Suite(b) => b.is_fp(),
+            Source::Imported(t) => t.fp(),
+        }
+    }
+
     /// The content identity, the workload half of a [`JobKey`]: `p` + a
     /// hash of [`TRACE_VERSION`] and a suite benchmark's built program
     /// (the emulator is deterministic, so no trace has to exist), or `t` +
@@ -309,6 +327,14 @@ impl Workload {
                 TraceSource::decode(t.stream())
             }
         }
+    }
+
+    /// The end-of-run check of a stream [`Workload::source`] gave
+    /// ([`TraceSource::finish`]; a core hands its source back with
+    /// `Core::into_source`): the error that ended it, if one did, naming
+    /// the workload.
+    pub fn finish(&self, source: TraceSource<'_>) -> Result<(), String> {
+        source.finish().map_err(|e| self.failure(e))
     }
 
     /// Why a run of this workload failed, naming it: "`gzip` failed to
@@ -681,9 +707,7 @@ fn simulate_stats(
 ) -> Result<rcmc_core::Stats, String> {
     let mut core = Core::streaming(cfg.core.clone(), cfg.mem, cfg.pred, workload.source());
     let stats = core.run_with_warmup(budget.warmup, budget.measure);
-    core.into_source()
-        .finish()
-        .map_err(|e| workload.failure(e))?;
+    workload.finish(core.into_source())?;
     Ok(stats)
 }
 
@@ -691,8 +715,9 @@ fn simulate_stats(
 /// the per-cluster dispatch and NREADY aggregates) into the figure metrics.
 /// Pure and deterministic — each job runs its own on whichever worker
 /// simulated it, overlapped with other jobs' simulations.
+/// `fp` is `bench`'s suite class (INT for any other name); a job's row
+/// takes its class from its [`Workload`] instead ([`run_pair`]).
 pub fn reduce_metrics(cfg: &SimConfig, bench: &str, stats: &rcmc_core::Stats) -> RunResult {
-    // Imported traces are not suite members; they count as INT workloads.
     let fp = benchmark(bench).is_some_and(|b| b.is_fp());
     RunResult {
         config: cfg.name.clone(),
@@ -710,15 +735,17 @@ pub fn reduce_metrics(cfg: &SimConfig, bench: &str, stats: &rcmc_core::Stats) ->
     }
 }
 
-/// `r` under the display labels `config` and `bench`. Rows are shared by
-/// content, so a row stored or simulated for another label of the same
-/// machine and workload is relabelled for each requester. (`fp` needs no
-/// relabelling: a suite program's identity is its own, and every imported
-/// trace counts as INT.)
-pub(crate) fn labelled(r: &RunResult, config: &str, bench: &str) -> RunResult {
+/// `r` under the display label `config` and the name and class of
+/// `workload`. Rows are shared by content, so a row stored or simulated
+/// for another label of the same machine and workload is relabelled for
+/// each requester. The class comes from the workload, not the row: an
+/// imported trace's class flag is outside its checksum, so a row stored
+/// before a re-import that set the flag would carry a stale class.
+pub(crate) fn labelled(r: &RunResult, config: &str, workload: &Workload) -> RunResult {
     RunResult {
         config: config.to_string(),
-        bench: bench.to_string(),
+        bench: workload.name().to_string(),
+        fp: workload.fp(),
         ..r.clone()
     }
 }
@@ -736,10 +763,14 @@ pub fn run_pair(
 ) -> Result<RunResult, String> {
     let key = JobKey::of(cfg, workload, budget);
     if let Some(hit) = store.load_key(&key) {
-        return Ok(labelled(&hit, &cfg.name, workload.name()));
+        return Ok(labelled(&hit, &cfg.name, workload));
     }
     let stats = simulate_stats(cfg, workload, budget)?;
-    let result = reduce_metrics(cfg, workload.name(), &stats);
+    let result = labelled(
+        &reduce_metrics(cfg, workload.name(), &stats),
+        &cfg.name,
+        workload,
+    );
     store.save_key(&key, &result);
     Ok(result)
 }
@@ -1021,7 +1052,12 @@ mod tests {
                 for bench in ["gzip", "mcf", "fma3d"] {
                     let r =
                         run_pair(&cfg, &suite(bench), &budget, &ResultStore::ephemeral()).unwrap();
-                    let row = labelled(&r, "", "").to_value().to_compact_string();
+                    let blanked = RunResult {
+                        config: String::new(),
+                        bench: String::new(),
+                        ..r
+                    };
+                    let row = blanked.to_value().to_compact_string();
                     h = fnv(h, row.as_bytes());
                 }
             }

@@ -211,7 +211,9 @@ struct Job<'s> {
 struct Subscriber<'s> {
     req: Arc<Request<'s>>,
     config: String,
-    bench: String,
+    /// The requester's resolved workload: its name and class label the
+    /// row.
+    workload: Workload,
 }
 
 struct SchedState<'s> {
@@ -337,7 +339,7 @@ impl<'s> Scheduler<'s> {
             for cfg in &cfgs {
                 let key = JobKey::of(cfg, workload, &budget);
                 match store.load_key(&key) {
-                    Some(hit) => rows.push(labelled(&hit, &cfg.name, workload.name())),
+                    Some(hit) => rows.push(labelled(&hit, &cfg.name, workload)),
                     None => pending.push((key, cfg, workload)),
                 }
             }
@@ -377,7 +379,7 @@ impl<'s> Scheduler<'s> {
                 let sub = Subscriber {
                     req: req.clone(),
                     config: cfg.name.clone(),
-                    bench: workload.name().to_string(),
+                    workload: workload.clone(),
                 };
                 match st.jobs.get_mut(&key) {
                     // Identical job already queued or running: subscribe.
@@ -449,14 +451,14 @@ impl<'s> Scheduler<'s> {
             match outcome {
                 Ok(r) => {
                     for sub in &job.subscribers {
-                        self.deliver(&sub.req, labelled(&r, &sub.config, &sub.bench));
+                        self.deliver(&sub.req, labelled(&r, &sub.config, &sub.workload));
                     }
                 }
                 Err(error) => {
                     let victims = job.subscribers.into_iter().map(|sub| {
                         let failure = JobFailure {
                             config: sub.config,
-                            bench: sub.bench,
+                            bench: sub.workload.name().to_string(),
                             error: error.clone(),
                         };
                         (sub.req, Some(failure))

@@ -7,10 +7,11 @@
 //! the suite; and a suite benchmark's run never reads the store, so a
 //! file stored under its name cannot stand in for it.
 
-use std::path::PathBuf;
+use std::fs::File;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use rcmc_emu::{trace_program, TraceDb};
+use rcmc_emu::{trace_program, TraceDb, TraceDbError, TraceMeta};
 use rcmc_sim::plan::Plan;
 use rcmc_sim::runner::{all_bench_names, cached_trace_via, Budget, ResultStore, RunResult};
 use rcmc_sim::scheduler::{JobFailure, RunRequest, Scheduler, Sink, Tally};
@@ -22,6 +23,11 @@ fn temp_db(tag: &str) -> (TraceDb, PathBuf) {
     let dir = std::env::temp_dir().join(format!("rcmc-tstore-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     (TraceDb::at(dir.clone()), dir)
+}
+
+/// Import the trace file at `path` into `db` as `name`.
+fn import_as(db: &TraceDb, path: &Path, name: &str) -> Result<TraceMeta, TraceDbError> {
+    db.import(&File::open(path).unwrap(), Some(name), |_| false)
 }
 
 /// Every suite benchmark: emulate → persist → reload → compare, insns and
@@ -66,13 +72,10 @@ fn imported_trace_is_a_plan_resolvable_workload() {
     let len = 6_000u64;
     let t = trace_program(&benchmark("mcf").unwrap().build(), len as usize).unwrap();
     // "Capture" externally: encode under a foreign name via a second
-    // store, then import the raw file bytes under a new name.
+    // store, then import the raw file under a new name.
     let (side, side_dir) = temp_db("imported-side");
     assert!(side.save("captured", len, &t));
-    let raw = std::fs::read(side_dir.join("captured.trc")).unwrap();
-    let meta = db
-        .import(&raw, Some("myext"), |_| false)
-        .expect("import validates");
+    let meta = import_as(&db, &side_dir.join("captured.trc"), "myext").expect("import validates");
     assert_eq!((meta.name.as_str(), meta.len), ("myext", len));
     let _ = std::fs::remove_dir_all(&side_dir);
 
@@ -157,9 +160,7 @@ fn reimporting_a_name_never_serves_the_old_traces_row() {
     let import_as_x = |bench: &str| {
         let t = trace_program(&benchmark(bench).unwrap().build(), len as usize).unwrap();
         assert!(side.save(bench, len, &t));
-        let raw = std::fs::read(side_dir.join(format!("{bench}.trc"))).unwrap();
-        db.import(&raw, Some("X"), |_| false)
-            .expect("import validates");
+        import_as(&db, &side_dir.join(format!("{bench}.trc")), "X").expect("import validates");
     };
     let plan = Plan::new("stale")
         .config_named("Ring_8clus_1bus_2IW")
@@ -227,7 +228,7 @@ fn a_request_runs_the_trace_it_resolved() {
     let recording = |bench: &str| {
         let t = trace_program(&benchmark(bench).unwrap().build(), len as usize).unwrap();
         assert!(side.save(bench, len, &t));
-        std::fs::read(side_dir.join(format!("{bench}.trc"))).unwrap()
+        side_dir.join(format!("{bench}.trc"))
     };
     let (gzip, swim) = (recording("gzip"), recording("swim"));
     let budget = Budget {
@@ -251,9 +252,9 @@ fn a_request_runs_the_trace_it_resolved() {
         (rs.rows()[0].clone(), counts.into_inner().unwrap())
     };
     // What `ext` gives as the only trace of a fresh store.
-    let fresh_row = |bytes: &[u8]| {
+    let fresh_row = |path: &Path| {
         let (db, dir) = temp_db("pin-fresh");
-        db.import(bytes, Some("ext"), |_| false).unwrap();
+        import_as(&db, path, "ext").unwrap();
         let (row, _) = run(ResultStore::ephemeral(), &db);
         let _ = std::fs::remove_dir_all(&dir);
         row
@@ -269,14 +270,14 @@ fn a_request_runs_the_trace_it_resolved() {
         (
             "re-imported as swim",
             Box::new(|db| {
-                db.import(&swim, Some("ext"), |_| false).unwrap();
+                import_as(db, &swim, "ext").unwrap();
             }),
             Some(&swim_row),
         ),
     ];
     for (what, change, next) in inputs {
         let (db, dir) = temp_db("pin");
-        db.import(&gzip, Some("ext"), |_| false).unwrap();
+        import_as(&db, &gzip, "ext").unwrap();
         let results = dir.join("results");
         let store = ResultStore::at(results.clone());
         let (cfgs, workloads) = plan.resolve_workloads_in(Some(&db)).unwrap();
@@ -314,7 +315,7 @@ fn a_request_runs_the_trace_it_resolved() {
             }
         }
         // Filed under gzip's checksum, not under the name.
-        db.import(&gzip, Some("ext"), |_| false).unwrap();
+        import_as(&db, &gzip, "ext").unwrap();
         let (row, counts) = run(ResultStore::at(results), &db);
         assert_eq!((row, counts), (gzip_row.clone(), (0, 1)), "{what}");
         let _ = std::fs::remove_dir_all(&dir);

@@ -371,8 +371,59 @@ impl FrontEndPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rcmc_isa::Insn;
     use rcmc_isa::Opcode;
+
+    /// Gshare as its definition reads: one 2-bit counter per entry, the
+    /// counter of a branch at `pc` is entry `(pc XOR history) mod entries`,
+    /// and the branch trains that counter, the one its prediction read,
+    /// before its outcome enters the history (the newest outcome in bit
+    /// 0, the history as long as log2(entries) bits).
+    struct RefGshare {
+        counters: Vec<u8>,
+        history: u64,
+    }
+
+    impl RefGshare {
+        fn entry(&self, pc: u32) -> usize {
+            ((pc as u64 ^ self.history) % self.counters.len() as u64) as usize
+        }
+
+        fn predict(&self, pc: u32) -> bool {
+            self.counters[self.entry(pc)] >= 2
+        }
+
+        fn update(&mut self, pc: u32, taken: bool) {
+            let e = self.entry(pc);
+            let c = self.counters[e];
+            self.counters[e] = if taken { (c + 1).min(3) } else { c.max(1) - 1 };
+            self.history = (self.history * 2 + taken as u64) % self.counters.len() as u64;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+        /// Random branch streams (a few pcs, so entries are shared and
+        /// retrained, over every table size from 2 to 4096 entries): the
+        /// predictor predicts every branch as the reference does and ends
+        /// with the same history.
+        #[test]
+        fn gshare_matches_its_reference_model(
+            log2_entries in 1u32..=12,
+            branches in prop::collection::vec((0u32..24, any::<bool>()), 1..600),
+        ) {
+            let entries = 1usize << log2_entries;
+            let mut g = Gshare::new(entries);
+            let mut oracle = RefGshare { counters: vec![1; entries], history: 0 };
+            for (k, &(pc, taken)) in branches.iter().enumerate() {
+                prop_assert_eq!(g.predict(pc), oracle.predict(pc), "branch {}", k);
+                g.update(pc, taken);
+                oracle.update(pc, taken);
+            }
+            prop_assert_eq!(g.history() as u64, oracle.history);
+        }
+    }
 
     #[test]
     fn bimodal_learns_bias() {

@@ -1,9 +1,13 @@
 //! Workload characterization: the instruction-mix and locality statistics
 //! papers tabulate when introducing a benchmark suite.
+//!
+//! [`characterize`] folds a stream of dynamic instructions in one pass,
+//! so [`suite_table`] steps each benchmark's emulator straight into it and
+//! holds no trace.
 
 use std::collections::HashMap;
 
-use rcmc_emu::Trace;
+use rcmc_emu::{Cpu, DynInsn};
 use rcmc_isa::InsnClass;
 
 /// Dynamic characterization of one trace window.
@@ -32,9 +36,9 @@ pub struct MixReport {
     pub static_insns: usize,
 }
 
-/// Characterize a dynamic window.
-pub fn characterize(trace: &Trace) -> MixReport {
-    let n = trace.len().max(1);
+/// Characterize a dynamic window, folding its instructions in order.
+pub fn characterize(window: impl IntoIterator<Item = DynInsn>) -> MixReport {
+    let mut insns = 0usize;
     let mut int_ops = 0usize;
     let mut fp_ops = 0usize;
     let mut loads = 0usize;
@@ -48,7 +52,8 @@ pub fn characterize(trace: &Trace) -> MixReport {
     let mut dist_sum = 0u64;
     let mut dist_n = 0u64;
 
-    for (i, d) in trace.iter().enumerate() {
+    for (i, d) in window.into_iter().enumerate() {
+        insns += 1;
         statics.insert(d.pc);
         match d.class() {
             InsnClass::IntAlu | InsnClass::IntMul | InsnClass::IntDiv => int_ops += 1,
@@ -82,8 +87,9 @@ pub fn characterize(trace: &Trace) -> MixReport {
             last_writer.insert(dst.unified(), i);
         }
     }
+    let n = insns.max(1);
     MixReport {
-        insns: trace.len(),
+        insns,
         int_ops: int_ops as f64 / n as f64,
         fp_ops: fp_ops as f64 / n as f64,
         loads: loads as f64 / n as f64,
@@ -114,8 +120,11 @@ pub fn suite_table(window: usize) -> String {
         "program", "class", "int%", "fp%", "ld%", "st%", "br%", "depdist", "pages", "static"
     );
     for b in crate::suite() {
-        let trace = rcmc_emu::trace_program(&b.build(), window).expect("benchmark must emulate");
-        let m = characterize(&trace);
+        let program = b.build();
+        let mut cpu = Cpu::new(&program);
+        // The first `window` instructions, or up to `halt` (inclusive).
+        let steps = std::iter::from_fn(|| cpu.step().expect("benchmark must emulate"));
+        let m = characterize(steps.take(window));
         let _ = writeln!(
             out,
             "{:10} {:>5} {:>5.1}% {:>5.1}% {:>5.1}% {:>5.1}% {:>5.1}% {:>7.1} {:>7} {:>7}",
@@ -142,7 +151,7 @@ mod tests {
 
     fn mix(name: &str) -> MixReport {
         let b = benchmark(name).unwrap();
-        characterize(&trace_program(&b.build(), 20_000).unwrap())
+        characterize(trace_program(&b.build(), 20_000).unwrap().iter())
     }
 
     #[test]

@@ -13,8 +13,8 @@
 # OUT defaults to MUTANTS.txt. The scratch directory is a fresh
 # `mktemp -d`, removed at the end. Each check is one `cargo test`
 # invocation on the debug profile; a check that fails, does not build or
-# runs past 900 seconds kills the mutant. Fifteen mutants take about
-# 4 minutes on 2 vCPUs, the scratch tree's first build included. CI runs
+# runs past 900 seconds kills the mutant. Twenty mutants take about
+# 6 minutes on 2 vCPUs, the scratch tree's first build included. CI runs
 # the script and fails when a row differs from the committed MUTANTS.txt.
 set -euo pipefail
 
@@ -26,7 +26,7 @@ logs="$scratch/logs"
 
 # The correctness oracles check a property of the model; the change
 # detectors pin its numbers, so they kill any mutant that moves a number.
-oracles=(cycle_stepped golden_timing random_programs fabric_properties lsq:: queues:: steering::)
+oracles=(cycle_stepped golden_timing random_programs fabric_properties lsq:: queues:: steering:: bpred::)
 detectors=(golden_equivalence golden_run_all model_version_is_pinned_to_behaviour)
 
 check_cmd() {
@@ -38,6 +38,7 @@ check_cmd() {
         lsq::) echo "cargo test -q -p rcmc-core --lib lsq::" ;;
         queues::) echo "cargo test -q -p rcmc-core --lib queues::" ;;
         steering::) echo "cargo test -q -p rcmc-core --lib steering::" ;;
+        bpred::) echo "cargo test -q -p rcmc-uarch --lib bpred::" ;;
         golden_equivalence) echo "cargo test -q -p rcmc-sim --test golden_equivalence" ;;
         golden_run_all) echo "cargo test -q -p rcmc-sim --test golden_run_all" ;;
         model_version_is_pinned_to_behaviour)

@@ -33,9 +33,10 @@
 //! traces only.
 
 use std::collections::HashMap;
+use std::fs::File;
 
 use ring_clustered::core::{Core, PipeTracer};
-use ring_clustered::emu::{trace_program, TraceDb, TraceDbError, TraceMeta};
+use ring_clustered::emu::{TraceDb, TraceDbError, TraceError, TraceMeta};
 use ring_clustered::sim::experiments::{self, plans};
 use ring_clustered::sim::plan::ConfigSpec;
 use ring_clustered::sim::runner::{
@@ -518,21 +519,23 @@ fn trace_view(args: &[String], flags: &HashMap<String, String>) {
         .resolve()
         .unwrap_or_else(die)
         .remove(0);
-    let trace = workload.trace(end as u64 + 50_000).unwrap_or_else(die);
-    let mut core = Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace);
+    // Streamed like a job: the core holds its ring and the tracer its
+    // window, and a damaged imported trace fails here, before any output.
+    let mut core = Core::streaming(cfg.core.clone(), cfg.mem, cfg.pred, workload.source());
     core.attach_tracer(PipeTracer::new(from, end));
     core.run(end as u64 + 20_000);
     let tracer = core.take_tracer().unwrap();
+    workload.finish(core.into_source()).unwrap_or_else(die);
     outln!("{bench} on {cfg_name}, dynamic instructions {from}..{end}");
-    out!("{}", tracer.render(&trace, 100));
+    out!("{}", tracer.render(100));
     let (wait, lat) = tracer.latency_summary();
     outln!("mean dispatch→issue wait {wait:.1} cycles; mean issue→complete {lat:.1} cycles");
 }
 
 /// `rcmc trace record <bench> [--len N]` — emulate a suite benchmark and
-/// write its oracle trace to `<store>/<bench>.trc`, a file to hand to
-/// `trace import` (runs of a suite benchmark always emulate; they never
-/// read this file).
+/// write its oracle trace to `<store>/<bench>.trc` record by record, a
+/// file to hand to `trace import` (runs of a suite benchmark always
+/// emulate; they never read this file).
 fn trace_record(args: &[String], flags: &HashMap<String, String>) {
     let bench = positional(args, 2, "benchmark name");
     let Some(b) = benchmark(&bench) else {
@@ -541,15 +544,14 @@ fn trace_record(args: &[String], flags: &HashMap<String, String>) {
     };
     let len: u64 = num_flag(flags, "len").unwrap_or_else(|| Budget::default().trace_len());
     let db = trace_db_from(flags);
-    let trace =
-        trace_program(&b.build(), len as usize).unwrap_or_else(|e| die(format!("{bench}: {e}")));
-    let n = trace.len();
-    if !db.save(&bench, len, &trace) {
-        die::<()>(format!(
+    let n = match db.record(&bench, len, &b.build()) {
+        Ok(meta) => meta.insns,
+        Err(TraceError::Decode(_)) => die(format!(
             "trace store '{}' is not writable",
             db.dir().display()
-        ));
-    }
+        )),
+        Err(e) => die(format!("{bench}: {e}")),
+    };
     outln!(
         "recorded {bench}/{len}: {n} dynamic instructions -> {}",
         db.dir().join(format!("{bench}.trc")).display()
@@ -558,13 +560,14 @@ fn trace_record(args: &[String], flags: &HashMap<String, String>) {
 
 /// `rcmc trace import <file> [--name NAME]` — adopt an externally captured
 /// `.trc` file (full strict validation) as a named workload, replacing any
-/// trace stored under that name.
+/// trace stored under that name. The file streams into the store record
+/// by record.
 fn trace_import(args: &[String], flags: &HashMap<String, String>) {
     let path = positional(args, 2, "trace file");
-    let bytes = std::fs::read(&path).unwrap_or_else(|e| die(format!("cannot read '{path}': {e}")));
+    let file = File::open(&path).unwrap_or_else(|e| die(format!("cannot read '{path}': {e}")));
     let db = trace_db_from(flags);
     let suite_name = |name: &str| benchmark(name).is_some();
-    match db.import(&bytes, flags.get("name").map(String::as_str), suite_name) {
+    match db.import(&file, flags.get("name").map(String::as_str), suite_name) {
         Ok(TraceMeta { name, insns, .. }) => outln!(
             "imported '{path}' as workload '{name}' ({insns} instructions); \
              run it like any benchmark: `rcmc run {name}`"

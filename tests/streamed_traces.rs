@@ -5,16 +5,19 @@
 //! bit-identical [`Stats`], skipped cycles and halt flag, event-driven and
 //! cycle-stepped alike, on every topology and steering policy — and when
 //! the stream ends before the budget, on a program that halts or on a
-//! short imported trace.
+//! short imported trace. The pipeline view of a streamed run is the view
+//! of the replay, and an imported trace keeps its INT/FP class.
 
 use ring_clustered::asm::Asm;
-use ring_clustered::core::{Core, CoreConfig, Stats, Steering, Topology};
+use ring_clustered::core::{Core, CoreConfig, PipeTracer, Stats, Steering, Topology};
 use ring_clustered::emu::{trace_program, TraceDb, TraceSource};
 use ring_clustered::isa::{Program, Reg};
 use ring_clustered::sim::config::make_pair;
+use ring_clustered::sim::plan::ReportSpec;
+use ring_clustered::sim::resultset::Metric;
 use ring_clustered::sim::runner::{reduce_metrics, run_pair, Budget, ResultStore, Workload};
 use ring_clustered::sim::{Plan, Session, SimConfig};
-use ring_clustered::workloads::benchmark;
+use ring_clustered::workloads::{benchmark, suite};
 
 const TOPOLOGIES: [Topology; 5] = [
     Topology::Ring,
@@ -238,5 +241,108 @@ fn imported_rows_at_two_workers_match_one_worker() {
     let serial = run(1);
     assert_eq!(serial.len(), 2);
     assert_eq!(serial, run(2));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `rcmc trace view`'s timeline comes from the tracer alone: the core
+/// hands each record's instruction over at fetch. Over a streamed source
+/// it is the timeline of the replay of the materialized trace, byte for
+/// byte, on a window inside the run, one that starts at the first record,
+/// and one that runs past a program's `halt` (whose unfetched records
+/// print no row).
+#[test]
+fn the_pipeline_view_of_a_stream_matches_the_replay() {
+    let gzip = benchmark("gzip").unwrap().build();
+    let cases: [(&str, &Program, u32, u32); 3] = [
+        ("gzip", &gzip, 1_000, 1_024),
+        ("gzip from 0", &gzip, 0, 40),
+        ("past halt", &halting_loop(), 480, 560),
+    ];
+    for (what, program, from, to) in cases {
+        let trace = trace_program(program, to as usize + 50_000).unwrap();
+        for topology in [Topology::Ring, Topology::Conv] {
+            let cfg = make_pair(topology, Steering::RingDep, 8, 1, 2);
+            let view = |mut core: Core<'_>| {
+                core.attach_tracer(PipeTracer::new(from, to));
+                core.run(to as u64 + 20_000);
+                let tracer = core.take_tracer().unwrap();
+                core.into_source()
+                    .finish()
+                    .expect("the stream ends cleanly");
+                (tracer.render(100), tracer.latency_summary())
+            };
+            let source = TraceSource::emulate(program);
+            let streamed = view(Core::streaming(cfg.core.clone(), cfg.mem, cfg.pred, source));
+            let replayed = view(Core::new(cfg.core.clone(), cfg.mem, cfg.pred, &trace));
+            let tag = format!("{what} on {}", cfg.name);
+            let rows = streamed.0.lines().count() - 1;
+            let fetched = (to.min(trace.len() as u32) - from) as usize;
+            assert_eq!(rows, fetched, "{tag}: one row per fetched record");
+            assert_eq!(streamed, replayed, "{tag}: the streamed view diverged");
+        }
+    }
+}
+
+/// An imported trace keeps its INT/FP class: each of the 26 suite
+/// benchmarks, recorded at a short length and imported under another
+/// name, gets the class of its suite program, and an imported FP trace's
+/// row lands in the FP column of a `grouped` report (an INT one in the
+/// INT column).
+#[test]
+fn imported_traces_keep_their_suite_class() {
+    let dir = std::env::temp_dir().join(format!("rcmc-streamed-class-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (rec, db) = (TraceDb::at(dir.join("rec")), TraceDb::at(dir.join("store")));
+    for b in suite() {
+        let recorded = rec.record(b.name, 2_000, &b.build()).unwrap();
+        assert_eq!(recorded.fp, b.is_fp(), "{}: recorded class", b.name);
+        let file = std::fs::File::open(rec.dir().join(format!("{}.trc", b.name))).unwrap();
+        let imported = db.import(&file, Some(&format!("x-{}", b.name)), |_| false);
+        assert_eq!(
+            imported.unwrap().fp,
+            b.is_fp(),
+            "{}: imported class",
+            b.name
+        );
+        let workload = Workload::resolve(&format!("x-{}", b.name), Some(&db)).unwrap();
+        assert_eq!(workload.fp(), b.is_fp(), "{}: workload class", b.name);
+    }
+    let plan = |bench: &str| {
+        Plan::new("class")
+            .config_named("Ring_8clus_1bus_2IW")
+            .bench(bench)
+            .budget(Budget {
+                warmup: 200,
+                measure: 1_000,
+            })
+            .report(ReportSpec::grouped(Metric::Ipc))
+    };
+    let session = Session::ephemeral().with_trace_store(db.clone());
+    for (bench, fp) in [("x-swim", true), ("x-gzip", false)] {
+        let rs = session.run(&plan(bench)).unwrap();
+        let row = &rs.rows()[0];
+        assert_eq!((row.bench.as_str(), row.fp), (bench, fp));
+        let text = plan(bench).render_text(&rs).unwrap();
+        // `Ring_8clus_1bus_2IW  AVERAGE  INT  FP`: the row's IPC is the
+        // average and its own class's mean; the other class, with no
+        // row, reads 0.
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("Ring_8clus_1bus_2IW"))
+            .unwrap_or_else(|| panic!("{bench}: no report line in\n{text}"));
+        let cells: Vec<&str> = line.split_whitespace().collect();
+        let ipc = format!("{:.3}", row.ipc);
+        let none = "0.000";
+        let (int, fp_cell) = if fp {
+            (none, ipc.as_str())
+        } else {
+            (ipc.as_str(), none)
+        };
+        assert_eq!(
+            cells,
+            ["Ring_8clus_1bus_2IW", &ipc, int, fp_cell],
+            "{bench}:\n{text}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
