@@ -331,14 +331,13 @@ impl TraceDb {
     /// disk.
     pub fn save(&self, name: &str, len: u64, trace: &Trace) -> bool {
         let write = || {
-            let static_insns = trace.static_insns as u32;
-            let mut w = TraceWriter::create(&self.path_of(name), name, len, static_insns)?;
+            let mut w = self.writer(name, len, trace.static_insns as u32)?;
             for d in trace.iter() {
                 w.push(&d)?;
             }
             w.commit(trace.halted)
         };
-        Self::valid_name(name) && write().is_ok()
+        write().is_ok()
     }
 
     /// Emulate `program` for at most `len` dynamic instructions
@@ -350,11 +349,8 @@ impl TraceDb {
     /// [`TraceError::Decode`]; either leaves the stored trace of `name` as
     /// it was. Returns the catalog entry of the stored file.
     pub fn record(&self, name: &str, len: u64, program: &Program) -> Result<TraceMeta, TraceError> {
-        if !Self::valid_name(name) {
-            return Err(TraceError::Decode(TraceDbError::KeyMismatch));
-        }
-        let static_insns = program.insns.len() as u32;
-        let mut w = TraceWriter::create(&self.path_of(name), name, len, static_insns)
+        let mut w = self
+            .writer(name, len, program.insns.len() as u32)
             .map_err(TraceError::Decode)?;
         let mut source = TraceSource::emulate(program);
         // A trace ends at `halt` (inclusive) or at the budget.
@@ -385,24 +381,31 @@ impl TraceDb {
     ) -> Result<TraceMeta, TraceDbError> {
         let header = read_header(file)?;
         let name = rename.unwrap_or(&header.name);
-        if !Self::valid_name(name) {
-            return Err(TraceDbError::KeyMismatch);
-        }
         if reserved(name) {
             return Err(TraceDbError::ReservedName(name.to_string()));
         }
+        let mut w = self.writer(name, header.key_len, header.static_insns)?;
         let mut stream = TraceStream::new(file, &header);
-        let mut w = TraceWriter::create(
-            &self.path_of(name),
-            name,
-            header.key_len,
-            header.static_insns,
-        )?;
         while let Some(rec) = stream.next() {
             w.push(&rec.logical(stream.statics()))?;
         }
         stream.finish()?;
         w.commit(header.halted)
+    }
+
+    /// A writer of `name`'s one file, recording `key_len` and
+    /// `static_insns` in its header; an invalid name is
+    /// [`TraceDbError::KeyMismatch`].
+    fn writer(
+        &self,
+        name: &str,
+        key_len: u64,
+        static_insns: u32,
+    ) -> Result<TraceWriter, TraceDbError> {
+        if !Self::valid_name(name) {
+            return Err(TraceDbError::KeyMismatch);
+        }
+        TraceWriter::create(self.path_of(name), name, key_len, static_insns)
     }
 
     /// Every `<name>.trc` file in the store, sorted by name: its catalog
@@ -577,7 +580,7 @@ impl TraceWriter {
     /// Start the file of `name` at `path`: its header, with the record
     /// count, the checksum and the flags still zero.
     fn create(
-        path: &Path,
+        path: PathBuf,
         name: &str,
         key_len: u64,
         static_insns: u32,
@@ -603,7 +606,7 @@ impl TraceWriter {
         };
         let mut w = TraceWriter {
             tmp: Some(tmp),
-            path: path.to_path_buf(),
+            path,
             out: BufWriter::new(file),
             meta,
             static_insns,
