@@ -15,7 +15,9 @@ use ring_clustered::isa::{Program, Reg};
 use ring_clustered::sim::config::make_pair;
 use ring_clustered::sim::plan::ReportSpec;
 use ring_clustered::sim::resultset::Metric;
-use ring_clustered::sim::runner::{reduce_metrics, run_pair, Budget, ResultStore, Workload};
+use ring_clustered::sim::runner::{
+    reduce_metrics, run_pair, Budget, ResultStore, RunResult, Workload,
+};
 use ring_clustered::sim::{Plan, Session, SimConfig};
 use ring_clustered::workloads::{benchmark, suite};
 
@@ -287,7 +289,8 @@ fn the_pipeline_view_of_a_stream_matches_the_replay() {
 /// benchmarks, recorded at a short length and imported under another
 /// name, gets the class of its suite program, and an imported FP trace's
 /// row lands in the FP column of a `grouped` report (an INT one in the
-/// INT column).
+/// INT column). A file from before the class flag reads INT until it is
+/// re-imported, and then even its memoized row reads FP.
 #[test]
 fn imported_traces_keep_their_suite_class() {
     let dir = std::env::temp_dir().join(format!("rcmc-streamed-class-{}", std::process::id()));
@@ -344,5 +347,40 @@ fn imported_traces_keep_their_suite_class() {
             "{bench}:\n{text}"
         );
     }
+
+    // A file written before the class flag existed (byte 45 zero) reads
+    // INT, and so does the row memoized for it. Re-importing the file
+    // sets the flag without changing its checksum, so the next run is a
+    // memo hit on that row, delivered under the workload's class: FP.
+    let path = db.dir().join("x-swim.trc");
+    let mut old = std::fs::read(&path).unwrap();
+    old[45] = 0;
+    std::fs::write(&path, &old).unwrap();
+    let results = dir.join("results");
+    let run = || {
+        let executed = std::sync::Mutex::new(0);
+        let rs = Session::with_store(ResultStore::at(results.clone()))
+            .with_trace_store(db.clone())
+            .run_streaming(&plan("x-swim"), &|p| {
+                *executed.lock().unwrap() = p.total - p.coalesced
+            })
+            .unwrap();
+        (rs.rows()[0].clone(), executed.into_inner().unwrap())
+    };
+    let (before, executed) = run();
+    assert_eq!(
+        (before.fp, executed),
+        (false, 1),
+        "a pre-flag file reads INT"
+    );
+    let file = std::fs::File::open(&path).unwrap();
+    assert!(db.import(&file, None, |_| false).unwrap().fp);
+    let (after, executed) = run();
+    assert_eq!(
+        (after.fp, executed),
+        (true, 0),
+        "the memoized row, relabelled"
+    );
+    assert_eq!(after, RunResult { fp: true, ..before });
     let _ = std::fs::remove_dir_all(&dir);
 }
